@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet ci bench-smoke bench-json bench-openloop chaos
+.PHONY: build test race lint ppclint lint-selftest vet ci bench bench-selftest bench-smoke bench-json bench-openloop chaos
 
 build:
 	$(GO) build ./...
@@ -8,7 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
+# The race and chaos suites run on at least two Ps wherever they run:
+# the protocols they defend are races between processors (admission
+# against a kill's drain, release against a recycle, the scavenger
+# against a completing call), and on one P those interleave only at
+# preemption points. More Ps than the host has CPUs is fine; fewer than
+# two is not.
+
 # Race detector over the concurrency-sensitive packages (CI matrix).
+race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
 
@@ -32,9 +40,21 @@ lint: vet ppclint
 # mid-hold under injected scavenge stalls) with convergence assertions
 # after each storm. The injection sites compile in only under the
 # faultinject tag.
+chaos: export GOMAXPROCS = 2
 chaos:
 	$(GO) test -run Chaos -count=5 -tags faultinject ./rt/...
 	$(GO) test -race -run Chaos -count=2 -tags faultinject ./rt/...
+
+# The repository's benchmark (bench/, registered in BENCHMARK.json):
+# every workload, untraced. bench/README.md lists run.sh's flags.
+bench:
+	bash bench/run.sh
+
+# The benchmark's own unit tests and a 50 ms smoke round of every
+# workload. bench/ is a module of its own, outside go.work, so the root
+# `go test ./...` does not reach it.
+bench-selftest:
+	cd bench && GOWORK=off $(GO) test ./...
 
 # One iteration of every benchmark: catches bit-rot in bench bodies
 # without measuring anything.
@@ -55,4 +75,4 @@ OPENLOOP_DUR ?= 2s
 bench-openloop:
 	$(GO) test -run TestOpenLoopSweepReport -v -count=1 ./internal/rtbench -openloop-dur $(OPENLOOP_DUR)
 
-ci: build lint test race chaos bench-smoke
+ci: build lint test race chaos bench-smoke bench-selftest

@@ -363,7 +363,11 @@ func (a *shardArena) addLease(ref PayloadRef) {
 }
 
 // releaseSlab drops one lease; the releaser that drains a sealed slab
-// recycles it.
+// recycles it. The decrement and the state load are two steps, and a
+// releaser can lose its processor between them for longer than a slab
+// lives: the zero it saw may belong to an earlier fill of the slab, and
+// the sealed state it then reads to a later one that still has leases
+// out. tryRecycle therefore trusts neither and re-validates.
 func (a *shardArena) releaseSlab(s *arenaSlab) {
 	if s.leases.Add(-1) == 0 && s.state.Load() == slabSealed {
 		tryRecycle(s)
@@ -371,15 +375,31 @@ func (a *shardArena) releaseSlab(s *arenaSlab) {
 }
 
 // tryRecycle resets a drained, sealed slab for reuse. The CAS elects
-// one recycler (a racing releaser and refill both call this); the
-// generation bump and cursor reset complete before the slab is marked
-// free, so a refill can never activate a slab whose old-generation
-// descriptors would still validate.
+// one recycler (a racing releaser and refill both call this), and the
+// winner re-reads the lease count before it touches anything: a sealed
+// slab takes no new leases, so zero here is final, while nonzero means
+// the caller's "drained" was stale (see releaseSlab) and the slab goes
+// back to sealed untouched. The true last releaser may have come and
+// gone while the state read recycling, so the count is read once more
+// after the restore — the releaser decrements then loads the state,
+// this stores the state then loads the count, and one of the two sees
+// the other. The generation bump and cursor reset complete before the
+// slab is marked free, so a refill can never activate a slab whose
+// old-generation descriptors would still validate.
 //
 //ppc:coldpath -- slab recycling, once per drained slabful
 func tryRecycle(s *arenaSlab) {
-	if !s.state.CompareAndSwap(slabSealed, slabRecycling) {
-		return
+	for {
+		if !s.state.CompareAndSwap(slabSealed, slabRecycling) {
+			return
+		}
+		if s.leases.Load() == 0 {
+			break
+		}
+		s.state.Store(slabSealed)
+		if s.leases.Load() != 0 {
+			return
+		}
 	}
 	s.gen.Add(1)
 	s.bump.Store(0)

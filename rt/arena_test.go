@@ -195,6 +195,91 @@ func TestArenaRecycleInvalidatesRefs(t *testing.T) {
 	}
 }
 
+// TestArenaParkedLastReleaser replays, step by step, a releaser that
+// loses its processor between releaseSlab's two steps for one whole
+// slab cycle: its decrement took the count to zero while the slab was
+// still filling; by the time it reads the state, the slab has been
+// sealed, recycled, reactivated, leased from and sealed again. It used
+// to win the sealed→recycling CAS and bump the generation under the
+// outstanding lease — Ctx.Payload then returned nil for requests in
+// flight and their leases were never returned (bench/README.md,
+// Findings 2).
+func TestArenaParkedLastReleaser(t *testing.T) {
+	var a shardArena
+	if _, _, err := a.alloc(64); err != nil {
+		t.Fatal(err)
+	}
+	s := a.cur.Load()
+	// Step one of releaseSlab; the releaser is parked before step two.
+	if s.leases.Add(-1) != 0 {
+		t.Fatal("setup: the parked releaser did not see zero")
+	}
+	// One slab cycle: s is sealed and, being drained, recycled; the next
+	// refill reactivates it; a request leases from it; it is sealed again
+	// with that lease outstanding.
+	if _, err := a.refill(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.refill(a.cur.Load()); err != nil {
+		t.Fatal(err)
+	}
+	if a.cur.Load() != s {
+		t.Fatal("setup: the recycled slab was not reactivated")
+	}
+	live, buf, err := a.alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.refill(s); err != nil {
+		t.Fatal(err)
+	}
+	gen := s.gen.Load()
+	if s.state.Load() != slabSealed || s.leases.Load() != 1 || gen != 1 {
+		t.Fatalf("setup: state %d, leases %d, gen %d; want sealed, 1, 1", s.state.Load(), s.leases.Load(), gen)
+	}
+	// The parked releaser resumes at step two.
+	if s.state.Load() == slabSealed {
+		tryRecycle(s)
+	}
+	if s.gen.Load() != gen || s.state.Load() != slabSealed {
+		t.Fatalf("a stale last-releaser recycled a slab with a lease out: state %d, gen %d", s.state.Load(), s.gen.Load())
+	}
+	if v := a.view(live); v == nil || &v[0] != &buf[0] {
+		t.Fatal("the outstanding lease no longer views its bytes")
+	}
+	// The true last releaser still recycles.
+	a.release(live)
+	if s.state.Load() != slabFree || s.gen.Load() != gen+1 || a.leasesActive() != 0 {
+		t.Fatalf("after the true last release: state %d, gen %d, leases %d; want free, %d, 0",
+			s.state.Load(), s.gen.Load(), a.leasesActive(), gen+1)
+	}
+}
+
+// TestArenaStaleRecycleKeepsTrueLastReleaser races the stale recycler
+// of the test above against the true last releaser. While the stale one
+// holds the slab in recycling, the true one sees a state that is not
+// sealed and walks away; the stale one must notice on its way out, or
+// the slab stays sealed and drained forever and the arena grows instead
+// of recycling.
+func TestArenaStaleRecycleKeepsTrueLastReleaser(t *testing.T) {
+	var a shardArena
+	for i := 0; i < 2000; i++ {
+		s := &arenaSlab{}
+		s.state.Store(slabSealed)
+		s.leases.Store(1)
+		done := make(chan struct{})
+		go func() {
+			tryRecycle(s)
+			close(done)
+		}()
+		a.releaseSlab(s)
+		<-done
+		if s.state.Load() != slabFree || s.gen.Load() != 1 || s.leases.Load() != 0 {
+			t.Fatalf("iteration %d: state %d, gen %d, leases %d; want free, 1, 0", i, s.state.Load(), s.gen.Load(), s.leases.Load())
+		}
+	}
+}
+
 // TestArenaStaleReleaseIgnored pins double-release safety across a
 // recycle: releasing a descriptor whose slab has already recycled is a
 // no-op (generation mismatch), so it can never push leases negative

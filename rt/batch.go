@@ -23,6 +23,16 @@ type Batch struct {
 	ep   EntryPointID
 	done chan<- struct{}
 	ttl  time.Duration
+	*batchStage
+}
+
+// batchStage is the staging buffer of a Batch, split out so that the
+// client's ownership record can list it (the scavenger settles staged
+// payload leases when the client dies) without reaching the Batch: a
+// Batch points at its Client, and the record is the argument of the
+// client's runtime.AddCleanup — a record that reached the client would
+// keep it, and every System it touched, alive for good.
+type batchStage struct {
 	reqs []Args
 }
 
@@ -34,12 +44,12 @@ func (c *Client) NewBatch(ep EntryPointID, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = defaultAsyncQueueCap
 	}
-	b := &Batch{c: c, ep: ep, reqs: make([]Args, 0, capacity)}
-	// File the batch on the ownership record (owner.go) so the
+	b := &Batch{c: c, ep: ep, batchStage: &batchStage{reqs: make([]Args, 0, capacity)}}
+	// File the staging buffer on the ownership record (owner.go) so the
 	// scavenger can settle staged payload leases if the client dies
 	// before Flush. A scavenged client cannot file (the gate is
 	// terminal); its batch stays empty because Add declines too.
-	_ = c.rec.trackBatch(b)
+	_ = c.rec.trackBatch(b.batchStage)
 	return b
 }
 
@@ -65,8 +75,9 @@ func (b *Batch) Len() int { return len(b.reqs) }
 // Add stages one request. The warm path is the record-gate CAS pair
 // (uncontended, on the client's own record line), a bounds check, and
 // a copy into the retained buffer. A request added to a scavenged
-// client's batch is dropped and its payload leases settled — the
-// staging buffer belongs to the scavenger once the client is dead.
+// client's batch is dropped; its payload leases were settled by the
+// scavenger's drain of the record — the staging buffer and the tracked
+// leases belong to the scavenger once the client is dead.
 //
 //ppc:hotpath
 func (b *Batch) Add(args *Args) {
@@ -75,7 +86,9 @@ func (b *Batch) Add(args *Args) {
 	// scavenger drains b.reqs under the terminal gate, so an ungated
 	// Add could stage a request behind (or race) that drain.
 	if rec.enter() != nil {
-		b.c.shard.releaseArgsPayloads(args)
+		// Scavenged: the drain already released every lease this client
+		// had tracked, the ones attached to args among them (same rule as
+		// consumeArgs) — releasing them here would be a second release.
 		return
 	}
 	if n := payloadCount(args[OpFlagsWord]); n != 0 {

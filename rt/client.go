@@ -303,7 +303,10 @@ func (c *Client) Held() bool { return c.held != nil }
 // already owns. The warm path runs on the client's held call
 // descriptor against the shard's service-table replica — no locks, no
 // shared mutable cache line, no CAS; the only atomic read-modify-writes
-// are the shard-striped admission/completion counters.
+// are the admission/completion counters, on the call stripe the held
+// descriptor owns (callStripe) — the lines a warm held call writes are
+// its descriptor's and that stripe's, nothing of the shard's, so
+// callers sharing a shard do not slow each other.
 //
 //ppc:hotpath
 func (c *Client) Call(ep EntryPointID, args *Args) error {
@@ -429,11 +432,11 @@ func runIsolated(s *System, h Handler, ctx *Ctx, args *Args) (fault any) {
 func (s *Service) epProgram() uint32 { return uint32(s.ep) | 1<<31 }
 
 // callHeld is the held-CD synchronous fast path: one replica-table
-// lookup, increment-then-check admission on the shard-striped
-// counters, and a dispatch on the caller-held descriptor. The warm
-// iteration performs no CAS and touches no pool — the Track B analogue
-// of Figure 2's "hold CD" rows combined with §4.5.5's replicated
-// service table.
+// lookup, increment-then-check admission on the descriptor's own call
+// stripe, and a dispatch on the caller-held descriptor. The warm
+// iteration performs no CAS, touches no pool and writes no line of the
+// shard's — the Track B analogue of Figure 2's "hold CD" rows combined
+// with §4.5.5's replicated service table.
 //
 //ppc:hotpath
 func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, program uint32, c *Client) error {
@@ -473,9 +476,10 @@ func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, 
 			c.rec.setProbe(svc, counters)
 		}
 	}
-	counters.admitted.Add(1)
-	if svc.state.Load() != svcActive {
-		svc.backOut(counters)
+	// Counters follow the descriptor: the stripe this descriptor owns for
+	// svc, one pointer compare on the warm path.
+	st := cd.stripeOf(svc)
+	if !svc.admit(st) {
 		if probe {
 			c.rec.clearProbe()
 			svc.settleProbe(counters, ErrKilled)
@@ -490,9 +494,8 @@ func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, 
 	// Completion accounting is inlined, not deferred: dispatch contains
 	// handler panics itself (runIsolated), so no unwind can skip these,
 	// and a deferred closure costs measurable time at call rates.
-	err := s.dispatch(cd, svc, counters, e.h, args, program, false)
-	counters.completed.Add(1)
-	svc.notifyQuiesce()
+	err := s.dispatch(cd, svc, st, e.h, args, program, false)
+	svc.complete(st)
 	if svc.health != nil {
 		svc.recordOutcome(counters, err)
 		if probe {
@@ -584,29 +587,24 @@ func faultError(fault any) error {
 }
 
 // serviceOne runs one synchronous request to completion on a pooled
-// descriptor, admitted here with the increment-then-check protocol:
-// the call counts itself in flight first, then re-validates the
-// service state and backs out if a kill slipped in between the
-// caller's state check and the admission. probe marks this call as the
-// health gate's half-open probe; every exit settles the gate.
+// descriptor, admitted here (Service.admit) on the shard's own call
+// stripe: the pooled path has no descriptor yet when it admits, and a
+// pooled descriptor is whoever's turn it is. probe marks this call as
+// the health gate's half-open probe; every exit settles the gate.
 func (s *System) serviceOne(sh *shard, e *epEntry, args *Args, program uint32, probe bool) error {
 	svc, counters := e.svc, e.counters
-	counters.admitted.Add(1)
-	if svc.state.Load() != svcActive {
-		svc.backOut(counters)
+	st := &counters.stripe
+	if !svc.admit(st) {
 		if probe {
 			svc.settleProbe(counters, ErrKilled)
 		}
 		sh.releaseArgsPayloads(args)
 		return ErrKilled
 	}
-	defer func() {
-		counters.completed.Add(1)
-		svc.notifyQuiesce()
-	}()
+	defer svc.complete(st)
 
 	cd := sh.popCD(svc.scratchBytes)
-	err := s.dispatch(cd, svc, counters, e.h, args, program, false)
+	err := s.dispatch(cd, svc, st, e.h, args, program, false)
 
 	// The scratch buffer is deliberately NOT zeroed before reuse —
 	// serial sharing of "stacks" is the point (§2); trust domains that
@@ -650,9 +648,8 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 	// Async requests resolve the handler from the service's
 	// authoritative slot at execution time (Exchange keeps it current),
 	// exactly as queued requests always have.
-	err := s.dispatch(cd, svc, counters, *svc.handler.Load(), args, program, true)
-	counters.completed.Add(1)
-	svc.notifyQuiesce()
+	err := s.dispatch(cd, svc, &counters.stripe, *svc.handler.Load(), args, program, true)
+	svc.complete(&counters.stripe)
 	if svc.health != nil {
 		svc.recordOutcome(counters, err)
 	}
@@ -663,10 +660,12 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 // handler h — the shared core of the pooled (serviceOne), caller-held
 // (callHeld), and worker-held (serviceOneHeld) paths. Synchronous
 // callers resolve h from their shard's table replica; async workers
-// from the service's authoritative handler slot.
+// from the service's authoritative handler slot. st is the stripe the
+// call was admitted on; the call and authorization-failure counts land
+// on the same line.
 //
 //ppc:hotpath
-func (s *System) dispatch(cd *callDesc, svc *Service, counters *shardCounters, h Handler, args *Args, program uint32, async bool) error {
+func (s *System) dispatch(cd *callDesc, svc *Service, st *callStripe, h Handler, args *Args, program uint32, async bool) error {
 	ctx := &cd.ctx
 	ctx.sys = s
 	ctx.svc = svc
@@ -680,7 +679,7 @@ func (s *System) dispatch(cd *callDesc, svc *Service, counters *shardCounters, h
 	npay := capturePayloads(args, &ctx.pay)
 
 	if svc.authorize != nil && !svc.authorize(program) {
-		counters.authFail.Add(1)
+		st.authFail.Add(1)
 		// Conventional failure RC, masked off the payload-count bits the
 		// flags half reserves (payload.go) — a denied block must not read
 		// as carrying segments when the caller reuses it.
@@ -694,7 +693,7 @@ func (s *System) dispatch(cd *callDesc, svc *Service, counters *shardCounters, h
 	// (one-time shard-local setup, §4.5.3); it is expected to handle
 	// the request too, typically by ending with the steady-state
 	// handler.
-	if svc.initHandler != nil && counters.inited.CompareAndSwap(false, true) {
+	if svc.initHandler != nil && svc.perShard[cd.shard.id].inited.CompareAndSwap(false, true) {
 		h = svc.initHandler
 	}
 	// A panicking handler aborts this call only — the worker isolation
@@ -710,7 +709,7 @@ func (s *System) dispatch(cd *callDesc, svc *Service, counters *shardCounters, h
 		cd.shard.releasePayloads(args, &ctx.pay)
 	}
 	if !async {
-		counters.calls.Add(1)
+		st.calls.Add(1)
 	}
 	return nil
 }

@@ -55,4 +55,7 @@ func TestCloseStopsAsyncWorkers(t *testing.T) {
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatalf("sync call after close failed: %v", err)
 	}
+	if n := svc.inFlightTotal(); n != 0 {
+		t.Fatalf("inFlightTotal = %d after Close", n)
+	}
 }

@@ -190,7 +190,8 @@ type dlReq struct {
 	sys      *System
 	svc      *Service
 	h        Handler
-	counters *shardCounters
+	counters *shardCounters // the shard's block: health evidence
+	stripe   *callStripe    // the descriptor's call stripe: admission, completion
 	cd       *callDesc
 	prog     uint32
 	epoch    uint64 // close epoch at descriptor acquisition
@@ -289,12 +290,11 @@ func (e *dlExec) loop() {
 		}
 		req := e.req // copy out; the caller may rewrite req after this call resolves
 		t := &e.ticket
-		err := req.sys.dispatch(req.cd, req.svc, req.counters, req.h, &t.args, req.prog, false)
+		err := req.sys.dispatch(req.cd, req.svc, req.stripe, req.h, &t.args, req.prog, false)
 		// Handler done: settle the in-flight accounting exactly as
 		// callHeld would — this covers orphaned calls too, which is what
 		// lets a soft Kill drain a wedged-then-returned handler.
-		req.counters.completed.Add(1)
-		req.svc.notifyQuiesce()
+		req.svc.complete(req.stripe)
 		t.err = err
 		want := req.gen<<dlGenShift | dlPhaseWaiting
 		if t.state.CompareAndSwap(want, req.gen<<dlGenShift|dlPhaseDone) {
@@ -487,20 +487,20 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	if c.rec.epochs != 0 {
 		c.beatTick()
 	}
-	// Increment-then-check admission, same protocol as callHeld. From
-	// here to the executor's completed.Add the call is in flight.
-	counters.admitted.Add(1)
-	if svc.state.Load() != svcActive {
-		svc.backOut(counters)
+	// Increment-then-check admission on the held descriptor's stripe,
+	// same leg as callHeld. From here to the executor's complete the call
+	// is in flight.
+	cd := c.held
+	st := cd.stripeOf(svc)
+	if !svc.admit(st) {
 		if probe {
 			c.rec.clearProbe()
 			svc.settleProbe(counters, ErrKilled)
 		}
 		sh.releaseArgsPayloads(args)
-		c.ownerExit(c.held)
+		c.ownerExit(cd)
 		return ErrKilled
 	}
-	cd := c.held
 	if cap(cd.scratch) < svc.scratchBytes {
 		growScratch(cd, svc.scratchBytes)
 	}
@@ -534,7 +534,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		sh.wheel.arm(exec.node, now+int64(d)+sh.wheel.granularity, now)
 	}
 	exec.req = dlReq{
-		sys: c.sys, svc: svc, h: e.h, counters: counters,
+		sys: c.sys, svc: svc, h: e.h, counters: counters, stripe: st,
 		cd: cd, prog: c.program, epoch: c.heldEpoch, probe: probe, gen: gen,
 	}
 	exec.work.Store(dlWorkReq)

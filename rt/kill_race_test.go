@@ -243,6 +243,11 @@ func TestCloseWithOutstandingHeldCDs(t *testing.T) {
 			t.Fatalf("shard %d HeldCDs = %d after Releases", st.Shard, st.HeldCDs)
 		}
 	}
+	// The descriptors were dropped, not repooled; their stripes are still
+	// linked and balanced.
+	if n, calls := svc.inFlightTotal(), svc.Calls(); n != 0 || calls != 8 {
+		t.Fatalf("across Close: inFlightTotal = %d, Calls = %d; want 0, 8", n, calls)
+	}
 }
 
 // TestKillSoftDrainsQueuedAsync is the queued-async-survives-kill

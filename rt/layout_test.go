@@ -50,45 +50,42 @@ func TestRingLayout(t *testing.T) {
 	}
 }
 
-// TestCountersLayout pins the shardCounters striping: submission,
-// completion, health evidence, and gate state each own a line, and the
-// struct tiles 64 bytes because Service.perShard is a []shardCounters.
+// TestCountersLayout pins the shardCounters striping: the embedded
+// call stripe, the async submission side, health evidence, and gate
+// state each own a line, and the struct tiles 64 bytes because
+// Service.perShard is a []shardCounters.
 //
 // The completion offset is the regression this file exists for: before
 // the layout analyzer, `completed` sat at offset 56 — on the line every
 // admitting caller writes — so each async completion invalidated the
-// submitters' counter line.
+// submitters' counter line. Today the async submitter writes asyncAdm
+// and the worker writes stripe.completed; they must not meet.
 func TestCountersLayout(t *testing.T) {
 	var c shardCounters
 	if s := unsafe.Sizeof(c); s%lineBytes != 0 {
 		t.Errorf("shardCounters size %d is not a multiple of %d", s, lineBytes)
 	}
 	lineOf := func(off uintptr) uintptr { return off / lineBytes }
-	submit := lineOf(unsafe.Offsetof(c.calls))
-	for name, off := range map[string]uintptr{
-		"asyncAdm": unsafe.Offsetof(c.asyncAdm),
-		"admitted": unsafe.Offsetof(c.admitted),
-		"authFail": unsafe.Offsetof(c.authFail),
-		"backouts": unsafe.Offsetof(c.backouts),
-		"inited":   unsafe.Offsetof(c.inited),
-	} {
-		if lineOf(off) != submit {
-			t.Errorf("%s (offset %d) left the submission line", name, off)
-		}
+	if off := unsafe.Offsetof(c.stripe); off != 0 {
+		t.Errorf("stripe at offset %d, want 0 (an embedded callStripe must start a line)", off)
 	}
-	completed := lineOf(unsafe.Offsetof(c.completed))
+	stripe := lineOf(unsafe.Offsetof(c.stripe))
+	submit := lineOf(unsafe.Offsetof(c.asyncAdm))
+	if submit == stripe {
+		t.Errorf("asyncAdm (offset %d) shares the call stripe's line: async submitters and workers false-share", unsafe.Offsetof(c.asyncAdm))
+	}
+	if lineOf(unsafe.Offsetof(c.inited)) != submit {
+		t.Errorf("inited (offset %d) left the submission line", unsafe.Offsetof(c.inited))
+	}
 	evidence := lineOf(unsafe.Offsetof(c.consecFaults))
 	gate := lineOf(unsafe.Offsetof(c.healthState))
-	if completed == submit {
-		t.Errorf("completed (offset %d) shares the submission line", unsafe.Offsetof(c.completed))
-	}
-	if evidence == completed || evidence == submit {
+	if evidence == stripe || evidence == submit {
 		t.Errorf("consecFaults (offset %d) shares a line with another stripe", unsafe.Offsetof(c.consecFaults))
 	}
 	if lineOf(unsafe.Offsetof(c.consecTimeouts)) != evidence {
 		t.Error("consecTimeouts left the evidence line")
 	}
-	if gate == evidence || gate == completed || gate == submit {
+	if gate == evidence || gate == stripe || gate == submit {
 		t.Errorf("healthState (offset %d) shares a line with another stripe", unsafe.Offsetof(c.healthState))
 	}
 	for name, off := range map[string]uintptr{
@@ -100,6 +97,118 @@ func TestCountersLayout(t *testing.T) {
 		if lineOf(off) != gate {
 			t.Errorf("%s (offset %d) left the gate line", name, off)
 		}
+	}
+}
+
+// TestCallStripeLayout pins the call stripe: exactly one line, every
+// counter on it, and — because descriptor-owned stripes are allocated
+// one by one (Service.newStripe) — every allocation line-aligned, so no
+// two callers' stripes ever share a line. 64 bytes, not 128: see the
+// callStripe comment and BenchmarkStripeNeighbours below.
+func TestCallStripeLayout(t *testing.T) {
+	var st callStripe
+	if s := unsafe.Sizeof(st); s != lineBytes {
+		t.Errorf("callStripe size %d, want exactly one line", s)
+	}
+	if off := unsafe.Offsetof(st.admitted); off != 0 {
+		t.Errorf("admitted at offset %d, want 0", off)
+	}
+	svc := &Service{}
+	for i := 0; i < 300; i++ { // more than one span's worth of the 64-byte class
+		p := uintptr(unsafe.Pointer(svc.newStripe()))
+		if p%lineBytes != 0 {
+			t.Fatalf("stripe %d allocated at %#x, not line-aligned: it shares lines with its heap neighbours", i, p)
+		}
+	}
+	if len(svc.stripes) != 300 {
+		t.Errorf("%d stripes linked, want 300", len(svc.stripes))
+	}
+}
+
+// TestCallDescLayout pins the call descriptor. Its owner rewrites the
+// context and the scratch header on every call, so the descriptor tiles
+// whole lines and every allocation is line-aligned (no other heap
+// object shares a written line); the per-call fields fill the first two
+// lines and the pool/ownership words sit on the third. Its size class
+// must differ from Service's: while the two were packed back to back, a
+// held descriptor could sit beside the Service every caller reads.
+func TestCallDescLayout(t *testing.T) {
+	var cd callDesc
+	sz := unsafe.Sizeof(cd)
+	if sz%lineBytes != 0 {
+		t.Errorf("callDesc size %d is not a multiple of %d", sz, lineBytes)
+	}
+	if svc := unsafe.Sizeof(Service{}); (svc+15)/16 == (sz+15)/16 {
+		t.Errorf("callDesc (%d bytes) and Service (%d bytes) are in one allocator size class again", sz, svc)
+	}
+	lineOf := func(off uintptr) uintptr { return off / lineBytes }
+	if off := unsafe.Offsetof(cd.ctx); off != 0 {
+		t.Errorf("ctx at offset %d, want 0", off)
+	}
+	if s := unsafe.Sizeof(cd.ctx); s > lineBytes {
+		t.Errorf("Ctx grew to %d bytes: it no longer fits the descriptor's first line", s)
+	}
+	for name, off := range map[string]uintptr{
+		"scratch":   unsafe.Offsetof(cd.scratch),
+		"stripeSvc": unsafe.Offsetof(cd.stripeSvc),
+		"stripe":    unsafe.Offsetof(cd.stripe),
+	} {
+		if lineOf(off) != 1 {
+			t.Errorf("%s (offset %d) left the descriptor's second line", name, off)
+		}
+	}
+	for name, off := range map[string]uintptr{
+		"next":    unsafe.Offsetof(cd.next),
+		"shard":   unsafe.Offsetof(cd.shard),
+		"owner":   unsafe.Offsetof(cd.owner),
+		"stripes": unsafe.Offsetof(cd.stripes),
+	} {
+		if lineOf(off) < 2 {
+			t.Errorf("%s (offset %d) shares a line with the per-call fields", name, off)
+		}
+	}
+	var sh shard
+	sh.init(0)
+	for i := 0; i < 100; i++ {
+		cd := sh.newCD(0)
+		sh.pushCD(cd) // onto the heap: an unescaped descriptor would live on this stack
+		if p := uintptr(unsafe.Pointer(cd)); p%lineBytes != 0 {
+			t.Fatalf("descriptor %d allocated at %#x, not line-aligned", i, p)
+		}
+	}
+}
+
+// BenchmarkStripeNeighbours is the measurement behind "64 bytes, not
+// 128": two writers, three counter RMWs each per iteration, on one
+// stripe, on the two lines of one 128-byte sector, and on lines in
+// different sectors. If the adjacent-line prefetcher made sector
+// neighbours interfere, sector would sit between shared and apart; on
+// the defining host it equals apart. Run with -cpu 2 or more.
+func BenchmarkStripeNeighbours(b *testing.B) {
+	raw := make([]byte, 10*lineBytes)
+	off := -uintptr(unsafe.Pointer(&raw[0])) & 127 // to the first 128-byte sector boundary
+	at := func(line uintptr) *callStripe {
+		return (*callStripe)(unsafe.Pointer(&raw[off+line*lineBytes]))
+	}
+	for _, c := range []struct {
+		name string
+		a, b uintptr
+	}{{"shared", 0, 0}, {"sector", 0, 1}, {"apart", 0, 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			done := make(chan struct{})
+			for _, st := range []*callStripe{at(c.a), at(c.b)} {
+				go func(st *callStripe) {
+					for i := 0; i < b.N; i++ {
+						st.admitted.Add(1)
+						st.calls.Add(1)
+						st.completed.Add(1)
+					}
+					done <- struct{}{}
+				}(st)
+			}
+			<-done
+			<-done
+		})
 	}
 }
 

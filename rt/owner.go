@@ -73,9 +73,10 @@ import (
 // construction. The record mirrors the client's reclaimable holdings
 // through cold-path writes only (Hold/Release/arm/orphan): the held
 // descriptor, the deadline executor, unattached payload leases, live
-// batches, and a carried half-open probe. The record deliberately does
-// NOT reference the Client, so runtime.AddCleanup can fire when the
-// Client itself leaks.
+// batches' staging buffers, and a carried half-open probe. The record
+// deliberately does NOT reference the Client — not directly and not
+// through anything it lists (hence batchStage, not Batch) — so
+// runtime.AddCleanup can fire when the Client itself leaks.
 //
 // Record mutations from the owner (lease tracking, batch staging) and
 // the scavenger's terminal drain are arbitrated by a tiny gate word:
@@ -212,7 +213,7 @@ type clientRec struct {
 	nleases int
 	leases  [recLeaseSlots]PayloadRef
 	spill   []PayloadRef
-	batches []*Batch
+	batches []*batchStage
 
 	idx int // position in registry.recs; maintained under registry.mu
 }
@@ -316,7 +317,7 @@ func cleanupClient(rec *clientRec) {
 		return // already dead or reaped
 	}
 	if rec.cd.Load() == nil && rec.dl.Load() == nil && rec.epochs == 0 &&
-		rec.nleases == 0 && len(rec.spill) == 0 && len(rec.batches) == 0 {
+		rec.nleases == 0 && len(rec.spill) == 0 && !rec.staged() {
 		// Nothing to reclaim: an ordinary released client was collected.
 		// (The plain reads are safe: no goroutine can reach the Client
 		// anymore, so the only other toucher is the scavenger, which only
@@ -515,17 +516,28 @@ func (c *Client) noteBatchPayloads(argss []Args) error {
 	return nil
 }
 
-// trackBatch files a batch on the record so the scavenger can settle
-// its staged payload leases.
+// trackBatch files a batch's staging buffer on the record so the
+// scavenger can settle its staged payload leases.
 //
 //ppc:coldpath -- batch construction
-func (rec *clientRec) trackBatch(b *Batch) error {
+func (rec *clientRec) trackBatch(b *batchStage) error {
 	if err := rec.enter(); err != nil {
 		return err
 	}
 	rec.batches = append(rec.batches, b)
 	rec.leave()
 	return nil
+}
+
+// staged reports whether any of the client's batches holds unflushed
+// requests (whose payload leases would need settling).
+func (rec *clientRec) staged() bool {
+	for _, b := range rec.batches {
+		if len(b.reqs) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // setProbe publishes (or clears) the probe the client's current call

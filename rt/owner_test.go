@@ -189,6 +189,37 @@ func TestAbandonReclaimsBatch(t *testing.T) {
 	}
 }
 
+// TestBatchAddAfterScavengeReleasesOnce: a payload leased before the
+// client died and staged after the scavenger drained its record is
+// released once, by the drain. Add's declined branch used to release it
+// again, taking the slab's lease count to −1 — the domain-death storm
+// saw it as LeasesActive never converging, about one run in 130.
+func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
+	leakCheck(t)
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	b := c.NewBatch(svc.EP(), 4)
+	ref, _, err := c.AllocPayload(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Abandon()
+	waitCond(t, 2*time.Second, "scavenge of the tracked lease", func() bool {
+		return sys.Stats()[0].ScavengedLeases == 1
+	})
+	var args Args
+	args.AttachPayload(ref)
+	b.Add(&args)
+	if st := sys.Stats()[0]; st.LeasesActive != 0 || b.Len() != 0 {
+		t.Fatalf("after Add on the scavenged client: LeasesActive = %d, staged %d; want 0, 0", st.LeasesActive, b.Len())
+	}
+}
+
 // TestAbandonRetiresDeadlineExecutor: a client abandoned with a parked
 // deadline executor has the executor retired and its wheel node
 // unfiled — the wheel's registered count returns to zero, so the
@@ -295,6 +326,69 @@ func TestCleanupCleanClientUnregisters(t *testing.T) {
 	})
 	if got := reg.abandoned.Load(); got != 0 {
 		t.Fatalf("clean leak counted as abandoned: %d", got)
+	}
+}
+
+// TestCleanupCollectsBatchClient: a client that made a Batch is
+// collectable like any other. The record used to list the Batch, the
+// Batch points at its Client, and the record is the cleanup's argument
+// — the client was reachable from its own cleanup, which therefore
+// never ran, and every System such a client touched stayed live for the
+// rest of the process (async_batch's live heap, bench/README.md
+// Findings 3). A flushed batch leaves nothing to reclaim and the record
+// is dropped quietly; a staged payload makes the record non-clean, so
+// the cleanup must also reap it: the lease returns to the arena.
+func TestCleanupCollectsBatchClient(t *testing.T) {
+	leakCheck(t)
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := sys.shards[0].reg
+	recs := func() int {
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		return len(reg.recs)
+	}
+	func() {
+		c := sys.NewClientOnShard(0)
+		b := c.NewBatch(svc.EP(), 4)
+		b.Add(&Args{})
+		if n, err := b.Flush(); n != 1 || err != nil {
+			t.Fatalf("Flush: n = %d, err = %v", n, err)
+		}
+		// c and b leak here with nothing staged.
+	}()
+	waitCond(t, 10*time.Second, "cleanup of a client whose Batch was flushed", func() bool {
+		runtime.GC()
+		runtime.GC()
+		return recs() == 0
+	})
+	if got := reg.abandoned.Load(); got != 0 {
+		t.Fatalf("a flushed batch counted its client as abandoned: %d", got)
+	}
+	func() {
+		c := sys.NewClientOnShard(0)
+		b := c.NewBatch(svc.EP(), 4)
+		ref, _, err := c.AllocPayload(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var args Args
+		args.AttachPayload(ref)
+		b.Add(&args)
+		// c and b leak here, one lease staged.
+	}()
+	waitCond(t, 10*time.Second, "cleanup of a client with a staged Batch", func() bool {
+		runtime.GC()
+		runtime.GC()
+		return recs() == 0
+	})
+	if st := sys.Stats()[0]; st.AbandonedClients != 1 || st.ScavengedLeases != 1 || st.LeasesActive != 0 {
+		t.Fatalf("after the cleanup: AbandonedClients = %d, ScavengedLeases = %d, LeasesActive = %d; want 1, 1, 0",
+			st.AbandonedClients, st.ScavengedLeases, st.LeasesActive)
 	}
 }
 

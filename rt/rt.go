@@ -35,9 +35,11 @@
 //     its own shard's copy, so the lookup line is shard-local.
 //
 // Together they make the warm synchronous call touch no shared
-// mutable cache line and perform no atomic read-modify-write beyond
-// the shard-striped admission/completion counters the kill protocol
-// requires.
+// mutable cache line: the only atomic read-modify-writes left are the
+// admission/completion counters the kill protocol requires, and those
+// live on a stripe that follows the call descriptor (callStripe) — a
+// line the caller already owns, whichever shard it is bound to and
+// however many other callers share that shard.
 //
 // # Lifecycle and overload semantics
 //
@@ -271,14 +273,68 @@ type Service struct {
 	// Per-shard counters, padded: no call ever writes a cache line
 	// another shard's calls write.
 	perShard []shardCounters
+
+	// stripes lists the descriptor-owned call stripes (callDesc.stripeFor):
+	// one per (held descriptor, service), linked under stripeMu before its
+	// first increment and never unlinked, so the control-plane sums below
+	// — soft Kill's drain among them — see every admission wherever the
+	// descriptor that made it has since gone (released, repooled,
+	// condemned, dropped by Close). Both fields are cold: the call path
+	// reaches its stripe through the descriptor, never through here.
+	stripeMu sync.Mutex
+	stripes  []*callStripe
 }
 
-// shardCounters keeps the submission side and the completion side on
-// separate cache lines: the admitting caller writes admitted/asyncAdm,
-// the servicing async worker writes completed, and neither invalidates
-// the other's line per request. The in-flight count is the difference
-// (admissions − completed), read only by control-plane code (kill
-// drains, stats).
+// callStripe is one line of synchronous admission/completion counters.
+// Whoever serially owns the line's holder writes it: a held call
+// descriptor carries its own stripe per service (callDesc.stripeFor), so
+// a held Call's three counter RMWs land on a line no other caller
+// touches — callers sharing one shard do not share a stripe; the pooled
+// and asynchronous paths use the (service, shard) stripe embedded in
+// shardCounters. The in-flight count is admitted − completed, read only
+// by control-plane code (kill drains, stats) through Service.sumStripes.
+//
+// A stripe is exactly one 64-byte line and is allocated on its own
+// (size class 64, so 64-aligned and never sharing a line with a
+// neighbour's). 64 bytes suffice: on the defining host two writers on
+// adjacent lines of one 128-byte sector run as fast as on distant lines
+// (16–18 ns per three RMWs either way, against 130–190 ns on one shared
+// line) — the adjacent-line prefetcher acts on misses, and an owned
+// line takes none (EXPERIMENTS.md E18).
+//
+//ppc:padded
+type callStripe struct {
+	//ppc:hotline(call)
+	admitted atomic.Int64 // synchronous admissions
+	//ppc:hotline(call)
+	completed atomic.Int64 // finished calls, synchronous and asynchronous
+	//ppc:hotline(call)
+	calls atomic.Int64 // synchronous calls whose handler returned normally
+	//ppc:hotline(call)
+	authFail atomic.Int64
+	//ppc:hotline(call)
+	backouts atomic.Int64
+	_        [24]byte // exactly one line
+}
+
+// inFlight reads the stripe's admitted-but-not-finished count. A racing
+// reader can observe completed ahead of admitted and see a transiently
+// negative value; control-plane loops compare the summed total against
+// zero after the counters have stopped moving, where the difference is
+// exact.
+func (st *callStripe) inFlight() int64 {
+	return st.admitted.Load() - st.completed.Load()
+}
+
+// shardCounters is the (service, shard) counter block: the call stripe
+// the pooled and asynchronous paths account on, the asynchronous
+// admission counter, and the health gate. Held synchronous calls write
+// none of it — their stripe follows the descriptor (callStripe).
+//
+// The asynchronous submission side and the completion side stay on
+// separate cache lines: the admitting submitter writes asyncAdm, the
+// servicing async worker writes stripe.completed, and neither
+// invalidates the other's line per request.
 //
 // Async admissions have their own counter, asyncAdm, doing double duty
 // as the AsyncCalls statistic: one increment per accepted request is
@@ -296,35 +352,28 @@ type Service struct {
 //
 //ppc:padded
 type shardCounters struct {
-	// Submission side: written by the admitting caller.
+	// stripe is the shard's own call stripe: pooled synchronous calls
+	// (CallPooled, Ctx.Call, Upcall) admit and complete on it, async
+	// workers complete on it.
 	//
-	//ppc:hotline(submit)
-	calls atomic.Int64
+	//ppc:hotline
+	stripe callStripe
+
+	// Submission side: written by the admitting async submitter (inited
+	// by the first dispatch through the shard).
+	//
 	//ppc:hotline(submit)
 	asyncAdm atomic.Int64
 	//ppc:hotline(submit)
-	admitted atomic.Int64 // synchronous admissions
-	//ppc:hotline(submit)
-	authFail atomic.Int64
-	//ppc:hotline(submit)
-	backouts atomic.Int64
-	//ppc:hotline(submit)
 	inited atomic.Bool
-	_      [20]byte // pad the submission line; completion starts at 64
-
-	// Completion side: written by whichever goroutine finishes the
-	// call — for async requests, an async worker on another processor.
-	//
-	//ppc:hotline
-	completed atomic.Int64
-	_         [56]byte // keep the completion counter on its own line
+	_      [52]byte // pad the submission line; health evidence starts at 128
 
 	// Health stripe (see health.go), written only while the service has
-	// a health gate configured. Unlike completed, the consecutive-
-	// outcome counters have no single writer: every goroutine that
-	// settles one of this service's calls on this shard writes them —
-	// clients sharing the shard (NewClient round-robins), async
-	// workers, deadline executors, and orphaning deadline callers.
+	// a health gate configured. The consecutive-outcome counters have no
+	// single writer: every goroutine that settles one of this service's
+	// calls on this shard writes them — clients sharing the shard
+	// (NewClient round-robins), async workers, deadline executors, and
+	// orphaning deadline callers.
 	// Racing Store(0)/Add(1) pairs can lose or inflate an evidence run,
 	// so the trip thresholds are an explicit heuristic (see the package
 	// comment in health.go); the atomics keep the counters safe, not
@@ -357,28 +406,49 @@ type shardCounters struct {
 	_         [24]byte // tile to 4 lines: perShard is a []shardCounters
 }
 
-// inFlight reads this shard's admitted-but-not-finished count. A
-// racing reader can observe completed ahead of the admission counters
-// and see a transiently negative value; control-plane loops compare
-// the summed total against zero after the counters have stopped
-// moving, where the difference is exact.
-func (c *shardCounters) inFlight() int64 {
-	return c.admitted.Load() + c.asyncAdm.Load() - c.completed.Load()
-}
-
 // EP returns the entry point ID.
 func (s *Service) EP() EntryPointID { return s.ep }
 
 // Name returns the service name.
 func (s *Service) Name() string { return s.name }
 
-// Calls sums the per-shard synchronous call counters.
-func (s *Service) Calls() int64 {
+// sumStripes folds f over every call stripe of the service: each
+// shard's embedded one and every descriptor-owned one. The mutex is the
+// one newStripe links under, which is what makes a sum taken after a
+// kill's state store complete (see Kill).
+//
+//ppc:coldpath -- control-plane walk: kill drain and diagnostics
+func (s *Service) sumStripes(f func(*callStripe) int64) int64 {
 	var n int64
+	s.stripeMu.Lock()
 	for i := range s.perShard {
-		n += s.perShard[i].calls.Load()
+		n += f(&s.perShard[i].stripe)
 	}
+	for _, st := range s.stripes {
+		n += f(st)
+	}
+	s.stripeMu.Unlock()
 	return n
+}
+
+// newStripe allocates a descriptor-owned call stripe and links it into
+// the service's list. The link completes before the caller's first
+// increment, so a kill drain that misses the stripe has stored the
+// killed state before the link, and the caller's admission re-check
+// backs out.
+//
+//ppc:coldpath -- once per (held descriptor, service)
+func (s *Service) newStripe() *callStripe {
+	st := new(callStripe)
+	s.stripeMu.Lock()
+	s.stripes = append(s.stripes, st)
+	s.stripeMu.Unlock()
+	return st
+}
+
+// Calls sums the synchronous call counters over every stripe.
+func (s *Service) Calls() int64 {
+	return s.sumStripes(func(st *callStripe) int64 { return st.calls.Load() })
 }
 
 // AsyncCalls sums the per-shard asynchronous admission counters: the
@@ -392,34 +462,22 @@ func (s *Service) AsyncCalls() int64 {
 	return n
 }
 
-// AuthFailures sums the per-shard authorization failures.
+// AuthFailures sums the authorization failures over every stripe.
 func (s *Service) AuthFailures() int64 {
-	var n int64
-	for i := range s.perShard {
-		n += s.perShard[i].authFail.Load()
-	}
-	return n
+	return s.sumStripes(func(st *callStripe) int64 { return st.authFail.Load() })
 }
 
 // KilledBackouts sums the calls that were admitted but backed out
 // because a kill intervened between admission and execution.
 func (s *Service) KilledBackouts() int64 {
-	var n int64
-	for i := range s.perShard {
-		n += s.perShard[i].backouts.Load()
-	}
-	return n
+	return s.sumStripes(func(st *callStripe) int64 { return st.backouts.Load() })
 }
 
 // inFlightTotal sums admitted-but-not-finished calls: executing
-// synchronous calls plus asynchronous requests accepted into a shard
-// queue (used by the soft-kill drain).
+// synchronous calls on every stripe plus asynchronous requests accepted
+// into a shard queue (used by the soft-kill drain).
 func (s *Service) inFlightTotal() int64 {
-	var n int64
-	for i := range s.perShard {
-		n += s.perShard[i].inFlight()
-	}
-	return n
+	return s.sumStripes((*callStripe).inFlight) + s.AsyncCalls()
 }
 
 // notifyQuiesce wakes a draining Kill, if one is waiting. Non-blocking:
@@ -434,13 +492,40 @@ func (s *Service) notifyQuiesce() {
 	}
 }
 
+// admit is the synchronous admission leg, written once for the held,
+// pooled and deadline paths and parameterised by which stripe the
+// caller owns: increment-then-check, so a soft kill either sees this
+// call in flight and waits for it, or stored the killed state first and
+// the call backs out here. False means the call must fail with
+// ErrKilled; the back-out is already accounted.
+//
+//ppc:hotpath
+func (s *Service) admit(st *callStripe) bool {
+	st.admitted.Add(1)
+	if s.state.Load() != svcActive {
+		s.backOut(st)
+		return false
+	}
+	return true
+}
+
+// complete is the matching completion leg: the handler has returned (or
+// the request was settled without one), the call leaves the in-flight
+// count, and a draining Kill is nudged.
+//
+//ppc:hotpath
+func (s *Service) complete(st *callStripe) {
+	st.completed.Add(1)
+	s.notifyQuiesce()
+}
+
 // backOut undoes a synchronous admission that lost the race with a
 // kill.
 //
 //ppc:coldpath -- a kill intervened; the call is already failing
-func (s *Service) backOut(counters *shardCounters) {
-	counters.backouts.Add(1)
-	counters.admitted.Add(-1)
+func (s *Service) backOut(st *callStripe) {
+	st.backouts.Add(1)
+	st.admitted.Add(-1)
 	s.notifyQuiesce()
 }
 
@@ -450,7 +535,7 @@ func (s *Service) backOut(counters *shardCounters) {
 //
 //ppc:coldpath -- a kill intervened; the request is already failing
 func (s *Service) backOutAsync(counters *shardCounters) {
-	counters.backouts.Add(1)
+	counters.stripe.backouts.Add(1)
 	counters.asyncAdm.Add(-1)
 	s.notifyQuiesce()
 }
@@ -461,7 +546,7 @@ func (s *Service) backOutAsync(counters *shardCounters) {
 //
 //ppc:coldpath -- a kill intervened; the batch is already failing
 func (s *Service) backOutN(counters *shardCounters, n int) {
-	counters.backouts.Add(int64(n))
+	counters.stripe.backouts.Add(int64(n))
 	counters.asyncAdm.Add(-int64(n))
 	s.notifyQuiesce()
 }
@@ -788,6 +873,18 @@ const killPollInterval = 100 * time.Microsecond
 // The drain is notification-based, not a busy-spin: completing calls
 // wake the drain through the service's quiesce channel, with a bounded
 // poll as the backstop for notifications that race the kill itself.
+//
+// The drain's sum covers every stripe a call can be counted on. Shard
+// stripes exist from Bind. A descriptor-owned stripe is linked under
+// stripeMu before its first increment, and the sum takes the same
+// mutex after the killed state is stored: either the link precedes the
+// sum, which then reads the stripe and the usual pair holds (the caller
+// increments then loads the state, the kill stores the state then loads
+// the count — one of them sees the other); or the sum precedes the
+// link, in which case the state store precedes it too and the caller's
+// re-check in admit backs out. Stripes are never unlinked, so a call
+// still running on a descriptor its client no longer owns (condemned by
+// the scavenger, quarantined by a deadline) is waited for as well.
 func (s *System) Kill(ep EntryPointID, hard bool) error {
 	svc := s.Service(ep)
 	if svc == nil || svc.state.Load() == svcDead {

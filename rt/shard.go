@@ -54,12 +54,39 @@ const closePollInterval = 10 * time.Microsecond
 // that successive calls to *different* services serially share —
 // the cache-footprint optimization of §2. Descriptors live in
 // per-shard lock-free pools.
+//
+// A descriptor has one serial owner at a time (the client holding it,
+// the pooled call that popped it, an async worker), and that owner
+// writes its first two lines on every call. The struct is therefore
+// sized to whole cache lines — three, which also takes it out of the
+// allocator size class Service lives in: at 112 bytes each the two used
+// to be packed back to back, a held descriptor beside the Service every
+// caller reads and beside the next client's descriptor, and sync_held
+// swung 1–8× with heap placement (bench/README.md, Findings 1).
+//
+//ppc:padded
 type callDesc struct {
-	next    atomic.Pointer[callDesc]
-	ctx     Ctx
+	// Line 0: the handler context, rewritten by every dispatch.
+	//
+	//ppc:hotline(call)
+	ctx Ctx
+
+	// Line 1: the rest of what a held call touches — the scratch slice
+	// (resliced per call) and the one-entry stripe cache: the call stripe
+	// this descriptor owns for the service it last called (stripeOf).
+	//
+	//ppc:hotline(call)
 	scratch []byte
-	// initialized tracks which services' init handlers have run
-	// through this descriptor's shard (see Ctx.SetHandler).
+	//ppc:hotline(call)
+	stripeSvc *Service
+	//ppc:hotline(call)
+	stripe *callStripe
+	_      [24]byte
+
+	// Line 2: cold. next links the shard's free list; stripes is every
+	// (service, stripe) pair this descriptor owns, the backing store of
+	// the cache above.
+	next  atomic.Pointer[callDesc]
 	shard *shard
 	// owner is the packed gen-tagged ownership word (owner.go):
 	// gen<<32 | clientID<<3 | state. Meaningful only while a client
@@ -68,7 +95,61 @@ type callDesc struct {
 	// for ROADMAP item 1's mmap'd descriptors.
 	//
 	//ppc:atomic
-	owner atomic.Uint64
+	owner   atomic.Uint64
+	stripes []stripeRef
+	_       [16]byte
+}
+
+// stripeRef is one entry of a descriptor's stripe list.
+type stripeRef struct {
+	svc *Service
+	st  *callStripe
+}
+
+// stripeOf returns the call stripe this descriptor owns for svc. A call
+// to the same service as the descriptor's last one is one pointer
+// compare.
+//
+//ppc:hotpath
+func (cd *callDesc) stripeOf(svc *Service) *callStripe {
+	if cd.stripeSvc == svc {
+		return cd.stripe
+	}
+	return cd.stripeFor(svc)
+}
+
+// stripeFor is the miss path of the descriptor's stripe cache: find the
+// stripe this descriptor already owns for svc, or allocate one and link
+// it into the service (Service.newStripe), then make it the cached
+// entry. Counters follow the descriptor: the stripe stays with it
+// across Release and re-Hold, pool recycling, Close and condemnation,
+// and stays linked in the service for good, so there is no unlink to
+// race a kill drain. The walk drops entries whose service is dead, so a
+// recycled descriptor does not keep killed Services reachable. Only the
+// descriptor's current serial owner calls this.
+//
+//ppc:coldpath -- first held call of this descriptor to svc, or a client alternating services
+func (cd *callDesc) stripeFor(svc *Service) *callStripe {
+	var st *callStripe
+	n := 0
+	for _, r := range cd.stripes {
+		if r.svc.state.Load() == svcDead {
+			continue
+		}
+		if r.svc == svc {
+			st = r.st
+		}
+		cd.stripes[n] = r
+		n++
+	}
+	clear(cd.stripes[n:])
+	cd.stripes = cd.stripes[:n]
+	if st == nil {
+		st = svc.newStripe()
+		cd.stripes = append(cd.stripes, stripeRef{svc, st})
+	}
+	cd.stripeSvc, cd.stripe = svc, st
+	return st
 }
 
 // epEntry is one shard's replica of a bound entry point — the §4.5.5
@@ -77,7 +158,7 @@ type callDesc struct {
 // publication time, so the warm lookup dereferences only memory that
 // no other shard's publication ever rewrites: the table slot and the
 // entry it points at are read by exactly one shard. The counters
-// pointer pre-resolves this shard's stripe of the service's admission
+// pointer pre-resolves this shard's block of the service's per-shard
 // counters, saving the perShard slice-header indirection per call.
 type epEntry struct {
 	svc      *Service
@@ -842,8 +923,7 @@ func (sh *shard) expireAsync(req *asyncReq) {
 	sh.deadlineExpired.Add(1)
 	sh.releaseArgsPayloads(&req.args)
 	counters := &req.svc.perShard[sh.id]
-	counters.completed.Add(1)
-	req.svc.notifyQuiesce()
+	req.svc.complete(&counters.stripe)
 	if req.svc.health != nil {
 		req.svc.recordTimeout(counters)
 	}
