@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet ci bench bench-selftest bench-smoke bench-json bench-openloop chaos
+.PHONY: build test race lint ppclint lint-selftest vet ci bench bench-handoff bench-selftest bench-smoke bench-json bench-openloop chaos
 
 build:
 	$(GO) build ./...
@@ -15,10 +15,14 @@ test:
 # preemption points. More Ps than the host has CPUs is fine; fewer than
 # two is not.
 
-# Race detector over the concurrency-sensitive packages (CI matrix).
+# Race detector over the concurrency-sensitive packages (CI matrix),
+# then the two goroutine handoffs (deadline executor, async doorbell)
+# at 1, 2 and 4 Ps: they have one path on every P count, and -cpu
+# overrides the GOMAXPROCS pin for that run.
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan' ./rt
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +53,14 @@ chaos:
 # every workload, untraced. bench/README.md lists run.sh's flags.
 bench:
 	bash bench/run.sh
+
+# The four workloads a goroutine handoff is on the path of (deadline
+# executor: deadline_call; async worker: async_single, async_batch,
+# lanes_overload), for a quick before/after of a scheduling change.
+bench-handoff:
+	for w in deadline_call async_single async_batch lanes_overload; do \
+		bash bench/run.sh --workload $$w || exit 1; \
+	done
 
 # The benchmark's own unit tests and a 50 ms smoke round of every
 # workload. bench/ is a module of its own, outside go.work, so the root

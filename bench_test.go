@@ -193,6 +193,14 @@ func BenchmarkRTCallDeadline(b *testing.B) { rtbench.SyncCallDeadline(b) }
 // path re-arms it — the wheel's contended shape.
 func BenchmarkRTCallDeadlineShort(b *testing.B) { rtbench.SyncCallDeadlineShort(b) }
 
+// BenchmarkHostPingPongSpin, BenchmarkHostPingPongChan and
+// BenchmarkHostGosched are the host's goroutine-rendezvous floors (no
+// rt code): what the deadline and async handoffs are judged against.
+// Run them at -cpu 1,2 — which is cheaper is a property of the host.
+func BenchmarkHostPingPongSpin(b *testing.B) { rtbench.HostPingPongSpin(b) }
+func BenchmarkHostPingPongChan(b *testing.B) { rtbench.HostPingPongChan(b) }
+func BenchmarkHostGosched(b *testing.B)      { rtbench.HostGosched(b) }
+
 // BenchmarkRTCallPooled is the same call through the per-call pool
 // discipline (pop + push, one CAS pair per call) — the held/pooled gap
 // is Figure 2's CD-management delta.

@@ -53,11 +53,12 @@ func SyncCall(b *testing.B) {
 // SyncCallDeadline is SyncCall with a (generous) per-call deadline
 // armed on every iteration: the warm held-CD path plus the deadline
 // machinery — ticket reuse, one expiry store into the shard's timer
-// wheel, and the SPSC work-word handoff to the executor goroutine (no
-// timers, no channels on this path). The rt_call → rt_call_deadline
-// ratio is the full cost of making a sync call cancellable; at
-// GOMAXPROCS=1 it is floored by the two scheduler switches the
-// caller↔executor handoff requires (see EXPERIMENTS.md).
+// wheel, and the park-first handoff to the executor goroutine (one
+// channel token each way, no timers). The rt_call → rt_call_deadline
+// ratio is the full cost of making a sync call cancellable; on every
+// P count it is floored by the two goroutine switches the
+// caller↔executor handoff requires (HostPingPongChan is that floor;
+// see EXPERIMENTS.md E19).
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallDeadline
 func SyncCallDeadline(b *testing.B) {
@@ -219,7 +220,7 @@ func ChannelParallel(b *testing.B) {
 
 // Async measures single-shard async submit→complete throughput on the
 // lock-free ring path: ring push + doorbell wake on submit, batched
-// dequeue + spin-then-park on drain.
+// dequeue + park-when-empty on drain.
 func Async(b *testing.B) {
 	sys := rt.NewSystemShards(1)
 	defer sys.Close()

@@ -177,10 +177,13 @@ func TestPaddedStructsCarryAnnotations(t *testing.T) {
 }
 
 // TestPublishWordsCarryAnnotations guards the ordering directives: a
-// field whose doc comment calls it a "publish word" or a "release
-// edge" is claiming release/acquire pairing, and must carry
-// //ppc:publishes naming the payload so ppclint's ordering analyzer
-// checks every store and load of it.
+// field whose doc comment calls it a "publish word", a "publish edge"
+// or a "release edge" is claiming release/acquire pairing, and must
+// carry //ppc:publishes naming the payload so ppclint's ordering
+// analyzer checks every store and load of it. Channel fields are the
+// one exemption (dlExec.wake): a send/receive pair is a language-level
+// edge with no store or load for the analyzer to pair, and the
+// directive on a channel would be a dangling one.
 func TestPublishWordsCarryAnnotations(t *testing.T) {
 	fset := token.NewFileSet()
 	files, boundaryDirs := parseTree(t, fset)
@@ -200,7 +203,16 @@ func TestPublishWordsCarryAnnotations(t *testing.T) {
 					continue
 				}
 				lower := strings.ToLower(doc.Text())
-				if !strings.Contains(lower, "publish word") && !strings.Contains(lower, "release edge") {
+				if !strings.Contains(lower, "publish word") && !strings.Contains(lower, "publish edge") &&
+					!strings.Contains(lower, "release edge") {
+					continue
+				}
+				if _, isChan := f.Type.(*ast.ChanType); isChan {
+					if hasDirective(doc, "//ppc:publishes") {
+						pos := fset.Position(f.Pos())
+						t.Errorf("%s:%d: channel field %s carries //ppc:publishes; the directive pairs atomic stores and loads, a channel's edge needs none",
+							pos.Filename, pos.Line, f.Names[0].Name)
+					}
 					continue
 				}
 				if hasDirective(doc, "//ppc:publishes") {

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -148,7 +149,7 @@ func TestWarmAsyncCallAllocs(t *testing.T) {
 	done := make(chan struct{}, 1)
 
 	// Warm: spawn the worker, fill the descriptor pool, settle the
-	// spin-then-park rhythm.
+	// park/ring rhythm.
 	for i := 0; i < 32; i++ {
 		if err := c.AsyncCallNotify(ep, &args, done); err != nil {
 			t.Fatal(err)
@@ -308,8 +309,10 @@ func TestWarmPayloadAsyncAllocs(t *testing.T) {
 }
 
 // TestWarmCallDeadlineAllocs pins the warm deadline path: with the
-// executor armed and the ticket, channel, and timer reused, a
-// CallDeadline that completes in time must not touch the heap.
+// executor armed and the ticket, its two channels and the wheel node
+// reused, a CallDeadline that completes in time must not touch the
+// heap — and neither must a cancel-only CallContext, whose wait is the
+// two-way select rather than the plain receive.
 // Report-only under -race (instrumentation allocates).
 func TestWarmCallDeadlineAllocs(t *testing.T) {
 	sys := NewSystemShards(1)
@@ -331,16 +334,26 @@ func TestWarmCallDeadlineAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := c.CallDeadline(ep, &args, d); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		if raceEnabled {
-			t.Logf("warm CallDeadline allocates %.1f objects/op under -race (report-only)", allocs)
-		} else {
-			t.Fatalf("warm CallDeadline allocates %.1f objects/op, want 0", allocs)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"CallDeadline", func() error { return c.CallDeadline(ep, &args, d) }},
+		{"cancel-only CallContext", func() error { return c.CallContext(ctx, ep, &args) }},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := tc.call(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			if raceEnabled {
+				t.Logf("warm %s allocates %.1f objects/op under -race (report-only)", tc.name, allocs)
+			} else {
+				t.Fatalf("warm %s allocates %.1f objects/op, want 0", tc.name, allocs)
+			}
 		}
 	}
 }

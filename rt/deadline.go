@@ -3,7 +3,6 @@ package rt
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -17,14 +16,27 @@ import (
 // goroutine: a single, lazily-created, reused goroutine that runs
 // handlers on the client's held descriptor while the caller waits on a
 // reusable ticket. The warm path allocates nothing — the ticket, its
-// wake channel, the executor, and its wheel node all persist on the
+// two channels, the executor, and its wheel node all persist on the
 // Client.
+//
+// The handoff is hand-off scheduling: both parties park first. The
+// caller writes the request, sends one token on the executor's wake
+// channel and blocks on the ticket's done channel; the executor blocks
+// on wake, runs the handler, and sends the done token. Go's scheduler
+// puts a readied goroutine in the waker's runnext slot, so the executor
+// runs on the caller's processor the moment the caller blocks, and the
+// caller resumes there the same way — a PPC is a hand-off to a worker
+// on the caller's own processor, and another P takes the wakee only if
+// the waker keeps running. There is no spin phase and no yield phase, on
+// any P count: on the defining host a spin ping-pong between two
+// processors costs as much as a channel ping-pong on one and burns a
+// second core doing it (EXPERIMENTS.md E19).
 //
 // Timing uses the shard's timer wheel (wheel.go), not per-call timers:
 // arming a deadline is one store of an absolute expiry into the
 // client's wheel node, and the shard watchdog's tick scans due buckets
 // and performs the dlWaiting→dlOrphaned CAS on behalf of expired
-// callers. The caller itself parks only on the ticket.
+// callers, followed by the same done token the executor would send.
 //
 // The ticket state word packs a per-executor generation with a phase
 // (gen<<2 | waiting/done/orphaned). The generation is what makes the
@@ -56,10 +68,10 @@ import (
 //     and only it — reclaims the quarantined descriptor into the shard
 //     pool (unless the System closed meanwhile; then the descriptor is
 //     dropped, same epoch rule as Release) and exits, since the client
-//     has already replaced it. It first waits for the caller's ack so
-//     the quarantine gauge moves up before the reclaim moves it down
-//     and a reclaimed descriptor never repools ahead of the caller's
-//     accounting.
+//     has already replaced it. It first parks until the caller's ack
+//     (a store followed by a wake token) so the quarantine gauge moves
+//     up before the reclaim moves it down and a reclaimed descriptor
+//     never repools ahead of the caller's accounting.
 //
 // The in-flight accounting (admitted / completed) brackets the
 // *handler*, not the caller's wait: an orphaned handler still counts
@@ -95,23 +107,6 @@ const (
 // with a real state word (phase bits 0 are idle-only).
 const dlCancelled = ^uint64(0)
 
-// Spin shaping for the caller wait and the executor idle loop. At
-// GOMAXPROCS == 1 busy-spinning is pure waste — the counterparty can
-// only run if we yield — so the per-round spin is zero and each round
-// is a Gosched; on multicore the spin phase resolves a short handler
-// without any scheduler transit.
-const (
-	dlSpinIters   = 64
-	dlYieldRounds = 128
-)
-
-// Executor work-word values.
-const (
-	dlWorkNone uint32 = iota
-	dlWorkReq
-	dlWorkExit
-)
-
 // dlTicket is the rendezvous between a deadline caller and its
 // executor. Reused across calls; the generation-tagged state CAS is the
 // single synchronization point that decides completion vs orphaning.
@@ -126,36 +121,31 @@ type dlTicket struct {
 	//ppc:atomic
 	//ppc:publishes(args, err)
 	state atomic.Uint64
-	// parked is the caller's Dekker flag: wakers send a done token only
-	// when it is set, so the spin-resolved warm path never touches the
-	// channel.
-	//
-	//ppc:atomic
-	parked atomic.Int32
 	// ack carries the generation whose orphan bookkeeping the caller has
 	// completed; the executor's reclaim waits for it so quarantine
 	// accounting is ordered before the repool.
 	//
 	//ppc:atomic
-	ack  atomic.Uint64
-	done chan struct{} // buffered(1); a token means "re-check state"
-	args Args          // the handler's working copy of the caller's args
-	err  error         // written by the executor before the dlDone CAS
+	ack atomic.Uint64
+	// done is the caller's park: buffered(1), one token from the
+	// executor or the wheel, whichever CASes the state out of waiting.
+	// The token carries nothing — it means "re-check state", and state
+	// is what publishes the results.
+	done chan struct{}
+	args Args  // the handler's working copy of the caller's args
+	err  error // written by the executor before the dlDone CAS
 }
 
-// wake delivers a (coalescing, non-blocking) token to a parked caller.
-// Called by whichever party wins the state CAS, after the CAS — the
-// caller re-validates the state on every wakeup, so a stale token from
-// a previous call is harmless (drained at the next arm, or treated as
-// spurious by the park loop).
+// sendToken puts a token on a buffered(1) park channel unless one is
+// already pending: coalescing and never blocking, so the watchdog's
+// expire and a repeated retire can both use it. A token carries
+// nothing; its receiver re-checks the word or flag it waits on.
 //
-//ppc:coldpath -- the caller is parked; the scheduler is already involved
-func (t *dlTicket) wake() {
-	if t.parked.Load() != 0 {
-		select {
-		case t.done <- struct{}{}:
-		default:
-		}
+//ppc:coldpath -- a channel send: the scheduler is involved by design
+func sendToken(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
@@ -179,13 +169,13 @@ func (t *dlTicket) expire(n *dlNode, d int64) {
 	if !t.state.CompareAndSwap(s, s&^dlPhaseMask|dlPhaseOrphaned) {
 		return
 	}
-	t.wake()
+	sendToken(t.done)
 }
 
 // dlReq is one unit of work handed to the executor. It lives inline in
 // dlExec: the caller writes the fields, then publishes them with the
-// work-word store; the executor copies them out after observing the
-// store. Strictly SPSC — the atomic work word orders every handoff.
+// wake token; the executor copies them out after receiving it. Strictly
+// SPSC — the channel orders every handoff.
 type dlReq struct {
 	sys      *System
 	svc      *Service
@@ -200,29 +190,24 @@ type dlReq struct {
 }
 
 // dlExec is the per-client deadline executor: one goroutine, one
-// inline request slot, one reusable ticket, one wheel node. No
-// channels on the warm handoff — the work word plus a parked-gated
-// wake token replace the old request channel, and the wheel replaces
-// the per-call timer.
+// inline request slot, one reusable ticket, one wheel node. The handoff
+// is park-first in both directions: the executor blocks on wake, the
+// caller on ticket.done, and each send readies the other side on the
+// sender's own processor.
 type dlExec struct {
 	sh   *shard
 	node *dlNode
-	// work is the SPSC handoff word: dlWorkNone empty, dlWorkReq a
-	// published request (fields in req), dlWorkExit retire. The
-	// dlWorkReq store releases req; the consume-side reset and the
-	// retire sentinel carry no payload (//ppc:nopublish at the site).
+	// wake is the executor's park: buffered(1). The caller's send and
+	// the executor's receive are req's publish edge (one token per
+	// request, so the send never finds the buffer full); retire and the
+	// orphan ack send a non-blocking token that carries nothing.
+	wake chan struct{}
+	// exit is retire's flag, checked on every wake token.
 	//
 	//ppc:atomic
-	//ppc:publishes(req)
-	work atomic.Uint32
-	// parked is the executor's Dekker flag for its wake channel.
-	//
-	//ppc:atomic
-	parked atomic.Int32
-	wake   chan struct{} // buffered(1) executor wakeup
-	req    dlReq         // caller-written, work-word-published
-	gen    uint64        // caller-private arm counter
-	spin   int32         // busy-spin iterations per round (0 at GOMAXPROCS=1)
+	exit   atomic.Bool
+	req    dlReq  // caller-written, published by the wake send
+	gen    uint64 // caller-private arm counter
 	ticket dlTicket
 }
 
@@ -236,9 +221,6 @@ func (c *Client) armDeadlineExec() {
 	e := &dlExec{sh: c.shard}
 	e.wake = make(chan struct{}, 1)
 	e.ticket.done = make(chan struct{}, 1)
-	if runtime.GOMAXPROCS(0) > 1 {
-		e.spin = dlSpinIters
-	}
 	// The node carries the client's current ownership word (owner.go):
 	// gen-tagged, offset-stable, the wheel-node leg of the domain-death
 	// layout.
@@ -253,43 +235,15 @@ func (c *Client) armDeadlineExec() {
 }
 
 // loop runs handlers on behalf of deadline callers until retired
-// (Client.Release's exit sentinel) or orphaned.
+// (Client.Release or the scavenger) or orphaned.
 func (e *dlExec) loop() {
-	spun := 0
+	t := &e.ticket
 	for {
-		w := e.work.Load()
-		if w == dlWorkNone {
-			for i := int32(0); i < e.spin; i++ {
-				if e.work.Load() != dlWorkNone {
-					break
-				}
-			}
-			if w = e.work.Load(); w == dlWorkNone {
-				if spun < dlYieldRounds {
-					spun++
-					runtime.Gosched()
-					continue
-				}
-				// Park: advertise, re-check, block (Dekker handshake with
-				// the caller's publish). A stale token wakes us spuriously;
-				// the loop just re-checks.
-				e.parked.Store(1)
-				if e.work.Load() == dlWorkNone {
-					<-e.wake
-				}
-				e.parked.Store(0)
-				spun = 0
-				continue
-			}
-		}
-		spun = 0
-		//ppc:nopublish -- consume-side reset: empties the slot, publishes nothing
-		e.work.Store(dlWorkNone)
-		if w == dlWorkExit {
+		<-e.wake
+		if e.exit.Load() {
 			return
 		}
 		req := e.req // copy out; the caller may rewrite req after this call resolves
-		t := &e.ticket
 		err := req.sys.dispatch(req.cd, req.svc, req.stripe, req.h, &t.args, req.prog, false)
 		// Handler done: settle the in-flight accounting exactly as
 		// callHeld would — this covers orphaned calls too, which is what
@@ -307,17 +261,17 @@ func (e *dlExec) loop() {
 					req.svc.settleProbe(req.counters, err)
 				}
 			}
-			t.wake()
+			sendToken(t.done)
 			continue
 		}
-		// Orphaned while running. Wait for the caller to finish the
-		// quarantine bookkeeping (it is awake and on its way — the CAS
-		// winner woke it), so the gauge increments before this reclaim
-		// decrements it and the descriptor never repools early. Then
-		// this goroutine — the one that observed handler return — owns
-		// the reclaim; the client re-armed long ago, so retire quietly.
+		// Orphaned while running. Park until the caller has finished the
+		// quarantine bookkeeping (its ack is followed by a wake token), so
+		// the gauge increments before this reclaim decrements it and the
+		// descriptor never repools early. Then this goroutine — the one
+		// that observed handler return — owns the reclaim; the client
+		// re-armed long ago, so retire quietly.
 		for t.ack.Load() != req.gen {
-			runtime.Gosched()
+			<-e.wake
 		}
 		e.sh.reclaimQuarantined(req.cd, req.sys.closeEpoch.Load() == req.epoch)
 		return
@@ -326,18 +280,14 @@ func (e *dlExec) loop() {
 
 // retire asks an idle executor to exit (Client.Release; a Client is
 // single-goroutine by contract, so no call is in flight) and hands its
-// wheel node to the wheel for retirement.
+// wheel node to the wheel for retirement. Idempotent: Release and the
+// scavenger may both retire one executor; the second token is dropped
+// or left in the buffer of a goroutine that already exited.
 //
 //ppc:coldpath -- executor retirement, off every call path
 func (e *dlExec) retire() {
-	//ppc:nopublish -- exit sentinel: no request fields accompany it
-	e.work.Store(dlWorkExit)
-	if e.parked.Load() != 0 {
-		select {
-		case e.wake <- struct{}{}:
-		default:
-		}
-	}
+	e.exit.Store(true)
+	sendToken(e.wake)
 	e.sh.wheel.abandon(e.node, e.sh.clock.read())
 }
 
@@ -508,12 +458,6 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 
 	exec := c.dl
 	t := &exec.ticket
-	// Drain a stale wake token a previous call's late waker may have
-	// left behind; a token only ever means "re-check the state word".
-	select {
-	case <-t.done:
-	default:
-	}
 	exec.gen++
 	gen := exec.gen
 	t.args = *args
@@ -526,7 +470,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	//ppc:nopublish -- arming store: opens the waiting phase, the Done CAS publishes the results
 	t.state.Store(gen<<dlGenShift | dlPhaseWaiting)
 	if d > 0 {
-		// Arm the wheel BEFORE publishing the work so the bound covers
+		// Arm the wheel BEFORE publishing the request so the bound covers
 		// the whole handoff. The expiry rounds up by one granularity
 		// from the coarse clock: staleness ≤ one tick, so the wheel
 		// never fires before d has elapsed, and at most ~2 ticks after.
@@ -537,14 +481,10 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		sys: c.sys, svc: svc, h: e.h, counters: counters, stripe: st,
 		cd: cd, prog: c.program, epoch: c.heldEpoch, probe: probe, gen: gen,
 	}
-	exec.work.Store(dlWorkReq)
-	if exec.parked.Load() != 0 {
-		select {
-		case exec.wake <- struct{}{}:
-		default:
-		}
-	}
-	s := c.dlWait(exec, t, gen, cancel)
+	// Hand off: the send readies the executor on this processor, and
+	// blocking in dlWait is what lets it run there.
+	exec.wake <- struct{}{}
+	s := dlWait(t, gen, cancel)
 	switch {
 	case s == dlCancelled:
 		return c.cancelAttempt(sh, svc, counters, exec, t, gen, args, probe, ctx.Err())
@@ -568,42 +508,25 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	}
 }
 
-// dlWait waits for the call's state word to leave gen|waiting:
-// adaptive spin (pure yields at GOMAXPROCS=1, busy-spin rounds on
-// multicore), then a parked wait on the ticket's wake token with the
-// Dekker handshake against the wakers. Returns the observed state, or
-// dlCancelled if the cancel channel fired first.
-func (c *Client) dlWait(e *dlExec, t *dlTicket, gen uint64, cancel <-chan struct{}) uint64 {
+// dlWait parks the caller on the ticket's done token until the call's
+// state word leaves gen|waiting, re-checking the word on every token.
+// Returns the observed state, or dlCancelled if the cancel channel
+// fired first.
+func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) uint64 {
 	want := gen<<dlGenShift | dlPhaseWaiting
-	for r := 0; r < dlYieldRounds; r++ {
-		for i := int32(0); i <= e.spin; i++ {
-			if s := t.state.Load(); s != want {
-				return s
-			}
-		}
-		runtime.Gosched()
-	}
 	for {
-		t.parked.Store(1)
-		if s := t.state.Load(); s != want {
-			t.parked.Store(0)
-			return s
-		}
 		if cancel == nil {
 			<-t.done
 		} else {
 			select {
 			case <-t.done:
 			case <-cancel:
-				t.parked.Store(0)
 				return dlCancelled
 			}
 		}
-		t.parked.Store(0)
 		if s := t.state.Load(); s != want {
 			return s
 		}
-		// Spurious token (a previous call's late waker); re-park.
 	}
 }
 
@@ -617,7 +540,10 @@ func (c *Client) cancelAttempt(sh *shard, svc *Service, counters *shardCounters,
 	//ppc:nopublish -- orphan transition: the caller is abandoning the call, no payload
 	if !t.state.CompareAndSwap(want, gen<<dlGenShift|dlPhaseOrphaned) {
 		if s := t.state.Load(); s&dlPhaseMask == dlPhaseDone {
-			// Lost to the executor: the call completed.
+			// Lost to the executor: the call completed. Take the done
+			// token its CAS is followed by, so the reused ticket starts
+			// the next call with an empty channel.
+			<-t.done
 			e.node.deadline.Store(0)
 			*args = t.args
 			if probe {
@@ -669,6 +595,7 @@ func (c *Client) orphaned(sh *shard, svc *Service, counters *shardCounters, e *d
 	c.rec.cd.Store(nil)
 	c.rec.dl.Store(nil)
 	t.ack.Store(gen)
+	sendToken(e.wake)
 	if cause != nil {
 		return fmt.Errorf("%w: %w", ErrDeadline, cause)
 	}

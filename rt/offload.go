@@ -280,11 +280,9 @@ func (sh *shard) offloadLoop(sys *System) {
 		l.running.Add(-1)
 		sh.wg.Done()
 	}()
-	idle := 0
 	var seq uint64
 	for {
 		if sh.offloadSweep(l, beat, &seq) {
-			idle = 0
 			continue
 		}
 		select {
@@ -296,15 +294,12 @@ func (sh *shard) offloadLoop(sys *System) {
 			return
 		default:
 		}
-		if idle < workerSpinRounds {
-			idle++
-			runtime.Gosched()
-			continue
-		}
 		l.parked.Add(1)
 		if l.queueDepth() != 0 {
+			// A job is mid-publish, or another copier is landing one;
+			// yield to it instead of spinning on the table.
 			l.parked.Add(-1)
-			idle = 0
+			runtime.Gosched()
 			continue
 		}
 		select {
@@ -312,7 +307,6 @@ func (sh *shard) offloadLoop(sys *System) {
 		case <-sh.stop:
 		}
 		l.parked.Add(-1)
-		idle = 0
 	}
 }
 

@@ -64,8 +64,8 @@
 //     slots) and a capped worker pool. Submission is a ticket CAS
 //     plus an in-place slot write — no channel lock, no scheduler
 //     round trip. Workers drain the ring in batches and park on a
-//     per-shard doorbell only after a bounded spin; submitters ring
-//     the doorbell only when a worker is actually parked, so the
+//     per-shard doorbell the moment every ring is empty; submitters
+//     ring the doorbell only when a worker is actually parked, so the
 //     steady-state pipeline never enters the scheduler. When the ring
 //     is full and the pool saturated, AsyncCall waits a bounded time
 //     for space and then fails with ErrBackpressure — overload is

@@ -34,16 +34,11 @@ const defaultNotifyWait = 100 * time.Millisecond
 // doorbell round for up to this many requests.
 const asyncBatchSize = 16
 
-// workerSpinRounds and workerSpinIters shape the adaptive
-// spin-then-park: an idle worker spins on the ring head for up to
-// workerSpinRounds visits (workerSpinIters head loads each, yielding
-// between later rounds) before parking on the doorbell. The steady
-// pipeline — requests arriving while a worker drains — never parks and
-// never rings, so it never enters the scheduler.
-const (
-	workerSpinRounds = 4
-	workerSpinIters  = 128
-)
+// submitFullSpins is how many read-only push retries a submitter makes
+// against a full ring between yields (submitSlow, submitBatchSlow): a
+// draining worker frees a whole batch of slots in well under a
+// scheduler round trip.
+const submitFullSpins = 128
 
 // closePollInterval paces close's wait for in-progress submissions on
 // one reused timer.
@@ -647,7 +642,7 @@ func (sh *shard) submitSlow(r *asyncRing, shed *atomic.Int64, sys *System, svc *
 		// finds the slot still occupied, no CAS), so spin a bounded
 		// burst first — a draining worker frees a whole batch of slots
 		// in well under a park/unpark round trip.
-		if spun < workerSpinIters {
+		if spun < submitFullSpins {
 			spun++
 			continue
 		}
@@ -681,7 +676,7 @@ func (sh *shard) submitBatchSlow(r *asyncRing, shed *atomic.Int64, sys *System, 
 			// Same spin-then-yield as submitSlow: the retry is read-only
 			// against a full ring, and a batch drain frees slots faster
 			// than a scheduler round trip.
-			if spun < workerSpinIters {
+			if spun < submitFullSpins {
 				spun++
 				continue
 			}
@@ -726,13 +721,15 @@ func (sh *shard) spawnWorker(sys *System) {
 // then drains whatever remains in the ring and exits, keeping the
 // worker count accurate on the way out.
 //
-// An idle worker adapts: first it spins briefly on the ring head (the
-// submission latency of a pipelined producer is far shorter than a
-// park/unpark round trip), then it parks on the doorbell. The park is
-// a Dekker handshake with wake: the worker advertises itself in
-// parked, re-checks the ring, and only then blocks — a submitter
-// either sees the advertisement and rings, or the worker sees the
-// submitter's slot and never parks.
+// A worker that finds every ring empty parks on the doorbell at once —
+// no spin, no yield: the submitter's ring readies it on the
+// submitter's own processor, and spinning on a second one costs more
+// than the park it avoids (EXPERIMENTS.md E19). The steady pipeline —
+// requests arriving while the worker drains — never parks and never
+// rings. The park is a Dekker handshake with wake: the worker
+// advertises itself in parked, re-checks the ring, and only then
+// blocks — a submitter either sees the advertisement and rings, or the
+// worker sees the submitter's slot and never parks.
 func (sh *shard) workerLoop(sys *System) {
 	// The worker holds one call descriptor for its whole lifetime:
 	// servicing a request costs no pool CAS, and the scratch buffer
@@ -754,7 +751,6 @@ func (sh *shard) workerLoop(sys *System) {
 	if sh.lanes != nil {
 		sh.resetCredits(&credit)
 	}
-	idle := 0
 	var seq uint64
 	for {
 		// Retire tokens convert revoked stall compensations back into the
@@ -770,7 +766,6 @@ func (sh *shard) workerLoop(sys *System) {
 			n = sh.claimWeighted(&credit, batch[:])
 		}
 		if n > 0 {
-			idle = 0
 			// Heartbeat: one plain store on a worker-private line per
 			// batch, not per request — the watchdog's whole warm-path tax.
 			if beat != nil {
@@ -810,15 +805,6 @@ func (sh *shard) workerLoop(sys *System) {
 			runtime.Gosched()
 			continue
 		}
-		if idle < workerSpinRounds {
-			idle++
-			if idle > 1 {
-				runtime.Gosched()
-			}
-			for i := 0; i < workerSpinIters && sh.queuesEmpty(); i++ {
-			}
-			continue
-		}
 		// Park: advertise, re-check, block. The re-check covers EVERY
 		// lane ring — that is what makes the shared doorbell correct
 		// per lane: a critical submitter either sees parked != 0 and
@@ -826,7 +812,6 @@ func (sh *shard) workerLoop(sys *System) {
 		sh.parked.Add(1)
 		if !sh.queuesEmpty() {
 			sh.parked.Add(-1)
-			idle = 0
 			continue
 		}
 		select {
@@ -834,7 +819,6 @@ func (sh *shard) workerLoop(sys *System) {
 		case <-sh.stop:
 		}
 		sh.parked.Add(-1)
-		idle = 0
 	}
 }
 
