@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet ci bench bench-handoff bench-selftest bench-smoke bench-json bench-openloop chaos
+.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench bench-handoff bench-selftest bench-smoke bench-json bench-openloop chaos
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over every Go file of the tree, bench/ and tools/ included, must
+# change nothing. The analyzers' testdata fixtures are exempt: some are
+# malformed on purpose.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v /testdata/ || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l is not empty:"; echo "$$out"; exit 1; fi
 
 # ppclint's own unit and golden-fixture tests (the linter lints itself
 # before it lints the tree).
@@ -87,4 +94,4 @@ OPENLOOP_DUR ?= 2s
 bench-openloop:
 	$(GO) test -run TestOpenLoopSweepReport -v -count=1 ./internal/rtbench -openloop-dur $(OPENLOOP_DUR)
 
-ci: build lint test race chaos bench-smoke bench-selftest
+ci: fmt-check build lint test race chaos bench-smoke bench-selftest

@@ -201,6 +201,11 @@ func BenchmarkHostPingPongSpin(b *testing.B) { rtbench.HostPingPongSpin(b) }
 func BenchmarkHostPingPongChan(b *testing.B) { rtbench.HostPingPongChan(b) }
 func BenchmarkHostGosched(b *testing.B)      { rtbench.HostGosched(b) }
 
+// BenchmarkHostLockedOp is the host's price per uncontended atomic
+// operation on an owned line — Add, CAS, Store (XCHG), Load — the unit
+// the warm paths' //ppc:rmwbudget annotations count.
+func BenchmarkHostLockedOp(b *testing.B) { rtbench.HostLockedOp(b) }
+
 // BenchmarkRTCallPooled is the same call through the per-call pool
 // discipline (pop + push, one CAS pair per call) — the held/pooled gap
 // is Figure 2's CD-management delta.

@@ -113,3 +113,37 @@ func HostGosched(b *testing.B) {
 	}
 	<-done
 }
+
+// HostLockedOp is the host's price for one sync/atomic operation on a
+// line the caller already owns, the unit rt's warm paths are budgeted
+// in (docs/CALLPATH.md, //ppc:rmwbudget): Add, CompareAndSwap and Store
+// — Go's atomic store is XCHG — are lock-prefixed instructions, Load is
+// a plain one. Uncontended and back to back, so this is the floor: in
+// place each one also drains the store buffer, and pays for whatever
+// cache-missing stores the caller had in flight (EXPERIMENTS.md E20).
+//
+//ppc:coldpath -- benchmark harness; no rt path is measured
+func HostLockedOp(b *testing.B) {
+	var l hostLine
+	b.Run("Add", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l.v.Add(1)
+		}
+	})
+	b.Run("CAS", func(b *testing.B) {
+		l.v.Store(0)
+		for i := uint64(0); i < uint64(b.N); i++ {
+			l.v.CompareAndSwap(i, i+1)
+		}
+	})
+	b.Run("Store", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l.v.Store(uint64(i))
+		}
+	})
+	b.Run("Load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l.v.Load() // an atomic load is never elided
+		}
+	})
+}

@@ -215,6 +215,55 @@ func TestBatchFlushAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmPayloadBatchAllocs: a warm batch of payload-carrying requests
+// — sixteen leases outstanding between the first Add and the Flush, so
+// the client's lease slots run into their appended blocks — allocates
+// nothing: the blocks are kept once made. Report-only under -race.
+func TestWarmPayloadBatchAllocs(t *testing.T) {
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "bpay", Handler: func(ctx *Ctx, args *Args) {
+		_ = ctx.Payload(0)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	const batchN = 16
+	b := c.NewBatch(svc.EP(), batchN)
+	done := make(chan struct{}, batchN)
+	b.SetNotify(done)
+	flushAndDrain := func() {
+		for i := 0; i < batchN; i++ {
+			ref, buf, err := c.AllocPayload(256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[0] = byte(i)
+			var args Args
+			args.AttachPayload(ref)
+			b.Add(&args)
+		}
+		if n, err := b.Flush(); err != nil || n != batchN {
+			t.Fatalf("Flush = (%d, %v)", n, err)
+		}
+		for i := 0; i < batchN; i++ {
+			<-done
+		}
+	}
+	for i := 0; i < 8; i++ { // warm
+		flushAndDrain()
+	}
+	if allocs := testing.AllocsPerRun(100, flushAndDrain); allocs != 0 {
+		if raceEnabled {
+			t.Logf("warm payload batch allocates %.1f objects/run under -race (report-only)", allocs)
+		} else {
+			t.Fatalf("warm payload batch allocates %.1f objects/run, want 0", allocs)
+		}
+	}
+	waitCond(t, 2*time.Second, "leases to settle", func() bool { return sys.Stats()[0].LeasesActive == 0 })
+}
+
 // TestWarmPayloadCallAllocs pins the zero-copy payload path's
 // no-allocation invariant: a warm Call carrying an arena payload —
 // AllocPayload, fill, AttachPayload, handler views in place, settle

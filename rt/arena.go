@@ -12,14 +12,16 @@ import (
 // the current slab with a few shard-local atomics, read in place by
 // the handler, and released when the call settles. Reclamation is by
 // lease count + epoch, not by GC: a slab whose leases have all been
-// released is recycled under a bumped generation, and any descriptor
+// released moves on a generation — recycled if it was retired, rewound
+// in place if it is still the allocation target — and any descriptor
 // minted under the old generation fails validation from then on.
 //
 // The discipline mirrors the rest of the package:
 //
 //   - The warm alloc is an increment-then-check lease (the same shape
-//     as call admission) plus one bump-pointer fetch-add — no lock, no
-//     heap allocation, no line shared with another shard.
+//     as call admission) that claims its region with the same fetch-add
+//     — one locked instruction, no lock, no heap allocation, no line
+//     shared with another shard.
 //   - Slab growth and recycling are strictly cold: a mutex-guarded
 //     refill runs at most once per slabful of traffic (capacity-
 //     guarded exactly like growScratch), and the slab table is
@@ -69,13 +71,40 @@ const (
 	slabFree
 )
 
+// Packed slab word (arenaSlab.word): lease count on top, the 16-bit
+// generation a PayloadRef carries in the middle, the allocation cursor
+// in cache lines at the bottom. A slab holds at most 32 768 line-sized
+// segments (plus a staging lease each, offload.go), inside 18 bits; a
+// count driven below zero borrows off the top of the word and reads as
+// negative, touching nothing else. Every allocator that finds the slab
+// full overshoots the cursor once by at most the slab's 2^15 lines, so
+// 30 bits absorb 32 768 of them racing on one full slab before a carry
+// could reach the generation.
+const (
+	slabCursorBits = 30
+	slabCursorMask = uint64(1)<<slabCursorBits - 1
+	slabGenShift   = slabCursorBits
+	slabLeaseShift = slabGenShift + payloadGenBits
+	slabLeaseOne   = uint64(1) << slabLeaseShift
+	arenaSlabLines = arenaSlabBytes >> lineShift
+)
+
+func slabLeases(w uint64) int64 { return int64(w) >> slabLeaseShift }
+func slabGen(w uint64) uint32   { return uint32(w>>slabGenShift) & payloadGenMask }
+
+// slabRewound is the word of an empty slab one generation on from w;
+// descriptors minted under w's generation no longer validate.
+func slabRewound(w uint64) uint64 {
+	return uint64((slabGen(w)+1)&payloadGenMask) << slabGenShift
+}
+
 // arenaSlab is one leased slab. Slabs are reached through pointers
 // (the arena's copy-on-grow table), so tail tiling matters less than
-// internal striping: the allocating caller RMWs bump on every lease
-// while releasers — async workers, deadline executors, offload workers
-// on other cores — RMW leases, so each owns a line, and the metadata
-// the validation path only reads (buf, base, gen, state) stays off
-// both.
+// internal striping: the packed word is written by every alloc and
+// every release — the allocating caller, async workers, deadline
+// executors, offload workers on other cores — so it owns a line, and
+// the metadata the validation path only reads (buf, base, state) stays
+// off it.
 //
 //ppc:padded
 type arenaSlab struct {
@@ -85,39 +114,22 @@ type arenaSlab struct {
 	// construction.
 	buf  []byte
 	base int64
-	// gen is the slab's reclamation epoch: bumped once per recycle, so
-	// descriptors minted before the recycle fail validation after it.
-	// The 16-bit field a PayloadRef carries wraps after 65536 recycles
-	// of one slab; a stale ref surviving exactly a multiple of 2^16
-	// recycles would falsely validate — accepted, like a seqlock tag,
-	// because refs are transient call-lifetime tokens, not storage.
-	//
-	//ppc:atomic
-	gen atomic.Uint32
 	// state is the lifecycle word (slabActive..slabFree); transitions
 	// are sealed by refill, recycled by the last releaser's CAS.
 	//
 	//ppc:atomic
 	state atomic.Uint32
-	_     [24]byte // keep the hot cursors below off the metadata line
+	_     [28]byte // keep the packed word below off the metadata line
 
-	// bump is the allocation cursor: one fetch-add per lease, written
-	// only by allocators bound to this shard.
+	// word packs lease count, generation and cursor (see above). The
+	// generation wraps after 65536 drains; a stale ref surviving exactly
+	// a multiple of that would falsely validate — accepted, like a
+	// seqlock tag, because refs are transient call-lifetime tokens.
 	//
 	//ppc:atomic
 	//ppc:hotline
-	bump atomic.Int64
+	word atomic.Uint64
 	_    [56]byte
-
-	// leases counts outstanding segment leases. Releasers run on
-	// whatever goroutine settles the call (async workers, deadline
-	// executors, the offload worker), so this line is written from
-	// other cores and must not share with the allocator's bump line.
-	//
-	//ppc:atomic
-	//ppc:hotline
-	leases atomic.Int64
-	_      [56]byte
 }
 
 // shardArena is one shard's arena: the current slab, the lock-free
@@ -174,52 +186,56 @@ func newSlab(base int64) *arenaSlab {
 	}
 }
 
-// alloc leases n bytes: load the current slab, take a lease with the
-// increment-then-check protocol (the same idiom as call admission —
-// count yourself in, re-validate, back out if a seal intervened), and
-// claim a line-aligned region with one fetch-add. The warm path is
-// three shard-local atomics and no branch that is not statically
-// predictable; every miss (no slab yet, sealed under us, slab full)
-// falls to the mutex-guarded refill.
+// alloc leases n bytes: load the current slab, then take a lease and
+// claim a line-aligned region with one fetch-add on its packed word —
+// increment-then-check, the same idiom as call admission: count
+// yourself in, re-validate the slab state, back out if a seal
+// intervened. The word the add returns carries the generation the
+// descriptor is minted under. One locked instruction; every miss (no
+// slab yet, sealed under us, slab full) falls to allocSlow.
 //
 //ppc:hotpath
 func (a *shardArena) alloc(n int) (PayloadRef, []byte, error) {
 	if n <= 0 || n > MaxPayloadBytes {
 		return 0, nil, ErrPayloadTooLarge
 	}
-	need := int64(n+arenaLineBytes-1) &^ (arenaLineBytes - 1)
+	lines := uint64(n+arenaLineBytes-1) >> lineShift
 	for {
 		s := a.cur.Load()
-		if s == nil {
-			var err error
-			if s, err = a.refill(nil); err != nil {
-				return 0, nil, err
+		if s != nil {
+			// Lease first, then validate: once the lease is visible nothing
+			// can rewind or recycle the slab under the region just claimed
+			// (both are CASes from a word with no lease out).
+			w := s.word.Add(slabLeaseOne + lines)
+			end := w & slabCursorMask
+			if s.state.Load() == slabActive && end <= arenaSlabLines {
+				off := int64(end-lines) << lineShift
+				return packPayloadRef(slabGen(w), s.base+off, n),
+					s.buf[off : off+int64(n) : off+int64(lines)<<lineShift], nil
 			}
 		}
-		// Lease first, then validate: once the lease is visible no
-		// recycler can reset the slab under the region we are about to
-		// claim (tryRecycle requires leases == 0 after seal).
-		s.leases.Add(1)
-		if s.state.Load() != slabActive {
-			// Sealed between our load of cur and the lease; back out.
-			// refill has already replaced cur, so the retry makes
-			// progress.
-			a.releaseSlab(s)
-			continue
-		}
-		off := s.bump.Add(need) - need
-		if off+need <= arenaSlabBytes {
-			return packPayloadRef(s.gen.Load(), s.base+off, n),
-				s.buf[off : off+int64(n) : off+need], nil
-		}
-		// Full: drop the lease (the overshot cursor is fine — the slab
-		// is about to be sealed and the cursor resets on recycle) and
-		// refill.
-		a.releaseSlab(s)
-		if _, err := a.refill(s); err != nil {
+		if err := a.allocSlow(s); err != nil {
 			return 0, nil, err
 		}
 	}
+}
+
+// allocSlow is alloc's miss path: no slab yet, or the lease just taken
+// on s landed on a sealed slab (refill already replaced cur: retry) or
+// past the end of a full one. Drop that lease — the overshot cursor
+// rewinds when the slab drains — and refill.
+//
+//ppc:coldpath -- at most once per slabful of payload traffic
+func (a *shardArena) allocSlow(s *arenaSlab) error {
+	if s != nil {
+		sealed := s.state.Load() != slabActive
+		a.releaseSlab(s)
+		if sealed || s.word.Load()&slabCursorMask < arenaSlabLines {
+			return nil // replaced already, or that release drained and rewound it
+		}
+	}
+	_, err := a.refill(s)
+	return err
 }
 
 // refill replaces the current slab: activate a recycled free slab if
@@ -257,7 +273,7 @@ func (a *shardArena) refill(old *arenaSlab) (*arenaSlab, error) {
 	a.cur.Store(next)
 	if old != nil {
 		old.state.Store(slabSealed)
-		if old.leases.Load() == 0 {
+		if slabLeases(old.word.Load()) == 0 {
 			tryRecycle(old)
 		}
 	}
@@ -317,11 +333,7 @@ func (a *shardArena) view(ref PayloadRef) []byte {
 	}
 	off := ref.byteOff()
 	s := a.slabAt(off)
-	// The slab's counter is 32-bit but a ref carries only 16 bits of it:
-	// compare masked, or every descriptor minted after the 65536th
-	// recycle of a slab fails validation (the wrap is the accepted
-	// seqlock-style ambiguity, not a permanent poisoning).
-	if s == nil || s.gen.Load()&payloadGenMask != ref.gen() {
+	if s == nil || slabGen(s.word.Load()) != ref.gen() {
 		return nil
 	}
 	lo := off - s.base
@@ -335,16 +347,15 @@ func (a *shardArena) view(ref PayloadRef) []byte {
 }
 
 // release returns one lease. Stale descriptors (generation mismatch —
-// the slab was already recycled) are ignored; a matching release that
-// drains a sealed slab's last lease recycles it.
+// the slab has drained since) are ignored.
 //
-//ppc:coldpath -- lease settlement: runs only for calls that carried payloads
+//ppc:hotpath
 func (a *shardArena) release(ref PayloadRef) {
 	if ref == 0 {
 		return
 	}
 	s := a.slabAt(ref.byteOff())
-	if s == nil || s.gen.Load()&payloadGenMask != ref.gen() {
+	if s == nil || slabGen(s.word.Load()) != ref.gen() {
 		return
 	}
 	a.releaseSlab(s)
@@ -358,34 +369,51 @@ func (a *shardArena) release(ref PayloadRef) {
 //ppc:coldpath -- offload staging setup, large transfers only
 func (a *shardArena) addLease(ref PayloadRef) {
 	if s := a.slabAt(ref.byteOff()); s != nil {
-		s.leases.Add(1)
+		s.word.Add(slabLeaseOne)
 	}
 }
 
-// releaseSlab drops one lease; the releaser that drains a sealed slab
-// recycles it. The decrement and the state load are two steps, and a
-// releaser can lose its processor between them for longer than a slab
-// lives: the zero it saw may belong to an earlier fill of the slab, and
-// the sealed state it then reads to a later one that still has leases
-// out. tryRecycle therefore trusts neither and re-validates.
+// releaseSlab drops one lease with one CAS. The release that empties
+// the active slab also rewinds it — cursor to zero, generation on by
+// one — so closed-loop traffic, whose every call drains the slab, keeps
+// leasing the lines it has just used instead of walking two megabytes
+// of cold ones. The release that empties a sealed slab recycles it. The
+// CAS and the state load are two steps, and a releaser can lose its
+// processor between them for longer than a slab lives: the zero it saw
+// may belong to an earlier fill, the sealed state it then reads to a
+// later one with leases out. tryRecycle therefore trusts neither.
+//
+//ppc:hotpath
 func (a *shardArena) releaseSlab(s *arenaSlab) {
-	if s.leases.Add(-1) == 0 && s.state.Load() == slabSealed {
-		tryRecycle(s)
+	for {
+		w := s.word.Load()
+		next := w - slabLeaseOne
+		if slabLeases(w) == 1 && s.state.Load() == slabActive {
+			next = slabRewound(w)
+		}
+		if s.word.CompareAndSwap(w, next) {
+			if slabLeases(next) == 0 && s.state.Load() == slabSealed {
+				tryRecycle(s)
+			}
+			return
+		}
 	}
 }
 
-// tryRecycle resets a drained, sealed slab for reuse. The CAS elects
-// one recycler (a racing releaser and refill both call this), and the
-// winner re-reads the lease count before it touches anything: a sealed
-// slab takes no new leases, so zero here is final, while nonzero means
-// the caller's "drained" was stale (see releaseSlab) and the slab goes
-// back to sealed untouched. The true last releaser may have come and
-// gone while the state read recycling, so the count is read once more
-// after the restore — the releaser decrements then loads the state,
-// this stores the state then loads the count, and one of the two sees
-// the other. The generation bump and cursor reset complete before the
-// slab is marked free, so a refill can never activate a slab whose
-// old-generation descriptors would still validate.
+// tryRecycle resets a drained, sealed slab for reuse. The state CAS
+// elects one recycler (a racing releaser and refill both call this),
+// and the winner rewinds the slab with a CAS on the packed word from a
+// value whose lease count is zero: a lease taken at any point before
+// the CAS makes it fail, so a slab cannot recycle under a live lease
+// whatever stale evidence brought the caller here. A failed rewind puts
+// the slab back to sealed untouched. The lease that defeated it may be
+// the true last one, released while the state read recycling, so the
+// count is read once more after the restore — the releaser decrements
+// then loads the state, this stores the state then loads the count,
+// and one of the two sees the other. The generation moves on before
+// the slab is marked free. An allocator holding a stale cur can add to
+// a free slab's word and back out: it leaves the cursor advanced, never
+// the count, and the next fill starts short until it first drains.
 //
 //ppc:coldpath -- slab recycling, once per drained slabful
 func tryRecycle(s *arenaSlab) {
@@ -393,16 +421,14 @@ func tryRecycle(s *arenaSlab) {
 		if !s.state.CompareAndSwap(slabSealed, slabRecycling) {
 			return
 		}
-		if s.leases.Load() == 0 {
+		if w := s.word.Load(); slabLeases(w) == 0 && s.word.CompareAndSwap(w, slabRewound(w)) {
 			break
 		}
 		s.state.Store(slabSealed)
-		if s.leases.Load() != 0 {
+		if slabLeases(s.word.Load()) != 0 {
 			return
 		}
 	}
-	s.gen.Add(1)
-	s.bump.Store(0)
 	s.state.Store(slabFree)
 }
 
@@ -418,7 +444,7 @@ func (a *shardArena) leasesActive() int64 {
 	}
 	var n int64
 	for _, s := range *tab {
-		n += s.leases.Load()
+		n += slabLeases(s.word.Load())
 	}
 	return n
 }

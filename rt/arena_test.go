@@ -173,25 +173,86 @@ func TestArenaRecycleInvalidatesRefs(t *testing.T) {
 		t.Fatalf("grows = %d, want 2", got)
 	}
 	// The free slab is reused, not regrown, and its cursor was reset.
-	a.release(refs[len(refs)-1]) // drain slab 1 (still active: no recycle)
-	var last PayloadRef
+	// Fill slab 1 holding every lease (a release that drained it would
+	// rewind it in place) until the refill lands back in slab 0.
+	held := []PayloadRef{refs[len(refs)-1]}
 	for {
 		ref, _, err := a.alloc(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		held = append(held, ref)
 		if ref.byteOff() < arenaSlabBytes { // back in recycled slab 0
 			if ref.gen() == first.gen() {
 				t.Fatal("recycled slab did not bump its generation")
 			}
-			last = ref
+			if ref.byteOff() != 0 {
+				t.Fatalf("recycled slab's cursor was not reset: first segment at %d", ref.byteOff())
+			}
 			break
 		}
-		a.release(ref)
 	}
-	a.release(last)
+	for _, r := range held {
+		a.release(r)
+	}
 	if got := a.grows.Load(); got != 2 {
 		t.Fatalf("recycle grew the arena: grows = %d, want 2", got)
+	}
+	if got := a.leasesActive(); got != 0 {
+		t.Fatalf("leasesActive = %d after every release", got)
+	}
+}
+
+// TestArenaRewindsWhenDrained pins the closed-loop property: the release
+// that empties the active slab rewinds it, so a caller that leases,
+// calls and settles in a loop is handed the same lines every time, the
+// descriptor it just settled no longer validates, and releasing that
+// descriptor a second time is ignored instead of driving the count
+// negative.
+func TestArenaRewindsWhenDrained(t *testing.T) {
+	var a shardArena
+	var last PayloadRef
+	for i := 0; i < 1000; i++ {
+		ref, buf, err := a.alloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.byteOff() != 0 {
+			t.Fatalf("iteration %d: segment at offset %d, want the rewound slab's first line", i, ref.byteOff())
+		}
+		if ref == last {
+			t.Fatalf("iteration %d: descriptor %#x minted twice", i, uint64(ref))
+		}
+		buf[0] = byte(i)
+		if v := a.view(ref); len(v) != 4096 || v[0] != byte(i) {
+			t.Fatalf("iteration %d: the live descriptor does not view its bytes", i)
+		}
+		if last != 0 && a.view(last) != nil {
+			t.Fatalf("iteration %d: the previous call's descriptor still views the reused lines", i)
+		}
+		a.release(ref)
+		a.release(ref) // double release of the last lease: generation mismatch, ignored
+		if got := a.leasesActive(); got != 0 {
+			t.Fatalf("iteration %d: leasesActive = %d", i, got)
+		}
+		last = ref
+	}
+	// With a second lease out the slab must not rewind under it.
+	keep, kbuf, _ := a.alloc(64)
+	kbuf[0] = 0x5A
+	ref, _, _ := a.alloc(64)
+	a.release(ref)
+	if v := a.view(keep); v == nil || v[0] != 0x5A {
+		t.Fatal("a release rewound the slab under a live lease")
+	}
+	if next, _, _ := a.alloc(64); next.byteOff() == keep.byteOff() {
+		t.Fatal("a segment was handed out twice")
+	} else {
+		a.release(next)
+	}
+	a.release(keep)
+	if got := a.grows.Load(); got != 1 {
+		t.Fatalf("grows = %d, want 1", got)
 	}
 }
 
@@ -210,9 +271,11 @@ func TestArenaParkedLastReleaser(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := a.cur.Load()
-	// Step one of releaseSlab; the releaser is parked before step two.
-	if s.leases.Add(-1) != 0 {
-		t.Fatal("setup: the parked releaser did not see zero")
+	// Step one of releaseSlab — the CAS that takes the count to zero (and,
+	// the slab being active, rewinds it); the releaser is parked before
+	// step two, the state load.
+	if w := s.word.Load(); slabLeases(w) != 1 || !s.word.CompareAndSwap(w, slabRewound(w)) {
+		t.Fatal("setup: the parked releaser did not take the count to zero")
 	}
 	// One slab cycle: s is sealed and, being drained, recycled; the next
 	// refill reactivates it; a request leases from it; it is sealed again
@@ -233,25 +296,25 @@ func TestArenaParkedLastReleaser(t *testing.T) {
 	if _, err := a.refill(s); err != nil {
 		t.Fatal(err)
 	}
-	gen := s.gen.Load()
-	if s.state.Load() != slabSealed || s.leases.Load() != 1 || gen != 1 {
-		t.Fatalf("setup: state %d, leases %d, gen %d; want sealed, 1, 1", s.state.Load(), s.leases.Load(), gen)
+	w := s.word.Load()
+	if s.state.Load() != slabSealed || slabLeases(w) != 1 || slabGen(w) != 2 {
+		t.Fatalf("setup: state %d, leases %d, gen %d; want sealed, 1, 2", s.state.Load(), slabLeases(w), slabGen(w))
 	}
 	// The parked releaser resumes at step two.
 	if s.state.Load() == slabSealed {
 		tryRecycle(s)
 	}
-	if s.gen.Load() != gen || s.state.Load() != slabSealed {
-		t.Fatalf("a stale last-releaser recycled a slab with a lease out: state %d, gen %d", s.state.Load(), s.gen.Load())
+	if s.word.Load() != w || s.state.Load() != slabSealed {
+		t.Fatalf("a stale last-releaser recycled a slab with a lease out: state %d, word %#x, was %#x", s.state.Load(), s.word.Load(), w)
 	}
 	if v := a.view(live); v == nil || &v[0] != &buf[0] {
 		t.Fatal("the outstanding lease no longer views its bytes")
 	}
 	// The true last releaser still recycles.
 	a.release(live)
-	if s.state.Load() != slabFree || s.gen.Load() != gen+1 || a.leasesActive() != 0 {
-		t.Fatalf("after the true last release: state %d, gen %d, leases %d; want free, %d, 0",
-			s.state.Load(), s.gen.Load(), a.leasesActive(), gen+1)
+	if s.state.Load() != slabFree || s.word.Load() != slabRewound(w) || a.leasesActive() != 0 {
+		t.Fatalf("after the true last release: state %d, word %#x; want free, %#x",
+			s.state.Load(), s.word.Load(), slabRewound(w))
 	}
 }
 
@@ -266,7 +329,7 @@ func TestArenaStaleRecycleKeepsTrueLastReleaser(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s := &arenaSlab{}
 		s.state.Store(slabSealed)
-		s.leases.Store(1)
+		s.word.Store(slabLeaseOne | 64) // one lease out, cursor mid-slab
 		done := make(chan struct{})
 		go func() {
 			tryRecycle(s)
@@ -274,8 +337,8 @@ func TestArenaStaleRecycleKeepsTrueLastReleaser(t *testing.T) {
 		}()
 		a.releaseSlab(s)
 		<-done
-		if s.state.Load() != slabFree || s.gen.Load() != 1 || s.leases.Load() != 0 {
-			t.Fatalf("iteration %d: state %d, gen %d, leases %d; want free, 1, 0", i, s.state.Load(), s.gen.Load(), s.leases.Load())
+		if s.state.Load() != slabFree || s.word.Load() != slabRewound(0) {
+			t.Fatalf("iteration %d: state %d, word %#x; want free and rewound once (%#x)", i, s.state.Load(), s.word.Load(), slabRewound(0))
 		}
 	}
 }
@@ -299,40 +362,88 @@ func TestArenaStaleReleaseIgnored(t *testing.T) {
 		t.Fatal("drained sealed slab did not recycle")
 	}
 	a.release(ref) // stale: gen mismatch
-	if got := s.leases.Load(); got != 0 {
+	if got := slabLeases(s.word.Load()); got != 0 {
 		t.Fatalf("stale release moved the lease count: %d", got)
 	}
 }
 
 // TestArenaGenWrap pins validation across the 16-bit generation wrap:
-// a PayloadRef carries only the low 16 bits of its slab's 32-bit
-// recycle counter, so the view/release comparison must be masked. The
-// original bug: after a slab's 65536th recycle, every FRESH descriptor
-// failed validation (full counter != truncated field) and the payload
-// path was permanently poisoned — first seen as empty handler views in
-// the 1 MB benchmark, where a slab recycles every fourth alloc.
+// the slab's generation field is exactly as wide as the one a PayloadRef
+// carries, so after 2^16 drains it is back where it started, the wrap
+// carries into nothing, and a fresh descriptor validates on both sides
+// of it. The original bug, when the slab kept a wider counter than the
+// ref: after a slab's 65536th recycle every FRESH descriptor failed
+// validation and the payload path was permanently poisoned — first seen
+// as empty handler views in the 1 MB benchmark.
 func TestArenaGenWrap(t *testing.T) {
 	var a shardArena
-	ref, _, err := a.alloc(64)
+	for i := 0; i <= 1<<payloadGenBits; i++ {
+		ref, buf, err := a.alloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = byte(i)
+		if v := a.view(ref); len(v) != 64 || v[0] != byte(i) {
+			t.Fatalf("drain %d: fresh descriptor (gen %d) fails validation", i, ref.gen())
+		}
+		a.release(ref)
+		if i == 1<<payloadGenBits-1 {
+			if w := a.cur.Load().word.Load(); w != 0 {
+				t.Fatalf("after 2^16 drains the word is %#x, want 0: the generation wrap carried", w)
+			}
+		}
+	}
+	if got := a.leasesActive(); got != 0 {
+		t.Fatalf("leasesActive = %d", got)
+	}
+}
+
+// TestArenaOvershootKeepsLeases: allocators racing on a full slab each
+// overshoot its cursor once and back out. However many do, the cursor's
+// excess stays inside its own field: the lease held throughout is still
+// counted once, its view stays valid, and its generation is untouched.
+func TestArenaOvershootKeepsLeases(t *testing.T) {
+	needTwoPs(t)
+	var a shardArena
+	keep, buf, err := a.alloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.release(ref)
-	// Age the slab past the 16-bit boundary, as 65536 recycles would.
+	buf[0] = 0xC3
 	s := a.cur.Load()
-	s.gen.Add(1 << 16)
-	ref, buf, err := a.alloc(64)
-	if err != nil {
-		t.Fatal(err)
+	// Fill the slab to its last line, then hold refill's mutex so that
+	// every allocator overshoots and parks instead of moving on.
+	s.word.Add(arenaSlabLines - 1)
+	a.mu.Lock()
+	const racers = 256
+	var wg sync.WaitGroup
+	for g := 0; g < racers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ref, _, err := a.alloc(MaxPayloadBytes) // a whole slab's worth of overshoot each
+			if err != nil {
+				t.Error(err)
+			}
+			a.release(ref)
+		}()
 	}
-	buf[0] = 42
-	v := a.view(ref)
-	if len(v) != 64 || v[0] != 42 {
-		t.Fatalf("fresh descriptor fails validation after gen wrap: view = %v", v)
+	waitCond(t, 10*time.Second, "every racer to overshoot", func() bool {
+		return s.word.Load()&slabCursorMask >= racers*arenaSlabLines
+	})
+	w := s.word.Load()
+	if slabLeases(w) != 1 || slabGen(w) != keep.gen() {
+		t.Fatalf("overshoot by %d lines disturbed the word: leases %d, gen %d; want 1, %d",
+			w&slabCursorMask, slabLeases(w), slabGen(w), keep.gen())
 	}
-	a.release(ref)
-	if got := s.leases.Load(); got != 0 {
-		t.Fatalf("release after gen wrap did not settle the lease: %d", got)
+	if v := a.view(keep); v == nil || v[0] != 0xC3 {
+		t.Fatal("the held lease no longer views its bytes")
+	}
+	a.mu.Unlock()
+	wg.Wait()
+	a.release(keep)
+	if got := a.leasesActive(); got != 0 {
+		t.Fatalf("leasesActive = %d after every release", got)
 	}
 }
 

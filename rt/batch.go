@@ -23,16 +23,6 @@ type Batch struct {
 	ep   EntryPointID
 	done chan<- struct{}
 	ttl  time.Duration
-	*batchStage
-}
-
-// batchStage is the staging buffer of a Batch, split out so that the
-// client's ownership record can list it (the scavenger settles staged
-// payload leases when the client dies) without reaching the Batch: a
-// Batch points at its Client, and the record is the argument of the
-// client's runtime.AddCleanup — a record that reached the client would
-// keep it, and every System it touched, alive for good.
-type batchStage struct {
 	reqs []Args
 }
 
@@ -44,13 +34,7 @@ func (c *Client) NewBatch(ep EntryPointID, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = defaultAsyncQueueCap
 	}
-	b := &Batch{c: c, ep: ep, batchStage: &batchStage{reqs: make([]Args, 0, capacity)}}
-	// File the staging buffer on the ownership record (owner.go) so the
-	// scavenger can settle staged payload leases if the client dies
-	// before Flush. A scavenged client cannot file (the gate is
-	// terminal); its batch stays empty because Add declines too.
-	_ = c.rec.trackBatch(b.batchStage)
-	return b
+	return &Batch{c: c, ep: ep, reqs: make([]Args, 0, capacity)}
 }
 
 // SetNotify sets a completion channel: every request in subsequent
@@ -72,44 +56,29 @@ func (b *Batch) SetDeadline(d time.Duration) { b.ttl = d }
 // Len reports the number of staged requests.
 func (b *Batch) Len() int { return len(b.reqs) }
 
-// Add stages one request. The warm path is the record-gate CAS pair
-// (uncontended, on the client's own record line), a bounds check, and
-// a copy into the retained buffer. A request added to a scavenged
-// client's batch is dropped; its payload leases were settled by the
-// scavenger's drain of the record — the staging buffer and the tracked
-// leases belong to the scavenger once the client is dead.
+// Add stages one request: a life check, a bounds check, and a copy into
+// the retained buffer — no locked instruction. Payload leases attached
+// to args stay filed in the client's lease slots (owner.go) until Flush
+// claims them, so a client that dies with requests staged strands
+// nothing: the scavenger settles the leases, and Flush fails. A request
+// added to a dead client's batch is dropped for the same reason.
 //
 //ppc:hotpath
+//ppc:rmwbudget(0)
 func (b *Batch) Add(args *Args) {
-	rec := b.c.rec
-	// The record gate brackets every touch of the staging buffer: the
-	// scavenger drains b.reqs under the terminal gate, so an ungated
-	// Add could stage a request behind (or race) that drain.
-	if rec.enter() != nil {
-		// Scavenged: the drain already released every lease this client
-		// had tracked, the ones attached to args among them (same rule as
-		// consumeArgs) — releasing them here would be a second release.
+	if b.c.rec.state.Load() != crLive {
 		return
-	}
-	if n := payloadCount(args[OpFlagsWord]); n != 0 {
-		// The staged copy owns the attached leases from here; untrack
-		// them from the record so the scavenger settles them through the
-		// batch drain, not twice.
-		for i := 0; i < n; i++ {
-			rec.untrackLease(PayloadRef(args[payloadWord(i)]))
-		}
 	}
 	if len(b.reqs) == cap(b.reqs) {
 		b.grow()
 	}
 	b.reqs = b.reqs[:len(b.reqs)+1]
 	b.reqs[len(b.reqs)-1] = *args
-	// The staged copy owns any attached payload leases from here (Flush
-	// settles a rejected tail; workers settle accepted requests); strip
-	// the caller's descriptor count so the same block can stage the next
-	// request without double-releasing.
+	// The staged copy carries any attached payload descriptors from here
+	// (Flush claims their leases; workers settle accepted requests);
+	// strip the caller's descriptor count so the same block can stage
+	// the next request without double-releasing.
 	transferPayloads(args)
-	rec.leave()
 }
 
 // grow doubles the staging buffer.
@@ -127,49 +96,24 @@ func (b *Batch) grow() {
 // rejected with ErrBackpressure (accepted < Len() at entry), and a
 // kill or close rejects the whole batch. Accepted requests follow the
 // usual async lifecycle: soft Kill waits for them, hard Kill discards
-// the still-queued ones, Close drains them.
+// the still-queued ones, Close drains them. On an abandoned client
+// Flush fails terminally and submits nothing; the staged leases are the
+// scavenger's.
 //
 //ppc:hotpath
+//ppc:rmwbudget(1) -- the batch's one admission; the ring leg is submitBatch's
 func (b *Batch) Flush() (int, error) {
 	c := b.c
-	rec := c.rec
-	// The flush holds the record gate end to end: the staging buffer
-	// must not be drained by the scavenger mid-submission. A scavenged
-	// client's Flush fails terminally.
-	if err := rec.enter(); err != nil {
-		return 0, err
-	}
-	if c.tenant != 0 && len(b.reqs) > 0 {
-		// The whole batch is charged against the tenant bucket at once:
-		// a half-admitted batch would make the accepted count lie about
-		// which requests were throttled. A shed batch is reset like a
-		// killed one.
-		if err := c.admitTenantBatch(b.reqs); err != nil {
-			b.reqs = b.reqs[:0]
-			rec.leave()
-			return 0, err
-		}
-		if rec.state.Load() != crLive {
-			// Abandoned between staging and admission (Abandon is the one
-			// cross-goroutine entry point on a Client): refund the tenant
-			// tokens just charged, settle the staged leases, and fail —
-			// the scavenger cannot drain while the owner holds the gate.
-			if tb := c.shard.tenantBucketFor(c.tenant); tb != nil {
-				tb.credit(int64(len(b.reqs)))
-			}
-			c.shard.releaseBatchPayloads(b.reqs)
-			b.reqs = b.reqs[:0]
-			rec.leave()
-			return 0, ErrClientAbandoned
-		}
+	if c.rec.state.Load() != crLive {
+		b.reqs = b.reqs[:0]
+		return 0, ErrClientAbandoned
 	}
 	var deadline int64
 	if b.ttl > 0 {
 		deadline = time.Now().Add(b.ttl).UnixNano()
 	}
-	n, err := c.sys.asyncBatchOn(c.shard, b.ep, b.reqs, c.program, b.done, deadline, c.lane)
+	n, err := c.asyncBatch(b.ep, b.reqs, b.done, deadline)
 	b.reqs = b.reqs[:0]
-	rec.leave()
 	return n, err
 }
 
@@ -181,6 +125,17 @@ func (b *Batch) Flush() (int, error) {
 //
 //ppc:hotpath
 func (c *Client) AsyncBatch(ep EntryPointID, argss []Args) (int, error) {
+	return c.asyncBatch(ep, argss, nil, 0)
+}
+
+// asyncBatch is the client half of a batched submission, shared by
+// AsyncBatch and Batch.Flush: claim every attached lease, then charge
+// the whole batch against the tenant bucket at once — a half-admitted
+// batch would make the accepted count lie about which requests were
+// throttled — then admit and publish.
+//
+//ppc:hotpath
+func (c *Client) asyncBatch(ep EntryPointID, argss []Args, done chan<- struct{}, deadline int64) (int, error) {
 	if err := c.noteBatchPayloads(argss); err != nil {
 		return 0, err
 	}
@@ -189,7 +144,7 @@ func (c *Client) AsyncBatch(ep EntryPointID, argss []Args) (int, error) {
 			return 0, err
 		}
 	}
-	return c.sys.asyncBatchOn(c.shard, ep, argss, c.program, nil, 0, c.lane)
+	return c.sys.asyncBatchOn(c.shard, ep, argss, c.program, done, deadline, c.lane)
 }
 
 // admitTenantBatch charges len(argss) tokens against the client's
@@ -197,6 +152,7 @@ func (c *Client) AsyncBatch(ep EntryPointID, argss []Args) (int, error) {
 // leases settle here — the batch never reaches admission.
 //
 //ppc:hotpath
+//ppc:rmwbudget(3) -- the charge, its refund, the throttle count
 func (c *Client) admitTenantBatch(argss []Args) error {
 	b := c.shard.tenantBucketFor(c.tenant)
 	if b == nil || b.takeN(int64(len(argss))) {
@@ -224,20 +180,12 @@ func (s *System) asyncBatchOn(sh *shard, ep EntryPointID, argss []Args, program 
 	// Rejected requests settle their attached payload leases, same
 	// contract as the single-call paths: a whole-batch rejection
 	// releases every entry, a partial acceptance releases the tail.
-	if int(ep) >= MaxEntryPoints {
+	e, err := sh.resolve(ep)
+	if err != nil {
 		sh.releaseBatchPayloads(argss)
-		return 0, ErrBadEntryPoint
-	}
-	e := sh.lookup(ep)
-	if e == nil {
-		sh.releaseBatchPayloads(argss)
-		return 0, ErrBadEntryPoint
+		return 0, err
 	}
 	svc := e.svc
-	if svc.state.Load() != svcActive {
-		sh.releaseBatchPayloads(argss)
-		return 0, ErrKilled
-	}
 	counters := e.counters
 	probe := false
 	if svc.health != nil {

@@ -173,6 +173,26 @@ func (c *Client) Lane() Lane { return c.lane }
 // Tenant returns the client's tenant ID (0: none).
 func (c *Client) Tenant() TenantID { return c.tenant }
 
+// preflight is the client half of every submission, in the order that
+// keeps a shed from leaking: claim the attached payload leases out of
+// the ownership record (a shed releases them, and the scavenger must not
+// release them again), then charge the tenant — an over-budget caller is
+// shed having touched only its own shard's bucket line. A call with no
+// payload and no tenant pays one masked load and one predictable branch.
+//
+//ppc:hotpath
+func (c *Client) preflight(args *Args) error {
+	if args[OpFlagsWord]&payloadCountMask != 0 {
+		if err := c.consumeArgs(args); err != nil {
+			return err
+		}
+	}
+	if c.tenant != 0 {
+		return c.admitTenant(args)
+	}
+	return nil
+}
+
 // admitTenant is the tenant QoS gate, called with c.tenant != 0: one
 // table load to find the shard's bucket replica and one fetch-add to
 // take a token. An unconfigured tenant admits freely (like a service
@@ -182,6 +202,7 @@ func (c *Client) Tenant() TenantID { return c.tenant }
 // rejection.
 //
 //ppc:hotpath
+//ppc:rmwbudget(1)
 func (c *Client) admitTenant(args *Args) error {
 	b := c.shard.tenantBucketFor(c.tenant)
 	if b == nil || b.take() {
@@ -221,14 +242,7 @@ func (c *Client) Hold() {
 		return
 	}
 	rec := c.rec
-	// The record gate brackets the mirror publication: once the
-	// scavenger holds the gate terminally, no new descriptor can slip
-	// past its walk (it would be stranded forever).
-	if rec.enter() != nil {
-		return
-	}
 	if rec.state.Load() != crLive {
-		rec.leave()
 		return
 	}
 	c.heldEpoch = c.sys.closeEpoch.Load()
@@ -242,8 +256,13 @@ func (c *Client) Hold() {
 	c.released = false
 	rec.heldEpoch.Store(c.heldEpoch)
 	rec.cd.Store(cd)
-	rec.leave()
 	c.held = cd
+	// Publish, then re-check (owner.go): a scavenger that walked the
+	// record before the mirror store never saw this descriptor, and the
+	// death that sent it is visible here.
+	if rec.state.Load() != crLive {
+		c.dropDeadHold()
+	}
 }
 
 // Release returns the held call descriptor to the shard pool; the next
@@ -309,19 +328,12 @@ func (c *Client) Held() bool { return c.held != nil }
 // callers sharing a shard do not slow each other.
 //
 //ppc:hotpath
+//ppc:rmwbudget(2)
 func (c *Client) Call(ep EntryPointID, args *Args) error {
-	// Payload ownership transfers to the call before anything can shed
-	// it (a shed releases the leases; they must be untracked from the
-	// ownership record first or the scavenger would release them again).
-	// The payload-free warm path pays one masked load.
-	if err := c.notePayloads(args); err != nil {
-		return err
-	}
-	// Tenant admission next: an over-budget caller is shed having
-	// touched only its own shard's bucket line. The tenant-free warm
-	// path pays one predictable branch.
-	if c.tenant != 0 {
-		if err := c.admitTenant(args); err != nil {
+	// The plain warm call — no payload, no tenant — skips preflight on
+	// one combined branch.
+	if args[OpFlagsWord]&payloadCountMask != 0 || c.tenant != 0 {
+		if err := c.preflight(args); err != nil {
 			return err
 		}
 	}
@@ -362,14 +374,10 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 // use. Semantics are identical to Call.
 //
 //ppc:hotpath
+//ppc:rmwbudget(2) -- callOn's asynchronous admission and its undo; the pooled leg is serviceOne's
 func (c *Client) CallPooled(ep EntryPointID, args *Args) error {
-	if err := c.notePayloads(args); err != nil {
+	if err := c.preflight(args); err != nil {
 		return err
-	}
-	if c.tenant != 0 {
-		if err := c.admitTenant(args); err != nil {
-			return err
-		}
 	}
 	return c.sys.callOn(c.shard, ep, args, c.program, false, nil, 0, c.lane)
 }
@@ -379,14 +387,10 @@ func (c *Client) CallPooled(ep EntryPointID, args *Args) error {
 // are returned.
 //
 //ppc:hotpath
+//ppc:rmwbudget(2) -- the admission and its undo; the ring leg is submitAsync's
 func (c *Client) AsyncCall(ep EntryPointID, args *Args) error {
-	if err := c.notePayloads(args); err != nil {
+	if err := c.preflight(args); err != nil {
 		return err
-	}
-	if c.tenant != 0 {
-		if err := c.admitTenant(args); err != nil {
-			return err
-		}
 	}
 	return c.sys.callOn(c.shard, ep, args, c.program, true, nil, 0, c.lane)
 }
@@ -396,13 +400,8 @@ func (c *Client) AsyncCall(ep EntryPointID, args *Args) error {
 //
 //ppc:hotpath
 func (c *Client) AsyncCallNotify(ep EntryPointID, args *Args, done chan<- struct{}) error {
-	if err := c.notePayloads(args); err != nil {
+	if err := c.preflight(args); err != nil {
 		return err
-	}
-	if c.tenant != 0 {
-		if err := c.admitTenant(args); err != nil {
-			return err
-		}
 	}
 	return c.sys.callOn(c.shard, ep, args, c.program, true, done, 0, c.lane)
 }
@@ -443,20 +442,12 @@ func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, 
 	// Every pre-dispatch error return settles attached payload leases
 	// (releaseArgsPayloads): the attach transferred them to this call,
 	// and a call that fails before dispatch still consumes them.
-	if int(ep) >= MaxEntryPoints {
+	e, err := sh.resolve(ep)
+	if err != nil {
 		sh.releaseArgsPayloads(args)
-		return ErrBadEntryPoint
-	}
-	e := sh.lookup(ep)
-	if e == nil {
-		sh.releaseArgsPayloads(args)
-		return ErrBadEntryPoint
+		return err
 	}
 	svc := e.svc
-	if svc.state.Load() != svcActive {
-		sh.releaseArgsPayloads(args)
-		return ErrKilled
-	}
 	counters := e.counters
 	// The health gate sheds before admission: a degraded service costs
 	// the caller one atomic load and no in-flight accounting. Gating is
@@ -494,7 +485,7 @@ func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, 
 	// Completion accounting is inlined, not deferred: dispatch contains
 	// handler panics itself (runIsolated), so no unwind can skip these,
 	// and a deferred closure costs measurable time at call rates.
-	err := s.dispatch(cd, svc, st, e.h, args, program, false)
+	err = s.dispatch(cd, svc, st, e.h, args, program, false)
 	svc.complete(st)
 	if svc.health != nil {
 		svc.recordOutcome(counters, err)
@@ -513,20 +504,12 @@ func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, 
 func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32, async bool, done chan<- struct{}, deadline int64, lane Lane) error {
 	// Pre-dispatch error returns settle attached payload leases, same
 	// contract as callHeld.
-	if int(ep) >= MaxEntryPoints {
+	e, err := sh.resolve(ep)
+	if err != nil {
 		sh.releaseArgsPayloads(args)
-		return ErrBadEntryPoint
-	}
-	e := sh.lookup(ep)
-	if e == nil {
-		sh.releaseArgsPayloads(args)
-		return ErrBadEntryPoint
+		return err
 	}
 	svc := e.svc
-	if svc.state.Load() != svcActive {
-		sh.releaseArgsPayloads(args)
-		return ErrKilled
-	}
 	probe := false
 	if svc.health != nil {
 		var gerr error
@@ -591,6 +574,8 @@ func faultError(fault any) error {
 // stripe: the pooled path has no descriptor yet when it admits, and a
 // pooled descriptor is whoever's turn it is. probe marks this call as
 // the health gate's half-open probe; every exit settles the gate.
+//
+//ppc:rmwbudget(6) -- admission, pool pop (CAS, link clear), pool push (link, CAS), completion
 func (s *System) serviceOne(sh *shard, e *epEntry, args *Args, program uint32, probe bool) error {
 	svc, counters := e.svc, e.counters
 	st := &counters.stripe
@@ -649,7 +634,7 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 	// authoritative slot at execution time (Exchange keeps it current),
 	// exactly as queued requests always have.
 	err := s.dispatch(cd, svc, &counters.stripe, *svc.handler.Load(), args, program, true)
-	svc.complete(&counters.stripe)
+	svc.completeAsync(&counters.stripe)
 	if svc.health != nil {
 		svc.recordOutcome(counters, err)
 	}
@@ -661,8 +646,9 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 // (callHeld), and worker-held (serviceOneHeld) paths. Synchronous
 // callers resolve h from their shard's table replica; async workers
 // from the service's authoritative handler slot. st is the stripe the
-// call was admitted on; the call and authorization-failure counts land
-// on the same line.
+// call was admitted on. A normal return writes no counter here — the
+// caller's completion is the call's count (callStripe); the exits that
+// are not a normal return account for themselves in deny and abort.
 //
 //ppc:hotpath
 func (s *System) dispatch(cd *callDesc, svc *Service, st *callStripe, h Handler, args *Args, program uint32, async bool) error {
@@ -679,37 +665,56 @@ func (s *System) dispatch(cd *callDesc, svc *Service, st *callStripe, h Handler,
 	npay := capturePayloads(args, &ctx.pay)
 
 	if svc.authorize != nil && !svc.authorize(program) {
-		st.authFail.Add(1)
-		// Conventional failure RC, masked off the payload-count bits the
-		// flags half reserves (payload.go) — a denied block must not read
-		// as carrying segments when the caller reuses it.
-		args.SetRC(uint64(^uint32(0)) &^ payloadCountMask)
-		if npay != 0 {
-			cd.shard.releasePayloads(args, &ctx.pay)
-		}
-		return ErrPermissionDenied
+		return cd.deny(st, args, npay, async)
 	}
 	// First call serviced on this shard runs the init handler instead
 	// (one-time shard-local setup, §4.5.3); it is expected to handle
 	// the request too, typically by ending with the steady-state
-	// handler.
-	if svc.initHandler != nil && svc.perShard[cd.shard.id].inited.CompareAndSwap(false, true) {
+	// handler. Once claimed the check is a load, not a failing CAS.
+	if svc.initHandler != nil && !svc.perShard[cd.shard.id].inited.Load() && svc.claimInit(cd.shard.id) {
 		h = svc.initHandler
 	}
 	// A panicking handler aborts this call only — the worker isolation
 	// of the paper's §2: the exception is delivered to the caller as an
 	// error, and the service stays up.
 	if fault := runIsolated(s, h, ctx, args); fault != nil {
-		if npay != 0 {
-			cd.shard.releasePayloads(args, &ctx.pay)
-		}
-		return faultError(fault)
+		return cd.abort(st, args, npay, async, faultError(fault))
 	}
 	if npay != 0 {
 		cd.shard.releasePayloads(args, &ctx.pay)
 	}
-	if !async {
-		st.calls.Add(1)
-	}
 	return nil
+}
+
+// claimInit elects the call that runs the init handler on a shard.
+//
+//ppc:coldpath -- once per (service, shard)
+func (s *Service) claimInit(shardID int) bool {
+	return s.perShard[shardID].inited.CompareAndSwap(false, true)
+}
+
+// deny fails a call the authorization hook rejected. The conventional
+// failure RC is masked off the payload-count bits (payload.go): a
+// denied block must not read as carrying segments when reused.
+//
+//ppc:coldpath -- the call is failing
+func (cd *callDesc) deny(st *callStripe, args *Args, npay int, async bool) error {
+	st.authFail.Add(1)
+	args.SetRC(uint64(^uint32(0)) &^ payloadCountMask)
+	return cd.abort(st, args, npay, async, ErrPermissionDenied)
+}
+
+// abort settles a dispatch whose handler did not return normally: the
+// captured leases, and for a synchronous call the unreturned count that
+// takes its coming completion back out of Service.Calls.
+//
+//ppc:coldpath -- the call is failing
+func (cd *callDesc) abort(st *callStripe, args *Args, npay int, async bool, err error) error {
+	if npay != 0 {
+		cd.shard.releasePayloads(args, &cd.ctx.pay)
+	}
+	if !async {
+		st.unreturned.Add(1)
+	}
+	return err
 }

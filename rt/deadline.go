@@ -321,6 +321,8 @@ func (sh *shard) reclaimQuarantined(cd *callDesc, repool bool) {
 // The warm path — executor armed, deadline met — performs zero heap
 // allocations and arms no timer: the ticket, executor, and wheel node
 // are all reused, and arming is one store into the wheel node.
+//
+//ppc:rmwbudget(10) -- busy CAS, admission, arm (ticket, wheel node, filing: 6), disarm, owner exit
 func (c *Client) CallDeadline(ep EntryPointID, args *Args, d time.Duration) error {
 	if d <= 0 {
 		return c.Call(ep, args)
@@ -340,15 +342,13 @@ func (c *Client) CallContext(ctx context.Context, ep EntryPointID, args *Args) e
 		// before admission, with no side effects beyond settling any
 		// attached payload leases — the attach transferred them to this
 		// call, failed or not.
-		c.shard.releaseArgsPayloads(args)
-		return fmt.Errorf("%w: %w", ErrDeadline, err)
+		return c.rejectEarly(args, fmt.Errorf("%w: %w", ErrDeadline, err))
 	}
 	var d time.Duration
 	if t, ok := ctx.Deadline(); ok {
 		d = time.Until(t)
 		if d <= 0 {
-			c.shard.releaseArgsPayloads(args)
-			return fmt.Errorf("%w: %w", ErrDeadline, context.DeadlineExceeded)
+			return c.rejectEarly(args, fmt.Errorf("%w: %w", ErrDeadline, context.DeadlineExceeded))
 		}
 	}
 	cancel := ctx.Done()
@@ -358,38 +358,34 @@ func (c *Client) CallContext(ctx context.Context, ep EntryPointID, args *Args) e
 	return c.callDeadline(ep, args, d, cancel, ctx)
 }
 
+// rejectEarly fails a call that never reaches admission with err. Its
+// attached leases are consumed like any submission's: claimed out of the
+// ownership record, then released.
+func (c *Client) rejectEarly(args *Args, err error) error {
+	if args[OpFlagsWord]&payloadCountMask != 0 {
+		if cerr := c.consumeArgs(args); cerr != nil {
+			return cerr
+		}
+		c.shard.releaseArgsPayloads(args)
+	}
+	return err
+}
+
 // callDeadline runs one bounded call through the executor. d == 0
 // means no expiry (cancellation only); cancel may be nil.
 func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, cancel <-chan struct{}, ctx context.Context) error {
-	// Payload ownership transfers to the call before anything can shed
-	// it, same ordering as Call (owner.go).
-	if err := c.notePayloads(args); err != nil {
+	if err := c.preflight(args); err != nil {
 		return err
-	}
-	// Tenant admission next, same as Call: an over-budget caller is
-	// shed before any executor or wheel state is touched.
-	if c.tenant != 0 {
-		if err := c.admitTenant(args); err != nil {
-			return err
-		}
 	}
 	// Pre-publish error returns settle attached payload leases, same
 	// contract as callHeld.
-	if int(ep) >= MaxEntryPoints {
-		c.shard.releaseArgsPayloads(args)
-		return ErrBadEntryPoint
-	}
 	sh := c.shard
-	e := sh.lookup(ep)
-	if e == nil {
+	e, err := sh.resolve(ep)
+	if err != nil {
 		sh.releaseArgsPayloads(args)
-		return ErrBadEntryPoint
+		return err
 	}
 	svc := e.svc
-	if svc.state.Load() != svcActive {
-		sh.releaseArgsPayloads(args)
-		return ErrKilled
-	}
 	counters := e.counters
 	probe := false
 	if svc.health != nil {
@@ -611,19 +607,7 @@ func (c *Client) orphaned(sh *shard, svc *Service, counters *shardCounters, e *d
 //
 //ppc:hotpath
 func (c *Client) AsyncCallDeadline(ep EntryPointID, args *Args, d time.Duration) error {
-	if err := c.notePayloads(args); err != nil {
-		return err
-	}
-	if c.tenant != 0 {
-		if err := c.admitTenant(args); err != nil {
-			return err
-		}
-	}
-	var deadline int64
-	if d > 0 {
-		deadline = time.Now().Add(d).UnixNano()
-	}
-	return c.sys.callOn(c.shard, ep, args, c.program, true, nil, deadline, c.lane)
+	return c.AsyncCallNotifyDeadline(ep, args, nil, d)
 }
 
 // AsyncCallNotifyDeadline is AsyncCallDeadline with a completion
@@ -632,13 +616,8 @@ func (c *Client) AsyncCallDeadline(ep EntryPointID, args *Args, d time.Duration)
 //
 //ppc:hotpath
 func (c *Client) AsyncCallNotifyDeadline(ep EntryPointID, args *Args, done chan<- struct{}, d time.Duration) error {
-	if err := c.notePayloads(args); err != nil {
+	if err := c.preflight(args); err != nil {
 		return err
-	}
-	if c.tenant != 0 {
-		if err := c.admitTenant(args); err != nil {
-			return err
-		}
 	}
 	var deadline int64
 	if d > 0 {

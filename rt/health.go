@@ -268,6 +268,7 @@ func (s *Service) gateReopen(c *shardCounters) {
 // (permission denial says nothing about the service's health).
 //
 //ppc:hotpath
+//ppc:rmwbudget(2)
 func (s *Service) recordOutcome(c *shardCounters, err error) {
 	if err == nil {
 		s.recordSuccess(c)

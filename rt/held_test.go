@@ -113,7 +113,9 @@ func TestReleaseAfterAbandonQuiet(t *testing.T) {
 	c := sys.NewClientOnShard(0)
 	c.Hold()
 	c.Abandon()
-	waitCond(t, 2*time.Second, "scavenger reclaim", func() bool { return sh.heldCDs.Load() == 0 })
+	// The scavenger drops the gauge before it pushes the compensating
+	// descriptor; wait for both.
+	waitCond(t, 2*time.Second, "scavenger reclaim", func() bool { return sh.heldCDs.Load() == 0 && sh.poolSize() == 1 })
 	c.Release() // scavenger already reclaimed: quiet
 	c.Release() // and quiet again — abandoned clients never get the loud path
 	if got := sh.heldCDs.Load(); got != 0 {

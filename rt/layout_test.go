@@ -110,8 +110,22 @@ func TestCallStripeLayout(t *testing.T) {
 	if s := unsafe.Sizeof(st); s != lineBytes {
 		t.Errorf("callStripe size %d, want exactly one line", s)
 	}
-	if off := unsafe.Offsetof(st.admitted); off != 0 {
-		t.Errorf("admitted at offset %d, want 0", off)
+	// The two words a warm call writes lead the line; the cold counters
+	// Service.Calls and the in-flight sum subtract follow them.
+	for i, f := range []struct {
+		name string
+		off  uintptr
+	}{
+		{"admitted", unsafe.Offsetof(st.admitted)},
+		{"completed", unsafe.Offsetof(st.completed)},
+		{"asyncDone", unsafe.Offsetof(st.asyncDone)},
+		{"unreturned", unsafe.Offsetof(st.unreturned)},
+		{"authFail", unsafe.Offsetof(st.authFail)},
+		{"backouts", unsafe.Offsetof(st.backouts)},
+	} {
+		if f.off != uintptr(i)*8 {
+			t.Errorf("%s at offset %d, want %d", f.name, f.off, i*8)
+		}
 	}
 	svc := &Service{}
 	for i := 0; i < 300; i++ { // more than one span's worth of the 64-byte class
@@ -122,6 +136,60 @@ func TestCallStripeLayout(t *testing.T) {
 	}
 	if len(svc.stripes) != 300 {
 		t.Errorf("%d stripes linked, want 300", len(svc.stripes))
+	}
+}
+
+// TestClientRecLayout pins the ownership record: what every call reads
+// (the life state) on the first line, the cold mirrors on the second,
+// and the first lease block — one line exactly, seven slots and the
+// link, the shape every appended block has — on the third, so that a
+// payload call's slot store and claim CAS dirty one line and it is not
+// the one the next call's life check reads. Records are allocated one by
+// one; the size keeps each of them line-aligned.
+func TestClientRecLayout(t *testing.T) {
+	var rec clientRec
+	if sz := unsafe.Sizeof(rec); sz != 3*lineBytes {
+		t.Errorf("clientRec size %d, want three lines", sz)
+	}
+	if sz := unsafe.Sizeof(rec.leases); sz != lineBytes {
+		t.Errorf("leaseBlock size %d, want exactly one line", sz)
+	}
+	lineOf := func(off uintptr) uintptr { return off / lineBytes }
+	for name, off := range map[string]uintptr{
+		"id":     unsafe.Offsetof(rec.id),
+		"epochs": unsafe.Offsetof(rec.epochs),
+		"reg":    unsafe.Offsetof(rec.reg),
+		"state":  unsafe.Offsetof(rec.state),
+		"beat":   unsafe.Offsetof(rec.beat),
+	} {
+		if lineOf(off) != 0 {
+			t.Errorf("%s (offset %d) left the record's first line", name, off)
+		}
+	}
+	for name, off := range map[string]uintptr{
+		"heldEpoch": unsafe.Offsetof(rec.heldEpoch),
+		"cd":        unsafe.Offsetof(rec.cd),
+		"dl":        unsafe.Offsetof(rec.dl),
+		"probe":     unsafe.Offsetof(rec.probe),
+		"idx":       unsafe.Offsetof(rec.idx),
+	} {
+		if lineOf(off) != 1 {
+			t.Errorf("%s (offset %d) left the record's second line", name, off)
+		}
+	}
+	if off := unsafe.Offsetof(rec.leases); off != 2*lineBytes {
+		t.Errorf("leases at offset %d, want %d", off, 2*lineBytes)
+	}
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	for i := 0; i < 100; i++ {
+		c := sys.NewClientOnShard(0)
+		if p := uintptr(unsafe.Pointer(c.rec)); p%lineBytes != 0 {
+			t.Fatalf("record %d allocated at %#x, not line-aligned", i, p)
+		}
+		if p := uintptr(unsafe.Pointer(c.rec.leases.spill(1))); p%lineBytes != 0 {
+			t.Fatalf("appended lease block %d allocated at %#x, not line-aligned", i, p)
+		}
 	}
 }
 
@@ -200,7 +268,7 @@ func BenchmarkStripeNeighbours(b *testing.B) {
 				go func(st *callStripe) {
 					for i := 0; i < b.N; i++ {
 						st.admitted.Add(1)
-						st.calls.Add(1)
+						st.unreturned.Add(1)
 						st.completed.Add(1)
 					}
 					done <- struct{}{}
@@ -348,38 +416,31 @@ func TestTenantBucketLayout(t *testing.T) {
 	}
 }
 
-// TestArenaLayout pins the payload arena's striping. A slab's bump
-// cursor (written by the shard-bound allocator on every lease) and its
-// lease counter (written by whatever goroutine settles each call —
-// async workers, deadline executors, the offload worker) must each own
-// a line, with the read-mostly metadata off both; the whole slab tiles
-// 64 bytes. The arena header's cur pointer — the one word the warm
-// alloc loads — owns its line, and shardArena tiles whole lines so its
-// by-value embedding in shard cannot shear it.
+// TestArenaLayout pins the payload arena's striping. A slab's packed
+// lease word (written by the shard-bound allocator on every lease and
+// by whatever goroutine settles each call — async workers, deadline
+// executors, the offload worker) owns a line, with the read-mostly
+// metadata off it; the whole slab tiles 64 bytes. The arena header's cur
+// pointer — the one word the warm alloc loads — owns its line, and
+// shardArena tiles whole lines so its by-value embedding in shard cannot
+// shear it.
 func TestArenaLayout(t *testing.T) {
 	var s arenaSlab
-	if sz := unsafe.Sizeof(s); sz%lineBytes != 0 {
-		t.Errorf("arenaSlab size %d is not a multiple of %d", sz, lineBytes)
+	if sz := unsafe.Sizeof(s); sz != 2*lineBytes {
+		t.Errorf("arenaSlab size %d, want two lines (metadata, lease word)", sz)
 	}
 	lineOf := func(off uintptr) uintptr { return off / lineBytes }
-	bump := unsafe.Offsetof(s.bump)
-	leases := unsafe.Offsetof(s.leases)
-	if bump%lineBytes != 0 {
-		t.Errorf("bump at offset %d is not line-aligned", bump)
-	}
-	if leases%lineBytes != 0 {
-		t.Errorf("leases at offset %d is not line-aligned", leases)
-	}
-	if lineOf(bump) == lineOf(leases) {
-		t.Error("bump and leases share a line: allocator and releasers false-share")
+	word := unsafe.Offsetof(s.word)
+	if word != lineBytes {
+		t.Errorf("word at offset %d, want %d (the slab's second line)", word, lineBytes)
 	}
 	for name, off := range map[string]uintptr{
 		"buf":   unsafe.Offsetof(s.buf),
-		"gen":   unsafe.Offsetof(s.gen),
+		"base":  unsafe.Offsetof(s.base),
 		"state": unsafe.Offsetof(s.state),
 	} {
-		if lineOf(off) == lineOf(bump) || lineOf(off) == lineOf(leases) {
-			t.Errorf("%s (offset %d) shares a line with a hot cursor", name, off)
+		if lineOf(off) == lineOf(word) {
+			t.Errorf("%s (offset %d) shares the lease word's line", name, off)
 		}
 	}
 

@@ -70,19 +70,43 @@ import (
 // # The ownership record
 //
 // Each client registers a clientRec on its shard's registry at
-// construction. The record mirrors the client's reclaimable holdings
-// through cold-path writes only (Hold/Release/arm/orphan): the held
-// descriptor, the deadline executor, unattached payload leases, live
-// batches' staging buffers, and a carried half-open probe. The record
-// deliberately does NOT reference the Client — not directly and not
-// through anything it lists (hence batchStage, not Batch) — so
-// runtime.AddCleanup can fire when the Client itself leaks.
+// construction. The record mirrors the client's reclaimable holdings:
+// the held descriptor, the deadline executor and a carried half-open
+// probe through cold-path writes (Hold/Release/arm/orphan), and the
+// payload leases no submission has taken yet in its lease slots. The
+// record deliberately does NOT reference the Client — not directly and
+// not through anything it lists — so runtime.AddCleanup can fire when
+// the Client itself leaks.
 //
-// Record mutations from the owner (lease tracking, batch staging) and
-// the scavenger's terminal drain are arbitrated by a tiny gate word:
-// 0 idle, 1 owner-op in progress, 2 scavenged (terminal). An owner op
-// that finds the gate terminal fails with ErrClientAbandoned; the
-// scavenger finding an owner op in progress retries next tick.
+// # Lease slots
+//
+// A lease slot is one atomic word holding a PayloadRef, or zero. The
+// rule is an exchange: whichever party takes the nonzero ref out of the
+// slot owns the lease and releases it, so each lease is settled exactly
+// once whoever gets there first.
+//
+//	owner, new lease   slot.Store(ref); then load the life state
+//	owner, submission  slot.CAS(ref, 0) per attached ref (Call, Flush, ...)
+//	owner, abort       slot.CAS(ref, 0)  (ReleasePayload)
+//	scavenger          life state is already dead; slot.Swap(0) on every slot
+//
+// Publishing is one half of a Dekker pair with death: the owner stores
+// the slot and then loads the life state; death stores the state and
+// the scavenger then swaps every slot, all sequentially consistent.
+// Either the owner's load sees the client dead — it takes its own ref
+// back with the CAS a submission uses, if the scavenger has not, and
+// returns ErrClientAbandoned — or the state store comes after that
+// load, so after the slot store, and the scavenger's swap finds the
+// ref. A claim lost on a dead client fails the submission with
+// ErrClientAbandoned, releasing only what it did win; a claim lost on a
+// live client means the ref was never this client's to track (a
+// handler's Ctx.AllocPayload) and is ignored. Requests staged in a
+// Batch keep their leases in the slots until Flush claims them, so
+// staging touches no shared word. Slots come in line-sized blocks —
+// seven and a link, published like a slot — the first inline in the
+// record, the rest appended and kept when a client holds more at once.
+// Hold publishes the descriptor mirror the same way: store rec.cd, load
+// the life state, settle through the ownership CAS if it reads dead.
 //
 // # Death and the scavenger
 //
@@ -91,16 +115,15 @@ import (
 // by missing its liveness-epoch budget (opt-in,
 // ClientOptions.LivenessEpochs). The scavenger runs on the watchdog
 // tick, guarded by one registry load per tick when nothing is dead; per
-// dead client it (1) takes the record gate terminally, so no owner op
-// can file a new holding behind the walk, (2) condemns the held CD
-// through the ownership CAS above and compensates the pool with a
-// fresh descriptor, (3) retires the deadline executor
-// and unfiles its wheel node, (4) drains tracked leases and staged
-// batch payloads back to the arena, (5) settles a carried half-open
-// probe back to degraded so the gate is never wedged, and (6) reaps the
-// record. Any step that observes the owner mid-flight defers the whole
-// client to the next tick — quarantine-then-reclaim, never
-// reclaim-in-place.
+// dead client it (1) condemns the held CD through the ownership CAS
+// above and compensates the pool with a fresh descriptor, (2) retires
+// the deadline executor and unfiles its wheel node, (3) swaps every
+// lease slot empty and releases what it took, (4) settles a carried
+// half-open probe back to degraded so the gate is never wedged, and
+// (5) reaps the record. A holding the owner publishes behind the walk
+// is the owner's to settle: its life-state load after the publish sees
+// the death. A deadline call in flight defers the whole client to the
+// next tick — quarantine-then-reclaim, never reclaim-in-place.
 
 // Ownership word states (bits 2..0 of callDesc.owner).
 const (
@@ -143,17 +166,17 @@ const (
 	crReaped               // fully scavenged and unregistered
 )
 
-// Record gate values (clientRec.gate).
-const (
-	recGateIdle      uint32 = 0 // no record op in progress
-	recGateOwner     uint32 = 1 // the owning goroutine is mutating the record
-	recGateScavenged uint32 = 2 // terminal: the scavenger owns the record
-)
+// recLeaseSlots is the slot count of one lease block: with the link,
+// exactly one cache line.
+const recLeaseSlots = 7
 
-// recLeaseSlots is the inline capacity of the tracked-lease array;
-// clients holding more unattached payload leases spill to a slice on a
-// cold path.
-const recLeaseSlots = 16
+// leaseBlock is one line of lease slots (see the file comment) and the
+// link to the next block of the chain.
+type leaseBlock struct {
+	slots [recLeaseSlots]atomic.Uint64
+	//ppc:atomic
+	next atomic.Pointer[leaseBlock]
+}
 
 // probeRef names the half-open probe a client's in-flight call carries,
 // so the scavenger can settle the gate if the client dies with it.
@@ -164,8 +187,10 @@ type probeRef struct {
 
 // clientRec is one client's ownership record. It lives on the shard
 // registry, holds no reference to the Client (the AddCleanup backstop
-// depends on that), and mirrors every reclaimable holding through
-// cold-path writes.
+// depends on that), and mirrors every reclaimable holding. Three lines:
+// what every call reads, the cold mirrors, and the first lease block.
+//
+//ppc:padded
 type clientRec struct {
 	id     uint32 // the client's program ID (also the ownership-word id)
 	epochs uint64 // liveness budget in scavenger ticks; 0 = not enrolled
@@ -175,16 +200,13 @@ type clientRec struct {
 	//
 	//ppc:atomic
 	state atomic.Uint32
-	// gate arbitrates record mutation: owner ops CAS idle->owner, the
-	// scavenger CASes idle->scavenged (terminal).
-	//
-	//ppc:atomic
-	gate atomic.Uint32
 	// beat is the last registry epoch the client stamped (liveness
 	// opt-in only; see ClientOptions.LivenessEpochs).
 	//
 	//ppc:atomic
 	beat atomic.Uint64
+	_    [24]byte
+
 	// heldEpoch mirrors Client.heldEpoch for the scavenger's
 	// repool-or-drop decision.
 	//
@@ -208,14 +230,14 @@ type clientRec struct {
 	//ppc:atomic
 	probe atomic.Pointer[probeRef]
 
-	// Gate-guarded plain state: the owner mutates these under
-	// gate==recGateOwner; the scavenger drains them under terminal.
-	nleases int
-	leases  [recLeaseSlots]PayloadRef
-	spill   []PayloadRef
-	batches []*batchStage
-
 	idx int // position in registry.recs; maintained under registry.mu
+	_   [24]byte
+
+	// leases heads the chain of lease slots: the payload leases the
+	// client has taken and no submission has claimed yet.
+	//
+	//ppc:hotline
+	leases leaseBlock
 }
 
 // clientRegistry is one shard's client-ownership registry. Reached by
@@ -290,6 +312,12 @@ func (reg *clientRegistry) register(c *Client, epochs int) *clientRec {
 // unregister removes a reaped record from the walk list.
 func (reg *clientRegistry) unregister(rec *clientRec) {
 	reg.mu.Lock()
+	reg.unfile(rec)
+	reg.mu.Unlock()
+}
+
+// unfile swap-deletes rec from the walk list. Caller holds reg.mu.
+func (reg *clientRegistry) unfile(rec *clientRec) {
 	if i := rec.idx; i >= 0 && i < len(reg.recs) && reg.recs[i] == rec {
 		last := len(reg.recs) - 1
 		reg.recs[i] = reg.recs[last]
@@ -298,7 +326,6 @@ func (reg *clientRegistry) unregister(rec *clientRec) {
 		reg.recs = reg.recs[:last]
 		rec.idx = -1
 	}
-	reg.mu.Unlock()
 }
 
 // cleanupClient is the runtime.AddCleanup backstop: the Client leaked.
@@ -316,23 +343,17 @@ func cleanupClient(rec *clientRec) {
 	if rec.state.Load() != crLive {
 		return // already dead or reaped
 	}
-	if rec.cd.Load() == nil && rec.dl.Load() == nil && rec.epochs == 0 &&
-		rec.nleases == 0 && len(rec.spill) == 0 && !rec.staged() {
+	if rec.cd.Load() == nil && rec.dl.Load() == nil && rec.epochs == 0 && !rec.holdsLeases() {
 		// Nothing to reclaim: an ordinary released client was collected.
-		// (The plain reads are safe: no goroutine can reach the Client
-		// anymore, so the only other toucher is the scavenger, which only
-		// acts on dead records.)
 		if rec.state.CompareAndSwap(crLive, crReaped) {
 			rec.reg.unregister(rec)
 		}
 		return
 	}
 	reg := rec.reg
-	if !rec.state.CompareAndSwap(crLive, crDead) {
+	if !rec.die() {
 		return
 	}
-	reg.abandoned.Add(1)
-	reg.dead.Add(1)
 	// An injected scavenge fault (chaos builds) can still defer the
 	// inline reap; only then hand the record to a watchdog, and only on
 	// an open shard (a closed shard's drain already settled its pools).
@@ -343,7 +364,7 @@ func cleanupClient(rec *clientRec) {
 
 // reapNow scavenges one dead record outside the watchdog tick — the
 // cleanup backstop's inline path. Serialized against the tick walk by
-// reg.mu; the ownership CAS and the terminal gate make a concurrent
+// reg.mu; the ownership CAS and the slot swaps make a concurrent
 // watchdog pass over the same record settle exactly once.
 //
 //ppc:coldpath -- GC cleanup of a leaked client
@@ -353,14 +374,18 @@ func (reg *clientRegistry) reapNow(rec *clientRec) bool {
 	if rec.state.Load() != crDead || !reg.scavengeOne(rec) {
 		return false
 	}
-	if i := rec.idx; i >= 0 && i < len(reg.recs) && reg.recs[i] == rec {
-		last := len(reg.recs) - 1
-		reg.recs[i] = reg.recs[last]
-		reg.recs[i].idx = i
-		reg.recs[last] = nil
-		reg.recs = reg.recs[:last]
-		rec.idx = -1
+	reg.unfile(rec)
+	return true
+}
+
+// die is the death transition, live->dead, and its accounting; every
+// death mode goes through it. Reports whether this call made it.
+func (rec *clientRec) die() bool {
+	if !rec.state.CompareAndSwap(crLive, crDead) {
+		return false
 	}
+	rec.reg.abandoned.Add(1)
+	rec.reg.dead.Add(1)
 	return true
 }
 
@@ -369,12 +394,10 @@ func (reg *clientRegistry) reapNow(rec *clientRec) bool {
 //
 //ppc:coldpath -- domain death
 func (rec *clientRec) declareDead() bool {
-	if !rec.state.CompareAndSwap(crLive, crDead) {
+	if !rec.die() {
 		return false
 	}
 	reg := rec.reg
-	reg.abandoned.Add(1)
-	reg.dead.Add(1)
 	// The scavenger rides the watchdog; make sure one is ticking (a
 	// sync-only system may never have spawned it). A closed shard's
 	// resources were already drained by Close; no ticker needed.
@@ -400,144 +423,142 @@ func (c *Client) Abandon() { c.rec.declareDead() }
 // Abandoned reports whether the client has been declared dead.
 func (c *Client) Abandoned() bool { return c.rec.state.Load() != crLive }
 
-// enter opens an owner-side record mutation (lease tracking, batch
-// staging). Fails with ErrClientAbandoned once the scavenger owns the
-// record. The client is single-goroutine by contract, so the only
-// possible CAS loser is a record the scavenger took.
+// publishLease files a fresh lease in the first empty slot with one
+// atomic store. The caller owes the life-state load that completes the
+// Dekker pair (trackLease).
 //
 //ppc:hotpath
-func (rec *clientRec) enter() error {
-	if rec.gate.CompareAndSwap(recGateIdle, recGateOwner) {
-		return nil
+func (rec *clientRec) publishLease(ref PayloadRef) *atomic.Uint64 {
+	b := &rec.leases
+	for {
+		for i := range b.slots {
+			if b.slots[i].Load() == 0 {
+				b.slots[i].Store(uint64(ref))
+				return &b.slots[i]
+			}
+		}
+		next := b.next.Load()
+		if next == nil {
+			return b.spill(ref)
+		}
+		b = next
+	}
+}
+
+// spill appends a block carrying ref to a full chain, for the client's
+// lifetime: a client that works with many leases allocates it once.
+//
+//ppc:coldpath -- every block of the chain is full
+func (b *leaseBlock) spill(ref PayloadRef) *atomic.Uint64 {
+	nb := new(leaseBlock)
+	nb.slots[0].Store(uint64(ref))
+	b.next.Store(nb)
+	return &nb.slots[0]
+}
+
+// claimLease takes ref out of its slot for a submission (or
+// ReleasePayload): true means the caller now owns the lease, false that
+// ref was never filed here or the scavenger got to the slot first.
+//
+//ppc:hotpath
+func (rec *clientRec) claimLease(ref PayloadRef) bool {
+	for b := &rec.leases; b != nil; b = b.next.Load() {
+		for i := range b.slots {
+			if b.slots[i].Load() == uint64(ref) {
+				return b.slots[i].CompareAndSwap(uint64(ref), 0)
+			}
+		}
+	}
+	return false
+}
+
+// holdsLeases reports whether any slot is occupied.
+func (rec *clientRec) holdsLeases() bool {
+	for b := &rec.leases; b != nil; b = b.next.Load() {
+		for i := range b.slots {
+			if b.slots[i].Load() != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// trackLease files a lease the client just took on its ownership
+// record, where it stays until a submission claims it, so the scavenger
+// can settle it if the client dies first: one store, then the life
+// check. An abandoned client cannot lease at all.
+//
+//ppc:hotpath
+func (c *Client) trackLease(ref PayloadRef) error {
+	slot := c.rec.publishLease(ref)
+	if c.rec.state.Load() != crLive {
+		return c.retractLease(slot, ref)
+	}
+	return nil
+}
+
+// retractLease is trackLease on a dead client: take the ref back out of
+// the slot unless the scavenger already has, and fail.
+//
+//ppc:coldpath -- the client was abandoned
+func (c *Client) retractLease(slot *atomic.Uint64, ref PayloadRef) error {
+	if slot.CompareAndSwap(uint64(ref), 0) {
+		c.shard.arena.release(ref)
 	}
 	return ErrClientAbandoned
 }
 
-// leave closes an owner-side record mutation.
+// consumeArgs claims every payload ref attached to args: the submission
+// the caller is about to make owns them from here, whatever its
+// outcome. A claim lost on a dead client means the scavenger has (or
+// will have) released that lease; the call must not run, and the refs
+// it did take are released here.
 //
 //ppc:hotpath
-func (rec *clientRec) leave() { rec.gate.Store(recGateIdle) }
-
-// trackLease records an unattached payload lease under the gate.
-func (rec *clientRec) trackLease(ref PayloadRef) {
-	if rec.nleases < recLeaseSlots {
-		rec.leases[rec.nleases] = ref
-		rec.nleases++
-		return
-	}
-	rec.spillLease(ref)
-}
-
-// spillLease is the over-capacity slow path (allocates).
-//
-//ppc:coldpath -- more than recLeaseSlots unattached leases outstanding
-func (rec *clientRec) spillLease(ref PayloadRef) {
-	rec.spill = append(rec.spill, ref)
-}
-
-// untrackLease drops one tracked lease (consumed by a submission or
-// released by the owner). Unknown refs are ignored — the tracked set is
-// a superset guard, not an accounting ledger.
-func (rec *clientRec) untrackLease(ref PayloadRef) {
-	for i := 0; i < rec.nleases; i++ {
-		if rec.leases[i] == ref {
-			rec.nleases--
-			rec.leases[i] = rec.leases[rec.nleases]
-			return
-		}
-	}
-	for i, r := range rec.spill {
-		if r == ref {
-			rec.spill[i] = rec.spill[len(rec.spill)-1]
-			rec.spill = rec.spill[:len(rec.spill)-1]
-			return
-		}
-	}
-}
-
-// consumeArgs untracks every payload ref attached to args: the
-// submission the caller is about to make owns them from here, whatever
-// its outcome. Fails with ErrClientAbandoned if the scavenger already
-// drained the record — in that case the leases were released and the
-// call must not run (it would double-release them).
-//
-//ppc:coldpath -- only calls that attached payloads come here
+//ppc:rmwbudget(1)
 func (c *Client) consumeArgs(args *Args) error {
-	rec := c.rec
-	if err := rec.enter(); err != nil {
-		return err
-	}
 	n := payloadCount(args[OpFlagsWord])
 	for i := 0; i < n; i++ {
-		rec.untrackLease(PayloadRef(args[payloadWord(i)]))
+		if !c.rec.claimLease(PayloadRef(args[payloadWord(i)])) && c.rec.state.Load() != crLive {
+			return c.claimLost(args, i)
+		}
 	}
-	rec.leave()
 	return nil
 }
 
-// notePayloads is the warm-path guard in front of consumeArgs: one
-// masked load and a predictable branch for the no-payload case.
+// claimLost fails a submission whose claim of segment lost lost to the
+// scavenger: the segments before it are this submission's and are
+// released, the rest are the scavenger's, and args is stripped so
+// nothing releases any of them again.
 //
-//ppc:hotpath
-func (c *Client) notePayloads(args *Args) error {
-	if args[OpFlagsWord]&payloadCountMask == 0 {
-		return nil
+//ppc:coldpath -- the client was abandoned
+func (c *Client) claimLost(args *Args, lost int) error {
+	for i := 0; i < lost; i++ {
+		c.shard.arena.release(PayloadRef(args[payloadWord(i)]))
 	}
-	return c.consumeArgs(args)
+	args[OpFlagsWord] &^= payloadCountMask
+	return ErrClientAbandoned
 }
 
-// noteBatchPayloads is the batch analogue of notePayloads: the
+// noteBatchPayloads claims for a batch: the
 // submission the caller is about to make owns every lease attached to
 // any entry. The payload-free warm path is one masked load per entry.
+// When a claim is lost nothing is submitted: the entries already
+// claimed are released, the rest are the scavenger's.
 //
 //ppc:hotpath
 func (c *Client) noteBatchPayloads(argss []Args) error {
-	carrying := false
 	for i := range argss {
-		if argss[i][OpFlagsWord]&payloadCountMask != 0 {
-			carrying = true
-			break
+		if argss[i][OpFlagsWord]&payloadCountMask == 0 {
+			continue
+		}
+		if err := c.consumeArgs(&argss[i]); err != nil {
+			c.shard.releaseBatchPayloads(argss[:i])
+			return err
 		}
 	}
-	if !carrying {
-		return nil
-	}
-	rec := c.rec
-	if err := rec.enter(); err != nil {
-		return err
-	}
-	for i := range argss {
-		n := payloadCount(argss[i][OpFlagsWord])
-		for j := 0; j < n; j++ {
-			rec.untrackLease(PayloadRef(argss[i][payloadWord(j)]))
-		}
-	}
-	rec.leave()
 	return nil
-}
-
-// trackBatch files a batch's staging buffer on the record so the
-// scavenger can settle its staged payload leases.
-//
-//ppc:coldpath -- batch construction
-func (rec *clientRec) trackBatch(b *batchStage) error {
-	if err := rec.enter(); err != nil {
-		return err
-	}
-	rec.batches = append(rec.batches, b)
-	rec.leave()
-	return nil
-}
-
-// staged reports whether any of the client's batches holds unflushed
-// requests (whose payload leases would need settling).
-func (rec *clientRec) staged() bool {
-	for _, b := range rec.batches {
-		if len(b.reqs) != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // setProbe publishes (or clears) the probe the client's current call
@@ -549,12 +570,14 @@ func (rec *clientRec) setProbe(svc *Service, counters *shardCounters) {
 	rec.probe.Store(&probeRef{svc: svc, counters: counters})
 }
 
+//ppc:coldpath -- half-open probe bookkeeping
 func (rec *clientRec) clearProbe() { rec.probe.Store(nil) }
 
 // beatTick stamps the client's liveness beat (epoch-enrolled clients
 // only): the one plain store the warm path pays for liveness.
 //
 //ppc:hotpath
+//ppc:rmwbudget(1)
 func (c *Client) beatTick() {
 	c.rec.beat.Store(c.rec.reg.epoch.Load())
 }
@@ -580,18 +603,12 @@ func (sh *shard) scavengeTick(sys *System) {
 	}
 	for i := 0; i < len(reg.recs); {
 		rec := reg.recs[i]
-		reg.markStale(rec, epoch)
+		rec.markStale(epoch)
 		if rec.state.Load() != crDead || !reg.scavengeOne(rec) {
 			i++
 			continue
 		}
-		// Reaped: swap-delete from the walk list.
-		last := len(reg.recs) - 1
-		reg.recs[i] = reg.recs[last]
-		reg.recs[i].idx = i
-		reg.recs[last] = nil
-		reg.recs = reg.recs[:last]
-		rec.idx = -1
+		reg.unfile(rec) // reaped; recs[i] is now the record swapped in
 	}
 }
 
@@ -601,22 +618,19 @@ func (sh *shard) scavengeTick(sys *System) {
 // zero when no client is enrolled (the epoch did not advance).
 //
 //ppc:coldpath -- watchdog tick work, off every call path
-func (reg *clientRegistry) markStale(rec *clientRec, epoch uint64) {
+func (rec *clientRec) markStale(epoch uint64) {
 	if epoch == 0 || rec.epochs == 0 || rec.state.Load() != crLive {
 		return
 	}
 	if epoch-rec.beat.Load() > rec.epochs {
-		if rec.state.CompareAndSwap(crLive, crDead) {
-			reg.abandoned.Add(1)
-			reg.dead.Add(1)
-		}
+		rec.die()
 	}
 }
 
 // scavengeOne reclaims one dead client's holdings. Returns true when
 // the record is fully reaped; false defers the client to the next tick
-// (a call in flight, an owner record op racing, or an injected fault).
-// Caller holds reg.mu.
+// (a deadline call in flight, or an injected fault). Caller holds
+// reg.mu.
 //
 //ppc:coldpath -- domain-death reclamation
 func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
@@ -626,17 +640,7 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		}
 	}
 	sh := reg.sh
-	// 1. Take the record gate terminally FIRST: once it is terminal no
-	// owner op can file a new descriptor, lease, or batch behind the
-	// walk below (a Hold racing a later step would strand its CD
-	// forever). An owner op caught mid-mutation defers the client one
-	// tick; the terminal gate is sticky, so a deferred client re-enters
-	// here and continues.
-	if !rec.gate.CompareAndSwap(recGateIdle, recGateScavenged) &&
-		rec.gate.Load() != recGateScavenged {
-		return false
-	}
-	// 2. The held descriptor, arbitrated by the ownership word. owBusy
+	// 1. The held descriptor, arbitrated by the ownership word. owBusy
 	// means the dead client's final *deadline* call is still running —
 	// defer everything (its completion will settle leases, probe, and
 	// the tombstone itself). owHeld is condemned, not repooled: the
@@ -666,7 +670,7 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		}
 		rec.cd.Store(nil)
 	}
-	// 3. The deadline executor. Safe to retire here: step 2 proved no
+	// 2. The deadline executor. Safe to retire here: step 1 proved no
 	// deadline call is in flight (the deadline path holds the word
 	// owBusy for its whole flight; a plain sync call still running on a
 	// condemned descriptor never touches the executor), so the executor
@@ -676,33 +680,26 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		e.retire()
 		rec.dl.Store(nil)
 	}
-	// 4. The record body: tracked leases and staged batch payloads,
-	// drained under the terminal gate taken in step 1.
-	for i := 0; i < rec.nleases; i++ {
-		sh.arena.release(rec.leases[i])
-	}
-	reg.scavLeases.Add(int64(rec.nleases))
-	rec.nleases = 0
-	for _, ref := range rec.spill {
-		sh.arena.release(ref)
-	}
-	reg.scavLeases.Add(int64(len(rec.spill)))
-	rec.spill = nil
-	for _, b := range rec.batches {
-		for i := range b.reqs {
-			reg.scavLeases.Add(int64(payloadCount(b.reqs[i][OpFlagsWord])))
+	// 3. The lease slots: every ref this swap takes out is this pass's to
+	// release. A slot the owner fills behind the walk is the owner's
+	// again — its life check after the store sees the death.
+	var n int64
+	for b := &rec.leases; b != nil; b = b.next.Load() {
+		for i := range b.slots {
+			if ref := b.slots[i].Swap(0); ref != 0 {
+				sh.arena.release(PayloadRef(ref))
+				n++
+			}
 		}
-		sh.releaseBatchPayloads(b.reqs)
-		b.reqs = b.reqs[:0]
 	}
-	rec.batches = nil
-	// 5. A carried half-open probe: settle the gate back to degraded so
+	reg.scavLeases.Add(n)
+	// 4. A carried half-open probe: settle the gate back to degraded so
 	// the stripe is never wedged shedding behind a probe that will never
 	// report.
 	if p := rec.probe.Swap(nil); p != nil {
 		p.svc.gateReopen(p.counters)
 	}
-	// 6. Reap.
+	// 5. Reap.
 	rec.state.Store(crReaped)
 	if rec.epochs > 0 {
 		reg.epochClients.Add(-1)
@@ -754,16 +751,25 @@ func (c *Client) tombstoneExit(cd *callDesc) {
 
 // ownerLost is the dead owner's entry path: the plain path's life
 // check (or the deadline path's entry CAS) found the client dead.
-// Settle the call's payload leases (the attach transferred them to
-// this call), settle the held descriptor — the entry check declined
-// before any word transition, so the word still reads owHeld under
-// this hold's generation unless the scavenger already condemned it —
-// and fail. Without the settle here the descriptor would be stranded:
-// clearing rec.cd hides it from the scavenger's walk.
+// Settle the call's payload leases (the claim transferred them to this
+// call) and the held descriptor, and fail.
 //
 //ppc:coldpath -- the client was abandoned before this call
 func (c *Client) ownerLost(args *Args) error {
 	c.shard.releaseArgsPayloads(args)
+	c.dropDeadHold()
+	return ErrClientAbandoned
+}
+
+// dropDeadHold settles a dead client's held descriptor from the owner's
+// side. The owner has transitioned nothing, so the word still reads
+// owHeld under this hold's generation unless the scavenger already
+// condemned it, and whichever of the two wins the CAS reclaims. Without
+// the settle here the descriptor would be stranded: clearing rec.cd
+// hides it from the scavenger's walk.
+//
+//ppc:coldpath -- the client was abandoned
+func (c *Client) dropDeadHold() {
 	if cd := c.held; cd != nil {
 		if cd.owner.CompareAndSwap(c.owHeld, packOwner(ownerGen(c.owHeld)+1, c.program, owDead)) {
 			c.shard.heldCDs.Add(-1)
@@ -775,5 +781,4 @@ func (c *Client) ownerLost(args *Args) error {
 		c.dl = nil
 	}
 	c.rec.cd.Store(nil)
-	return ErrClientAbandoned
 }

@@ -79,9 +79,11 @@ func packPayloadRef(gen uint32, byteOff int64, n int) PayloadRef {
 		uint64(n))
 }
 
-func (r PayloadRef) gen() uint32    { return uint32(uint64(r)>>payloadGenShift) & payloadGenMask }
-func (r PayloadRef) byteOff() int64 { return int64(uint64(r)>>payloadOffShift&payloadOffMask) << lineShift }
-func (r PayloadRef) staged() bool   { return uint64(r)&payloadStagedBit != 0 }
+func (r PayloadRef) gen() uint32 { return uint32(uint64(r)>>payloadGenShift) & payloadGenMask }
+func (r PayloadRef) byteOff() int64 {
+	return int64(uint64(r)>>payloadOffShift&payloadOffMask) << lineShift
+}
+func (r PayloadRef) staged() bool { return uint64(r)&payloadStagedBit != 0 }
 
 // Len returns the segment's byte length (0 for the zero ref).
 func (r PayloadRef) Len() int { return int(uint64(r) & payloadLenMask) }
@@ -179,7 +181,8 @@ func capturePayloadRefs(args *Args, ps *payloadSet, n int) {
 // shard's arena and clears the count bits in args so the same block
 // cannot release twice through a layered path.
 //
-//ppc:coldpath -- lease settlement: runs only when segments were attached
+//ppc:hotpath
+//ppc:rmwbudget(1)
 func (sh *shard) releasePayloads(args *Args, ps *payloadSet) {
 	for i := 0; i < ps.n; i++ {
 		sh.arena.release(ps.refs[i])
@@ -261,47 +264,39 @@ func (c *Ctx) NumPayloads() int { return c.pay.n }
 // the ref to an Args block (Args.AttachPayload), and submits; the
 // lease is released when that call settles. A payload allocated and
 // then abandoned must be released with ReleasePayload or its slab
-// never recycles. The warm path is a handful of shard-local atomics —
-// no lock, no heap allocation.
+// never recycles. The warm path is two locked instructions — the
+// arena's lease-and-claim fetch-add and the record's slot store — no
+// lock, no heap allocation.
 //
 //ppc:hotpath
+//ppc:rmwbudget(2)
 func (c *Client) AllocPayload(n int) (PayloadRef, []byte, error) {
 	if faultTagEnabled {
 		if err := c.sys.fireFault(FaultSiteArena); err != nil {
 			return 0, nil, err
 		}
 	}
-	// The lease is tracked on the ownership record until a submission
-	// consumes it, so the scavenger can settle it if the client dies
-	// first; an abandoned client cannot lease at all.
-	rec := c.rec
-	if err := rec.enter(); err != nil {
-		return 0, nil, err
-	}
 	ref, buf, err := c.shard.arena.alloc(n)
 	if err == nil {
-		rec.trackLease(ref)
+		err = c.trackLease(ref)
 	}
-	rec.leave()
-	return ref, buf, err
+	if err != nil {
+		return 0, nil, err
+	}
+	return ref, buf, nil
 }
 
 // ReleasePayload returns an unattached payload lease to the arena —
-// the abort path for a payload allocated but never submitted.
-// Payloads that were attached and submitted are released by the call
-// itself; releasing those again is a use-after-free caller bug. On an
-// abandoned client this is a quiet no-op: the scavenger already
-// settled (or will settle) the tracked lease.
+// the abort path for a payload allocated but never submitted. It
+// releases only a lease it can still claim (owner.go): for a payload a
+// submission already consumed, a second ReleasePayload of the same ref,
+// or a client the scavenger has settled, it is a quiet no-op.
 //
 //ppc:coldpath -- abort path for an abandoned payload
 func (c *Client) ReleasePayload(ref PayloadRef) {
-	rec := c.rec
-	if rec.enter() != nil {
-		return
+	if c.rec.claimLease(ref) {
+		c.shard.arena.release(ref)
 	}
-	rec.untrackLease(ref)
-	c.shard.arena.release(ref)
-	rec.leave()
 }
 
 // AllocPayload leases arena memory from inside a handler — for nested
@@ -332,34 +327,27 @@ func (c *Client) AttachBytes(args *Args, data []byte) error {
 			return err
 		}
 	}
-	// Track the fresh lease on the ownership record like AllocPayload
-	// does: it stays tracked until the submission carrying args consumes
-	// it (notePayloads), so a client that dies between attach and submit
-	// cannot strand the segment.
-	rec := c.rec
-	if err := rec.enter(); err != nil {
-		return err
-	}
+	var ref PayloadRef
+	var err error
 	if sh.offload.threshold > 0 && len(data) >= sh.offload.threshold {
-		ref, err := sh.offloadCopy(c.sys, data)
-		if err != nil {
-			rec.leave()
-			return err
+		ref, err = sh.offloadCopy(c.sys, data)
+	} else {
+		var buf []byte
+		if ref, buf, err = sh.arena.alloc(len(data)); err == nil {
+			copy(buf, data)
 		}
-		rec.trackLease(ref)
-		args.AttachPayload(ref)
-		rec.leave()
-		return nil
 	}
-	ref, buf, err := sh.arena.alloc(len(data))
+	// Track the fresh lease on the ownership record like AllocPayload
+	// does: it stays there until the submission carrying args claims it
+	// (preflight), so a client that dies between attach and submit
+	// cannot strand the segment.
+	if err == nil {
+		err = c.trackLease(ref)
+	}
 	if err != nil {
-		rec.leave()
 		return err
 	}
-	copy(buf, data)
-	rec.trackLease(ref)
 	args.AttachPayload(ref)
-	rec.leave()
 	return nil
 }
 

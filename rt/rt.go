@@ -288,11 +288,19 @@ type Service struct {
 // callStripe is one line of synchronous admission/completion counters.
 // Whoever serially owns the line's holder writes it: a held call
 // descriptor carries its own stripe per service (callDesc.stripeFor), so
-// a held Call's three counter RMWs land on a line no other caller
-// touches — callers sharing one shard do not share a stripe; the pooled
-// and asynchronous paths use the (service, shard) stripe embedded in
-// shardCounters. The in-flight count is admitted − completed, read only
-// by control-plane code (kill drains, stats) through Service.sumStripes.
+// a held Call's two counter RMWs — one fenced admission, one published
+// completion, the floor a soft Kill that waits for admitted calls allows
+// — land on a line no other caller touches; callers sharing one shard
+// do not share a stripe. The pooled and asynchronous paths use the
+// (service, shard) stripe embedded in shardCounters. The in-flight
+// count is admitted − completed − asyncDone, read only by control-plane
+// code (kill drains, stats) through Service.sumStripes.
+//
+// Service.Calls is derived, not counted: completed − unreturned. Every
+// admitted synchronous call completes exactly once, and one whose
+// handler did not return normally (denied, faulted) bumps the cold
+// unreturned on its way out, so the warm call pays one completion RMW.
+// Asynchronous completions count apart to stay out of that difference.
 //
 // A stripe is exactly one 64-byte line and is allocated on its own
 // (size class 64, so 64-aligned and never sharing a line with a
@@ -307,23 +315,32 @@ type callStripe struct {
 	//ppc:hotline(call)
 	admitted atomic.Int64 // synchronous admissions
 	//ppc:hotline(call)
-	completed atomic.Int64 // finished calls, synchronous and asynchronous
+	completed atomic.Int64 // finished synchronous calls, however they ended
 	//ppc:hotline(call)
-	calls atomic.Int64 // synchronous calls whose handler returned normally
+	asyncDone atomic.Int64 // finished asynchronous requests (shard stripes only)
+	//ppc:hotline(call)
+	unreturned atomic.Int64 // completed synchronous calls whose handler was denied or faulted
 	//ppc:hotline(call)
 	authFail atomic.Int64
 	//ppc:hotline(call)
 	backouts atomic.Int64
-	_        [24]byte // exactly one line
+	_        [16]byte // exactly one line
 }
 
 // inFlight reads the stripe's admitted-but-not-finished count. A racing
-// reader can observe completed ahead of admitted and see a transiently
-// negative value; control-plane loops compare the summed total against
-// zero after the counters have stopped moving, where the difference is
-// exact.
+// reader can observe a completion ahead of its admission and see a
+// transiently negative value; control-plane loops compare the summed
+// total against zero after the counters have stopped moving, where the
+// difference is exact.
 func (st *callStripe) inFlight() int64 {
-	return st.admitted.Load() - st.completed.Load()
+	return st.admitted.Load() - st.completed.Load() - st.asyncDone.Load()
+}
+
+// calls reads the stripe's synchronous calls whose handler returned
+// normally. Exact once the stripe's calls have settled; a denied or
+// faulted call reads one low between its two counter writes.
+func (st *callStripe) calls() int64 {
+	return st.completed.Load() - st.unreturned.Load()
 }
 
 // shardCounters is the (service, shard) counter block: the call stripe
@@ -333,7 +350,7 @@ func (st *callStripe) inFlight() int64 {
 //
 // The asynchronous submission side and the completion side stay on
 // separate cache lines: the admitting submitter writes asyncAdm, the
-// servicing async worker writes stripe.completed, and neither
+// servicing async worker writes stripe.asyncDone, and neither
 // invalidates the other's line per request.
 //
 // Async admissions have their own counter, asyncAdm, doing double duty
@@ -446,9 +463,10 @@ func (s *Service) newStripe() *callStripe {
 	return st
 }
 
-// Calls sums the synchronous call counters over every stripe.
+// Calls sums, over every stripe, the synchronous calls whose handler
+// returned normally.
 func (s *Service) Calls() int64 {
-	return s.sumStripes(func(st *callStripe) int64 { return st.calls.Load() })
+	return s.sumStripes((*callStripe).calls)
 }
 
 // AsyncCalls sums the per-shard asynchronous admission counters: the
@@ -509,13 +527,24 @@ func (s *Service) admit(st *callStripe) bool {
 	return true
 }
 
-// complete is the matching completion leg: the handler has returned (or
-// the request was settled without one), the call leaves the in-flight
-// count, and a draining Kill is nudged.
+// complete is the matching completion leg, the one completion RMW of a
+// synchronous call: the handler has returned (or was denied — dispatch
+// bumped unreturned then), the call leaves the in-flight count, and a
+// draining Kill is nudged.
 //
 //ppc:hotpath
 func (s *Service) complete(st *callStripe) {
 	st.completed.Add(1)
+	s.notifyQuiesce()
+}
+
+// completeAsync is complete for a request a worker settled — executed,
+// or expired in the queue: the shard stripe's asynchronous counter, so
+// Service.Calls keeps counting synchronous calls only.
+//
+//ppc:hotpath
+func (s *Service) completeAsync(st *callStripe) {
+	st.asyncDone.Add(1)
 	s.notifyQuiesce()
 }
 

@@ -317,7 +317,7 @@ type shard struct {
 	tenantList atomic.Pointer[[]*tenantBucket]
 	//ppc:atomic
 	tenantThrottled atomic.Int64
-	laneWeights [NumLaneClasses]int32
+	laneWeights     [NumLaneClasses]int32
 	// yieldPerBatch: Options.CooperativeYield — the worker cedes the P
 	// once per serviced batch so sleeping submitters can publish.
 	// Read-only after construction, like the rest of this block.
@@ -387,13 +387,24 @@ func (sh *shard) configureArena(o Options) {
 	}
 }
 
-// lookup reads this shard's replica of entry point ep — the fast-path
+// resolve reads this shard's replica of entry point ep — the fast-path
 // service-table access (§4.5.5): one atomic load of a slot only this
-// shard reads.
+// shard reads — and vets what it finds: an unbound entry point is
+// ErrBadEntryPoint, a service no longer active ErrKilled.
 //
 //ppc:hotpath
-func (sh *shard) lookup(ep EntryPointID) *epEntry {
-	return sh.tab[ep].Load()
+func (sh *shard) resolve(ep EntryPointID) (*epEntry, error) {
+	if int(ep) >= MaxEntryPoints {
+		return nil, ErrBadEntryPoint
+	}
+	e := sh.tab[ep].Load()
+	if e == nil {
+		return nil, ErrBadEntryPoint
+	}
+	if e.svc.state.Load() != svcActive {
+		return nil, ErrKilled
+	}
+	return e, nil
 }
 
 // publish installs e as this shard's replica entry for ep. Called only
@@ -506,6 +517,7 @@ func (sh *shard) poolSize() int {
 // submitter (and Close) behind a held lock.
 //
 //ppc:hotpath
+//ppc:rmwbudget(6) -- the submitting window (2), a rejection's count (2), the slot claim and publish (2)
 func (sh *shard) submitAsync(sys *System, svc *Service, args *Args, prog uint32, done chan<- struct{}, deadline int64, lane Lane) error {
 	sh.submitting.Add(1)
 	defer sh.submitting.Add(-1)
@@ -551,6 +563,7 @@ func (sh *shard) submitAsync(sys *System, svc *Service, args *Args, prog uint32,
 // remainder.
 //
 //ppc:hotpath
+//ppc:rmwbudget(6) -- the submitting window (2), a rejection's count (2), the slot claim and publish (2)
 func (sh *shard) submitBatch(sys *System, svc *Service, argss []Args, program uint32, done chan<- struct{}, deadline int64, lane Lane) (int, error) {
 	sh.submitting.Add(1)
 	defer sh.submitting.Add(-1)
@@ -907,7 +920,7 @@ func (sh *shard) expireAsync(req *asyncReq) {
 	sh.deadlineExpired.Add(1)
 	sh.releaseArgsPayloads(&req.args)
 	counters := &req.svc.perShard[sh.id]
-	req.svc.complete(&counters.stripe)
+	req.svc.completeAsync(&counters.stripe)
 	if req.svc.health != nil {
 		req.svc.recordTimeout(counters)
 	}

@@ -192,7 +192,7 @@ func TestStripeCountersExact(t *testing.T) {
 	if got := b.Calls(); got != 5 {
 		t.Fatalf("Calls(b) = %d, want 5", got)
 	}
-	if got := a.perShard[0].stripe.calls.Load(); got != 3+2+4 {
+	if got := a.perShard[0].stripe.calls(); got != 3+2+4 {
 		t.Fatalf("the shard's own stripe counted %d calls, want the 9 pooled ones", got)
 	}
 
@@ -219,6 +219,184 @@ func TestStripeCountersExact(t *testing.T) {
 		if n := svc.inFlightTotal(); n != 0 {
 			t.Fatalf("%s: inFlightTotal = %d at quiescence", svc.Name(), n)
 		}
+	}
+}
+
+// TestStripeIdentityEveryExit drives every way a call can end through
+// every synchronous entry point, concurrently, and checks the two
+// identities the derived call counter rests on: at quiescence every
+// stripe has admitted == completed (asynchronous completions count
+// apart), and Service.Calls is exactly the number of synchronous handler
+// invocations that returned normally — panics, authorization denials,
+// deadline expiries (whose orphaned handler still returns and still
+// counts), queue-deadline expiries and hard-kill discards (which run no
+// handler) all leave it alone.
+func TestStripeIdentityEveryExit(t *testing.T) {
+	needTwoPs(t)
+	leakCheck(t)
+	sys := NewSystemOptions(Options{Shards: 2, WatchdogInterval: 200 * time.Microsecond, DeadlineWheelGranularity: 200 * time.Microsecond})
+	defer sys.Close()
+	const (
+		opNormal = iota
+		opPanic
+		opSlow
+	)
+	var returned, asyncRan atomic.Int64 // handler invocations that returned normally, by kind
+	var deniedProg atomic.Uint32
+	svc, err := sys.Bind(ServiceConfig{
+		Name: "mixed",
+		Handler: func(ctx *Ctx, args *Args) {
+			switch args[0] {
+			case opPanic:
+				panic("mixed")
+			case opSlow:
+				time.Sleep(2 * time.Millisecond)
+			}
+			if ctx.IsAsync() {
+				asyncRan.Add(1)
+			} else {
+				returned.Add(1)
+			}
+		},
+		Authorize: func(p uint32) bool { return p != deniedProg.Load() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nest, err := sys.Bind(ServiceConfig{Name: "nest", Handler: func(ctx *Ctx, args *Args) {
+		_ = ctx.Call(svc.EP(), args) // a fault in the nested call is the nested call's
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deniedClient := sys.NewClientOnShard(1)
+	deniedProg.Store(deniedClient.Program())
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := sys.NewClientOnShard(g % 2)
+			defer c.Release()
+			for i := 0; i < 400; i++ {
+				args := Args{uint64(i % 7 % 2)} // mostly normal, some panics
+				var err error
+				switch (g + i) % 6 {
+				case 0:
+					err = c.Call(svc.EP(), &args)
+				case 1:
+					err = c.CallPooled(svc.EP(), &args)
+				case 2:
+					err = c.Call(nest.EP(), &args)
+				case 3:
+					err = sys.Upcall(g%2, svc.EP(), &args)
+				case 4:
+					err = c.CallDeadline(svc.EP(), &args, time.Second)
+				case 5:
+					if i%50 == 5 { // an expiry: the orphaned handler returns later
+						args[0] = opSlow
+						err = c.CallDeadline(svc.EP(), &args, 100*time.Microsecond)
+					} else {
+						err = c.AsyncCall(svc.EP(), &args)
+					}
+				}
+				if err != nil && !errors.Is(err, ErrServerFault) && !errors.Is(err, ErrDeadline) && !errors.Is(err, ErrBackpressure) {
+					t.Errorf("goroutine %d op %d: %v", g, i, err)
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer deniedClient.Release()
+		for i := 0; i < 300; i++ {
+			var args Args
+			call := deniedClient.Call
+			if i%2 == 1 {
+				call = deniedClient.CallPooled
+			}
+			if err := call(svc.EP(), &args); !errors.Is(err, ErrPermissionDenied) {
+				t.Errorf("denied client: %v", err)
+			}
+		}
+	}()
+	wg.Wait()
+	waitCond(t, 5*time.Second, "orphaned handlers and queued requests to finish", func() bool {
+		return svc.inFlightTotal() == 0 && nest.inFlightTotal() == 0 && sys.Stats()[0].QuarantinedCDs+sys.Stats()[1].QuarantinedCDs == 0
+	})
+	for _, s := range []*Service{svc, nest} {
+		s.sumStripes(func(st *callStripe) int64 {
+			if ad, co := st.admitted.Load(), st.completed.Load(); ad != co {
+				t.Errorf("%s: a stripe reads admitted %d, completed %d at quiescence", s.Name(), ad, co)
+			}
+			return 0
+		})
+	}
+	if got, want := svc.Calls(), returned.Load(); got != want {
+		t.Fatalf("Calls = %d, want %d: the synchronous handler invocations that returned normally", got, want)
+	}
+	if got := svc.AuthFailures(); got != 300 {
+		t.Fatalf("AuthFailures = %d, want 300", got)
+	}
+}
+
+// TestStripeExitsWithoutHandler: a request that expires in the queue and
+// one a hard kill discards complete without running a handler; neither
+// counts as a call, on any counter, and both leave the in-flight sum at
+// zero.
+func TestStripeExitsWithoutHandler(t *testing.T) {
+	needTwoPs(t)
+	leakCheck(t)
+	sys := NewSystemOptions(Options{Shards: 1, MaxWorkers: 1})
+	defer sys.Close()
+	var ran atomic.Int64
+	count := func(ctx *Ctx, args *Args) { ran.Add(1) }
+	expiring, err := sys.Bind(ServiceConfig{Name: "expiring", Handler: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := sys.Bind(ServiceConfig{Name: "doomed", Handler: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	blocker, err := sys.Bind(ServiceConfig{Name: "blocker", Handler: func(ctx *Ctx, args *Args) {
+		close(entered)
+		<-gate
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	defer c.Release()
+	if err := c.AsyncCall(blocker.EP(), &Args{}); err != nil { // the one worker is busy from here
+		close(gate)
+		t.Fatal(err)
+	}
+	<-entered
+	for i := 0; i < 8; i++ {
+		if err := c.AsyncCallDeadline(expiring.EP(), &Args{}, time.Microsecond); err != nil {
+			t.Error(err)
+		}
+		if err := c.AsyncCall(doomed.EP(), &Args{}); err != nil {
+			t.Error(err)
+		}
+	}
+	time.Sleep(time.Millisecond) // the queue deadlines pass
+	if err := sys.Kill(doomed.EP(), true); err != nil {
+		t.Error(err)
+	}
+	close(gate)
+	waitCond(t, 5*time.Second, "the queue to drain", func() bool {
+		return expiring.inFlightTotal() == 0 && doomed.inFlightTotal() == 0 && blocker.inFlightTotal() == 0
+	})
+	if ran.Load() != 0 || expiring.Calls() != 0 || doomed.Calls() != 0 {
+		t.Fatalf("%d handlers ran; Calls = %d and %d; want none of either", ran.Load(), expiring.Calls(), doomed.Calls())
+	}
+	if st := sys.Stats()[0]; st.DeadlineExpirations != 8 || doomed.KilledBackouts() != 8 {
+		t.Fatalf("DeadlineExpirations = %d, KilledBackouts = %d; want 8, 8", st.DeadlineExpirations, doomed.KilledBackouts())
 	}
 }
 
@@ -375,9 +553,9 @@ func TestWarmHeldCallWritesNoShardLine(t *testing.T) {
 	for _, svc := range []*Service{a, b} {
 		for i := range svc.perShard {
 			st := &svc.perShard[i].stripe
-			if ad, co, ca := st.admitted.Load(), st.completed.Load(), st.calls.Load(); ad != 0 || co != 0 || ca != 0 {
-				t.Fatalf("%s: held-only traffic wrote shard %d's own stripe: admitted %d, completed %d, calls %d",
-					svc.Name(), i, ad, co, ca)
+			if ad, co, un := st.admitted.Load(), st.completed.Load(), st.unreturned.Load(); ad != 0 || co != 0 || un != 0 {
+				t.Fatalf("%s: held-only traffic wrote shard %d's own stripe: admitted %d, completed %d, unreturned %d",
+					svc.Name(), i, ad, co, un)
 			}
 		}
 		if got := len(svc.stripes); got != len(clients) {

@@ -13,6 +13,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hurricane/tools/ppclint/internal/load"
@@ -76,6 +77,13 @@ type PaddedInfo struct {
 	Pos   token.Pos
 }
 
+// BudgetInfo is one //ppc:rmwbudget(N) directive on a function: the
+// number of atomic write sites its warm path may reach.
+type BudgetInfo struct {
+	N   int
+	Pos token.Pos
+}
+
 // ABAInfo is one //ppc:aba(tag) directive on a function: tag names the
 // generation field that defeats ABA, or is the literal "gc" when Go's
 // garbage collector rules out address reuse.
@@ -94,6 +102,9 @@ type ABAInfo struct {
 //	//ppc:shard(Type) [-- reason]     on a func: may touch Type's shard-owned fields
 //	//ppc:aba(tag) [-- reason]        on a func: its CAS retry loop is ABA-sensitive,
 //	                                  protected by generation field `tag` (or "gc")
+//	//ppc:rmwbudget(N) [-- note]      on a func: root of a locked-instruction budget —
+//	                                  exactly N atomic write sites reachable before a
+//	                                  //ppc:coldpath or another budgeted function
 //	//ppc:shard-owned                 on a struct field: confined to its owner
 //	//ppc:atomic                      on a struct field: sync/atomic access only
 //	//ppc:publishes(f1,f2)            on a struct field: stores to it publish the
@@ -112,6 +123,7 @@ type Annotations struct {
 	Cold      map[*types.Func]bool
 	ShardOf   map[*types.Func][]string // type names granted by //ppc:shard(T)
 	ABA       map[*types.Func]*ABAInfo
+	RMWBudget map[*types.Func]*BudgetInfo
 	Owned     map[*types.Var]*FieldInfo
 	Atomic    map[*types.Var]*FieldInfo
 	Publishes map[*types.Var]*PublishInfo
@@ -181,6 +193,7 @@ func CollectAnnotations(fset *token.FileSet, pkgs []*load.Package) *Annotations 
 		Cold:      make(map[*types.Func]bool),
 		ShardOf:   make(map[*types.Func][]string),
 		ABA:       make(map[*types.Func]*ABAInfo),
+		RMWBudget: make(map[*types.Func]*BudgetInfo),
 		Owned:     make(map[*types.Var]*FieldInfo),
 		Atomic:    make(map[*types.Var]*FieldInfo),
 		Publishes: make(map[*types.Var]*PublishInfo),
@@ -282,12 +295,22 @@ func (a *Annotations) collectFunc(pkg *load.Package, decl *ast.FuncDecl) {
 				continue
 			}
 			a.ABA[obj] = &ABAInfo{Tag: d.arg, Pos: d.pos}
+		case "rmwbudget":
+			n, err := strconv.Atoi(d.arg)
+			if err != nil || n < 0 {
+				a.problemf(d.pos, "//ppc:rmwbudget needs a count: //ppc:rmwbudget(N)")
+				continue
+			}
+			a.RMWBudget[obj] = &BudgetInfo{N: n, Pos: d.pos}
 		default:
 			a.problemf(d.pos, "unknown directive //ppc:%s on %s", d.verb, obj.Name())
 		}
 	}
 	if a.Hot[obj] && a.Cold[obj] {
 		a.problemf(decl.Pos(), "%s is marked both //ppc:hotpath and //ppc:coldpath", obj.Name())
+	}
+	if a.RMWBudget[obj] != nil && a.Cold[obj] {
+		a.problemf(decl.Pos(), "%s is marked both //ppc:rmwbudget and //ppc:coldpath: a cold function's writes belong to no budget", obj.Name())
 	}
 }
 
@@ -403,6 +426,16 @@ func FuncDisplayName(f *types.Func) string {
 		}
 	}
 	return f.Name()
+}
+
+// ChainString renders a call chain from a root for diagnostics:
+// Root -> callee -> callee.
+func ChainString(chain []*types.Func) string {
+	parts := make([]string, len(chain))
+	for i, f := range chain {
+		parts[i] = FuncDisplayName(f)
+	}
+	return strings.Join(parts, " -> ")
 }
 
 // SortDiagnostics orders diagnostics by position for stable output.

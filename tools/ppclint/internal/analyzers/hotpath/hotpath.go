@@ -31,7 +31,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"hurricane/tools/ppclint/internal/analysis"
 	"hurricane/tools/ppclint/internal/load"
@@ -107,7 +106,7 @@ func run(prog *analysis.Program) []analysis.Diagnostic {
 				diags = append(diags, analysis.Diagnostic{
 					Pos:      v.pos,
 					Analyzer: name,
-					Message:  fmt.Sprintf("%s (hot path: %s)", v.what, chainString(cur.chain)),
+					Message:  fmt.Sprintf("%s (hot path: %s)", v.what, analysis.ChainString(cur.chain)),
 				})
 			}
 			for _, callee := range f.callees {
@@ -122,14 +121,6 @@ func run(prog *analysis.Program) []analysis.Diagnostic {
 	}
 	analysis.SortDiagnostics(prog.Fset, diags)
 	return diags
-}
-
-func chainString(chain []*types.Func) string {
-	parts := make([]string, len(chain))
-	for i, f := range chain {
-		parts[i] = analysis.FuncDisplayName(f)
-	}
-	return strings.Join(parts, " -> ")
 }
 
 // scanBody collects the forbidden constructs and static callees of one

@@ -3,11 +3,13 @@
 // entirely on the standard library so the root module stays
 // dependency-free and the tool builds offline. It enforces the source
 // paper's structural claims — the common-case call path touches no
-// shared data, acquires no locks, and allocates nothing — as six
+// shared data, acquires no locks, and allocates nothing — as seven
 // analyzers driven by //ppc: annotations:
 //
 //	hotpath      no locks / blocking / logging / allocation reachable
 //	             from a //ppc:hotpath root (up to //ppc:coldpath)
+//	rmwbudget    //ppc:rmwbudget(N) roots reach exactly N atomic write
+//	             sites (lock-prefixed instructions) before a cold boundary
 //	shardconfine //ppc:shard-owned fields stay inside their shard type
 //	atomicfield  //ppc:atomic fields are accessed only atomically
 //	ordering     //ppc:publishes(f1,f2) fields: stores publish their
@@ -39,12 +41,14 @@ import (
 	"hurricane/tools/ppclint/internal/analyzers/hotpath"
 	"hurricane/tools/ppclint/internal/analyzers/layout"
 	"hurricane/tools/ppclint/internal/analyzers/ordering"
+	"hurricane/tools/ppclint/internal/analyzers/rmwbudget"
 	"hurricane/tools/ppclint/internal/analyzers/shardconfine"
 	"hurricane/tools/ppclint/internal/load"
 )
 
 var all = []*analysis.Analyzer{
 	hotpath.Analyzer,
+	rmwbudget.Analyzer,
 	shardconfine.Analyzer,
 	atomicfield.Analyzer,
 	ordering.Analyzer,
