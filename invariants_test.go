@@ -285,3 +285,120 @@ func TestABALoopsCarryAnnotations(t *testing.T) {
 		}
 	}
 }
+
+// rt surface ceilings, recorded at PR 16 (one asynchronous submission
+// path). ROADMAP item 2 wants these to go down: lower them when a change
+// shrinks rt, and treat raising one as a decision to defend in review.
+const (
+	rtMaxNonTestLines = 7923
+	rtMaxExported     = 218
+	rtMaxOptionFields = 10
+)
+
+// TestRtSurfaceRatchet holds package rt to the size it has reached: the
+// non-test line count, the exported surface — package-level names,
+// methods of exported types, fields of exported structs — and the number
+// of Options fields may shrink but not grow past the recorded ceilings.
+// It also pins the two facts that make asynchronous submission one path:
+// exactly one function pushes onto an async ring, and exactly one
+// performs the asynchronous admission increment.
+func TestRtSurfaceRatchet(t *testing.T) {
+	fset := token.NewFileSet()
+	files, _ := parseTree(t, fset)
+	var lines, exported, optionFields int
+	pushers, admitters := map[string]bool{}, map[string]bool{}
+	for _, pf := range files {
+		if filepath.Dir(pf.path) != "rt" {
+			continue
+		}
+		f := pf.file
+		lines += fset.File(f.Pos()).LineCount()
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && (d.Recv == nil || recvExported(d.Recv)) {
+					exported++
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if sel.Sel.Name == "push" {
+						pushers[d.Name.Name] = true
+					}
+					if on, ok := sel.X.(*ast.SelectorExpr); ok && on.Sel.Name == "asyncAdm" && sel.Sel.Name == "Add" {
+						if _, undo := call.Args[0].(*ast.UnaryExpr); !undo {
+							admitters[d.Name.Name] = true
+						}
+					}
+					return true
+				})
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							if name.IsExported() {
+								exported++
+							}
+						}
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
+							continue
+						}
+						exported++
+						st, ok := s.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, field := range st.Fields.List {
+							for _, name := range field.Names {
+								if name.IsExported() {
+									exported++
+									if s.Name.Name == "Options" {
+										optionFields++
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		what      string
+		got, ceil int
+	}{
+		{"non-test lines", lines, rtMaxNonTestLines},
+		{"exported identifiers", exported, rtMaxExported},
+		{"Options fields", optionFields, rtMaxOptionFields},
+	} {
+		if c.got > c.ceil {
+			t.Errorf("rt has %d %s, ceiling %d: the subtraction pass (ROADMAP item 2) only goes one way", c.got, c.what, c.ceil)
+		}
+	}
+	t.Logf("rt: %d non-test lines, %d exported identifiers, %d Options fields", lines, exported, optionFields)
+	if len(pushers) != 1 || !pushers["submit"] {
+		t.Errorf("functions pushing onto an async ring: %v; want shard.submit alone", pushers)
+	}
+	if len(admitters) != 1 || !admitters["asyncOn"] {
+		t.Errorf("functions performing the asynchronous admission: %v; want System.asyncOn alone", admitters)
+	}
+}
+
+// recvExported reports whether a method's receiver names an exported
+// type.
+func recvExported(recv *ast.FieldList) bool {
+	typ := recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	id, ok := typ.(*ast.Ident)
+	return ok && id.IsExported()
+}

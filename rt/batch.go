@@ -2,12 +2,15 @@ package rt
 
 import "time"
 
-// Batch submission — the paper's amortized asynchronous calls (§4.4)
-// carried to the ring: one admission check, one submitting window, and
-// one worker wakeup cover an arbitrary number of requests, so the
-// per-request cost of a burst approaches one slot write.
+// Asynchronous submission — the paper's amortized asynchronous calls
+// (§4.4) carried to the ring: one admission check, one submitting
+// window, and one worker wakeup cover an arbitrary number of requests,
+// so the per-request cost of a burst approaches one slot write. Every
+// asynchronous entry point is this one path (Client.async, then
+// System.asyncOn, then shard.submit); the AsyncCall family submits a
+// batch of one over the caller's own argument block.
 //
-// Two shapes are offered: Client.AsyncBatch submits a caller-owned
+// Two batch shapes are offered: Client.AsyncBatch submits a caller-owned
 // slice in one shot; Batch is a reusable staging buffer for callers
 // that accumulate requests incrementally and flush at natural
 // boundaries (end of an event-loop turn, a full page of prefetches).
@@ -27,12 +30,12 @@ type Batch struct {
 }
 
 // NewBatch creates a batch for ep with room for capacity staged
-// requests (a capacity <= 0 defaults to the shard ring size). The
-// buffer grows if Add outruns it; growth is amortized and off the warm
-// path.
+// requests (a capacity <= 0 defaults to the size of the ring it flushes
+// into). The buffer grows if Add outruns it; growth is amortized and
+// off the warm path.
 func (c *Client) NewBatch(ep EntryPointID, capacity int) *Batch {
 	if capacity <= 0 {
-		capacity = defaultAsyncQueueCap
+		capacity = c.shard.lanes[0].ring.capacity() // every lane's ring is the same size
 	}
 	return &Batch{c: c, ep: ep, reqs: make([]Args, 0, capacity)}
 }
@@ -97,22 +100,14 @@ func (b *Batch) grow() {
 // kill or close rejects the whole batch. Accepted requests follow the
 // usual async lifecycle: soft Kill waits for them, hard Kill discards
 // the still-queued ones, Close drains them. On an abandoned client
-// Flush fails terminally and submits nothing; the staged leases are the
-// scavenger's.
+// Flush fails terminally and submits nothing; each staged lease is
+// released once, by Flush or by the scavenger, whichever takes it out
+// of its slot.
 //
 //ppc:hotpath
-//ppc:rmwbudget(1) -- the batch's one admission; the ring leg is submitBatch's
+//ppc:rmwbudget(1) -- the batch's one admission; the ring leg is submit's
 func (b *Batch) Flush() (int, error) {
-	c := b.c
-	if c.rec.state.Load() != crLive {
-		b.reqs = b.reqs[:0]
-		return 0, ErrClientAbandoned
-	}
-	var deadline int64
-	if b.ttl > 0 {
-		deadline = time.Now().Add(b.ttl).UnixNano()
-	}
-	n, err := c.asyncBatch(b.ep, b.reqs, b.done, deadline)
+	n, err := b.c.async(b.ep, b.reqs, b.done, b.ttl)
 	b.reqs = b.reqs[:0]
 	return n, err
 }
@@ -125,61 +120,63 @@ func (b *Batch) Flush() (int, error) {
 //
 //ppc:hotpath
 func (c *Client) AsyncBatch(ep EntryPointID, argss []Args) (int, error) {
-	return c.asyncBatch(ep, argss, nil, 0)
+	return c.async(ep, argss, nil, 0)
 }
 
-// asyncBatch is the client half of a batched submission, shared by
-// AsyncBatch and Batch.Flush: claim every attached lease, then charge
-// the whole batch against the tenant bucket at once — a half-admitted
-// batch would make the accepted count lie about which requests were
-// throttled — then admit and publish.
+// async is the client half of every asynchronous submission — the four
+// AsyncCall forms (a batch of one), AsyncBatch and Batch.Flush: claim
+// every attached lease out of the ownership record, check the client is
+// still alive (the claimed leases are this submission's to release if it
+// is not), charge the whole submission against the tenant bucket at
+// once, stamp the queueing deadline, then admit and publish. ttl > 0
+// bounds each request's time in the ring (AsyncCallDeadline).
 //
 //ppc:hotpath
-func (c *Client) asyncBatch(ep EntryPointID, argss []Args, done chan<- struct{}, deadline int64) (int, error) {
-	if err := c.noteBatchPayloads(argss); err != nil {
-		return 0, err
-	}
-	if c.tenant != 0 && len(argss) > 0 {
-		if err := c.admitTenantBatch(argss); err != nil {
+func (c *Client) async(ep EntryPointID, argss []Args, done chan<- struct{}, ttl time.Duration) (int, error) {
+	for i := range argss {
+		if argss[i][OpFlagsWord]&payloadCountMask == 0 {
+			continue // the payload-free warm path: one masked load per request
+		}
+		if err := c.consumeArgs(&argss[i]); err != nil {
+			// A claim lost to the scavenger: nothing is submitted, the
+			// requests already claimed are released, the rest are the
+			// scavenger's.
+			c.shard.releaseBatchPayloads(argss[:i])
 			return 0, err
 		}
 	}
-	return c.sys.asyncBatchOn(c.shard, ep, argss, c.program, done, deadline, c.lane)
-}
-
-// admitTenantBatch charges len(argss) tokens against the client's
-// tenant bucket, all or nothing. On a shed the whole batch's payload
-// leases settle here — the batch never reaches admission.
-//
-//ppc:hotpath
-//ppc:rmwbudget(3) -- the charge, its refund, the throttle count
-func (c *Client) admitTenantBatch(argss []Args) error {
-	b := c.shard.tenantBucketFor(c.tenant)
-	if b == nil || b.takeN(int64(len(argss))) {
-		return nil
+	if c.rec.state.Load() != crLive {
+		c.shard.releaseBatchPayloads(argss)
+		return 0, ErrClientAbandoned
 	}
-	if b.takeSlowN(int64(len(argss)), &c.shard.clock) {
-		return nil
-	}
-	c.shard.tenantThrottled.Add(int64(len(argss)))
-	c.shard.releaseBatchPayloads(argss)
-	return ErrShed
-}
-
-// asyncBatchOn is the batched analogue of callOn's async half: admit
-// the whole batch with one increment-then-check (so a soft kill either
-// sees the batch in flight and waits, or flips the state first and the
-// batch backs out), hand it to the shard ring, then settle the
-// accounting for any rejected tail.
-//
-//ppc:hotpath
-func (s *System) asyncBatchOn(sh *shard, ep EntryPointID, argss []Args, program uint32, done chan<- struct{}, deadline int64, lane Lane) (int, error) {
 	if len(argss) == 0 {
 		return 0, nil
 	}
+	if c.tenant != 0 {
+		if err := c.admitTenant(argss); err != nil {
+			return 0, err
+		}
+	}
+	var deadline int64
+	if ttl > 0 {
+		deadline = time.Now().Add(ttl).UnixNano()
+	}
+	return c.sys.asyncOn(c.shard, ep, argss, c.program, done, deadline, c.lane)
+}
+
+// asyncOn is the system half: admit the whole submission with one
+// increment-then-check (so a soft kill either sees it in flight and
+// waits, or flips the state first and it backs out here), hand it to the
+// lane's ring, then settle the accounting for any rejected tail. The
+// in-flight count covers a request from acceptance until the worker
+// finishes it; the same increment is the AsyncCalls count, so acceptance
+// costs one counter RMW for the lot.
+//
+//ppc:hotpath
+func (s *System) asyncOn(sh *shard, ep EntryPointID, argss []Args, program uint32, done chan<- struct{}, deadline int64, lane Lane) (int, error) {
 	// Rejected requests settle their attached payload leases, same
-	// contract as the single-call paths: a whole-batch rejection
-	// releases every entry, a partial acceptance releases the tail.
+	// contract as the synchronous paths: a whole rejection releases every
+	// entry, a partial acceptance releases the tail.
 	e, err := sh.resolve(ep)
 	if err != nil {
 		sh.releaseBatchPayloads(argss)
@@ -204,21 +201,24 @@ func (s *System) asyncBatchOn(sh *shard, ep EntryPointID, argss []Args, program 
 		sh.releaseBatchPayloads(argss)
 		return 0, ErrKilled
 	}
-	n, err := sh.submitBatch(s, svc, argss, program, done, deadline, lane)
+	n, err := sh.submit(s, svc, sh.laneFor(lane, svc), argss, program, done, deadline)
 	if n < len(argss) {
 		svc.unadmit(counters, len(argss)-n)
 		sh.releaseBatchPayloads(argss[n:])
 	}
-	// The ring's copies own the accepted entries' leases; strip the
-	// caller-side descriptor counts so a reused slice cannot release
-	// them again.
+	// The ring's copies own the accepted entries' leases (the worker
+	// settles them at dequeue); strip the caller-side descriptor counts
+	// so a reused block cannot release them again.
 	for i := 0; i < n; i++ {
 		transferPayloads(&argss[i])
 	}
 	if probe && n == 0 {
-		// The whole batch was rejected before reaching the ring: no
-		// request will ever produce worker-side evidence, so the probe
-		// settles here (accepted requests settle at dequeue instead).
+		// Nothing reached the ring: no request will ever produce
+		// worker-side evidence, so the probe settles here or the stripe
+		// sheds until the probe lease expires. Accepted requests settle the
+		// gate at dequeue (recordOutcome / recordTimeout); the exit that
+		// bypasses those — a hard-kill discard — falls back to the probe
+		// lease in gateAdmitSlow.
 		svc.settleProbe(counters, err)
 	}
 	return n, err

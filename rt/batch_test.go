@@ -106,7 +106,7 @@ func TestAsyncBatchBackpressureTail(t *testing.T) {
 	sys := NewSystemShards(1)
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
-	sh.ring.init(2)
+	sh.lanes[0].ring.init(2)
 	sh.submitWait = time.Millisecond
 
 	gate := make(chan struct{})
@@ -221,5 +221,20 @@ func TestNotifyDropsOnAbandonedChannel(t *testing.T) {
 	}
 	if got := handled.Load(); got != 2 {
 		t.Fatalf("handled = %d, want 2", got)
+	}
+}
+
+// TestNewBatchDefaultCapacity: a batch created without a capacity is
+// sized to the ring it flushes into — Options.AsyncQueueCap rounded up to
+// a power of two — so one full batch is one ring's worth, whatever the
+// ring size is.
+func TestNewBatchDefaultCapacity(t *testing.T) {
+	for _, tc := range []struct{ queueCap, want int }{{0, defaultAsyncQueueCap}, {6, 8}, {256, 256}} {
+		sys := NewSystemOptions(Options{Shards: 1, Lanes: 3, AsyncQueueCap: tc.queueCap})
+		b := sys.NewClientOnShard(0).NewBatch(2, 0)
+		if got := cap(b.reqs); got != tc.want {
+			t.Errorf("AsyncQueueCap %d: default batch capacity %d, want %d", tc.queueCap, got, tc.want)
+		}
+		sys.Close()
 	}
 }

@@ -1,5 +1,7 @@
 package rt
 
+import "unsafe"
+
 // Ctx is the handler execution context — the worker's view of a call.
 type Ctx struct {
 	sys *System
@@ -44,7 +46,7 @@ func (c *Ctx) Shard() int { return c.cd.shard.id }
 //
 //ppc:hotpath
 func (c *Ctx) Call(ep EntryPointID, args *Args) error {
-	return c.sys.callOn(c.cd.shard, ep, args, c.svc.epProgram(), false, nil, 0, LaneDefault)
+	return c.sys.callOn(c.cd.shard, ep, args, c.svc.epProgram())
 }
 
 // Client is a caller bound to one shard. Like a process bound to a
@@ -98,29 +100,19 @@ type Client struct {
 }
 
 // NewClient creates a caller identity bound to a shard (round-robin
-// within this System). The modulo runs in uint64 so the round-robin
-// keeps working after the sequence counter wraps (a negative int index
-// would panic in NewClientOnShard).
-func (s *System) NewClient() *Client {
-	return s.NewClientOnShard(int(s.bindSeq.Add(1) % uint64(len(s.shards))))
-}
+// within this System).
+func (s *System) NewClient() *Client { return s.NewClientWith(ClientOptions{Shard: -1}) }
 
 // NewClientOnShard creates a caller bound to an explicit shard.
 func (s *System) NewClientOnShard(shardID int) *Client {
-	if shardID < 0 || shardID >= len(s.shards) {
+	if shardID < 0 {
 		panic("rt: shard out of range")
 	}
-	c := &Client{
-		sys:     s,
-		shard:   &s.shards[shardID],
-		program: s.programs.Add(1),
-	}
-	c.rec = c.shard.reg.register(c, 0)
-	return c
+	return s.NewClientWith(ClientOptions{Shard: shardID})
 }
 
-// ClientOptions configures NewClientWith. The zero value matches
-// NewClient: round-robin shard, default lane, no tenant.
+// ClientOptions configures NewClientWith. The zero value is a client on
+// shard 0 with the default lane and no tenant; Shard: -1 is NewClient.
 type ClientOptions struct {
 	// Shard binds the client to an explicit shard; negative means
 	// round-robin within the System.
@@ -143,7 +135,10 @@ type ClientOptions struct {
 	LivenessEpochs int
 }
 
-// NewClientWith creates a caller with an explicit lane and tenant.
+// NewClientWith creates a caller with an explicit lane and tenant — the
+// one place a Client is constructed and registered. It panics on a shard
+// past the end of the System's. The round-robin modulo runs in uint64 so
+// it keeps working after the sequence counter wraps.
 func (s *System) NewClientWith(o ClientOptions) *Client {
 	shardID := o.Shard
 	if shardID < 0 {
@@ -173,12 +168,19 @@ func (c *Client) Lane() Lane { return c.lane }
 // Tenant returns the client's tenant ID (0: none).
 func (c *Client) Tenant() TenantID { return c.tenant }
 
-// preflight is the client half of every submission, in the order that
+// one views a single argument block as a batch of one: the submission
+// legs are written once, over a slice, and a single call is the slice
+// of length one over the caller's own block.
+func one(args *Args) []Args { return unsafe.Slice(args, 1) }
+
+// preflight is the client half of a synchronous call, in the order that
 // keeps a shed from leaking: claim the attached payload leases out of
 // the ownership record (a shed releases them, and the scavenger must not
 // release them again), then charge the tenant — an over-budget caller is
 // shed having touched only its own shard's bucket line. A call with no
 // payload and no tenant pays one masked load and one predictable branch.
+// The asynchronous entry points run the same two legs over a whole
+// submission (Client.async).
 //
 //ppc:hotpath
 func (c *Client) preflight(args *Args) error {
@@ -188,39 +190,36 @@ func (c *Client) preflight(args *Args) error {
 		}
 	}
 	if c.tenant != 0 {
-		return c.admitTenant(args)
+		return c.admitTenant(one(args))
 	}
 	return nil
 }
 
-// admitTenant is the tenant QoS gate, called with c.tenant != 0: one
-// table load to find the shard's bucket replica and one fetch-add to
-// take a token. An unconfigured tenant admits freely (like a service
-// without a health gate); an empty bucket falls to the catch-up slow
-// path and then sheds with ErrShed, settling any attached payload
-// leases — the same pre-admission contract as every other early
-// rejection.
+// admitTenant is the tenant QoS gate, called with c.tenant != 0 for a
+// submission of len(argss) requests: one table load to find the shard's
+// bucket replica and one fetch-add to take the tokens, all or nothing.
+// An unconfigured tenant admits freely (like a service without a health
+// gate); an empty bucket falls to the catch-up slow path (takeSlowN)
+// and then sheds.
 //
 //ppc:hotpath
 //ppc:rmwbudget(1)
-func (c *Client) admitTenant(args *Args) error {
+func (c *Client) admitTenant(argss []Args) error {
 	b := c.shard.tenantBucketFor(c.tenant)
-	if b == nil || b.take() {
+	if b == nil || b.takeN(int64(len(argss)), &c.shard.clock) {
 		return nil
 	}
-	return c.shard.throttle(b, args)
+	return c.shard.throttle(argss)
 }
 
-// throttle settles a failed tenant admission: catch-up refill and one
-// retry (takeSlow), then the shed.
+// throttle sheds an over-budget submission with ErrShed, settling the
+// payload leases attached to any of it — the same pre-admission contract
+// as every other early rejection.
 //
-//ppc:coldpath -- the tenant is over budget; the call is already failing
-func (sh *shard) throttle(b *tenantBucket, args *Args) error {
-	if b.takeSlow(&sh.clock) {
-		return nil
-	}
-	sh.tenantThrottled.Add(1)
-	sh.releaseArgsPayloads(args)
+//ppc:coldpath -- the tenant is over budget; the submission is already failing
+func (sh *shard) throttle(argss []Args) error {
+	sh.tenantThrottled.Add(int64(len(argss)))
+	sh.releaseBatchPayloads(argss)
 	return ErrShed
 }
 
@@ -374,25 +373,27 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 // use. Semantics are identical to Call.
 //
 //ppc:hotpath
-//ppc:rmwbudget(2) -- callOn's asynchronous admission and its undo; the pooled leg is serviceOne's
+//ppc:rmwbudget(0) -- the pooled leg is callOn's, the opt-in legs preflight's
 func (c *Client) CallPooled(ep EntryPointID, args *Args) error {
 	if err := c.preflight(args); err != nil {
 		return err
 	}
-	return c.sys.callOn(c.shard, ep, args, c.program, false, nil, 0, c.lane)
+	if c.rec.state.Load() != crLive {
+		c.shard.releaseArgsPayloads(args)
+		return ErrClientAbandoned
+	}
+	return c.sys.callOn(c.shard, ep, args, c.program)
 }
 
 // AsyncCall detaches the caller: the request is handed to the shard's
 // worker pool and the caller continues immediately (§4.4). No results
-// are returned.
+// are returned. It is AsyncBatch over a batch of one.
 //
 //ppc:hotpath
-//ppc:rmwbudget(2) -- the admission and its undo; the ring leg is submitAsync's
+//ppc:rmwbudget(1) -- the admission; the ring leg is submit's
 func (c *Client) AsyncCall(ep EntryPointID, args *Args) error {
-	if err := c.preflight(args); err != nil {
-		return err
-	}
-	return c.sys.callOn(c.shard, ep, args, c.program, true, nil, 0, c.lane)
+	_, err := c.async(ep, one(args), nil, 0)
+	return err
 }
 
 // AsyncCallNotify is AsyncCall with a completion notification sent on
@@ -400,10 +401,8 @@ func (c *Client) AsyncCall(ep EntryPointID, args *Args) error {
 //
 //ppc:hotpath
 func (c *Client) AsyncCallNotify(ep EntryPointID, args *Args, done chan<- struct{}) error {
-	if err := c.preflight(args); err != nil {
-		return err
-	}
-	return c.sys.callOn(c.shard, ep, args, c.program, true, done, 0, c.lane)
+	_, err := c.async(ep, one(args), done, 0)
+	return err
 }
 
 // Upcall delivers a software-interrupt-style request (§4.4) from an
@@ -413,7 +412,7 @@ func (s *System) Upcall(shardID int, ep EntryPointID, args *Args) error {
 	if shardID < 0 || shardID >= len(s.shards) {
 		panic("rt: shard out of range")
 	}
-	return s.callOn(&s.shards[shardID], ep, args, 0, false, nil, 0, LaneDefault)
+	return s.callOn(&s.shards[shardID], ep, args, 0)
 }
 
 // runIsolated invokes a handler, converting a panic into a returned
@@ -497,11 +496,17 @@ func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, 
 	return err
 }
 
-// callOn is the pooled fast path (nested calls, upcalls, CallPooled,
-// and all asynchronous submission).
+// callOn is the pooled synchronous core (CallPooled, nested Ctx.Call,
+// Upcall): resolve, gate, admit on the shard's own call stripe
+// (Service.admit) — the pooled path has no descriptor yet when it
+// admits, and a pooled descriptor is whoever's turn it is — then run the
+// request to completion on a descriptor popped for the call. A caller
+// that wins the half-open election carries the probe; every exit
+// settles the gate.
 //
 //ppc:hotpath
-func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32, async bool, done chan<- struct{}, deadline int64, lane Lane) error {
+//ppc:rmwbudget(6) -- admission, pool pop (CAS, link clear), pool push (link, CAS), completion
+func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32) error {
 	// Pre-dispatch error returns settle attached payload leases, same
 	// contract as callHeld.
 	e, err := sh.resolve(ep)
@@ -509,75 +514,15 @@ func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32, 
 		sh.releaseArgsPayloads(args)
 		return err
 	}
-	svc := e.svc
+	svc, counters := e.svc, e.counters
 	probe := false
 	if svc.health != nil {
 		var gerr error
-		if probe, gerr = svc.gateAdmit(e.counters); gerr != nil {
+		if probe, gerr = svc.gateAdmit(counters); gerr != nil {
 			sh.releaseArgsPayloads(args)
 			return gerr
 		}
 	}
-	if async {
-		// Admit the request before handing it to the shard queue:
-		// increment-then-check, so a soft kill either sees this request
-		// in flight and waits for it, or flips the state first and the
-		// request backs out here. The in-flight count covers the request
-		// from acceptance until the worker finishes it; the same
-		// increment is the AsyncCalls count, so acceptance costs one
-		// counter RMW total.
-		counters := e.counters
-		counters.asyncAdm.Add(1)
-		if svc.state.Load() != svcActive {
-			svc.backOutAsync(counters)
-			if probe {
-				svc.settleProbe(counters, ErrKilled)
-			}
-			sh.releaseArgsPayloads(args)
-			return ErrKilled
-		}
-		if err := sh.submitAsync(s, svc, args, program, done, deadline, lane); err != nil {
-			counters.asyncAdm.Add(-1)
-			svc.notifyQuiesce()
-			// A rejected probe submission carries no health evidence and
-			// will never reach a worker; settle the gate here or the
-			// stripe sheds until the probe lease expires.
-			if probe {
-				svc.settleProbe(counters, err)
-			}
-			sh.releaseArgsPayloads(args)
-			return err
-		}
-		// An accepted async probe settles the gate on the worker side
-		// (recordOutcome / recordTimeout at dequeue); the exits that
-		// bypass those — a hard-kill discard — fall back to the probe
-		// lease in gateAdmitSlow.
-		//
-		// The ring slot's copy of args now owns the attached leases (the
-		// worker settles them at dequeue); strip the caller's descriptor
-		// count so this block cannot release them a second time.
-		transferPayloads(args)
-		return nil
-	}
-	return s.serviceOne(sh, e, args, program, probe)
-}
-
-// faultError wraps a recovered handler panic for the caller.
-//
-//ppc:coldpath -- fault wrapping happens only when a handler panicked
-func faultError(fault any) error {
-	return &FaultError{Val: fault}
-}
-
-// serviceOne runs one synchronous request to completion on a pooled
-// descriptor, admitted here (Service.admit) on the shard's own call
-// stripe: the pooled path has no descriptor yet when it admits, and a
-// pooled descriptor is whoever's turn it is. probe marks this call as
-// the health gate's half-open probe; every exit settles the gate.
-//
-//ppc:rmwbudget(6) -- admission, pool pop (CAS, link clear), pool push (link, CAS), completion
-func (s *System) serviceOne(sh *shard, e *epEntry, args *Args, program uint32, probe bool) error {
-	svc, counters := e.svc, e.counters
 	st := &counters.stripe
 	if !svc.admit(st) {
 		if probe {
@@ -589,7 +534,7 @@ func (s *System) serviceOne(sh *shard, e *epEntry, args *Args, program uint32, p
 	defer svc.complete(st)
 
 	cd := sh.popCD(svc.scratchBytes)
-	err := s.dispatch(cd, svc, st, e.h, args, program, false)
+	err = s.dispatch(cd, svc, st, e.h, args, program, false)
 
 	// The scratch buffer is deliberately NOT zeroed before reuse —
 	// serial sharing of "stacks" is the point (§2); trust domains that
@@ -602,6 +547,13 @@ func (s *System) serviceOne(sh *shard, e *epEntry, args *Args, program uint32, p
 		}
 	}
 	return err
+}
+
+// faultError wraps a recovered handler panic for the caller.
+//
+//ppc:coldpath -- fault wrapping happens only when a handler panicked
+func faultError(fault any) error {
+	return &FaultError{Val: fault}
 }
 
 // serviceOneHeld runs one already-admitted async request on a
@@ -619,7 +571,7 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 		// kill waits for queued requests, so svcSoftKilled still runs.)
 		// The discarded request's payload leases settle here — the ring
 		// copy owned them from acceptance.
-		svc.backOutAsync(counters)
+		svc.backOutN(counters, 1)
 		sh.releaseArgsPayloads(args)
 		return ErrKilled
 	}
@@ -642,7 +594,7 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 }
 
 // dispatch authorizes and runs one request on cd with steady-state
-// handler h — the shared core of the pooled (serviceOne), caller-held
+// handler h — the shared core of the pooled (callOn), caller-held
 // (callHeld), and worker-held (serviceOneHeld) paths. Synchronous
 // callers resolve h from their shard's table replica; async workers
 // from the service's authoritative handler slot. st is the stripe the

@@ -616,12 +616,6 @@ func (c *Client) AsyncCallDeadline(ep EntryPointID, args *Args, d time.Duration)
 //
 //ppc:hotpath
 func (c *Client) AsyncCallNotifyDeadline(ep EntryPointID, args *Args, done chan<- struct{}, d time.Duration) error {
-	if err := c.preflight(args); err != nil {
-		return err
-	}
-	var deadline int64
-	if d > 0 {
-		deadline = time.Now().Add(d).UnixNano()
-	}
-	return c.sys.callOn(c.shard, ep, args, c.program, true, done, deadline, c.lane)
+	_, err := c.async(ep, one(args), done, d)
+	return err
 }

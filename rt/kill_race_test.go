@@ -379,7 +379,7 @@ func TestAsyncBackpressure(t *testing.T) {
 	sys := NewSystemShards(1)
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
-	sh.ring.init(2) // the smallest ring (one-slot rings cannot detect fullness)
+	sh.lanes[0].ring.init(2) // the smallest ring (one-slot rings cannot detect fullness)
 	sh.submitWait = time.Millisecond
 
 	gate := make(chan struct{})

@@ -6,26 +6,31 @@ import "sync/atomic"
 //
 // One ring per shard means one latency class: a burst of best-effort
 // traffic queues ahead of a latency-critical request and the shard
-// sheds whoever arrives last, not whoever matters least. Lanes split
-// the shard's async queue into two or three Vyukov rings, one per
-// criticality class, drained by the same worker pool through a
+// sheds whoever arrives last, not whoever matters least. A shard's
+// async queue is therefore an array of one to three Vyukov rings, one
+// per criticality class, drained by the same worker pool through a
 // weighted batched dequeue — the scheduling analogue of criticality-
 // aware arbitration in shared hardware: the shared resource (worker
 // batch quantum) is granted to the highest class with work, and the
 // weight vector bounds how long a lower class can be deferred, so
-// nothing starves.
+// nothing starves. One class is the degenerate case of the same
+// arbiter, not a second datapath: a shard built without Options.Lanes
+// has a one-element array, every request routes to it, and submit,
+// drain, park and stats run the code below over a length of one.
 //
-// Under overload the shedding order follows criticality downward:
+// Under overload the shedding order follows criticality downward
+// (shard.submit):
 //
-//   - A best-effort submission that finds its ring full is shed
-//     IMMEDIATELY with ErrShed — it does not spend the bounded
-//     submit wait, because the whole point of the class split is that
-//     the cheapest traffic is the first to go and the cheapest to
-//     reject.
-//   - Normal and critical submissions keep the single-lane contract:
-//     bounded wait for ring space, then ErrBackpressure. Their rings
-//     drain first (weighted dequeue), so under a best-effort storm
-//     they rarely fill at all — best-effort sheds before normal,
+//   - With two or more lanes, a submission to the lowest one that finds
+//     its ring full is shed IMMEDIATELY with ErrShed — it does not
+//     spend the bounded submit wait, because the whole point of the
+//     class split is that the cheapest traffic is the first to go and
+//     the cheapest to reject.
+//   - Every other ring — the classes above the lowest, and the only
+//     ring of a one-lane shard, which has no cheaper class to shed —
+//     waits a bounded time for space, then ErrBackpressure. The higher
+//     rings drain first (weighted dequeue), so under a best-effort
+//     storm they rarely fill at all — best-effort sheds before normal,
 //     normal before critical.
 //
 // Health gating, deadlines, payload-lease settlement, and kill
@@ -39,17 +44,12 @@ import "sync/atomic"
 // best-effort traffic — the Dekker handshake in the worker re-checks
 // EVERY lane ring before blocking (queuesEmpty), which is what makes
 // the shared doorbell correct.
-//
-// When lanes are not configured (Options.Lanes <= 1) the shard keeps
-// its single ring and the submit/drain paths compile to the previous
-// behavior behind one nil check — the fast path of a lane-free system
-// is the PR 8 fast path.
 
 // Lane names a request's criticality class. The zero value
 // (LaneDefault) defers to the service's configured lane
 // (ServiceConfig.Lane), which itself defaults to LaneNormal — so a
 // system that never mentions lanes runs everything at LaneNormal on
-// the single ring, exactly as before.
+// its one ring.
 type Lane uint8
 
 const (
@@ -128,10 +128,9 @@ type laneRing struct {
 	_    [56]byte
 }
 
-// configureLanes applies Options' lane knobs (called from
-// NewSystemOptions, once per shard, before any traffic). Lanes <= 1
-// leaves the shard single-lane: sh.lanes stays nil and every lane
-// check in the hot paths is one nil comparison.
+// configureLanes builds the shard's lane array from Options (called
+// from NewSystemOptions, once per shard, before any traffic): between
+// one and NumLaneClasses rings of AsyncQueueCap slots each.
 //
 //ppc:coldpath -- construction-time configuration
 func (sh *shard) configureLanes(o Options) {
@@ -139,29 +138,16 @@ func (sh *shard) configureLanes(o Options) {
 	if o.AsyncQueueCap > 0 {
 		cap = o.AsyncQueueCap
 	}
-	sh.ring.init(cap)
-	if o.Lanes <= 1 {
-		return
-	}
-	n := o.Lanes
-	if n > NumLaneClasses {
-		n = NumLaneClasses
-	}
-	sh.lanes = make([]laneRing, n)
+	sh.lanes = make([]laneRing, min(max(o.Lanes, 1), NumLaneClasses))
 	for i := range sh.lanes {
 		sh.lanes[i].ring.init(cap)
-	}
-	sh.laneWeights = defaultLaneWeights
-	for i, w := range o.LaneWeights {
-		if w > 0 {
-			sh.laneWeights[i] = int32(w)
-		}
 	}
 }
 
 // laneFor picks the ring a request enters: the caller's class when it
 // set one, else the service's, clamped to the configured lane count
-// (a 2-lane system maps best-effort onto its lowest lane).
+// (a 2-lane system maps best-effort onto its lowest lane, a one-lane
+// shard maps everything onto its only one).
 //
 //ppc:hotpath
 func (sh *shard) laneFor(clientLane Lane, svc *Service) *laneRing {
@@ -177,14 +163,11 @@ func (sh *shard) laneFor(clientLane Lane, svc *Service) *laneRing {
 }
 
 // queuesEmpty reports whether every async ring is empty — the lane-
-// aware form of ring.empty, used by the worker's spin/park handshake
-// and the supervision safety net. Single-lane shards read one ring.
+// aware form of ring.empty, used by the worker's park handshake and the
+// supervision safety net.
 //
 //ppc:hotpath
 func (sh *shard) queuesEmpty() bool {
-	if sh.lanes == nil {
-		return sh.ring.empty()
-	}
 	for i := range sh.lanes {
 		if !sh.lanes[i].ring.empty() {
 			return false
@@ -198,9 +181,6 @@ func (sh *shard) queuesEmpty() bool {
 //
 //ppc:coldpath -- supervision probe, off the call path
 func (sh *shard) queuesStalled() bool {
-	if sh.lanes == nil {
-		return sh.ring.stalled()
-	}
 	for i := range sh.lanes {
 		if sh.lanes[i].ring.stalled() {
 			return true
@@ -209,18 +189,10 @@ func (sh *shard) queuesStalled() bool {
 	return false
 }
 
-// resetCredits refills a worker's per-lane quantum vector from the
-// shard's weight configuration.
-//
-//ppc:hotpath
-func (sh *shard) resetCredits(credit *[NumLaneClasses]int32) {
-	*credit = sh.laneWeights
-}
-
 // claimWeighted is the weighted batched dequeue: scan lanes in
 // priority order and claim up to min(batch, remaining credit) requests
 // from the first credited lane with published work; when a full scan
-// finds nothing claimable, reset the credits and scan once more (a
+// finds nothing claimable, refill the credits and scan once more (a
 // high-priority lane that exhausted its quantum becomes claimable
 // again only after the scan proved the lower lanes dry or credit-
 // exhausted too — that second pass is what makes the weights a ratio
@@ -244,7 +216,7 @@ func (sh *shard) claimWeighted(credit *[NumLaneClasses]int32, dst []asyncReq) in
 				return n
 			}
 		}
-		sh.resetCredits(credit)
+		*credit = defaultLaneWeights
 	}
 	return 0
 }

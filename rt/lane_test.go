@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,52 +269,85 @@ func TestLaneWeightedDrainOrder(t *testing.T) {
 	}
 }
 
-// TestLaneTwoLaneClamp pins the 2-lane mapping: best-effort clamps to
-// the lowest configured lane, which is the fast-shed lane.
-func TestLaneTwoLaneClamp(t *testing.T) {
-	sys := NewSystemOptions(Options{
-		Shards:               1,
-		Lanes:                2,
-		AsyncQueueCap:        4,
-		WorkerStallThreshold: -1,
-	})
-	defer sys.Close()
-	block := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	svc, err := sys.Bind(ServiceConfig{Name: "l2", Handler: func(ctx *Ctx, args *Args) {
-		if args[0] == 1 {
-			entered <- struct{}{}
-			<-block
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
+// TestLaneCountOverflow runs one overflow against every lane count: a
+// best-effort client fills the ring its class maps to behind a wedged
+// worker and submits once more. With one ring (Lanes 0 or 1) there is no
+// cheaper class to shed, so the one-lane array must never answer
+// ErrShed: the submission waits out the bounded submitWait and fails
+// with ErrBackpressure, and the per-lane views stay zero (the shard's
+// depth is AsyncQueueDepth). With two lanes best-effort clamps onto the
+// lowest configured lane, which is the fast-shed lane; with three it has
+// its own.
+func TestLaneCountOverflow(t *testing.T) {
+	const ringCap, wait = 4, 2 * time.Millisecond
+	for _, tc := range []struct {
+		lanes        int
+		want         error
+		depth        [NumLaneClasses]int
+		shed         [NumLaneClasses]int64
+		backpressure int64
+	}{
+		{lanes: 0, want: ErrBackpressure, backpressure: 1},
+		{lanes: 1, want: ErrBackpressure, backpressure: 1},
+		{lanes: 2, want: ErrShed, depth: [NumLaneClasses]int{1: ringCap}, shed: [NumLaneClasses]int64{1: 1}},
+		{lanes: 3, want: ErrShed, depth: [NumLaneClasses]int{2: ringCap}, shed: [NumLaneClasses]int64{2: 1}},
+	} {
+		t.Run(fmt.Sprintf("Lanes=%d", tc.lanes), func(t *testing.T) {
+			sys := NewSystemOptions(Options{
+				Shards:               1,
+				Lanes:                tc.lanes,
+				AsyncQueueCap:        ringCap,
+				MaxWorkers:           1,
+				WorkerStallThreshold: -1,
+			})
+			defer sys.Close()
+			sys.shards[0].submitWait = wait
+			block := make(chan struct{})
+			entered := make(chan struct{}, 1)
+			svc, err := sys.Bind(ServiceConfig{Name: "overflow", Handler: func(ctx *Ctx, args *Args) {
+				if args[0] == 1 {
+					entered <- struct{}{}
+					<-block
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			crit := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneCritical})
+			be := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneBestEffort})
+			var wedge Args
+			wedge[0] = 1
+			if err := crit.AsyncCall(svc.EP(), &wedge); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			var args Args
+			for i := 0; i < ringCap; i++ {
+				if err := be.AsyncCall(svc.EP(), &args); err != nil {
+					t.Fatalf("fill %d: %v", i, err)
+				}
+			}
+			start := time.Now()
+			err = be.AsyncCall(svc.EP(), &args)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("overflow = %v, want %v", err, tc.want)
+			}
+			if took := time.Since(start); tc.want == ErrBackpressure && took < wait {
+				t.Errorf("ErrBackpressure after %v, before the bounded wait of %v was over", took, wait)
+			}
+			st := sys.Stats()[0]
+			if st.LaneDepth != tc.depth || st.ShedByLane != tc.shed || st.BackpressureRejects != tc.backpressure {
+				t.Errorf("LaneDepth = %v, ShedByLane = %v, BackpressureRejects = %d; want %v, %v, %d",
+					st.LaneDepth, st.ShedByLane, st.BackpressureRejects, tc.depth, tc.shed, tc.backpressure)
+			}
+			if wantCap := ringCap * max(tc.lanes, 1); st.AsyncQueueDepth != ringCap || st.AsyncQueueCap != wantCap {
+				t.Errorf("AsyncQueueDepth = %d, AsyncQueueCap = %d; want %d, %d (sums over the lanes)",
+					st.AsyncQueueDepth, st.AsyncQueueCap, ringCap, wantCap)
+			}
+			close(block)
+			waitCond(t, 2*time.Second, "drained", func() bool { return sys.Stats()[0].AsyncQueueDepth == 0 })
+		})
 	}
-	sys.shards[0].maxWorkers = 1
-	crit := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneCritical})
-	be := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneBestEffort})
-
-	var wedge Args
-	wedge[0] = 1
-	if err := crit.AsyncCall(svc.EP(), &wedge); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	var args Args
-	for i := 0; i < 4; i++ { // normal and best-effort share lane 1
-		if err := be.AsyncCall(svc.EP(), &args); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := be.AsyncCall(svc.EP(), &args); !errors.Is(err, ErrShed) {
-		t.Fatalf("overflowing the lowest of 2 lanes = %v, want ErrShed", err)
-	}
-	st := sys.Stats()[0]
-	if st.LaneDepth[0] != 0 || st.LaneDepth[1] != 4 {
-		t.Fatalf("LaneDepth = %v, want [0 4 0]", st.LaneDepth)
-	}
-	close(block)
-	waitCond(t, 2*time.Second, "drained", func() bool { return sys.Stats()[0].AsyncQueueDepth == 0 })
 }
 
 // TestCooperativeYield: the opt-in per-batch worker yield services
@@ -363,53 +397,6 @@ func TestServiceLaneValidation(t *testing.T) {
 			t.Fatalf("Bind(Lane=%v) = %v", l, err)
 		}
 	}
-}
-
-// TestSingleLaneNoShed pins the lane-free contract: without
-// Options.Lanes the shard keeps one ring and the overflow error stays
-// ErrBackpressure for every client class — ErrShed only exists where a
-// best-effort ring exists.
-func TestSingleLaneNoShed(t *testing.T) {
-	sys := NewSystemOptions(Options{
-		Shards:               1,
-		AsyncQueueCap:        4,
-		WorkerStallThreshold: -1,
-	})
-	defer sys.Close()
-	block := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	svc, err := sys.Bind(ServiceConfig{Name: "single", Handler: func(ctx *Ctx, args *Args) {
-		if args[0] == 1 {
-			entered <- struct{}{}
-			<-block
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.shards[0].maxWorkers = 1
-	be := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneBestEffort})
-	var wedge Args
-	wedge[0] = 1
-	if err := be.AsyncCall(svc.EP(), &wedge); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	var args Args
-	for i := 0; i < 4; i++ {
-		if err := be.AsyncCall(svc.EP(), &args); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := be.AsyncCall(svc.EP(), &args); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("single-lane overflow = %v, want ErrBackpressure", err)
-	}
-	st := sys.Stats()[0]
-	if st.ShedByLane != ([NumLaneClasses]int64{}) {
-		t.Fatalf("ShedByLane = %v on a single-lane shard, want zeros", st.ShedByLane)
-	}
-	close(block)
-	waitCond(t, 2*time.Second, "drained", func() bool { return sys.Stats()[0].AsyncQueueDepth == 0 })
 }
 
 // TestNewClientWith covers the constructor: explicit shard pinning,

@@ -21,7 +21,7 @@ const lineBytes = 64
 
 // TestRingLayout pins the async ring: each cursor owns its own cache
 // line and the struct tiles whole lines so embedding it 64-aligned
-// (shard.ring) preserves the isolation.
+// (laneRing.ring) preserves the isolation.
 func TestRingLayout(t *testing.T) {
 	var r asyncRing
 	if s := unsafe.Sizeof(r); s%lineBytes != 0 {
@@ -316,9 +316,10 @@ func TestBeatLayout(t *testing.T) {
 
 // TestShardLayout pins the shard's hot-field isolation: the pool head,
 // the wake pair, and the submit gate each own a line; the embedded
-// padded structs (ring, clock) start line-aligned so their internal
+// padded structs (clock, arena) start line-aligned so their internal
 // isolation is not sheared; and the whole shard tiles 64 bytes because
-// System.shards is a []shard.
+// System.shards is a []shard. The rings live outside the struct, in the
+// lane array (TestLaneLayout).
 func TestShardLayout(t *testing.T) {
 	var s shard
 	if sz := unsafe.Sizeof(s); sz%lineBytes != 0 {
@@ -332,9 +333,6 @@ func TestShardLayout(t *testing.T) {
 	if lineOf(unsafe.Offsetof(s.tab)) == lineOf(free) {
 		t.Error("free shares its line with the service-table header again")
 	}
-	if off := unsafe.Offsetof(s.ring); off%lineBytes != 0 {
-		t.Errorf("ring at offset %d shears its internal cursor isolation", off)
-	}
 	if off := unsafe.Offsetof(s.clock); off%lineBytes != 0 {
 		t.Errorf("clock at offset %d shears its internal padding", off)
 	}
@@ -345,7 +343,6 @@ func TestShardLayout(t *testing.T) {
 	submitting := lineOf(unsafe.Offsetof(s.submitting))
 	for name, off := range map[string]uintptr{
 		"free":  free,
-		"ring":  unsafe.Offsetof(s.ring),
 		"stop":  unsafe.Offsetof(s.stop),
 		"clock": unsafe.Offsetof(s.clock),
 	} {

@@ -242,10 +242,13 @@ func TestBatchClaimFailsPartWay(t *testing.T) {
 	}
 }
 
-// TestFlushOnDeadClientLeavesLeasesToScavenger: Flush after death
-// submits nothing and claims nothing; the staged leases are still in
-// their slots for the scavenger.
-func TestFlushOnDeadClientLeavesLeasesToScavenger(t *testing.T) {
+// TestFlushOnDeadClientSettlesStagedLeases: Flush after death submits
+// nothing, and the staged leases it can still claim are its own to
+// release, like any other submission rejected before admission (the ones
+// the scavenger reached first are the scavenger's:
+// TestBatchClaimFailsPartWay). Nothing is left filed for a second
+// release.
+func TestFlushOnDeadClientSettlesStagedLeases(t *testing.T) {
 	sys, svc, settled := leaseSystem(t, Options{})
 	c := sys.NewClientOnShard(0)
 	b := c.NewBatch(svc.EP(), 4)
@@ -258,12 +261,13 @@ func TestFlushOnDeadClientLeavesLeasesToScavenger(t *testing.T) {
 	if n, err := b.Flush(); n != 0 || !errors.Is(err, ErrClientAbandoned) || b.Len() != 0 {
 		t.Fatalf("Flush = %d, %v, %d still staged; want 0, ErrClientAbandoned, 0", n, err, b.Len())
 	}
-	if got := leasesActive(sys); got != 3 {
-		t.Fatalf("LeasesActive = %d after the failed Flush, want 3", got)
+	if got := leasesActive(sys); got != 0 || c.rec.holdsLeases() {
+		t.Fatalf("after the failed Flush: LeasesActive = %d, slots occupied = %v; want 0, false", got, c.rec.holdsLeases())
 	}
 	scavengeNow(c)
-	if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ScavengedLeases != 3 || settled.Load() != 0 {
-		t.Fatalf("LeasesActive = %d, ScavengedLeases = %d, settled = %d; want 0, 3, 0", st.LeasesActive, st.ScavengedLeases, settled.Load())
+	if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ScavengedLeases != 0 || settled.Load() != 0 || svc.AsyncCalls() != 0 {
+		t.Fatalf("LeasesActive = %d, ScavengedLeases = %d, settled = %d, AsyncCalls = %d; want all 0",
+			st.LeasesActive, st.ScavengedLeases, settled.Load(), svc.AsyncCalls())
 	}
 }
 

@@ -541,26 +541,6 @@ func (c *Client) claimLost(args *Args, lost int) error {
 	return ErrClientAbandoned
 }
 
-// noteBatchPayloads claims for a batch: the
-// submission the caller is about to make owns every lease attached to
-// any entry. The payload-free warm path is one masked load per entry.
-// When a claim is lost nothing is submitted: the entries already
-// claimed are released, the rest are the scavenger's.
-//
-//ppc:hotpath
-func (c *Client) noteBatchPayloads(argss []Args) error {
-	for i := range argss {
-		if argss[i][OpFlagsWord]&payloadCountMask == 0 {
-			continue
-		}
-		if err := c.consumeArgs(&argss[i]); err != nil {
-			c.shard.releaseBatchPayloads(argss[:i])
-			return err
-		}
-	}
-	return nil
-}
-
 // setProbe publishes (or clears) the probe the client's current call
 // carries. Cold: winning a half-open election is by definition off the
 // healthy path.

@@ -406,3 +406,25 @@ func TestHoldDeclinesOnDeadClient(t *testing.T) {
 		t.Fatalf("dead client acquired a CD: held = %v, heldCDs = %d", c.Held(), sh.heldCDs.Load())
 	}
 }
+
+// TestCallPooledOnDeadClient: the pooled call has no held descriptor to
+// lose, so nothing but its own life check stops an abandoned client from
+// being serviced. The handler must not run, and a lease the call had
+// attached is released once — by the call if it claimed it, by the
+// scavenger otherwise.
+func TestCallPooledOnDeadClient(t *testing.T) {
+	sys, svc, settled := leaseSystem(t, Options{})
+	c := sys.NewClientOnShard(0)
+	var plain, carrying Args
+	carrying.AttachPayload(tagged(t, c, 1))
+	c.Abandon()
+	for _, args := range []*Args{&plain, &carrying} {
+		if err := c.CallPooled(svc.EP(), args); !errors.Is(err, ErrClientAbandoned) {
+			t.Fatalf("CallPooled on an abandoned client: %v", err)
+		}
+	}
+	if svc.Calls() != 0 || settled.Load() != 0 {
+		t.Fatalf("the handler ran for an abandoned client: Calls = %d, %d segments settled", svc.Calls(), settled.Load())
+	}
+	waitCond(t, 2*time.Second, "the attached lease to be released", func() bool { return leasesActive(sys) == 0 })
+}

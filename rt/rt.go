@@ -59,22 +59,27 @@
 //     requests still queued are discarded, not executed.
 //   - Exchange replaces the handler atomically: calls in progress
 //     finish on the old handler; new calls get the new one.
-//   - Asynchronous submission is lock-free and bounded: each shard
-//     owns a fixed-capacity Vyukov-style ring (sequence-numbered
-//     slots) and a capped worker pool. Submission is a ticket CAS
-//     plus an in-place slot write — no channel lock, no scheduler
-//     round trip. Workers drain the ring in batches and park on a
+//   - Asynchronous submission is lock-free, bounded, and one path:
+//     each shard owns an array of one to three fixed-capacity
+//     Vyukov-style rings (sequence-numbered slots), one per criticality
+//     lane (Options.Lanes; one by default), and a capped worker pool.
+//     Every asynchronous entry point — AsyncCall and its Notify and
+//     Deadline forms, AsyncBatch, Batch.Flush — is the same submission
+//     of n requests, a single call being the batch of one: one client
+//     half (lease claim, life check, tenant charge), one admission, one
+//     submitting window, and per request a ticket CAS plus an in-place
+//     slot write — no channel lock, no scheduler round trip, and one
+//     wakeup for the lot (the paper's amortized asynchronous calls,
+//     §4.4). Workers drain the rings in weighted batches and park on a
 //     per-shard doorbell the moment every ring is empty; submitters
 //     ring the doorbell only when a worker is actually parked, so the
-//     steady-state pipeline never enters the scheduler. When the ring
-//     is full and the pool saturated, AsyncCall waits a bounded time
-//     for space and then fails with ErrBackpressure — overload is
-//     surfaced to the overloading submitter (and in ShardStats), never
-//     spread to other submitters as head-of-line blocking.
-//   - Batched submission (Client.AsyncBatch, or a reusable Batch with
-//     Flush) admits once and publishes many slots: one admission
-//     check, one wakeup, n requests — the paper's amortized
-//     asynchronous calls (§4.4).
+//     steady-state pipeline never enters the scheduler. When a ring is
+//     full the same submit loop spins and yields a bounded time for
+//     space and then fails the unaccepted tail with ErrBackpressure —
+//     or, on the lowest of two or more lanes, sheds it at once with
+//     ErrShed. Overload is surfaced to the overloading submitter (and
+//     in ShardStats), never spread to other submitters as head-of-line
+//     blocking.
 //   - Close rejects new asynchronous submissions, lets workers drain
 //     requests already accepted, and joins every worker before
 //     returning, so Stats reports zero AsyncWorkers afterwards.
@@ -558,22 +563,11 @@ func (s *Service) backOut(st *callStripe) {
 	s.notifyQuiesce()
 }
 
-// backOutAsync undoes an asynchronous admission that lost the race
-// with a kill — whether it never reached the queue or was discarded
-// from it by a hard kill.
+// backOutN undoes n asynchronous admissions that lost the race with a
+// kill — a submission that never reached the queue, or a request a hard
+// kill discarded from it: each is counted as a backout.
 //
-//ppc:coldpath -- a kill intervened; the request is already failing
-func (s *Service) backOutAsync(counters *shardCounters) {
-	counters.stripe.backouts.Add(1)
-	counters.asyncAdm.Add(-1)
-	s.notifyQuiesce()
-}
-
-// backOutN undoes a batch admission that lost the race with a kill:
-// every request in the batch is counted as a backout, exactly as n
-// single-call back-outs would be.
-//
-//ppc:coldpath -- a kill intervened; the batch is already failing
+//ppc:coldpath -- a kill intervened; the requests are already failing
 func (s *Service) backOutN(counters *shardCounters, n int) {
 	counters.stripe.backouts.Add(int64(n))
 	counters.asyncAdm.Add(-int64(n))
@@ -581,10 +575,10 @@ func (s *Service) backOutN(counters *shardCounters, n int) {
 }
 
 // unadmit releases the in-flight admissions of requests a shard
-// rejected (backpressure or close). They were never accepted, so they
-// are not kill backouts — mirroring the single-call rejection path.
+// rejected (backpressure, shed or close). They were never accepted, so
+// they are not kill backouts.
 //
-//ppc:coldpath -- runs only when the shard rejected part of a batch
+//ppc:coldpath -- runs only when the shard rejected part of a submission
 func (s *Service) unadmit(counters *shardCounters, n int) {
 	counters.asyncAdm.Add(-int64(n))
 	s.notifyQuiesce()
@@ -696,22 +690,15 @@ type Options struct {
 	// inline. Payload descriptors and arena-backed zero-copy segments
 	// (AllocPayload) are unaffected either way.
 	OffloadThreshold int
-	// Lanes is the number of async priority lanes per shard (lane.go).
-	// 0 or 1 keeps the single ring — the lane-free fast path, bit-for-
-	// bit the previous behavior. 2 or 3 splits the shard's async queue
-	// into per-criticality Vyukov rings with weighted batched dequeue
-	// and criticality-ordered shedding; values above NumLaneClasses
-	// clamp to it.
+	// Lanes is the number of async priority lanes per shard (lane.go),
+	// clamped to [1, NumLaneClasses]. 0 or 1 builds one ring: every
+	// request shares it and a full ring is ErrBackpressure after the
+	// bounded wait, never ErrShed. 2 or 3 gives each criticality class
+	// its own Vyukov ring, with weighted batched dequeue (16:4:1 from
+	// the top class down) and criticality-ordered shedding.
 	Lanes int
-	// LaneWeights overrides the per-lane drain quanta, indexed by
-	// priority (0 critical, 1 normal, 2 best-effort): a worker grants
-	// up to LaneWeights[i] requests to lane i before falling to the
-	// next class. Zero or negative entries keep that lane's default
-	// (defaultLaneWeights: 16/4/1). Ignored unless Lanes >= 2.
-	LaneWeights [NumLaneClasses]int
-	// AsyncQueueCap sizes each async ring — the single ring, or each
-	// lane's ring when Lanes >= 2 (default defaultAsyncQueueCap,
-	// rounded up to a power of two).
+	// AsyncQueueCap sizes each lane's ring (default
+	// defaultAsyncQueueCap, rounded up to a power of two).
 	AsyncQueueCap int
 	// MaxWorkers bounds each shard's async worker pool (default
 	// defaultMaxWorkers). On a box with fewer processors than workers,

@@ -35,9 +35,8 @@ const defaultNotifyWait = 100 * time.Millisecond
 const asyncBatchSize = 16
 
 // submitFullSpins is how many read-only push retries a submitter makes
-// against a full ring between yields (submitSlow, submitBatchSlow): a
-// draining worker frees a whole batch of slots in well under a
-// scheduler round trip.
+// against a full ring between yields (submit): a draining worker frees a
+// whole batch of slots in well under a scheduler round trip.
 const submitFullSpins = 128
 
 // closePollInterval paces close's wait for in-progress submissions on
@@ -204,15 +203,6 @@ type shard struct {
 	free atomic.Pointer[callDesc]
 	_    [56]byte
 
-	// ring feeds the shard's dynamically-created async workers (§4.4:
-	// asynchronous requests detach the caller; §2: workers are created
-	// as needed). Submission is a ticket CAS plus an in-place slot
-	// write — no channel lock, no scheduler round trip. 64-aligned so
-	// the ring's internal cursor isolation is not sheared.
-	//
-	//ppc:shard-owned
-	ring asyncRing
-
 	// doorbell wakes a parked worker. Submitters ring it only when
 	// parked is nonzero, so the steady-state pipeline never touches it;
 	// the buffer of one coalesces rings (a pending token means a wakeup
@@ -302,27 +292,28 @@ type shard struct {
 	qMu    sync.Mutex // guards worker spawn vs close — never on the submit fast path
 	wg     sync.WaitGroup
 
-	// Priority lanes (lane.go): lanes is non-nil iff Options.Lanes >= 2
-	// — every lane check on the hot paths is that one nil comparison.
-	// The slice header and the weight vector are read-only after
-	// construction. Tenant admission (tenant.go): tenants is the
-	// per-shard bucket table (atomic pointers, published by
-	// ConfigureTenant under System.mu), tenantList the watchdog's flat
-	// refill list, tenantThrottled the budget-shed count. All
-	// read-mostly or cold-RMW; the block is sized to two whole lines so
-	// the arena below keeps its 64-alignment.
+	// lanes holds the shard's async rings, one per criticality class
+	// (lane.go): always at least one, so a shard built without
+	// Options.Lanes is the one-lane case of the same array, not a second
+	// layout. The rings feed the dynamically-created async workers (§4.4:
+	// asynchronous requests detach the caller; §2: workers are created as
+	// needed). The slice header is read-only after construction. Tenant
+	// admission (tenant.go): tenants is the per-shard bucket table (atomic
+	// pointers, published by ConfigureTenant under System.mu), tenantList
+	// the watchdog's flat refill list, tenantThrottled the budget-shed
+	// count. All read-mostly or cold-RMW; the block is sized to two whole
+	// lines so the arena below keeps its 64-alignment.
 	lanes   []laneRing
 	tenants []atomic.Pointer[tenantBucket]
 	//ppc:atomic
 	tenantList atomic.Pointer[[]*tenantBucket]
 	//ppc:atomic
 	tenantThrottled atomic.Int64
-	laneWeights     [NumLaneClasses]int32
 	// yieldPerBatch: Options.CooperativeYield — the worker cedes the P
 	// once per serviced batch so sleeping submitters can publish.
 	// Read-only after construction, like the rest of this block.
 	yieldPerBatch bool
-	_             [51]byte // fill the lane/tenant block to 128 bytes
+	_             [63]byte // fill the lane/tenant block to 128 bytes
 
 	// arena is the shard's payload arena (arena.go) and offload its
 	// copy-staging lane (offload.go). Warm payload traffic only *loads*
@@ -366,7 +357,6 @@ func (r *asyncReq) clearRefs() {
 func (sh *shard) init(id int) {
 	sh.id = id
 	sh.tab = make([]atomic.Pointer[epEntry], MaxEntryPoints)
-	sh.ring.init(defaultAsyncQueueCap) // configureLanes may re-init with Options' capacity
 	sh.doorbell = make(chan struct{}, 1)
 	sh.stop = make(chan struct{})
 	sh.maxWorkers = defaultMaxWorkers
@@ -507,106 +497,107 @@ func (sh *shard) poolSize() int {
 	return n
 }
 
-// submitAsync hands a request to the shard's async workers: one atomic
-// closed-check, one ring push (ticket CAS + slot write), and a wake
-// that in the steady state is two atomic loads. No locks, no channel
-// internals, no scheduler transit. When the ring is full, the slow
-// half grows the worker pool and waits a bounded time for space before
-// reporting ErrBackpressure — overload is reported to the one
-// overloading submitter instead of head-of-line-blocking every other
-// submitter (and Close) behind a held lock.
+// submit publishes argss on lr under one submitting window: one
+// closed-check, one ring push (ticket CAS + slot write) per request, and
+// one wake — in the steady state two atomic loads — for all of them: the
+// §4.4 amortized asynchronous call, of which a single submission is the
+// batch of one. No locks, no channel internals, no scheduler transit.
+// Admission accounting (in-flight counts, kill back-outs) is the
+// caller's; submit reports how many leading requests the ring accepted
+// and, when that is not all of them, why the rest were refused.
+//
+// A refused push continues the same loop: the lowest of two or more
+// lanes sheds its tail at once (ErrShed) — criticality-ordered shedding
+// spends no bounded wait on the traffic that is first to go — and every
+// other ring, the one-lane shard's included, spins and yields for space
+// up to submitWait (ringFull) before reporting ErrBackpressure, so
+// overload is reported to the one overloading submitter instead of
+// head-of-line-blocking everyone else (and Close) behind a held lock.
+// Classes above the lowest drain first, so best-effort sheds before
+// normal, normal before critical.
 //
 //ppc:hotpath
-//ppc:rmwbudget(6) -- the submitting window (2), a rejection's count (2), the slot claim and publish (2)
-func (sh *shard) submitAsync(sys *System, svc *Service, args *Args, prog uint32, done chan<- struct{}, deadline int64, lane Lane) error {
-	sh.submitting.Add(1)
-	defer sh.submitting.Add(-1)
-	if sh.closed.Load() {
-		return ErrClosed
-	}
-	if err := sys.fireFault(FaultSiteSubmit); err != nil {
-		sh.backpressure.Add(1)
-		return ErrBackpressure
-	}
-	if sh.lanes == nil {
-		// Single-lane fast path: identical to the lane-free system.
-		if sh.ring.push(sys, svc, args, prog, done, deadline) {
-			sh.wake(sys)
-			return nil
-		}
-		return sh.submitSlow(&sh.ring, nil, sys, svc, args, prog, done, deadline)
-	}
-	lr := sh.laneFor(lane, svc)
-	if lr.ring.push(sys, svc, args, prog, done, deadline) {
-		sh.wake(sys)
-		return nil
-	}
-	if lr == &sh.lanes[len(sh.lanes)-1] {
-		// Criticality-ordered shedding: the lowest class is shed the
-		// moment its ring fills — no bounded wait spent on the traffic
-		// that is first to go. Classes above it keep the single-lane
-		// contract (bounded wait, then ErrBackpressure) and their rings
-		// drain first, so best-effort sheds before normal, normal
-		// before critical.
-		lr.shed.Add(1)
-		return ErrShed
-	}
-	return sh.submitSlow(&lr.ring, &lr.shed, sys, svc, args, prog, done, deadline)
-}
-
-// submitBatch publishes a whole batch of requests for svc under a
-// single submitting window: one closed-check and one wake amortized
-// over every slot — the §4.4 amortized-async analogue. Admission
-// accounting (in-flight counts, kill backouts) is the caller's
-// responsibility; submitBatch reports how many requests the ring
-// accepted. On a full ring it falls to the bounded slow half for the
-// remainder.
-//
-//ppc:hotpath
-//ppc:rmwbudget(6) -- the submitting window (2), a rejection's count (2), the slot claim and publish (2)
-func (sh *shard) submitBatch(sys *System, svc *Service, argss []Args, program uint32, done chan<- struct{}, deadline int64, lane Lane) (int, error) {
+//ppc:rmwbudget(6) -- the submitting window (2), the slot claim and publish (2), a rejection's two counts (2)
+func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, prog uint32, done chan<- struct{}, deadline int64) (int, error) {
 	sh.submitting.Add(1)
 	defer sh.submitting.Add(-1)
 	if sh.closed.Load() {
 		return 0, ErrClosed
 	}
-	if err := sys.fireFault(FaultSiteSubmit); err != nil {
-		sh.backpressure.Add(1)
-		return 0, ErrBackpressure
+	err := sys.fireFault(FaultSiteSubmit)
+	if err != nil {
+		err = ErrBackpressure // injected: refused before the ring is tried
 	}
-	r, shed := &sh.ring, (*atomic.Int64)(nil)
-	if sh.lanes != nil {
-		lr := sh.laneFor(lane, svc)
-		r = &lr.ring
-		if lr == &sh.lanes[len(sh.lanes)-1] {
-			shed = &lr.shed
-			// Best-effort batches shed their tail immediately on a full
-			// ring, same criticality-ordered contract as submitAsync.
-			n := 0
-			for i := range argss {
-				if !r.push(sys, svc, &argss[i], program, done, deadline) {
-					shed.Add(int64(len(argss) - n))
-					if n > 0 {
-						sh.wake(sys)
-					}
-					return n, ErrShed
-				}
-				n++
-			}
-			sh.wake(sys)
-			return n, nil
+	n, full := 0, false
+	var waitUntil int64     // the bounded wait's end; 0 until the ring first refuses
+	spun := submitFullSpins // so the first refusal opens the wait before it spins
+	for err == nil && n < len(argss) {
+		if lr.ring.push(sys, svc, &argss[n], prog, done, deadline) {
+			n++
+			continue
 		}
-		shed = &lr.shed
-	}
-	n := 0
-	for i := range argss {
-		if !r.push(sys, svc, &argss[i], program, done, deadline) {
-			return sh.submitBatchSlow(r, shed, sys, svc, argss[i:], program, done, deadline, n)
+		full = true
+		switch {
+		case len(sh.lanes) > 1 && lr == &sh.lanes[len(sh.lanes)-1]:
+			err = ErrShed // the lowest of several lanes sheds at once
+		case spun < submitFullSpins:
+			// Retrying a push against a full ring is read-only (a seq load
+			// finds the slot still occupied, no CAS), so spin a bounded
+			// burst between yields — a draining worker frees a whole batch
+			// of slots in well under a park/unpark round trip.
+			spun++
+		case sh.ringFull(sys, &waitUntil):
+			spun = 0
+		default:
+			err = ErrBackpressure
 		}
-		n++
 	}
-	sh.wake(sys)
-	return n, nil
+	if n > 0 {
+		sh.wake(sys)
+	}
+	if err != nil {
+		// The one place a refusal is counted: a bounded wait that ran out
+		// (or an injected one) is a backpressure event, and what a full
+		// ring turned away is charged to its lane.
+		if err == ErrBackpressure {
+			sh.backpressure.Add(1)
+		}
+		if full {
+			lr.shed.Add(int64(len(argss) - n))
+		}
+	}
+	return n, err
+}
+
+// ringFull is the step submit's push loop takes once per spin epoch
+// against a full ring. The first time it opens the bounded wait: ring
+// the doorbell (whatever fills the ring is runnable, the head of this
+// very batch included), grow the worker pool if it has headroom
+// (spawnWorker refuses at maxWorkers), and set the deadline. After that
+// it reports false once the deadline has passed and otherwise yields
+// rather than sleeps: a timer sleep's real granularity (tens of
+// microseconds) would gate saturated throughput, while Gosched hands the
+// processor straight to the draining worker and the loop retries the
+// moment slots free up. One real clock read per epoch, not per retry,
+// and each read feeds the shard's shared coarse clock (the same word
+// the wheel tick and the batch drain use). The refresh — not a cached
+// read — is what keeps close's wait on submitting live: a frozen clock
+// could never observe the submit deadline passing.
+//
+//ppc:coldpath -- overload handling: the ring is full, the caller is already paying
+func (sh *shard) ringFull(sys *System, waitUntil *int64) bool {
+	now := sh.clock.refresh()
+	if *waitUntil == 0 {
+		sh.wake(sys)
+		sh.spawnWorker(sys)
+		*waitUntil = now + int64(sh.submitWait)
+		return true
+	}
+	if now > *waitUntil {
+		return false
+	}
+	runtime.Gosched()
+	return true
 }
 
 // wake makes freshly-published work visible to a worker: spawn the
@@ -626,87 +617,6 @@ func (sh *shard) wake(sys *System) {
 		default: // a token is already pending; the wakeup is owed
 		}
 	}
-}
-
-// submitSlow is the ring-full half of submitAsync: grow the worker
-// pool if it has headroom (spawnWorker refuses at maxWorkers), then
-// retry for a bounded time before reporting backpressure. The retry
-// yields rather than sleeps: a timer sleep's real granularity (tens of
-// microseconds) would gate saturated throughput, while Gosched hands
-// the processor straight to the draining worker and retries the moment
-// slots free up.
-//
-//ppc:coldpath -- overload handling: the ring is full, the caller is already paying
-func (sh *shard) submitSlow(r *asyncRing, shed *atomic.Int64, sys *System, svc *Service, args *Args, prog uint32, done chan<- struct{}, reqDeadline int64) error {
-	sh.spawnWorker(sys)
-	// One real clock read per spin *epoch*, not per iteration, and each
-	// read feeds the shard's shared coarse clock (the same word the
-	// wheel tick and the batch drain use). The refresh — not a cached
-	// read — is what keeps close's wait on submitting live: a frozen
-	// clock could never observe the submit deadline passing.
-	deadline := sh.clock.refresh() + int64(sh.submitWait)
-	spun := 0
-	for {
-		if r.push(sys, svc, args, prog, done, reqDeadline) {
-			sh.wake(sys)
-			return nil
-		}
-		// Retrying a push against a full ring is read-only (a seq load
-		// finds the slot still occupied, no CAS), so spin a bounded
-		// burst first — a draining worker frees a whole batch of slots
-		// in well under a park/unpark round trip.
-		if spun < submitFullSpins {
-			spun++
-			continue
-		}
-		if sh.clock.refresh() > deadline {
-			sh.backpressure.Add(1)
-			if shed != nil {
-				shed.Add(1)
-			}
-			return ErrBackpressure
-		}
-		runtime.Gosched()
-		spun = 0
-	}
-}
-
-// submitBatchSlow finishes a batch that filled the ring: wake the
-// drain side, grow the worker pool, and push the remainder under the
-// same bounded wait as submitSlow. Returns the total accepted count;
-// requests past the deadline are rejected as one backpressure event.
-//
-//ppc:coldpath -- overload handling for the batch tail
-func (sh *shard) submitBatchSlow(r *asyncRing, shed *atomic.Int64, sys *System, svc *Service, rest []Args, program uint32, done chan<- struct{}, reqDeadline int64, accepted int) (int, error) {
-	sh.wake(sys) // the already-published head of the batch is runnable
-	sh.spawnWorker(sys)
-	// Same coarse-clock discipline as submitSlow: one refresh per spin
-	// epoch, shared into the wheel's clock word.
-	deadline := sh.clock.refresh() + int64(sh.submitWait)
-	spun := 0
-	for i := range rest {
-		for !r.push(sys, svc, &rest[i], program, done, reqDeadline) {
-			// Same spin-then-yield as submitSlow: the retry is read-only
-			// against a full ring, and a batch drain frees slots faster
-			// than a scheduler round trip.
-			if spun < submitFullSpins {
-				spun++
-				continue
-			}
-			if sh.clock.refresh() > deadline {
-				sh.backpressure.Add(1)
-				if shed != nil {
-					shed.Add(int64(len(rest) - i))
-				}
-				return accepted, ErrBackpressure
-			}
-			runtime.Gosched()
-			spun = 0
-		}
-		accepted++
-	}
-	sh.wake(sys)
-	return accepted, nil
 }
 
 // spawnWorker starts one async worker unless the pool is at its cap or
@@ -758,12 +668,8 @@ func (sh *shard) workerLoop(sys *System) {
 	}()
 	var batch [asyncBatchSize]asyncReq
 	// credit is the worker's private copy of the lane quantum vector
-	// (claimWeighted decrements and resets it); unused on a single-lane
-	// shard.
-	var credit [NumLaneClasses]int32
-	if sh.lanes != nil {
-		sh.resetCredits(&credit)
-	}
+	// (claimWeighted decrements and refills it).
+	credit := defaultLaneWeights
 	var seq uint64
 	for {
 		// Retire tokens convert revoked stall compensations back into the
@@ -772,13 +678,7 @@ func (sh *shard) workerLoop(sys *System) {
 		if sh.tryRetire() {
 			return
 		}
-		var n int
-		if sh.lanes == nil {
-			n = sh.ring.popBatch(batch[:])
-		} else {
-			n = sh.claimWeighted(&credit, batch[:])
-		}
-		if n > 0 {
+		if n := sh.claimWeighted(&credit, batch[:]); n > 0 {
 			// Heartbeat: one plain store on a worker-private line per
 			// batch, not per request — the watchdog's whole warm-path tax.
 			if beat != nil {
@@ -856,14 +756,9 @@ func (sh *shard) drainRing(r *asyncRing, sys *System, cd *callDesc, batch []asyn
 	}
 }
 
-// drainAll drains every async ring — the single ring, or each lane in
-// priority order (the order is cosmetic during a drain: everything
-// accepted is serviced either way).
+// drainAll drains every lane's ring in priority order (the order is
+// cosmetic during a drain: everything accepted is serviced either way).
 func (sh *shard) drainAll(sys *System, cd *callDesc, batch []asyncReq) {
-	if sh.lanes == nil {
-		sh.drainRing(&sh.ring, sys, cd, batch)
-		return
-	}
 	for i := range sh.lanes {
 		sh.drainRing(&sh.lanes[i].ring, sys, cd, batch)
 	}
@@ -953,8 +848,6 @@ func (sh *shard) stats(i int) ShardStats {
 		HeldCDs:               sh.heldCDs.Load(),
 		AsyncWorkers:          sh.workers.Load(),
 		WorkerExits:           sh.workerExits.Load(),
-		AsyncQueueDepth:       sh.ring.length(),
-		AsyncQueueCap:         sh.ring.capacity(),
 		BackpressureRejects:   sh.backpressure.Load(),
 		NotifyDrops:           sh.notifyDrops.Load(),
 		StuckWorkers:          sh.stuckWorkers.Load(),
@@ -974,13 +867,16 @@ func (sh *shard) stats(i int) ShardStats {
 		st.ScavengedLeases = reg.scavLeases.Load()
 		st.TombstonedCompletions = reg.tombstoned.Load()
 	}
-	if sh.lanes != nil {
-		st.AsyncQueueDepth, st.AsyncQueueCap = 0, 0
-		for l := range sh.lanes {
-			st.LaneDepth[l] = sh.lanes[l].ring.length()
+	for l := range sh.lanes {
+		depth := sh.lanes[l].ring.length()
+		st.AsyncQueueDepth += depth
+		st.AsyncQueueCap += sh.lanes[l].ring.capacity()
+		if len(sh.lanes) > 1 {
+			// The per-class views exist only where classes do: a one-lane
+			// shard's depth is AsyncQueueDepth, its rejections
+			// BackpressureRejects.
+			st.LaneDepth[l] = depth
 			st.ShedByLane[l] = sh.lanes[l].shed.Load()
-			st.AsyncQueueDepth += st.LaneDepth[l]
-			st.AsyncQueueCap += sh.lanes[l].ring.capacity()
 		}
 	}
 	return st

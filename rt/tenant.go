@@ -16,13 +16,13 @@ import (
 // Design rules, same as the health gate's:
 //
 //   - The warm admitted path is one fetch-add on the tenant's token
-//     word (take) — no lock, no clock read, no allocation. ppclint's
+//     word (takeN) — no lock, no clock read, no allocation. ppclint's
 //     hot-path analyzer checks this.
 //   - Refill is driven from the watchdog's coarse clock: the shard's
 //     supervision loop already ticks every few milliseconds, and one
 //     pass over the configured buckets per tick credits tokens by
 //     whole refill intervals. The call path never pays for the clock.
-//   - The throttled path (takeSlow) does its own catch-up refill from
+//   - The throttled path (takeSlowN) does its own catch-up refill from
 //     a fresh clock reading before giving up, so admission is correct
 //     even when no watchdog is running (a sync-only system never
 //     spawns one) — the ticker is an optimization, not a dependency.
@@ -67,9 +67,9 @@ type TenantConfig struct {
 //
 //ppc:padded
 type tenantBucket struct {
-	// tokens is the remaining admission credit. take decrements;
+	// tokens is the remaining admission credit. takeN decrements;
 	// refill clamps it back up toward burst. It may transiently dip
-	// below zero (a failed take adds its decrement back).
+	// below zero (a failed takeN adds its decrement back).
 	//
 	//ppc:atomic
 	//ppc:hotline
@@ -92,26 +92,16 @@ type tenantBucket struct {
 	_        [48]byte // tile to 3 lines
 }
 
-// take is the warm admission check: one fetch-add. A negative result
-// means the bucket was out of credit; the caller undoes the decrement
-// on the slow path.
+// takeN is the warm admission check for a submission of n requests —
+// one call, or a whole batch charged at once: one fetch-add. The batch
+// is admitted whole or not at all — a half-admitted batch would make
+// Flush's accepted count lie about which requests were throttled. A
+// negative result means the bucket was out of credit; the slow half
+// settles it.
 //
 //ppc:hotpath
-func (b *tenantBucket) take() bool {
-	return b.tokens.Add(-1) >= 0
-}
-
-// takeN charges n tokens at once (batch admission): the whole batch is
-// admitted or none of it is — a half-admitted batch would make Flush's
-// accepted count lie about which requests were throttled.
-//
-//ppc:hotpath
-func (b *tenantBucket) takeN(n int64) bool {
-	if b.tokens.Add(-n) >= 0 {
-		return true
-	}
-	b.tokens.Add(n)
-	return false
+func (b *tenantBucket) takeN(n int64, clock *coarseClock) bool {
+	return b.tokens.Add(-n) >= 0 || b.takeSlowN(n, clock)
 }
 
 // refill credits tokens for the whole intervals elapsed since the last
@@ -152,47 +142,20 @@ func (b *tenantBucket) refill(now int64) {
 	}
 }
 
-// takeSlow is the out-of-credit path: undo the optimistic decrement,
+// takeSlowN is the out-of-credit path: undo the optimistic decrement,
 // run a catch-up refill from a fresh clock reading (so admission does
 // not depend on the watchdog ticker running), and retry once. A false
 // return is a real budget violation — the caller sheds with ErrShed.
 //
-//ppc:coldpath -- the tenant is over budget; the call is already failing
-func (b *tenantBucket) takeSlow(clock *coarseClock) bool {
-	b.tokens.Add(1)
+//ppc:coldpath -- the tenant is over budget; the submission is already failing
+func (b *tenantBucket) takeSlowN(n int64, clock *coarseClock) bool {
+	b.tokens.Add(n)
 	b.refill(clock.refresh())
-	if b.tokens.Add(-1) >= 0 {
+	if b.tokens.Add(-n) >= 0 {
 		return true
 	}
-	b.tokens.Add(1)
+	b.tokens.Add(n)
 	return false
-}
-
-// credit returns n tokens to the bucket (a charged submission backed
-// out before admission — e.g. a batch flush that found its client dead
-// after the tenant charge), clamping to burst the same way refill
-// does.
-//
-//ppc:coldpath -- abort-path refund, off the warm admission path
-func (b *tenantBucket) credit(n int64) {
-	for {
-		cur := b.tokens.Load()
-		next := cur + n
-		if next > b.burst {
-			next = b.burst
-		}
-		if next == cur || b.tokens.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// takeSlowN is takeSlow for batch admission.
-//
-//ppc:coldpath -- the tenant is over budget; the batch is already failing
-func (b *tenantBucket) takeSlowN(n int64, clock *coarseClock) bool {
-	b.refill(clock.refresh())
-	return b.takeN(n)
 }
 
 // ConfigureTenant installs (or replaces) tenant id's admission budget:

@@ -98,7 +98,7 @@ func TestTenantUnconfiguredID(t *testing.T) {
 
 // TestTenantRefill pins the refill path: once the bucket is drained, a
 // throttled caller earns admission back at the configured rate — via
-// the takeSlow catch-up refill, so the test holds even before any
+// the takeSlowN catch-up refill, so the test holds even before any
 // watchdog tick lands.
 func TestTenantRefill(t *testing.T) {
 	sys := NewSystemShards(1)
@@ -226,7 +226,7 @@ func TestTenantShedReleasesPayload(t *testing.T) {
 
 // TestTenantWatchdogRefill: with a watchdog running, buckets are
 // credited from the supervision tick alone — no caller needs to hit
-// the takeSlow path for the budget to recover.
+// the takeSlowN path for the budget to recover.
 func TestTenantWatchdogRefill(t *testing.T) {
 	sys := NewSystemOptions(Options{
 		Shards:           1,
@@ -250,9 +250,9 @@ func TestTenantWatchdogRefill(t *testing.T) {
 	if b == nil {
 		t.Fatal("no bucket on shard 0")
 	}
-	for b.take() {
+	for b.tokens.Add(-1) >= 0 {
 	}
-	b.tokens.Add(1) // undo the failed optimistic decrement
+	b.tokens.Add(1) // undo the failed decrement
 	waitCond(t, time.Second, "watchdog refilled the bucket", func() bool {
 		return b.tokens.Load() > 0
 	})

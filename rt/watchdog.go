@@ -364,7 +364,7 @@ func (sh *shard) superviseTick(sys *System, last []uint64, stuckTicks []int, stu
 				// permanently). If the worker won, its minted retire
 				// token has no replacement to retire and one pool worker
 				// exits early; the pool respawns on demand (wake /
-				// submitSlow), so that is a transient, not a leak.
+				// shard.submit), so that is a transient, not a leak.
 				if b.compensated.Swap(false) {
 					sh.extraGrant.Add(-1)
 				}
