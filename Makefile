@@ -17,12 +17,13 @@ test:
 
 # Race detector over the concurrency-sensitive packages (CI matrix),
 # then the two goroutine handoffs (deadline executor, async doorbell)
-# at 1, 2 and 4 Ps: they have one path on every P count, and -cpu
-# overrides the GOMAXPROCS pin for that run.
+# and the two every-exit identity tables at 1, 2 and 4 Ps: they have one
+# path on every P count, and -cpu overrides the GOMAXPROCS pin for that
+# run.
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity' ./rt
 
 vet:
 	$(GO) vet ./...

@@ -1,8 +1,10 @@
-package rt
+package rtbench
 
 import (
 	"sync"
 	"time"
+
+	"hurricane/rt"
 )
 
 // This file implements the designs the paper argues against, as
@@ -10,47 +12,65 @@ import (
 // takes one mutex and touches shared state — the direct uniprocessor
 // translation) and a channel server (every call is a message exchange
 // with a fixed pool of server goroutines — a message-passing facility).
-// Both are functionally equivalent to System.Call.
+// Both are functionally equivalent to rt's Client.Call for a handler
+// that works on its argument block alone: the handler context they pass
+// carries the caller's program and nothing else.
+
+// Defaults shared with rt's (rt/shard.go).
+const (
+	baselineScratchBytes = 4096
+	baselineQueueCap     = 64
+	baselineSubmitWait   = time.Millisecond
+)
+
+// baseDesc is a baseline's call descriptor: a handler context and the
+// scratch buffer successive calls serially share.
+type baseDesc struct {
+	ctx     rt.Ctx
+	scratch []byte
+}
+
+func newBaseDesc(scratchBytes int) *baseDesc {
+	return &baseDesc{scratch: make([]byte, scratchBytes)}
+}
 
 // CentralServer is the locked baseline: one mutex, one shared
 // descriptor pool, shared counters. Its sequential cost is close to
 // the PPC-style path; its scaling is not.
 type CentralServer struct {
 	mu       sync.Mutex
-	handler  Handler
-	free     []*callDesc
+	handler  rt.Handler
+	free     []*baseDesc
 	calls    int64
 	scratchN int
 }
 
 // NewCentralServer creates the locked baseline around a handler.
-func NewCentralServer(h Handler, scratchBytes int) *CentralServer {
+func NewCentralServer(h rt.Handler, scratchBytes int) *CentralServer {
 	if h == nil {
-		panic("rt: nil handler")
+		panic("rtbench: nil handler")
 	}
 	if scratchBytes <= 0 {
-		scratchBytes = defaultScratchBytes
+		scratchBytes = baselineScratchBytes
 	}
 	return &CentralServer{handler: h, scratchN: scratchBytes}
 }
 
 // Call services one request under the central lock.
-func (cs *CentralServer) Call(program uint32, args *Args) {
+func (cs *CentralServer) Call(program uint32, args *rt.Args) {
 	cs.mu.Lock()
-	var cd *callDesc
+	var cd *baseDesc
 	if n := len(cs.free); n > 0 {
 		cd = cs.free[n-1]
 		cs.free = cs.free[:n-1]
 	} else {
-		cd = &callDesc{scratch: make([]byte, cs.scratchN)}
+		cd = newBaseDesc(cs.scratchN)
 	}
 	cs.calls++
 	cs.mu.Unlock()
 
-	ctx := &cd.ctx
-	ctx.cd = cd
-	ctx.CallerProgram = program
-	cs.handler(ctx, args)
+	cd.ctx.CallerProgram = program
+	cs.handler(&cd.ctx, args)
 
 	cs.mu.Lock()
 	cs.free = append(cs.free, cd)
@@ -71,20 +91,20 @@ func (cs *CentralServer) Calls() int64 {
 // trips).
 type ChannelServer struct {
 	reqs    chan chanReq
-	handler Handler
+	handler rt.Handler
 	done    chan struct{}
 }
 
 type chanReq struct {
-	args    *Args
+	args    *rt.Args
 	program uint32
 	reply   chan struct{}
 }
 
 // NewChannelServer starts workers goroutines servicing the channel.
-func NewChannelServer(h Handler, workers int) *ChannelServer {
+func NewChannelServer(h rt.Handler, workers int) *ChannelServer {
 	if h == nil {
-		panic("rt: nil handler")
+		panic("rtbench: nil handler")
 	}
 	if workers <= 0 {
 		workers = 1
@@ -101,15 +121,12 @@ func NewChannelServer(h Handler, workers int) *ChannelServer {
 }
 
 func (cs *ChannelServer) worker() {
-	scratch := make([]byte, defaultScratchBytes)
-	cd := &callDesc{scratch: scratch}
+	cd := newBaseDesc(baselineScratchBytes)
 	for {
 		select {
 		case req := <-cs.reqs:
-			ctx := &cd.ctx
-			ctx.cd = cd
-			ctx.CallerProgram = req.program
-			cs.handler(ctx, req.args)
+			cd.ctx.CallerProgram = req.program
+			cs.handler(&cd.ctx, req.args)
 			req.reply <- struct{}{}
 		case <-cs.done:
 			return
@@ -118,7 +135,7 @@ func (cs *ChannelServer) worker() {
 }
 
 // Call sends the request and waits for the reply.
-func (cs *ChannelServer) Call(program uint32, args *Args, reply chan struct{}) {
+func (cs *ChannelServer) Call(program uint32, args *rt.Args, reply chan struct{}) {
 	cs.reqs <- chanReq{args: args, program: program, reply: reply}
 	<-reply
 }
@@ -135,35 +152,35 @@ func (cs *ChannelServer) Close() { close(cs.done) }
 // exactly the shape the shard async path had before the Vyukov ring.
 type ChannelAsyncServer struct {
 	q          chan chanAsyncReq
-	handler    Handler
+	handler    rt.Handler
 	stop       chan struct{}
 	submitWait time.Duration
 	wg         sync.WaitGroup
 }
 
 type chanAsyncReq struct {
-	args    Args
+	args    rt.Args
 	program uint32
 	done    chan<- struct{}
 }
 
 // NewChannelAsyncServer starts workers goroutines draining a queueCap
 // channel.
-func NewChannelAsyncServer(h Handler, workers, queueCap int) *ChannelAsyncServer {
+func NewChannelAsyncServer(h rt.Handler, workers, queueCap int) *ChannelAsyncServer {
 	if h == nil {
-		panic("rt: nil handler")
+		panic("rtbench: nil handler")
 	}
 	if workers <= 0 {
 		workers = 1
 	}
 	if queueCap <= 0 {
-		queueCap = defaultAsyncQueueCap
+		queueCap = baselineQueueCap
 	}
 	cs := &ChannelAsyncServer{
 		q:          make(chan chanAsyncReq, queueCap),
 		handler:    h,
 		stop:       make(chan struct{}),
-		submitWait: defaultSubmitWait,
+		submitWait: baselineSubmitWait,
 	}
 	for i := 0; i < workers; i++ {
 		cs.wg.Add(1)
@@ -174,14 +191,10 @@ func NewChannelAsyncServer(h Handler, workers, queueCap int) *ChannelAsyncServer
 
 func (cs *ChannelAsyncServer) worker() {
 	defer cs.wg.Done()
-	scratch := make([]byte, defaultScratchBytes)
-	cd := &callDesc{scratch: scratch}
+	cd := newBaseDesc(baselineScratchBytes)
 	handle := func(req *chanAsyncReq) {
-		ctx := &cd.ctx
-		ctx.cd = cd
-		ctx.CallerProgram = req.program
-		ctx.async = true
-		cs.handler(ctx, &req.args)
+		cd.ctx.CallerProgram = req.program
+		cs.handler(&cd.ctx, &req.args)
 		if req.done != nil {
 			req.done <- struct{}{}
 		}
@@ -204,9 +217,9 @@ func (cs *ChannelAsyncServer) worker() {
 }
 
 // AsyncCall submits one request: a non-blocking channel send, then a
-// bounded timed wait, then ErrBackpressure — the same overload
+// bounded timed wait, then rt.ErrBackpressure — the same overload
 // contract as the ring path, paid through channel internals.
-func (cs *ChannelAsyncServer) AsyncCall(program uint32, args *Args, done chan<- struct{}) error {
+func (cs *ChannelAsyncServer) AsyncCall(program uint32, args *rt.Args, done chan<- struct{}) error {
 	req := chanAsyncReq{args: *args, program: program, done: done}
 	select {
 	case cs.q <- req:
@@ -219,7 +232,7 @@ func (cs *ChannelAsyncServer) AsyncCall(program uint32, args *Args, done chan<- 
 	case cs.q <- req:
 		return nil
 	case <-timer.C:
-		return ErrBackpressure
+		return rt.ErrBackpressure
 	}
 }
 

@@ -191,7 +191,7 @@ func SyncCallParallelPooled(b *testing.B) {
 // CentralParallel is the locked baseline under the same load: one
 // mutex and a shared pool on every call.
 func CentralParallel(b *testing.B) {
-	cs := rt.NewCentralServer(func(ctx *rt.Ctx, args *rt.Args) {
+	cs := NewCentralServer(func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
 	}, 0)
 	b.RunParallel(func(pb *testing.PB) {
@@ -205,7 +205,7 @@ func CentralParallel(b *testing.B) {
 // ChannelParallel is the synchronous message-passing baseline: two
 // channel handoffs per call through a fixed server pool.
 func ChannelParallel(b *testing.B) {
-	cs := rt.NewChannelServer(func(ctx *rt.Ctx, args *rt.Args) {
+	cs := NewChannelServer(func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
 	}, runtime.GOMAXPROCS(0))
 	defer cs.Close()
@@ -405,7 +405,7 @@ func AsyncMultiProducer(b *testing.B) {
 // channel's internal lock.
 func AsyncChannelBaselineMultiProducer(b *testing.B) {
 	var handled atomic.Int64
-	cs := rt.NewChannelAsyncServer(func(ctx *rt.Ctx, args *rt.Args) {
+	cs := NewChannelAsyncServer(func(ctx *rt.Ctx, args *rt.Args) {
 		handled.Add(1)
 	}, 8, 64) // defaultMaxWorkers, defaultAsyncQueueCap
 	defer cs.Close()
@@ -439,7 +439,7 @@ func AsyncChannelBaselineMultiProducer(b *testing.B) {
 // channel→ring substitution.
 func AsyncChannelBaseline(b *testing.B) {
 	var handled atomic.Int64
-	cs := rt.NewChannelAsyncServer(func(ctx *rt.Ctx, args *rt.Args) {
+	cs := NewChannelAsyncServer(func(ctx *rt.Ctx, args *rt.Args) {
 		handled.Add(1)
 	}, 8, 64) // defaultMaxWorkers, defaultAsyncQueueCap
 	defer cs.Close()

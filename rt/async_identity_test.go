@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,24 +62,31 @@ const (
 	idOpNormal = iota
 	idOpWedge
 	idOpPanic
+	idOpAbandon // the handler abandons the case's client — its own caller
 )
 
-// asyncEnv is one case's system: one shard, one worker, supervision
-// off (cases wedge the worker on purpose).
-type asyncEnv struct {
+// idEnv is one case's system, shared by the asynchronous and the
+// synchronous identity tables: one shard, one worker, supervision off
+// (cases wedge the worker on purpose).
+type idEnv struct {
 	sys     *System
 	svc     *Service
 	c       *Client
-	ran     int64 // asynchronous handler runs; read after the drain
-	entered chan struct{}
-	gate    chan struct{}
-	wedged  bool
+	ran     int64        // asynchronous handler runs; read after the drain
+	syncRet atomic.Int64 // synchronous handler runs that returned normally
+	denyAll atomic.Bool  // the service's authorization hook refuses everyone
+	// syncExpired is how many of the shard's deadline expirations were
+	// synchronous calls'; the rest are queue expiries.
+	syncExpired int64
+	entered     chan struct{}
+	gate        chan struct{}
+	wedged      bool
 }
 
 // wedge parks the shard's only worker inside a handler, so that what is
 // submitted afterwards stays in its ring, and then fills the client's
 // ring up to free slots short of full.
-func (e *asyncEnv) wedge(t *testing.T, ringCap, free int) {
+func (e *idEnv) wedge(t *testing.T, ringCap, free int) {
 	t.Helper()
 	if err := e.c.AsyncCall(e.svc.EP(), &Args{idOpWedge}); err != nil {
 		t.Fatal(err)
@@ -93,7 +101,7 @@ func (e *asyncEnv) wedge(t *testing.T, ringCap, free int) {
 }
 
 // trip opens the service's health gate on shard 0 with two faults.
-func (e *asyncEnv) trip(t *testing.T) {
+func (e *idEnv) trip(t *testing.T) {
 	t.Helper()
 	tc := e.sys.NewClientOnShard(0)
 	defer tc.Release()
@@ -119,34 +127,34 @@ var asyncExits = []struct {
 	copts   ClientOptions
 	health  *HealthConfig
 	want    error
-	arrange func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) (accept int)
-	check   func(t *testing.T, e *asyncEnv, st ShardStats, rejected int64)
+	arrange func(t *testing.T, e *idEnv, ep *EntryPointID, k int) (accept int)
+	check   func(t *testing.T, e *idEnv, st ShardStats, rejected int64)
 }{
 	{
 		name: "bad entry point", want: ErrBadEntryPoint,
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int { *ep += 100; return 0 },
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int { *ep += 100; return 0 },
 	},
 	{
 		// The window of a hard Kill between its state store and the
 		// retraction of the table entry.
 		name: "hard-killed", want: ErrKilled,
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int {
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int {
 			e.svc.state.Store(svcDead)
 			return 0
 		},
 	},
 	{
 		name: "closed", want: ErrClosed,
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int { e.sys.Close(); return 0 },
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int { e.sys.Close(); return 0 },
 	},
 	{
 		name: "ring-full backpressure", want: ErrBackpressure,
 		opts: Options{AsyncQueueCap: idRingCap},
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int {
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int {
 			e.wedge(t, idRingCap, k-1)
 			return k - 1
 		},
-		check: func(t *testing.T, e *asyncEnv, st ShardStats, rejected int64) {
+		check: func(t *testing.T, e *idEnv, st ShardStats, rejected int64) {
 			if st.BackpressureRejects != 1 || st.ShedByLane != ([NumLaneClasses]int64{}) {
 				t.Errorf("BackpressureRejects = %d, ShedByLane = %v; want 1 and zeros (one lane)", st.BackpressureRejects, st.ShedByLane)
 			}
@@ -156,11 +164,11 @@ var asyncExits = []struct {
 		name: "best-effort shed", want: ErrShed,
 		opts:  Options{Lanes: 3, AsyncQueueCap: idRingCap},
 		copts: ClientOptions{Lane: LaneBestEffort},
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int {
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int {
 			e.wedge(t, idRingCap, k-1)
 			return k - 1
 		},
-		check: func(t *testing.T, e *asyncEnv, st ShardStats, rejected int64) {
+		check: func(t *testing.T, e *idEnv, st ShardStats, rejected int64) {
 			if st.ShedByLane != ([NumLaneClasses]int64{2: rejected}) || st.BackpressureRejects != 0 {
 				t.Errorf("ShedByLane = %v, BackpressureRejects = %d; want [0 0 %d] and 0", st.ShedByLane, st.BackpressureRejects, rejected)
 			}
@@ -169,7 +177,7 @@ var asyncExits = []struct {
 	{
 		name: "tenant throttle", want: ErrShed,
 		copts: ClientOptions{Tenant: 3},
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int {
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int {
 			if err := e.sys.ConfigureTenant(3, TenantConfig{Rate: 1e-3, Burst: 1}); err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +186,7 @@ var asyncExits = []struct {
 			}
 			return 0
 		},
-		check: func(t *testing.T, e *asyncEnv, st ShardStats, rejected int64) {
+		check: func(t *testing.T, e *idEnv, st ShardStats, rejected int64) {
 			if st.TenantThrottled != rejected {
 				t.Errorf("TenantThrottled = %d, want %d", st.TenantThrottled, rejected)
 			}
@@ -186,8 +194,8 @@ var asyncExits = []struct {
 	},
 	{
 		name: "abandoned client", want: ErrClientAbandoned,
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int { e.c.Abandon(); return 0 },
-		check: func(t *testing.T, e *asyncEnv, st ShardStats, rejected int64) {
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int { e.c.Abandon(); return 0 },
+		check: func(t *testing.T, e *idEnv, st ShardStats, rejected int64) {
 			if e.ran != 0 {
 				t.Errorf("%d handlers ran for an abandoned client", e.ran)
 			}
@@ -196,8 +204,8 @@ var asyncExits = []struct {
 	{
 		name: "open health gate", want: ErrServiceUnhealthy,
 		health:  &HealthConfig{MaxConsecutiveFaults: 2, ProbeAfter: time.Hour},
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int { e.trip(t); return 0 },
-		check: func(t *testing.T, e *asyncEnv, st ShardStats, rejected int64) {
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int { e.trip(t); return 0 },
+		check: func(t *testing.T, e *idEnv, st ShardStats, rejected int64) {
 			if st.ShedCalls != 1 {
 				t.Errorf("ShedCalls = %d, want 1 (the gate sheds a submission, not its requests)", st.ShedCalls)
 			}
@@ -208,13 +216,13 @@ var asyncExits = []struct {
 		// before the ring: no worker will ever report for it.
 		name: "rejected probe", want: ErrBackpressure,
 		health: &HealthConfig{MaxConsecutiveFaults: 2, ProbeAfter: time.Millisecond},
-		arrange: func(t *testing.T, e *asyncEnv, ep *EntryPointID, k int) int {
+		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int {
 			e.trip(t)
 			time.Sleep(2 * time.Millisecond)
 			e.sys.InjectFault(FaultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
 			return 0
 		},
-		check: func(t *testing.T, e *asyncEnv, st ShardStats, rejected int64) {
+		check: func(t *testing.T, e *idEnv, st ShardStats, rejected int64) {
 			if got := e.svc.perShard[0].healthState.Load(); got != gateDegraded {
 				t.Errorf("gate state %d after the rejected probe, want degraded (%d)", got, gateDegraded)
 			}
@@ -236,7 +244,7 @@ func TestAsyncIdentityEveryExit(t *testing.T) {
 					name += "/payload"
 				}
 				t.Run(name, func(t *testing.T) {
-					e := newAsyncEnv(t, exit.opts, exit.copts, exit.health)
+					e := newIDEnv(t, exit.opts, exit.copts, exit.health)
 					ep := e.svc.EP()
 					argss := e.requests(t, entry.k, payload)
 					accept := exit.arrange(t, e, &ep, entry.k)
@@ -273,7 +281,7 @@ func TestAsyncIdentityKillRace(t *testing.T) {
 				name += "/payload"
 			}
 			t.Run(name, func(t *testing.T) {
-				e := newAsyncEnv(t, Options{}, ClientOptions{}, nil)
+				e := newIDEnv(t, Options{}, ClientOptions{}, nil)
 				stop, stopped := make(chan struct{}), make(chan struct{})
 				go func() {
 					defer close(stopped)
@@ -318,10 +326,10 @@ func TestAsyncIdentityKillRace(t *testing.T) {
 	}
 }
 
-func newAsyncEnv(t *testing.T, o Options, co ClientOptions, health *HealthConfig) *asyncEnv {
+func newIDEnv(t *testing.T, o Options, co ClientOptions, health *HealthConfig) *idEnv {
 	t.Helper()
 	o.Shards, o.MaxWorkers, o.WorkerStallThreshold, o.WatchdogInterval = 1, 1, -1, time.Millisecond
-	e := &asyncEnv{sys: NewSystemOptions(o), entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	e := &idEnv{sys: NewSystemOptions(o), entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	t.Cleanup(e.sys.Close)
 	e.sys.shards[0].submitWait = 200 * time.Microsecond
 	var err error
@@ -335,13 +343,18 @@ func newAsyncEnv(t *testing.T, o Options, co ClientOptions, health *HealthConfig
 			<-e.gate
 		case idOpPanic:
 			panic("identity")
+		case idOpAbandon:
+			e.c.Abandon()
 		}
 		for i := 0; i < ctx.NumPayloads(); i++ {
 			if v := ctx.Payload(i); len(v) != 64 || v[0] != byte(args[1]) {
 				t.Errorf("request %d: payload view %v", args[1], v)
 			}
 		}
-	}})
+		if !ctx.IsAsync() {
+			e.syncRet.Add(1)
+		}
+	}, Authorize: func(uint32) bool { return !e.denyAll.Load() }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +365,7 @@ func newAsyncEnv(t *testing.T, o Options, co ClientOptions, health *HealthConfig
 
 // requests builds k requests, each with a leased segment attached when
 // payload is set.
-func (e *asyncEnv) requests(t *testing.T, k int, payload bool) []Args {
+func (e *idEnv) requests(t *testing.T, k int, payload bool) []Args {
 	t.Helper()
 	argss := make([]Args, k)
 	for i := range argss {
@@ -371,7 +384,7 @@ func (e *asyncEnv) requests(t *testing.T, k int, payload bool) []Args {
 
 // settle lets everything accepted run and then holds the case to the
 // identities every exit must leave true.
-func (e *asyncEnv) settle(t *testing.T) {
+func (e *idEnv) settle(t *testing.T) {
 	t.Helper()
 	if e.wedged {
 		close(e.gate)
@@ -382,8 +395,8 @@ func (e *asyncEnv) settle(t *testing.T) {
 	})
 	e.sys.Close() // joins the worker: e.ran is final
 	st := e.sys.Stats()[0]
-	if got, want := e.svc.AsyncCalls(), e.ran+st.DeadlineExpirations; got != want {
-		t.Errorf("AsyncCalls = %d, want %d handler runs + %d expirations", got, e.ran, st.DeadlineExpirations)
+	if got, want := e.svc.AsyncCalls(), e.ran+st.DeadlineExpirations-e.syncExpired; got != want {
+		t.Errorf("AsyncCalls = %d, want %d handler runs + %d queue expirations", got, e.ran, st.DeadlineExpirations-e.syncExpired)
 	}
 	if st.AsyncQueueDepth != 0 {
 		t.Errorf("AsyncQueueDepth = %d at quiescence", st.AsyncQueueDepth)

@@ -7,7 +7,7 @@ import "time"
 // window, and one worker wakeup cover an arbitrary number of requests,
 // so the per-request cost of a burst approaches one slot write. Every
 // asynchronous entry point is this one path (Client.async, then
-// System.asyncOn, then shard.submit); the AsyncCall family submits a
+// shard.submit); the AsyncCall family submits a
 // batch of one over the caller's own argument block.
 //
 // Two batch shapes are offered: Client.AsyncBatch submits a caller-owned
@@ -123,103 +123,57 @@ func (c *Client) AsyncBatch(ep EntryPointID, argss []Args) (int, error) {
 	return c.async(ep, argss, nil, 0)
 }
 
-// async is the client half of every asynchronous submission — the four
-// AsyncCall forms (a batch of one), AsyncBatch and Batch.Flush: claim
-// every attached lease out of the ownership record, check the client is
-// still alive (the claimed leases are this submission's to release if it
-// is not), charge the whole submission against the tenant bucket at
-// once, stamp the queueing deadline, then admit and publish. ttl > 0
-// bounds each request's time in the ring (AsyncCallDeadline).
+// async is every asynchronous submission — the four AsyncCall forms (a
+// batch of one), AsyncBatch and Batch.Flush: the preflight and the entry
+// every call makes, then the whole submission admitted with one
+// increment-then-check (so a soft kill either sees it in flight and
+// waits, or flips the state first and it backs out here), handed to the
+// lane's ring, and its rejected tail failed. The in-flight count covers a
+// request from acceptance until the worker finishes it; the same
+// increment is the AsyncCalls count, so acceptance costs one counter RMW
+// for the lot. ttl > 0 bounds each request's time in the ring.
 //
 //ppc:hotpath
 func (c *Client) async(ep EntryPointID, argss []Args, done chan<- struct{}, ttl time.Duration) (int, error) {
-	for i := range argss {
-		if argss[i][OpFlagsWord]&payloadCountMask == 0 {
-			continue // the payload-free warm path: one masked load per request
-		}
-		if err := c.consumeArgs(&argss[i]); err != nil {
-			// A claim lost to the scavenger: nothing is submitted, the
-			// requests already claimed are released, the rest are the
-			// scavenger's.
-			c.shard.releaseBatchPayloads(argss[:i])
+	sh := c.shard
+	// One plain request — no payload, no tenant — has only preflight's
+	// life check to make, and makes it here on one combined branch.
+	if len(argss) != 1 || argss[0][OpFlagsWord]&payloadCountMask != 0 || c.tenant != 0 {
+		if err := c.preflight(argss); err != nil || len(argss) == 0 {
 			return 0, err
 		}
+	} else if c.rec.state.Load() != crLive {
+		return 0, c.ownerLost(argss)
 	}
-	if c.rec.state.Load() != crLive {
-		c.shard.releaseBatchPayloads(argss)
-		return 0, ErrClientAbandoned
-	}
-	if len(argss) == 0 {
-		return 0, nil
-	}
-	if c.tenant != 0 {
-		if err := c.admitTenant(argss); err != nil {
-			return 0, err
-		}
+	cr, err := sh.enter(ep, argss, nil)
+	if err != nil {
+		return 0, err
 	}
 	var deadline int64
 	if ttl > 0 {
 		deadline = time.Now().Add(ttl).UnixNano()
 	}
-	return c.sys.asyncOn(c.shard, ep, argss, c.program, done, deadline, c.lane)
-}
-
-// asyncOn is the system half: admit the whole submission with one
-// increment-then-check (so a soft kill either sees it in flight and
-// waits, or flips the state first and it backs out here), hand it to the
-// lane's ring, then settle the accounting for any rejected tail. The
-// in-flight count covers a request from acceptance until the worker
-// finishes it; the same increment is the AsyncCalls count, so acceptance
-// costs one counter RMW for the lot.
-//
-//ppc:hotpath
-func (s *System) asyncOn(sh *shard, ep EntryPointID, argss []Args, program uint32, done chan<- struct{}, deadline int64, lane Lane) (int, error) {
-	// Rejected requests settle their attached payload leases, same
-	// contract as the synchronous paths: a whole rejection releases every
-	// entry, a partial acceptance releases the tail.
-	e, err := sh.resolve(ep)
-	if err != nil {
-		sh.releaseBatchPayloads(argss)
-		return 0, err
-	}
-	svc := e.svc
-	counters := e.counters
-	probe := false
-	if svc.health != nil {
-		var gerr error
-		if probe, gerr = svc.gateAdmit(counters); gerr != nil {
-			sh.releaseBatchPayloads(argss)
-			return 0, gerr
-		}
-	}
+	svc, counters := cr.svc, cr.counters
+	lr := sh.laneFor(c.lane, svc)
 	counters.asyncAdm.Add(int64(len(argss)))
 	if svc.state.Load() != svcActive {
 		svc.backOutN(counters, len(argss))
-		if probe {
-			svc.settleProbe(counters, ErrKilled)
-		}
-		sh.releaseBatchPayloads(argss)
-		return 0, ErrKilled
+		return 0, cr.fail(sh, argss, ErrKilled)
 	}
-	n, err := sh.submit(s, svc, sh.laneFor(lane, svc), argss, program, done, deadline)
-	if n < len(argss) {
-		svc.unadmit(counters, len(argss)-n)
-		sh.releaseBatchPayloads(argss[n:])
-	}
+	n, err := sh.submit(c.sys, svc, lr, argss, c.program, done, deadline)
 	// The ring's copies own the accepted entries' leases (the worker
 	// settles them at dequeue); strip the caller-side descriptor counts
 	// so a reused block cannot release them again.
 	for i := 0; i < n; i++ {
 		transferPayloads(&argss[i])
 	}
-	if probe && n == 0 {
-		// Nothing reached the ring: no request will ever produce
-		// worker-side evidence, so the probe settles here or the stripe
-		// sheds until the probe lease expires. Accepted requests settle the
-		// gate at dequeue (recordOutcome / recordTimeout); the exit that
-		// bypasses those — a hard-kill discard — falls back to the probe
-		// lease in gateAdmitSlow.
-		svc.settleProbe(counters, err)
+	if n < len(argss) {
+		svc.unadmit(counters, len(argss)-n)
+		// A carried probe fails with the tail only if nothing reached the
+		// ring: accepted requests settle the gate at dequeue, and a
+		// hard-kill discard falls back to the probe lease (gateAdmitSlow).
+		cr.probe = cr.probe && n == 0
+		return n, cr.fail(sh, argss[n:], err)
 	}
 	return n, err
 }

@@ -171,26 +171,33 @@ func (c *Client) Tenant() TenantID { return c.tenant }
 // one views a single argument block as a batch of one: the submission
 // legs are written once, over a slice, and a single call is the slice
 // of length one over the caller's own block.
-func one(args *Args) []Args { return unsafe.Slice(args, 1) }
+func one(args *Args) []Args { return (*[1]Args)(unsafe.Pointer(args))[:] }
 
-// preflight is the client half of a synchronous call, in the order that
-// keeps a shed from leaking: claim the attached payload leases out of
-// the ownership record (a shed releases them, and the scavenger must not
-// release them again), then charge the tenant — an over-budget caller is
-// shed having touched only its own shard's bucket line. A call with no
-// payload and no tenant pays one masked load and one predictable branch.
-// The asynchronous entry points run the same two legs over a whole
-// submission (Client.async).
+// preflight is the client half of every call, synchronous or not, over
+// the requests of one submission, in the order that keeps a rejection
+// from leaking: claim every attached lease out of the ownership record —
+// from here a rejection releases them, and the scavenger must not — then
+// the life check, then the whole submission charged to the tenant bucket
+// at once, so a dead client's call spends nobody's budget. A claim lost
+// to the scavenger submits nothing: what was already claimed is released,
+// the rest is the scavenger's.
 //
 //ppc:hotpath
-func (c *Client) preflight(args *Args) error {
-	if args[OpFlagsWord]&payloadCountMask != 0 {
-		if err := c.consumeArgs(args); err != nil {
+func (c *Client) preflight(argss []Args) error {
+	for i := range argss {
+		if argss[i][OpFlagsWord]&payloadCountMask == 0 {
+			continue
+		}
+		if err := c.consumeArgs(&argss[i]); err != nil {
+			c.shard.releaseBatchPayloads(argss[:i])
 			return err
 		}
 	}
-	if c.tenant != 0 {
-		return c.admitTenant(one(args))
+	if c.rec.state.Load() != crLive {
+		return c.ownerLost(argss)
+	}
+	if c.tenant != 0 && len(argss) != 0 {
+		return c.admitTenant(argss)
 	}
 	return nil
 }
@@ -329,40 +336,29 @@ func (c *Client) Held() bool { return c.held != nil }
 //ppc:hotpath
 //ppc:rmwbudget(2)
 func (c *Client) Call(ep EntryPointID, args *Args) error {
-	// The plain warm call — no payload, no tenant — skips preflight on
-	// one combined branch.
+	// The plain warm call — no payload, no tenant — skips preflight on one branch.
 	if args[OpFlagsWord]&payloadCountMask != 0 || c.tenant != 0 {
-		if err := c.preflight(args); err != nil {
+		if err := c.preflight(one(args)); err != nil {
 			return err
 		}
 	}
-	if c.held == nil {
-		c.Hold()
-		if c.held == nil {
-			// Hold declined: the client was abandoned.
-			c.shard.releaseArgsPayloads(args)
-			return ErrClientAbandoned
+	// Likewise own: nothing to do with a descriptor in hand, alive, unenrolled.
+	if c.held == nil || c.rec.state.Load() != crLive || c.rec.epochs != 0 {
+		if err := c.own(args); err != nil {
+			return err
 		}
 	}
-	// Ownership entry: one load of the record's life state — a
-	// read-mostly line, written once at death. The plain warm path
-	// never transitions the ownership word; a scavenger that condemns
-	// the descriptor mid-call bumps its generation and compensates the
-	// pool with a fresh one, so the word stays owHeld for the whole
-	// hold and this path pays no RMW (owner.go).
-	if c.rec.state.Load() != crLive {
-		return c.ownerLost(args)
-	}
-	if c.rec.epochs != 0 {
-		c.beatTick()
-	}
 	cd := c.held
-	err := c.sys.callHeld(c.shard, cd, ep, args, c.program, c)
-	// Ownership exit: re-check life. A client abandoned mid-call
-	// settles its descriptor through the tombstone CAS — won only if
-	// the scavenger has not already condemned the word.
+	cr, err := c.shard.enter(ep, one(args), c.rec)
+	if err == nil {
+		// Counters follow the descriptor: one pointer compare when warm.
+		cr.st = cd.stripeOf(cr.svc)
+		err = c.sys.callHeld(cd, cr, args, c.program)
+	}
+	// Ownership exit: a client abandoned mid-call settles its descriptor
+	// through the tombstone CAS, unless the scavenger condemned it first.
 	if c.rec.state.Load() != crLive {
-		c.tombstoneExit(cd)
+		c.tombstoneExit()
 	}
 	return err
 }
@@ -375,12 +371,8 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 //ppc:hotpath
 //ppc:rmwbudget(0) -- the pooled leg is callOn's, the opt-in legs preflight's
 func (c *Client) CallPooled(ep EntryPointID, args *Args) error {
-	if err := c.preflight(args); err != nil {
+	if err := c.preflight(one(args)); err != nil {
 		return err
-	}
-	if c.rec.state.Load() != crLive {
-		c.shard.releaseArgsPayloads(args)
-		return ErrClientAbandoned
 	}
 	return c.sys.callOn(c.shard, ep, args, c.program)
 }
@@ -429,123 +421,131 @@ func runIsolated(s *System, h Handler, ctx *Ctx, args *Args) (fault any) {
 // epProgram is the identity nested calls present (the server itself).
 func (s *Service) epProgram() uint32 { return uint32(s.ep) | 1<<31 }
 
-// callHeld is the held-CD synchronous fast path: one replica-table
-// lookup, increment-then-check admission on the descriptor's own call
-// stripe, and a dispatch on the caller-held descriptor. The warm
-// iteration performs no CAS, touches no pool and writes no line of the
-// shard's — the Track B analogue of Figure 2's "hold CD" rows combined
-// with §4.5.5's replicated service table.
+// callRec is one call's record from entry to settlement: what enter
+// resolved for it and what its exits settle. Every call path — held,
+// pooled, deadline, asynchronous — runs between the one entry
+// (shard.enter) and one of two exits: fail before dispatch, settle after
+// it. Four words, passed by value in registers; the deadline path hands
+// its executor a copy.
+type callRec struct {
+	*epEntry             // the shard's replica of the entry point: service, handler, the (service, shard) counters
+	st       *callStripe // where a synchronous call is admitted (set by its caller): the held descriptor's stripe, or the shard's
+	rec      *clientRec  // the ownership record mirroring a carried probe for the scavenger, or nil
+	probe    bool        // the call carries the gate's half-open probe and owes it a settlement
+}
+
+// enter is the one entry of every call path: read this shard's replica
+// of the entry point (§4.5.5), pass the health gate, and publish a won
+// half-open probe on the caller's ownership record so the scavenger can
+// settle the gate if the client dies carrying it. The gate sheds before
+// admission: a degraded service costs the caller one atomic load and no
+// in-flight accounting, a service without a gate one nil check. A
+// rejection releases the leases attached to argss: the attach gave them
+// to the call, and a call that fails before dispatch still consumes them.
 //
 //ppc:hotpath
-func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, program uint32, c *Client) error {
-	// Every pre-dispatch error return settles attached payload leases
-	// (releaseArgsPayloads): the attach transferred them to this call,
-	// and a call that fails before dispatch still consumes them.
+func (sh *shard) enter(ep EntryPointID, argss []Args, rec *clientRec) (callRec, error) {
 	e, err := sh.resolve(ep)
-	if err != nil {
-		sh.releaseArgsPayloads(args)
-		return err
-	}
-	svc := e.svc
-	counters := e.counters
-	// The health gate sheds before admission: a degraded service costs
-	// the caller one atomic load and no in-flight accounting. Gating is
-	// opt-in per service; the nil check is free for everyone else. A
-	// caller that wins the half-open election carries the probe and
-	// must settle the gate on every exit below.
 	probe := false
-	if svc.health != nil {
-		var gerr error
-		if probe, gerr = svc.gateAdmit(counters); gerr != nil {
-			sh.releaseArgsPayloads(args)
-			return gerr
-		}
-		if probe {
-			// Publish the carried probe on the ownership record so the
-			// scavenger can settle the gate if this client dies with it.
-			c.rec.setProbe(svc, counters)
-		}
+	if err == nil && e.svc.health != nil {
+		probe, err = e.svc.gateAdmit(e.counters)
 	}
-	// Counters follow the descriptor: the stripe this descriptor owns for
-	// svc, one pointer compare on the warm path.
-	st := cd.stripeOf(svc)
-	if !svc.admit(st) {
-		if probe {
-			c.rec.clearProbe()
-			svc.settleProbe(counters, ErrKilled)
-		}
-		sh.releaseArgsPayloads(args)
-		return ErrKilled
+	if err != nil {
+		sh.releaseBatchPayloads(argss)
+		return callRec{}, err
 	}
-	if cap(cd.scratch) < svc.scratchBytes {
-		growScratch(cd, svc.scratchBytes)
+	cr := callRec{epEntry: e, probe: probe}
+	if probe && rec != nil {
+		cr.rec = rec
+		rec.setProbe(e)
 	}
-	cd.scratch = cd.scratch[:svc.scratchBytes]
-	// Completion accounting is inlined, not deferred: dispatch contains
-	// handler panics itself (runIsolated), so no unwind can skip these,
-	// and a deferred closure costs measurable time at call rates.
-	err = s.dispatch(cd, svc, st, e.h, args, program, false)
-	svc.complete(st)
-	if svc.health != nil {
-		svc.recordOutcome(counters, err)
-		if probe {
-			c.rec.clearProbe()
-			svc.settleProbe(counters, err)
-		}
+	return cr, nil
+}
+
+// begin is the synchronous admission leg: the call joins its stripe's
+// in-flight count, increment-then-check (Service.admit), until its
+// completion. False: a kill got there first, the call fails with
+// ErrKilled.
+//
+//ppc:hotpath
+func (cr callRec) begin() bool { return cr.svc.admit(cr.st) }
+
+// fail is the one exit of a call that entered and will not be
+// dispatched — its admission backed out on a kill, its submission was
+// refused: a carried probe goes back to the gate, and the leases still
+// attached to argss are released.
+//
+//ppc:coldpath -- the call is failing before dispatch
+func (cr callRec) fail(sh *shard, argss []Args, err error) error {
+	if cr.probe {
+		cr.probeDone(err)
+	}
+	sh.releaseBatchPayloads(argss)
+	return err
+}
+
+// settle is the one settlement of a dispatched call to a service with a
+// health gate, made by whoever reports the outcome err to the caller:
+// health evidence, then a carried probe.
+//
+//ppc:hotpath
+func (cr callRec) settle(err error) {
+	cr.svc.recordOutcome(cr.counters, err)
+	if cr.probe {
+		cr.probeDone(err)
+	}
+}
+
+// probeDone ends the call's carriage of the half-open probe: the mirror
+// comes off the ownership record first, so the scavenger cannot reopen a
+// gate this settles, and an outcome that is no health evidence sends the
+// gate back to degraded (Service.settleProbe).
+//
+//ppc:coldpath -- half-open probe bookkeeping
+func (cr callRec) probeDone(err error) {
+	if cr.rec != nil {
+		cr.rec.probe.Store(nil)
+	}
+	cr.svc.settleProbe(cr.counters, err)
+}
+
+// callHeld is the synchronous core: an entered call run on a descriptor
+// its caller serially owns — admission, dispatch, completion, settlement.
+// Completion accounting is inlined, not deferred: dispatch contains
+// handler panics itself (runIsolated), so no unwind can skip it, and a
+// deferred closure costs measurable time at call rates.
+//
+//ppc:hotpath
+func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) error {
+	if !cr.begin() {
+		return cr.fail(cd.shard, one(args), ErrKilled)
+	}
+	err := s.dispatch(cd, cr.svc, cr.st, cr.h, args, program, false)
+	cr.svc.complete(cr.st)
+	if cr.svc.health != nil {
+		cr.settle(err)
 	}
 	return err
 }
 
-// callOn is the pooled synchronous core (CallPooled, nested Ctx.Call,
-// Upcall): resolve, gate, admit on the shard's own call stripe
-// (Service.admit) — the pooled path has no descriptor yet when it
-// admits, and a pooled descriptor is whoever's turn it is — then run the
-// request to completion on a descriptor popped for the call. A caller
-// that wins the half-open election carries the probe; every exit
-// settles the gate.
+// callOn is the pooled synchronous call (CallPooled, nested Ctx.Call,
+// Upcall): enter, then the core on a descriptor popped for the call and
+// pushed back after it, admitted on the shard's own stripe — a pooled
+// descriptor is whoever's turn it is. The scratch buffer is deliberately
+// NOT zeroed before reuse — serial sharing of "stacks" is the point
+// (§2); trust domains that must not share scratch use separate Systems.
 //
 //ppc:hotpath
-//ppc:rmwbudget(6) -- admission, pool pop (CAS, link clear), pool push (link, CAS), completion
+//ppc:rmwbudget(6) -- pool pop (CAS, link clear), admission, completion, pool push (link, CAS)
 func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32) error {
-	// Pre-dispatch error returns settle attached payload leases, same
-	// contract as callHeld.
-	e, err := sh.resolve(ep)
+	cr, err := sh.enter(ep, one(args), nil)
 	if err != nil {
-		sh.releaseArgsPayloads(args)
 		return err
 	}
-	svc, counters := e.svc, e.counters
-	probe := false
-	if svc.health != nil {
-		var gerr error
-		if probe, gerr = svc.gateAdmit(counters); gerr != nil {
-			sh.releaseArgsPayloads(args)
-			return gerr
-		}
-	}
-	st := &counters.stripe
-	if !svc.admit(st) {
-		if probe {
-			svc.settleProbe(counters, ErrKilled)
-		}
-		sh.releaseArgsPayloads(args)
-		return ErrKilled
-	}
-	defer svc.complete(st)
-
-	cd := sh.popCD(svc.scratchBytes)
-	err = s.dispatch(cd, svc, st, e.h, args, program, false)
-
-	// The scratch buffer is deliberately NOT zeroed before reuse —
-	// serial sharing of "stacks" is the point (§2); trust domains that
-	// must not share scratch use separate Systems.
+	cr.st = &cr.counters.stripe
+	cd := sh.popCD(defaultScratchBytes)
+	err = s.callHeld(cd, cr, args, program)
 	sh.pushCD(cd)
-	if svc.health != nil {
-		svc.recordOutcome(counters, err)
-		if probe {
-			svc.settleProbe(counters, err)
-		}
-	}
 	return err
 }
 
@@ -575,10 +575,6 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 		sh.releaseArgsPayloads(args)
 		return ErrKilled
 	}
-	if cap(cd.scratch) < svc.scratchBytes {
-		growScratch(cd, svc.scratchBytes)
-	}
-	cd.scratch = cd.scratch[:svc.scratchBytes]
 	// Completion accounting is inlined, not deferred: dispatch contains
 	// handler panics itself (runIsolated), so no unwind can skip these,
 	// and a deferred closure costs measurable time at ring rates.
@@ -594,16 +590,21 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 }
 
 // dispatch authorizes and runs one request on cd with steady-state
-// handler h — the shared core of the pooled (callOn), caller-held
-// (callHeld), and worker-held (serviceOneHeld) paths. Synchronous
-// callers resolve h from their shard's table replica; async workers
-// from the service's authoritative handler slot. st is the stripe the
-// call was admitted on. A normal return writes no counter here — the
-// caller's completion is the call's count (callStripe); the exits that
-// are not a normal return account for themselves in deny and abort.
+// handler h, its scratch sized to the service — shared by the
+// synchronous core (callHeld), the deadline executor and the async
+// worker (serviceOneHeld). Synchronous callers resolve h from their
+// shard's table replica; async workers from the service's authoritative
+// handler slot. st is the stripe the call was admitted on. A normal
+// return writes no counter here — the caller's completion is the call's
+// count (callStripe); the exits that are not a normal return account for
+// themselves in deny and abort.
 //
 //ppc:hotpath
 func (s *System) dispatch(cd *callDesc, svc *Service, st *callStripe, h Handler, args *Args, program uint32, async bool) error {
+	if cap(cd.scratch) < svc.scratchBytes {
+		growScratch(cd, svc.scratchBytes)
+	}
+	cd.scratch = cd.scratch[:svc.scratchBytes]
 	ctx := &cd.ctx
 	ctx.sys = s
 	ctx.svc = svc

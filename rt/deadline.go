@@ -102,11 +102,6 @@ const (
 	dlGenShift             = 2
 )
 
-// dlCancelled is dlWait's out-of-band return: the cancel channel fired
-// while the call was still in the waiting phase. It can never collide
-// with a real state word (phase bits 0 are idle-only).
-const dlCancelled = ^uint64(0)
-
 // dlTicket is the rendezvous between a deadline caller and its
 // executor. Reused across calls; the generation-tagged state CAS is the
 // single synchronization point that decides completion vs orphaning.
@@ -115,7 +110,7 @@ type dlTicket struct {
 	// The gen|Done CAS is the release edge for the handler's results:
 	// the executor writes t.args (via dispatch) and t.err, then CASes,
 	// and the caller reads both only after loading a Done state. The
-	// orphan-side CASes (expire, cancelAttempt) and the arming store
+	// orphan-side CASes (expire, cancel) and the arming store
 	// carry no payload and are //ppc:nopublish at the site.
 	//
 	//ppc:atomic
@@ -172,21 +167,16 @@ func (t *dlTicket) expire(n *dlNode, d int64) {
 	sendToken(t.done)
 }
 
-// dlReq is one unit of work handed to the executor. It lives inline in
-// dlExec: the caller writes the fields, then publishes them with the
-// wake token; the executor copies them out after receiving it. Strictly
-// SPSC — the channel orders every handoff.
+// dlReq is one unit of work handed to the executor: the call's record
+// and the descriptor it runs on. It lives inline in dlExec: the caller
+// writes it, then publishes it with the wake token; the executor copies
+// it out after receiving that. Strictly SPSC — the channel orders every
+// handoff.
 type dlReq struct {
-	sys      *System
-	svc      *Service
-	h        Handler
-	counters *shardCounters // the shard's block: health evidence
-	stripe   *callStripe    // the descriptor's call stripe: admission, completion
-	cd       *callDesc
-	prog     uint32
-	epoch    uint64 // close epoch at descriptor acquisition
-	probe    bool   // this call is the health gate's half-open probe
-	gen      uint64 // the arming generation (tags the state CASes)
+	callRec
+	cd    *callDesc
+	epoch uint64 // close epoch at descriptor acquisition
+	gen   uint64 // the arming generation (tags the state CASes)
 }
 
 // dlExec is the per-client deadline executor: one goroutine, one
@@ -195,7 +185,9 @@ type dlReq struct {
 // caller on ticket.done, and each send readies the other side on the
 // sender's own processor.
 type dlExec struct {
+	sys  *System
 	sh   *shard
+	prog uint32 // the client's program ID
 	node *dlNode
 	// wake is the executor's park: buffered(1). The caller's send and
 	// the executor's receive are req's publish edge (one token per
@@ -218,7 +210,7 @@ type dlExec struct {
 //
 //ppc:coldpath -- executor construction, once per client (plus once per orphaning)
 func (c *Client) armDeadlineExec() {
-	e := &dlExec{sh: c.shard}
+	e := &dlExec{sys: c.sys, sh: c.shard, prog: c.program}
 	e.wake = make(chan struct{}, 1)
 	e.ticket.done = make(chan struct{}, 1)
 	// The node carries the client's current ownership word (owner.go):
@@ -244,22 +236,17 @@ func (e *dlExec) loop() {
 			return
 		}
 		req := e.req // copy out; the caller may rewrite req after this call resolves
-		err := req.sys.dispatch(req.cd, req.svc, req.stripe, req.h, &t.args, req.prog, false)
-		// Handler done: settle the in-flight accounting exactly as
-		// callHeld would — this covers orphaned calls too, which is what
-		// lets a soft Kill drain a wedged-then-returned handler.
-		req.svc.complete(req.stripe)
+		err := e.sys.dispatch(req.cd, req.svc, req.st, req.h, &t.args, e.prog, false)
+		// Handler done: complete exactly as callHeld would — for an orphaned
+		// call too, which is what lets a soft Kill drain it.
+		req.svc.complete(req.st)
 		t.err = err
 		want := req.gen<<dlGenShift | dlPhaseWaiting
 		if t.state.CompareAndSwap(want, req.gen<<dlGenShift|dlPhaseDone) {
-			// Health evidence only for calls the caller actually saw
-			// complete; the caller records timeout evidence on the
-			// orphaned branch itself.
+			// The settlement only for a call the caller actually saw
+			// complete; an orphaned call's is the caller's (orphaned).
 			if req.svc.health != nil {
-				req.svc.recordOutcome(req.counters, err)
-				if req.probe {
-					req.svc.settleProbe(req.counters, err)
-				}
+				req.settle(err)
 			}
 			sendToken(t.done)
 			continue
@@ -273,7 +260,7 @@ func (e *dlExec) loop() {
 		for t.ack.Load() != req.gen {
 			<-e.wake
 		}
-		e.sh.reclaimQuarantined(req.cd, req.sys.closeEpoch.Load() == req.epoch)
+		e.sh.reclaimQuarantined(req.cd, e.sys.closeEpoch.Load() == req.epoch)
 		return
 	}
 }
@@ -362,96 +349,47 @@ func (c *Client) CallContext(ctx context.Context, ep EntryPointID, args *Args) e
 // attached leases are consumed like any submission's: claimed out of the
 // ownership record, then released.
 func (c *Client) rejectEarly(args *Args, err error) error {
-	if args[OpFlagsWord]&payloadCountMask != 0 {
-		if cerr := c.consumeArgs(args); cerr != nil {
-			return cerr
-		}
-		c.shard.releaseArgsPayloads(args)
+	if cerr := c.consumeArgs(args); cerr != nil {
+		return cerr
 	}
+	c.shard.releaseArgsPayloads(args)
 	return err
 }
 
-// callDeadline runs one bounded call through the executor. d == 0
-// means no expiry (cancellation only); cancel may be nil.
+// callDeadline runs one bounded call through the executor — the
+// synchronous core split at the handoff. The ownership entry of Call,
+// then the word flipped held→busy (the deadline path is the one that
+// transitions it: the descriptor must stay pinned against scavenging
+// while the executor may touch it), then the entry and the admission
+// every synchronous call makes; the executor dispatches, completes and,
+// if the caller is still waiting, settles. Every exit but an orphaning
+// restores busy→held; an orphaning leaves the still-busy descriptor to the
+// executor's quarantine. d == 0: no expiry (cancellation only); cancel may be nil.
 func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, cancel <-chan struct{}, ctx context.Context) error {
-	if err := c.preflight(args); err != nil {
+	if err := c.preflight(one(args)); err != nil {
 		return err
 	}
-	// Pre-publish error returns settle attached payload leases, same
-	// contract as callHeld.
+	if err := c.own(args); err != nil {
+		return err
+	}
+	cd := c.held
+	if !cd.owner.CompareAndSwap(c.owHeld, c.owBusy) {
+		return c.ownerLost(one(args)) // condemned since own's life check
+	}
 	sh := c.shard
-	e, err := sh.resolve(ep)
+	cr, err := sh.enter(ep, one(args), c.rec)
+	if err == nil {
+		if cr.st = cd.stripeOf(cr.svc); !cr.begin() {
+			err = cr.fail(sh, one(args), ErrKilled)
+		}
+	}
 	if err != nil {
-		sh.releaseArgsPayloads(args)
+		c.ownerExit(cd)
 		return err
-	}
-	svc := e.svc
-	counters := e.counters
-	probe := false
-	if svc.health != nil {
-		var gerr error
-		if probe, gerr = svc.gateAdmit(counters); gerr != nil {
-			sh.releaseArgsPayloads(args)
-			return gerr
-		}
-		if probe {
-			// Publish the carried probe on the ownership record, same as
-			// callHeld: the scavenger settles the gate if the client dies
-			// with it.
-			c.rec.setProbe(svc, counters)
-		}
-	}
-	if c.held == nil {
-		c.Hold()
-		if c.held == nil {
-			// Hold declined: the client was abandoned.
-			if probe {
-				c.rec.clearProbe()
-				svc.settleProbe(counters, ErrClientAbandoned)
-			}
-			sh.releaseArgsPayloads(args)
-			return ErrClientAbandoned
-		}
 	}
 	if c.dl == nil {
 		c.armDeadlineExec()
 	}
-	// Ownership entry: one life-state load (the same decline the plain
-	// path performs), then flip the word held→busy — the deadline path
-	// is the one that transitions it, because the descriptor must stay
-	// pinned against scavenging while the executor may touch it (the
-	// orphan path hands the still-busy descriptor to the executor's
-	// quarantine instead of storing it back).
-	if c.rec.state.Load() != crLive ||
-		!c.held.owner.CompareAndSwap(c.owHeld, c.owBusy) {
-		if probe {
-			c.rec.clearProbe()
-			svc.settleProbe(counters, ErrClientAbandoned)
-		}
-		return c.ownerLost(args)
-	}
-	if c.rec.epochs != 0 {
-		c.beatTick()
-	}
-	// Increment-then-check admission on the held descriptor's stripe,
-	// same leg as callHeld. From here to the executor's complete the call
-	// is in flight.
-	cd := c.held
-	st := cd.stripeOf(svc)
-	if !svc.admit(st) {
-		if probe {
-			c.rec.clearProbe()
-			svc.settleProbe(counters, ErrKilled)
-		}
-		sh.releaseArgsPayloads(args)
-		c.ownerExit(cd)
-		return ErrKilled
-	}
-	if cap(cd.scratch) < svc.scratchBytes {
-		growScratch(cd, svc.scratchBytes)
-	}
-	cd.scratch = cd.scratch[:svc.scratchBytes]
-
 	exec := c.dl
 	t := &exec.ticket
 	exec.gen++
@@ -473,42 +411,33 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		now := sh.clock.read()
 		sh.wheel.arm(exec.node, now+int64(d)+sh.wheel.granularity, now)
 	}
-	exec.req = dlReq{
-		sys: c.sys, svc: svc, h: e.h, counters: counters, stripe: st,
-		cd: cd, prog: c.program, epoch: c.heldEpoch, probe: probe, gen: gen,
-	}
+	exec.req = dlReq{callRec: cr, cd: cd, epoch: c.heldEpoch, gen: gen}
 	// Hand off: the send readies the executor on this processor, and
 	// blocking in dlWait is what lets it run there.
 	exec.wake <- struct{}{}
-	s := dlWait(t, gen, cancel)
-	switch {
-	case s == dlCancelled:
-		return c.cancelAttempt(sh, svc, counters, exec, t, gen, args, probe, ctx.Err())
-	case s&dlPhaseMask == dlPhaseDone:
-		if d > 0 {
-			// Disarm; the wheel unlinks the node lazily at its filed tick.
-			exec.node.deadline.Store(0)
+	s, cancelled := dlWait(t, gen, cancel)
+	if s&dlPhaseMask != dlPhaseDone {
+		// Orphaned: by the wheel, a true expiry, or by the cancellation.
+		var cause error
+		if cancelled {
+			cause = ctx.Err()
 		}
-		*args = t.args
-		// Probe evidence was settled by the executor; drop the record's
-		// carried-probe mirror before the ownership exit so the
-		// scavenger can never reopen a settled gate.
-		if probe {
-			c.rec.clearProbe()
-		}
-		c.ownerExit(cd)
-		return t.err
-	default:
-		// Orphaned by the wheel: a true expiry.
-		return c.orphaned(sh, svc, counters, exec, t, gen, probe, nil)
+		return c.orphaned(cr, exec, gen, cause)
 	}
+	if d > 0 {
+		// Disarm; the wheel unlinks the node lazily at its filed tick.
+		exec.node.deadline.Store(0)
+	}
+	*args = t.args // done, and settled by the executor before its token
+	c.ownerExit(cd)
+	return t.err
 }
 
 // dlWait parks the caller on the ticket's done token until the call's
-// state word leaves gen|waiting, re-checking the word on every token.
-// Returns the observed state, or dlCancelled if the cancel channel
-// fired first.
-func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) uint64 {
+// state word leaves gen|waiting, re-checking the word on every token, and
+// returns the state the call resolved to — through cancel, and saying so,
+// if the cancel channel fired first.
+func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) (s uint64, cancelled bool) {
 	want := gen<<dlGenShift | dlPhaseWaiting
 	for {
 		if cancel == nil {
@@ -517,41 +446,36 @@ func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) uint64 {
 			select {
 			case <-t.done:
 			case <-cancel:
-				return dlCancelled
+				return t.cancel(gen), true
 			}
 		}
 		if s := t.state.Load(); s != want {
-			return s
+			return s, false
 		}
 	}
 }
 
-// cancelAttempt resolves a ctx cancellation observed while waiting: try
-// to orphan; if the executor (or the wheel) resolved the call first,
-// honor that resolution instead.
+// cancel resolves a ctx cancellation observed while waiting: try to
+// orphan the call; if the executor or the wheel resolved it first, honor
+// that resolution instead (expiry and cancellation racing, either is
+// correct and the caller keeps the cancellation cause). Returns the state
+// the call resolved to.
 //
 //ppc:coldpath -- the caller is abandoning the call
-func (c *Client) cancelAttempt(sh *shard, svc *Service, counters *shardCounters, e *dlExec, t *dlTicket, gen uint64, args *Args, probe bool, cause error) error {
-	want := gen<<dlGenShift | dlPhaseWaiting
+func (t *dlTicket) cancel(gen uint64) uint64 {
+	orphaned := gen<<dlGenShift | dlPhaseOrphaned
 	//ppc:nopublish -- orphan transition: the caller is abandoning the call, no payload
-	if !t.state.CompareAndSwap(want, gen<<dlGenShift|dlPhaseOrphaned) {
-		if s := t.state.Load(); s&dlPhaseMask == dlPhaseDone {
-			// Lost to the executor: the call completed. Take the done
-			// token its CAS is followed by, so the reused ticket starts
-			// the next call with an empty channel.
-			<-t.done
-			e.node.deadline.Store(0)
-			*args = t.args
-			if probe {
-				c.rec.clearProbe()
-			}
-			c.ownerExit(c.held)
-			return t.err
-		}
-		// Lost to the wheel: expiry and cancellation raced; either
-		// resolution is correct, keep the cancellation cause.
+	if t.state.CompareAndSwap(gen<<dlGenShift|dlPhaseWaiting, orphaned) {
+		return orphaned
 	}
-	return c.orphaned(sh, svc, counters, e, t, gen, probe, cause)
+	s := t.state.Load()
+	if s&dlPhaseMask == dlPhaseDone {
+		// Lost to the executor: the call completed. Take the done token
+		// its CAS is followed by, so the reused ticket starts the next
+		// call with an empty channel.
+		<-t.done
+	}
+	return s
 }
 
 // orphaned performs the caller's side of an orphaning, whoever won the
@@ -563,23 +487,23 @@ func (c *Client) cancelAttempt(sh *shard, svc *Service, counters *shardCounters,
 // may proceed.
 //
 //ppc:coldpath -- a deadline already expired (or the ctx was cancelled); the call is failing
-func (c *Client) orphaned(sh *shard, svc *Service, counters *shardCounters, e *dlExec, t *dlTicket, gen uint64, probe bool, cause error) error {
+func (c *Client) orphaned(cr callRec, e *dlExec, gen uint64, cause error) error {
+	sh := c.shard
+	err := ErrDeadline
+	if cause != nil {
+		err = fmt.Errorf("%w: %w", ErrDeadline, cause)
+	}
 	// The descriptor leaves "held" accounting but must not reach the
 	// pool until the executor observes handler return.
 	sh.heldCDs.Add(-1)
 	sh.quarantinedCDs.Add(1)
 	sh.deadlineExpired.Add(1)
-	if svc.health != nil {
-		if cause == nil {
-			svc.recordTimeout(counters)
-		} else if probe {
-			// A cancelled probe is not evidence either way; settle the
-			// gate back to degraded so the probe lease is not leaked.
-			svc.settleProbe(counters, cause)
-		}
+	if cr.svc.health != nil && cause == nil {
+		cr.svc.recordTimeout(cr.counters)
 	}
-	if probe {
-		c.rec.clearProbe()
+	if cr.probe {
+		// A cancelled probe is no evidence: back to degraded, where a timeout has already sent it.
+		cr.probeDone(err)
 	}
 	sh.wheel.abandon(e.node, sh.clock.read())
 	c.held = nil
@@ -590,12 +514,9 @@ func (c *Client) orphaned(sh *shard, svc *Service, counters *shardCounters, e *d
 	// scavenger never touches it).
 	c.rec.cd.Store(nil)
 	c.rec.dl.Store(nil)
-	t.ack.Store(gen)
+	e.ticket.ack.Store(gen)
 	sendToken(e.wake)
-	if cause != nil {
-		return fmt.Errorf("%w: %w", ErrDeadline, cause)
-	}
-	return ErrDeadline
+	return err
 }
 
 // AsyncCallDeadline is AsyncCall with a bound on queueing delay: if no

@@ -178,13 +178,6 @@ type leaseBlock struct {
 	next atomic.Pointer[leaseBlock]
 }
 
-// probeRef names the half-open probe a client's in-flight call carries,
-// so the scavenger can settle the gate if the client dies with it.
-type probeRef struct {
-	svc      *Service
-	counters *shardCounters
-}
-
 // clientRec is one client's ownership record. It lives on the shard
 // registry, holds no reference to the Client (the AddCleanup backstop
 // depends on that), and mirrors every reclaimable holding. Three lines:
@@ -223,12 +216,14 @@ type clientRec struct {
 	//
 	//ppc:atomic
 	dl atomic.Pointer[dlExec]
-	// probe is the half-open probe the client's current call carries
-	// (set and cleared inside the call paths; observable only while the
-	// client is mid-call or dead).
+	// probe is the half-open probe the client's current call carries, as
+	// the table entry of the service whose gate it is (set by enter,
+	// cleared by the call's own settlement; observable only while the
+	// client is mid-call or dead), so the scavenger can settle the gate
+	// if the client dies with it.
 	//
 	//ppc:atomic
-	probe atomic.Pointer[probeRef]
+	probe atomic.Pointer[epEntry]
 
 	idx int // position in registry.recs; maintained under registry.mu
 	_   [24]byte
@@ -541,17 +536,11 @@ func (c *Client) claimLost(args *Args, lost int) error {
 	return ErrClientAbandoned
 }
 
-// setProbe publishes (or clears) the probe the client's current call
-// carries. Cold: winning a half-open election is by definition off the
-// healthy path.
+// setProbe publishes the probe the client's current call carries. Cold:
+// winning a half-open election is by definition off the healthy path.
 //
 //ppc:coldpath -- half-open probe bookkeeping
-func (rec *clientRec) setProbe(svc *Service, counters *shardCounters) {
-	rec.probe.Store(&probeRef{svc: svc, counters: counters})
-}
-
-//ppc:coldpath -- half-open probe bookkeeping
-func (rec *clientRec) clearProbe() { rec.probe.Store(nil) }
+func (rec *clientRec) setProbe(e *epEntry) { rec.probe.Store(e) }
 
 // beatTick stamps the client's liveness beat (epoch-enrolled clients
 // only): the one plain store the warm path pays for liveness.
@@ -698,45 +687,52 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 func (c *Client) ownerExit(cd *callDesc) {
 	cd.owner.Store(c.owHeld)
 	if c.rec.state.Load() != crLive {
-		c.tombstoneExit(cd)
+		c.tombstoneExit()
 	}
 }
 
 // tombstoneExit is the dead owner's completion path: the exit life
-// check came back dead while the word (plain path: untouched all
-// along; deadline path: just restored by ownerExit) still reads owHeld
-// under this hold's generation — unless the scavenger already
-// condemned it, in which case its generation bump makes this CAS fail.
-// Exactly one party reclaims: the winner here pushes the descriptor
-// itself; a scavenger that won instead compensated the pool with a
-// fresh one and left this descriptor as garbage.
+// check came back dead while the word (plain path: untouched all along;
+// deadline path: just restored by ownerExit) still reads owHeld under
+// this hold's generation — unless the scavenger already condemned it.
+// The completion landed in a tombstone: counted, and the descriptor
+// settled as any dead owner's is (dropDeadHold).
 //
 //ppc:coldpath -- the client was abandoned mid-call
-func (c *Client) tombstoneExit(cd *callDesc) {
-	reg := c.rec.reg
-	reg.tombstoned.Add(1)
-	if cd.owner.CompareAndSwap(c.owHeld, packOwner(ownerGen(c.owHeld)+1, c.program, owDead)) {
-		// This completion won: reclaim exactly as the scavenger would.
-		c.shard.heldCDs.Add(-1)
-		if c.sys.closeEpoch.Load() == c.heldEpoch {
-			c.shard.pushCD(cd)
-		}
-	}
-	// Lost: the scavenger (or a racing Release) already settled it —
-	// the completion landed in the tombstone and walks away.
-	c.rec.cd.Store(nil)
-	c.held = nil
-	c.dl = nil
+func (c *Client) tombstoneExit() {
+	c.rec.reg.tombstoned.Add(1)
+	c.dropDeadHold()
 }
 
-// ownerLost is the dead owner's entry path: the plain path's life
-// check (or the deadline path's entry CAS) found the client dead.
-// Settle the call's payload leases (the claim transferred them to this
-// call) and the held descriptor, and fail.
+// own is the ownership entry of the two paths that run on the client's
+// held descriptor (Call, callDeadline): take a descriptor if none is held
+// — Hold declines on a dead client — then one load of the record's life
+// state, a read-mostly line written once at death, and the liveness beat
+// of an enrolled client. The plain path never transitions the ownership
+// word (see the file comment), so the warm call pays no RMW here.
+//
+//ppc:hotpath
+func (c *Client) own(args *Args) error {
+	if c.held == nil {
+		c.Hold()
+	}
+	if c.held == nil || c.rec.state.Load() != crLive {
+		return c.ownerLost(one(args))
+	}
+	if c.rec.epochs != 0 {
+		c.beatTick()
+	}
+	return nil
+}
+
+// ownerLost is the dead owner's entry path: a life check (preflight's or
+// own's) or the deadline path's entry CAS found the client dead. Settle
+// the submission's payload leases (the claim transferred them to it)
+// and the held descriptor, and fail.
 //
 //ppc:coldpath -- the client was abandoned before this call
-func (c *Client) ownerLost(args *Args) error {
-	c.shard.releaseArgsPayloads(args)
+func (c *Client) ownerLost(argss []Args) error {
+	c.shard.releaseBatchPayloads(argss)
 	c.dropDeadHold()
 	return ErrClientAbandoned
 }
@@ -752,10 +748,7 @@ func (c *Client) ownerLost(args *Args) error {
 func (c *Client) dropDeadHold() {
 	if cd := c.held; cd != nil {
 		if cd.owner.CompareAndSwap(c.owHeld, packOwner(ownerGen(c.owHeld)+1, c.program, owDead)) {
-			c.shard.heldCDs.Add(-1)
-			if c.sys.closeEpoch.Load() == c.heldEpoch {
-				c.shard.pushCD(cd)
-			}
+			c.shard.releaseCD(cd, c.sys.closeEpoch.Load() == c.heldEpoch)
 		}
 		c.held = nil
 		c.dl = nil

@@ -18,8 +18,16 @@
 // The Go scheduler hides true core pinning, so a shard is an
 // approximation of a processor: when each calling goroutine sticks to
 // its own shard, the facility touches only shard-local state and scales
-// with GOMAXPROCS, while the locked/central baselines in this package
-// saturate — the same shape as the paper's Figure 3.
+// with GOMAXPROCS, while the locked and message-passing baselines
+// (internal/rtbench) saturate — the same shape as the paper's Figure 3.
+//
+// Every call, whichever entry point made it, is one path: the client
+// half (Client.preflight: lease claim, life check, tenant charge), one
+// entry (shard.enter: table read, health gate, probe mirror) that makes
+// the call's record, and one of the record's two exits — fail before
+// dispatch, settle after it. Between them the synchronous entry points run
+// one core (System.callHeld; the two bounded ones split it at the handoff
+// to their executor), the asynchronous ones one submission.
 //
 // Two Figure 2 optimizations are carried over verbatim:
 //

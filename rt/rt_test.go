@@ -416,46 +416,6 @@ func TestConcurrentAsyncAndKill(t *testing.T) {
 	}
 }
 
-func TestCentralServerBaseline(t *testing.T) {
-	cs := NewCentralServer(func(ctx *Ctx, args *Args) { args[0]++ }, 0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var args Args
-			for i := 0; i < 100; i++ {
-				cs.Call(1, &args)
-			}
-		}()
-	}
-	wg.Wait()
-	if cs.Calls() != 800 {
-		t.Fatalf("Calls = %d", cs.Calls())
-	}
-}
-
-func TestChannelServerBaseline(t *testing.T) {
-	cs := NewChannelServer(func(ctx *Ctx, args *Args) { args[0] += 2 }, 4)
-	defer cs.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reply := make(chan struct{}, 1)
-			var args Args
-			for i := 0; i < 100; i++ {
-				cs.Call(1, &args, reply)
-			}
-			if args[0] != 200 {
-				t.Errorf("args[0] = %d", args[0])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func TestShardPoolGrowsAndPools(t *testing.T) {
 	sys := NewSystemShards(1)
 	sh := &sys.shards[0]

@@ -51,54 +51,6 @@ func measureThroughput(t *testing.T, call func(g int, c *Client, args *Args) err
 	return total
 }
 
-// TestShardedBeatsChannelServer compares the PPC-style path against the
-// message-passing baseline under parallel load. The channel server pays
-// two scheduler handoffs per call, so the sharded path should win by a
-// wide margin on any machine; this is the robust shape check (the
-// mutex-baseline gap needs more cores than CI may have, so it is
-// exercised by the benchmarks instead).
-func TestShardedBeatsChannelServer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock throughput comparison")
-	}
-	handler := func(ctx *Ctx, args *Args) { args[0]++ }
-
-	sys := NewSystem()
-	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: handler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := runtime.GOMAXPROCS(0)
-	const window = 150 * time.Millisecond
-
-	sharded := measureThroughput(t, func(_ int, c *Client, args *Args) error {
-		return c.Call(svc.EP(), args)
-	}, func(int) *Client { return sys.NewClient() }, g, window)
-
-	cs := NewChannelServer(handler, g)
-	defer cs.Close()
-	replies := make([]chan struct{}, g)
-	for i := range replies {
-		replies[i] = make(chan struct{}, 1)
-	}
-	channel := measureThroughput(t, func(gi int, _ *Client, args *Args) error {
-		cs.Call(1, args, replies[gi])
-		return nil
-	}, nil, g, window)
-
-	t.Logf("sharded=%d channel=%d (%.1fx) at GOMAXPROCS=%d", sharded, channel, float64(sharded)/float64(channel), g)
-	// Race instrumentation slows the atomic-heavy sharded path far more
-	// than the channel server and invalidates the ordering; the race
-	// suite is a correctness gate, so the comparison is report-only
-	// there. Without the race detector the observed gap is ~20x.
-	if raceEnabled {
-		return
-	}
-	if float64(sharded) < float64(channel)*1.3 {
-		t.Fatalf("sharded path (%d calls) should outrun the channel server (%d calls)", sharded, channel)
-	}
-}
-
 // TestSharedShardKeepsUp is Figure 3's IPC-side claim on real
 // processors: callers that all bind to ONE shard must run held calls
 // about as fast as callers on disjoint shards, because a held call
@@ -130,7 +82,7 @@ func TestSharedShardKeepsUp(t *testing.T) {
 	ratio := float64(shared) / float64(disjoint)
 	t.Logf("disjoint=%d shared=%d (%.2fx) with %d callers", disjoint, shared, ratio, p)
 	if raceEnabled {
-		return // report-only, as above
+		return // report-only: race instrumentation slows the atomic-heavy path most
 	}
 	if ratio < 0.5 {
 		t.Fatalf("callers sharing one shard ran at %.2fx the disjoint rate (%d vs %d calls), want at least 0.5x",
