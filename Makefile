@@ -76,10 +76,10 @@ bench-handoff:
 bench-selftest:
 	cd bench && GOWORK=off $(GO) test ./...
 
-# One iteration of every benchmark: catches bit-rot in bench bodies
-# without measuring anything.
+# One iteration of every benchmark, rt's own included: catches bit-rot
+# in bench bodies without measuring anything.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./rt
 
 # Regenerate BENCH_rt.json (real measurements; takes a few minutes at
 # the default 1s benchtime — pass BENCHTIME=100ms for a quick pass).

@@ -188,9 +188,8 @@ func BenchmarkRTCall(b *testing.B) { rtbench.SyncCall(b) }
 // sync fast path.
 func BenchmarkRTCallDeadline(b *testing.B) { rtbench.SyncCallDeadline(b) }
 
-// BenchmarkRTCallDeadlineShort arms a deadline inside the wheel's first
-// revolution, so the watchdog tick cascades the node while the warm
-// path re-arms it — the wheel's contended shape.
+// BenchmarkRTCallDeadlineShort arms a deadline a few ticks out, so the
+// shard tick reads the deadline word while the warm path rewrites it.
 func BenchmarkRTCallDeadlineShort(b *testing.B) { rtbench.SyncCallDeadlineShort(b) }
 
 // BenchmarkHostPingPongSpin, BenchmarkHostPingPongChan and

@@ -52,8 +52,8 @@ func SyncCall(b *testing.B) {
 
 // SyncCallDeadline is SyncCall with a (generous) per-call deadline
 // armed on every iteration: the warm held-CD path plus the deadline
-// machinery — ticket reuse, one expiry store into the shard's timer
-// wheel, and the park-first handoff to the executor goroutine (one
+// machinery — ticket reuse, one expiry store into the ticket's deadline
+// word, and the park-first handoff to the executor goroutine (one
 // channel token each way, no timers). The rt_call → rt_call_deadline
 // ratio is the full cost of making a sync call cancellable; on every
 // P count it is floored by the two goroutine switches the
@@ -84,12 +84,13 @@ func SyncCallDeadline(b *testing.B) {
 	}
 }
 
-// SyncCallDeadlineShort is SyncCallDeadline with a deadline inside the
-// wheel's first revolution (a few ms): every arm files near the scan
-// cursor, so the watchdog tick visits and cascades the node while the
-// warm path re-arms it — the wheel's contended shape, vs the far-horizon
-// filing SyncCallDeadline measures. The calls still complete (the
-// handler is instant); the deadline never fires.
+// SyncCallDeadlineShort is SyncCallDeadline with a deadline a few ticks
+// out (4 ms). Arming is one store whatever the distance — there is no
+// filing and no cascade left to price — so the pair differs only in
+// that the shard tick's read of the deadline word finds it armed close
+// to due; it is kept as the check that near and far cost the same. The
+// calls still complete (the handler is instant); the deadline never
+// fires.
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallDeadline
 func SyncCallDeadlineShort(b *testing.B) {
@@ -103,7 +104,7 @@ func SyncCallDeadlineShort(b *testing.B) {
 	}
 	c := sys.NewClient()
 	var args rt.Args
-	const deadline = 4 * time.Millisecond // inside one wheel revolution
+	const deadline = 4 * time.Millisecond // a few ticks out
 	if err := c.CallDeadline(svc.EP(), &args, deadline); err != nil {
 		b.Fatal(err)
 	}

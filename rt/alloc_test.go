@@ -358,8 +358,8 @@ func TestWarmPayloadAsyncAllocs(t *testing.T) {
 }
 
 // TestWarmCallDeadlineAllocs pins the warm deadline path: with the
-// executor armed and the ticket, its two channels and the wheel node
-// reused, a CallDeadline that completes in time must not touch the
+// executor armed and the ticket and its two channels reused, a
+// CallDeadline that completes in time must not touch the
 // heap — and neither must a cancel-only CallContext, whose wait is the
 // two-way select rather than the plain receive.
 // Report-only under -race (instrumentation allocates).

@@ -767,7 +767,7 @@ func TestPayloadDeadlineOrphanLease(t *testing.T) {
 	if err := c.AttachBytes(&args, []byte("survives")); err != nil {
 		t.Fatal(err)
 	}
-	err = c.CallDeadline(svc.EP(), &args, 10*minWheelGranularity)
+	err = c.CallDeadline(svc.EP(), &args, 500*time.Microsecond)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("CallDeadline = %v, want ErrDeadline", err)
 	}

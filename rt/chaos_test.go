@@ -216,7 +216,7 @@ func TestChaosDelayedRingPublish(t *testing.T) {
 }
 
 // TestChaosDeadlineStorm: tiny deadlines and prompt ctx cancellations
-// race the wheel tick, orphaning, quarantine reclaim, and worker
+// race the shard tick, orphaning, quarantine reclaim, and worker
 // supervision while the handler site stalls. The gate may trip on real
 // timeout evidence but must heal; no goroutine (executor, watchdog,
 // replacement worker) may leak through the storm.

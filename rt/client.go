@@ -290,8 +290,7 @@ func (c *Client) Hold() {
 func (c *Client) Release() {
 	if c.dl != nil {
 		// Retire the idle deadline executor (the owning goroutine cannot
-		// be mid-call here; a Client is single-goroutine by contract) and
-		// abandon its wheel node so the watchdog can unregister it.
+		// be mid-call here; a Client is single-goroutine by contract).
 		c.dl.retire()
 		c.dl = nil
 		c.rec.dl.Store(nil)

@@ -16,8 +16,7 @@ import (
 // goroutine: a single, lazily-created, reused goroutine that runs
 // handlers on the client's held descriptor while the caller waits on a
 // reusable ticket. The warm path allocates nothing — the ticket, its
-// two channels, the executor, and its wheel node all persist on the
-// Client.
+// two channels and the executor all persist on the Client.
 //
 // The handoff is hand-off scheduling: both parties park first. The
 // caller writes the request, sends one token on the executor's wake
@@ -32,19 +31,31 @@ import (
 // processors costs as much as a channel ping-pong on one and burns a
 // second core doing it (EXPERIMENTS.md E19).
 //
-// Timing uses the shard's timer wheel (wheel.go), not per-call timers:
-// arming a deadline is one store of an absolute expiry into the
-// client's wheel node, and the shard watchdog's tick scans due buckets
-// and performs the dlWaiting→dlOrphaned CAS on behalf of expired
-// callers, followed by the same done token the executor would send.
+// Timing uses no per-call timer. Arming a deadline is one store of an
+// absolute expiry into the ticket's deadline word and disarming is one
+// store of zero; every executor of a shard is on one list
+// (shard.dlExecs, under the cold dlMu), and the shard's tick
+// (watchdog.go) walks the whole list, performing the
+// dlWaiting→dlOrphaned CAS on behalf of every caller whose word has
+// come due, followed by the same done token the executor would send.
+// The list holds one entry per executor, not per call, and the walk is
+// one load — one cache line — per entry: under 1 % of a processor for
+// 1 000 registered executors, 2–9 % for 10 000 (EXPERIMENTS.md E23).
+//
+// Timing contract: arming rounds the expiry up by one tick from the
+// shard's coarse clock, and every tick refreshes that clock before it
+// walks the list, so a deadline is settled never before d has elapsed
+// and at most ~2 ticks after, for any d. The tick is deadlineTick, or
+// Options.WatchdogInterval when that is finer.
 //
 // The ticket state word packs a per-executor generation with a phase
 // (gen<<2 | waiting/done/orphaned). The generation is what makes the
-// watchdog's asynchronous CAS safe: a wheel entry from call N that
-// fires while call N+1 is in flight fails its CAS (different gen), and
-// the arm path stores the deadline word *before* the state word while
-// expire re-validates the deadline *after* reading the state, so a
-// stale expiry can never orphan a fresh call.
+// tick's asynchronous CAS safe: a deadline read from call N that is
+// acted on while call N+1 is in flight fails its CAS (different gen),
+// and a resolved call leaves the deadline word zero before the next
+// call opens its waiting phase while expire re-validates the deadline
+// *after* reading the state, so a stale expiry can never orphan a
+// fresh call.
 //
 // When the deadline fires first the call is *orphaned*, and the safety
 // question becomes: who owns the held descriptor, whose scratch buffer
@@ -54,11 +65,11 @@ import (
 //     the ticket waiting→orphaned. The *caller*, on observing the
 //     orphaned phase, quarantines the CD (counted in
 //     ShardStats.QuarantinedCDs — it is no longer "held", and it must
-//     NOT be repooled while the handler runs), abandons the wheel node,
-//     forgets both the descriptor and the executor, acknowledges the
-//     bookkeeping on the ticket (ack), and returns ErrDeadline. The
-//     client transparently re-arms with a fresh descriptor, executor,
-//     and wheel node on its next call.
+//     NOT be repooled while the handler runs), takes the executor off
+//     the shard's list, forgets both the descriptor and the executor,
+//     acknowledges the bookkeeping on the ticket (ack), and returns
+//     ErrDeadline. The client transparently re-arms with a fresh
+//     descriptor and executor on its next call.
 //  2. A caller-side CAS loss means the executor finished between the
 //     expiry firing and the caller reacting; the caller takes the
 //     result normally — no orphan, no quarantine.
@@ -89,9 +100,14 @@ import (
 // queued request has no goroutine to orphan. AsyncCallDeadline stamps
 // the request with an absolute expiry; a worker that dequeues it past
 // the expiry settles it (accounting, health evidence, notification)
-// without running the handler. The dequeue check shares the wheel's
+// without running the handler. The dequeue check shares the shard's
 // coarse clock, refreshed once per drained batch. See
 // shard.expireAsync.
+
+// deadlineTick is how often a shard with a deadline executor registered
+// walks its list (EXPERIMENTS.md E14: finer buys nothing, coarser only
+// adds lateness). A finer Options.WatchdogInterval takes its place.
+const deadlineTick = time.Millisecond
 
 // Ticket state word layout: gen<<dlGenShift | phase.
 const (
@@ -122,8 +138,13 @@ type dlTicket struct {
 	//
 	//ppc:atomic
 	ack atomic.Uint64
+	// deadline is the armed absolute expiry (unix nanos); 0 = disarmed.
+	// The caller stores it, the shard's tick loads it.
+	//
+	//ppc:atomic
+	deadline atomic.Int64
 	// done is the caller's park: buffered(1), one token from the
-	// executor or the wheel, whichever CASes the state out of waiting.
+	// executor or the tick, whichever CASes the state out of waiting.
 	// The token carries nothing — it means "re-check state", and state
 	// is what publishes the results.
 	done chan struct{}
@@ -132,8 +153,8 @@ type dlTicket struct {
 }
 
 // sendToken puts a token on a buffered(1) park channel unless one is
-// already pending: coalescing and never blocking, so the watchdog's
-// expire and a repeated retire can both use it. A token carries
+// already pending: coalescing and never blocking, so the tick's expire
+// and a repeated retire can both use it. A token carries
 // nothing; its receiver re-checks the word or flag it waits on.
 //
 //ppc:coldpath -- a channel send: the scheduler is involved by design
@@ -144,20 +165,21 @@ func sendToken(ch chan struct{}) {
 	}
 }
 
-// expire is the watchdog-side orphaning: CAS this ticket's current
-// waiting generation to orphaned, on behalf of a caller whose deadline
-// d has passed. The deadline re-validation AFTER the state read is what
-// defeats the stale-filing ABA: if the state word belongs to a newer
-// call, that call stored its (different) deadline before its state, so
-// the re-read cannot still see d.
+// expire is the tick-side orphaning: CAS this ticket's current waiting
+// generation to orphaned, on behalf of a caller whose deadline d has
+// passed. The deadline re-validation AFTER the state read is what
+// defeats the stale-deadline ABA: if the state word belongs to a newer
+// call, the word was zeroed (the older call's disarm) before that state
+// was stored and has held only the newer call's own expiry since, so a
+// re-read that still sees d is seeing a deadline of the call it orphans.
 //
-//ppc:coldpath -- runs on the watchdog tick, only for an expired call
-func (t *dlTicket) expire(n *dlNode, d int64) {
+//ppc:coldpath -- runs on the shard tick, only for an expired call
+func (t *dlTicket) expire(d int64) {
 	s := t.state.Load()
 	if s&dlPhaseMask != dlPhaseWaiting {
 		return
 	}
-	if n.deadline.Load() != d {
+	if t.deadline.Load() != d {
 		return
 	}
 	//ppc:nopublish -- orphan transition: carries no payload, the caller discards results
@@ -180,15 +202,15 @@ type dlReq struct {
 }
 
 // dlExec is the per-client deadline executor: one goroutine, one
-// inline request slot, one reusable ticket, one wheel node. The handoff
-// is park-first in both directions: the executor blocks on wake, the
-// caller on ticket.done, and each send readies the other side on the
-// sender's own processor.
+// inline request slot, one reusable ticket. The handoff is park-first
+// in both directions: the executor blocks on wake, the caller on
+// ticket.done, and each send readies the other side on the sender's
+// own processor.
 type dlExec struct {
 	sys  *System
 	sh   *shard
 	prog uint32 // the client's program ID
-	node *dlNode
+	idx  int    // position in sh.dlExecs, -1 once off the list; guarded by sh.dlMu
 	// wake is the executor's park: buffered(1). The caller's send and
 	// the executor's receive are req's publish edge (one token per
 	// request, so the send never finds the buffer full); retire and the
@@ -204,26 +226,70 @@ type dlExec struct {
 }
 
 // armDeadlineExec lazily creates the client's executor (first
-// CallDeadline, or the first after an orphaning) and registers its
-// wheel node with the shard, which also ensures the watchdog ticker is
-// running to drive expiries.
+// CallDeadline, or the first after an orphaning) and puts it on the
+// shard's list, then makes sure the tick loop is running at the
+// deadline tick to drive expiries.
 //
 //ppc:coldpath -- executor construction, once per client (plus once per orphaning)
 func (c *Client) armDeadlineExec() {
-	e := &dlExec{sys: c.sys, sh: c.shard, prog: c.program}
+	sh := c.shard
+	e := &dlExec{sys: c.sys, sh: sh, prog: c.program}
 	e.wake = make(chan struct{}, 1)
 	e.ticket.done = make(chan struct{}, 1)
-	// The node carries the client's current ownership word (owner.go):
-	// gen-tagged, offset-stable, the wheel-node leg of the domain-death
-	// layout.
-	e.node = &dlNode{t: &e.ticket, owner: c.owHeld}
-	c.shard.wheel.registered.Add(1)
-	c.shard.ensureWatchdog(c.sys)
+	sh.dlMu.Lock()
+	e.idx = len(sh.dlExecs)
+	sh.dlExecs = append(sh.dlExecs, e)
+	sh.dlMu.Unlock()
+	sh.startTick(c.sys)
 	c.dl = e
 	// Mirror the executor on the ownership record so the scavenger can
-	// retire it (and unfile its wheel node) if the client dies idle.
+	// retire it if the client dies idle.
 	c.rec.dl.Store(e)
 	go e.loop()
+}
+
+// unlist swap-deletes the executor from its shard's list: the tick will
+// not look at its deadline word again. Idempotent — Release and the
+// scavenger may both retire one executor.
+//
+//ppc:coldpath -- executor retirement, once per orphaning or Release
+func (e *dlExec) unlist() {
+	sh := e.sh
+	sh.dlMu.Lock()
+	defer sh.dlMu.Unlock()
+	if i := e.idx; i >= 0 {
+		last := len(sh.dlExecs) - 1
+		sh.dlExecs[i] = sh.dlExecs[last]
+		sh.dlExecs[i].idx = i
+		sh.dlExecs[last] = nil
+		sh.dlExecs = sh.dlExecs[:last]
+		e.idx = -1
+	}
+}
+
+// deadlineExecs is how many executors the shard's tick has to walk.
+func (sh *shard) deadlineExecs() int {
+	sh.dlMu.Lock()
+	defer sh.dlMu.Unlock()
+	return len(sh.dlExecs)
+}
+
+// expireDeadlines is the tick's walk of the shard's executors: every
+// armed deadline that has come due is orphaned on its parked caller's
+// behalf, then cleared — by CAS, not store, so a concurrent re-arm's
+// fresh expiry survives.
+//
+//ppc:coldpath -- periodic scan on the tick goroutine, off every call path
+func (sh *shard) expireDeadlines(now int64) {
+	sh.dlMu.Lock()
+	defer sh.dlMu.Unlock()
+	for _, e := range sh.dlExecs {
+		t := &e.ticket
+		if d := t.deadline.Load(); d != 0 && d <= now {
+			t.expire(d)
+			t.deadline.CompareAndSwap(d, 0)
+		}
+	}
 }
 
 // loop runs handlers on behalf of deadline callers until retired
@@ -266,16 +332,16 @@ func (e *dlExec) loop() {
 }
 
 // retire asks an idle executor to exit (Client.Release; a Client is
-// single-goroutine by contract, so no call is in flight) and hands its
-// wheel node to the wheel for retirement. Idempotent: Release and the
-// scavenger may both retire one executor; the second token is dropped
-// or left in the buffer of a goroutine that already exited.
+// single-goroutine by contract, so no call is in flight) and takes it
+// off the shard's list. Idempotent: Release and the scavenger may both
+// retire one executor; the second token is dropped or left in the
+// buffer of a goroutine that already exited.
 //
 //ppc:coldpath -- executor retirement, off every call path
 func (e *dlExec) retire() {
 	e.exit.Store(true)
 	sendToken(e.wake)
-	e.sh.wheel.abandon(e.node, e.sh.clock.read())
+	e.unlist()
 }
 
 // reclaimQuarantined ends a descriptor's quarantine after its orphaned
@@ -298,18 +364,18 @@ func (sh *shard) reclaimQuarantined(cd *callDesc, repool bool) {
 // Results of an orphaned call are discarded; args are copied in, so
 // the orphan never scribbles on the caller's memory after return.
 //
-// Expiry is detected by the shard's timer wheel on the watchdog tick:
-// a call is settled as expired at most ~2 ticks after d elapses and
-// never before (Options.DeadlineWheelGranularity sets the tick).
+// Expiry is detected on the shard's tick: a call is settled as expired
+// at most ~2 ticks after d elapses and never before, for any d (the
+// tick is 1 ms, or Options.WatchdogInterval when that is finer).
 //
 // A d <= 0 means no deadline: identical to Call (including running the
 // handler on the caller's goroutine).
 //
 // The warm path — executor armed, deadline met — performs zero heap
-// allocations and arms no timer: the ticket, executor, and wheel node
-// are all reused, and arming is one store into the wheel node.
+// allocations and arms no timer: the ticket and the executor are
+// reused, and arming is one store into the ticket's deadline word.
 //
-//ppc:rmwbudget(10) -- busy CAS, admission, arm (ticket, wheel node, filing: 6), disarm, owner exit
+//ppc:rmwbudget(6) -- busy CAS, admission, arm (ticket, deadline word: 2), disarm, owner exit
 func (c *Client) CallDeadline(ep EntryPointID, args *Args, d time.Duration) error {
 	if d <= 0 {
 		return c.Call(ep, args)
@@ -404,12 +470,13 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	//ppc:nopublish -- arming store: opens the waiting phase, the Done CAS publishes the results
 	t.state.Store(gen<<dlGenShift | dlPhaseWaiting)
 	if d > 0 {
-		// Arm the wheel BEFORE publishing the request so the bound covers
-		// the whole handoff. The expiry rounds up by one granularity
-		// from the coarse clock: staleness ≤ one tick, so the wheel
-		// never fires before d has elapsed, and at most ~2 ticks after.
-		now := sh.clock.read()
-		sh.wheel.arm(exec.node, now+int64(d)+sh.wheel.granularity, now)
+		// Arm BEFORE publishing the request so the bound covers the whole
+		// handoff, and after the state store: the tick clears a due word
+		// whether or not it found a waiting call to orphan. The expiry
+		// rounds up by one tick from the coarse clock: staleness ≤ one
+		// tick, so the tick never fires before d has elapsed, and at most
+		// ~2 ticks after.
+		t.deadline.Store(sh.clock.read() + int64(d) + int64(sh.dlTick))
 	}
 	exec.req = dlReq{callRec: cr, cd: cd, epoch: c.heldEpoch, gen: gen}
 	// Hand off: the send readies the executor on this processor, and
@@ -417,7 +484,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	exec.wake <- struct{}{}
 	s, cancelled := dlWait(t, gen, cancel)
 	if s&dlPhaseMask != dlPhaseDone {
-		// Orphaned: by the wheel, a true expiry, or by the cancellation.
+		// Orphaned: by the tick, a true expiry, or by the cancellation.
 		var cause error
 		if cancelled {
 			cause = ctx.Err()
@@ -425,8 +492,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		return c.orphaned(cr, exec, gen, cause)
 	}
 	if d > 0 {
-		// Disarm; the wheel unlinks the node lazily at its filed tick.
-		exec.node.deadline.Store(0)
+		t.deadline.Store(0) // disarm
 	}
 	*args = t.args // done, and settled by the executor before its token
 	c.ownerExit(cd)
@@ -456,7 +522,7 @@ func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) (s uint64, cancelle
 }
 
 // cancel resolves a ctx cancellation observed while waiting: try to
-// orphan the call; if the executor or the wheel resolved it first, honor
+// orphan the call; if the executor or the tick resolved it first, honor
 // that resolution instead (expiry and cancellation racing, either is
 // correct and the caller keeps the cancellation cause). Returns the state
 // the call resolved to.
@@ -479,11 +545,11 @@ func (t *dlTicket) cancel(gen uint64) uint64 {
 }
 
 // orphaned performs the caller's side of an orphaning, whoever won the
-// CAS (the wheel on expiry, the caller on cancellation): quarantine
+// CAS (the tick on expiry, the caller on cancellation): quarantine
 // the descriptor, record health evidence (timeout evidence only for a
 // true expiry — a cancellation settles a carried probe without
-// degrading the gate), abandon the wheel node, replace the executor
-// lazily, and acknowledge the bookkeeping so the executor's reclaim
+// degrading the gate), take the executor off the shard's list, replace
+// it lazily, and acknowledge the bookkeeping so the executor's reclaim
 // may proceed.
 //
 //ppc:coldpath -- a deadline already expired (or the ctx was cancelled); the call is failing
@@ -505,7 +571,7 @@ func (c *Client) orphaned(cr callRec, e *dlExec, gen uint64, cause error) error 
 		// A cancelled probe is no evidence: back to degraded, where a timeout has already sent it.
 		cr.probeDone(err)
 	}
-	sh.wheel.abandon(e.node, sh.clock.read())
+	e.unlist()
 	c.held = nil
 	c.dl = nil
 	// The ownership mirrors forget the quarantined descriptor and the

@@ -17,17 +17,17 @@ import (
 // is what these drive. CI runs them at -cpu 1,2,4 and under -race.
 
 // Expiry racing completion: the handler takes about as long as the
-// deadline, so the wheel's orphaning CAS and the executor's done CAS
+// deadline, so the tick's orphaning CAS and the executor's done CAS
 // contend for the same state word call after call. Every call must
 // resolve one of exactly two ways: nil with THIS call's result, or
 // ErrDeadline with the caller's args untouched.
 func TestDeadlineExpiryRacesCompletion(t *testing.T) {
-	const tick = minWheelGranularity
+	const tick = 50 * time.Microsecond
 	calls := 10_000
 	if testing.Short() {
 		calls = 1_000
 	}
-	sys := NewSystemOptions(Options{Shards: 1, DeadlineWheelGranularity: tick})
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: tick})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "edge", Handler: func(ctx *Ctx, args *Args) {
 		// 0..3 ticks around an expiry that lands 1..2 ticks after arming.
@@ -79,7 +79,7 @@ func TestCallContextStaleDoneToken(t *testing.T) {
 	if testing.Short() {
 		rounds = 200
 	}
-	sys := NewSystemOptions(Options{Shards: 1, DeadlineWheelGranularity: minWheelGranularity})
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
 	defer sys.Close()
 	var cancel atomic.Pointer[context.CancelFunc]
 	racy, err := sys.Bind(ServiceConfig{Name: "selfcancel", Handler: func(ctx *Ctx, args *Args) {
@@ -157,9 +157,8 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	leakCheck(t)
 	sys := NewSystemOptions(Options{
-		Shards:                   1,
-		WatchdogInterval:         time.Millisecond,
-		DeadlineWheelGranularity: 100 * time.Microsecond,
+		Shards:           1,
+		WatchdogInterval: 100 * time.Microsecond,
 	})
 	defer sys.Close()
 	sh := &sys.shards[0]
@@ -175,10 +174,10 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	settled := func(what string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for executors() != 0 || sh.wheel.registered.Load() != 0 || sh.quarantinedCDs.Load() != 0 {
+		for executors() != 0 || sh.deadlineExecs() != 0 || sh.quarantinedCDs.Load() != 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %d executors, %d wheel nodes, %d quarantined",
-					what, executors(), sh.wheel.registered.Load(), sh.quarantinedCDs.Load())
+				t.Fatalf("timed out waiting for %s: %d executors, %d on the shard's list, %d quarantined",
+					what, executors(), sh.deadlineExecs(), sh.quarantinedCDs.Load())
 			}
 			time.Sleep(100 * time.Microsecond)
 		}

@@ -3,15 +3,17 @@ package rt
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 )
 
-// Regression and race coverage for the timer-wheel deadline path: the
-// two cancellation-path bugfixes (dead-on-arrival ctx, health-gate
-// pollution) and the wheel-specific interleavings (orphan vs tick vs
-// Release, Close with armed nodes, ticket reuse across re-arm).
+// Regression and race coverage for deadline expiry on the shard tick:
+// the two cancellation-path bugfixes (dead-on-arrival ctx, health-gate
+// pollution), the timing contract through the public API, and the
+// interleavings of the tick with the callers (orphan vs tick vs
+// Release, Close with armed executors, ticket reuse across re-arm).
 
 // A ctx that is already cancelled (no deadline involved) must fail
 // before admission: no handler run, no descriptor held, no executor
@@ -130,16 +132,128 @@ func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 	}
 }
 
-// Orphaning, the wheel tick, and Release race freely: concurrent
-// clients alternate completing calls (Release abandons a still-filed
-// node while its bucket may be mid-scan) and orphaning them (abandon
-// from the orphaned branch races the tick that fired it). Run with
-// -race; afterwards every quarantined descriptor reclaims and every
-// wheel node retires.
-func TestWheelOrphanTickReleaseRace(t *testing.T) {
+// The timing contract, through the public API only: a call that outlives
+// its deadline d returns ErrDeadline never before d has elapsed and at
+// most ~2 ticks after, for any d — a fraction of a tick, 200 ticks (the
+// deleted timer wheel cascaded past 64), and a short deadline armed on a
+// client whose previous call armed an hour. Default Options: the tick is
+// 1 ms and the loop tightens to it from the 5 ms supervision interval at
+// the first registration. The companions: TestDeadlineTicketReuseAcrossRearm
+// (a completed call's deadline never orphans the next call) and
+// TestWarmCallDeadlineAllocs (the warm path stays off the heap).
+func TestDeadlineTimingContract(t *testing.T) {
+	const (
+		tick   = time.Millisecond
+		rounds = 3
+		// slack is what the wakeup of the caller may add on a busy host;
+		// the best of a row's rounds must do far better.
+		slack     = 100 * time.Millisecond
+		bestSlack = 3 * time.Millisecond
+	)
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	release := make(chan struct{})
+	svc, err := sys.Bind(ServiceConfig{Name: "contract", Handler: func(ctx *Ctx, args *Args) {
+		if args[0] == 1 {
+			<-release // outlive the deadline
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	defer c.Release()
+	for _, row := range []struct {
+		name  string
+		prior time.Duration // a completed call's deadline, armed just before (0: none)
+		d     time.Duration
+	}{
+		{"half a tick", 0, tick / 2},
+		{"one tick", 0, tick},
+		{"three ticks", 0, 3 * tick},
+		{"200 ticks", 0, 200 * tick},
+		{"2 ms after a 1 h arm", time.Hour, 2 * time.Millisecond},
+	} {
+		best := time.Duration(math.MaxInt64)
+		for r := 0; r < rounds; r++ {
+			var args Args
+			if row.prior != 0 {
+				if err := c.CallDeadline(svc.EP(), &args, row.prior); err != nil {
+					t.Fatalf("%s: prior call: %v", row.name, err)
+				}
+			}
+			args[0] = 1
+			start := time.Now()
+			err := c.CallDeadline(svc.EP(), &args, row.d)
+			late := time.Since(start) - row.d
+			if !errors.Is(err, ErrDeadline) {
+				t.Fatalf("%s: err = %v, want ErrDeadline", row.name, err)
+			}
+			release <- struct{}{}
+			if late < 0 {
+				t.Errorf("%s: settled %v before d = %v had elapsed", row.name, -late, row.d)
+			}
+			if late > 2*tick+slack {
+				t.Errorf("%s: settled %v after d = %v, want at most 2 ticks (+%v)", row.name, late, row.d, slack)
+			}
+			best = min(best, late)
+		}
+		if best > 2*tick+bestSlack {
+			t.Errorf("%s: best of %d rounds settled %v after d, want at most 2 ticks (+%v)", row.name, rounds, best, bestSlack)
+		}
+	}
+	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
+		return sys.Stats()[0].QuarantinedCDs == 0
+	})
+}
+
+// A deadline executor registered while the shard's tick loop is already
+// running on the supervision interval (any earlier AsyncCall started it)
+// must make the loop re-pick its period at once: before startTick's
+// token the loop noticed the registration only after its next tick, and
+// the first CallDeadline settled a whole WatchdogInterval late.
+func TestFirstDeadlineAfterRunningTickIsOnTime(t *testing.T) {
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 300 * time.Millisecond})
+	defer sys.Close()
+	block := make(chan struct{})
+	defer close(block)
+	svc, err := sys.Bind(ServiceConfig{Name: "first", Handler: func(ctx *Ctx, args *Args) {
+		if args[0] == 1 {
+			<-block
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	defer c.Release()
+	var args Args
+	done := make(chan struct{}, 1)
+	if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		t.Fatal(err)
+	}
+	<-done // the first worker started the loop, 300 ms to its next tick
+	args[0] = 1
+	start := time.Now()
+	err = c.CallDeadline(svc.EP(), &args, 2*time.Millisecond)
+	took := time.Since(start)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if took > 50*time.Millisecond {
+		t.Fatalf("first CallDeadline(2ms) behind a running 300 ms tick settled after %v, want ≤ 50 ms", took)
+	}
+}
+
+// Orphaning, the shard tick, and Release race freely: concurrent
+// clients alternate completing calls (Release unlists an executor the
+// tick may be looking at) and orphaning them (the orphaned branch
+// unlists against the tick that fired it). Run with -race; afterwards
+// every quarantined descriptor reclaims and the shard's list is empty.
+func TestDeadlineOrphanTickReleaseRace(t *testing.T) {
 	sys := NewSystemOptions(Options{
-		Shards:                   1,
-		DeadlineWheelGranularity: 100 * time.Microsecond,
+		Shards:           1,
+		WatchdogInterval: 100 * time.Microsecond,
 	})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "race", Handler: func(ctx *Ctx, args *Args) {
@@ -172,18 +286,19 @@ func TestWheelOrphanTickReleaseRace(t *testing.T) {
 	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0
 	})
-	waitCond(t, 5*time.Second, "wheel drained", func() bool {
-		return sys.shards[0].wheel.registered.Load() == 0
+	waitCond(t, 5*time.Second, "executor list drained", func() bool {
+		return sys.shards[0].deadlineExecs() == 0
 	})
 }
 
-// Close with nodes still in the wheel: an idle armed client and an
-// orphaned in-flight call must not deadlock Close, and the watchdog
-// must keep ticking past Close until the last node retires, then exit.
-func TestCloseDrainsArmedWheel(t *testing.T) {
+// Close with executors still registered: an idle armed client and an
+// orphaned in-flight call must not deadlock Close, and the tick loop
+// must keep running past Close until the last executor retires, then
+// exit.
+func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	sys := NewSystemOptions(Options{
-		Shards:                   1,
-		DeadlineWheelGranularity: 200 * time.Microsecond,
+		Shards:           1,
+		WatchdogInterval: 200 * time.Microsecond,
 	})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -198,8 +313,8 @@ func TestCloseDrainsArmedWheel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Idle client with a registered wheel node (executor armed by a
-	// completed call) that will outlive Close.
+	// Idle client with a registered executor (armed by a completed call)
+	// that will outlive Close.
 	idle := sys.NewClientOnShard(0)
 	var args Args
 	if err := idle.CallDeadline(fast.EP(), &args, time.Second); err != nil {
@@ -221,7 +336,7 @@ func TestCloseDrainsArmedWheel(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close deadlocked with an orphaned handler and armed wheel nodes")
+		t.Fatal("Close deadlocked with an orphaned handler and registered executors")
 	}
 	// The orphan returns after Close: its executor must drop the
 	// descriptor (close epoch advanced) and end the quarantine.
@@ -229,12 +344,12 @@ func TestCloseDrainsArmedWheel(t *testing.T) {
 	waitCond(t, 5*time.Second, "quarantine drained across Close", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0
 	})
-	// The idle client's node is still registered; Release hands it to
-	// the still-ticking watchdog, which retires it and exits.
+	// The idle client's executor is still registered; Release unlists
+	// it, and the still-ticking loop finds nothing left and exits.
 	idle.Release()
 	c.Release()
-	waitCond(t, 5*time.Second, "wheel drained after Close", func() bool {
-		return sys.shards[0].wheel.registered.Load() == 0
+	waitCond(t, 5*time.Second, "executor list drained after Close", func() bool {
+		return sys.shards[0].deadlineExecs() == 0
 	})
 	waitCond(t, 5*time.Second, "watchdog exited after draining", func() bool {
 		sh := &sys.shards[0]
@@ -244,31 +359,32 @@ func TestCloseDrainsArmedWheel(t *testing.T) {
 		return !on
 	})
 	// Synchronous calls keep working after Close by contract — a
-	// deadline call re-registers a node and restarts the ticker, and a
+	// deadline call registers an executor and restarts the loop, and a
 	// second drain converges again.
 	again := sys.NewClientOnShard(0)
 	var a2 Args
 	if err := again.CallDeadline(fast.EP(), &a2, time.Second); err != nil {
 		t.Fatalf("post-close CallDeadline = %v, want success (sync calls survive Close)", err)
 	}
-	if sys.shards[0].wheel.registered.Load() == 0 {
-		t.Fatal("post-close deadline call did not register a wheel node")
+	if sys.shards[0].deadlineExecs() == 0 {
+		t.Fatal("post-close deadline call did not register its executor")
 	}
 	again.Release()
 	waitCond(t, 5*time.Second, "second post-close drain", func() bool {
-		return sys.shards[0].wheel.registered.Load() == 0
+		return sys.shards[0].deadlineExecs() == 0
 	})
 }
 
 // Ticket reuse across re-arm: a call whose completion races its own
-// expiry leaves a stale filing in the wheel; the immediately following
-// far-deadline call on the same (or replacement) ticket must never be
-// spuriously orphaned by that stale entry. This is the generation +
-// deadline-revalidation ABA defense under its tightest timing.
+// expiry may leave the tick holding a deadline it has read and not yet
+// acted on; the immediately following far-deadline call on the same (or
+// replacement) ticket must never be spuriously orphaned by it. This is
+// the generation + deadline-revalidation ABA defense under its tightest
+// timing.
 func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
 	sys := NewSystemOptions(Options{
-		Shards:                   1,
-		DeadlineWheelGranularity: 100 * time.Microsecond,
+		Shards:           1,
+		WatchdogInterval: 100 * time.Microsecond,
 	})
 	defer sys.Close()
 	racy, err := sys.Bind(ServiceConfig{Name: "racy", Handler: func(ctx *Ctx, args *Args) {
@@ -292,8 +408,8 @@ func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrDeadline) {
 			t.Fatalf("iteration %d racy call: %v", i, err)
 		}
-		// Immediate far re-arm: the stale near-tick filing from the racy
-		// call is still in the wheel and about to be scanned.
+		// Immediate far re-arm, while the tick may still be acting on the
+		// racy call's deadline.
 		var far Args
 		if err := c.CallDeadline(fast.EP(), &far, time.Hour); err != nil {
 			t.Fatalf("iteration %d: far re-arm spuriously failed: %v", i, err)

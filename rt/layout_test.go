@@ -280,27 +280,15 @@ func BenchmarkStripeNeighbours(b *testing.B) {
 	}
 }
 
-// TestWheelLayout pins the deadline machinery's shared-clock line and
-// the wheel node's shape.
-func TestWheelLayout(t *testing.T) {
+// TestCoarseClockLayout pins the shard clock's line: every deadline arm
+// and every queued-deadline check loads it, every tick stores it.
+func TestCoarseClockLayout(t *testing.T) {
 	var cl coarseClock
 	if s := unsafe.Sizeof(cl); s != lineBytes {
 		t.Errorf("coarseClock size %d, want exactly one line", s)
 	}
 	if off := unsafe.Offsetof(cl.ns); off != 0 {
 		t.Errorf("coarseClock.ns at offset %d, want 0", off)
-	}
-
-	// dlNode is deliberately unpadded (one node per executor, reached
-	// via pointers), but the wheel's bucket-walk reads next/deadline
-	// together; pin the field order so an insertion that splits them
-	// across lines is a conscious decision.
-	var n dlNode
-	if off := unsafe.Offsetof(n.next); off != 0 {
-		t.Errorf("dlNode.next at offset %d, want 0", off)
-	}
-	if unsafe.Sizeof(n) > lineBytes {
-		t.Errorf("dlNode size %d no longer fits one cache line", unsafe.Sizeof(n))
 	}
 }
 

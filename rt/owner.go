@@ -13,11 +13,11 @@ import (
 // a protection domain dies mid-call; rt's analogue is a client
 // goroutine that panics, leaks, or is explicitly abandoned while it
 // still owns resources — a held call descriptor, arena payload leases,
-// a deadline executor with its wheel node, staged batch entries, a
-// half-open health probe. Without reclamation each of those is
-// stranded forever. This file gives every client an *ownership record*
-// and rides a scavenger pass on the existing watchdog tick to
-// quarantine-then-reclaim what dead clients left behind.
+// a deadline executor, staged batch entries, a half-open health probe.
+// Without reclamation each of those is stranded forever. This file
+// gives every client an *ownership record* and rides a scavenger pass
+// on the existing watchdog tick to quarantine-then-reclaim what dead
+// clients left behind.
 //
 // # The ownership word
 //
@@ -117,13 +117,13 @@ import (
 // tick, guarded by one registry load per tick when nothing is dead; per
 // dead client it (1) condemns the held CD through the ownership CAS
 // above and compensates the pool with a fresh descriptor, (2) retires
-// the deadline executor and unfiles its wheel node, (3) swaps every
-// lease slot empty and releases what it took, (4) settles a carried
-// half-open probe back to degraded so the gate is never wedged, and
-// (5) reaps the record. A holding the owner publishes behind the walk
-// is the owner's to settle: its life-state load after the publish sees
-// the death. A deadline call in flight defers the whole client to the
-// next tick — quarantine-then-reclaim, never reclaim-in-place.
+// the deadline executor, (3) swaps every lease slot empty and releases
+// what it took, (4) settles a carried half-open probe back to degraded
+// so the gate is never wedged, and (5) reaps the record. A holding the
+// owner publishes behind the walk is the owner's to settle: its
+// life-state load after the publish sees the death. A deadline call in
+// flight defers the whole client to the next tick —
+// quarantine-then-reclaim, never reclaim-in-place.
 
 // Ownership word states (bits 2..0 of callDesc.owner).
 const (
@@ -212,7 +212,7 @@ type clientRec struct {
 	//ppc:atomic
 	cd atomic.Pointer[callDesc]
 	// dl mirrors Client.dl so the scavenger can retire an abandoned
-	// deadline executor and unfile its wheel node.
+	// deadline executor.
 	//
 	//ppc:atomic
 	dl atomic.Pointer[dlExec]
@@ -289,7 +289,7 @@ func (reg *clientRegistry) register(c *Client, epochs int) *clientRec {
 		// Liveness needs the epoch advancing: make sure the tick loop is
 		// running even on a sync-only system that never armed a deadline.
 		if !reg.sh.closed.Load() {
-			reg.sh.ensureWatchdog(reg.sys)
+			reg.sh.startTick(reg.sys)
 		}
 	}
 	reg.mu.Lock()
@@ -353,7 +353,7 @@ func cleanupClient(rec *clientRec) {
 	// inline reap; only then hand the record to a watchdog, and only on
 	// an open shard (a closed shard's drain already settled its pools).
 	if !reg.reapNow(rec) && !reg.sh.closed.Load() {
-		reg.sh.ensureWatchdog(reg.sys)
+		reg.sh.startTick(reg.sys)
 	}
 }
 
@@ -397,14 +397,14 @@ func (rec *clientRec) declareDead() bool {
 	// sync-only system may never have spawned it). A closed shard's
 	// resources were already drained by Close; no ticker needed.
 	if !reg.sh.closed.Load() {
-		reg.sh.ensureWatchdog(reg.sys)
+		reg.sh.startTick(reg.sys)
 	}
 	return true
 }
 
 // Abandon declares the client's domain dead: every resource it owns —
-// held descriptor, payload leases, deadline executor and wheel node,
-// staged batch entries, carried probe — is reclaimed by the shard's
+// held descriptor, payload leases, deadline executor, staged batch
+// entries, carried probe — is reclaimed by the shard's
 // scavenger on an upcoming watchdog tick. Abandon may be called from
 // any goroutine (it is the one cross-goroutine entry point on a
 // Client): a call in flight on the owning goroutine completes normally
@@ -643,8 +643,7 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 	// deadline call is in flight (the deadline path holds the word
 	// owBusy for its whole flight; a plain sync call still running on a
 	// condemned descriptor never touches the executor), so the executor
-	// is idle — the same precondition Release relies on. retire() also
-	// unfiles the wheel node.
+	// is idle — the same precondition Release relies on.
 	if e := rec.dl.Load(); e != nil {
 		e.retire()
 		rec.dl.Store(nil)

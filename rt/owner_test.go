@@ -221,9 +221,9 @@ func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 }
 
 // TestAbandonRetiresDeadlineExecutor: a client abandoned with a parked
-// deadline executor has the executor retired and its wheel node
-// unfiled — the wheel's registered count returns to zero, so the
-// post-close ticker is not kept alive by a dead client's node.
+// deadline executor has the executor retired and taken off the shard's
+// list, so the post-close tick is not kept alive by a dead client's
+// executor.
 func TestAbandonRetiresDeadlineExecutor(t *testing.T) {
 	leakCheck(t)
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
@@ -240,7 +240,7 @@ func TestAbandonRetiresDeadlineExecutor(t *testing.T) {
 	}
 	c.Abandon()
 	waitCond(t, 2*time.Second, "executor retirement", func() bool {
-		return sh.wheel.registered.Load() == 0 && sh.heldCDs.Load() == 0
+		return sh.deadlineExecs() == 0 && sh.heldCDs.Load() == 0
 	})
 	if st := sys.Stats()[0]; st.ScavengedCDs != 1 {
 		t.Fatalf("ScavengedCDs = %d, want the deadline client's CD", st.ScavengedCDs)

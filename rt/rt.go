@@ -675,22 +675,19 @@ type Options struct {
 	// disables supervision.
 	WorkerStallThreshold time.Duration
 	// WatchdogInterval is the supervision scan period (default
-	// defaultWatchdogInterval).
+	// defaultWatchdogInterval). It is also the one tick knob: the shard
+	// tick that expires CallDeadline calls runs every millisecond while
+	// any deadline-capable client exists, or every WatchdogInterval
+	// when that is finer. Arming rounds the expiry up by one such tick
+	// and expiry detection runs on the tick, so an expired CallDeadline
+	// is settled at most ~2 ticks after its deadline and never before
+	// the deadline has elapsed.
 	WatchdogInterval time.Duration
 	// MaxWorkerReplacements bounds how many replacement workers a
 	// shard may run beyond its normal worker cap at once (default
 	// defaultMaxReplacements). Negative disables replacements while
 	// keeping stall detection.
 	MaxWorkerReplacements int
-	// DeadlineWheelGranularity is the tick width of the per-shard
-	// deadline timer wheel (default defaultWheelGranularity, floored
-	// at minWheelGranularity). Arming rounds the expiry up by one
-	// granularity, and expiry detection runs on the tick, so an
-	// expired CallDeadline is settled at most ~2 ticks after its
-	// deadline and never before the deadline has elapsed. Finer ticks
-	// tighten expiry latency at the cost of more frequent watchdog
-	// wakeups while any deadline-capable client exists.
-	DeadlineWheelGranularity time.Duration
 	// OffloadThreshold is the AttachBytes transfer size (bytes) at
 	// which the copy is staged on the shard's offload lane instead of
 	// performed inline on the caller (default defaultOffloadThreshold,

@@ -232,19 +232,16 @@ type shard struct {
 	submitting atomic.Int64
 	_          [56]byte
 
-	// clock is the shared coarse clock the wheel tick, the submit slow
+	// clock is the shared coarse clock the shard tick, the submit slow
 	// paths, and the worker batch drain refresh (and the deadline arm
 	// path reads). Padded internally; placed on the line boundary the
-	// submitting pad establishes, so that padding holds.
+	// submitting pad establishes, so that padding holds. Everything below
+	// it down to the arena is control-plane state with no line
+	// requirements; the control-plane run plus the tail pad keep the
+	// whole struct tiling whole cache lines (and the embedded arena
+	// line-aligned) so System.shards never shears — pinned in
+	// layout_test.go.
 	clock coarseClock
-
-	// wheel is the shard's hashed timer wheel, ticked by the watchdog
-	// goroutine. Everything below it down to the arena is control-plane
-	// state with no line requirements; the control-plane run plus the
-	// tail pad keep the whole struct tiling whole cache lines (and the
-	// embedded arena line-aligned) so System.shards never shears —
-	// pinned in layout_test.go.
-	wheel dlWheel
 
 	// stop, once closed, tells workers to drain the ring and exit.
 	stop chan struct{}
@@ -271,9 +268,15 @@ type shard struct {
 	replacementsSpawned   atomic.Int64
 	replacementsReclaimed atomic.Int64
 
-	// wheelGranularity is the shard's timer-wheel tick width
-	// (deadline.go / wheel.go).
-	wheelGranularity time.Duration
+	// Deadline expiry (deadline.go): dlExecs lists the shard's deadline
+	// executors for the tick's walk, dlMu guards it (add, swap-delete,
+	// walk — all cold), dlTick is the tick in use while any is
+	// registered, and retick is startTick's token to a running loop:
+	// buffered(1), coalescing.
+	dlMu    sync.Mutex
+	dlExecs []*dlExec
+	dlTick  time.Duration
+	retick  chan struct{}
 
 	// Deadline / orphaning accounting (deadline.go). quarantinedCDs
 	// counts call descriptors pinned under a still-running orphaned
@@ -359,6 +362,7 @@ func (sh *shard) init(id int) {
 	sh.tab = make([]atomic.Pointer[epEntry], MaxEntryPoints)
 	sh.doorbell = make(chan struct{}, 1)
 	sh.stop = make(chan struct{})
+	sh.retick = make(chan struct{}, 1)
 	sh.maxWorkers = defaultMaxWorkers
 	sh.submitWait = defaultSubmitWait
 	sh.notifyWait = defaultNotifyWait
@@ -580,7 +584,7 @@ func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, p
 // processor straight to the draining worker and the loop retries the
 // moment slots free up. One real clock read per epoch, not per retry,
 // and each read feeds the shard's shared coarse clock (the same word
-// the wheel tick and the batch drain use). The refresh — not a cached
+// the shard tick and the batch drain use). The refresh — not a cached
 // read — is what keeps close's wait on submitting live: a frozen clock
 // could never observe the submit deadline passing.
 //
@@ -629,12 +633,17 @@ func (sh *shard) spawnWorker(sys *System) {
 	if sh.workers.Load() >= sh.maxWorkers {
 		return // saturated overload calls this per submit; skip the lock
 	}
+	// Supervision starts with the first worker, and ahead of it: a loop
+	// started behind its worker tends to outlive Close by a scheduling
+	// round, and with it the whole System (bench live_heap_mb, E23).
+	if sh.stallThreshold > 0 && !sh.closed.Load() {
+		sh.startTick(sys)
+	}
 	sh.qMu.Lock()
 	defer sh.qMu.Unlock()
 	if sh.closed.Load() || sh.workers.Load() >= sh.maxWorkers {
 		return
 	}
-	sh.startWatchdog(sys)
 	sh.workers.Add(1)
 	sh.wg.Add(1)
 	go sh.workerLoop(sys)
@@ -767,7 +776,7 @@ func (sh *shard) drainAll(sys *System, cd *callDesc, batch []asyncReq) {
 // batchClock supplies the expiry clock for one drained batch: zero (no
 // clock read at all) when no request in the batch carries a deadline,
 // otherwise one real clock read — refreshed into the shard's shared
-// coarse clock, the same word the wheel tick maintains — amortized
+// coarse clock, the same word the shard tick maintains — amortized
 // over the whole batch instead of a time.Now() per request. Refreshing
 // (rather than reading the possibly-stale cache) is required for
 // correctness: the clock may have no other driver, and a queued

@@ -234,7 +234,7 @@ func TestStripeCountersExact(t *testing.T) {
 func TestStripeIdentityEveryExit(t *testing.T) {
 	needTwoPs(t)
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 2, WatchdogInterval: 200 * time.Microsecond, DeadlineWheelGranularity: 200 * time.Microsecond})
+	sys := NewSystemOptions(Options{Shards: 2, WatchdogInterval: 200 * time.Microsecond})
 	defer sys.Close()
 	const (
 		opNormal = iota

@@ -372,7 +372,7 @@ func TestSyncIdentityEveryExit(t *testing.T) {
 					name += "/payload"
 				}
 				t.Run(name, func(t *testing.T) {
-					e := newIDEnv(t, Options{DeadlineWheelGranularity: 200 * time.Microsecond}, exit.copts, exit.health)
+					e := newIDEnv(t, Options{}, exit.copts, exit.health)
 					ep := e.svc.EP()
 					args := e.syncRequest(t, entry.name, exit.op, payload)
 					ctx, cancel := context.WithTimeout(context.Background(), time.Hour)

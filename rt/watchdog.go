@@ -18,15 +18,15 @@ import (
 // retire token makes exactly one surplus worker exit, converging the
 // pool back to its configured cap.
 //
-// The same goroutine also drives the shard's deadline timer wheel
-// (wheel.go): every tick refreshes the shard's coarse clock and scans
-// the wheel buckets that have come due, orphaning expired deadline
-// callers. While any wheel node is registered the tick period tightens
-// to the wheel granularity (so expiry latency is bounded by it) and the
-// loop keeps ticking even after shard close until the last node
-// retires — supervision and the ticker have separate lifecycles:
-// supervision runs only when a stall threshold is configured and the
-// shard is open; the ticker runs whenever either client needs it.
+// The same goroutine also drives deadline expiry (deadline.go): every
+// tick refreshes the shard's coarse clock and walks the shard's list of
+// deadline executors, orphaning the callers whose deadline has come
+// due. While any executor is registered the tick period tightens to the
+// deadline tick (so expiry latency is bounded by it) and the loop keeps
+// ticking even after shard close until the last executor retires —
+// supervision and the tick have separate lifecycles: supervision runs
+// only when a stall threshold is configured and the shard is open; the
+// tick runs whenever either needs it.
 //
 // Design rules carried over from the rest of the package:
 //
@@ -52,6 +52,37 @@ const (
 	// shard.
 	defaultMaxReplacements = 4
 )
+
+// coarseClock is a shard-local cached unix-nano word: one goroutine
+// refreshes it with a real time.Now() read (the tick loop below, the
+// submit slow path's spin epochs, the worker batch drain) and every
+// other path loads it for free. Padded so the refresh never dirties a
+// neighbour's line (machine-checked; see //ppc:padded in
+// docs/INVARIANTS.md).
+//
+//ppc:padded
+type coarseClock struct {
+	//ppc:atomic
+	//ppc:hotline
+	ns atomic.Int64
+	_  [56]byte
+}
+
+// read returns the cached clock. Staleness is bounded by the refresh
+// cadence of whoever is driving the clock (≤ one tick while any
+// deadline executor is registered).
+//
+//ppc:hotpath
+func (c *coarseClock) read() int64 { return c.ns.Load() }
+
+// refresh reads the real clock and publishes it.
+//
+//ppc:coldpath -- one real clock read per tick / spin epoch / drained batch
+func (c *coarseClock) refresh() int64 {
+	n := time.Now().UnixNano()
+	c.ns.Store(n)
+	return n
+}
 
 // workerBeat is one worker's heartbeat line: the worker stamps state
 // (one plain atomic store) when it enters and leaves a batch; the
@@ -116,14 +147,7 @@ func (sh *shard) configureWatchdog(o Options) {
 	// +1: the offload worker (offload.go) shares the beat table so a
 	// wedged staging copy is supervised like a wedged handler.
 	sh.beats = make([]workerBeat, sh.maxWorkers+sh.maxReplacements+1)
-	sh.wheelGranularity = defaultWheelGranularity
-	if o.DeadlineWheelGranularity > 0 {
-		sh.wheelGranularity = o.DeadlineWheelGranularity
-		if sh.wheelGranularity < minWheelGranularity {
-			sh.wheelGranularity = minWheelGranularity
-		}
-	}
-	sh.wheel.configure(sh.wheelGranularity, &sh.clock)
+	sh.dlTick = min(deadlineTick, sh.watchdogInterval)
 	sh.clock.refresh()
 }
 
@@ -191,67 +215,55 @@ func (sh *shard) tryRetire() bool {
 	}
 }
 
-// startWatchdog launches the shard's supervisor if configured and not
-// already running. Caller holds qMu (it is called from spawnWorker's
-// critical section, so supervision starts with the first worker and
-// never races close). Supervision requires a positive stall threshold
-// and an open shard; the deadline wheel starts the same loop through
-// startTicker without either requirement.
+// startTick makes sure the shard's tick loop is running — the one place
+// it is started — freshens the coarse clock so a first arm's rounding
+// starts from a current reading, and has a loop that is already running
+// re-pick its period now instead of after its next tick: a deadline
+// executor registered behind a loop on the supervision interval would
+// otherwise settle its first call up to one such interval late.
+// Supervision starts it ahead of the first worker (spawnWorker, when a
+// stall threshold is configured and the shard is open); a deadline
+// executor, a liveness-enrolled client and a death declaration start it
+// without either condition — synchronous calls, deadlines included, keep
+// working after Close, and a loop started behind a close finds stop
+// closed and goes straight to drain mode.
 //
-//ppc:coldpath -- supervision startup, once per shard
-func (sh *shard) startWatchdog(sys *System) {
-	if sh.watchdogOn || sh.stallThreshold <= 0 || sh.closed.Load() {
-		return
-	}
-	sh.watchdogOn = true
-	go sh.watchdogLoop(sys)
-}
-
-// startTicker launches the watchdog loop unconditionally — the wheel
-// needs ticks to fire deadlines even when supervision is disabled or
-// the shard has closed (synchronous calls, deadlines included, keep
-// working after Close). Caller holds qMu.
-//
-//ppc:coldpath -- ticker startup, once per shard (plus after a post-close restart)
-func (sh *shard) startTicker(sys *System) {
-	if sh.watchdogOn {
-		return
-	}
-	sh.watchdogOn = true
-	go sh.watchdogLoop(sys)
-}
-
-// ensureWatchdog makes sure the tick loop is running (deadline arming
-// path) and freshens the coarse clock so the first arm's expiry
-// rounding starts from a current reading.
-//
-//ppc:coldpath -- executor construction path, once per client executor
-func (sh *shard) ensureWatchdog(sys *System) {
+//ppc:coldpath -- tick startup: first worker, executor construction, domain death
+func (sh *shard) startTick(sys *System) {
 	sh.qMu.Lock()
-	defer sh.qMu.Unlock()
+	if !sh.watchdogOn {
+		sh.watchdogOn = true
+		go sh.watchdogLoop(sys)
+	}
+	sh.qMu.Unlock()
 	sh.clock.refresh()
-	sh.startTicker(sys)
+	sendToken(sh.retick)
 }
 
-// watchdogLoop refreshes the coarse clock, ticks the deadline wheel,
-// and scans the shard's heartbeat slots. The tick period is the
-// supervision interval while the wheel is empty and tightens to the
-// wheel granularity while any deadline node is registered. Not joined
-// by close: after stop the loop sheds supervision and keeps ticking
-// the wheel until the last node retires, so armed deadlines still fire
-// during (and after) a drain. Pure cold path: it shares no line with
-// the warm call paths.
+// watchdogLoop refreshes the coarse clock, expires due deadlines, and
+// scans the shard's heartbeat slots. The tick period is the supervision
+// interval while no deadline executor is registered and tightens to the
+// deadline tick while one is. Not joined by close: after stop the loop
+// sheds supervision and keeps ticking until the last executor retires,
+// so armed deadlines still fire during (and after) a drain. Pure cold
+// path: it shares no line with the warm call paths.
 //
-//ppc:coldpath -- supervision and wheel scan loop, off every call path
+//ppc:coldpath -- supervision and deadline scan loop, off every call path
 func (sh *shard) watchdogLoop(sys *System) {
 	period := sh.tickPeriod()
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
+	repick := func() {
+		if want := sh.tickPeriod(); want != period {
+			period = want
+			ticker.Reset(period)
+		}
+	}
 	// Per-slot scan memory, private to this goroutine: the last progress
 	// word seen and how many consecutive supervision rounds it has been
 	// busy without changing. A worker is stuck once that run covers
 	// stallThreshold; supervision rounds run on the watchdogInterval
-	// cadence regardless of how tight the wheel tick is.
+	// cadence regardless of how tight the deadline tick is.
 	last := make([]uint64, len(sh.beats))
 	stuckTicks := make([]int, len(sh.beats))
 	stuckAfter := int(sh.stallThreshold / sh.watchdogInterval)
@@ -266,33 +278,33 @@ func (sh *shard) watchdogLoop(sys *System) {
 		case <-stopCh:
 			stopping = true
 			stopCh = nil
+		case <-sh.retick:
+			// startTick: only the period can have changed, and the liveness
+			// epoch counts ticks — no tick's work here.
+			repick()
+			continue
 		case <-ticker.C:
 		}
 		now := sh.clock.refresh()
 		// Tenant token buckets are credited from the same coarse clock,
 		// once per tick — the warm admission path never reads a clock.
 		sh.refillTenants(now)
-		if sh.wheel.registered.Load() > 0 {
-			sh.wheel.tick(sh, now)
-		}
+		sh.expireDeadlines(now)
 		// The domain-death scavenger rides the same tick (owner.go):
 		// liveness epochs advance and dead clients' holdings are
 		// reclaimed. Two atomic loads when nothing is dead and no
 		// liveness-enrolled client is registered.
 		sh.scavengeTick(sys)
-		if want := sh.tickPeriod(); want != period {
-			period = want
-			ticker.Reset(period)
-		}
+		repick()
 		if stopping {
-			// Drain mode: no supervision, tick the wheel until every node
+			// Drain mode: no supervision, tick until every deadline executor
 			// has retired and the scavenger has no dead client left to
-			// reclaim. The exit handshake runs under qMu against
-			// ensureWatchdog: either this loop sees the new registration
-			// (or death declaration) and stays, or it clears watchdogOn
-			// first and the arming client starts a fresh loop.
+			// reclaim. The exit handshake runs under qMu against startTick:
+			// either this loop sees the new registration (or death
+			// declaration) and stays, or it clears watchdogOn first and the
+			// arming client starts a fresh loop.
 			sh.qMu.Lock()
-			if sh.wheel.registered.Load() == 0 &&
+			if sh.deadlineExecs() == 0 &&
 				(sh.reg == nil || sh.reg.dead.Load() == 0) {
 				sh.watchdogOn = false
 				sh.qMu.Unlock()
@@ -308,17 +320,16 @@ func (sh *shard) watchdogLoop(sys *System) {
 	}
 }
 
-// tickPeriod picks the loop's tick: the wheel granularity while any
-// deadline node is registered (expiry latency is bounded by the tick),
-// the supervision interval otherwise (no reason to wake faster).
+// tickPeriod picks the loop's tick: the deadline tick while any
+// deadline executor is registered (expiry latency is bounded by the
+// tick), the supervision interval otherwise (no reason to wake faster).
 //
 //ppc:coldpath -- watchdog-goroutine bookkeeping
 func (sh *shard) tickPeriod() time.Duration {
-	period := sh.watchdogInterval
-	if g := sh.wheelGranularity; sh.wheel.registered.Load() > 0 && g < period {
-		period = g
+	if sh.deadlineExecs() > 0 {
+		return sh.dlTick
 	}
-	return period
+	return sh.watchdogInterval
 }
 
 // superviseTick is one supervision scan: count stuck workers,
