@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench bench-handoff bench-selftest bench-smoke bench-json bench-openloop chaos
+.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench bench-handoff bench-selftest bench-smoke bench-openloop chaos
 
 build:
 	$(GO) build ./...
@@ -80,12 +80,6 @@ bench-selftest:
 # in bench bodies without measuring anything.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./rt
-
-# Regenerate BENCH_rt.json (real measurements; takes a few minutes at
-# the default 1s benchtime — pass BENCHTIME=100ms for a quick pass).
-BENCHTIME ?=
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_rt.json $(if $(BENCHTIME),-benchtime $(BENCHTIME))
 
 # The open-loop tail-latency sweep alone (no microbenchmarks):
 # calibrates capacity, then drives Poisson load at 0.2/0.7/1.4x and

@@ -175,17 +175,16 @@ func BenchmarkAblationCoherence(b *testing.B) {
 
 // --- E8: real-concurrency (rt) scaling ------------------------------
 //
-// The rt benchmark bodies live in internal/rtbench so that `go test
-// -bench` and `make bench-json` (cmd/benchjson) measure identical
-// code; these wrappers only give them their `go test` names.
+// The rt benchmark bodies live in internal/rtbench; these wrappers only
+// give them their `go test` names.
 
 // BenchmarkRTCall measures the sequential PPC-style fast path —
 // Figure 2's "hold CD" configuration, now the Client.Call default.
 func BenchmarkRTCall(b *testing.B) { rtbench.SyncCall(b) }
 
-// BenchmarkRTCallDeadline is the warm held-CD call with a per-call
-// deadline armed each iteration — the cost of cancellability on the
-// sync fast path.
+// BenchmarkRTCallDeadline is the warm call through the deadline executor
+// with a per-call deadline armed each iteration — the cost of
+// cancellability on the sync path.
 func BenchmarkRTCallDeadline(b *testing.B) { rtbench.SyncCallDeadline(b) }
 
 // BenchmarkRTCallDeadlineShort arms a deadline a few ticks out, so the

@@ -144,7 +144,7 @@ func (cs *ChannelServer) Call(program uint32, args *rt.Args, reply chan struct{}
 func (cs *ChannelServer) Close() { close(cs.done) }
 
 // ChannelAsyncServer is the pre-ring asynchronous baseline, kept so
-// the benchmarks (and BENCH_rt.json) record before/after numbers for
+// the benchmarks record before/after numbers for
 // the channel→ring substitution: submission is a non-blocking send
 // into a buffered Go channel — each send taking the runtime-internal
 // hchan lock and copying the request through it — serviced by a fixed

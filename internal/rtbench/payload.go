@@ -79,7 +79,7 @@ func PayloadZeroCopy(n int) func(*testing.B) {
 // PayloadCopy returns the copy baseline at size n: the caller's bytes
 // live outside the arena, and every call pays a full memcpy into a
 // leased segment (AttachBytes with the offload lane disabled). This is
-// the "before" of the zero-copy comparison keys in BENCH_rt.json.
+// the "before" of the zero-copy comparison.
 //
 //ppc:coldpath -- benchmark harness; the measured path is AttachBytes(inline)+Call
 func PayloadCopy(n int) func(*testing.B) {

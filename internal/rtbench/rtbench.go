@@ -1,7 +1,6 @@
-// Package rtbench holds the rt latency/throughput benchmark bodies in
-// one place, so `go test -bench` (bench_test.go) and the BENCH_rt.json
-// emitter (cmd/benchjson) measure exactly the same code. Each function
-// has the testing.B shape and can be driven by either harness.
+// Package rtbench holds the rt latency/throughput benchmark bodies
+// `go test -bench` (bench_test.go) gives names to. Each function has the
+// testing.B shape.
 //
 // The async benchmarks measure sustained submit→complete throughput on
 // a single shard: one producer pushing b.N requests through the shard's

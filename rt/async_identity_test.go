@@ -32,7 +32,7 @@ var asyncEntries = []struct {
 		return acceptedOne(c.AsyncCallNotify(ep, &a[0], done))
 	}},
 	{"AsyncCallDeadline", 1, false, func(c *Client, ep EntryPointID, a []Args, _ chan<- struct{}) (int, error) {
-		return acceptedOne(c.AsyncCallDeadline(ep, &a[0], time.Hour))
+		return acceptedOne(c.AsyncCallNotifyDeadline(ep, &a[0], nil, time.Hour))
 	}},
 	{"AsyncCallNotifyDeadline", 1, true, func(c *Client, ep EntryPointID, a []Args, done chan<- struct{}) (int, error) {
 		return acceptedOne(c.AsyncCallNotifyDeadline(ep, &a[0], done, time.Hour))

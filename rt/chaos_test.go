@@ -195,7 +195,7 @@ func TestChaosStalledHandlers(t *testing.T) {
 	if st.ReplacementsSpawned == 0 {
 		t.Fatalf("stall storm never triggered supervision: %+v", st)
 	}
-	if st.ReplacementsSpawned > defaultMaxReplacements {
+	if st.ReplacementsSpawned > maxReplacements {
 		t.Fatalf("replacements unbounded: %+v", st)
 	}
 	chaosConverge(t, sys, svc, base)
@@ -412,16 +412,19 @@ func TestChaosArenaStorm(t *testing.T) {
 	chaosConverge(t, sys, svc, base)
 }
 
-// TestChaosDomainDeath: the domain-death storm. Four goroutines drive
+// TestChaosDomainDeath: the domain-death storm. Five goroutines drive
 // held sync calls with payload leases, deadline calls (some orphaned),
-// payload batches, and plain calls while clients are killed three ways
-// at once: FaultAbandonEvery murders the initial population from
-// inside the handler site (cross-goroutine abandon mid-call),
-// a victim pointer lets the handler abandon its own caller mid-call
-// (the deterministic tombstone), and one leg self-abandons between
-// calls (the entry-CAS loss). FaultSiteScavenge defers every third
-// scavenge pass, stretching the quarantine window so owner operations
-// race the reclaim walk. A goroutine that loses its client observes
+// payload batches, plain calls, and deadline calls again while clients
+// are killed four ways at once: FaultAbandonEvery murders the initial
+// population from inside the handler site (cross-goroutine abandon
+// mid-call), a victim pointer lets the handler abandon its own caller
+// mid-call (the deterministic tombstone), one leg self-abandons between
+// calls (the entry life check's decline), and a sixth goroutine
+// abandons the last leg's client while it is entering a deadline call
+// (the pin's life check, an executor armed behind the scavenger's
+// walk). FaultSiteScavenge defers every third scavenge pass, stretching
+// the window in which owner operations race the reclaim walk. A
+// goroutine that loses its client observes
 // ErrClientAbandoned and constructs a fresh identity — domain death is
 // a recoverable event, not a crash.
 //
@@ -461,7 +464,7 @@ func TestChaosDomainDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	initial := make([]*Client, 4)
+	initial := make([]*Client, 5)
 	for i := range initial {
 		initial[i] = sys.NewClientOnShard(0)
 	}
@@ -484,7 +487,26 @@ func TestChaosDomainDeath(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	// Leg 4's clients die from outside, mid-entry: this goroutine abandons
+	// whichever one the leg is calling on, so the death lands anywhere
+	// between the deadline path's pin and its handoff.
+	var mark atomic.Pointer[Client]
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v := mark.Swap(nil); v != nil {
+				v.Abandon()
+			}
+			runtime.Gosched()
+		}
+	}()
+	for g := range initial {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -533,6 +555,15 @@ func TestChaosDomainDeath(t *testing.T) {
 					args = Args{}
 					if i%7 == 0 {
 						args[0] = 1
+					}
+					err = c.CallDeadline(svc.EP(), &args, time.Duration(150+i%300)*time.Microsecond)
+				case 4: // deadline calls on a client another goroutine is abandoning
+					args = Args{}
+					if i%5 == 0 {
+						args[0] = 1
+					}
+					if i%3 == 0 {
+						mark.Store(c)
 					}
 					err = c.CallDeadline(svc.EP(), &args, time.Duration(150+i%300)*time.Microsecond)
 				case 2: // payload batches through the staged path

@@ -81,21 +81,20 @@ type Client struct {
 	heldEpoch uint64
 	// dl is the client's deadline executor (deadline.go): lazily created
 	// by the first CallDeadline/CallContext, reused across calls,
-	// abandoned (and replaced on demand) when a call is orphaned.
+	// forgotten (and replaced on demand) when a call is orphaned.
 	dl *dlExec
 
 	// rec is the client's ownership record on the shard registry
 	// (owner.go) — the scavenger's view of everything this client owns.
 	// Set at construction, immutable after.
 	rec *clientRec
-	// owHeld / owBusy are the precomputed ownership words for the
-	// current hold generation (owner.go): the warm Call entry CAS and
-	// exit store use them without repacking. Plain fields — rewritten
-	// only by Hold on the owning goroutine.
-	owHeld, owBusy uint64
-	// released marks a client whose held descriptor was explicitly
-	// returned to the pool; a second Release in that state is a loud
-	// failure (the descriptor may already be serving another client).
+	// owHeld is the ownership word of the current hold (owner.go), kept
+	// so Release and the tombstone CAS need not repack it. Plain field —
+	// rewritten only by Hold on the owning goroutine.
+	owHeld uint64
+	// released marks a client that returned its held descriptor to the
+	// pool and has taken nothing since (Hold and the arming of a deadline
+	// executor clear it); a second Release in that state is a loud failure.
 	released bool
 }
 
@@ -253,11 +252,8 @@ func (c *Client) Hold() {
 	}
 	c.heldEpoch = c.sys.closeEpoch.Load()
 	cd := c.shard.holdCD()
-	// Stamp the ownership word with a fresh generation and precompute
-	// the held/busy words the warm call path transitions between.
-	gen := ownerGen(cd.owner.Load()) + 1
-	c.owHeld = packOwner(gen, c.program, owHeld)
-	c.owBusy = packOwner(gen, c.program, owBusy)
+	// Stamp the ownership word with a fresh generation.
+	c.owHeld = packOwner(ownerGen(cd.owner.Load())+1, c.program, owHeld)
 	cd.owner.Store(c.owHeld)
 	c.released = false
 	rec.heldEpoch.Store(c.heldEpoch)
@@ -288,13 +284,9 @@ func (c *Client) Hold() {
 //
 //ppc:coldpath -- descriptor release, off the warm call path
 func (c *Client) Release() {
-	if c.dl != nil {
-		// Retire the idle deadline executor (the owning goroutine cannot
-		// be mid-call here; a Client is single-goroutine by contract).
-		c.dl.retire()
-		c.dl = nil
-		c.rec.dl.Store(nil)
-	}
+	// Retire the idle deadline executor (the owning goroutine cannot be
+	// mid-call here; a Client is single-goroutine by contract).
+	c.dropExec()
 	cd := c.held
 	if cd == nil {
 		if c.released && c.rec.state.Load() == crLive {

@@ -14,9 +14,13 @@ import (
 // abandon it: Go offers no way to preempt your own stack. CallDeadline
 // therefore routes execution through a per-client *executor*
 // goroutine: a single, lazily-created, reused goroutine that runs
-// handlers on the client's held descriptor while the caller waits on a
-// reusable ticket. The warm path allocates nothing — the ticket, its
-// two channels and the executor all persist on the Client.
+// handlers on a call descriptor of its own (the paper's worker-held CD,
+// popped at arming and pushed back when the goroutine exits, like an
+// async worker's) while the caller waits on a reusable ticket. The warm
+// path allocates nothing — the ticket, its two channels and the executor
+// all persist on the Client. The cost: a client that makes both plain
+// and deadline calls keeps two descriptors (one 4 KiB scratch more), and
+// the two paths do not share a scratch page.
 //
 // The handoff is hand-off scheduling: both parties park first. The
 // caller writes the request, sends one token on the executor's wake
@@ -53,41 +57,42 @@ import (
 // tick's asynchronous CAS safe: a deadline read from call N that is
 // acted on while call N+1 is in flight fails its CAS (different gen),
 // and a resolved call leaves the deadline word zero before the next
-// call opens its waiting phase while expire re-validates the deadline
+// call opens its waiting phase while the tick re-validates the deadline
 // *after* reading the state, so a stale expiry can never orphan a
 // fresh call.
 //
-// When the deadline fires first the call is *orphaned*, and the safety
-// question becomes: who owns the held descriptor, whose scratch buffer
-// the still-running handler may touch at any moment? The protocol:
+// The waiting phase is also the call's pin against the scavenger
+// (owner.go). The caller opens it before the entry and the admission and
+// then loads its record's life state — the store-then-load Dekker pair
+// lease slots and Hold use: either the load sees the client dead and the
+// call backs out, or the scavenger sees the ticket and defers the dead
+// client until the call is done or (orphaned, perhaps ahead of the
+// handoff) its caller has let go of the executor: it never retires one a
+// request is being handed to. Every pre-handoff exit closes the phase.
 //
-//  1. The watchdog tick (expiry) or the caller (ctx cancellation) CASes
-//     the ticket waiting→orphaned. The *caller*, on observing the
-//     orphaned phase, quarantines the CD (counted in
-//     ShardStats.QuarantinedCDs — it is no longer "held", and it must
-//     NOT be repooled while the handler runs), takes the executor off
-//     the shard's list, forgets both the descriptor and the executor,
-//     acknowledges the bookkeeping on the ticket (ack), and returns
-//     ErrDeadline. The client transparently re-arms with a fresh
-//     descriptor and executor on its next call.
-//  2. A caller-side CAS loss means the executor finished between the
-//     expiry firing and the caller reacting; the caller takes the
-//     result normally — no orphan, no quarantine.
-//  3. The executor, after the handler returns, CASes waiting→done. If
-//     IT loses, the call was orphaned while it ran: the executor is
-//     the one goroutine that has *observed handler return*, so it —
-//     and only it — reclaims the quarantined descriptor into the shard
-//     pool (unless the System closed meanwhile; then the descriptor is
-//     dropped, same epoch rule as Release) and exits, since the client
-//     has already replaced it. It first parks until the caller's ack
-//     (a store followed by a wake token) so the quarantine gauge moves
-//     up before the reclaim moves it down and a reclaimed descriptor
-//     never repools ahead of the caller's accounting.
+// When the deadline fires first the call is *orphaned*: the handler is
+// still running, on the executor's descriptor, which nobody else has a
+// claim on — the client's own hold is not involved in a deadline call.
+//
+//  1. The watchdog tick (expiry) or the caller (ctx cancellation) raises
+//     ShardStats.QuarantinedCDs and CASes the ticket waiting→orphaned,
+//     lowering the gauge again on a lost CAS. The *caller*, on observing
+//     the orphaned phase, takes the executor off the shard's list,
+//     forgets it and returns ErrDeadline; its next deadline call arms a
+//     fresh one. A caller-side CAS loss means the executor finished
+//     first: the caller takes the result normally — no orphan.
+//  2. The executor, after the handler returns, CASes waiting→done. If
+//     IT loses, the call was orphaned while it ran: it lowers the gauge
+//     (the increment preceded the CAS it lost to, so the gauge never
+//     reads negative) and exits.
+//  3. An exiting executor, orphaned or retired, pushes its descriptor
+//     back into the pool — unless the System was closed since it was
+//     armed; then the descriptor is dropped, the epoch rule of Release.
 //
 // The in-flight accounting (admitted / completed) brackets the
 // *handler*, not the caller's wait: an orphaned handler still counts
 // in flight until it returns, so a soft Kill drains orphans too, and
-// System.Close's epoch check keeps a late reclaim from repopulating a
+// the close-epoch check keeps a late executor exit from repopulating a
 // drained pool.
 //
 // Health evidence: only a true expiry (cause == nil) is recorded as
@@ -97,9 +102,9 @@ import (
 // leaked.
 //
 // Deadline semantics for asynchronous submissions are simpler — a
-// queued request has no goroutine to orphan. AsyncCallDeadline stamps
-// the request with an absolute expiry; a worker that dequeues it past
-// the expiry settles it (accounting, health evidence, notification)
+// queued request has no goroutine to orphan. AsyncCallNotifyDeadline
+// stamps the request with an absolute expiry; a worker that dequeues it
+// past the expiry settles it (accounting, health evidence, notification)
 // without running the handler. The dequeue check shares the shard's
 // coarse clock, refreshed once per drained batch. See
 // shard.expireAsync.
@@ -126,18 +131,12 @@ type dlTicket struct {
 	// The gen|Done CAS is the release edge for the handler's results:
 	// the executor writes t.args (via dispatch) and t.err, then CASes,
 	// and the caller reads both only after loading a Done state. The
-	// orphan-side CASes (expire, cancel) and the arming store
-	// carry no payload and are //ppc:nopublish at the site.
+	// orphan-side CAS (orphan), the arming store and unpin carry no
+	// payload and are //ppc:nopublish at the site.
 	//
 	//ppc:atomic
 	//ppc:publishes(args, err)
 	state atomic.Uint64
-	// ack carries the generation whose orphan bookkeeping the caller has
-	// completed; the executor's reclaim waits for it so quarantine
-	// accounting is ordered before the repool.
-	//
-	//ppc:atomic
-	ack atomic.Uint64
 	// deadline is the armed absolute expiry (unix nanos); 0 = disarmed.
 	// The caller stores it, the shard's tick loads it.
 	//
@@ -153,9 +152,9 @@ type dlTicket struct {
 }
 
 // sendToken puts a token on a buffered(1) park channel unless one is
-// already pending: coalescing and never blocking, so the tick's expire
-// and a repeated retire can both use it. A token carries
-// nothing; its receiver re-checks the word or flag it waits on.
+// already pending: coalescing and never blocking, so the tick's walk and
+// a repeated retire can both use it. A token carries nothing; its
+// receiver re-checks the word or flag it waits on.
 //
 //ppc:coldpath -- a channel send: the scheduler is involved by design
 func sendToken(ch chan struct{}) {
@@ -165,56 +164,57 @@ func sendToken(ch chan struct{}) {
 	}
 }
 
-// expire is the tick-side orphaning: CAS this ticket's current waiting
-// generation to orphaned, on behalf of a caller whose deadline d has
-// passed. The deadline re-validation AFTER the state read is what
-// defeats the stale-deadline ABA: if the state word belongs to a newer
-// call, the word was zeroed (the older call's disarm) before that state
-// was stored and has held only the newer call's own expiry since, so a
-// re-read that still sees d is seeing a deadline of the call it orphans.
+// unpin closes a waiting phase no request was handed off under.
 //
-//ppc:coldpath -- runs on the shard tick, only for an expired call
-func (t *dlTicket) expire(d int64) {
-	s := t.state.Load()
-	if s&dlPhaseMask != dlPhaseWaiting {
-		return
-	}
-	if t.deadline.Load() != d {
-		return
-	}
+//ppc:coldpath -- the call is failing before dispatch
+func (t *dlTicket) unpin(gen uint64) {
+	//ppc:nopublish -- the executor never saw this generation: there are no results
+	t.state.Store(gen<<dlGenShift | dlPhaseDone)
+}
+
+// orphan moves the ticket from the waiting state s to orphaned, for the
+// tick or the cancelling caller. The quarantine gauge goes up BEFORE the
+// CAS and back down if it is lost: the executor lowers it after losing
+// its own CAS to this one, so the decrement always follows the increment.
+//
+//ppc:coldpath -- the call is being abandoned
+func (e *dlExec) orphan(s uint64) bool {
+	e.cd.shard.quarantinedCDs.Add(1)
 	//ppc:nopublish -- orphan transition: carries no payload, the caller discards results
-	if !t.state.CompareAndSwap(s, s&^dlPhaseMask|dlPhaseOrphaned) {
-		return
+	if e.ticket.state.CompareAndSwap(s, s&^dlPhaseMask|dlPhaseOrphaned) {
+		return true
 	}
-	sendToken(t.done)
+	e.cd.shard.quarantinedCDs.Add(-1)
+	return false
 }
 
 // dlReq is one unit of work handed to the executor: the call's record
-// and the descriptor it runs on. It lives inline in dlExec: the caller
-// writes it, then publishes it with the wake token; the executor copies
-// it out after receiving that. Strictly SPSC — the channel orders every
-// handoff.
+// and its generation. It lives inline in dlExec: the caller writes it,
+// then publishes it with the wake token; the executor copies it out after
+// receiving that. Strictly SPSC — the channel orders every handoff.
 type dlReq struct {
 	callRec
-	cd    *callDesc
-	epoch uint64 // close epoch at descriptor acquisition
-	gen   uint64 // the arming generation (tags the state CASes)
+	gen uint64 // the arming generation (tags the state CASes)
 }
 
 // dlExec is the per-client deadline executor: one goroutine, one
-// inline request slot, one reusable ticket. The handoff is park-first
-// in both directions: the executor blocks on wake, the caller on
-// ticket.done, and each send readies the other side on the sender's
-// own processor.
+// descriptor, one inline request slot, one reusable ticket. The handoff
+// is park-first in both directions: the executor blocks on wake, the
+// caller on ticket.done, and each send readies the other side on the
+// sender's own processor.
 type dlExec struct {
 	sys  *System
-	sh   *shard
 	prog uint32 // the client's program ID
-	idx  int    // position in sh.dlExecs, -1 once off the list; guarded by sh.dlMu
+	idx  int    // position in its shard's dlExecs, -1 once off the list; guarded by dlMu
+	// cd is the executor's own descriptor, out of the pool from arming
+	// until loop exits; epoch is the close epoch it was popped under. The
+	// caller touches cd (its stripe cache) only while the executor is parked.
+	cd    *callDesc
+	epoch uint64
 	// wake is the executor's park: buffered(1). The caller's send and
 	// the executor's receive are req's publish edge (one token per
-	// request, so the send never finds the buffer full); retire and the
-	// orphan ack send a non-blocking token that carries nothing.
+	// request, so the send never finds the buffer full); retire sends a
+	// non-blocking token that carries nothing.
 	wake chan struct{}
 	// exit is retire's flag, checked on every wake token.
 	//
@@ -226,14 +226,15 @@ type dlExec struct {
 }
 
 // armDeadlineExec lazily creates the client's executor (first
-// CallDeadline, or the first after an orphaning) and puts it on the
-// shard's list, then makes sure the tick loop is running at the
-// deadline tick to drive expiries.
+// CallDeadline, or the first after an orphaning) on a descriptor popped
+// for it and puts it on the shard's list, then makes sure the tick loop
+// is running at the deadline tick to drive expiries.
 //
 //ppc:coldpath -- executor construction, once per client (plus once per orphaning)
-func (c *Client) armDeadlineExec() {
+func (c *Client) armDeadlineExec() *dlExec {
 	sh := c.shard
-	e := &dlExec{sys: c.sys, sh: sh, prog: c.program}
+	e := &dlExec{sys: c.sys, prog: c.program, epoch: c.sys.closeEpoch.Load()}
+	e.cd = sh.popCD(defaultScratchBytes)
 	e.wake = make(chan struct{}, 1)
 	e.ticket.done = make(chan struct{}, 1)
 	sh.dlMu.Lock()
@@ -242,10 +243,15 @@ func (c *Client) armDeadlineExec() {
 	sh.dlMu.Unlock()
 	sh.startTick(c.sys)
 	c.dl = e
+	// Its Release is not a second Release of an earlier hold.
+	c.released = false
 	// Mirror the executor on the ownership record so the scavenger can
-	// retire it if the client dies idle.
+	// retire it if the client dies idle. A scavenger already past the
+	// record never will: the caller's life check behind its pin sees that
+	// death, and the dead owner retires the executor itself (dropDeadHold).
 	c.rec.dl.Store(e)
 	go e.loop()
+	return e
 }
 
 // unlist swap-deletes the executor from its shard's list: the tick will
@@ -254,7 +260,7 @@ func (c *Client) armDeadlineExec() {
 //
 //ppc:coldpath -- executor retirement, once per orphaning or Release
 func (e *dlExec) unlist() {
-	sh := e.sh
+	sh := e.cd.shard
 	sh.dlMu.Lock()
 	defer sh.dlMu.Unlock()
 	if i := e.idx; i >= 0 {
@@ -275,9 +281,14 @@ func (sh *shard) deadlineExecs() int {
 }
 
 // expireDeadlines is the tick's walk of the shard's executors: every
-// armed deadline that has come due is orphaned on its parked caller's
-// behalf, then cleared — by CAS, not store, so a concurrent re-arm's
-// fresh expiry survives.
+// armed deadline that has come due orphans its call on the parked
+// caller's behalf and is then cleared — by CAS, not store, so a
+// concurrent re-arm's fresh expiry survives. Re-reading the deadline
+// AFTER the state is what defeats the stale-deadline ABA: if the state
+// word belongs to a newer call, the deadline word was zeroed (the older
+// call's disarm) before that state was stored and has held only the newer
+// call's own expiry since, so a re-read that still sees d is seeing a
+// deadline of the call it orphans.
 //
 //ppc:coldpath -- periodic scan on the tick goroutine, off every call path
 func (sh *shard) expireDeadlines(now int64) {
@@ -285,16 +296,29 @@ func (sh *shard) expireDeadlines(now int64) {
 	defer sh.dlMu.Unlock()
 	for _, e := range sh.dlExecs {
 		t := &e.ticket
-		if d := t.deadline.Load(); d != 0 && d <= now {
-			t.expire(d)
-			t.deadline.CompareAndSwap(d, 0)
+		d := t.deadline.Load()
+		if d == 0 || d > now {
+			continue
 		}
+		s := t.state.Load()
+		if s&dlPhaseMask == dlPhaseWaiting && t.deadline.Load() == d && e.orphan(s) {
+			sendToken(t.done)
+		}
+		t.deadline.CompareAndSwap(d, 0)
 	}
 }
 
 // loop runs handlers on behalf of deadline callers until retired
-// (Client.Release or the scavenger) or orphaned.
+// (Client.Release, the scavenger, or a caller that found itself dead) or
+// orphaned, and returns the descriptor on the way out as an async worker
+// does — unless the System was closed since the executor was armed: a
+// drained shard's pool is never repopulated from the outside.
 func (e *dlExec) loop() {
+	defer func() {
+		if e.sys.closeEpoch.Load() == e.epoch {
+			e.cd.shard.pushCD(e.cd)
+		}
+	}()
 	t := &e.ticket
 	for {
 		<-e.wake
@@ -302,7 +326,7 @@ func (e *dlExec) loop() {
 			return
 		}
 		req := e.req // copy out; the caller may rewrite req after this call resolves
-		err := e.sys.dispatch(req.cd, req.svc, req.st, req.h, &t.args, e.prog, false)
+		err := e.sys.dispatch(e.cd, req.svc, req.st, req.h, &t.args, e.prog, false)
 		// Handler done: complete exactly as callHeld would — for an orphaned
 		// call too, which is what lets a soft Kill drain it.
 		req.svc.complete(req.st)
@@ -317,25 +341,32 @@ func (e *dlExec) loop() {
 			sendToken(t.done)
 			continue
 		}
-		// Orphaned while running. Park until the caller has finished the
-		// quarantine bookkeeping (its ack is followed by a wake token), so
-		// the gauge increments before this reclaim decrements it and the
-		// descriptor never repools early. Then this goroutine — the one
-		// that observed handler return — owns the reclaim; the client
-		// re-armed long ago, so retire quietly.
-		for t.ack.Load() != req.gen {
-			<-e.wake
-		}
-		e.sh.reclaimQuarantined(req.cd, e.sys.closeEpoch.Load() == req.epoch)
+		// Orphaned while running: the caller has forgotten this executor
+		// and replaces it on demand. The quarantine ends here, with the one
+		// goroutine that observed handler return.
+		e.cd.shard.quarantinedCDs.Add(-1)
 		return
 	}
 }
 
-// retire asks an idle executor to exit (Client.Release; a Client is
-// single-goroutine by contract, so no call is in flight) and takes it
-// off the shard's list. Idempotent: Release and the scavenger may both
-// retire one executor; the second token is dropped or left in the
-// buffer of a goroutine that already exited.
+// dropExec retires the client's deadline executor, if it has one, and
+// forgets it; the next deadline call arms another.
+//
+//ppc:coldpath -- executor retirement, off every call path
+func (c *Client) dropExec() {
+	if e := c.dl; e != nil {
+		e.retire()
+		c.dl = nil
+		c.rec.dl.Store(nil)
+	}
+}
+
+// retire asks an executor no request is being handed to — Client.Release
+// (a Client is single-goroutine by contract, so no call is in flight),
+// the scavenger past the ticket's pin — to exit at its next wake, and
+// takes it off the shard's list. Idempotent: Release and the scavenger
+// may both retire one executor; the second token is dropped or left in
+// the buffer of a goroutine that already exited.
 //
 //ppc:coldpath -- executor retirement, off every call path
 func (e *dlExec) retire() {
@@ -344,23 +375,11 @@ func (e *dlExec) retire() {
 	e.unlist()
 }
 
-// reclaimQuarantined ends a descriptor's quarantine after its orphaned
-// handler returned. Called only by the executor goroutine that
-// observed the return (see docs/INVARIANTS.md: quarantine release).
-//
-//ppc:coldpath -- orphan cleanup, once per expired call
-func (sh *shard) reclaimQuarantined(cd *callDesc, repool bool) {
-	sh.quarantinedCDs.Add(-1)
-	if repool {
-		sh.pushCD(cd)
-	}
-}
-
 // CallDeadline is Call with an upper bound on how long the caller
 // waits. The handler itself is never interrupted — Go cannot preempt a
 // running function safely — so an expired call is *orphaned*: the
 // caller returns ErrDeadline while the handler runs to completion on
-// the executor goroutine, its descriptor quarantined until it does.
+// the executor goroutine and the executor's descriptor.
 // Results of an orphaned call are discarded; args are copied in, so
 // the orphan never scribbles on the caller's memory after return.
 //
@@ -375,7 +394,7 @@ func (sh *shard) reclaimQuarantined(cd *callDesc, repool bool) {
 // allocations and arms no timer: the ticket and the executor are
 // reused, and arming is one store into the ticket's deadline word.
 //
-//ppc:rmwbudget(6) -- busy CAS, admission, arm (ticket, deadline word: 2), disarm, owner exit
+//ppc:rmwbudget(4) -- arm (ticket, deadline word: 2), admission, disarm
 func (c *Client) CallDeadline(ep EntryPointID, args *Args, d time.Duration) error {
 	if d <= 0 {
 		return c.Call(ep, args)
@@ -423,43 +442,44 @@ func (c *Client) rejectEarly(args *Args, err error) error {
 }
 
 // callDeadline runs one bounded call through the executor — the
-// synchronous core split at the handoff. The ownership entry of Call,
-// then the word flipped held→busy (the deadline path is the one that
-// transitions it: the descriptor must stay pinned against scavenging
-// while the executor may touch it), then the entry and the admission
-// every synchronous call makes; the executor dispatches, completes and,
-// if the caller is still waiting, settles. Every exit but an orphaning
-// restores busy→held; an orphaning leaves the still-busy descriptor to the
-// executor's quarantine. d == 0: no expiry (cancellation only); cancel may be nil.
+// synchronous core split at the handoff. The ticket's waiting phase opens
+// first and the life check follows it (the pin; see the file comment),
+// then the entry and the admission every synchronous call makes, on the
+// stripe of the executor's descriptor; the executor dispatches, completes
+// and, if the caller is still waiting, settles. The client's own hold and
+// its ownership word are not involved. d == 0: no expiry (cancellation
+// only); cancel may be nil.
 func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, cancel <-chan struct{}, ctx context.Context) error {
 	if err := c.preflight(one(args)); err != nil {
 		return err
 	}
-	if err := c.own(args); err != nil {
-		return err
+	if c.rec.epochs != 0 {
+		c.beatTick()
 	}
-	cd := c.held
-	if !cd.owner.CompareAndSwap(c.owHeld, c.owBusy) {
-		return c.ownerLost(one(args)) // condemned since own's life check
+	exec := c.dl
+	if exec == nil {
+		exec = c.armDeadlineExec()
+	}
+	t := &exec.ticket
+	exec.gen++
+	gen := exec.gen
+	//ppc:nopublish -- arming store: opens the waiting phase, the Done CAS publishes the results
+	t.state.Store(gen<<dlGenShift | dlPhaseWaiting)
+	if c.rec.state.Load() != crLive {
+		t.unpin(gen) // nothing was handed off; the dead owner's exit retires the executor
+		return c.ownerLost(one(args))
 	}
 	sh := c.shard
 	cr, err := sh.enter(ep, one(args), c.rec)
 	if err == nil {
-		if cr.st = cd.stripeOf(cr.svc); !cr.begin() {
+		if cr.st = exec.cd.stripeOf(cr.svc); !cr.begin() {
 			err = cr.fail(sh, one(args), ErrKilled)
 		}
 	}
 	if err != nil {
-		c.ownerExit(cd)
+		t.unpin(gen)
 		return err
 	}
-	if c.dl == nil {
-		c.armDeadlineExec()
-	}
-	exec := c.dl
-	t := &exec.ticket
-	exec.gen++
-	gen := exec.gen
 	t.args = *args
 	// The ticket's copy owns the attached leases from here: the
 	// executor's dispatch settles them after the handler returns — for
@@ -467,8 +487,6 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	// quarantine invariant (docs/INVARIANTS.md). Strip the caller-side
 	// count so the orphan path cannot release a second time.
 	transferPayloads(args)
-	//ppc:nopublish -- arming store: opens the waiting phase, the Done CAS publishes the results
-	t.state.Store(gen<<dlGenShift | dlPhaseWaiting)
 	if d > 0 {
 		// Arm BEFORE publishing the request so the bound covers the whole
 		// handoff, and after the state store: the tick clears a due word
@@ -478,32 +496,35 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		// ~2 ticks after.
 		t.deadline.Store(sh.clock.read() + int64(d) + int64(sh.dlTick))
 	}
-	exec.req = dlReq{callRec: cr, cd: cd, epoch: c.heldEpoch, gen: gen}
+	exec.req = dlReq{callRec: cr, gen: gen}
 	// Hand off: the send readies the executor on this processor, and
-	// blocking in dlWait is what lets it run there.
+	// blocking in wait is what lets it run there.
 	exec.wake <- struct{}{}
-	s, cancelled := dlWait(t, gen, cancel)
+	s, cancelled := exec.wait(gen, cancel)
 	if s&dlPhaseMask != dlPhaseDone {
 		// Orphaned: by the tick, a true expiry, or by the cancellation.
 		var cause error
 		if cancelled {
 			cause = ctx.Err()
 		}
-		return c.orphaned(cr, exec, gen, cause)
+		return c.orphaned(cr, exec, cause)
 	}
 	if d > 0 {
 		t.deadline.Store(0) // disarm
 	}
 	*args = t.args // done, and settled by the executor before its token
-	c.ownerExit(cd)
 	return t.err
 }
 
-// dlWait parks the caller on the ticket's done token until the call's
+// wait parks the caller on the ticket's done token until the call's
 // state word leaves gen|waiting, re-checking the word on every token, and
-// returns the state the call resolved to — through cancel, and saying so,
-// if the cancel channel fired first.
-func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) (s uint64, cancelled bool) {
+// returns the state the call resolved to. If the cancel channel fires
+// first it tries to orphan the call and says so; a call the executor or
+// the tick resolved before that keeps its resolution (expiry and
+// cancellation racing, either is correct and the caller keeps the
+// cancellation cause).
+func (e *dlExec) wait(gen uint64, cancel <-chan struct{}) (s uint64, cancelled bool) {
+	t := &e.ticket
 	want := gen<<dlGenShift | dlPhaseWaiting
 	for {
 		if cancel == nil {
@@ -512,7 +533,15 @@ func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) (s uint64, cancelle
 			select {
 			case <-t.done:
 			case <-cancel:
-				return t.cancel(gen), true
+				if e.orphan(want) {
+					return gen<<dlGenShift | dlPhaseOrphaned, true
+				}
+				if s = t.state.Load(); s&dlPhaseMask == dlPhaseDone {
+					// Lost to the executor: take the done token its CAS is
+					// followed by, so the reused ticket's channel starts empty.
+					<-t.done
+				}
+				return s, true
 			}
 		}
 		if s := t.state.Load(); s != want {
@@ -521,49 +550,20 @@ func dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) (s uint64, cancelle
 	}
 }
 
-// cancel resolves a ctx cancellation observed while waiting: try to
-// orphan the call; if the executor or the tick resolved it first, honor
-// that resolution instead (expiry and cancellation racing, either is
-// correct and the caller keeps the cancellation cause). Returns the state
-// the call resolved to.
-//
-//ppc:coldpath -- the caller is abandoning the call
-func (t *dlTicket) cancel(gen uint64) uint64 {
-	orphaned := gen<<dlGenShift | dlPhaseOrphaned
-	//ppc:nopublish -- orphan transition: the caller is abandoning the call, no payload
-	if t.state.CompareAndSwap(gen<<dlGenShift|dlPhaseWaiting, orphaned) {
-		return orphaned
-	}
-	s := t.state.Load()
-	if s&dlPhaseMask == dlPhaseDone {
-		// Lost to the executor: the call completed. Take the done token
-		// its CAS is followed by, so the reused ticket starts the next
-		// call with an empty channel.
-		<-t.done
-	}
-	return s
-}
-
 // orphaned performs the caller's side of an orphaning, whoever won the
-// CAS (the tick on expiry, the caller on cancellation): quarantine
-// the descriptor, record health evidence (timeout evidence only for a
-// true expiry — a cancellation settles a carried probe without
-// degrading the gate), take the executor off the shard's list, replace
-// it lazily, and acknowledge the bookkeeping so the executor's reclaim
-// may proceed.
+// CAS (the tick on expiry, the caller on cancellation): record health
+// evidence (timeout evidence only for a true expiry — a cancellation
+// settles a carried probe without degrading the gate), take the executor
+// off the shard's list and forget it. The executor finishes on its own
+// descriptor and exits; the client replaces it lazily and keeps its hold.
 //
 //ppc:coldpath -- a deadline already expired (or the ctx was cancelled); the call is failing
-func (c *Client) orphaned(cr callRec, e *dlExec, gen uint64, cause error) error {
-	sh := c.shard
+func (c *Client) orphaned(cr callRec, e *dlExec, cause error) error {
 	err := ErrDeadline
 	if cause != nil {
 		err = fmt.Errorf("%w: %w", ErrDeadline, cause)
 	}
-	// The descriptor leaves "held" accounting but must not reach the
-	// pool until the executor observes handler return.
-	sh.heldCDs.Add(-1)
-	sh.quarantinedCDs.Add(1)
-	sh.deadlineExpired.Add(1)
+	c.shard.deadlineExpired.Add(1)
 	if cr.svc.health != nil && cause == nil {
 		cr.svc.recordTimeout(cr.counters)
 	}
@@ -572,34 +572,19 @@ func (c *Client) orphaned(cr callRec, e *dlExec, gen uint64, cause error) error 
 		cr.probeDone(err)
 	}
 	e.unlist()
-	c.held = nil
 	c.dl = nil
-	// The ownership mirrors forget the quarantined descriptor and the
-	// retiring executor: the executor's reclaim protocol owns both from
-	// here (the descriptor's word stays owBusy through quarantine — the
-	// scavenger never touches it).
-	c.rec.cd.Store(nil)
 	c.rec.dl.Store(nil)
-	e.ticket.ack.Store(gen)
-	sendToken(e.wake)
 	return err
 }
 
-// AsyncCallDeadline is AsyncCall with a bound on queueing delay: if no
-// worker has *started* the request within d of submission, it is
-// settled as expired — counted in ShardStats.DeadlineExpirations,
+// AsyncCallNotifyDeadline is AsyncCallNotify with a bound on queueing
+// delay: if no worker has *started* the request within d of submission,
+// it is settled as expired — counted in ShardStats.DeadlineExpirations,
 // recorded as timeout evidence for the service's health gate, and
-// never executed. A d <= 0 is identical to AsyncCall. The bound covers
-// time in the ring only; a handler already started runs to completion.
-//
-//ppc:hotpath
-func (c *Client) AsyncCallDeadline(ep EntryPointID, args *Args, d time.Duration) error {
-	return c.AsyncCallNotifyDeadline(ep, args, nil, d)
-}
-
-// AsyncCallNotifyDeadline is AsyncCallDeadline with a completion
-// notification: done receives one token whether the request executed
-// or expired (an expired request is settled, not lost).
+// never executed. A d <= 0 is identical to AsyncCallNotify. The bound
+// covers time in the ring only; a handler already started runs to
+// completion. done (nil for none) receives one token whether the request
+// executed or expired (an expired request is settled, not lost).
 //
 //ppc:hotpath
 func (c *Client) AsyncCallNotifyDeadline(ep EntryPointID, args *Args, done chan<- struct{}, d time.Duration) error {

@@ -3,6 +3,8 @@ package rt
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,6 +31,7 @@ func TestDeadlineExpiryRacesCompletion(t *testing.T) {
 	}
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: tick})
 	defer sys.Close()
+	defer nonNegativeQuarantine(t, &sys.shards[0])()
 	svc, err := sys.Bind(ServiceConfig{Name: "edge", Handler: func(ctx *Ctx, args *Args) {
 		// 0..3 ticks around an expiry that lands 1..2 ticks after arming.
 		time.Sleep(time.Duration(args[0]%4) * tick)
@@ -81,6 +84,7 @@ func TestCallContextStaleDoneToken(t *testing.T) {
 	}
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
 	defer sys.Close()
+	defer nonNegativeQuarantine(t, &sys.shards[0])()
 	var cancel atomic.Pointer[context.CancelFunc]
 	racy, err := sys.Bind(ServiceConfig{Name: "selfcancel", Handler: func(ctx *Ctx, args *Args) {
 		args[0]++
@@ -149,7 +153,7 @@ func executors() int {
 }
 
 // No executor goroutine outlives its client, whichever way the client
-// goes: Release, an orphan's reclaim, Abandon + scavenge, or Abandon
+// goes: Release, an orphan's return, Abandon + scavenge, or Abandon
 // racing Release (both retire the one executor). leakCheck covers
 // everything else the system started once it is closed.
 func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
@@ -199,7 +203,7 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	close(block)
-	settled("executor exit after the orphan's reclaim")
+	settled("executor exit after the orphan's return")
 	c.Release()
 
 	c = sys.NewClientOnShard(0)
@@ -221,4 +225,374 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	if got := sh.heldCDs.Load(); got != 0 {
 		t.Fatalf("HeldCDs = %d after every client went away", got)
 	}
+}
+
+// sample calls bad from a goroutine of its own, over and over, until the
+// returned stop is called, and fails the test with the first complaint.
+func sample(t *testing.T, bad func() string) (stop func()) {
+	t.Helper()
+	done, joined := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(joined)
+		for {
+			if msg := bad(); msg != "" {
+				t.Error(msg)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	return func() { close(done); <-joined }
+}
+
+// nonNegativeQuarantine samples the shard's quarantine gauge, which must
+// never read negative: the orphaning side raises it before its CAS, so
+// the executor's decrement cannot come first.
+func nonNegativeQuarantine(t *testing.T, sh *shard) (stop func()) {
+	t.Helper()
+	return sample(t, func() string {
+		if v := sh.quarantinedCDs.Load(); v < 0 {
+			return fmt.Sprintf("QuarantinedCDs read %d", v)
+		}
+		return ""
+	})
+}
+
+// An orphaning costs the client nothing it holds: a client that mixes
+// Call and CallDeadline still holds the same descriptor afterwards, the
+// orphan runs on the executor's own, and the next plain Call pops nothing.
+func TestOrphanLeavesClientHold(t *testing.T) {
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
+	defer sys.Close()
+	sh := &sys.shards[0]
+	defer nonNegativeQuarantine(t, sh)()
+	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	svc, err := sys.Bind(ServiceConfig{Name: "mixed", Handler: func(ctx *Ctx, args *Args) {
+		if args[0] == 1 {
+			entered <- struct{}{}
+			<-block
+		}
+		args[1]++
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	defer c.Release()
+	var args Args
+	if err := c.Call(svc.EP(), &args); err != nil {
+		t.Fatal(err)
+	}
+	held, word := c.held, c.held.owner.Load()
+	orphan := Args{1}
+	if err := c.CallDeadline(svc.EP(), &orphan, 300*time.Microsecond); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	<-entered
+	st := sys.Stats()[0]
+	if !c.Held() || c.held != held || held.owner.Load() != word || st.HeldCDs != 1 {
+		t.Fatalf("after the orphaning: Held() = %v, same descriptor %v, same word %v, HeldCDs = %d; want the hold untouched",
+			c.Held(), c.held == held, held.owner.Load() == word, st.HeldCDs)
+	}
+	if st.QuarantinedCDs != 1 {
+		t.Fatalf("QuarantinedCDs = %d while the orphan runs, want 1", st.QuarantinedCDs)
+	}
+	args = Args{}
+	if err := c.Call(svc.EP(), &args); err != nil || args[1] != 1 {
+		t.Fatalf("plain Call after the orphaning: %v, result %d", err, args[1])
+	}
+	if after := sys.Stats()[0]; after.CDsCreated != st.CDsCreated || after.PooledCDs != st.PooledCDs {
+		t.Fatalf("the plain Call moved the pool: CDsCreated %d → %d, PooledCDs %d → %d",
+			st.CDsCreated, after.CDsCreated, st.PooledCDs, after.PooledCDs)
+	}
+	close(block)
+	waitCond(t, 5*time.Second, "the orphan's executor to exit", func() bool {
+		st := sys.Stats()[0]
+		return st.QuarantinedCDs == 0 && st.PooledCDs == 1
+	})
+	if orphan[1] != 0 {
+		t.Fatalf("the orphan wrote through to the caller's args: %v", orphan[:2])
+	}
+}
+
+// No deadline call moves the client's ownership word: across met, expired
+// and cancelled calls it reads owHeld under the one generation Hold
+// stamped, whoever looks and whenever.
+func TestDeadlineCallsNeverMoveOwnershipWord(t *testing.T) {
+	needTwoPs(t)
+	rounds := 3_000
+	if testing.Short() {
+		rounds = 300
+	}
+	const tick = 50 * time.Microsecond
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: tick})
+	defer sys.Close()
+	sh := &sys.shards[0]
+	defer nonNegativeQuarantine(t, sh)()
+	svc, err := sys.Bind(ServiceConfig{Name: "storm", Handler: func(ctx *Ctx, args *Args) {
+		time.Sleep(time.Duration(args[0]) * tick)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	defer c.Release()
+	c.Hold()
+	cd, word := c.held, c.held.owner.Load()
+	if ownerState(word) != owHeld {
+		t.Fatalf("held word state %d", ownerState(word))
+	}
+	stop := sample(t, func() string {
+		if w := cd.owner.Load(); w != word {
+			return fmt.Sprintf("ownership word read %#x mid-storm, want %#x throughout", w, word)
+		}
+		return ""
+	})
+	met, expired, cancelled := 0, 0, 0
+	for i := 0; i < rounds; i++ {
+		var err error
+		switch i % 3 {
+		case 0: // met
+			err = c.CallDeadline(svc.EP(), &Args{}, time.Hour)
+		case 1: // expires: the handler outlives the bound
+			err = c.CallDeadline(svc.EP(), &Args{4}, tick)
+		default: // cancelled mid-handler
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(tick, cancel)
+			err = c.CallContext(ctx, svc.EP(), &Args{4})
+			cancel()
+		}
+		switch {
+		case err == nil:
+			met++
+		case errors.Is(err, context.Canceled):
+			cancelled++
+		case errors.Is(err, ErrDeadline):
+			expired++
+		default:
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if c.held != cd || cd.owner.Load() != word {
+			t.Fatalf("call %d: the client's hold moved (same descriptor %v, word %#x, want %#x)", i, c.held == cd, cd.owner.Load(), word)
+		}
+	}
+	stop()
+	t.Logf("%d met, %d expired, %d cancelled", met, expired, cancelled)
+	if expired == 0 || cancelled == 0 || met == 0 {
+		t.Fatalf("the storm missed a leg: %d met, %d expired, %d cancelled", met, expired, cancelled)
+	}
+	waitCond(t, 5*time.Second, "quarantine drained", func() bool { return sys.Stats()[0].QuarantinedCDs == 0 })
+	if st := sys.Stats()[0]; st.HeldCDs != 1 {
+		t.Fatalf("HeldCDs = %d after the storm, want the one hold", st.HeldCDs)
+	}
+}
+
+// Abandon from another goroutine races the deadline entry — the pin, the
+// arming of a first executor, the handoff — round after round. The caller
+// always returns, with its result, ErrDeadline or ErrClientAbandoned; the
+// executor always exits; its descriptor goes back exactly once; and
+// nothing is left in flight, leased or quarantined.
+func TestAbandonRacesDeadlineEntry(t *testing.T) {
+	needTwoPs(t)
+	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
+	rounds := 4_000
+	if testing.Short() {
+		rounds = 400
+	}
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
+	defer sys.Close()
+	sh := &sys.shards[0]
+	defer nonNegativeQuarantine(t, sh)()
+	svc, err := sys.Bind(ServiceConfig{Name: "raced", Handler: func(ctx *Ctx, args *Args) {
+		if args[0] == 1 {
+			time.Sleep(200 * time.Microsecond)
+		}
+		args[1] = 7
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := map[string]int{}
+	for i := 0; i < rounds; i++ {
+		c := sys.NewClientOnShard(0)
+		if i%2 == 0 {
+			// Half the rounds race an executor that is already armed and
+			// mirrored; the other half race the arming itself.
+			if err := c.CallDeadline(svc.EP(), &Args{}, time.Second); err != nil {
+				t.Fatalf("round %d: arming call: %v", i, err)
+			}
+		}
+		var args Args
+		args[0] = uint64(i / 2 % 2) // every other pair: a handler that outlives the bound
+		if i%3 == 0 {
+			ref, _, err := c.AllocPayload(64)
+			if err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+			args.AttachPayload(ref)
+		}
+		start, errc := make(chan struct{}), make(chan error, 1)
+		go func() {
+			<-start
+			errc <- c.CallDeadline(svc.EP(), &args, 100*time.Microsecond)
+		}()
+		go func() {
+			<-start
+			for spin := i % 16; spin > 0; spin-- {
+				runtime.Gosched() // sweep the Abandon across the entry
+			}
+			c.Abandon()
+		}()
+		close(start)
+		select {
+		case err := <-errc:
+			switch {
+			case err == nil:
+				results["result"]++
+				if args[1] != 7 {
+					t.Fatalf("round %d: completed without its result", i)
+				}
+			case errors.Is(err, ErrDeadline):
+				results["ErrDeadline"]++
+			case errors.Is(err, ErrClientAbandoned):
+				results["ErrClientAbandoned"]++
+			default:
+				t.Fatalf("round %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: the caller never returned", i)
+		}
+	}
+	t.Logf("%v", results)
+	converged := func() bool {
+		st := sys.Stats()[0]
+		return executors() == 0 && sh.deadlineExecs() == 0 && sh.reg.dead.Load() == 0 &&
+			st.QuarantinedCDs == 0 && st.LeasesActive == 0 && svc.inFlightTotal() == 0
+	}
+	for end := time.Now().Add(10 * time.Second); !converged(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(end) {
+			st := sys.Stats()[0]
+			t.Fatalf("no convergence: %d executor goroutines, %d on the shard's list, %d dead clients unreaped, QuarantinedCDs %d, LeasesActive %d, %d in flight",
+				executors(), sh.deadlineExecs(), sh.reg.dead.Load(), st.QuarantinedCDs, st.LeasesActive, svc.inFlightTotal())
+		}
+	}
+	// Deadline-only clients: nothing was held, so nothing was condemned,
+	// and every descriptor ever made is in the pool — once.
+	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.ScavengedCDs != 0 || int64(st.PooledCDs) != st.CDsCreated {
+		t.Fatalf("HeldCDs = %d, ScavengedCDs = %d, PooledCDs = %d of %d created; want 0, 0 and all of them",
+			st.HeldCDs, st.ScavengedCDs, st.PooledCDs, st.CDsCreated)
+	}
+}
+
+// A deadline-only client never holds a descriptor — its executor's is the
+// executor's — and Close plus the executor's exit puts the pool back where
+// it started.
+func TestDeadlineOnlyClientHoldsNoDescriptor(t *testing.T) {
+	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
+	sys := NewSystemOptions(Options{Shards: 1})
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "only", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := sys.NewClientOnShard(0)
+	if err := warm.Call(svc.EP(), &Args{}); err != nil {
+		t.Fatal(err)
+	}
+	warm.Release()
+	start := sys.Stats()[0]
+	c := sys.NewClientOnShard(0)
+	var args Args
+	for i := 0; i < 100; i++ {
+		if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if st := sys.Stats()[0]; c.Held() || st.HeldCDs != 0 {
+			t.Fatalf("call %d: Held() = %v, HeldCDs = %d; a deadline-only client holds nothing", i, c.Held(), st.HeldCDs)
+		}
+	}
+	if args[0] != 100 {
+		t.Fatalf("results: %d", args[0])
+	}
+	if st := sys.Stats()[0]; st.PooledCDs != start.PooledCDs-1 || st.CDsCreated != start.CDsCreated {
+		t.Fatalf("armed: PooledCDs %d → %d, CDsCreated %d → %d; want the executor's one pop from the pool",
+			start.PooledCDs, st.PooledCDs, start.CDsCreated, st.CDsCreated)
+	}
+	c.Close()
+	waitCond(t, 5*time.Second, "the executor to exit and repool", func() bool {
+		return executors() == 0 && sys.Stats()[0].PooledCDs == start.PooledCDs
+	})
+	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.QuarantinedCDs != 0 {
+		t.Fatalf("HeldCDs = %d, QuarantinedCDs = %d after Close", st.HeldCDs, st.QuarantinedCDs)
+	}
+}
+
+// TestReleaseAfterDeadlineCallIsNotDoubleRelease: Release (or Close)
+// leaves the client usable, so Call; Release; CallDeadline; Release is a
+// legal sequence — the second Release retires the executor the deadline
+// call armed, it is not a second Release of the first hold. The deadline
+// call takes no hold, so nothing but the arming tells the two apart.
+func TestReleaseAfterDeadlineCallIsNotDoubleRelease(t *testing.T) {
+	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
+	sys := NewSystemOptions(Options{Shards: 1})
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "rel", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	var args Args
+	for round, deadlineCall := range []func() error{
+		func() error { return c.CallDeadline(svc.EP(), &args, time.Second) },
+		func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return c.CallContext(ctx, svc.EP(), &args)
+		},
+		func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			return c.CallContext(ctx, svc.EP(), &args)
+		},
+	} {
+		if err := c.Call(svc.EP(), &args); err != nil {
+			t.Fatal(err)
+		}
+		c.Release()
+		start := sys.Stats()[0]
+		if err := deadlineCall(); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 0 {
+			c.Release()
+		} else {
+			c.Close()
+		}
+		if c.dl != nil || c.rec.dl.Load() != nil {
+			t.Fatalf("round %d: the Release after the deadline call left the executor armed", round)
+		}
+		waitCond(t, 5*time.Second, "the executor to exit and repool", func() bool {
+			return executors() == 0 && sys.Stats()[0].PooledCDs == start.PooledCDs
+		})
+		if st := sys.Stats()[0]; st.HeldCDs != 0 || st.QuarantinedCDs != 0 {
+			t.Fatalf("round %d: HeldCDs = %d, QuarantinedCDs = %d", round, st.HeldCDs, st.QuarantinedCDs)
+		}
+	}
+	// A second Release of one hold is still loud.
+	if err := c.Call(svc.EP(), &args); err != nil {
+		t.Fatal(err)
+	}
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release of the same hold must still panic")
+		}
+	}()
+	c.Release()
 }

@@ -103,13 +103,13 @@ func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 		t.Fatalf("QuarantinedCDs = %d, want 1 while the orphan runs", st.QuarantinedCDs)
 	}
 	if st.HeldCDs != 0 {
-		t.Fatalf("HeldCDs = %d, want 0 after quarantine", st.HeldCDs)
+		t.Fatalf("HeldCDs = %d, want 0: a deadline call holds nothing of the client's", st.HeldCDs)
 	}
 	if st.DeadlineExpirations != 1 {
 		t.Fatalf("DeadlineExpirations = %d", st.DeadlineExpirations)
 	}
-	// The client transparently re-arms: a fresh call on a fresh CD and
-	// executor succeeds while the orphan is still stuck.
+	// The client transparently re-arms: a fresh call on a fresh executor
+	// (and its descriptor) succeeds while the orphan is still stuck.
 	var again Args
 	fast, err := sys.Bind(ServiceConfig{Name: "fast2", Handler: func(ctx *Ctx, args *Args) { args[0] = 5 }})
 	if err != nil {
@@ -122,14 +122,14 @@ func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 		t.Fatalf("re-armed call result = %d", again[0])
 	}
 	// Release the orphan: the executor goroutine (the one that observed
-	// handler return) reclaims the quarantined descriptor into the pool.
+	// handler return) ends the quarantine and repools its descriptor.
 	close(block)
-	waitCond(t, time.Second, "quarantine reclaim", func() bool {
+	waitCond(t, time.Second, "quarantine end", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0
 	})
 	c.Release()
-	waitCond(t, time.Second, "reclaimed CD repooled", func() bool {
-		return sys.Stats()[0].PooledCDs >= 2 // orphaned CD + released CD
+	waitCond(t, time.Second, "both executors' CDs repooled", func() bool {
+		return sys.Stats()[0].PooledCDs == 2 // the orphaned executor's + its replacement's
 	})
 }
 

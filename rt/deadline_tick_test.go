@@ -340,6 +340,7 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	}
 	// The orphan returns after Close: its executor must drop the
 	// descriptor (close epoch advanced) and end the quarantine.
+	pooled := sys.Stats()[0].PooledCDs
 	close(block)
 	waitCond(t, 5*time.Second, "quarantine drained across Close", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0
@@ -349,8 +350,11 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	idle.Release()
 	c.Release()
 	waitCond(t, 5*time.Second, "executor list drained after Close", func() bool {
-		return sys.shards[0].deadlineExecs() == 0
+		return sys.shards[0].deadlineExecs() == 0 && executors() == 0
 	})
+	if got := sys.Stats()[0].PooledCDs; got != pooled {
+		t.Fatalf("PooledCDs %d → %d: an executor armed before Close repooled into the drained shard", pooled, got)
+	}
 	waitCond(t, 5*time.Second, "watchdog exited after draining", func() bool {
 		sh := &sys.shards[0]
 		sh.qMu.Lock()

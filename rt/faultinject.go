@@ -45,7 +45,7 @@ import (
 //	                       non-nil error (or a sleep) defers that
 //	                       client's reclamation to the next watchdog
 //	                       tick, so chaos tests can stretch the
-//	                       quarantine window deterministically.
+//	                       reclaim window deterministically.
 
 // FaultSite names an injection point.
 type FaultSite uint8

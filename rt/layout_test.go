@@ -344,6 +344,9 @@ func TestShardLayout(t *testing.T) {
 	if off := unsafe.Offsetof(s.arena); off%lineBytes != 0 {
 		t.Errorf("arena at offset %d shears its internal cur-line isolation", off)
 	}
+	if span := unsafe.Offsetof(s.arena) - unsafe.Offsetof(s.lanes); span != 2*lineBytes {
+		t.Errorf("the lane/tenant block spans %d bytes, want two whole lines", span)
+	}
 }
 
 // TestLaneLayout pins the lane tiling: shard.lanes is a []laneRing, so

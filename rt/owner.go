@@ -16,8 +16,8 @@ import (
 // a deadline executor, staged batch entries, a half-open health probe.
 // Without reclamation each of those is stranded forever. This file
 // gives every client an *ownership record* and rides a scavenger pass
-// on the existing watchdog tick to quarantine-then-reclaim what dead
-// clients left behind.
+// on the existing watchdog tick to reclaim what dead clients left
+// behind.
 //
 // # The ownership word
 //
@@ -26,7 +26,7 @@ import (
 //
 //	bits 63..32  gen    (transition counter; tags every CAS)
 //	bits 31..3   owner  (low 29 bits of the owning client's program ID)
-//	bits  2..0   state  (owFree / owHeld / owBusy / owDead)
+//	bits  2..0   state  (owFree / owHeld / owDead)
 //
 // The layout is offset-stable and pointer-free by construction — the
 // same word works in an mmap'd shared segment, which is exactly the
@@ -36,36 +36,35 @@ import (
 //
 // Transitions:
 //
-//	Hold            owner := gen+1|id|owHeld     (plain store; fresh gen)
-//	Deadline entry  CAS  owHeld -> owBusy        (fails: client was reclaimed)
-//	Deadline exit   store owBusy -> owHeld       (plain; only the owner writes)
-//	Release         CAS  owHeld -> owFree        (fails: scavenger got it first)
-//	Scavenge        CAS  owHeld -> owDead, gen+1 (condemn; never from owBusy)
-//	Tombstone       CAS  owHeld -> owDead, gen+1 (the dead owner's own exit)
+//	Hold       owner := gen+1|id|owHeld     (plain store; fresh gen)
+//	Release    CAS  owHeld -> owFree        (fails: scavenger got it first)
+//	Scavenge   CAS  owHeld -> owDead, gen+1 (condemn)
+//	Tombstone  CAS  owHeld -> owDead, gen+1 (the dead owner's own exit)
 //
-// The plain sync path transitions NOTHING: Call checks the record's
-// life state on entry and exit (two loads of a read-mostly line) and
-// the word stays owHeld for the whole hold — the warm path pays no RMW
-// and no store (one optional beat store for epoch-enrolled clients).
-// What makes that safe is that the scavenger *condemns* rather than
-// repools: its owHeld->owDead CAS bumps the generation — so the dead
-// owner's tombstone and Release CASes, tagged with the generation they
-// held, must fail — and the pool is compensated with a FRESH
-// descriptor. A plain call that was secretly in flight during the
-// condemnation keeps running on the condemned descriptor, which is in
-// no pool and becomes garbage when the handler returns; it can never
-// be handed to another client. The deadline path does mark owBusy for
-// its flight (its executor must not be retired mid-call), and the
-// scavenger defers the whole client while it sees owBusy.
+// Three states, and the word moves only at Hold, Release and death: NO
+// call path transitions it. Call checks the record's life state on entry
+// and exit (two loads of a read-mostly line) and the word stays owHeld
+// for the whole hold — the warm path pays no RMW and no store (one
+// optional beat store for epoch-enrolled clients). A deadline call does
+// not run on the client's descriptor at all: its executor holds one of
+// its own (deadline.go), so the word of a client that mixes the two
+// paths never moves either. What makes the untouched word safe is that
+// the scavenger *condemns* rather than repools: its owHeld->owDead CAS
+// bumps the generation — so the dead owner's tombstone and Release
+// CASes, tagged with the generation they held, must fail — and the pool
+// is compensated with a FRESH descriptor. A plain call that was secretly
+// in flight during the condemnation keeps running on the condemned
+// descriptor, which is in no pool and becomes garbage when the handler
+// returns; it can never be handed to another client.
 //
-// The exit side is the PR 6 orphan-ack discipline inverted: the owner
-// re-checks its record's life state after the handler returns; if it
-// died mid-call, the completion goes down the tombstone path — CAS
-// owHeld->owDead — and whichever party wins that CAS (the completing
-// owner pushing the descriptor itself, or the scavenger compensating
-// with a fresh one) performs the reclaim exactly once. A completion
-// that loses simply walks away: it landed in a tombstone instead of a
-// reclaimed descriptor. Both outcomes count in TombstonedCompletions.
+// On the exit side the owner re-checks its record's life state after
+// the handler returns; if it died mid-call, the completion goes down the
+// tombstone path — CAS owHeld->owDead — and whichever party wins that
+// CAS (the completing owner pushing the descriptor itself, or the
+// scavenger compensating with a fresh one) performs the reclaim exactly
+// once. A completion that loses simply walks away: it landed in a
+// tombstone instead of a reclaimed descriptor. Both outcomes count in
+// TombstonedCompletions.
 //
 // # The ownership record
 //
@@ -115,21 +114,21 @@ import (
 // by missing its liveness-epoch budget (opt-in,
 // ClientOptions.LivenessEpochs). The scavenger runs on the watchdog
 // tick, guarded by one registry load per tick when nothing is dead; per
-// dead client it (1) condemns the held CD through the ownership CAS
-// above and compensates the pool with a fresh descriptor, (2) retires
-// the deadline executor, (3) swaps every lease slot empty and releases
-// what it took, (4) settles a carried half-open probe back to degraded
-// so the gate is never wedged, and (5) reaps the record. A holding the
-// owner publishes behind the walk is the owner's to settle: its
-// life-state load after the publish sees the death. A deadline call in
-// flight defers the whole client to the next tick —
-// quarantine-then-reclaim, never reclaim-in-place.
+// dead client (scavengeOne) it defers to the next tick while a deadline
+// call is in flight — the executor's ticket is the pin (deadline.go) —
+// and otherwise condemns the held CD through the ownership CAS above,
+// compensating the pool with a fresh descriptor, retires the deadline
+// executor, which repools its own descriptor as it exits, swaps every
+// lease slot empty and releases what it took, settles a carried
+// half-open probe back to degraded so the gate is never wedged, and
+// reaps the record. A holding the owner publishes behind the walk is the
+// owner's to settle: its life-state load after the publish sees the
+// death.
 
 // Ownership word states (bits 2..0 of callDesc.owner).
 const (
 	owFree uint64 = iota // pooled / released: no client owns the CD
 	owHeld               // held by a client (a plain call may be in flight)
-	owBusy               // held and mid-deadline-call; reclaim must defer
 	owDead               // tombstone: condemned/reclaimed from a dead client
 )
 
@@ -205,9 +204,9 @@ type clientRec struct {
 	//
 	//ppc:atomic
 	heldEpoch atomic.Uint64
-	// cd mirrors Client.held (written on Hold/Release/orphaning — all
-	// cold). The ownership word on the descriptor itself arbitrates
-	// reclamation; this mirror only tells the scavenger where to look.
+	// cd mirrors Client.held (written on Hold/Release — both cold). The
+	// ownership word on the descriptor itself arbitrates reclamation;
+	// this mirror only tells the scavenger where to look.
 	//
 	//ppc:atomic
 	cd atomic.Pointer[callDesc]
@@ -328,7 +327,7 @@ func (reg *clientRegistry) unfile(rec *clientRec) {
 // unregistered; a record with holdings is declared dead and reclaimed
 // inline on the cleanup goroutine. Inline — not via the watchdog —
 // because the GC just proved the client unreachable: no call can be in
-// flight and no owner op can race, so the quarantine deferral the
+// flight and no owner op can race, so the in-flight deferral the
 // watchdog exists for cannot apply; and a program that leaked its
 // clients may well have leaked the System too, in which case a woken
 // watchdog would tick forever.
@@ -609,46 +608,45 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		}
 	}
 	sh := reg.sh
-	// 1. The held descriptor, arbitrated by the ownership word. owBusy
-	// means the dead client's final *deadline* call is still running —
-	// defer everything (its completion will settle leases, probe, and
-	// the tombstone itself). owHeld is condemned, not repooled: the
-	// plain sync path never transitions the word, so a plain call may
-	// still be running on the descriptor right now. Bumping the
-	// generation makes the owner's tombstone and Release CASes fail,
-	// the pool is compensated with a fresh descriptor, and the
-	// condemned one becomes garbage once the handler (if any) returns.
+	// 1. A deadline call in flight: defer everything — its exits settle
+	// leases and probe, and the executor must not be retired under a
+	// request. The ticket reads waiting from the call's pin until it
+	// resolves; orphaned, on an executor still on the record, means the
+	// caller has yet to forget it (the tick can orphan a call before its
+	// caller has handed the request over).
+	e := rec.dl.Load()
+	if e != nil {
+		if p := e.ticket.state.Load() & dlPhaseMask; p == dlPhaseWaiting || p == dlPhaseOrphaned {
+			return false
+		}
+	}
+	// 2. The held descriptor, arbitrated by the ownership word. owHeld is
+	// condemned, not repooled: no call path transitions the word, so a
+	// plain call may still be running on the descriptor right now.
+	// Bumping the generation makes the owner's tombstone and Release
+	// CASes fail, the pool is compensated with a fresh descriptor, and
+	// the condemned one becomes garbage once the handler (if any)
+	// returns. Any other state under this id, or a lost CAS: the owner's
+	// own tombstone or Release settled it.
 	if cd := rec.cd.Load(); cd != nil {
 		w := cd.owner.Load()
-		if ownerIs(w, rec.id) {
-			switch ownerState(w) {
-			case owBusy:
-				return false
-			case owHeld:
-				if !cd.owner.CompareAndSwap(w, packOwner(ownerGen(w)+1, rec.id, owDead)) {
-					return false // lost to a deadline entry CAS or a tombstone; retry
-				}
-				sh.heldCDs.Add(-1)
-				if reg.sys.closeEpoch.Load() == rec.heldEpoch.Load() {
-					sh.pushCD(sh.newCD(0))
-				}
-				reg.scavCDs.Add(1)
+		if ownerIs(w, rec.id) && ownerState(w) == owHeld &&
+			cd.owner.CompareAndSwap(w, packOwner(ownerGen(w)+1, rec.id, owDead)) {
+			sh.heldCDs.Add(-1)
+			if reg.sys.closeEpoch.Load() == rec.heldEpoch.Load() {
+				sh.pushCD(sh.newCD(0))
 			}
-			// owDead / owFree under this id: the owner's own tombstone or
-			// Release already settled it.
+			reg.scavCDs.Add(1)
 		}
 		rec.cd.Store(nil)
 	}
-	// 2. The deadline executor. Safe to retire here: step 1 proved no
-	// deadline call is in flight (the deadline path holds the word
-	// owBusy for its whole flight; a plain sync call still running on a
-	// condemned descriptor never touches the executor), so the executor
-	// is idle — the same precondition Release relies on.
-	if e := rec.dl.Load(); e != nil {
+	// 3. The deadline executor: idle past step 1, the precondition
+	// Release relies on. It pushes its descriptor back as it exits.
+	if e != nil {
 		e.retire()
 		rec.dl.Store(nil)
 	}
-	// 3. The lease slots: every ref this swap takes out is this pass's to
+	// 4. The lease slots: every ref this swap takes out is this pass's to
 	// release. A slot the owner fills behind the walk is the owner's
 	// again — its life check after the store sees the death.
 	var n int64
@@ -661,13 +659,13 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		}
 	}
 	reg.scavLeases.Add(n)
-	// 4. A carried half-open probe: settle the gate back to degraded so
+	// 5. A carried half-open probe: settle the gate back to degraded so
 	// the stripe is never wedged shedding behind a probe that will never
 	// report.
 	if p := rec.probe.Swap(nil); p != nil {
 		p.svc.gateReopen(p.counters)
 	}
-	// 5. Reap.
+	// 6. Reap.
 	rec.state.Store(crReaped)
 	if rec.epochs > 0 {
 		reg.epochClients.Add(-1)
@@ -676,26 +674,11 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 	return true
 }
 
-// ownerExit publishes the ownership exit for a resolved deadline call
-// on cd — restore busy->held with the one plain store, then settle the
-// tombstone if the client died mid-call. Only the deadline paths use
-// this; the plain sync path never transitions the word and performs
-// just the life re-check inline.
-//
-//ppc:hotpath
-func (c *Client) ownerExit(cd *callDesc) {
-	cd.owner.Store(c.owHeld)
-	if c.rec.state.Load() != crLive {
-		c.tombstoneExit()
-	}
-}
-
-// tombstoneExit is the dead owner's completion path: the exit life
-// check came back dead while the word (plain path: untouched all along;
-// deadline path: just restored by ownerExit) still reads owHeld under
-// this hold's generation — unless the scavenger already condemned it.
-// The completion landed in a tombstone: counted, and the descriptor
-// settled as any dead owner's is (dropDeadHold).
+// tombstoneExit is the dead owner's completion path: Call's exit life
+// check came back dead while the word, untouched all along, still reads
+// owHeld under this hold's generation — unless the scavenger already
+// condemned it. The completion landed in a tombstone: counted, and the
+// descriptor settled as any dead owner's is (dropDeadHold).
 //
 //ppc:coldpath -- the client was abandoned mid-call
 func (c *Client) tombstoneExit() {
@@ -703,12 +686,12 @@ func (c *Client) tombstoneExit() {
 	c.dropDeadHold()
 }
 
-// own is the ownership entry of the two paths that run on the client's
-// held descriptor (Call, callDeadline): take a descriptor if none is held
-// — Hold declines on a dead client — then one load of the record's life
-// state, a read-mostly line written once at death, and the liveness beat
-// of an enrolled client. The plain path never transitions the ownership
-// word (see the file comment), so the warm call pays no RMW here.
+// own is the ownership entry of Call, the one path that runs on the
+// client's held descriptor: take a descriptor if none is held — Hold
+// declines on a dead client — then one load of the record's life state,
+// a read-mostly line written once at death, and the liveness beat of an
+// enrolled client. No call transitions the ownership word (see the file
+// comment), so the warm call pays no RMW here.
 //
 //ppc:hotpath
 func (c *Client) own(args *Args) error {
@@ -724,10 +707,10 @@ func (c *Client) own(args *Args) error {
 	return nil
 }
 
-// ownerLost is the dead owner's entry path: a life check (preflight's or
-// own's) or the deadline path's entry CAS found the client dead. Settle
-// the submission's payload leases (the claim transferred them to it)
-// and the held descriptor, and fail.
+// ownerLost is the dead owner's entry path: a life check (preflight's,
+// own's, or the one behind the deadline path's pin) found the client
+// dead. Settle the submission's payload leases (the claim transferred
+// them to it) and what the client holds, and fail.
 //
 //ppc:coldpath -- the client was abandoned before this call
 func (c *Client) ownerLost(argss []Args) error {
@@ -736,12 +719,13 @@ func (c *Client) ownerLost(argss []Args) error {
 	return ErrClientAbandoned
 }
 
-// dropDeadHold settles a dead client's held descriptor from the owner's
-// side. The owner has transitioned nothing, so the word still reads
-// owHeld under this hold's generation unless the scavenger already
-// condemned it, and whichever of the two wins the CAS reclaims. Without
-// the settle here the descriptor would be stranded: clearing rec.cd
-// hides it from the scavenger's walk.
+// dropDeadHold settles a dead client's held descriptor and deadline
+// executor from the owner's side. The owner has transitioned nothing, so
+// the word still reads owHeld under this hold's generation unless the
+// scavenger already condemned it, and whichever of the two wins the CAS
+// reclaims. Without the settle here both would be stranded: clearing
+// rec.cd hides the descriptor from the scavenger's walk, and an executor
+// armed behind that walk was never in it (retiring twice is harmless).
 //
 //ppc:coldpath -- the client was abandoned
 func (c *Client) dropDeadHold() {
@@ -750,7 +734,7 @@ func (c *Client) dropDeadHold() {
 			c.shard.releaseCD(cd, c.sys.closeEpoch.Load() == c.heldEpoch)
 		}
 		c.held = nil
-		c.dl = nil
 	}
 	c.rec.cd.Store(nil)
+	c.dropExec()
 }

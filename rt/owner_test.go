@@ -14,11 +14,11 @@ import (
 // each mechanism in isolation.
 
 func TestOwnerWordPacking(t *testing.T) {
-	w := packOwner(7, 42, owBusy)
+	w := packOwner(7, 42, owDead)
 	if ownerGen(w) != 7 {
 		t.Fatalf("gen = %d", ownerGen(w))
 	}
-	if ownerState(w) != owBusy {
+	if ownerState(w) != owDead {
 		t.Fatalf("state = %d", ownerState(w))
 	}
 	if !ownerIs(w, 42) || ownerIs(w, 43) {
@@ -223,7 +223,8 @@ func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 // TestAbandonRetiresDeadlineExecutor: a client abandoned with a parked
 // deadline executor has the executor retired and taken off the shard's
 // list, so the post-close tick is not kept alive by a dead client's
-// executor.
+// executor. The executor repools its own descriptor as it exits: a
+// deadline-only client held none, so the scavenger condemned none.
 func TestAbandonRetiresDeadlineExecutor(t *testing.T) {
 	leakCheck(t)
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
@@ -238,12 +239,15 @@ func TestAbandonRetiresDeadlineExecutor(t *testing.T) {
 	if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.PooledCDs != 0 {
+		t.Fatalf("HeldCDs = %d, PooledCDs = %d with the executor armed, want 0 and 0: its descriptor is its own", st.HeldCDs, st.PooledCDs)
+	}
 	c.Abandon()
 	waitCond(t, 2*time.Second, "executor retirement", func() bool {
-		return sh.deadlineExecs() == 0 && sh.heldCDs.Load() == 0
+		return sh.deadlineExecs() == 0 && sh.poolSize() == 1
 	})
-	if st := sys.Stats()[0]; st.ScavengedCDs != 1 {
-		t.Fatalf("ScavengedCDs = %d, want the deadline client's CD", st.ScavengedCDs)
+	if st := sys.Stats()[0]; st.ScavengedCDs != 0 || st.HeldCDs != 0 {
+		t.Fatalf("ScavengedCDs = %d, HeldCDs = %d, want 0 and 0: a deadline-only client holds nothing to condemn", st.ScavengedCDs, st.HeldCDs)
 	}
 }
 

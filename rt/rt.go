@@ -180,9 +180,8 @@ var (
 	ErrDrainTimeout = fmt.Errorf("rt: close timed out draining async work")
 	// ErrDeadline: the call's deadline expired (or its context was
 	// canceled) before the handler finished. For a synchronous deadline
-	// call the handler may still be running when this is returned — the
-	// call descriptor it runs on is quarantined until the handler
-	// returns (see CallDeadline).
+	// call the handler may still be running when this is returned, on
+	// the deadline executor's own call descriptor (see CallDeadline).
 	ErrDeadline = fmt.Errorf("rt: call deadline exceeded")
 	// ErrServiceUnhealthy: the service's health gate is open on this
 	// shard (too many consecutive faults or deadline expirations); the
@@ -683,11 +682,6 @@ type Options struct {
 	// is settled at most ~2 ticks after its deadline and never before
 	// the deadline has elapsed.
 	WatchdogInterval time.Duration
-	// MaxWorkerReplacements bounds how many replacement workers a
-	// shard may run beyond its normal worker cap at once (default
-	// defaultMaxReplacements). Negative disables replacements while
-	// keeping stall detection.
-	MaxWorkerReplacements int
 	// OffloadThreshold is the AttachBytes transfer size (bytes) at
 	// which the copy is staged on the shard's offload lane instead of
 	// performed inline on the caller (default defaultOffloadThreshold,
@@ -904,8 +898,8 @@ const killPollInterval = 100 * time.Microsecond
 // the count — one of them sees the other); or the sum precedes the
 // link, in which case the state store precedes it too and the caller's
 // re-check in admit backs out. Stripes are never unlinked, so a call
-// still running on a descriptor its client no longer owns (condemned by
-// the scavenger, quarantined by a deadline) is waited for as well.
+// still running after its caller has gone (on a descriptor the scavenger
+// condemned, on an orphaned deadline executor's) is waited for as well.
 func (s *System) Kill(ep EntryPointID, hard bool) error {
 	svc := s.Service(ep)
 	if svc == nil || svc.state.Load() == svcDead {
@@ -1009,9 +1003,9 @@ type ShardStats struct {
 	// surplus workers retired after the stuck ones returned.
 	ReplacementsSpawned   int64
 	ReplacementsReclaimed int64
-	// QuarantinedCDs is the number of call descriptors orphaned by an
-	// expired deadline whose handler has not returned yet (a gauge; the
-	// servicing goroutine reclaims each on handler return).
+	// QuarantinedCDs is the number of call descriptors under a handler
+	// orphaned by an expired deadline that has not returned yet (a gauge;
+	// each is its deadline executor's own, repooled on handler return).
 	QuarantinedCDs int64
 	// DeadlineExpirations counts calls that failed with ErrDeadline on
 	// this shard — synchronous orphans and asynchronous requests
@@ -1026,8 +1020,8 @@ type ShardStats struct {
 	ShedCalls      int64
 	// LeasesActive is the number of payload leases currently held on
 	// the shard's arena (a gauge; zero once every call touching a
-	// payload has settled — including quarantined orphans, whose lease
-	// is dropped by whoever reclaims the CD).
+	// payload has settled — including orphans, whose lease is dropped
+	// when the handler returns).
 	LeasesActive int64
 	// OffloadedBytes counts payload bytes copied through the shard's
 	// offload lane (staged AttachBytes transfers), by whichever copier

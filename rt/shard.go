@@ -258,7 +258,6 @@ type shard struct {
 	beats            []workerBeat
 	stallThreshold   time.Duration
 	watchdogInterval time.Duration
-	maxReplacements  int64
 	watchdogOn       bool // guarded by qMu
 	//ppc:atomic
 	extraGrant atomic.Int64
@@ -279,16 +278,18 @@ type shard struct {
 	retick  chan struct{}
 
 	// Deadline / orphaning accounting (deadline.go). quarantinedCDs
-	// counts call descriptors pinned under a still-running orphaned
-	// handler; deadlineExpired counts calls settled by expiry (sync
-	// orphans and async drops alike).
+	// counts deadline executors still running an orphaned handler, each
+	// on its own descriptor; deadlineExpired counts calls settled by
+	// expiry (sync orphans and async drops alike).
 	quarantinedCDs  atomic.Int64
 	deadlineExpired atomic.Int64
 
-	// Lifecycle observability (see ShardStats).
-	backpressure atomic.Int64
-	workerExits  atomic.Int64
-	notifyDrops  atomic.Int64
+	// Lifecycle observability (see ShardStats); tenantThrottled is the
+	// tenant budget's shed count (tenant.go).
+	backpressure    atomic.Int64
+	workerExits     atomic.Int64
+	notifyDrops     atomic.Int64
+	tenantThrottled atomic.Int64
 
 	//ppc:atomic
 	closed atomic.Bool
@@ -301,22 +302,21 @@ type shard struct {
 	// layout. The rings feed the dynamically-created async workers (§4.4:
 	// asynchronous requests detach the caller; §2: workers are created as
 	// needed). The slice header is read-only after construction. Tenant
-	// admission (tenant.go): tenants is the per-shard bucket table (atomic
-	// pointers, published by ConfigureTenant under System.mu), tenantList
-	// the watchdog's flat refill list, tenantThrottled the budget-shed
-	// count. All read-mostly or cold-RMW; the block is sized to two whole
-	// lines so the arena below keeps its 64-alignment.
-	lanes   []laneRing
-	tenants []atomic.Pointer[tenantBucket]
+	// admission (tenant.go): tenants is the per-shard bucket table (nil
+	// until the first ConfigureTenant publishes it, under System.mu and
+	// under running calls), tenantList the watchdog's flat refill list.
+	// All read-mostly; the block is sized to two whole lines so the arena
+	// below keeps its 64-alignment.
+	lanes []laneRing
+	//ppc:atomic
+	tenants atomic.Pointer[tenantTable]
 	//ppc:atomic
 	tenantList atomic.Pointer[[]*tenantBucket]
-	//ppc:atomic
-	tenantThrottled atomic.Int64
 	// yieldPerBatch: Options.CooperativeYield — the worker cedes the P
 	// once per serviced batch so sleeping submitters can publish.
 	// Read-only after construction, like the rest of this block.
 	yieldPerBatch bool
-	_             [63]byte // fill the lane/tenant block to 128 bytes
+	_             [87]byte // fill the lane/tenant block to 128 bytes
 
 	// arena is the shard's payload arena (arena.go) and offload its
 	// copy-staging lane (offload.go). Warm payload traffic only *loads*

@@ -377,7 +377,7 @@ func TestStripeExitsWithoutHandler(t *testing.T) {
 	}
 	<-entered
 	for i := 0; i < 8; i++ {
-		if err := c.AsyncCallDeadline(expiring.EP(), &Args{}, time.Microsecond); err != nil {
+		if err := c.AsyncCallNotifyDeadline(expiring.EP(), &Args{}, nil, time.Microsecond); err != nil {
 			t.Error(err)
 		}
 		if err := c.AsyncCall(doomed.EP(), &Args{}); err != nil {

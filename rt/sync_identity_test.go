@@ -27,9 +27,9 @@ type syncKnobs struct {
 }
 
 // What an entry point is, for the exits that exist only on some: the
-// Client's own (the client-side exits apply), one that runs on the
-// client's held descriptor, one a deadline can orphan, the one that
-// takes a context.
+// Client's own (the client-side exits apply), one that runs on a
+// descriptor held across calls (the client's, or its deadline
+// executor's), one a deadline can orphan, the one that takes a context.
 const (
 	entClient = 1 << iota
 	entHeld
@@ -191,11 +191,20 @@ var syncExits = []struct {
 		// between the entry and the admission. Staged on the one lock the
 		// path can take there — a descriptor's first call to a service
 		// links its stripe under the service's stripe mutex — so only where
-		// the client holds the descriptor.
+		// the call runs on a descriptor held for it: the client's, or its
+		// deadline executor's.
 		name: "probe killed", want: ErrKilled, health: idProbing, only: entHeld,
 		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k *syncKnobs) {
 			e.c.Hold() // a fresh descriptor: it owns no stripe for the service yet
 			e.reopen(t)
+			// And an empty pool, so that an executor armed by the call pops a
+			// fresh one too, not the one the tripping client just returned:
+			// throwaway clients hold what is pooled for the rest of the row.
+			for e.sys.Stats()[0].PooledCDs != 0 {
+				taker := e.sys.NewClientOnShard(0)
+				taker.Hold()
+				t.Cleanup(taker.Release)
+			}
 			e.svc.stripeMu.Lock()
 			go func() {
 				defer e.svc.stripeMu.Unlock()

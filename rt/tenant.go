@@ -46,6 +46,11 @@ type TenantID uint32
 // bounds the service table.
 const MaxTenants = 256
 
+// tenantTable is one shard's bucket table, indexed by TenantID. The
+// shard reaches it through an atomic pointer: the first ConfigureTenant
+// publishes it under calls that are already looking.
+type tenantTable [MaxTenants]atomic.Pointer[tenantBucket]
+
 // TenantConfig is a tenant's per-shard admission budget.
 type TenantConfig struct {
 	// Rate is the sustained admission rate in requests per second
@@ -186,14 +191,17 @@ func (s *System) ConfigureTenant(id TenantID, cfg TenantConfig) error {
 	defer s.mu.Unlock()
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if sh.tenants == nil {
-			sh.tenants = make([]atomic.Pointer[tenantBucket], MaxTenants)
+		tab := sh.tenants.Load()
+		if tab == nil {
+			// The first tenant: calls are already reading this pointer.
+			tab = new(tenantTable)
+			sh.tenants.Store(tab)
 		}
 		b := &tenantBucket{interval: interval, burst: int64(cfg.Burst)}
 		b.tokens.Store(int64(cfg.Burst))
 		b.lastRefill.Store(sh.clock.refresh())
-		sh.tenants[id].Store(b)
-		sh.republishTenantList()
+		tab[id].Store(b)
+		sh.republishTenantList(tab)
 	}
 	return nil
 }
@@ -203,10 +211,10 @@ func (s *System) ConfigureTenant(id TenantID, cfg TenantConfig) error {
 // Caller holds System.mu.
 //
 //ppc:coldpath -- control-plane publication, serialized by System.mu
-func (sh *shard) republishTenantList() {
+func (sh *shard) republishTenantList(tab *tenantTable) {
 	var list []*tenantBucket
-	for i := range sh.tenants {
-		if b := sh.tenants[i].Load(); b != nil {
+	for i := range tab {
+		if b := tab[i].Load(); b != nil {
 			list = append(list, b)
 		}
 	}
@@ -219,10 +227,11 @@ func (sh *shard) republishTenantList() {
 //
 //ppc:hotpath
 func (sh *shard) tenantBucketFor(id TenantID) *tenantBucket {
-	if sh.tenants == nil || id >= MaxTenants {
+	tab := sh.tenants.Load()
+	if tab == nil || id >= MaxTenants {
 		return nil
 	}
-	return sh.tenants[id].Load()
+	return tab[id].Load()
 }
 
 // refillTenants credits every configured bucket from the watchdog's

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -256,4 +257,57 @@ func TestTenantWatchdogRefill(t *testing.T) {
 	waitCond(t, time.Second, "watchdog refilled the bucket", func() bool {
 		return b.tokens.Load() > 0
 	})
+}
+
+// TestConfigureFirstTenantUnderTraffic: the first ConfigureTenant of a
+// System publishes every shard's tenant table while tenant-tagged clients
+// are already calling — they read the table on every call, unconfigured
+// or not. Run with -race: the table must reach them through an atomic.
+func TestConfigureFirstTenantUnderTraffic(t *testing.T) {
+	needTwoPs(t)
+	for round := 0; round < 20; round++ {
+		sys := NewSystemOptions(Options{Shards: 1, WorkerStallThreshold: -1})
+		svc, err := sys.Bind(ServiceConfig{Name: "tagged", Handler: func(ctx *Ctx, args *Args) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var calling, wg sync.WaitGroup
+		for _, async := range []bool{false, true} {
+			calling.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := sys.NewClientWith(ClientOptions{Tenant: 7})
+				defer c.Release()
+				for i := 0; ; i++ {
+					var err error
+					if async {
+						err = c.AsyncCall(svc.EP(), &Args{})
+					} else {
+						err = c.Call(svc.EP(), &Args{})
+					}
+					if i == 0 {
+						calling.Done() // whatever the call returned: a failure must not hang the round
+					}
+					if err != nil && !errors.Is(err, ErrShed) && !errors.Is(err, ErrBackpressure) {
+						t.Errorf("async %v, call %d: %v", async, i, err)
+						return
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		calling.Wait()
+		if err := sys.ConfigureTenant(7, TenantConfig{Rate: 1e9, Burst: 1 << 20}); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		sys.Close()
+	}
 }

@@ -48,9 +48,9 @@ const (
 	defaultStallThreshold = 20 * time.Millisecond
 	// defaultWatchdogInterval is the supervision scan period.
 	defaultWatchdogInterval = 5 * time.Millisecond
-	// defaultMaxReplacements bounds concurrent replacement workers per
-	// shard.
-	defaultMaxReplacements = 4
+	// maxReplacements bounds how many replacement workers a shard may
+	// run beyond its normal worker cap at once.
+	maxReplacements = 4
 )
 
 // coarseClock is a shard-local cached unix-nano word: one goroutine
@@ -137,16 +137,9 @@ func (sh *shard) configureWatchdog(o Options) {
 	if o.WatchdogInterval > 0 {
 		sh.watchdogInterval = o.WatchdogInterval
 	}
-	sh.maxReplacements = defaultMaxReplacements
-	if o.MaxWorkerReplacements != 0 {
-		sh.maxReplacements = int64(o.MaxWorkerReplacements)
-		if sh.maxReplacements < 0 {
-			sh.maxReplacements = 0
-		}
-	}
 	// +1: the offload worker (offload.go) shares the beat table so a
 	// wedged staging copy is supervised like a wedged handler.
-	sh.beats = make([]workerBeat, sh.maxWorkers+sh.maxReplacements+1)
+	sh.beats = make([]workerBeat, sh.maxWorkers+maxReplacements+1)
 	sh.dlTick = min(deadlineTick, sh.watchdogInterval)
 	sh.clock.refresh()
 }
@@ -358,7 +351,7 @@ func (sh *shard) superviseTick(sys *System, last []uint64, stuckTicks []int, stu
 			continue
 		}
 		stuck++
-		if !b.compensated.Load() && sh.extraGrant.Load() < sh.maxReplacements {
+		if !b.compensated.Load() && sh.extraGrant.Load() < maxReplacements {
 			// Compensate: grant headroom for one replacement so the ring
 			// keeps draining past the wedged worker.
 			b.compensated.Store(true)

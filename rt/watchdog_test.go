@@ -87,10 +87,9 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 
 func TestWatchdogReplacementsBounded(t *testing.T) {
 	sys := NewSystemOptions(Options{
-		Shards:                1,
-		WorkerStallThreshold:  2 * time.Millisecond,
-		WatchdogInterval:      time.Millisecond,
-		MaxWorkerReplacements: 2,
+		Shards:               1,
+		WorkerStallThreshold: 2 * time.Millisecond,
+		WatchdogInterval:     time.Millisecond,
 	})
 	defer sys.Close()
 	block := make(chan struct{})
@@ -109,7 +108,7 @@ func TestWatchdogReplacementsBounded(t *testing.T) {
 	// Wedge the original worker, then each replacement as it appears:
 	// every live worker gets stuck, and the replacement count must
 	// saturate at the bound instead of growing without limit.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxReplacements+1; i++ {
 		if err := c.AsyncCall(svc.EP(), &args); err != nil {
 			t.Fatal(err)
 		}
@@ -124,14 +123,14 @@ func TestWatchdogReplacementsBounded(t *testing.T) {
 		}
 	}
 	waitCond(t, 2*time.Second, "replacements to saturate", func() bool {
-		return sys.Stats()[0].ReplacementsSpawned >= 2
+		return sys.Stats()[0].ReplacementsSpawned >= maxReplacements
 	})
 	time.Sleep(20 * time.Millisecond) // give an unbounded bug time to show
 	st := sys.Stats()[0]
-	if st.ReplacementsSpawned > 2 {
-		t.Fatalf("ReplacementsSpawned = %d, bound is 2", st.ReplacementsSpawned)
+	if st.ReplacementsSpawned > maxReplacements {
+		t.Fatalf("ReplacementsSpawned = %d, bound is %d", st.ReplacementsSpawned, maxReplacements)
 	}
-	if st.AsyncWorkers > 3 {
+	if st.AsyncWorkers > 1+maxReplacements {
 		t.Fatalf("AsyncWorkers = %d, want <= maxWorkers+bound", st.AsyncWorkers)
 	}
 	close(block)
