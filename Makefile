@@ -19,7 +19,8 @@ test:
 # then the two goroutine handoffs (deadline executor, async doorbell)
 # and the two every-exit identity tables at 1, 2 and 4 Ps: they have one
 # path on every P count, and -cpu overrides the GOMAXPROCS pin for that
-# run.
+# run. The pattern takes the executor-pool tests with it (TestDeadlinePool*:
+# the population keep rule, concurrent growth, orphan reuse).
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
@@ -77,7 +78,9 @@ bench-selftest:
 	cd bench && GOWORK=off $(GO) test ./...
 
 # One iteration of every benchmark, rt's own included: catches bit-rot
-# in bench bodies without measuring anything.
+# in bench bodies without measuring anything. rt's
+# BenchmarkDeadlineTickPopulation (the tick over idle clients and over
+# calls in flight, E25) asserts its populations as it sets them up.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./rt
 

@@ -288,12 +288,12 @@ func TestABALoopsCarryAnnotations(t *testing.T) {
 	}
 }
 
-// rt surface ceilings, recorded at PR 19 (the deadline executor holds its
-// own descriptor). ROADMAP item 2 wants these to go down: lower them when
-// a change shrinks rt, and treat raising one as a decision to defend in
+// rt surface ceilings, recorded at PR 21 (deadline executors are pooled
+// per shard). ROADMAP item 2 wants these to go down: lower them when a
+// change shrinks rt, and treat raising one as a decision to defend in
 // review.
 const (
-	rtMaxNonTestLines = 7223
+	rtMaxNonTestLines = 7210
 	rtMaxExported     = 203
 	rtMaxOptionFields = 8
 )
@@ -310,9 +310,12 @@ const (
 // admission (Service.admit) have one caller each, a carried probe is
 // settled from at most three, the pooled call is the entry and the core
 // between a pop and a push, and the deadline request is the record plus
-// its generation. The shard tick: exactly one function starts its loop.
-// The ownership word: it is written where a hold begins and ends and
-// where a client's death is settled, and on no call path.
+// its generation and its caller's program. The shard tick: exactly one
+// function starts its loop. The ownership word: it is written where a
+// hold begins and ends and where a client's death is settled, and on no
+// call path. The deadline executor: one function starts its goroutine, no
+// client-side struct has a field for one, and owner.go — the scavenger —
+// names neither the executor nor its ticket.
 func TestRtSurfaceRatchet(t *testing.T) {
 	fset := token.NewFileSet()
 	files, _ := parseTree(t, fset)
@@ -329,13 +332,21 @@ func TestRtSurfaceRatchet(t *testing.T) {
 	calls := func(callee string) []string { return names(callers[callee]) }
 	admitters := map[string]bool{}
 	ownerWriters := map[string]bool{}
-	var dlReqFields []string
+	var dlReqFields, ownerNames []string
 	for _, pf := range files {
 		if filepath.Dir(pf.path) != "rt" {
 			continue
 		}
 		f := pf.file
 		lines += fset.File(f.Pos()).LineCount()
+		if filepath.Base(pf.path) == "owner.go" {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && (id.Name == "dlExec" || id.Name == "dlTicket") {
+					ownerNames = append(ownerNames, id.Name)
+				}
+				return true
+			})
+		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -377,14 +388,12 @@ func TestRtSurfaceRatchet(t *testing.T) {
 						}
 					case *ast.TypeSpec:
 						st, isStruct := s.Type.(*ast.StructType)
-						if s.Name.Name == "dlReq" && isStruct {
-							for _, field := range st.Fields.List {
-								if len(field.Names) == 0 { // embedded
-									dlReqFields = append(dlReqFields, fmt.Sprint(field.Type))
-								}
-								for _, name := range field.Names {
-									dlReqFields = append(dlReqFields, name.Name)
-								}
+						for _, field := range fieldsOf(st) {
+							if s.Name.Name == "dlReq" {
+								dlReqFields = append(dlReqFields, field)
+							}
+							if (s.Name.Name == "Client" || s.Name.Name == "clientRec") && field == "dl" {
+								t.Errorf("%s has a dl field again: a client holds nothing for the deadline path", s.Name.Name)
 							}
 						}
 						if !s.Name.IsExported() {
@@ -428,6 +437,7 @@ func TestRtSurfaceRatchet(t *testing.T) {
 		{"gateAdmit", "enter", "passing the health gate"},
 		{"admit", "begin", "performing the synchronous admission"},
 		{"watchdogLoop", "startTick", "starting the shard tick loop"},
+		{"loop", "newExec", "starting a deadline executor's goroutine"},
 	} {
 		if got := calls(c.callee); len(got) != 1 || got[0] != c.want {
 			t.Errorf("functions %s: %v; want %s alone", c.what, got, c.want)
@@ -444,12 +454,33 @@ func TestRtSurfaceRatchet(t *testing.T) {
 			t.Errorf("callOn calls %s; the pooled call is the entry and the core between a pop and a push, with no leg of its own", callee)
 		}
 	}
-	if got := fmt.Sprint(dlReqFields); got != "[callRec gen]" {
-		t.Errorf("dlReq fields: %s; want the call record plus gen", got)
+	if got := fmt.Sprint(dlReqFields); got != "[callRec gen prog]" {
+		t.Errorf("dlReq fields: %s; want the call record plus gen and prog", got)
+	}
+	if len(ownerNames) != 0 {
+		t.Errorf("owner.go names %v: the scavenger does not know executors exist", ownerNames)
 	}
 	if got := fmt.Sprint(names(ownerWriters)); got != "[Hold Release dropDeadHold scavengeOne]" {
 		t.Errorf("functions writing callDesc.owner: %s; want Hold, Release, scavengeOne and dropDeadHold — no call path moves the ownership word", got)
 	}
+}
+
+// fieldsOf lists a struct type's field names, an embedded field under its
+// type's name; nil for a type that is not a struct.
+func fieldsOf(st *ast.StructType) []string {
+	if st == nil {
+		return nil
+	}
+	var names []string
+	for _, field := range st.Fields.List {
+		if len(field.Names) == 0 {
+			names = append(names, fmt.Sprint(field.Type))
+		}
+		for _, name := range field.Names {
+			names = append(names, name.Name)
+		}
+	}
+	return names
 }
 
 // recvExported reports whether a method's receiver names an exported

@@ -421,8 +421,8 @@ func TestChaosArenaStorm(t *testing.T) {
 // mid-call (the deterministic tombstone), one leg self-abandons between
 // calls (the entry life check's decline), and a sixth goroutine
 // abandons the last leg's client while it is entering a deadline call
-// (the pin's life check, an executor armed behind the scavenger's
-// walk). FaultSiteScavenge defers every third scavenge pass, stretching
+// (reaped at once, with the call in flight on a pooled executor).
+// FaultSiteScavenge defers every third scavenge pass, stretching
 // the window in which owner operations race the reclaim walk. A
 // goroutine that loses its client observes
 // ErrClientAbandoned and constructs a fresh identity — domain death is
@@ -489,7 +489,7 @@ func TestChaosDomainDeath(t *testing.T) {
 	var wg sync.WaitGroup
 	// Leg 4's clients die from outside, mid-entry: this goroutine abandons
 	// whichever one the leg is calling on, so the death lands anywhere
-	// between the deadline path's pin and its handoff.
+	// between the deadline path's life check and its handoff.
 	var mark atomic.Pointer[Client]
 	wg.Add(1)
 	go func() {

@@ -79,10 +79,6 @@ type Client struct {
 	// a stale descriptor, so a held CD can never repopulate a drained
 	// shard's pool after System.Close.
 	heldEpoch uint64
-	// dl is the client's deadline executor (deadline.go): lazily created
-	// by the first CallDeadline/CallContext, reused across calls,
-	// forgotten (and replaced on demand) when a call is orphaned.
-	dl *dlExec
 
 	// rec is the client's ownership record on the shard registry
 	// (owner.go) — the scavenger's view of everything this client owns.
@@ -93,8 +89,8 @@ type Client struct {
 	// rewritten only by Hold on the owning goroutine.
 	owHeld uint64
 	// released marks a client that returned its held descriptor to the
-	// pool and has taken nothing since (Hold and the arming of a deadline
-	// executor clear it); a second Release in that state is a loud failure.
+	// pool and has taken nothing since (Hold and a deadline call clear
+	// it); a second Release in that state is a loud failure.
 	released bool
 }
 
@@ -284,9 +280,6 @@ func (c *Client) Hold() {
 //
 //ppc:coldpath -- descriptor release, off the warm call path
 func (c *Client) Release() {
-	// Retire the idle deadline executor (the owning goroutine cannot be
-	// mid-call here; a Client is single-goroutine by contract).
-	c.dropExec()
 	cd := c.held
 	if cd == nil {
 		if c.released && c.rec.state.Load() == crLive {

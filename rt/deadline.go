@@ -3,6 +3,7 @@ package rt
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -12,15 +13,32 @@ import (
 // A plain Call runs the handler on the caller's own goroutine — the
 // whole point of the PPC design — which means the caller cannot
 // abandon it: Go offers no way to preempt your own stack. CallDeadline
-// therefore routes execution through a per-client *executor*
-// goroutine: a single, lazily-created, reused goroutine that runs
-// handlers on a call descriptor of its own (the paper's worker-held CD,
-// popped at arming and pushed back when the goroutine exits, like an
-// async worker's) while the caller waits on a reusable ticket. The warm
-// path allocates nothing — the ticket, its two channels and the executor
-// all persist on the Client. The cost: a client that makes both plain
-// and deadline calls keeps two descriptors (one 4 KiB scratch more), and
-// the two paths do not share a scratch page.
+// therefore routes execution through an *executor*: a goroutine that
+// runs handlers on a call descriptor of its own (the paper's worker-held
+// CD) while the caller waits on the executor's reusable ticket.
+//
+// Executors are pooled per shard, as the paper's workers are pooled per
+// processor, and a call takes one for its duration. A client holds
+// nothing for the deadline path: every executor of a shard has a slot on
+// shard.dlExecs for life (the tick walks the list) and the idle ones are
+// linked, by slot number, on the stack whose head is shard.dlIdle. A call
+// pops one (popExec: one CAS; an empty stack makes one — goroutine,
+// descriptor, ticket — and registers it) and whoever reads the ticket
+// last pushes it back (pushExec: link store and CAS), so the warm path
+// allocates nothing and costs the same however many calls are in flight
+// (EXPERIMENTS.md E25). The list grows to the shard's peak of concurrent
+// deadline calls, not to its client count; the stack is LIFO, so a lone
+// caller keeps reusing one. The head is a slot number under a tag that
+// every push raises, not a pointer: an executor is pushed back while a
+// stale popper may still hold it, which a pointer head cannot tell from
+// the executor never having left, garbage collection or not.
+//
+// An executor is poppable only after its last reader is done with the
+// ticket (docs/INVARIANTS.md): a call that completes is returned by its
+// caller, after it has copied args and err out of the Done ticket; a call
+// that is orphaned by whichever leaves the ticket second (leave) — the
+// caller, which may be parked on the done channel until it has seen the
+// orphaning, or the executor, whose handler is still writing args.
 //
 // The handoff is hand-off scheduling: both parties park first. The
 // caller writes the request, sends one token on the executor's wake
@@ -36,15 +54,14 @@ import (
 // second core doing it (EXPERIMENTS.md E19).
 //
 // Timing uses no per-call timer. Arming a deadline is one store of an
-// absolute expiry into the ticket's deadline word and disarming is one
-// store of zero; every executor of a shard is on one list
-// (shard.dlExecs, under the cold dlMu), and the shard's tick
-// (watchdog.go) walks the whole list, performing the
-// dlWaiting→dlOrphaned CAS on behalf of every caller whose word has
-// come due, followed by the same done token the executor would send.
-// The list holds one entry per executor, not per call, and the walk is
-// one load — one cache line — per entry: under 1 % of a processor for
-// 1 000 registered executors, 2–9 % for 10 000 (EXPERIMENTS.md E23).
+// absolute expiry into the ticket's deadline word (zero: none), made
+// before the call's waiting phase opens, and nothing disarms it: the
+// executor's next call overwrites it. The shard's tick (watchdog.go)
+// walks shard.dlExecs, performing the dlWaiting→dlOrphaned CAS on behalf
+// of every waiting caller whose word has come due, followed by the same
+// done token the executor would send. The walk is one cache line per
+// executor, and there are as many executors as the shard has had deadline
+// calls in flight at once (EXPERIMENTS.md E25).
 //
 // Timing contract: arming rounds the expiry up by one tick from the
 // shard's coarse clock, and every tick refreshes that clock before it
@@ -53,53 +70,60 @@ import (
 // Options.WatchdogInterval when that is finer.
 //
 // The ticket state word packs a per-executor generation with a phase
-// (gen<<2 | waiting/done/orphaned). The generation is what makes the
-// tick's asynchronous CAS safe: a deadline read from call N that is
-// acted on while call N+1 is in flight fails its CAS (different gen),
-// and a resolved call leaves the deadline word zero before the next
-// call opens its waiting phase while the tick re-validates the deadline
-// *after* reading the state, so a stale expiry can never orphan a
-// fresh call.
-//
-// The waiting phase is also the call's pin against the scavenger
-// (owner.go). The caller opens it before the entry and the admission and
-// then loads its record's life state — the store-then-load Dekker pair
-// lease slots and Hold use: either the load sees the client dead and the
-// call backs out, or the scavenger sees the ticket and defers the dead
-// client until the call is done or (orphaned, perhaps ahead of the
-// handoff) its caller has let go of the executor: it never retires one a
-// request is being handed to. Every pre-handoff exit closes the phase.
+// (gen<<3 | waiting/done/orphaned/left); it keeps its last call's value
+// while the executor is idle, and the call that pops it opens the next
+// generation. The generation is what makes the tick's asynchronous CAS
+// safe: a deadline read from call N that is acted on while call N+1 is
+// in flight fails its CAS (different gen), and a call writes its own
+// expiry over its predecessor's before it opens its waiting phase, while
+// the tick re-validates the deadline *after* reading the state, so a
+// stale expiry can never orphan a fresh call. A done token is only ever
+// a "re-check the state word": the tick's token for an orphaning the
+// cancelling caller saw first may arrive during the executor's next
+// call, whose caller finds its own generation still waiting and parks
+// again.
 //
 // When the deadline fires first the call is *orphaned*: the handler is
 // still running, on the executor's descriptor, which nobody else has a
-// claim on — the client's own hold is not involved in a deadline call.
+// claim on.
 //
 //  1. The watchdog tick (expiry) or the caller (ctx cancellation) raises
 //     ShardStats.QuarantinedCDs and CASes the ticket waiting→orphaned,
 //     lowering the gauge again on a lost CAS. The *caller*, on observing
-//     the orphaned phase, takes the executor off the shard's list,
-//     forgets it and returns ErrDeadline; its next deadline call arms a
-//     fresh one. A caller-side CAS loss means the executor finished
-//     first: the caller takes the result normally — no orphan.
+//     the orphaned phase, returns ErrDeadline. A caller-side CAS loss to
+//     the executor means the handler finished first: the caller takes the
+//     result normally — no orphan.
 //  2. The executor, after the handler returns, CASes waiting→done. If
 //     IT loses, the call was orphaned while it ran: it lowers the gauge
 //     (the increment preceded the CAS it lost to, so the gauge never
-//     reads negative) and exits.
-//  3. An exiting executor, orphaned or retired, pushes its descriptor
-//     back into the pool — unless the System was closed since it was
-//     armed; then the descriptor is dropped, the epoch rule of Release.
+//     reads negative) and leaves the ticket.
+//
+// Lifecycle. An executor is made on a pop that finds none idle and lives
+// until the shard is closed, idle or wedged under an orphan: the pool
+// does not shrink, and the 1 ms tick runs from a shard's first deadline
+// call until its last executor has exited. Close pops every idle executor
+// and closes its wake channel, and a pushExec that finds the shard closed
+// does the same, so an in-flight executor exits when its call is over and
+// a closed shard keeps no parked goroutine; a deadline call after Close
+// makes an executor and retires it on the way out. An exiting executor
+// empties its slot and pushes its descriptor back — unless the
+// System was closed since the descriptor was popped; then it is dropped,
+// the epoch rule of Release. Executors are not joined by Close and take
+// no heartbeat slot: an orphan may outlive Close by contract, a handler
+// past its bound is already visible as QuarantinedCDs, and a pop that
+// finds every executor busy makes another, which is all the compensation
+// a stuck one needs.
 //
 // The in-flight accounting (admitted / completed) brackets the
 // *handler*, not the caller's wait: an orphaned handler still counts
-// in flight until it returns, so a soft Kill drains orphans too, and
-// the close-epoch check keeps a late executor exit from repopulating a
-// drained pool.
+// in flight until it returns, so a soft Kill drains orphans too.
 //
-// Health evidence: only a true expiry (cause == nil) is recorded as
-// timeout evidence — a caller that cancels via ctx is not a sick
-// service. A cancelled call that carried the half-open probe still
-// settles the gate (back to degraded) so the probe lease is never
-// leaked.
+// Health evidence is the caller's to report, for the outcome it returns:
+// a completed call's on the Done ticket, an orphaned call's in orphaned —
+// only a true expiry (cause == nil) is timeout evidence; a caller that
+// cancels via ctx is not a sick service. A cancelled call that carried
+// the half-open probe still settles the gate (back to degraded) so the
+// probe lease is never leaked.
 //
 // Deadline semantics for asynchronous submissions are simpler — a
 // queued request has no goroutine to orphan. AsyncCallNotifyDeadline
@@ -114,31 +138,39 @@ import (
 // adds lateness). A finer Options.WatchdogInterval takes its place.
 const deadlineTick = time.Millisecond
 
-// Ticket state word layout: gen<<dlGenShift | phase.
+// Ticket state word layout: gen<<dlGenShift | phase (zero: never used). A
+// call's life is waiting → done, or waiting → orphaned → left.
 const (
-	dlPhaseWaiting  uint64 = 1
-	dlPhaseDone     uint64 = 2
-	dlPhaseOrphaned uint64 = 3
-	dlPhaseMask     uint64 = 3
-	dlGenShift             = 2
+	dlPhaseWaiting  uint64 = 1 + iota // a call whose handler has not returned
+	dlPhaseDone                       // the executor published the results
+	dlPhaseOrphaned                   // the deadline (or a cancellation) won
+	dlPhaseLeft                       // orphaned, and one of the two parties has let go of the ticket
+	dlPhaseMask     uint64 = 7
+	dlGenShift             = 3
 )
 
-// dlTicket is the rendezvous between a deadline caller and its
-// executor. Reused across calls; the generation-tagged state CAS is the
+// dlSlotMask selects the slot half of shard.dlIdle, the idle stack's head:
+// tag<<32 | slot+1, zero for empty. Every push raises the tag.
+const dlSlotMask uint64 = 1<<32 - 1
+
+// dlTicket is the rendezvous between a deadline caller and the executor
+// it took. Reused across calls; the generation-tagged state CAS is the
 // single synchronization point that decides completion vs orphaning.
 type dlTicket struct {
-	// state is gen<<2|phase; see the file comment for the protocol.
-	// The gen|Done CAS is the release edge for the handler's results:
+	// state is gen<<3|phase; see the file comment for the protocol. The
+	// call that popped the executor stores the next generation's waiting
+	// phase. The gen|Done CAS is the release edge for the handler's results:
 	// the executor writes t.args (via dispatch) and t.err, then CASes,
-	// and the caller reads both only after loading a Done state. The
-	// orphan-side CAS (orphan), the arming store and unpin carry no
-	// payload and are //ppc:nopublish at the site.
+	// and the caller reads both only after loading a Done state. Every
+	// other transition carries no payload and is //ppc:nopublish at the
+	// site.
 	//
 	//ppc:atomic
 	//ppc:publishes(args, err)
 	state atomic.Uint64
-	// deadline is the armed absolute expiry (unix nanos); 0 = disarmed.
-	// The caller stores it, the shard's tick loads it.
+	// deadline is the armed absolute expiry (unix nanos); 0 = none. The
+	// caller stores it before it opens the waiting phase, the shard's tick
+	// loads it.
 	//
 	//ppc:atomic
 	deadline atomic.Int64
@@ -152,9 +184,8 @@ type dlTicket struct {
 }
 
 // sendToken puts a token on a buffered(1) park channel unless one is
-// already pending: coalescing and never blocking, so the tick's walk and
-// a repeated retire can both use it. A token carries nothing; its
-// receiver re-checks the word or flag it waits on.
+// already pending: coalescing and never blocking. A token carries
+// nothing; its receiver re-checks the word or flag it waits on.
 //
 //ppc:coldpath -- a channel send: the scheduler is involved by design
 func sendToken(ch chan struct{}) {
@@ -162,14 +193,6 @@ func sendToken(ch chan struct{}) {
 	case ch <- struct{}{}:
 	default:
 	}
-}
-
-// unpin closes a waiting phase no request was handed off under.
-//
-//ppc:coldpath -- the call is failing before dispatch
-func (t *dlTicket) unpin(gen uint64) {
-	//ppc:nopublish -- the executor never saw this generation: there are no results
-	t.state.Store(gen<<dlGenShift | dlPhaseDone)
 }
 
 // orphan moves the ticket from the waiting state s to orphaned, for the
@@ -188,191 +211,192 @@ func (e *dlExec) orphan(s uint64) bool {
 	return false
 }
 
-// dlReq is one unit of work handed to the executor: the call's record
-// and its generation. It lives inline in dlExec: the caller writes it,
-// then publishes it with the wake token; the executor copies it out after
-// receiving that. Strictly SPSC — the channel orders every handoff.
-type dlReq struct {
-	callRec
-	gen uint64 // the arming generation (tags the state CASes)
+// leave is how each party of an orphaning lets go of the ticket — the
+// caller once it has seen the orphaning, the executor once its handler has
+// returned and it has lost the Done CAS: the first says so in the state
+// word, the second hands the executor back. Until the caller has left it
+// may still be parked on the ticket's done channel, and a channel two
+// callers wait on loses wakeups.
+//
+//ppc:coldpath -- the call was orphaned
+func (e *dlExec) leave(gen uint64) {
+	//ppc:nopublish -- an orphaned call's results are discarded
+	if !e.ticket.state.CompareAndSwap(gen<<dlGenShift|dlPhaseOrphaned, gen<<dlGenShift|dlPhaseLeft) {
+		e.cd.shard.pushExec(e)
+	}
 }
 
-// dlExec is the per-client deadline executor: one goroutine, one
-// descriptor, one inline request slot, one reusable ticket. The handoff
-// is park-first in both directions: the executor blocks on wake, the
-// caller on ticket.done, and each send readies the other side on the
-// sender's own processor.
+// dlReq is one unit of work handed to the executor: the call's record,
+// its generation and its caller's program ID. It lives inline in dlExec:
+// the caller writes it, then publishes it with the wake token; the
+// executor copies it out after receiving that. Strictly SPSC — the
+// channel orders every handoff.
+type dlReq struct {
+	callRec
+	gen  uint64 // the arming generation (tags the state CASes)
+	prog uint32
+}
+
+// dlExec is one pooled deadline executor: one goroutine, one descriptor,
+// one inline request slot, one reusable ticket. The handoff is park-first
+// in both directions: the executor blocks on wake, the caller on
+// ticket.done, and each send readies the other side on the sender's own
+// processor.
 type dlExec struct {
-	sys  *System
-	prog uint32 // the client's program ID
-	idx  int    // position in its shard's dlExecs, -1 once off the list; guarded by dlMu
-	// cd is the executor's own descriptor, out of the pool from arming
+	sys *System
+	// slot is the executor's place on shard.dlExecs for life; next is the
+	// idle stack's link, the slot+1 of the executor pushed before it: read
+	// by poppers whose head may be stale (the tag fails their CAS).
+	slot uint32
+	//ppc:atomic
+	next atomic.Uint32
+	// cd is the executor's own descriptor, out of the pool from newExec
 	// until loop exits; epoch is the close epoch it was popped under. The
-	// caller touches cd (its stripe cache) only while the executor is parked.
+	// holder touches cd (its stripe cache) only while the executor is parked.
 	cd    *callDesc
 	epoch uint64
-	// wake is the executor's park: buffered(1). The caller's send and
-	// the executor's receive are req's publish edge (one token per
-	// request, so the send never finds the buffer full); retire sends a
-	// non-blocking token that carries nothing.
-	wake chan struct{}
-	// exit is retire's flag, checked on every wake token.
-	//
-	//ppc:atomic
-	exit   atomic.Bool
-	req    dlReq  // caller-written, published by the wake send
-	gen    uint64 // caller-private arm counter
+	// wake is the executor's park: buffered(1). The holder's send and the
+	// executor's receive are req's publish edge (one token per request, so
+	// the send never finds the buffer full); retiring an executor closes it.
+	wake   chan struct{}
+	req    dlReq // holder-written, published by the wake send
 	ticket dlTicket
 }
 
-// armDeadlineExec lazily creates the client's executor (first
-// CallDeadline, or the first after an orphaning) on a descriptor popped
-// for it and puts it on the shard's list, then makes sure the tick loop
-// is running at the deadline tick to drive expiries.
+// execs is the shard's executor slots: a snapshot nobody writes. A slot
+// whose executor has exited is nil.
+func (sh *shard) execs() []*dlExec { return *sh.dlExecs.Load() }
+
+// deadlineExecs is how many slots the shard's tick has to walk.
+func (sh *shard) deadlineExecs() int { return len(sh.execs()) }
+
+// popExec takes an idle executor off the stack (nil: none); the caller
+// has it to itself until it pushes it back.
 //
-//ppc:coldpath -- executor construction, once per client (plus once per orphaning)
-func (c *Client) armDeadlineExec() *dlExec {
-	sh := c.shard
-	e := &dlExec{sys: c.sys, prog: c.program, epoch: c.sys.closeEpoch.Load()}
+//ppc:aba(dlIdle) -- the head's tag half, raised by every push
+func (sh *shard) popExec() *dlExec {
+	for {
+		h := sh.dlIdle.Load()
+		list, i := sh.execs(), int(h&dlSlotMask)-1
+		if i < 0 {
+			return nil
+		}
+		if i >= len(list) || list[i] == nil {
+			continue // a head read before the shard was closed and the slot's executor exited
+		}
+		if sh.dlIdle.CompareAndSwap(h, h&^dlSlotMask|uint64(list[i].next.Load())) {
+			return list[i]
+		}
+	}
+}
+
+// pushExec hands an executor back once the last reader of its call is
+// done with the ticket. The push and the closed load are a Dekker pair
+// with close's store and pops: a closed shard keeps no idle executor.
+func (sh *shard) pushExec(e *dlExec) {
+	for {
+		h := sh.dlIdle.Load()
+		e.next.Store(uint32(h))
+		if sh.dlIdle.CompareAndSwap(h, (h>>32+1)<<32|uint64(e.slot+1)) {
+			break
+		}
+	}
+	if sh.closed.Load() {
+		sh.retireExecs()
+	}
+}
+
+// newExec makes an executor on a descriptor popped for it, held by its
+// caller as a popped one is, gives it a slot (the list is replaced, never
+// written, so the tick and popExec read it without the lock) and makes
+// sure the tick loop is running at the deadline tick to drive expiries.
+//
+//ppc:coldpath -- pool growth: the shard has more deadline calls in flight than ever before
+func (sh *shard) newExec(sys *System) *dlExec {
+	e := &dlExec{sys: sys, epoch: sys.closeEpoch.Load(), wake: make(chan struct{}, 1)}
 	e.cd = sh.popCD(defaultScratchBytes)
-	e.wake = make(chan struct{}, 1)
 	e.ticket.done = make(chan struct{}, 1)
 	sh.dlMu.Lock()
-	e.idx = len(sh.dlExecs)
-	sh.dlExecs = append(sh.dlExecs, e)
+	list := sh.execs()
+	e.slot = uint32(len(list))
+	list = append(slices.Clone(list), e)
+	sh.dlExecs.Store(&list)
 	sh.dlMu.Unlock()
-	sh.startTick(c.sys)
-	c.dl = e
-	// Its Release is not a second Release of an earlier hold.
-	c.released = false
-	// Mirror the executor on the ownership record so the scavenger can
-	// retire it if the client dies idle. A scavenger already past the
-	// record never will: the caller's life check behind its pin sees that
-	// death, and the dead owner retires the executor itself (dropDeadHold).
-	c.rec.dl.Store(e)
+	sh.startTick(sys)
 	go e.loop()
 	return e
 }
 
-// unlist swap-deletes the executor from its shard's list: the tick will
-// not look at its deadline word again. Idempotent — Release and the
-// scavenger may both retire one executor.
+// retireExecs ends every idle executor of a closed shard: whoever pops
+// one is the one party that may touch its wake.
 //
-//ppc:coldpath -- executor retirement, once per orphaning or Release
-func (e *dlExec) unlist() {
-	sh := e.cd.shard
-	sh.dlMu.Lock()
-	defer sh.dlMu.Unlock()
-	if i := e.idx; i >= 0 {
-		last := len(sh.dlExecs) - 1
-		sh.dlExecs[i] = sh.dlExecs[last]
-		sh.dlExecs[i].idx = i
-		sh.dlExecs[last] = nil
-		sh.dlExecs = sh.dlExecs[:last]
-		e.idx = -1
+//ppc:coldpath -- the shard is closed
+func (sh *shard) retireExecs() {
+	for e := sh.popExec(); e != nil; e = sh.popExec() {
+		close(e.wake)
 	}
 }
 
-// deadlineExecs is how many executors the shard's tick has to walk.
-func (sh *shard) deadlineExecs() int {
-	sh.dlMu.Lock()
-	defer sh.dlMu.Unlock()
-	return len(sh.dlExecs)
-}
-
 // expireDeadlines is the tick's walk of the shard's executors: every
-// armed deadline that has come due orphans its call on the parked
-// caller's behalf and is then cleared — by CAS, not store, so a
-// concurrent re-arm's fresh expiry survives. Re-reading the deadline
-// AFTER the state is what defeats the stale-deadline ABA: if the state
-// word belongs to a newer call, the deadline word was zeroed (the older
-// call's disarm) before that state was stored and has held only the newer
-// call's own expiry since, so a re-read that still sees d is seeing a
-// deadline of the call it orphans.
+// deadline that has come due on a waiting ticket orphans its call on the
+// parked caller's behalf. A due word on a ticket that is not waiting is a
+// resolved call's, which the next call overwrites, or that of a call about
+// to open its phase. Re-reading the deadline AFTER the state is what
+// defeats the stale-deadline ABA: a call stores its own expiry (or zero)
+// before it stores its waiting state, so a re-read that follows a load of
+// that state and still sees d is seeing a deadline of the call it orphans.
 //
 //ppc:coldpath -- periodic scan on the tick goroutine, off every call path
 func (sh *shard) expireDeadlines(now int64) {
-	sh.dlMu.Lock()
-	defer sh.dlMu.Unlock()
-	for _, e := range sh.dlExecs {
+	for _, e := range sh.execs() {
+		if e == nil {
+			continue
+		}
 		t := &e.ticket
 		d := t.deadline.Load()
 		if d == 0 || d > now {
 			continue
 		}
-		s := t.state.Load()
-		if s&dlPhaseMask == dlPhaseWaiting && t.deadline.Load() == d && e.orphan(s) {
+		if s := t.state.Load(); s&dlPhaseMask == dlPhaseWaiting && t.deadline.Load() == d && e.orphan(s) {
 			sendToken(t.done)
 		}
-		t.deadline.CompareAndSwap(d, 0)
 	}
 }
 
-// loop runs handlers on behalf of deadline callers until retired
-// (Client.Release, the scavenger, or a caller that found itself dead) or
-// orphaned, and returns the descriptor on the way out as an async worker
-// does — unless the System was closed since the executor was armed: a
-// drained shard's pool is never repopulated from the outside.
+// loop runs handlers on behalf of deadline callers until the executor is
+// retired, then empties its slot (trailing empty slots go, so a shard with
+// no executor has no list) and returns the descriptor as an async worker
+// does — unless the System was closed since it was popped: a drained
+// shard's pool is never repopulated from the outside.
 func (e *dlExec) loop() {
-	defer func() {
-		if e.sys.closeEpoch.Load() == e.epoch {
-			e.cd.shard.pushCD(e.cd)
-		}
-	}()
-	t := &e.ticket
-	for {
-		<-e.wake
-		if e.exit.Load() {
-			return
-		}
-		req := e.req // copy out; the caller may rewrite req after this call resolves
-		err := e.sys.dispatch(e.cd, req.svc, req.st, req.h, &t.args, e.prog, false)
+	sh, t := e.cd.shard, &e.ticket
+	for range e.wake {
+		req := e.req // copy out; the next holder rewrites req
+		t.err = e.sys.dispatch(e.cd, req.svc, req.st, req.h, &t.args, req.prog, false)
 		// Handler done: complete exactly as callHeld would — for an orphaned
 		// call too, which is what lets a soft Kill drain it.
 		req.svc.complete(req.st)
-		t.err = err
 		want := req.gen<<dlGenShift | dlPhaseWaiting
 		if t.state.CompareAndSwap(want, req.gen<<dlGenShift|dlPhaseDone) {
-			// The settlement only for a call the caller actually saw
-			// complete; an orphaned call's is the caller's (orphaned).
-			if req.svc.health != nil {
-				req.settle(err)
-			}
-			sendToken(t.done)
+			sendToken(t.done) // the caller reads the ticket and hands the executor back
 			continue
 		}
-		// Orphaned while running: the caller has forgotten this executor
-		// and replaces it on demand. The quarantine ends here, with the one
+		// Orphaned while running: the quarantine ends here, with the one
 		// goroutine that observed handler return.
-		e.cd.shard.quarantinedCDs.Add(-1)
-		return
+		sh.quarantinedCDs.Add(-1)
+		e.leave(req.gen)
 	}
-}
-
-// dropExec retires the client's deadline executor, if it has one, and
-// forgets it; the next deadline call arms another.
-//
-//ppc:coldpath -- executor retirement, off every call path
-func (c *Client) dropExec() {
-	if e := c.dl; e != nil {
-		e.retire()
-		c.dl = nil
-		c.rec.dl.Store(nil)
+	sh.dlMu.Lock()
+	list := slices.Clone(sh.execs())
+	list[e.slot] = nil
+	for len(list) > 0 && list[len(list)-1] == nil {
+		list = list[:len(list)-1]
 	}
-}
-
-// retire asks an executor no request is being handed to — Client.Release
-// (a Client is single-goroutine by contract, so no call is in flight),
-// the scavenger past the ticket's pin — to exit at its next wake, and
-// takes it off the shard's list. Idempotent: Release and the scavenger
-// may both retire one executor; the second token is dropped or left in
-// the buffer of a goroutine that already exited.
-//
-//ppc:coldpath -- executor retirement, off every call path
-func (e *dlExec) retire() {
-	e.exit.Store(true)
-	sendToken(e.wake)
-	e.unlist()
+	sh.dlExecs.Store(&list)
+	sh.dlMu.Unlock()
+	if e.sys.closeEpoch.Load() == e.epoch {
+		sh.pushCD(e.cd)
+	}
 }
 
 // CallDeadline is Call with an upper bound on how long the caller
@@ -390,11 +414,11 @@ func (e *dlExec) retire() {
 // A d <= 0 means no deadline: identical to Call (including running the
 // handler on the caller's goroutine).
 //
-// The warm path — executor armed, deadline met — performs zero heap
-// allocations and arms no timer: the ticket and the executor are
+// The warm path — an executor idle, deadline met — performs zero heap
+// allocations and arms no timer: the executor and its ticket are
 // reused, and arming is one store into the ticket's deadline word.
 //
-//ppc:rmwbudget(4) -- arm (ticket, deadline word: 2), admission, disarm
+//ppc:rmwbudget(6) -- executor pop, admission, deadline word, waiting phase, executor link and push
 func (c *Client) CallDeadline(ep EntryPointID, args *Args, d time.Duration) error {
 	if d <= 0 {
 		return c.Call(ep, args)
@@ -441,13 +465,14 @@ func (c *Client) rejectEarly(args *Args, err error) error {
 	return err
 }
 
-// callDeadline runs one bounded call through the executor — the
-// synchronous core split at the handoff. The ticket's waiting phase opens
-// first and the life check follows it (the pin; see the file comment),
-// then the entry and the admission every synchronous call makes, on the
-// stripe of the executor's descriptor; the executor dispatches, completes
-// and, if the caller is still waiting, settles. The client's own hold and
-// its ownership word are not involved. d == 0: no expiry (cancellation
+// callDeadline runs one bounded call through an executor of the shard's
+// pool — the synchronous core split at the handoff: the client half and
+// the entry every synchronous call makes, an executor taken for the call,
+// the admission on the stripe of its descriptor; the executor dispatches
+// and completes, and the caller settles whichever outcome it returns. The
+// client's own hold and its ownership word are not involved, and a
+// client that dies mid-call is in the position of one that dies inside a
+// plain Call: the call runs to its end. d == 0: no expiry (cancellation
 // only); cancel may be nil.
 func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, cancel <-chan struct{}, ctx context.Context) error {
 	if err := c.preflight(one(args)); err != nil {
@@ -456,30 +481,22 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	if c.rec.epochs != 0 {
 		c.beatTick()
 	}
-	exec := c.dl
-	if exec == nil {
-		exec = c.armDeadlineExec()
-	}
-	t := &exec.ticket
-	exec.gen++
-	gen := exec.gen
-	//ppc:nopublish -- arming store: opens the waiting phase, the Done CAS publishes the results
-	t.state.Store(gen<<dlGenShift | dlPhaseWaiting)
-	if c.rec.state.Load() != crLive {
-		t.unpin(gen) // nothing was handed off; the dead owner's exit retires the executor
-		return c.ownerLost(one(args))
-	}
+	c.released = false // a Release after this call is not a second Release of an earlier hold
 	sh := c.shard
 	cr, err := sh.enter(ep, one(args), c.rec)
-	if err == nil {
-		if cr.st = exec.cd.stripeOf(cr.svc); !cr.begin() {
-			err = cr.fail(sh, one(args), ErrKilled)
-		}
-	}
 	if err != nil {
-		t.unpin(gen)
 		return err
 	}
+	exec := sh.popExec()
+	if exec == nil {
+		exec = sh.newExec(c.sys)
+	}
+	if cr.st = exec.cd.stripeOf(cr.svc); !cr.begin() {
+		sh.pushExec(exec)
+		return cr.fail(sh, one(args), ErrKilled)
+	}
+	t := &exec.ticket
+	gen := t.state.Load()>>dlGenShift + 1
 	t.args = *args
 	// The ticket's copy owns the attached leases from here: the
 	// executor's dispatch settles them after the handler returns — for
@@ -487,16 +504,20 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	// quarantine invariant (docs/INVARIANTS.md). Strip the caller-side
 	// count so the orphan path cannot release a second time.
 	transferPayloads(args)
+	// Arm, then open the waiting phase, both BEFORE publishing the request
+	// so the bound covers the whole handoff: the store replaces the previous
+	// call's word (nothing else clears a met deadline), and the tick acts on
+	// a due word only once it finds the ticket waiting. The expiry rounds up
+	// by one tick from the coarse clock: staleness ≤ one tick, so the tick
+	// never fires before d has elapsed, and at most ~2 ticks after.
+	var due int64
 	if d > 0 {
-		// Arm BEFORE publishing the request so the bound covers the whole
-		// handoff, and after the state store: the tick clears a due word
-		// whether or not it found a waiting call to orphan. The expiry
-		// rounds up by one tick from the coarse clock: staleness ≤ one
-		// tick, so the tick never fires before d has elapsed, and at most
-		// ~2 ticks after.
-		t.deadline.Store(sh.clock.read() + int64(d) + int64(sh.dlTick))
+		due = sh.clock.read() + int64(d) + int64(sh.dlTick)
 	}
-	exec.req = dlReq{callRec: cr, gen: gen}
+	t.deadline.Store(due)
+	//ppc:nopublish -- arming: the Done CAS publishes the results
+	t.state.Store(gen<<dlGenShift | dlPhaseWaiting)
+	exec.req = dlReq{callRec: cr, gen: gen, prog: c.program}
 	// Hand off: the send readies the executor on this processor, and
 	// blocking in wait is what lets it run there.
 	exec.wake <- struct{}{}
@@ -507,13 +528,15 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		if cancelled {
 			cause = ctx.Err()
 		}
-		return c.orphaned(cr, exec, cause)
+		exec.leave(gen) // the ticket is no longer ours
+		return c.orphaned(cr, cause)
 	}
-	if d > 0 {
-		t.deadline.Store(0) // disarm
+	*args, err = t.args, t.err
+	sh.pushExec(exec) // the results are copied out: the next call may have it
+	if cr.svc.health != nil {
+		cr.settle(err)
 	}
-	*args = t.args // done, and settled by the executor before its token
-	return t.err
+	return err
 }
 
 // wait parks the caller on the ticket's done token until the call's
@@ -522,7 +545,10 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 // first it tries to orphan the call and says so; a call the executor or
 // the tick resolved before that keeps its resolution (expiry and
 // cancellation racing, either is correct and the caller keeps the
-// cancellation cause).
+// cancellation cause). The token of a resolution this caller saw in the
+// word first stays in the channel, or arrives there later, for the
+// executor's next call, which re-checks and parks again: one caller at a
+// time waits on a ticket (leave), so no token it is owed goes elsewhere.
 func (e *dlExec) wait(gen uint64, cancel <-chan struct{}) (s uint64, cancelled bool) {
 	t := &e.ticket
 	want := gen<<dlGenShift | dlPhaseWaiting
@@ -536,12 +562,7 @@ func (e *dlExec) wait(gen uint64, cancel <-chan struct{}) (s uint64, cancelled b
 				if e.orphan(want) {
 					return gen<<dlGenShift | dlPhaseOrphaned, true
 				}
-				if s = t.state.Load(); s&dlPhaseMask == dlPhaseDone {
-					// Lost to the executor: take the done token its CAS is
-					// followed by, so the reused ticket's channel starts empty.
-					<-t.done
-				}
-				return s, true
+				return t.state.Load(), true
 			}
 		}
 		if s := t.state.Load(); s != want {
@@ -551,19 +572,19 @@ func (e *dlExec) wait(gen uint64, cancel <-chan struct{}) (s uint64, cancelled b
 }
 
 // orphaned performs the caller's side of an orphaning, whoever won the
-// CAS (the tick on expiry, the caller on cancellation): record health
-// evidence (timeout evidence only for a true expiry — a cancellation
-// settles a carried probe without degrading the gate), take the executor
-// off the shard's list and forget it. The executor finishes on its own
-// descriptor and exits; the client replaces it lazily and keeps its hold.
+// CAS (the tick on expiry, the caller on cancellation): count it and
+// record health evidence (timeout evidence only for a true expiry — a
+// cancellation settles a carried probe without degrading the gate). The
+// executor finishes on its own descriptor and goes back to the pool.
 //
 //ppc:coldpath -- a deadline already expired (or the ctx was cancelled); the call is failing
-func (c *Client) orphaned(cr callRec, e *dlExec, cause error) error {
+func (c *Client) orphaned(cr callRec, cause error) error {
 	err := ErrDeadline
 	if cause != nil {
 		err = fmt.Errorf("%w: %w", ErrDeadline, cause)
 	}
 	c.shard.deadlineExpired.Add(1)
+	c.shard.clock.refresh() // a retry's arm rounds up from a current reading, as a first executor's does (startTick)
 	if cr.svc.health != nil && cause == nil {
 		cr.svc.recordTimeout(cr.counters)
 	}
@@ -571,9 +592,6 @@ func (c *Client) orphaned(cr callRec, e *dlExec, cause error) error {
 		// A cancelled probe is no evidence: back to degraded, where a timeout has already sent it.
 		cr.probeDone(err)
 	}
-	e.unlist()
-	c.dl = nil
-	c.rec.dl.Store(nil)
 	return err
 }
 

@@ -24,6 +24,7 @@ import (
 // resolve one of exactly two ways: nil with THIS call's result, or
 // ErrDeadline with the caller's args untouched.
 func TestDeadlineExpiryRacesCompletion(t *testing.T) {
+	leakCheck(t)
 	const tick = 50 * time.Microsecond
 	calls := 10_000
 	if testing.Short() {
@@ -72,23 +73,35 @@ func TestDeadlineExpiryRacesCompletion(t *testing.T) {
 }
 
 // A done token that does not belong to the current call must not end
-// its wait. Two sources: a CallContext whose cancellation fires just as
-// the executor wins the state CAS (the handler cancels its own caller's
-// ctx on the way out), and — white box — a token planted in the
-// ticket's channel. Either way the long call that follows at once must
-// not return before its handler has.
+// its wait, whoever's call left it. Three sources: a CallContext whose
+// cancellation fires just as the executor wins the state CAS (the handler
+// cancels its own caller's ctx on the way out — the caller sees Done in
+// the word and leaves the executor's token behind), a cancellation that
+// loses its orphan CAS to the tick (the tick's token arrives after the
+// caller has gone), and — white box, the same state made on purpose — a
+// token planted on the idle executor's ticket. Either way the executor
+// goes back to the pool carrying it, and the long call ANOTHER client
+// makes on that executor at once must not return before its own handler
+// has, with its own result and none of the previous call's args or error.
 func TestCallContextStaleDoneToken(t *testing.T) {
+	leakCheck(t)
 	rounds := 2_000
 	if testing.Short() {
 		rounds = 200
 	}
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
 	defer sys.Close()
-	defer nonNegativeQuarantine(t, &sys.shards[0])()
+	sh := &sys.shards[0]
+	defer nonNegativeQuarantine(t, sh)()
+	const poison = 0xdead
 	var cancel atomic.Pointer[context.CancelFunc]
 	racy, err := sys.Bind(ServiceConfig{Name: "selfcancel", Handler: func(ctx *Ctx, args *Args) {
 		args[0]++
+		args[1] = poison
 		(*cancel.Load())()
+		if args[2] != 0 {
+			panic("the previous call's error") // a FaultError on the ticket, should the next call read it
+		}
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -102,62 +115,128 @@ func TestCallContextStaleDoneToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c, next := sys.NewClientOnShard(0), sys.NewClientOnShard(0)
 	defer c.Release()
+	defer next.Release()
 	won, lost := 0, 0
 	for n := uint64(1); n <= uint64(rounds); n++ {
 		ctx, cf := context.WithCancel(context.Background())
 		cancel.Store(&cf)
 		var args Args
 		args[0] = n
+		if n%3 == 1 {
+			args[2] = 1 // every third round the handler panics too
+		}
 		switch err := c.CallContext(ctx, racy.EP(), &args); {
+		case errors.Is(err, context.Canceled):
+			lost++
+		case args[2] != 0:
+			if !errors.Is(err, ErrServerFault) {
+				t.Fatalf("round %d: %v, want the handler's fault", n, err)
+			}
+			won++
 		case err == nil:
 			won++
 			if args[0] != n+1 {
 				t.Fatalf("round %d: result %d, want %d", n, args[0], n+1)
 			}
-		case errors.Is(err, context.Canceled):
-			lost++
 		default:
 			t.Fatalf("round %d: %v", n, err)
 		}
-		if n%2 == 0 && c.dl != nil {
-			// Plant a token on the ticket the long call is about to reuse
-			// (a round the cancellation won starts on a fresh one).
-			c.dl.ticket.done <- struct{}{}
+		waitCond(t, 5*time.Second, "the executor to be back in the pool", func() bool { return idleExecs(sh) == sh.deadlineExecs() })
+		if n%2 == 0 {
+			// Plant a token on every ticket the long call may be about to reuse.
+			for _, e := range sh.execs() {
+				sendToken(e.ticket.done)
+			}
 		}
-		args[0] = n
-		if err := c.CallDeadline(long.EP(), &args, time.Hour); err != nil {
-			t.Fatalf("round %d: long call: %v", n, err)
+		args = Args{n}
+		if err := next.CallDeadline(long.EP(), &args, time.Hour); err != nil {
+			t.Fatalf("round %d: the next client's call: %v", n, err)
 		}
-		if returned.Load() != n || args[0] != n+1 {
-			t.Fatalf("round %d: long call returned before its handler did (handler at %d, result %d)",
-				n, returned.Load(), args[0])
+		if returned.Load() != n || args[0] != n+1 || args[1] != 0 {
+			t.Fatalf("round %d: the next client's call returned before its handler did, or with another call's results (handler at %d, result %v)",
+				n, returned.Load(), args[:2])
 		}
 	}
 	t.Logf("%d completed, %d cancelled", won, lost)
+	if n := sh.deadlineExecs(); n != 1 {
+		t.Errorf("%d executors for two clients calling in turn, want the one both reused", n)
+	}
 	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0
 	})
+}
+
+// Whoever hands an executor back must have read its results out first:
+// two clients on one shard call in turn through the one executor,
+// thousands of rounds, each with a result word of its own, and neither
+// ever sees the other's — under -race, neither's copy-out races the
+// other's copy-in.
+func TestDeadlinePoolPingPong(t *testing.T) {
+	leakCheck(t)
+	needTwoPs(t)
+	rounds := 5_000
+	if testing.Short() {
+		rounds = 500
+	}
+	sys := NewSystemOptions(Options{Shards: 1})
+	defer sys.Close()
+	sh := &sys.shards[0]
+	svc, err := sys.Bind(ServiceConfig{Name: "pingpong", Handler: func(ctx *Ctx, args *Args) {
+		args[1] = args[0] ^ 0x5a5a
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	done := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func(g int) {
+			c := sys.NewClientOnShard(0)
+			defer c.Release()
+			for i := 0; i < rounds; i++ {
+				<-turn[g]
+				args := Args{uint64(g)<<32 | uint64(i)}
+				err := c.CallDeadline(svc.EP(), &args, time.Hour)
+				turn[1-g] <- struct{}{} // the other client may already be taking the executor
+				if err != nil || args[0] != uint64(g)<<32|uint64(i) || args[1] != args[0]^0x5a5a {
+					done <- fmt.Errorf("client %d round %d: err %v, args %#x %#x", g, i, err, args[0], args[1])
+					return
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	turn[0] <- struct{}{}
+	for g := 0; g < 2; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, st := sh.deadlineExecs(), sys.Stats()[0]; n != 1 || st.CDsCreated != 1 {
+		t.Fatalf("%d executors, %d descriptors for two clients calling in turn; want one of each", n, st.CDsCreated)
+	}
 }
 
 // executors counts live deadline-executor goroutines by creation site.
 func executors() int {
 	n := 0
 	for site, k := range goroutineSites() {
-		if strings.Contains(site, "armDeadlineExec") {
+		if strings.Contains(site, "newExec") {
 			n += k
 		}
 	}
 	return n
 }
 
-// No executor goroutine outlives its client, whichever way the client
-// goes: Release, an orphan's return, Abandon + scavenge, or Abandon
-// racing Release (both retire the one executor). leakCheck covers
-// everything else the system started once it is closed.
+// Executor goroutines follow the shard's concurrency, not its clients,
+// whichever way a client goes: Release, an orphan's return, Abandon +
+// scavenge, Abandon racing Release all leave the pool alone, and
+// System.Close ends it. leakCheck covers everything else the system
+// started once it is closed.
 func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
-	// Earlier tests' executors exit asynchronously after their Release.
+	// Earlier tests' executors exit asynchronously after their Close.
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	leakCheck(t)
 	sys := NewSystemOptions(Options{
@@ -175,13 +254,14 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	settled := func(what string) {
+	settled := func(what string, want int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for executors() != 0 || sh.deadlineExecs() != 0 || sh.quarantinedCDs.Load() != 0 {
+		for executors() != want || sh.deadlineExecs() != want || idleExecs(sh) != want ||
+			sh.quarantinedCDs.Load() != 0 || sh.reg.dead.Load() != 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %d executors, %d on the shard's list, %d quarantined",
-					what, executors(), sh.deadlineExecs(), sh.quarantinedCDs.Load())
+				t.Fatalf("timed out waiting for %s: %d executor goroutines, %d on the shard's list, %d idle, want %d of each; %d quarantined, %d dead clients unreaped",
+					what, executors(), sh.deadlineExecs(), idleExecs(sh), want, sh.quarantinedCDs.Load(), sh.reg.dead.Load())
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -192,18 +272,18 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	if err := c.CallDeadline(fast.EP(), &args, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if executors() != 1 {
-		t.Fatalf("executors = %d after arming, want 1", executors())
-	}
 	c.Release()
-	settled("executor exit after Release")
+	settled("one parked executor after Release", 1)
 
 	c = sys.NewClientOnShard(0)
 	if err := c.CallDeadline(slow.EP(), &args, 200*time.Microsecond); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
+	if err := c.CallDeadline(fast.EP(), &args, time.Second); err != nil {
+		t.Fatalf("call behind the orphan: %v", err)
+	}
 	close(block)
-	settled("executor exit after the orphan's return")
+	settled("the orphan's executor and the one made behind it, both parked", 2)
 	c.Release()
 
 	c = sys.NewClientOnShard(0)
@@ -211,7 +291,7 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Abandon()
-	settled("executor exit after Abandon + scavenge")
+	settled("the pool untouched by Abandon + scavenge", 2)
 
 	for i := 0; i < 200; i++ {
 		c := sys.NewClientOnShard(0)
@@ -221,10 +301,12 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 		go c.Abandon()
 		c.Release()
 	}
-	settled("executor exit after Abandon racing Release")
-	if got := sh.heldCDs.Load(); got != 0 {
-		t.Fatalf("HeldCDs = %d after every client went away", got)
+	settled("the pool untouched by Abandon racing Release", 2)
+	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.CDsCreated != 2 {
+		t.Fatalf("HeldCDs = %d, CDsCreated = %d after 203 clients went away; want 0 and the two executors' own", st.HeldCDs, st.CDsCreated)
 	}
+	sys.Close()
+	settled("Close to retire the pool", 0)
 }
 
 // sample calls bad from a goroutine of its own, over and over, until the
@@ -267,6 +349,7 @@ func nonNegativeQuarantine(t *testing.T, sh *shard) (stop func()) {
 // Call and CallDeadline still holds the same descriptor afterwards, the
 // orphan runs on the executor's own, and the next plain Call pops nothing.
 func TestOrphanLeavesClientHold(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
 	defer sys.Close()
 	sh := &sys.shards[0]
@@ -312,9 +395,8 @@ func TestOrphanLeavesClientHold(t *testing.T) {
 			st.CDsCreated, after.CDsCreated, st.PooledCDs, after.PooledCDs)
 	}
 	close(block)
-	waitCond(t, 5*time.Second, "the orphan's executor to exit", func() bool {
-		st := sys.Stats()[0]
-		return st.QuarantinedCDs == 0 && st.PooledCDs == 1
+	waitCond(t, 5*time.Second, "the orphan's executor to go back to the pool", func() bool {
+		return sys.Stats()[0].QuarantinedCDs == 0 && idleExecs(sh) == 1
 	})
 	if orphan[1] != 0 {
 		t.Fatalf("the orphan wrote through to the caller's args: %v", orphan[:2])
@@ -325,6 +407,7 @@ func TestOrphanLeavesClientHold(t *testing.T) {
 // and cancelled calls it reads owHeld under the one generation Hold
 // stamped, whoever looks and whenever.
 func TestDeadlineCallsNeverMoveOwnershipWord(t *testing.T) {
+	leakCheck(t)
 	needTwoPs(t)
 	rounds := 3_000
 	if testing.Short() {
@@ -393,12 +476,14 @@ func TestDeadlineCallsNeverMoveOwnershipWord(t *testing.T) {
 	}
 }
 
-// Abandon from another goroutine races the deadline entry — the pin, the
-// arming of a first executor, the handoff — round after round. The caller
-// always returns, with its result, ErrDeadline or ErrClientAbandoned; the
-// executor always exits; its descriptor goes back exactly once; and
+// Abandon from another goroutine races the deadline entry — the life
+// check, the claim of an executor, the handoff — round after round. The
+// scavenger reaps the dead client at once, call in flight or not: the
+// caller always returns, with its result, ErrDeadline or
+// ErrClientAbandoned; the executor always goes back to the pool; and
 // nothing is left in flight, leased or quarantined.
 func TestAbandonRacesDeadlineEntry(t *testing.T) {
+	leakCheck(t)
 	needTwoPs(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	rounds := 4_000
@@ -422,10 +507,10 @@ func TestAbandonRacesDeadlineEntry(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		c := sys.NewClientOnShard(0)
 		if i%2 == 0 {
-			// Half the rounds race an executor that is already armed and
-			// mirrored; the other half race the arming itself.
+			// Half the rounds race a client that has made a deadline call
+			// before; the other half race its first.
 			if err := c.CallDeadline(svc.EP(), &Args{}, time.Second); err != nil {
-				t.Fatalf("round %d: arming call: %v", i, err)
+				t.Fatalf("round %d: first call: %v", i, err)
 			}
 		}
 		var args Args
@@ -472,28 +557,35 @@ func TestAbandonRacesDeadlineEntry(t *testing.T) {
 	t.Logf("%v", results)
 	converged := func() bool {
 		st := sys.Stats()[0]
-		return executors() == 0 && sh.deadlineExecs() == 0 && sh.reg.dead.Load() == 0 &&
+		return idleExecs(sh) == sh.deadlineExecs() && executors() == sh.deadlineExecs() && sh.reg.dead.Load() == 0 &&
 			st.QuarantinedCDs == 0 && st.LeasesActive == 0 && svc.inFlightTotal() == 0
 	}
 	for end := time.Now().Add(10 * time.Second); !converged(); time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(end) {
 			st := sys.Stats()[0]
-			t.Fatalf("no convergence: %d executor goroutines, %d on the shard's list, %d dead clients unreaped, QuarantinedCDs %d, LeasesActive %d, %d in flight",
-				executors(), sh.deadlineExecs(), sh.reg.dead.Load(), st.QuarantinedCDs, st.LeasesActive, svc.inFlightTotal())
+			t.Fatalf("no convergence: %d executor goroutines, %d on the shard's list, %d idle, %d dead clients unreaped, QuarantinedCDs %d, LeasesActive %d, %d in flight",
+				executors(), sh.deadlineExecs(), idleExecs(sh), sh.reg.dead.Load(), st.QuarantinedCDs, st.LeasesActive, svc.inFlightTotal())
 		}
 	}
-	// Deadline-only clients: nothing was held, so nothing was condemned,
-	// and every descriptor ever made is in the pool — once.
-	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.ScavengedCDs != 0 || int64(st.PooledCDs) != st.CDsCreated {
-		t.Fatalf("HeldCDs = %d, ScavengedCDs = %d, PooledCDs = %d of %d created; want 0, 0 and all of them",
-			st.HeldCDs, st.ScavengedCDs, st.PooledCDs, st.CDsCreated)
+	// One caller at a time with an orphan or two behind it: the pool is a
+	// handful, whatever the client count. Deadline-only clients: nothing
+	// was held, so nothing was condemned, and every descriptor ever made
+	// is an executor's or in the pool — once.
+	execs := sh.deadlineExecs()
+	if execs == 0 || execs > 16 {
+		t.Fatalf("%d executors after %d clients, one calling at a time; want a handful", execs, rounds)
+	}
+	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.ScavengedCDs != 0 || int64(st.PooledCDs+execs) != st.CDsCreated {
+		t.Fatalf("HeldCDs = %d, ScavengedCDs = %d, PooledCDs = %d + %d executors of %d created; want 0, 0 and all of them",
+			st.HeldCDs, st.ScavengedCDs, st.PooledCDs, execs, st.CDsCreated)
 	}
 }
 
-// A deadline-only client never holds a descriptor — its executor's is the
-// executor's — and Close plus the executor's exit puts the pool back where
-// it started.
+// A deadline-only client never holds a descriptor — the executor's is the
+// executor's, taken from the pool when it was made — and the client's
+// Close changes nothing: the executor stays, parked, for the next client.
 func TestDeadlineOnlyClientHoldsNoDescriptor(t *testing.T) {
+	leakCheck(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
@@ -521,24 +613,25 @@ func TestDeadlineOnlyClientHoldsNoDescriptor(t *testing.T) {
 		t.Fatalf("results: %d", args[0])
 	}
 	if st := sys.Stats()[0]; st.PooledCDs != start.PooledCDs-1 || st.CDsCreated != start.CDsCreated {
-		t.Fatalf("armed: PooledCDs %d → %d, CDsCreated %d → %d; want the executor's one pop from the pool",
+		t.Fatalf("PooledCDs %d → %d, CDsCreated %d → %d; want the executor's one pop from the pool",
 			start.PooledCDs, st.PooledCDs, start.CDsCreated, st.CDsCreated)
 	}
 	c.Close()
-	waitCond(t, 5*time.Second, "the executor to exit and repool", func() bool {
-		return executors() == 0 && sys.Stats()[0].PooledCDs == start.PooledCDs
-	})
-	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.QuarantinedCDs != 0 {
-		t.Fatalf("HeldCDs = %d, QuarantinedCDs = %d after Close", st.HeldCDs, st.QuarantinedCDs)
+	sh := &sys.shards[0]
+	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.QuarantinedCDs != 0 || st.PooledCDs != start.PooledCDs-1 ||
+		sh.deadlineExecs() != 1 || idleExecs(sh) != 1 || executors() != 1 {
+		t.Fatalf("after the client's Close: HeldCDs = %d, QuarantinedCDs = %d, PooledCDs %d → %d, %d executors (%d idle, %d goroutines); want 0, 0, one fewer, and the one parked",
+			st.HeldCDs, st.QuarantinedCDs, start.PooledCDs, st.PooledCDs, sh.deadlineExecs(), idleExecs(sh), executors())
 	}
 }
 
 // TestReleaseAfterDeadlineCallIsNotDoubleRelease: Release (or Close)
 // leaves the client usable, so Call; Release; CallDeadline; Release is a
-// legal sequence — the second Release retires the executor the deadline
-// call armed, it is not a second Release of the first hold. The deadline
-// call takes no hold, so nothing but the arming tells the two apart.
+// legal sequence — the second Release follows a call, it is not a second
+// Release of the first hold. The deadline call takes no hold, so nothing
+// but its own note on the client tells the two apart.
 func TestReleaseAfterDeadlineCallIsNotDoubleRelease(t *testing.T) {
+	leakCheck(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
@@ -565,7 +658,6 @@ func TestReleaseAfterDeadlineCallIsNotDoubleRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Release()
-		start := sys.Stats()[0]
 		if err := deadlineCall(); err != nil {
 			t.Fatal(err)
 		}
@@ -574,14 +666,9 @@ func TestReleaseAfterDeadlineCallIsNotDoubleRelease(t *testing.T) {
 		} else {
 			c.Close()
 		}
-		if c.dl != nil || c.rec.dl.Load() != nil {
-			t.Fatalf("round %d: the Release after the deadline call left the executor armed", round)
-		}
-		waitCond(t, 5*time.Second, "the executor to exit and repool", func() bool {
-			return executors() == 0 && sys.Stats()[0].PooledCDs == start.PooledCDs
-		})
-		if st := sys.Stats()[0]; st.HeldCDs != 0 || st.QuarantinedCDs != 0 {
-			t.Fatalf("round %d: HeldCDs = %d, QuarantinedCDs = %d", round, st.HeldCDs, st.QuarantinedCDs)
+		if st := sys.Stats()[0]; st.HeldCDs != 0 || st.QuarantinedCDs != 0 || sys.shards[0].deadlineExecs() != 1 {
+			t.Fatalf("round %d: HeldCDs = %d, QuarantinedCDs = %d, %d executors; want 0, 0 and the one every round reuses",
+				round, st.HeldCDs, st.QuarantinedCDs, sys.shards[0].deadlineExecs())
 		}
 	}
 	// A second Release of one hold is still loud.

@@ -19,7 +19,18 @@ func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// idleExecs counts the shard's executors a call could take: the length of
+// the idle stack (a walk that races a pop or push may miscount; callers poll).
+func idleExecs(sh *shard) int {
+	list, n := sh.execs(), 0
+	for i := int(sh.dlIdle.Load() & dlSlotMask); i != 0 && i <= len(list) && list[i-1] != nil && n <= len(list); n++ {
+		i = int(list[i-1].next.Load())
+	}
+	return n
+}
+
 func TestCallDeadlineCompletes(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "fast", Handler: func(ctx *Ctx, args *Args) {
@@ -51,6 +62,7 @@ func TestCallDeadlineCompletes(t *testing.T) {
 }
 
 func TestCallDeadlineZeroIsPlainCall(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "plain", Handler: func(ctx *Ctx, args *Args) {
@@ -68,12 +80,13 @@ func TestCallDeadlineZeroIsPlainCall(t *testing.T) {
 	if args[0] != 7 {
 		t.Fatalf("args[0] = %d", args[0])
 	}
-	if c.dl != nil {
-		t.Fatal("d <= 0 must not arm the executor")
+	if n := sys.shards[0].deadlineExecs(); n != 0 {
+		t.Fatalf("d <= 0 took an executor: %d registered", n)
 	}
 }
 
 func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	block := make(chan struct{})
@@ -108,32 +121,37 @@ func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 	if st.DeadlineExpirations != 1 {
 		t.Fatalf("DeadlineExpirations = %d", st.DeadlineExpirations)
 	}
-	// The client transparently re-arms: a fresh call on a fresh executor
-	// (and its descriptor) succeeds while the orphan is still stuck.
+	// The client's next call takes another executor (and its descriptor):
+	// it succeeds while the orphan is still stuck on the first.
 	var again Args
 	fast, err := sys.Bind(ServiceConfig{Name: "fast2", Handler: func(ctx *Ctx, args *Args) { args[0] = 5 }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CallDeadline(fast.EP(), &again, time.Second); err != nil {
-		t.Fatalf("re-armed client call failed: %v", err)
+		t.Fatalf("call behind the orphan failed: %v", err)
 	}
 	if again[0] != 5 {
-		t.Fatalf("re-armed call result = %d", again[0])
+		t.Fatalf("call behind the orphan: result = %d", again[0])
 	}
 	// Release the orphan: the executor goroutine (the one that observed
-	// handler return) ends the quarantine and repools its descriptor.
+	// handler return) ends the quarantine and goes back to the pool.
 	close(block)
-	waitCond(t, time.Second, "quarantine end", func() bool {
-		return sys.Stats()[0].QuarantinedCDs == 0
+	sh := &sys.shards[0]
+	waitCond(t, time.Second, "quarantine end, both executors idle", func() bool {
+		return sys.Stats()[0].QuarantinedCDs == 0 && idleExecs(sh) == 2
 	})
 	c.Release()
-	waitCond(t, time.Second, "both executors' CDs repooled", func() bool {
-		return sys.Stats()[0].PooledCDs == 2 // the orphaned executor's + its replacement's
-	})
+	if err := c.CallDeadline(fast.EP(), &again, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.Stats()[0]; sh.deadlineExecs() != 2 || st.CDsCreated != 2 {
+		t.Fatalf("%d executors, %d descriptors created; want the two the orphaning left, reused", sh.deadlineExecs(), st.CDsCreated)
+	}
 }
 
 func TestCallDeadlineOrphanDrainsThroughSoftKill(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	block := make(chan struct{})
@@ -174,6 +192,7 @@ func TestCallDeadlineOrphanDrainsThroughSoftKill(t *testing.T) {
 }
 
 func TestCallContextCancel(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	block := make(chan struct{})
@@ -203,6 +222,7 @@ func TestCallContextCancel(t *testing.T) {
 }
 
 func TestCallContextPlain(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "cfast", Handler: func(ctx *Ctx, args *Args) { args[0] = 3 }})
@@ -218,8 +238,8 @@ func TestCallContextPlain(t *testing.T) {
 	if args[0] != 3 {
 		t.Fatalf("args[0] = %d", args[0])
 	}
-	if c.dl != nil {
-		t.Fatal("background context must take the plain Call path")
+	if n := sys.shards[0].deadlineExecs(); n != 0 {
+		t.Fatalf("a background context took an executor (%d registered): it must take the plain Call path", n)
 	}
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Second)
 	defer dcancel()
@@ -229,6 +249,7 @@ func TestCallContextPlain(t *testing.T) {
 }
 
 func TestCallContextAlreadyExpired(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "never", Handler: func(ctx *Ctx, args *Args) {
@@ -250,6 +271,7 @@ func TestCallContextAlreadyExpired(t *testing.T) {
 }
 
 func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	block := make(chan struct{})
@@ -302,6 +324,7 @@ func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
 }
 
 func TestBatchSetDeadline(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	block := make(chan struct{})
@@ -354,28 +377,33 @@ func TestBatchSetDeadline(t *testing.T) {
 	})
 }
 
-func TestReleaseRetiresExecutor(t *testing.T) {
+// Release and Close of a client leave the shard's executor pool alone —
+// a client holds nothing for the deadline path — and System.Close retires
+// it.
+func TestReleaseLeavesExecutorPool(t *testing.T) {
+	leakCheck(t)
+	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	sys := NewSystemShards(1)
 	defer sys.Close()
+	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "rfast", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := sys.NewClient()
 	var args Args
-	if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
-		t.Fatal(err)
+	for round := 0; round < 3; round++ {
+		if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		c.Release() // the client stays usable
+		if sh.deadlineExecs() != 1 || idleExecs(sh) != 1 || executors() != 1 {
+			t.Fatalf("round %d: %d executors registered, %d idle, %d goroutines after Release; want the one, parked",
+				round, sh.deadlineExecs(), idleExecs(sh), executors())
+		}
 	}
-	if c.dl == nil {
-		t.Fatal("executor not armed")
-	}
-	c.Release()
-	if c.dl != nil {
-		t.Fatal("Release must retire the executor")
-	}
-	// The client stays usable and re-arms on demand.
-	if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c.Release()
+	sys.Close()
+	waitCond(t, 5*time.Second, "Close to retire the pool", func() bool {
+		return sh.deadlineExecs() == 0 && executors() == 0
+	})
 }

@@ -13,12 +13,14 @@ import (
 // the two cancellation-path bugfixes (dead-on-arrival ctx, health-gate
 // pollution), the timing contract through the public API, and the
 // interleavings of the tick with the callers (orphan vs tick vs
-// Release, Close with armed executors, ticket reuse across re-arm).
+// Release, Close with executors idle and in flight, ticket reuse across
+// re-arm).
 
 // A ctx that is already cancelled (no deadline involved) must fail
 // before admission: no handler run, no descriptor held, no executor
-// armed, no expiry counted.
+// taken, no expiry counted.
 func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "deadctx", Handler: func(ctx *Ctx, args *Args) {
@@ -39,8 +41,8 @@ func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 	if svc.Calls() != 0 {
 		t.Fatalf("Calls = %d, want 0", svc.Calls())
 	}
-	if c.dl != nil {
-		t.Fatal("dead-on-arrival ctx armed the executor")
+	if n := sys.shards[0].deadlineExecs(); n != 0 {
+		t.Fatalf("dead-on-arrival ctx took an executor: %d registered", n)
 	}
 	st := sys.Stats()[0]
 	if st.HeldCDs != 0 || st.QuarantinedCDs != 0 || st.DeadlineExpirations != 0 {
@@ -54,6 +56,7 @@ func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 // the half-open probe settles the gate back to degraded (no recovery,
 // no leak) so a later clean probe can close it.
 func TestCallContextCancelNoHealthEvidence(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemShards(1)
 	defer sys.Close()
 	block := make(chan struct{})
@@ -137,11 +140,12 @@ func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 // most ~2 ticks after, for any d — a fraction of a tick, 200 ticks (the
 // deleted timer wheel cascaded past 64), and a short deadline armed on a
 // client whose previous call armed an hour. Default Options: the tick is
-// 1 ms and the loop tightens to it from the 5 ms supervision interval at
-// the first registration. The companions: TestDeadlineTicketReuseAcrossRearm
+// 1 ms and the loop tightens to it from the 5 ms supervision interval
+// when the first executor is made. The companions: TestDeadlineTicketReuseAcrossRearm
 // (a completed call's deadline never orphans the next call) and
 // TestWarmCallDeadlineAllocs (the warm path stays off the heap).
 func TestDeadlineTimingContract(t *testing.T) {
+	leakCheck(t)
 	const (
 		tick   = time.Millisecond
 		rounds = 3
@@ -207,12 +211,13 @@ func TestDeadlineTimingContract(t *testing.T) {
 	})
 }
 
-// A deadline executor registered while the shard's tick loop is already
+// A shard's first deadline executor made while its tick loop is already
 // running on the supervision interval (any earlier AsyncCall started it)
 // must make the loop re-pick its period at once: before startTick's
 // token the loop noticed the registration only after its next tick, and
 // the first CallDeadline settled a whole WatchdogInterval late.
 func TestFirstDeadlineAfterRunningTickIsOnTime(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 300 * time.Millisecond})
 	defer sys.Close()
 	block := make(chan struct{})
@@ -246,11 +251,14 @@ func TestFirstDeadlineAfterRunningTickIsOnTime(t *testing.T) {
 }
 
 // Orphaning, the shard tick, and Release race freely: concurrent
-// clients alternate completing calls (Release unlists an executor the
-// tick may be looking at) and orphaning them (the orphaned branch
-// unlists against the tick that fired it). Run with -race; afterwards
-// every quarantined descriptor reclaims and the shard's list is empty.
+// throwaway clients alternate completing calls and orphaning them, so
+// executors go back to the pool from both sides (the caller's, the
+// executor's own) under the tick that walks them. Run with -race;
+// afterwards every quarantine has ended, every executor is idle, and the
+// pool is the size of the concurrency it saw — four callers, each with a
+// few 1 ms orphans behind it — not of the 400 clients.
 func TestDeadlineOrphanTickReleaseRace(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemOptions(Options{
 		Shards:           1,
 		WatchdogInterval: 100 * time.Microsecond,
@@ -286,20 +294,29 @@ func TestDeadlineOrphanTickReleaseRace(t *testing.T) {
 	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0
 	})
-	waitCond(t, 5*time.Second, "executor list drained", func() bool {
-		return sys.shards[0].deadlineExecs() == 0
+	sh := &sys.shards[0]
+	waitCond(t, 5*time.Second, "every executor back in the pool", func() bool {
+		return idleExecs(sh) == sh.deadlineExecs()
 	})
+	if n := sh.deadlineExecs(); n == 0 || n > 40 {
+		t.Fatalf("%d executors after 400 clients' calls, four at a time; want a handful", n)
+	}
 }
 
-// Close with executors still registered: an idle armed client and an
-// orphaned in-flight call must not deadlock Close, and the tick loop
-// must keep running past Close until the last executor retires, then
-// exit.
+// Close with executors idle and in flight: Close retires the idle one
+// before it returns, a wedged orphan does not block it, the orphan's
+// executor exits — instead of going back to the pool — when its handler
+// returns and drops its descriptor (the close epoch advanced), the tick
+// loop then stops, and a deadline call after Close still works and
+// leaves nothing parked either.
 func TestCloseDrainsArmedDeadlines(t *testing.T) {
+	leakCheck(t)
+	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	sys := NewSystemOptions(Options{
 		Shards:           1,
 		WatchdogInterval: 200 * time.Microsecond,
 	})
+	sh := &sys.shards[0]
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	wedge, err := sys.Bind(ServiceConfig{Name: "wedge", Handler: func(ctx *Ctx, args *Args) {
@@ -313,21 +330,28 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Idle client with a registered executor (armed by a completed call)
-	// that will outlive Close.
-	idle := sys.NewClientOnShard(0)
-	var args Args
-	if err := idle.CallDeadline(fast.EP(), &args, time.Second); err != nil {
+	slow, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) {
+		time.Sleep(5 * time.Millisecond) // outlives a 1 ms deadline by a few ticks
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Orphan a call: its handler is still wedged when Close runs. Close
 	// joins async workers only — it must not deadlock on the orphan or
 	// on the still-ticking watchdog.
 	c := sys.NewClientOnShard(0)
+	var args Args
 	if err := c.CallDeadline(wedge.EP(), &args, time.Millisecond); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	<-entered
+	// A second executor, idle when Close runs.
+	if err := c.CallDeadline(fast.EP(), &args, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sh.deadlineExecs() != 2 || idleExecs(sh) != 1 {
+		t.Fatalf("%d executors, %d idle before Close; want the orphan's and an idle one", sh.deadlineExecs(), idleExecs(sh))
+	}
 	closed := make(chan struct{})
 	go func() {
 		sys.Close()
@@ -336,46 +360,45 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close deadlocked with an orphaned handler and registered executors")
+		t.Fatal("Close deadlocked with an orphaned handler and an idle executor")
 	}
-	// The orphan returns after Close: its executor must drop the
-	// descriptor (close epoch advanced) and end the quarantine.
+	waitCond(t, 5*time.Second, "the idle executor to exit", func() bool {
+		return sh.deadlineExecs() == 1 && executors() == 1
+	})
+	if st := sys.Stats()[0]; st.QuarantinedCDs != 1 {
+		t.Fatalf("QuarantinedCDs = %d across Close with the orphan still running, want 1", st.QuarantinedCDs)
+	}
+	// The orphan returns after Close: its executor ends the quarantine,
+	// exits rather than repools, and drops its descriptor.
 	pooled := sys.Stats()[0].PooledCDs
 	close(block)
-	waitCond(t, 5*time.Second, "quarantine drained across Close", func() bool {
-		return sys.Stats()[0].QuarantinedCDs == 0
-	})
-	// The idle client's executor is still registered; Release unlists
-	// it, and the still-ticking loop finds nothing left and exits.
-	idle.Release()
-	c.Release()
-	waitCond(t, 5*time.Second, "executor list drained after Close", func() bool {
-		return sys.shards[0].deadlineExecs() == 0 && executors() == 0
+	waitCond(t, 5*time.Second, "the orphan's executor to exit", func() bool {
+		return sys.Stats()[0].QuarantinedCDs == 0 && sh.deadlineExecs() == 0 && executors() == 0
 	})
 	if got := sys.Stats()[0].PooledCDs; got != pooled {
-		t.Fatalf("PooledCDs %d → %d: an executor armed before Close repooled into the drained shard", pooled, got)
+		t.Fatalf("PooledCDs %d → %d: an executor made before Close repooled into the drained shard", pooled, got)
 	}
-	waitCond(t, 5*time.Second, "watchdog exited after draining", func() bool {
-		sh := &sys.shards[0]
+	watchdogOff := func() bool {
 		sh.qMu.Lock()
-		on := sh.watchdogOn
-		sh.qMu.Unlock()
-		return !on
-	})
-	// Synchronous calls keep working after Close by contract — a
-	// deadline call registers an executor and restarts the loop, and a
-	// second drain converges again.
-	again := sys.NewClientOnShard(0)
+		defer sh.qMu.Unlock()
+		return !sh.watchdogOn
+	}
+	waitCond(t, 5*time.Second, "watchdog exited after draining", watchdogOff)
+	// Synchronous calls keep working after Close by contract — a deadline
+	// call makes an executor, restarts the loop, and retires the executor
+	// on its way out; a second drain converges again.
 	var a2 Args
-	if err := again.CallDeadline(fast.EP(), &a2, time.Second); err != nil {
-		t.Fatalf("post-close CallDeadline = %v, want success (sync calls survive Close)", err)
+	for i := 0; i < 3; i++ {
+		if err := c.CallDeadline(fast.EP(), &a2, time.Second); err != nil {
+			t.Fatalf("post-close CallDeadline = %v, want success (sync calls survive Close)", err)
+		}
 	}
-	if sys.shards[0].deadlineExecs() == 0 {
-		t.Fatal("post-close deadline call did not register its executor")
+	if err := c.CallDeadline(slow.EP(), &a2, time.Millisecond); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("post-close expiry: err = %v, want ErrDeadline", err)
 	}
-	again.Release()
+	c.Release()
 	waitCond(t, 5*time.Second, "second post-close drain", func() bool {
-		return sys.shards[0].deadlineExecs() == 0
+		return sys.Stats()[0].QuarantinedCDs == 0 && sh.deadlineExecs() == 0 && executors() == 0 && watchdogOff()
 	})
 }
 
@@ -386,6 +409,7 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 // the generation + deadline-revalidation ABA defense under its tightest
 // timing.
 func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
+	leakCheck(t)
 	sys := NewSystemOptions(Options{
 		Shards:           1,
 		WatchdogInterval: 100 * time.Microsecond,
@@ -425,4 +449,62 @@ func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
 	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0
 	})
+}
+
+// Nothing disarms a met deadline: the word stays on the idle executor
+// until the next call overwrites it, with zero if that call has no expiry.
+// A cancel-only CallContext that takes the executor after the stale word
+// has come due must run to its handler's end, not be orphaned by it — and
+// a due word on a ticket whose call has yet to open its waiting phase must
+// survive the tick, so the call is not left without its deadline.
+func TestDeadlineStaleWordDoesNotOrphanNextCall(t *testing.T) {
+	leakCheck(t)
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
+	defer sys.Close()
+	sh := &sys.shards[0]
+	svc, err := sys.Bind(ServiceConfig{Name: "stale", Handler: func(ctx *Ctx, args *Args) {
+		time.Sleep(time.Duration(args[0]))
+		args[1] = 7
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	defer c.Release()
+	if err := c.CallDeadline(svc.EP(), &Args{}, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	e := sh.execs()[0]
+	if e.ticket.deadline.Load() == 0 {
+		t.Fatal("the met deadline was disarmed: this test no longer builds the stale word")
+	}
+	time.Sleep(3 * time.Millisecond) // the stale word is due, and ticks have seen it
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	args := Args{uint64(3 * time.Millisecond)}
+	if err := c.CallContext(ctx, svc.EP(), &args); err != nil || args[1] != 7 {
+		t.Fatalf("a cancel-only call behind a stale due word: err %v, result %d; want its handler's result", err, args[1])
+	}
+	if n := sys.Stats()[0].DeadlineExpirations; n != 0 {
+		t.Fatalf("DeadlineExpirations = %d, want 0", n)
+	}
+	// The window between a call's two arming stores, held open: the tick
+	// leaves the due word alone, and acts on it once the phase is open.
+	if sh.popExec() != e {
+		t.Fatal("the one executor is not idle")
+	}
+	gen := e.ticket.state.Load()>>dlGenShift + 1
+	e.ticket.deadline.Store(1)
+	sh.expireDeadlines(sh.clock.refresh())
+	if d := e.ticket.deadline.Load(); d != 1 {
+		t.Fatalf("the tick took the deadline (now %d) of a call that had not opened its waiting phase", d)
+	}
+	e.ticket.state.Store(gen<<dlGenShift | dlPhaseWaiting)
+	sh.expireDeadlines(sh.clock.refresh())
+	if s := e.ticket.state.Load(); s != gen<<dlGenShift|dlPhaseOrphaned {
+		t.Fatalf("state %#x after a tick over a due, waiting ticket; want generation %d orphaned", s, gen)
+	}
+	sh.quarantinedCDs.Add(-1) // no handler is running: undo orphan's count
+	<-e.ticket.done
+	sh.pushExec(e)
 }

@@ -169,7 +169,6 @@ func TestClientRecLayout(t *testing.T) {
 	for name, off := range map[string]uintptr{
 		"heldEpoch": unsafe.Offsetof(rec.heldEpoch),
 		"cd":        unsafe.Offsetof(rec.cd),
-		"dl":        unsafe.Offsetof(rec.dl),
 		"probe":     unsafe.Offsetof(rec.probe),
 		"idx":       unsafe.Offsetof(rec.idx),
 	} {
@@ -190,6 +189,17 @@ func TestClientRecLayout(t *testing.T) {
 		if p := uintptr(unsafe.Pointer(c.rec.leases.spill(1))); p%lineBytes != 0 {
 			t.Fatalf("appended lease block %d allocated at %#x, not line-aligned", i, p)
 		}
+	}
+}
+
+// TestClientSizeClass pins a decided rule (ROADMAP, EXPERIMENTS.md E24):
+// Client stays out of callStripe's allocator size class. Folding two of
+// its fields once moved it into the 64-byte class, beside the stripes
+// every warm call writes, and sync_held lost ~1 ns in 28 of 34 pairs.
+func TestClientSizeClass(t *testing.T) {
+	class := func(sz uintptr) uintptr { return (sz + 15) / 16 } // the allocator's small classes step by 16 up to 128 bytes
+	if c, st := unsafe.Sizeof(Client{}), unsafe.Sizeof(callStripe{}); class(c) == class(st) || c <= st {
+		t.Errorf("Client (%d bytes) is in callStripe's (%d bytes) allocator size class again", c, st)
 	}
 }
 
@@ -302,8 +312,9 @@ func TestBeatLayout(t *testing.T) {
 	}
 }
 
-// TestShardLayout pins the shard's hot-field isolation: the pool head,
-// the wake pair, and the submit gate each own a line; the embedded
+// TestShardLayout pins the shard's hot-field isolation: the two pool heads
+// (descriptors, deadline executors), the wake pair, and the submit gate
+// each own a line; the embedded
 // padded structs (clock, arena) start line-aligned so their internal
 // isolation is not sheared; and the whole shard tiles 64 bytes because
 // System.shards is a []shard. The rings live outside the struct, in the
@@ -321,6 +332,10 @@ func TestShardLayout(t *testing.T) {
 	if lineOf(unsafe.Offsetof(s.tab)) == lineOf(free) {
 		t.Error("free shares its line with the service-table header again")
 	}
+	dlIdle := unsafe.Offsetof(s.dlIdle)
+	if dlIdle%lineBytes != 0 || lineOf(dlIdle) == lineOf(free) {
+		t.Errorf("dlIdle at offset %d: the executor pool's head must own a line, and not the descriptor pool's", dlIdle)
+	}
 	if off := unsafe.Offsetof(s.clock); off%lineBytes != 0 {
 		t.Errorf("clock at offset %d shears its internal padding", off)
 	}
@@ -330,9 +345,10 @@ func TestShardLayout(t *testing.T) {
 	}
 	submitting := lineOf(unsafe.Offsetof(s.submitting))
 	for name, off := range map[string]uintptr{
-		"free":  free,
-		"stop":  unsafe.Offsetof(s.stop),
-		"clock": unsafe.Offsetof(s.clock),
+		"free":   free,
+		"dlIdle": dlIdle,
+		"stop":   unsafe.Offsetof(s.stop),
+		"clock":  unsafe.Offsetof(s.clock),
 	} {
 		if lineOf(off) == submitting || lineOf(off) == wake {
 			t.Errorf("%s (offset %d) shares a line with a hot field", name, off)

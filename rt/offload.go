@@ -237,10 +237,7 @@ func (sh *shard) offloadCopy(sys *System, data []byte) (PayloadRef, error) {
 	}
 	sh.ensureOffloadWorker(sys)
 	if sh.offload.parked.Load() != 0 {
-		select {
-		case sh.offload.doorbell <- struct{}{}:
-		default:
-		}
+		sendToken(sh.offload.doorbell)
 	}
 	return staged, nil
 }

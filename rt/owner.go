@@ -13,7 +13,7 @@ import (
 // a protection domain dies mid-call; rt's analogue is a client
 // goroutine that panics, leaks, or is explicitly abandoned while it
 // still owns resources — a held call descriptor, arena payload leases,
-// a deadline executor, staged batch entries, a half-open health probe.
+// staged batch entries, a half-open health probe.
 // Without reclamation each of those is stranded forever. This file
 // gives every client an *ownership record* and rides a scavenger pass
 // on the existing watchdog tick to reclaim what dead clients left
@@ -46,9 +46,10 @@ import (
 // and exit (two loads of a read-mostly line) and the word stays owHeld
 // for the whole hold — the warm path pays no RMW and no store (one
 // optional beat store for epoch-enrolled clients). A deadline call does
-// not run on the client's descriptor at all: its executor holds one of
-// its own (deadline.go), so the word of a client that mixes the two
-// paths never moves either. What makes the untouched word safe is that
+// not run on the client's descriptor at all (deadline.go), so the word
+// of a client that mixes the two paths never moves either, and a client
+// that dies inside one holds nothing more than one that dies inside a
+// plain Call. What makes the untouched word safe is that
 // the scavenger *condemns* rather than repools: its owHeld->owDead CAS
 // bumps the generation — so the dead owner's tombstone and Release
 // CASes, tagged with the generation they held, must fail — and the pool
@@ -70,8 +71,8 @@ import (
 //
 // Each client registers a clientRec on its shard's registry at
 // construction. The record mirrors the client's reclaimable holdings:
-// the held descriptor, the deadline executor and a carried half-open
-// probe through cold-path writes (Hold/Release/arm/orphan), and the
+// the held descriptor and a carried half-open probe through cold-path
+// writes (Hold/Release, a probe's election and settlement), and the
 // payload leases no submission has taken yet in its lease slots. The
 // record deliberately does NOT reference the Client — not directly and
 // not through anything it lists — so runtime.AddCleanup can fire when
@@ -114,16 +115,14 @@ import (
 // by missing its liveness-epoch budget (opt-in,
 // ClientOptions.LivenessEpochs). The scavenger runs on the watchdog
 // tick, guarded by one registry load per tick when nothing is dead; per
-// dead client (scavengeOne) it defers to the next tick while a deadline
-// call is in flight — the executor's ticket is the pin (deadline.go) —
-// and otherwise condemns the held CD through the ownership CAS above,
-// compensating the pool with a fresh descriptor, retires the deadline
-// executor, which repools its own descriptor as it exits, swaps every
-// lease slot empty and releases what it took, settles a carried
-// half-open probe back to degraded so the gate is never wedged, and
-// reaps the record. A holding the owner publishes behind the walk is the
-// owner's to settle: its life-state load after the publish sees the
-// death.
+// dead client (scavengeOne) it condemns the held CD through the
+// ownership CAS above, compensating the pool with a fresh descriptor,
+// swaps every lease slot empty and releases what it took, settles a
+// carried half-open probe back to degraded so the gate is never wedged,
+// and reaps the record — at once, whatever call the client is inside: a
+// call in flight owns what it took at entry and settles it itself. A
+// holding the owner publishes behind the walk is the owner's to settle:
+// its life-state load after the publish sees the death.
 
 // Ownership word states (bits 2..0 of callDesc.owner).
 const (
@@ -210,11 +209,6 @@ type clientRec struct {
 	//
 	//ppc:atomic
 	cd atomic.Pointer[callDesc]
-	// dl mirrors Client.dl so the scavenger can retire an abandoned
-	// deadline executor.
-	//
-	//ppc:atomic
-	dl atomic.Pointer[dlExec]
 	// probe is the half-open probe the client's current call carries, as
 	// the table entry of the service whose gate it is (set by enter,
 	// cleared by the call's own settlement; observable only while the
@@ -225,7 +219,7 @@ type clientRec struct {
 	probe atomic.Pointer[epEntry]
 
 	idx int // position in registry.recs; maintained under registry.mu
-	_   [24]byte
+	_   [32]byte
 
 	// leases heads the chain of lease slots: the payload leases the
 	// client has taken and no submission has claimed yet.
@@ -326,18 +320,16 @@ func (reg *clientRegistry) unfile(rec *clientRec) {
 // A clean record (nothing held, nothing enrolled) is quietly
 // unregistered; a record with holdings is declared dead and reclaimed
 // inline on the cleanup goroutine. Inline — not via the watchdog —
-// because the GC just proved the client unreachable: no call can be in
-// flight and no owner op can race, so the in-flight deferral the
-// watchdog exists for cannot apply; and a program that leaked its
-// clients may well have leaked the System too, in which case a woken
-// watchdog would tick forever.
+// because the GC just proved the client unreachable: no owner op can
+// race; and a program that leaked its clients may well have leaked the
+// System too, in which case a woken watchdog would tick forever.
 //
 //ppc:coldpath -- GC cleanup of a leaked client
 func cleanupClient(rec *clientRec) {
 	if rec.state.Load() != crLive {
 		return // already dead or reaped
 	}
-	if rec.cd.Load() == nil && rec.dl.Load() == nil && rec.epochs == 0 && !rec.holdsLeases() {
+	if rec.cd.Load() == nil && rec.epochs == 0 && !rec.holdsLeases() {
 		// Nothing to reclaim: an ordinary released client was collected.
 		if rec.state.CompareAndSwap(crLive, crReaped) {
 			rec.reg.unregister(rec)
@@ -348,9 +340,9 @@ func cleanupClient(rec *clientRec) {
 	if !rec.die() {
 		return
 	}
-	// An injected scavenge fault (chaos builds) can still defer the
-	// inline reap; only then hand the record to a watchdog, and only on
-	// an open shard (a closed shard's drain already settled its pools).
+	// Only an injected scavenge fault (chaos builds) defers the inline
+	// reap; only then hand the record to a watchdog, and only on an open
+	// shard (a closed shard's drain already settled its pools).
 	if !reg.reapNow(rec) && !reg.sh.closed.Load() {
 		reg.sh.startTick(reg.sys)
 	}
@@ -402,9 +394,9 @@ func (rec *clientRec) declareDead() bool {
 }
 
 // Abandon declares the client's domain dead: every resource it owns —
-// held descriptor, payload leases, deadline executor, staged batch
-// entries, carried probe — is reclaimed by the shard's
-// scavenger on an upcoming watchdog tick. Abandon may be called from
+// held descriptor, payload leases, staged batch entries, carried
+// probe — is reclaimed by the shard's scavenger on an upcoming
+// watchdog tick. Abandon may be called from
 // any goroutine (it is the one cross-goroutine entry point on a
 // Client): a call in flight on the owning goroutine completes normally
 // and settles itself through the tombstone protocol; every later
@@ -597,8 +589,7 @@ func (rec *clientRec) markStale(epoch uint64) {
 
 // scavengeOne reclaims one dead client's holdings. Returns true when
 // the record is fully reaped; false defers the client to the next tick
-// (a deadline call in flight, or an injected fault). Caller holds
-// reg.mu.
+// (an injected fault). Caller holds reg.mu.
 //
 //ppc:coldpath -- domain-death reclamation
 func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
@@ -608,19 +599,7 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		}
 	}
 	sh := reg.sh
-	// 1. A deadline call in flight: defer everything — its exits settle
-	// leases and probe, and the executor must not be retired under a
-	// request. The ticket reads waiting from the call's pin until it
-	// resolves; orphaned, on an executor still on the record, means the
-	// caller has yet to forget it (the tick can orphan a call before its
-	// caller has handed the request over).
-	e := rec.dl.Load()
-	if e != nil {
-		if p := e.ticket.state.Load() & dlPhaseMask; p == dlPhaseWaiting || p == dlPhaseOrphaned {
-			return false
-		}
-	}
-	// 2. The held descriptor, arbitrated by the ownership word. owHeld is
+	// 1. The held descriptor, arbitrated by the ownership word. owHeld is
 	// condemned, not repooled: no call path transitions the word, so a
 	// plain call may still be running on the descriptor right now.
 	// Bumping the generation makes the owner's tombstone and Release
@@ -640,13 +619,7 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		}
 		rec.cd.Store(nil)
 	}
-	// 3. The deadline executor: idle past step 1, the precondition
-	// Release relies on. It pushes its descriptor back as it exits.
-	if e != nil {
-		e.retire()
-		rec.dl.Store(nil)
-	}
-	// 4. The lease slots: every ref this swap takes out is this pass's to
+	// 2. The lease slots: every ref this swap takes out is this pass's to
 	// release. A slot the owner fills behind the walk is the owner's
 	// again — its life check after the store sees the death.
 	var n int64
@@ -659,13 +632,13 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		}
 	}
 	reg.scavLeases.Add(n)
-	// 5. A carried half-open probe: settle the gate back to degraded so
+	// 3. A carried half-open probe: settle the gate back to degraded so
 	// the stripe is never wedged shedding behind a probe that will never
 	// report.
 	if p := rec.probe.Swap(nil); p != nil {
 		p.svc.gateReopen(p.counters)
 	}
-	// 6. Reap.
+	// 4. Reap.
 	rec.state.Store(crReaped)
 	if rec.epochs > 0 {
 		reg.epochClients.Add(-1)
@@ -707,10 +680,9 @@ func (c *Client) own(args *Args) error {
 	return nil
 }
 
-// ownerLost is the dead owner's entry path: a life check (preflight's,
-// own's, or the one behind the deadline path's pin) found the client
-// dead. Settle the submission's payload leases (the claim transferred
-// them to it) and what the client holds, and fail.
+// ownerLost is the dead owner's entry path: a life check (preflight's or
+// own's) found the client dead. Settle the submission's payload leases
+// (the claim transferred them to it) and what the client holds, and fail.
 //
 //ppc:coldpath -- the client was abandoned before this call
 func (c *Client) ownerLost(argss []Args) error {
@@ -719,13 +691,12 @@ func (c *Client) ownerLost(argss []Args) error {
 	return ErrClientAbandoned
 }
 
-// dropDeadHold settles a dead client's held descriptor and deadline
-// executor from the owner's side. The owner has transitioned nothing, so
-// the word still reads owHeld under this hold's generation unless the
-// scavenger already condemned it, and whichever of the two wins the CAS
-// reclaims. Without the settle here both would be stranded: clearing
-// rec.cd hides the descriptor from the scavenger's walk, and an executor
-// armed behind that walk was never in it (retiring twice is harmless).
+// dropDeadHold settles a dead client's held descriptor from the owner's
+// side. The owner has transitioned nothing, so the word still reads
+// owHeld under this hold's generation unless the scavenger already
+// condemned it, and whichever of the two wins the CAS reclaims. Without
+// the settle here the descriptor would be stranded: clearing rec.cd hides
+// it from the scavenger's walk.
 //
 //ppc:coldpath -- the client was abandoned
 func (c *Client) dropDeadHold() {
@@ -736,5 +707,4 @@ func (c *Client) dropDeadHold() {
 		c.held = nil
 	}
 	c.rec.cd.Store(nil)
-	c.dropExec()
 }

@@ -220,12 +220,12 @@ func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 	}
 }
 
-// TestAbandonRetiresDeadlineExecutor: a client abandoned with a parked
-// deadline executor has the executor retired and taken off the shard's
-// list, so the post-close tick is not kept alive by a dead client's
-// executor. The executor repools its own descriptor as it exits: a
-// deadline-only client held none, so the scavenger condemned none.
-func TestAbandonRetiresDeadlineExecutor(t *testing.T) {
+// TestAbandonLeavesExecutorPool: a client holds nothing for the deadline
+// path, so abandoning one that has made deadline calls leaves the shard's
+// executor where it was — parked, on the list, holding its own descriptor —
+// for the next client, and the scavenger finds nothing to condemn. Close
+// retires it (leakCheck).
+func TestAbandonLeavesExecutorPool(t *testing.T) {
 	leakCheck(t)
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
 	defer sys.Close()
@@ -240,14 +240,18 @@ func TestAbandonRetiresDeadlineExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := sys.Stats()[0]; st.HeldCDs != 0 || st.PooledCDs != 0 {
-		t.Fatalf("HeldCDs = %d, PooledCDs = %d with the executor armed, want 0 and 0: its descriptor is its own", st.HeldCDs, st.PooledCDs)
+		t.Fatalf("HeldCDs = %d, PooledCDs = %d with one executor made, want 0 and 0: its descriptor is its own", st.HeldCDs, st.PooledCDs)
 	}
 	c.Abandon()
-	waitCond(t, 2*time.Second, "executor retirement", func() bool {
-		return sh.deadlineExecs() == 0 && sh.poolSize() == 1
+	waitCond(t, 2*time.Second, "the scavenger to reap the client", func() bool {
+		return sh.reg.dead.Load() == 0 && sys.Stats()[0].AbandonedClients == 1
 	})
-	if st := sys.Stats()[0]; st.ScavengedCDs != 0 || st.HeldCDs != 0 {
-		t.Fatalf("ScavengedCDs = %d, HeldCDs = %d, want 0 and 0: a deadline-only client holds nothing to condemn", st.ScavengedCDs, st.HeldCDs)
+	if err := sys.NewClientOnShard(0).CallDeadline(svc.EP(), &args, time.Second); err != nil {
+		t.Fatalf("the next client's deadline call: %v", err)
+	}
+	if st := sys.Stats()[0]; st.ScavengedCDs != 0 || st.HeldCDs != 0 || st.CDsCreated != 1 || sh.deadlineExecs() != 1 || idleExecs(sh) != 1 {
+		t.Fatalf("ScavengedCDs = %d, HeldCDs = %d, CDsCreated = %d, %d executors (%d idle); want 0, 0 and the one executor, reused",
+			st.ScavengedCDs, st.HeldCDs, st.CDsCreated, sh.deadlineExecs(), idleExecs(sh))
 	}
 }
 

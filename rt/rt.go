@@ -27,7 +27,7 @@
 // the call's record, and one of the record's two exits — fail before
 // dispatch, settle after it. Between them the synchronous entry points run
 // one core (System.callHeld; the two bounded ones split it at the handoff
-// to their executor), the asynchronous ones one submission.
+// to an executor of the shard's pool), the asynchronous ones one submission.
 //
 // Two Figure 2 optimizations are carried over verbatim:
 //
@@ -675,8 +675,8 @@ type Options struct {
 	WorkerStallThreshold time.Duration
 	// WatchdogInterval is the supervision scan period (default
 	// defaultWatchdogInterval). It is also the one tick knob: the shard
-	// tick that expires CallDeadline calls runs every millisecond while
-	// any deadline-capable client exists, or every WatchdogInterval
+	// tick that expires CallDeadline calls runs every millisecond from
+	// a shard's first deadline call until Close, or every WatchdogInterval
 	// when that is finer. Arming rounds the expiry up by one such tick
 	// and expiry detection runs on the tick, so an expired CallDeadline
 	// is settled at most ~2 ticks after its deadline and never before
@@ -1005,7 +1005,7 @@ type ShardStats struct {
 	ReplacementsReclaimed int64
 	// QuarantinedCDs is the number of call descriptors under a handler
 	// orphaned by an expired deadline that has not returned yet (a gauge;
-	// each is its deadline executor's own, repooled on handler return).
+	// each is its deadline executor's own, and stays the executor's).
 	QuarantinedCDs int64
 	// DeadlineExpirations counts calls that failed with ErrDeadline on
 	// this shard — synchronous orphans and asynchronous requests

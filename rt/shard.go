@@ -203,6 +203,15 @@ type shard struct {
 	free atomic.Pointer[callDesc]
 	_    [56]byte
 
+	// dlIdle is the head of the stack of idle deadline executors
+	// (deadline.go), popped and pushed by every deadline call: it owns its
+	// line as free does.
+	//
+	//ppc:atomic
+	//ppc:hotline
+	dlIdle atomic.Uint64
+	_      [56]byte
+
 	// doorbell wakes a parked worker. Submitters ring it only when
 	// parked is nonzero, so the steady-state pipeline never touches it;
 	// the buffer of one coalesces rings (a pending token means a wakeup
@@ -267,13 +276,16 @@ type shard struct {
 	replacementsSpawned   atomic.Int64
 	replacementsReclaimed atomic.Int64
 
-	// Deadline expiry (deadline.go): dlExecs lists the shard's deadline
-	// executors for the tick's walk, dlMu guards it (add, swap-delete,
-	// walk — all cold), dlTick is the tick in use while any is
-	// registered, and retick is startTick's token to a running loop:
-	// buffered(1), coalescing.
-	dlMu    sync.Mutex
-	dlExecs []*dlExec
+	// Deadline calls (deadline.go): dlExecs is the shard's deadline
+	// executors, idle and busy, one slot each (nil once it has exited), for
+	// the tick's walk and for dlIdle's slot numbers — a list that is
+	// replaced, never written, under dlMu (an executor's creation and exit,
+	// both cold). dlTick is the tick in
+	// use while any is registered, and retick is startTick's token to a
+	// running loop: buffered(1), coalescing.
+	dlMu sync.Mutex
+	//ppc:atomic
+	dlExecs atomic.Pointer[[]*dlExec]
 	dlTick  time.Duration
 	retick  chan struct{}
 
@@ -295,6 +307,7 @@ type shard struct {
 	closed atomic.Bool
 	qMu    sync.Mutex // guards worker spawn vs close — never on the submit fast path
 	wg     sync.WaitGroup
+	_      [16]byte // the control-plane run ends on a line: the lane block below starts one
 
 	// lanes holds the shard's async rings, one per criticality class
 	// (lane.go): always at least one, so a shard built without
@@ -363,6 +376,7 @@ func (sh *shard) init(id int) {
 	sh.doorbell = make(chan struct{}, 1)
 	sh.stop = make(chan struct{})
 	sh.retick = make(chan struct{}, 1)
+	sh.dlExecs.Store(new([]*dlExec))
 	sh.maxWorkers = defaultMaxWorkers
 	sh.submitWait = defaultSubmitWait
 	sh.notifyWait = defaultNotifyWait
@@ -616,10 +630,7 @@ func (sh *shard) wake(sys *System) {
 		sh.spawnWorker(sys)
 	}
 	if sh.parked.Load() != 0 {
-		select {
-		case sh.doorbell <- struct{}{}:
-		default: // a token is already pending; the wakeup is owed
-		}
+		sendToken(sh.doorbell)
 	}
 }
 
@@ -901,6 +912,7 @@ func (sh *shard) close(sys *System, deadline time.Time) bool {
 	sh.qMu.Lock()
 	sh.closed.Store(true)
 	sh.qMu.Unlock()
+	sh.retireExecs() // the idle ones; one in flight is retired when its call is over (pushExec)
 	if sh.submitting.Load() != 0 {
 		// One reused timer paces the wait — no per-iteration timer
 		// allocation, no raw busy-sleep.

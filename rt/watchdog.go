@@ -19,11 +19,11 @@ import (
 // pool back to its configured cap.
 //
 // The same goroutine also drives deadline expiry (deadline.go): every
-// tick refreshes the shard's coarse clock and walks the shard's list of
+// tick refreshes the shard's coarse clock and walks the shard's pool of
 // deadline executors, orphaning the callers whose deadline has come
-// due. While any executor is registered the tick period tightens to the
+// due. Once the shard has an executor the tick period tightens to the
 // deadline tick (so expiry latency is bounded by it) and the loop keeps
-// ticking even after shard close until the last executor retires —
+// ticking even after shard close until the last executor has exited —
 // supervision and the tick have separate lifecycles: supervision runs
 // only when a stall threshold is configured and the shard is open; the
 // tick runs whenever either needs it.
@@ -69,8 +69,8 @@ type coarseClock struct {
 }
 
 // read returns the cached clock. Staleness is bounded by the refresh
-// cadence of whoever is driving the clock (≤ one tick while any
-// deadline executor is registered).
+// cadence of whoever is driving the clock (≤ one tick once the shard has
+// a deadline executor).
 //
 //ppc:hotpath
 func (c *coarseClock) read() int64 { return c.ns.Load() }
@@ -211,8 +211,8 @@ func (sh *shard) tryRetire() bool {
 // startTick makes sure the shard's tick loop is running — the one place
 // it is started — freshens the coarse clock so a first arm's rounding
 // starts from a current reading, and has a loop that is already running
-// re-pick its period now instead of after its next tick: a deadline
-// executor registered behind a loop on the supervision interval would
+// re-pick its period now instead of after its next tick: a first deadline
+// executor made behind a loop on the supervision interval would
 // otherwise settle its first call up to one such interval late.
 // Supervision starts it ahead of the first worker (spawnWorker, when a
 // stall threshold is configured and the shard is open); a deadline
@@ -221,7 +221,7 @@ func (sh *shard) tryRetire() bool {
 // working after Close, and a loop started behind a close finds stop
 // closed and goes straight to drain mode.
 //
-//ppc:coldpath -- tick startup: first worker, executor construction, domain death
+//ppc:coldpath -- tick startup: first worker, a new executor, domain death
 func (sh *shard) startTick(sys *System) {
 	sh.qMu.Lock()
 	if !sh.watchdogOn {
@@ -235,9 +235,9 @@ func (sh *shard) startTick(sys *System) {
 
 // watchdogLoop refreshes the coarse clock, expires due deadlines, and
 // scans the shard's heartbeat slots. The tick period is the supervision
-// interval while no deadline executor is registered and tightens to the
-// deadline tick while one is. Not joined by close: after stop the loop
-// sheds supervision and keeps ticking until the last executor retires,
+// interval while the shard has no deadline executor and tightens to the
+// deadline tick once it has. Not joined by close: after stop the loop
+// sheds supervision and keeps ticking until the last executor has exited,
 // so armed deadlines still fire during (and after) a drain. Pure cold
 // path: it shares no line with the warm call paths.
 //
@@ -291,11 +291,11 @@ func (sh *shard) watchdogLoop(sys *System) {
 		repick()
 		if stopping {
 			// Drain mode: no supervision, tick until every deadline executor
-			// has retired and the scavenger has no dead client left to
-			// reclaim. The exit handshake runs under qMu against startTick:
-			// either this loop sees the new registration (or death
-			// declaration) and stays, or it clears watchdogOn first and the
-			// arming client starts a fresh loop.
+			// has exited (the calls in flight at Close are over) and the
+			// scavenger has no dead client left to reclaim. The exit
+			// handshake runs under qMu against startTick: either this loop
+			// sees the new executor (or death declaration) and stays, or it
+			// clears watchdogOn first and newExec starts a fresh loop.
 			sh.qMu.Lock()
 			if sh.deadlineExecs() == 0 &&
 				(sh.reg == nil || sh.reg.dead.Load() == 0) {
@@ -313,9 +313,9 @@ func (sh *shard) watchdogLoop(sys *System) {
 	}
 }
 
-// tickPeriod picks the loop's tick: the deadline tick while any
-// deadline executor is registered (expiry latency is bounded by the
-// tick), the supervision interval otherwise (no reason to wake faster).
+// tickPeriod picks the loop's tick: the deadline tick while the shard
+// has a deadline executor (expiry latency is bounded by the tick), the
+// supervision interval otherwise (no reason to wake faster).
 //
 //ppc:coldpath -- watchdog-goroutine bookkeeping
 func (sh *shard) tickPeriod() time.Duration {
@@ -378,10 +378,7 @@ func (sh *shard) superviseTick(sys *System, last []uint64, stuckTicks []int, stu
 	sh.stuckWorkers.Store(stuck)
 	if (sh.retire.Load() > 0 || sh.queuesStalled() || !sh.queuesEmpty()) &&
 		sh.parked.Load() != 0 {
-		select {
-		case sh.doorbell <- struct{}{}:
-		default:
-		}
+		sendToken(sh.doorbell)
 	}
 }
 
