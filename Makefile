@@ -16,15 +16,17 @@ test:
 # two is not.
 
 # Race detector over the concurrency-sensitive packages (CI matrix),
-# then the two goroutine handoffs (deadline executor, async doorbell)
-# and the two every-exit identity tables at 1, 2 and 4 Ps: they have one
-# path on every P count, and -cpu overrides the GOMAXPROCS pin for that
-# run. The pattern takes the executor-pool tests with it (TestDeadlinePool*:
-# the population keep rule, concurrent growth, orphan reuse).
+# then the two goroutine handoffs (deadline executor, async doorbell),
+# the two every-exit identity tables and the submit-versus-Close tests
+# (the ring's closed bit against producers, the offload stage against the
+# drain) at 1, 2 and 4 Ps: they have one path on every P count, and -cpu
+# overrides the GOMAXPROCS pin for that run. The pattern takes the
+# executor-pool tests with it (TestDeadlinePool*: the population keep
+# rule, concurrent growth, orphan reuse).
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close' ./rt
 
 vet:
 	$(GO) vet ./...
@@ -52,11 +54,13 @@ lint: vet ppclint
 # storm, and the domain-death storm — clients abandoned mid-call and
 # mid-hold under injected scavenge stalls) with convergence assertions
 # after each storm. The injection sites compile in only under the
-# faultinject tag.
+# faultinject tag, and so does one case of TestRingSubmitCloseKillStress
+# (a producer stalled between its ticket and its publish when Close
+# arrives), which the pattern therefore takes along.
 chaos: export GOMAXPROCS = 2
 chaos:
-	$(GO) test -run Chaos -count=5 -tags faultinject ./rt/...
-	$(GO) test -race -run Chaos -count=2 -tags faultinject ./rt/...
+	$(GO) test -run 'Chaos|RingSubmitClose' -count=5 -tags faultinject ./rt/...
+	$(GO) test -race -run 'Chaos|RingSubmitClose' -count=2 -tags faultinject ./rt/...
 
 # The repository's benchmark (bench/, registered in BENCHMARK.json):
 # every workload, untraced. bench/README.md lists run.sh's flags.

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -288,12 +289,12 @@ func TestABALoopsCarryAnnotations(t *testing.T) {
 	}
 }
 
-// rt surface ceilings, recorded at PR 21 (deadline executors are pooled
-// per shard). ROADMAP item 2 wants these to go down: lower them when a
+// rt surface ceilings, recorded at PR 23 (no call path announces itself to
+// Close or Kill). ROADMAP item 2 wants these to go down: lower them when a
 // change shrinks rt, and treat raising one as a decision to defend in
 // review.
 const (
-	rtMaxNonTestLines = 7210
+	rtMaxNonTestLines = 7130
 	rtMaxExported     = 203
 	rtMaxOptionFields = 8
 )
@@ -315,7 +316,11 @@ const (
 // hold begins and ends and where a client's death is settled, and on no
 // call path. The deadline executor: one function starts its goroutine, no
 // client-side struct has a field for one, and owner.go — the scavenger —
-// names neither the executor nor its ticket.
+// names neither the executor nor its ticket. Close and Kill: no call path
+// announces itself to either — the submitting window, the close epoch and
+// the quiescence notification are gone by name, one function (shard.close)
+// sets a ring's closed bit, shard.submit defers nothing, and a completion
+// is one atomic write and no call.
 func TestRtSurfaceRatchet(t *testing.T) {
 	fset := token.NewFileSet()
 	files, _ := parseTree(t, fset)
@@ -332,6 +337,7 @@ func TestRtSurfaceRatchet(t *testing.T) {
 	calls := func(callee string) []string { return names(callers[callee]) }
 	admitters := map[string]bool{}
 	ownerWriters := map[string]bool{}
+	ringClosers := map[string]bool{}
 	var dlReqFields, ownerNames []string
 	for _, pf := range files {
 		if filepath.Dir(pf.path) != "rt" {
@@ -339,21 +345,44 @@ func TestRtSurfaceRatchet(t *testing.T) {
 		}
 		f := pf.file
 		lines += fset.File(f.Pos()).LineCount()
-		if filepath.Base(pf.path) == "owner.go" {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && (id.Name == "dlExec" || id.Name == "dlTicket") {
-					ownerNames = append(ownerNames, id.Name)
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
 				return true
-			})
-		}
+			}
+			if filepath.Base(pf.path) == "owner.go" && (id.Name == "dlExec" || id.Name == "dlTicket") {
+				ownerNames = append(ownerNames, id.Name)
+			}
+			switch id.Name {
+			case "submitting", "closeEpoch", "heldEpoch", "quiesce", "notifyQuiesce":
+				t.Errorf("%s: identifier %s is back: no call path announces itself to Close or Kill", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				if d.Name.IsExported() && (d.Recv == nil || recvExported(d.Recv)) {
 					exported++
 				}
+				if name := d.Name.Name; (name == "complete" || name == "completeAsync") && d.Recv != nil &&
+					fmt.Sprint(d.Recv.List[0].Type.(*ast.StarExpr).X) == "Service" {
+					// One statement, one call in it, and that call is the counter's Add.
+					var inner []string
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						if call, ok := n.(*ast.CallExpr); ok {
+							inner = append(inner, types.ExprString(call.Fun))
+						}
+						return true
+					})
+					if len(d.Body.List) != 1 || len(inner) != 1 || !strings.HasSuffix(inner[0], ".Add") {
+						t.Errorf("%s is %d statements calling %v; a completion is its one counter Add and nothing else", name, len(d.Body.List), inner)
+					}
+				}
 				ast.Inspect(d, func(n ast.Node) bool {
+					if _, ok := n.(*ast.DeferStmt); ok && d.Name.Name == "submit" {
+						t.Errorf("shard.submit defers again: a submission opens nothing it has to close")
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
@@ -374,6 +403,9 @@ func TestRtSurfaceRatchet(t *testing.T) {
 					}
 					if ok && on.Sel.Name == "owner" && sel.Sel.Name != "Load" {
 						ownerWriters[d.Name.Name] = true
+					}
+					if ok && on.Sel.Name == "enq" && sel.Sel.Name == "Or" {
+						ringClosers[d.Name.Name] = true
 					}
 					return true
 				})
@@ -459,6 +491,9 @@ func TestRtSurfaceRatchet(t *testing.T) {
 	}
 	if len(ownerNames) != 0 {
 		t.Errorf("owner.go names %v: the scavenger does not know executors exist", ownerNames)
+	}
+	if got := fmt.Sprint(names(ringClosers)); got != "[close]" {
+		t.Errorf("functions setting a ring's closed bit: %s; want shard.close alone", got)
 	}
 	if got := fmt.Sprint(names(ownerWriters)); got != "[Hold Release dropDeadHold scavengeOne]" {
 		t.Errorf("functions writing callDesc.owner: %s; want Hold, Release, scavengeOne and dropDeadHold — no call path moves the ownership word", got)

@@ -3,6 +3,7 @@ package rt
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -702,6 +703,50 @@ func TestPayloadOffload(t *testing.T) {
 		st := sys.Stats()[0]
 		return st.LeasesActive == 0 && st.OffloadQueueDepth == 0
 	})
+}
+
+// TestPayloadOffloadStageRacesClose: a stage that races System.Close is
+// landed exactly once — by close's drain, which sees a job staged before
+// the closed store, or by the stager itself, which sees the store — and
+// both of its leases settle, with a handler that never views the payload
+// (so no view steals the job) and whether or not a worker ever ran.
+func TestPayloadOffloadStageRacesClose(t *testing.T) {
+	data := make([]byte, 64<<10)
+	for iter := 0; iter < 200; iter++ {
+		sys := NewSystemShards(1)
+		svc, err := sys.Bind(ServiceConfig{Name: "blind", Handler: func(ctx *Ctx, args *Args) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := sys.NewClientOnShard(0)
+		staged := make(chan bool, 1)
+		go func() {
+			for i := 0; i < iter%8; i++ {
+				runtime.Gosched()
+			}
+			var args Args
+			if err := c.AttachBytes(&args, data); err != nil {
+				t.Errorf("AttachBytes: %v", err)
+			}
+			staged <- args.PayloadRefAt(0).staged()
+			if err := c.Call(svc.EP(), &args); err != nil { // synchronous calls survive Close
+				t.Errorf("Call: %v", err)
+			}
+		}()
+		sys.Close()
+		want := int64(0)
+		if <-staged {
+			want = int64(len(data))
+		}
+		waitCond(t, 5*time.Second, "the staged copy to land and both leases to settle", func() bool {
+			st := sys.Stats()[0]
+			return st.OffloadedBytes == want && st.LeasesActive == 0 && st.OffloadQueueDepth == 0
+		})
+		c.Release()
+		if st := sys.Stats()[0]; st.OffloadedBytes != want || st.LeasesActive != 0 {
+			t.Fatalf("iter %d: OffloadedBytes = %d, want %d (landed exactly once); LeasesActive = %d", iter, st.OffloadedBytes, want, st.LeasesActive)
+		}
+	}
 }
 
 // TestPayloadOffloadDisabled pins the negative-threshold knob: the lane

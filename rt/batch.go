@@ -3,12 +3,11 @@ package rt
 import "time"
 
 // Asynchronous submission — the paper's amortized asynchronous calls
-// (§4.4) carried to the ring: one admission check, one submitting
-// window, and one worker wakeup cover an arbitrary number of requests,
-// so the per-request cost of a burst approaches one slot write. Every
-// asynchronous entry point is this one path (Client.async, then
-// shard.submit); the AsyncCall family submits a
-// batch of one over the caller's own argument block.
+// (§4.4) carried to the ring: one admission check and one worker wakeup
+// cover an arbitrary number of requests, so the per-request cost of a
+// burst approaches one slot write. Every asynchronous entry point is this
+// one path (Client.async, then shard.submit); the AsyncCall family submits
+// a batch of one over the caller's own argument block.
 //
 // Two batch shapes are offered: Client.AsyncBatch submits a caller-owned
 // slice in one shot; Batch is a reusable staging buffer for callers
@@ -96,13 +95,13 @@ func (b *Batch) grow() {
 // Flush submits every staged request with one admission and resets the
 // batch for reuse. It returns how many requests were accepted; when
 // the ring stays full past the bounded overload wait, the tail is
-// rejected with ErrBackpressure (accepted < Len() at entry), and a
-// kill or close rejects the whole batch. Accepted requests follow the
-// usual async lifecycle: soft Kill waits for them, hard Kill discards
-// the still-queued ones, Close drains them. On an abandoned client
-// Flush fails terminally and submits nothing; each staged lease is
-// released once, by Flush or by the scavenger, whichever takes it out
-// of its slot.
+// rejected with ErrBackpressure (accepted < Len() at entry); a kill
+// rejects the whole batch and a Close that arrives mid-flush the tail
+// (ErrClosed). Accepted requests follow the usual async lifecycle: soft
+// Kill waits for them, hard Kill discards the still-queued ones, Close
+// drains them. On an abandoned client Flush fails terminally and submits
+// nothing; each staged lease is released once, by Flush or by the
+// scavenger, whichever takes it out of its slot.
 //
 //ppc:hotpath
 //ppc:rmwbudget(1) -- the batch's one admission; the ring leg is submit's

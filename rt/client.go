@@ -74,11 +74,10 @@ type Client struct {
 	// free list. Plain fields — the owning goroutine is the only
 	// toucher.
 	held *callDesc
-	// heldEpoch is the System close epoch observed when held was
-	// acquired. Release revalidates it and drops (rather than repools)
-	// a stale descriptor, so a held CD can never repopulate a drained
-	// shard's pool after System.Close.
-	heldEpoch uint64
+	// Size-class pad, decided (ROADMAP, EXPERIMENTS.md E24): Client stays
+	// 72 bytes, out of callStripe's 64-byte allocator class — pinned by
+	// TestClientSizeClass, not by the layout analyzer (no line is hot).
+	_ uint64
 
 	// rec is the client's ownership record on the shard registry
 	// (owner.go) — the scavenger's view of everything this client owns.
@@ -246,13 +245,11 @@ func (c *Client) Hold() {
 	if rec.state.Load() != crLive {
 		return
 	}
-	c.heldEpoch = c.sys.closeEpoch.Load()
 	cd := c.shard.holdCD()
 	// Stamp the ownership word with a fresh generation.
 	c.owHeld = packOwner(ownerGen(cd.owner.Load())+1, c.program, owHeld)
 	cd.owner.Store(c.owHeld)
 	c.released = false
-	rec.heldEpoch.Store(c.heldEpoch)
 	rec.cd.Store(cd)
 	c.held = cd
 	// Publish, then re-check (owner.go): a scavenger that walked the
@@ -264,19 +261,16 @@ func (c *Client) Hold() {
 }
 
 // Release returns the held call descriptor to the shard pool; the next
-// Call re-acquires one. If the System was closed while the descriptor
-// was held (the close epoch advanced), the descriptor is dropped
-// instead of repooled — a held CD never resurrects a drained shard.
-// Release is optional and finalizer-free: an unreleased Client and its
-// descriptor are reclaimed by the scavenger once the client is
-// abandoned or collected; releasing just lets the pool reuse the
-// descriptor immediately.
+// Call re-acquires one. System.Close changes nothing here: a descriptor
+// held across it keeps working and is repooled like any other. Release is
+// optional and finalizer-free: an unreleased Client and its descriptor are
+// reclaimed by the scavenger once the client is abandoned or collected;
+// releasing just lets the pool reuse the descriptor immediately.
 //
-// Release is epoch-checked, not idempotent: a second Release (or
-// Close) of the same hold panics, because the first one already
-// repooled the descriptor — a silent second repool could hand the same
-// descriptor to two clients. Release on a never-held or abandoned
-// client remains a quiet no-op.
+// Release is not idempotent: a second Release (or Close) of the same hold
+// panics, because the first one already repooled the descriptor — a silent
+// second repool could hand the same descriptor to two clients. Release on
+// a never-held or abandoned client remains a quiet no-op.
 //
 //ppc:coldpath -- descriptor release, off the warm call path
 func (c *Client) Release() {
@@ -296,7 +290,7 @@ func (c *Client) Release() {
 	if !cd.owner.CompareAndSwap(c.owHeld, packOwner(ownerGen(c.owHeld)+1, c.program, owFree)) {
 		return
 	}
-	c.shard.releaseCD(cd, c.sys.closeEpoch.Load() == c.heldEpoch)
+	c.shard.releaseCD(cd)
 }
 
 // Close releases the held call descriptor (it is Release under the

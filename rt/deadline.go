@@ -106,13 +106,11 @@ import (
 // does the same, so an in-flight executor exits when its call is over and
 // a closed shard keeps no parked goroutine; a deadline call after Close
 // makes an executor and retires it on the way out. An exiting executor
-// empties its slot and pushes its descriptor back — unless the
-// System was closed since the descriptor was popped; then it is dropped,
-// the epoch rule of Release. Executors are not joined by Close and take
-// no heartbeat slot: an orphan may outlive Close by contract, a handler
-// past its bound is already visible as QuarantinedCDs, and a pop that
-// finds every executor busy makes another, which is all the compensation
-// a stuck one needs.
+// empties its slot and pushes its descriptor back, as an async worker
+// does. Executors are not joined by Close and take no heartbeat slot: an
+// orphan may outlive Close by contract, a handler past its bound is
+// already visible as QuarantinedCDs, and a pop that finds every executor
+// busy makes another, which is all the compensation a stuck one needs.
 //
 // The in-flight accounting (admitted / completed) brackets the
 // *handler*, not the caller's wait: an orphaned handler still counts
@@ -251,10 +249,9 @@ type dlExec struct {
 	//ppc:atomic
 	next atomic.Uint32
 	// cd is the executor's own descriptor, out of the pool from newExec
-	// until loop exits; epoch is the close epoch it was popped under. The
-	// holder touches cd (its stripe cache) only while the executor is parked.
-	cd    *callDesc
-	epoch uint64
+	// until loop exits. The holder touches cd (its stripe cache) only while
+	// the executor is parked.
+	cd *callDesc
 	// wake is the executor's park: buffered(1). The holder's send and the
 	// executor's receive are req's publish edge (one token per request, so
 	// the send never finds the buffer full); retiring an executor closes it.
@@ -313,7 +310,7 @@ func (sh *shard) pushExec(e *dlExec) {
 //
 //ppc:coldpath -- pool growth: the shard has more deadline calls in flight than ever before
 func (sh *shard) newExec(sys *System) *dlExec {
-	e := &dlExec{sys: sys, epoch: sys.closeEpoch.Load(), wake: make(chan struct{}, 1)}
+	e := &dlExec{sys: sys, wake: make(chan struct{}, 1)}
 	e.cd = sh.popCD(defaultScratchBytes)
 	e.ticket.done = make(chan struct{}, 1)
 	sh.dlMu.Lock()
@@ -366,8 +363,7 @@ func (sh *shard) expireDeadlines(now int64) {
 // loop runs handlers on behalf of deadline callers until the executor is
 // retired, then empties its slot (trailing empty slots go, so a shard with
 // no executor has no list) and returns the descriptor as an async worker
-// does — unless the System was closed since it was popped: a drained
-// shard's pool is never repopulated from the outside.
+// does.
 func (e *dlExec) loop() {
 	sh, t := e.cd.shard, &e.ticket
 	for range e.wake {
@@ -394,9 +390,7 @@ func (e *dlExec) loop() {
 	}
 	sh.dlExecs.Store(&list)
 	sh.dlMu.Unlock()
-	if e.sys.closeEpoch.Load() == e.epoch {
-		sh.pushCD(e.cd)
-	}
+	sh.pushCD(e.cd)
 }
 
 // CallDeadline is Call with an upper bound on how long the caller

@@ -305,8 +305,8 @@ func TestDeadlineOrphanTickReleaseRace(t *testing.T) {
 
 // Close with executors idle and in flight: Close retires the idle one
 // before it returns, a wedged orphan does not block it, the orphan's
-// executor exits — instead of going back to the pool — when its handler
-// returns and drops its descriptor (the close epoch advanced), the tick
+// executor exits — instead of going back to the executor pool — when its
+// handler returns and hands its descriptor back, the tick
 // loop then stops, and a deadline call after Close still works and
 // leaves nothing parked either.
 func TestCloseDrainsArmedDeadlines(t *testing.T) {
@@ -369,14 +369,14 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 		t.Fatalf("QuarantinedCDs = %d across Close with the orphan still running, want 1", st.QuarantinedCDs)
 	}
 	// The orphan returns after Close: its executor ends the quarantine,
-	// exits rather than repools, and drops its descriptor.
+	// exits rather than repools itself, and returns its descriptor.
 	pooled := sys.Stats()[0].PooledCDs
 	close(block)
 	waitCond(t, 5*time.Second, "the orphan's executor to exit", func() bool {
 		return sys.Stats()[0].QuarantinedCDs == 0 && sh.deadlineExecs() == 0 && executors() == 0
 	})
-	if got := sys.Stats()[0].PooledCDs; got != pooled {
-		t.Fatalf("PooledCDs %d → %d: an executor made before Close repooled into the drained shard", pooled, got)
+	if got := sys.Stats()[0].PooledCDs; got != pooled+1 {
+		t.Fatalf("PooledCDs %d → %d: an exiting executor returns its descriptor, once", pooled, got)
 	}
 	watchdogOff := func() bool {
 		sh.qMu.Lock()

@@ -54,8 +54,8 @@ const (
 	// FaultSiteHandler fires inside dispatch's containment scope,
 	// before the handler body.
 	FaultSiteHandler FaultSite = iota
-	// FaultSiteSubmit fires at asynchronous submission, before the
-	// ring push; a non-nil return forces ErrBackpressure.
+	// FaultSiteSubmit fires at asynchronous submission, before the ring
+	// push; a non-nil return forces ErrBackpressure (ErrClosed once closed).
 	FaultSiteSubmit
 	// FaultSiteRingPublish fires between the ring ticket CAS and the
 	// sequence publish. Only honored in -tags faultinject builds.

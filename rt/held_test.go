@@ -126,10 +126,12 @@ func TestReleaseAfterAbandonQuiet(t *testing.T) {
 	}
 }
 
-// TestReleaseAfterCloseDropsCD: a descriptor held across System.Close
-// is epoch-stale; Release drops it instead of pushing it into the
-// drained shard's pool.
-func TestReleaseAfterCloseDropsCD(t *testing.T) {
+// TestReleaseAfterCloseRepoolsCD: System.Close does not touch the
+// descriptor pool (synchronous calls keep popping it), so a descriptor
+// held across Close keeps working, its Release returns it to the pool
+// exactly once, a second Release still panics, and a hold begun after
+// Close is net zero on the pool: the descriptor is in one place throughout.
+func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
 	sys := NewSystemShards(1)
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
@@ -142,29 +144,42 @@ func TestReleaseAfterCloseDropsCD(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Close()
-	// Close's drain may pool a descriptor of its own; what matters is
-	// that the stale held CD below adds nothing on top of this.
+	// Close's drain may pool a descriptor of its own.
 	poolAfterClose := sh.poolSize()
+	held := c.held
 	// Synchronous calls on the held descriptor still work after Close
 	// (they use no goroutines), exactly as the pooled path always has.
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatalf("held sync call after Close: %v", err)
 	}
+	if c.held != held {
+		t.Fatal("the call after Close ran on another descriptor")
+	}
 	c.Release()
 	if c.Held() || sh.heldCDs.Load() != 0 {
-		t.Fatalf("after stale Release: held = %v, heldCDs = %d", c.Held(), sh.heldCDs.Load())
+		t.Fatalf("after Release: held = %v, heldCDs = %d", c.Held(), sh.heldCDs.Load())
 	}
-	if got := sh.poolSize(); got != poolAfterClose {
-		t.Fatalf("stale Release repopulated the drained pool: %d CDs, was %d", got, poolAfterClose)
+	if got := sh.poolSize(); got != poolAfterClose+1 || sh.free.Load() != held {
+		t.Fatalf("Release after Close: pool %d → %d, head is the released descriptor: %v; want it back, once",
+			poolAfterClose, got, sh.free.Load() == held)
 	}
-	// A client whose hold began after Close is epoch-fresh again: its
-	// Release repools, so a hold/release round trip is net-zero on the
-	// pool (a stale-style drop would leave it one short).
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Release after Close did not panic")
+			}
+		}()
+		c.Release()
+	}()
+	// A hold begun after Close takes the descriptor back out and returns it.
 	c2 := sys.NewClientOnShard(0)
 	c2.Hold()
+	if got := sh.poolSize(); got != poolAfterClose || c2.held != held {
+		t.Fatalf("post-Close hold: poolSize = %d, want %d, on the released descriptor: %v", got, poolAfterClose, c2.held == held)
+	}
 	c2.Release()
-	if got := sh.poolSize(); got != poolAfterClose {
-		t.Fatalf("post-Close hold/release: poolSize = %d, want %d", got, poolAfterClose)
+	if got, created := sh.poolSize(), sh.cdsCreated.Load(); got != poolAfterClose+1 || int(created) != got {
+		t.Fatalf("post-Close hold/release: poolSize = %d, want %d; %d descriptors created, want every one pooled", got, poolAfterClose+1, created)
 	}
 }
 

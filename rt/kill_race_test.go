@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -515,18 +516,36 @@ func TestConcurrentCallsAsyncAndClose(t *testing.T) {
 }
 
 // TestRingSubmitCloseKillStress races single and batched submissions
-// against a soft Kill and a concurrent Close on the ring path. The
-// invariants: no submission deadlocks or panics, rejections carry only
-// the documented errors, and every request counted accepted executes
-// exactly once — soft Kill and Close both drain accepted work, so
-// accepted == executed when the dust settles.
+// against a soft Kill and a concurrent Close on the ring path, on one
+// lane and on three, half of the producers attaching an arena payload to
+// every request. The invariants: no submission deadlocks or panics,
+// rejections carry only the documented errors, a flush Close cuts reports
+// the prefix the ring accepted and fails the tail with ErrClosed, and
+// every request counted accepted executes exactly once — soft Kill and
+// Close both drain accepted work, so when the dust settles accepted ==
+// executed == the asynchronous admission count, nothing is in flight or
+// queued and no lease is out. Every even iteration runs the soft Kill;
+// under -tags faultinject every fourth, an odd one (a soft Kill would sit
+// out the stall), instead stalls a producer between its ticket and its
+// publish until Close has closed the ring: Close must not return before
+// that ticket has been published and executed.
 func TestRingSubmitCloseKillStress(t *testing.T) {
 	iters := 30
 	if testing.Short() {
-		iters = 5
+		iters = 6
 	}
+	const flush = 8
+	var cuts atomic.Int64 // flushes Close cut mid-batch, over every iteration
 	for iter := 0; iter < iters; iter++ {
-		sys := NewSystemShards(2)
+		lanes := 1 + 2*(iter/4%2) // four iterations on one lane, four on three, ...
+		// The stalled producer (below) gets a system of one shard: Close
+		// closes shards in turn, and waits on the first behind the stall.
+		stallIter := faultTagEnabled && iter%4 == 1
+		shards := 2
+		if stallIter {
+			shards = 1
+		}
+		sys := NewSystemOptions(Options{Shards: shards, Lanes: lanes})
 		var executed atomic.Int64
 		svc, err := sys.Bind(ServiceConfig{Name: "stress", Handler: func(ctx *Ctx, args *Args) {
 			executed.Add(1)
@@ -534,7 +553,32 @@ func TestRingSubmitCloseKillStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The stalled producer: the first publish to find stall armed parks
+		// between its ticket CAS and its sequence store until released.
+		var stall atomic.Bool
+		stalled, release := make(chan struct{}), make(chan struct{})
+		if stallIter {
+			stall.Store(true)
+			sys.InjectFault(FaultSiteRingPublish, func() error {
+				if stall.CompareAndSwap(true, false) {
+					close(stalled)
+					<-release
+				}
+				return nil
+			})
+		}
 		var accepted atomic.Int64
+		flowing := make(chan struct{}) // closed by the producer that takes accepted past 100
+		var flowOnce sync.Once
+		accept := func(n int) {
+			if accepted.Add(int64(n)) >= 100 {
+				flowOnce.Do(func() { close(flowing) })
+			}
+		}
+		documented := func(err error) bool {
+			return errors.Is(err, ErrKilled) || errors.Is(err, ErrClosed) || errors.Is(err, ErrBackpressure) ||
+				errors.Is(err, ErrShed) || errors.Is(err, ErrBadEntryPoint)
+		}
 		start := make(chan struct{})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -542,8 +586,22 @@ func TestRingSubmitCloseKillStress(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				c := sys.NewClientOnShard(g % 2)
-				b := c.NewBatch(svc.EP(), 8)
+				c := sys.NewClientWith(ClientOptions{Shard: g % shards, Lane: Lane(1 + g%3)})
+				b := c.NewBatch(svc.EP(), flush)
+				// stage readies one request, every second producer's with a payload.
+				stage := func(args *Args) bool {
+					*args = Args{}
+					if g/2%2 == 0 {
+						return true
+					}
+					ref, _, err := c.AllocPayload(64)
+					if err != nil {
+						t.Errorf("AllocPayload: %v", err)
+						return false
+					}
+					args.AttachPayload(ref)
+					return true
+				}
 				var args Args
 				<-start
 				for {
@@ -553,47 +611,222 @@ func TestRingSubmitCloseKillStress(t *testing.T) {
 					default:
 					}
 					if g%2 == 0 {
+						if !stage(&args) {
+							return
+						}
 						if err := c.AsyncCall(svc.EP(), &args); err == nil {
-							accepted.Add(1)
-						} else if !errors.Is(err, ErrKilled) && !errors.Is(err, ErrClosed) &&
-							!errors.Is(err, ErrBackpressure) && !errors.Is(err, ErrBadEntryPoint) {
+							accept(1)
+						} else if !documented(err) {
 							t.Errorf("async: %v", err)
 							return
 						}
-					} else {
-						for i := 0; i < 4; i++ {
-							b.Add(&args)
-						}
-						n, err := b.Flush()
-						accepted.Add(int64(n))
-						if err != nil && !errors.Is(err, ErrKilled) && !errors.Is(err, ErrClosed) &&
-							!errors.Is(err, ErrBackpressure) && !errors.Is(err, ErrBadEntryPoint) {
-							t.Errorf("batch: %v", err)
+						continue
+					}
+					for i := 0; i < flush; i++ {
+						if !stage(&args) {
 							return
 						}
+						b.Add(&args)
+					}
+					n, err := b.Flush()
+					accept(n)
+					switch {
+					case err == nil && n != flush, err != nil && n == flush, n > flush:
+						t.Errorf("batch: Flush = (%d, %v) of %d staged", n, err, flush)
+						return
+					case err != nil && !documented(err):
+						t.Errorf("batch: %v", err)
+						return
+					case n > 0 && errors.Is(err, ErrClosed):
+						cuts.Add(1) // cut mid-flush: the prefix is reported, the tail refused
 					}
 				}
 			}(g)
 		}
 		close(start)
+		if !stallIter {
+			select {
+			case <-flowing:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("iter %d (%d lanes): %d requests accepted in 10 s, want 100 before the kill and the close", iter, lanes, accepted.Load())
+			}
+		}
 		if iter%2 == 0 {
 			// Soft kill mid-traffic: drains every accepted request.
 			if err := sys.Kill(svc.EP(), false); err != nil {
 				t.Fatal(err)
 			}
 		}
-		sys.Close()
+		if stallIter {
+			<-stalled
+			closed := make(chan struct{})
+			go func() {
+				sys.Close()
+				close(closed)
+			}()
+			waitCond(t, 5*time.Second, "Close to close every ring", func() bool {
+				for i := range sys.shards {
+					for l := range sys.shards[i].lanes {
+						if !sys.shards[i].lanes[l].ring.closed() {
+							return false
+						}
+					}
+				}
+				return true
+			})
+			select {
+			case <-closed:
+				t.Fatalf("iter %d: Close returned with a claimed ticket unpublished", iter)
+			case <-time.After(2 * time.Millisecond):
+			}
+			close(release)
+			<-closed
+		} else {
+			sys.Close()
+		}
+		atClose := executed.Load()
 		close(stop)
 		wg.Wait()
+		if got := executed.Load(); got != atClose {
+			t.Fatalf("iter %d: %d requests executed after Close returned", iter, got-atClose)
+		}
 		if got, want := executed.Load(), accepted.Load(); got != want {
 			t.Fatalf("iter %d: executed %d of %d accepted requests", iter, got, want)
 		}
+		if got, want := svc.AsyncCalls(), accepted.Load(); got != want {
+			t.Fatalf("iter %d: asyncAdm = %d with %d accepted: a refused tail was not taken back", iter, got, want)
+		}
+		if n := svc.inFlightTotal(); n != 0 {
+			t.Fatalf("iter %d: inFlightTotal = %d", iter, n)
+		}
 		for _, st := range sys.Stats() {
-			if st.AsyncWorkers != 0 || st.AsyncQueueDepth != 0 {
-				t.Fatalf("iter %d: shard %d left workers=%d depth=%d", iter, st.Shard, st.AsyncWorkers, st.AsyncQueueDepth)
+			if st.AsyncWorkers != 0 || st.AsyncQueueDepth != 0 || st.LeasesActive != 0 {
+				t.Fatalf("iter %d (%d lanes): shard %d left workers=%d depth=%d leases=%d",
+					iter, lanes, st.Shard, st.AsyncWorkers, st.AsyncQueueDepth, st.LeasesActive)
 			}
 		}
 	}
+	t.Logf("%d flushes cut mid-batch by Close in %d iterations", cuts.Load(), iters)
+}
+
+// TestSoftKillWaitsWithoutNotification: no call announces its completion
+// to a draining Kill — the drain polls the in-flight sum — so wherever a
+// call is when a soft Kill starts (a held Call in its handler, a pooled
+// call, an asynchronous request still queued, the handler of an orphaned
+// deadline call), Kill does not return before that call has finished and
+// returns within a few polls after it. A poll is killPollInterval on a
+// busy process and about a millisecond on an idle one (Go rounds a shorter
+// sleep up to its netpoller's millisecond; E26), and the last completion
+// falls anywhere inside one, so the statement tested is that the median of
+// five tries is inside two of the latter: host noise moves a try or two, a
+// drain that needs a second poll or a longer one moves them all.
+func TestSoftKillWaitsWithoutNotification(t *testing.T) {
+	const bound = 2 * time.Millisecond
+	for _, place := range []string{"held Call", "CallPooled", "queued async", "orphaned deadline"} {
+		t.Run(place, func(t *testing.T) {
+			leakCheck(t)
+			late := make([]time.Duration, 5)
+			for try := range late {
+				late[try] = softKillLateness(t, place)
+			}
+			slices.Sort(late)
+			t.Logf("Kill returned %v after the last completion (poll interval %v)", late, killPollInterval)
+			if mid := late[len(late)/2]; mid > bound && !raceEnabled {
+				t.Errorf("Kill returned %v after the last completion (median of %v), want within %v", mid, late, bound)
+			}
+		})
+	}
+}
+
+// softKillLateness puts one call of a fresh service in place, starts a
+// soft Kill, checks that it waits, lets the call finish, and reports how
+// long after the handler's return Kill returned.
+func softKillLateness(t *testing.T, place string) time.Duration {
+	t.Helper()
+	sys := NewSystemOptions(Options{Shards: 1, MaxWorkers: 1, WatchdogInterval: 200 * time.Microsecond})
+	defer sys.Close()
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	var finished atomic.Int64 // when the victim's handler returned
+	var ran atomic.Int64
+	victim, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {
+		ran.Add(1)
+		if place != "queued async" {
+			entered <- struct{}{}
+			<-gate
+		}
+		finished.Store(time.Now().UnixNano())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// blocker occupies the one worker so that the victim's request stays queued.
+	blocker, err := sys.Bind(ServiceConfig{Name: "blocker", Handler: func(ctx *Ctx, args *Args) {
+		entered <- struct{}{}
+		<-gate
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	callDone := make(chan error, 1)
+	var args Args
+	switch place {
+	case "held Call":
+		go func() { callDone <- c.Call(victim.EP(), &args) }()
+	case "CallPooled":
+		go func() { callDone <- c.CallPooled(victim.EP(), &args) }()
+	case "queued async":
+		if err := c.AsyncCall(blocker.EP(), &args); err != nil {
+			t.Fatal(err)
+		}
+	case "orphaned deadline":
+		callDone <- nil
+		if err := c.CallDeadline(victim.EP(), &args, time.Millisecond); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("CallDeadline on a blocked handler = %v, want ErrDeadline", err)
+		}
+	}
+	<-entered // the victim's handler; for the queued request, the blocker's
+	if place == "queued async" {
+		callDone <- c.AsyncCall(victim.EP(), &args)
+	}
+	if n := victim.inFlightTotal(); n != 1 {
+		t.Fatalf("inFlightTotal = %d with the call in place, want 1", n)
+	}
+	killed := make(chan time.Time, 1)
+	go func() {
+		if err := sys.Kill(victim.EP(), false); err != nil {
+			t.Errorf("Kill: %v", err)
+		}
+		killed <- time.Now()
+	}()
+	waitState(t, victim)
+	select {
+	case <-killed:
+		t.Fatal("soft Kill returned with the call still in flight")
+	case <-time.After(5 * killPollInterval):
+	}
+	close(gate)
+	var at time.Time
+	select {
+	case at = <-killed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("soft Kill never returned after the last completion")
+	}
+	if err := <-callDone; err != nil {
+		t.Fatalf("the call admitted before the kill = %v, want it to finish normally", err)
+	}
+	late := at.Sub(time.Unix(0, finished.Load()))
+	if late < 0 {
+		t.Fatalf("Kill returned %v before the handler did", -late)
+	}
+	if err := c.Call(victim.EP(), &args); !errors.Is(err, ErrBadEntryPoint) {
+		t.Errorf("Call after Kill returned = %v, want ErrBadEntryPoint", err)
+	}
+	if n := ran.Load(); n != 1 || victim.inFlightTotal() != 0 {
+		t.Errorf("victim ran %d times, inFlightTotal = %d; want 1 and 0", n, victim.inFlightTotal())
+	}
+	waitCond(t, 5*time.Second, "quarantine to end", func() bool { return sys.Stats()[0].QuarantinedCDs == 0 })
+	return late
 }
 
 // TestPerSystemClientRoundRobin: shard placement is round-robin within

@@ -167,10 +167,9 @@ func TestClientRecLayout(t *testing.T) {
 		}
 	}
 	for name, off := range map[string]uintptr{
-		"heldEpoch": unsafe.Offsetof(rec.heldEpoch),
-		"cd":        unsafe.Offsetof(rec.cd),
-		"probe":     unsafe.Offsetof(rec.probe),
-		"idx":       unsafe.Offsetof(rec.idx),
+		"cd":    unsafe.Offsetof(rec.cd),
+		"probe": unsafe.Offsetof(rec.probe),
+		"idx":   unsafe.Offsetof(rec.idx),
 	} {
 		if lineOf(off) != 1 {
 			t.Errorf("%s (offset %d) left the record's second line", name, off)
@@ -313,12 +312,12 @@ func TestBeatLayout(t *testing.T) {
 }
 
 // TestShardLayout pins the shard's hot-field isolation: the two pool heads
-// (descriptors, deadline executors), the wake pair, and the submit gate
-// each own a line; the embedded
-// padded structs (clock, arena) start line-aligned so their internal
-// isolation is not sheared; and the whole shard tiles 64 bytes because
-// System.shards is a []shard. The rings live outside the struct, in the
-// lane array (TestLaneLayout).
+// (descriptors, deadline executors) and the wake pair each own a line —
+// a submission writes no word of the shard's, so there is no fourth; the
+// embedded padded structs (clock, arena) start line-aligned so their
+// internal isolation is not sheared; and the whole shard tiles 64 bytes
+// because System.shards is a []shard. The rings live outside the struct,
+// in the lane array (TestLaneLayout).
 func TestShardLayout(t *testing.T) {
 	var s shard
 	if sz := unsafe.Sizeof(s); sz%lineBytes != 0 {
@@ -343,19 +342,18 @@ func TestShardLayout(t *testing.T) {
 	if lineOf(unsafe.Offsetof(s.parked)) != wake {
 		t.Error("doorbell and parked no longer share the wake line")
 	}
-	submitting := lineOf(unsafe.Offsetof(s.submitting))
 	for name, off := range map[string]uintptr{
 		"free":   free,
 		"dlIdle": dlIdle,
 		"stop":   unsafe.Offsetof(s.stop),
 		"clock":  unsafe.Offsetof(s.clock),
 	} {
-		if lineOf(off) == submitting || lineOf(off) == wake {
-			t.Errorf("%s (offset %d) shares a line with a hot field", name, off)
+		if lineOf(off) == wake {
+			t.Errorf("%s (offset %d) shares the wake line", name, off)
 		}
 	}
-	if submitting == wake {
-		t.Error("submitting shares the wake line")
+	if off := unsafe.Offsetof(s.clock); lineOf(off) != wake+1 {
+		t.Errorf("clock at offset %d: the wake pair is the last hot line before it (a submission writes none)", off)
 	}
 	if off := unsafe.Offsetof(s.arena); off%lineBytes != 0 {
 		t.Errorf("arena at offset %d shears its internal cur-line isolation", off)

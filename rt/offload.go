@@ -21,9 +21,9 @@ import (
 //     in-flight registry: a view can tell whether its segment is still
 //     staging with a lock-free scan, with no side allocation per job.
 //   - Saturation never surfaces a new error: when every slot is busy
-//     (or the lane is disabled, or the system is closing) AttachBytes
-//     just performs the copy inline, exactly as below the threshold —
-//     the ErrBackpressure discipline of the submit paths is untouched.
+//     (or the lane is disabled) AttachBytes just performs the copy
+//     inline, exactly as below the threshold — the ErrBackpressure
+//     discipline of the submit paths is untouched.
 //   - Any waiter may steal a staged job (the claim CAS below): a view
 //     that arrives before the worker simply does the copy itself, so
 //     correctness never depends on worker scheduling — the worker is a
@@ -33,10 +33,10 @@ import (
 //     copy, so the watchdog sees a wedged copy exactly as it sees a
 //     wedged handler.
 //
-// Publishes ride the shard's submitting window (shard.offloadCopy), so
-// close observes every staged job: after close has waited submissions
-// out, the drain completes outstanding copies whether or not a worker
-// ever ran.
+// A stager publishes its job and then loads shard.closed (offloadCopy),
+// close stores closed and then drains the table: the drain sees the staged
+// slot or the stager sees the close and lands the copy itself, so no
+// staged job outlives Close whether or not a worker ever ran.
 
 // defaultOffloadThreshold is the transfer size at which AttachBytes
 // stages the copy instead of performing it inline (~64 KB: the
@@ -208,10 +208,11 @@ func (l *offloadLane) queueDepth() int {
 
 // offloadCopy stages one large transfer: lease a destination segment,
 // take the copy job's second lease (the job must keep the slab alive
-// even if the call settles before the copy lands), and publish the job
-// inside the submitting window so close observes it. Every failure
-// falls back to an inline copy — the caller gets a valid attached
-// segment either way, staging is purely an optimization.
+// even if the call settles before the copy lands), publish the job, and
+// then load closed — the store-then-load pair with close's — landing the
+// copy itself, the steal a viewer does, if it reads closed. A full table
+// falls back to an inline copy — the caller gets a valid attached segment
+// either way, staging is purely an optimization.
 //
 //ppc:coldpath -- large-transfer staging; the inline memcpy is the baseline being avoided
 func (sh *shard) offloadCopy(sys *System, data []byte) (PayloadRef, error) {
@@ -220,20 +221,17 @@ func (sh *shard) offloadCopy(sys *System, data []byte) (PayloadRef, error) {
 		return 0, err
 	}
 	staged := ref | PayloadRef(payloadStagedBit)
-	ok := false
-	sh.submitting.Add(1)
-	if !sh.closed.Load() {
-		// The job's lease goes on before the publish: the call's own
-		// lease (just allocated) is what makes this increment safe.
-		sh.arena.addLease(staged)
-		if ok = sh.offload.stage(staged, data, dst); !ok {
-			sh.arena.release(staged)
-		}
-	}
-	sh.submitting.Add(-1)
-	if !ok {
+	// The job's lease goes on before the publish: the call's own lease
+	// (just allocated) is what makes this increment safe.
+	sh.arena.addLease(staged)
+	if !sh.offload.stage(staged, data, dst) {
+		sh.arena.release(staged)
 		copy(dst, data)
 		return ref, nil
+	}
+	if sh.closed.Load() {
+		sh.offload.waitStaged(staged, &sh.arena)
+		return staged, nil
 	}
 	sh.ensureOffloadWorker(sys)
 	if sh.offload.parked.Load() != 0 {
@@ -266,9 +264,7 @@ func (sh *shard) ensureOffloadWorker(sys *System) {
 // offloadLoop is the shard's offload worker: claim staged jobs, land
 // them, and park on the lane doorbell when idle. Supervised through
 // the shard's beat table — a wedged copy shows up to the watchdog
-// exactly like a wedged handler. On stop it drains the lane and exits
-// (no job published before close is ever dropped: publishes ride the
-// submitting window close waits out).
+// exactly like a wedged handler. On stop it drains the lane and exits.
 func (sh *shard) offloadLoop(sys *System) {
 	l := sh.offload
 	beat := sh.claimBeat()
@@ -285,8 +281,7 @@ func (sh *shard) offloadLoop(sys *System) {
 		select {
 		case <-sh.stop:
 			// Re-scan after observing stop: a job published just before
-			// close's submitting wait completed may have landed in the
-			// table after this loop's last scan.
+			// close may have landed in the table after this loop's last scan.
 			l.drain(&sh.arena)
 			return
 		default:

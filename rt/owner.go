@@ -198,11 +198,6 @@ type clientRec struct {
 	beat atomic.Uint64
 	_    [24]byte
 
-	// heldEpoch mirrors Client.heldEpoch for the scavenger's
-	// repool-or-drop decision.
-	//
-	//ppc:atomic
-	heldEpoch atomic.Uint64
 	// cd mirrors Client.held (written on Hold/Release — both cold). The
 	// ownership word on the descriptor itself arbitrates reclamation;
 	// this mirror only tells the scavenger where to look.
@@ -219,7 +214,7 @@ type clientRec struct {
 	probe atomic.Pointer[epEntry]
 
 	idx int // position in registry.recs; maintained under registry.mu
-	_   [32]byte
+	_   [40]byte
 
 	// leases heads the chain of lease slots: the payload leases the
 	// client has taken and no submission has claimed yet.
@@ -342,7 +337,7 @@ func cleanupClient(rec *clientRec) {
 	}
 	// Only an injected scavenge fault (chaos builds) defers the inline
 	// reap; only then hand the record to a watchdog, and only on an open
-	// shard (a closed shard's drain already settled its pools).
+	// shard (nothing but a deadline executor starts a tick after Close).
 	if !reg.reapNow(rec) && !reg.sh.closed.Load() {
 		reg.sh.startTick(reg.sys)
 	}
@@ -385,8 +380,8 @@ func (rec *clientRec) declareDead() bool {
 	}
 	reg := rec.reg
 	// The scavenger rides the watchdog; make sure one is ticking (a
-	// sync-only system may never have spawned it). A closed shard's
-	// resources were already drained by Close; no ticker needed.
+	// sync-only system may never have spawned it). A closed shard starts
+	// none: a tick still draining reaps the client, else the System's end does.
 	if !reg.sh.closed.Load() {
 		reg.sh.startTick(reg.sys)
 	}
@@ -612,9 +607,7 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 		if ownerIs(w, rec.id) && ownerState(w) == owHeld &&
 			cd.owner.CompareAndSwap(w, packOwner(ownerGen(w)+1, rec.id, owDead)) {
 			sh.heldCDs.Add(-1)
-			if reg.sys.closeEpoch.Load() == rec.heldEpoch.Load() {
-				sh.pushCD(sh.newCD(0))
-			}
+			sh.pushCD(sh.newCD(0))
 			reg.scavCDs.Add(1)
 		}
 		rec.cd.Store(nil)
@@ -702,7 +695,7 @@ func (c *Client) ownerLost(argss []Args) error {
 func (c *Client) dropDeadHold() {
 	if cd := c.held; cd != nil {
 		if cd.owner.CompareAndSwap(c.owHeld, packOwner(ownerGen(c.owHeld)+1, c.program, owDead)) {
-			c.shard.releaseCD(cd, c.sys.closeEpoch.Load() == c.heldEpoch)
+			c.shard.releaseCD(cd)
 		}
 		c.held = nil
 	}

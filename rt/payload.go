@@ -315,9 +315,9 @@ func (c *Ctx) AllocPayload(n int) (PayloadRef, []byte, error) {
 // returns after publishing a copy descriptor, and the handler-side
 // view waits for the staged bytes to land. The caller must not modify
 // data until the call settles. When the offload lane is saturated (or
-// disabled, or the system is closing) the copy falls back inline on
-// the caller — no new error surfaces; the ErrBackpressure discipline
-// of the call paths is untouched.
+// disabled) the copy falls back inline on the caller, and on a closed
+// system the caller lands its own staged copy — no new error surfaces;
+// the ErrBackpressure discipline of the call paths is untouched.
 //
 //ppc:hotpath
 func (c *Client) AttachBytes(args *Args, data []byte) error {

@@ -24,6 +24,13 @@ import "sync/atomic"
 // ring empty instead and retries later — so nothing is lost or
 // reordered past a slow producer.
 //
+// The enqueue cursor also carries Close: shard.close sets ringClosed in
+// it, and from then on it never advances — a ticket CAS from a read before
+// the bit fails on the changed word, a read after it sees the bit — so
+// every ticket of a closed ring was claimed before the bit and is drained
+// before Close returns (docs/INVARIANTS.md). Push pays one test of the
+// cursor value it has already loaded.
+//
 // The cursors live on their own cache lines so producers (hitting enq)
 // and consumers (hitting deq) do not false-share. The layout is
 // machine-checked: //ppc:padded makes ppclint verify, from go/types
@@ -45,6 +52,10 @@ type asyncRing struct {
 	deq atomic.Uint64
 	_   [56]byte
 }
+
+// ringClosed is the closed bit of asyncRing.enq; the ticket count is the
+// rest of the word.
+const ringClosed uint64 = 1 << 63
 
 // ringSlot is one sequence-numbered cell. The request is stored in
 // place — submission writes it once and the draining worker reads it
@@ -88,12 +99,17 @@ func (r *asyncRing) init(capacity int) {
 // argument block (no intermediate request struct is materialized),
 // publish the sequence number. Reports false when the ring is full
 // (the slot a lap ahead has not been consumed yet) — the caller's
-// backpressure half.
+// backpressure half — or closed, which the caller tells apart (closed)
+// on that already-failing branch. The closed test comes first: under the
+// bit the cursor would read as a lost ticket race, forever.
 //
 //ppc:hotpath
 func (r *asyncRing) push(sys *System, svc *Service, args *Args, prog uint32, done chan<- struct{}, deadline int64) bool {
 	pos := r.enq.Load()
 	for {
+		if pos&ringClosed != 0 {
+			return false
+		}
 		slot := &r.slots[pos&r.mask]
 		seq := slot.seq.Load()
 		switch d := int64(seq) - int64(pos); {
@@ -173,6 +189,9 @@ func (r *asyncRing) popBatch(dst []asyncReq) int {
 	}
 }
 
+// closed reports whether shard.close has closed the ring to producers.
+func (r *asyncRing) closed() bool { return r.enq.Load()&ringClosed != 0 }
+
 // empty reports whether the ring has no requests, published or in
 // flight. A false return does not guarantee popBatch will find a
 // published slot — a producer may be mid-publish — which is exactly
@@ -180,7 +199,7 @@ func (r *asyncRing) popBatch(dst []asyncReq) int {
 //
 //ppc:hotpath
 func (r *asyncRing) empty() bool {
-	return r.deq.Load() == r.enq.Load()
+	return r.deq.Load() == r.enq.Load()&^ringClosed
 }
 
 // stalled reports whether the dequeue head is a claimed-but-unpublished
@@ -193,7 +212,7 @@ func (r *asyncRing) empty() bool {
 //ppc:coldpath -- supervision probe, off the call path
 func (r *asyncRing) stalled() bool {
 	pos := r.deq.Load()
-	if pos == r.enq.Load() {
+	if pos == r.enq.Load()&^ringClosed {
 		return false
 	}
 	seq := r.slots[pos&r.mask].seq.Load()
@@ -204,7 +223,7 @@ func (r *asyncRing) stalled() bool {
 //
 //ppc:coldpath -- stats snapshot, off the call path
 func (r *asyncRing) length() int {
-	d := int64(r.enq.Load()) - int64(r.deq.Load())
+	d := int64(r.enq.Load()&^ringClosed) - int64(r.deq.Load())
 	if d < 0 {
 		d = 0
 	}

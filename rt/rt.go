@@ -62,7 +62,8 @@
 //     then re-validates the service state and backs out if a kill
 //     intervened, so no call ever begins executing after Kill has
 //     returned. Backed-out calls fail with ErrKilled and are counted
-//     in Service.KilledBackouts.
+//     in Service.KilledBackouts. The drain polls the in-flight sum
+//     (killPollInterval): a completing call tells nobody.
 //   - Hard kill (hard=true) marks the entry dead at once. Asynchronous
 //     requests still queued are discarded, not executed.
 //   - Exchange replaces the handler atomically: calls in progress
@@ -74,26 +75,28 @@
 //     Every asynchronous entry point — AsyncCall and its Notify and
 //     Deadline forms, AsyncBatch, Batch.Flush — is the same submission
 //     of n requests, a single call being the batch of one: one client
-//     half (lease claim, life check, tenant charge), one admission, one
-//     submitting window, and per request a ticket CAS plus an in-place
-//     slot write — no channel lock, no scheduler round trip, and one
-//     wakeup for the lot (the paper's amortized asynchronous calls,
-//     §4.4). Workers drain the rings in weighted batches and park on a
-//     per-shard doorbell the moment every ring is empty; submitters
-//     ring the doorbell only when a worker is actually parked, so the
-//     steady-state pipeline never enters the scheduler. When a ring is
-//     full the same submit loop spins and yields a bounded time for
-//     space and then fails the unaccepted tail with ErrBackpressure —
-//     or, on the lowest of two or more lanes, sheds it at once with
-//     ErrShed. Overload is surfaced to the overloading submitter (and
-//     in ShardStats), never spread to other submitters as head-of-line
-//     blocking.
-//   - Close rejects new asynchronous submissions, lets workers drain
-//     requests already accepted, and joins every worker before
-//     returning, so Stats reports zero AsyncWorkers afterwards.
-//     CloseTimeout bounds the drain and reports ErrDrainTimeout if
-//     workers were still busy. Synchronous calls use no goroutines and
-//     keep working after Close.
+//     half (lease claim, life check, tenant charge), one admission, and
+//     per request a ticket CAS plus an in-place slot write — no channel
+//     lock, no scheduler round trip, and one wakeup for the lot (the
+//     paper's amortized asynchronous calls, §4.4). Workers drain the
+//     rings in weighted batches and park on a per-shard doorbell the
+//     moment every ring is empty; submitters ring the doorbell only when
+//     a worker is actually parked, so the steady-state pipeline never
+//     enters the scheduler. When a ring is full the same submit loop
+//     spins and yields a bounded time for space and then fails the
+//     unaccepted tail with ErrBackpressure — or, on the lowest of two or
+//     more lanes, sheds it at once with ErrShed. Overload is surfaced to
+//     the overloading submitter (and in ShardStats), never spread to
+//     other submitters as head-of-line blocking.
+//   - Close is three steps per shard: mark it closed (no worker or
+//     executor starts), set the closed bit in each ring's enqueue cursor
+//     (no ticket is claimed after it: a submission fails with ErrClosed,
+//     one cut mid-batch reporting the prefix the ring took; Close waits
+//     for no submitter), and have the workers drain every ticket claimed
+//     before the bit and exit, joining them, so Stats reports zero
+//     AsyncWorkers afterwards. CloseTimeout bounds the drain and reports
+//     ErrDrainTimeout if workers were still busy. Synchronous calls use no
+//     goroutines and keep working after Close, the descriptor pool too.
 //
 // Calling Kill (soft) or Close from inside a handler of the service
 // being drained deadlocks, exactly as joining yourself always does.
@@ -274,14 +277,6 @@ type Service struct {
 	// alone, so an unconfigured service pays one predictable branch.
 	health *HealthConfig
 
-	// quiesce, non-nil while a soft kill is draining, receives a
-	// (coalesced) notification each time an admitted call completes or
-	// backs out. Only the drain loop blocks on it; completers post
-	// non-blocking, so the call path stays lock-free.
-	//
-	//ppc:atomic
-	quiesce atomic.Pointer[chan struct{}]
-
 	// Per-shard counters, padded: no call ever writes a cache line
 	// another shard's calls write.
 	perShard []shardCounters
@@ -291,7 +286,7 @@ type Service struct {
 	// first increment and never unlinked, so the control-plane sums below
 	// — soft Kill's drain among them — see every admission wherever the
 	// descriptor that made it has since gone (released, repooled,
-	// condemned, dropped by Close). Both fields are cold: the call path
+	// condemned). Both fields are cold: the call path
 	// reaches its stripe through the descriptor, never through here.
 	stripeMu sync.Mutex
 	stripes  []*callStripe
@@ -510,18 +505,6 @@ func (s *Service) inFlightTotal() int64 {
 	return s.sumStripes((*callStripe).inFlight) + s.AsyncCalls()
 }
 
-// notifyQuiesce wakes a draining Kill, if one is waiting. Non-blocking:
-// the channel is buffered and wakeups coalesce; the drain loop re-reads
-// the counters after every wakeup or poll interval.
-func (s *Service) notifyQuiesce() {
-	if ch := s.quiesce.Load(); ch != nil {
-		select {
-		case *ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // admit is the synchronous admission leg, written once for the held,
 // pooled and deadline paths and parameterised by which stripe the
 // caller owns: increment-then-check, so a soft kill either sees this
@@ -540,25 +523,19 @@ func (s *Service) admit(st *callStripe) bool {
 }
 
 // complete is the matching completion leg, the one completion RMW of a
-// synchronous call: the handler has returned (or was denied — dispatch
-// bumped unreturned then), the call leaves the in-flight count, and a
-// draining Kill is nudged.
+// synchronous call and all of it: the handler has returned (or was denied
+// — dispatch bumped unreturned then) and the call leaves the in-flight
+// count a draining Kill polls.
 //
 //ppc:hotpath
-func (s *Service) complete(st *callStripe) {
-	st.completed.Add(1)
-	s.notifyQuiesce()
-}
+func (s *Service) complete(st *callStripe) { st.completed.Add(1) }
 
 // completeAsync is complete for a request a worker settled — executed,
 // or expired in the queue: the shard stripe's asynchronous counter, so
 // Service.Calls keeps counting synchronous calls only.
 //
 //ppc:hotpath
-func (s *Service) completeAsync(st *callStripe) {
-	st.asyncDone.Add(1)
-	s.notifyQuiesce()
-}
+func (s *Service) completeAsync(st *callStripe) { st.asyncDone.Add(1) }
 
 // backOut undoes a synchronous admission that lost the race with a
 // kill.
@@ -567,7 +544,6 @@ func (s *Service) completeAsync(st *callStripe) {
 func (s *Service) backOut(st *callStripe) {
 	st.backouts.Add(1)
 	st.admitted.Add(-1)
-	s.notifyQuiesce()
 }
 
 // backOutN undoes n asynchronous admissions that lost the race with a
@@ -578,7 +554,6 @@ func (s *Service) backOut(st *callStripe) {
 func (s *Service) backOutN(counters *shardCounters, n int) {
 	counters.stripe.backouts.Add(int64(n))
 	counters.asyncAdm.Add(-int64(n))
-	s.notifyQuiesce()
 }
 
 // unadmit releases the in-flight admissions of requests a shard
@@ -588,7 +563,6 @@ func (s *Service) backOutN(counters *shardCounters, n int) {
 //ppc:coldpath -- runs only when the shard rejected part of a submission
 func (s *Service) unadmit(counters *shardCounters, n int) {
 	counters.asyncAdm.Add(-int64(n))
-	s.notifyQuiesce()
 }
 
 // System is the PPC facility instance.
@@ -608,13 +582,6 @@ type System struct {
 	bindSeq  atomic.Uint64
 	programs atomic.Uint32
 	closed   atomic.Bool
-	// closeEpoch advances when Close drains the system. Held call
-	// descriptors record the epoch at acquisition and Release validates
-	// it: a descriptor held across Close is dropped, never pushed back
-	// into a drained shard's pool.
-	//
-	//ppc:atomic
-	closeEpoch atomic.Uint64
 
 	// fhooks is the always-on fault-injection hook registry
 	// (faultinject.go): one predictable atomic-bool load per guarded
@@ -642,7 +609,6 @@ func (s *System) CloseTimeout(d time.Duration) error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closeEpoch.Add(1)
 	var deadline time.Time
 	if d > 0 {
 		deadline = time.Now().Add(d)
@@ -873,9 +839,9 @@ func (s *System) Exchange(ep EntryPointID, h Handler) error {
 	return nil
 }
 
-// killPollInterval bounds how long the soft-kill drain sleeps between
-// re-checks when a completion notification is missed (completers that
-// loaded the service state just before the kill do not notify).
+// killPollInterval is a soft kill's sleep between reads of the in-flight
+// sum: it returns one poll after the last call finishes — ~1 ms on an idle
+// process, where Go rounds a shorter sleep up (EXPERIMENTS.md E26).
 const killPollInterval = 100 * time.Microsecond
 
 // Kill deallocates an entry point. Soft kill (hard=false) stops new
@@ -885,9 +851,9 @@ const killPollInterval = 100 * time.Microsecond
 // service will ever execute. Hard kill marks the entry dead at once
 // (§4.5.2); asynchronous requests still queued are discarded.
 //
-// The drain is notification-based, not a busy-spin: completing calls
-// wake the drain through the service's quiesce channel, with a bounded
-// poll as the backstop for notifications that race the kill itself.
+// The drain polls every killPollInterval: a call's completion is its one
+// counter RMW and tells nobody. A kill of a service with nothing in flight
+// does not wait at all.
 //
 // The drain's sum covers every stripe a call can be counted on. Shard
 // stripes exist from Bind. A descriptor-owned stripe is linked under
@@ -905,30 +871,13 @@ func (s *System) Kill(ep EntryPointID, hard bool) error {
 	if svc == nil || svc.state.Load() == svcDead {
 		return ErrBadEntryPoint
 	}
-	if hard {
-		svc.state.Store(svcDead)
-		s.retractAll(ep)
-		return nil
-	}
-	ch := make(chan struct{}, 1)
-	svc.quiesce.Store(&ch)
-	svc.state.Store(svcSoftKilled)
-	if svc.inFlightTotal() != 0 {
-		// One timer serves the whole drain, reset only after it fires —
-		// no per-iteration timer allocation. Between notifications it
-		// keeps running as the poll backstop.
-		timer := time.NewTimer(killPollInterval)
+	if !hard {
+		svc.state.Store(svcSoftKilled)
 		for svc.inFlightTotal() != 0 {
-			select {
-			case <-ch:
-			case <-timer.C:
-				timer.Reset(killPollInterval)
-			}
+			time.Sleep(killPollInterval)
 		}
-		timer.Stop()
 	}
 	svc.state.Store(svcDead)
-	svc.quiesce.Store(nil)
 	s.retractAll(ep)
 	return nil
 }

@@ -39,10 +39,6 @@ const asyncBatchSize = 16
 // whole batch of slots in well under a scheduler round trip.
 const submitFullSpins = 128
 
-// closePollInterval paces close's wait for in-progress submissions on
-// one reused timer.
-const closePollInterval = 10 * time.Microsecond
-
 // callDesc is the real-concurrency analogue of the paper's call
 // descriptor: a recycled per-call context carrying a scratch buffer
 // that successive calls to *different* services serially share —
@@ -222,29 +218,17 @@ type shard struct {
 	// parked counts workers blocked on the doorbell. A worker
 	// increments it, re-checks the ring (the Dekker handshake against
 	// a concurrent publish), and only then blocks. The wake pair shares
-	// one line by design (same transition touches both); the padding
-	// keeps these worker-side transitions off the line submitters RMW
-	// on every submit (submitting, below).
+	// one line by design (same transition touches both), theirs alone.
 	//
 	//ppc:atomic
 	//ppc:hotline(wake)
 	parked atomic.Int64
 	_      [48]byte
 
-	// submitting counts submissions between their closed-check and the
-	// completion of their enqueue (or rejection). close waits for it to
-	// reach zero so the ring contents are final before the drain. Every
-	// submitter RMWs it, so it owns its line.
-	//
-	//ppc:atomic
-	//ppc:hotline
-	submitting atomic.Int64
-	_          [56]byte
-
 	// clock is the shared coarse clock the shard tick, the submit slow
 	// paths, and the worker batch drain refresh (and the deadline arm
 	// path reads). Padded internally; placed on the line boundary the
-	// submitting pad establishes, so that padding holds. Everything below
+	// wake pair's pad establishes, so that padding holds. Everything below
 	// it down to the arena is control-plane state with no line
 	// requirements; the control-plane run plus the tail pad keep the
 	// whole struct tiling whole cache lines (and the embedded arena
@@ -440,17 +424,13 @@ func (sh *shard) holdCD() *callDesc {
 	return sh.popCD(defaultScratchBytes)
 }
 
-// releaseCD ends a hold. repool returns the descriptor to the free
-// list; a stale-epoch release (the System was closed while the client
-// held it) drops the descriptor instead, so a drained shard's pool is
-// never repopulated from the outside.
+// releaseCD ends a hold: the descriptor goes back to the free list,
+// before Close or after it (synchronous calls keep popping the pool).
 //
 //ppc:coldpath -- descriptor release, off the warm call path
-func (sh *shard) releaseCD(cd *callDesc, repool bool) {
+func (sh *shard) releaseCD(cd *callDesc) {
 	sh.heldCDs.Add(-1)
-	if repool {
-		sh.pushCD(cd)
-	}
+	sh.pushCD(cd)
 }
 
 // popCD takes a descriptor from the shard pool, or allocates one. The
@@ -515,36 +495,37 @@ func (sh *shard) poolSize() int {
 	return n
 }
 
-// submit publishes argss on lr under one submitting window: one
-// closed-check, one ring push (ticket CAS + slot write) per request, and
-// one wake — in the steady state two atomic loads — for all of them: the
-// §4.4 amortized asynchronous call, of which a single submission is the
-// batch of one. No locks, no channel internals, no scheduler transit.
-// Admission accounting (in-flight counts, kill back-outs) is the
-// caller's; submit reports how many leading requests the ring accepted
-// and, when that is not all of them, why the rest were refused.
+// submit publishes argss on lr: one ring push (ticket CAS + slot write)
+// per request and one wake — in the steady state two atomic loads — for
+// all of them: the §4.4 amortized asynchronous call, of which a single
+// submission is the batch of one. No locks, no channel internals, no
+// scheduler transit, and no word written for Close's sake: a closed ring
+// refuses the push on the cursor it loads anyway (ring.go). Admission
+// accounting (in-flight counts, kill back-outs) is the caller's; submit
+// reports how many leading requests the ring accepted and, when that is
+// not all of them, why the rest were refused.
 //
-// A refused push continues the same loop: the lowest of two or more
-// lanes sheds its tail at once (ErrShed) — criticality-ordered shedding
-// spends no bounded wait on the traffic that is first to go — and every
-// other ring, the one-lane shard's included, spins and yields for space
-// up to submitWait (ringFull) before reporting ErrBackpressure, so
-// overload is reported to the one overloading submitter instead of
-// head-of-line-blocking everyone else (and Close) behind a held lock.
-// Classes above the lowest drain first, so best-effort sheds before
+// A refused push continues the same loop. A closed ring fails the tail
+// with ErrClosed at once — from inside the bounded wait, and ahead of an
+// injected refusal — and counts nothing (not overload). Otherwise the
+// lowest of two or more lanes sheds its tail at once (ErrShed) —
+// criticality-ordered shedding spends no bounded wait on the traffic that
+// is first to go — and every other ring, the one-lane shard's included,
+// spins and yields for space up to submitWait (ringFull) before reporting
+// ErrBackpressure, so overload is reported to the one overloading
+// submitter instead of head-of-line-blocking everyone else behind a held
+// lock. Classes above the lowest drain first, so best-effort sheds before
 // normal, normal before critical.
 //
 //ppc:hotpath
-//ppc:rmwbudget(6) -- the submitting window (2), the slot claim and publish (2), a rejection's two counts (2)
+//ppc:rmwbudget(4) -- the ticket CAS, the slot's publish store, a rejection's backpressure and lane-shed counts
 func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, prog uint32, done chan<- struct{}, deadline int64) (int, error) {
-	sh.submitting.Add(1)
-	defer sh.submitting.Add(-1)
-	if sh.closed.Load() {
-		return 0, ErrClosed
-	}
 	err := sys.fireFault(FaultSiteSubmit)
 	if err != nil {
 		err = ErrBackpressure // injected: refused before the ring is tried
+		if lr.ring.closed() {
+			err = ErrClosed // closed outranks an injected refusal, as it does a full ring
+		}
 	}
 	n, full := 0, false
 	var waitUntil int64     // the bounded wait's end; 0 until the ring first refuses
@@ -556,6 +537,8 @@ func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, p
 		}
 		full = true
 		switch {
+		case lr.ring.closed():
+			err = ErrClosed
 		case len(sh.lanes) > 1 && lr == &sh.lanes[len(sh.lanes)-1]:
 			err = ErrShed // the lowest of several lanes sheds at once
 		case spun < submitFullSpins:
@@ -573,7 +556,7 @@ func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, p
 	if n > 0 {
 		sh.wake(sys)
 	}
-	if err != nil {
+	if err != nil && err != ErrClosed {
 		// The one place a refusal is counted: a bounded wait that ran out
 		// (or an injected one) is a backpressure event, and what a full
 		// ring turned away is charged to its lane.
@@ -599,8 +582,7 @@ func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, p
 // moment slots free up. One real clock read per epoch, not per retry,
 // and each read feeds the shard's shared coarse clock (the same word
 // the shard tick and the batch drain use). The refresh — not a cached
-// read — is what keeps close's wait on submitting live: a frozen clock
-// could never observe the submit deadline passing.
+// read — is what ends the wait: the clock may have no other driver.
 //
 //ppc:coldpath -- overload handling: the ring is full, the caller is already paying
 func (sh *shard) ringFull(sys *System, waitUntil *int64) bool {
@@ -755,9 +737,9 @@ func (sh *shard) workerLoop(sys *System) {
 	}
 }
 
-// drainRing services everything left in one ring. Callers guarantee no
-// new requests can be published (stop is closed and close has waited
-// for in-progress submissions), so the drain terminates.
+// drainRing services everything left in one ring. The ring is closed
+// (shard.close set the bit before it closed stop): its enqueue cursor is
+// final, and the drain waits out any ticket claimed but not yet published.
 func (sh *shard) drainRing(r *asyncRing, sys *System, cd *callDesc, batch []asyncReq) {
 	for {
 		n := r.popBatch(batch)
@@ -902,26 +884,21 @@ func (sh *shard) stats(i int) ShardStats {
 	return st
 }
 
-// close shuts the shard's async side down: reject new submissions, wait
-// for in-progress submissions to land (bounded by submitWait), tell
-// workers to drain and exit, and join them. A zero deadline means wait
-// for the drain indefinitely; otherwise close reports whether the
-// workers exited before the deadline. Queued requests accepted before
-// close are executed, not dropped — the graceful half of the drain.
+// close shuts the shard's async side down in three steps: store closed
+// (no worker or executor starts after it), close every lane's ring — the
+// one place the bit is set; no ticket is claimed after it, and a submitter
+// inside its bounded wait fails on its next retry, so close waits for none
+// — and tell the workers to drain and exit, then join them. A zero
+// deadline means wait for the drain indefinitely; otherwise close reports
+// whether the workers exited before the deadline. Queued requests accepted
+// before close are executed, not dropped — the graceful half of the drain.
 func (sh *shard) close(sys *System, deadline time.Time) bool {
 	sh.qMu.Lock()
 	sh.closed.Store(true)
 	sh.qMu.Unlock()
 	sh.retireExecs() // the idle ones; one in flight is retired when its call is over (pushExec)
-	if sh.submitting.Load() != 0 {
-		// One reused timer paces the wait — no per-iteration timer
-		// allocation, no raw busy-sleep.
-		timer := time.NewTimer(closePollInterval)
-		for sh.submitting.Load() != 0 {
-			<-timer.C
-			timer.Reset(closePollInterval)
-		}
-		timer.Stop()
+	for i := range sh.lanes {
+		sh.lanes[i].ring.enq.Or(ringClosed)
 	}
 	close(sh.stop)
 	done := make(chan struct{})
@@ -947,9 +924,9 @@ func (sh *shard) close(sys *System, deadline time.Time) bool {
 	cd := sh.popCD(defaultScratchBytes)
 	sh.drainAll(sys, cd, batch[:])
 	sh.pushCD(cd)
-	// Offload jobs are published inside the submitting window waited out
-	// above, so every staged copy is visible by now; complete any the
-	// worker (if one ever ran) did not get to before exiting.
+	// A stager that did not see closed published its job before the store
+	// above (offloadCopy), so it is visible by now; complete any the worker
+	// (if one ever ran) did not get to before exiting.
 	sh.offload.drain(&sh.arena)
 	return true
 }

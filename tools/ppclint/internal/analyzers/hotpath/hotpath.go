@@ -11,7 +11,7 @@
 //   - sync.Mutex/RWMutex/Once/Cond/WaitGroup.Wait, sync.Map, sync.Pool
 //   - channel send/receive/range and select — except a select with a
 //     default clause, whose communications are non-blocking by
-//     construction (the shape rt uses for quiesce notification)
+//     construction (the shape rt delivers a completion notification with)
 //   - time.Sleep/timers, runtime.Gosched/GC, fmt, log, print/println
 //   - the simulated locks of hurricane/internal/locks (exactly the
 //     shared lock whose Figure 3 curve collapses at 4 CPUs)
