@@ -22,11 +22,13 @@ test:
 # drain) at 1, 2 and 4 Ps: they have one path on every P count, and -cpu
 # overrides the GOMAXPROCS pin for that run. The pattern takes the
 # executor-pool tests with it (TestDeadlinePool*: the population keep
-# rule, concurrent growth, orphan reuse).
+# rule, concurrent growth, orphan reuse), and Abandon|Ownership the
+# exchange tests of domain death (the ownership identity table, the
+# reclaim that has happened when Abandon returns).
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership' ./rt
 
 vet:
 	$(GO) vet ./...

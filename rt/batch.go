@@ -62,7 +62,7 @@ func (b *Batch) Len() int { return len(b.reqs) }
 // the retained buffer — no locked instruction. Payload leases attached
 // to args stay filed in the client's lease slots (owner.go) until Flush
 // claims them, so a client that dies with requests staged strands
-// nothing: the scavenger settles the leases, and Flush fails. A request
+// nothing: the reap (owner.go) settles the leases, and Flush fails. A request
 // added to a dead client's batch is dropped for the same reason.
 //
 //ppc:hotpath
@@ -101,7 +101,7 @@ func (b *Batch) grow() {
 // Kill waits for them, hard Kill discards the still-queued ones, Close
 // drains them. On an abandoned client Flush fails terminally and submits
 // nothing; each staged lease is released once, by Flush or by the
-// scavenger, whichever takes it out of its slot.
+// reap, whichever takes it out of its slot.
 //
 //ppc:hotpath
 //ppc:rmwbudget(1) -- the batch's one admission; the ring leg is submit's

@@ -422,18 +422,17 @@ func TestChaosArenaStorm(t *testing.T) {
 // calls (the entry life check's decline), and a sixth goroutine
 // abandons the last leg's client while it is entering a deadline call
 // (reaped at once, with the call in flight on a pooled executor).
-// FaultSiteScavenge defers every third scavenge pass, stretching
-// the window in which owner operations race the reclaim walk. A
-// goroutine that loses its client observes
+// FaultSiteScavenge stalls every third reap for one tick, stretching the
+// window in which the client is dead and unreclaimed and its owner's
+// operations race the walk. A goroutine that loses its client observes
 // ErrClientAbandoned and constructs a fresh identity — domain death is
 // a recoverable event, not a crash.
 //
 // Convergence is the tentpole's acceptance contract: every created
-// client ends up abandoned and scavenged (dead count zero, abandoned
-// == created), zero arena leases remain, the CD pool is back at
-// capacity (heldCDs and quarantine zero; a lost tombstone write would
-// strand a descriptor and fail this), and no goroutine leaks through
-// chaosConverge's close.
+// client ends up abandoned (abandoned == created), zero arena leases
+// remain, the CD pool is back at capacity (heldCDs and quarantine zero;
+// a descriptor neither party took out of its slot would be stranded and
+// fail this), and no goroutine leaks through chaosConverge's close.
 func TestChaosDomainDeath(t *testing.T) {
 	leakCheck(t)
 	base := chaosBaseline()
@@ -450,8 +449,9 @@ func TestChaosDomainDeath(t *testing.T) {
 				// call with its descriptor busy and its lease live.
 				time.Sleep(500 * time.Microsecond)
 			case 2:
-				// Abandon the calling client mid-call: its completion
-				// must settle through the tombstone CAS.
+				// Abandon the calling client mid-call: the reap condemns
+				// the descriptor under it and its completion must find
+				// the slot empty.
 				if v := victim.Load(); v != nil {
 					v.Abandon()
 				}
@@ -475,7 +475,7 @@ func TestChaosDomainDeath(t *testing.T) {
 	var scavN atomic.Int64
 	sys.InjectFault(FaultSiteScavenge, func() error {
 		if scavN.Add(1)%3 == 0 {
-			return ErrBackpressure // any non-nil defers the pass one tick
+			time.Sleep(time.Millisecond) // one tick of chaosSystem: dead, and nothing reclaimed yet
 		}
 		return nil
 	})
@@ -512,13 +512,13 @@ func TestChaosDomainDeath(t *testing.T) {
 			defer wg.Done()
 			c := initial[g]
 			// The final identity dies too: the convergence check below
-			// wants every created client through the scavenger. It dies
-			// holding a descriptor and an unattached lease, so the scavenger
-			// has at least these to reclaim: the storm's clients die
-			// microseconds after they are made, most of them before their
-			// first hold, and on two processors a 50 ms storm can starve one
-			// leg outright — one run in fifteen used to end with no held
-			// descriptor, or no tracked lease, left for the scavenger at all.
+			// wants every created client declared dead. It dies holding a
+			// descriptor and an unattached lease, so a reap has at least
+			// these to reclaim: the storm's clients die microseconds after
+			// they are made, most of them before their first hold, and on
+			// two processors a 50 ms storm can starve one leg outright —
+			// one run in fifteen used to end with no held descriptor, or no
+			// tracked lease, left for a reap at all.
 			defer func() {
 				c.Hold()
 				_, _, _ = c.AllocPayload(64)
@@ -537,7 +537,7 @@ func TestChaosDomainDeath(t *testing.T) {
 				case 0: // held sync calls carrying arena leases
 					if i%41 == 40 {
 						// Die holding a tracked (unattached) lease: the
-						// scavenger, not a call, must return it.
+						// reap, not a call, must return it.
 						_, _, _ = c.AllocPayload(64)
 						c.Abandon()
 						continue
@@ -581,7 +581,7 @@ func TestChaosDomainDeath(t *testing.T) {
 					if staged > 0 {
 						if i%37 == 36 {
 							// Die with the batch staged and unflushed: the
-							// scavenger drains the staging buffer's leases.
+							// reap drains the staged leases' slots.
 							c.Abandon()
 							continue
 						}
@@ -621,14 +621,12 @@ func TestChaosDomainDeath(t *testing.T) {
 
 	// The tentpole's convergence contract. HeldCDs == 0 and
 	// QuarantinedCDs == 0 together are the pool-at-capacity check: every
-	// descriptor a dead client ever held is back on the free list (a
-	// lost tombstone or scavenge write would strand one and hold
-	// HeldCDs above zero forever).
-	sh := &sys.shards[0]
+	// descriptor a dead client ever held is back on the free list or
+	// condemned and replaced (one left in its slot would hold HeldCDs
+	// above zero forever).
 	waitCond(t, 10*time.Second, "domain-death convergence", func() bool {
 		st := sys.Stats()[0]
-		return sh.reg.dead.Load() == 0 && st.LeasesActive == 0 &&
-			st.HeldCDs == 0 && st.QuarantinedCDs == 0
+		return st.LeasesActive == 0 && st.HeldCDs == 0 && st.QuarantinedCDs == 0
 	})
 	st := sys.Stats()[0]
 	if got, want := st.AbandonedClients, created.Load(); got != want {
@@ -638,7 +636,7 @@ func TestChaosDomainDeath(t *testing.T) {
 		t.Fatal("storm never exercised the tombstone completion path")
 	}
 	if st.ScavengedCDs == 0 || st.ScavengedLeases == 0 {
-		t.Fatalf("scavenger idle through the storm: %+v", st)
+		t.Fatalf("no reap found anything to reclaim through the storm: %+v", st)
 	}
 	chaosConverge(t, sys, svc, base)
 }

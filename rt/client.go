@@ -77,16 +77,12 @@ type Client struct {
 	// Size-class pad, decided (ROADMAP, EXPERIMENTS.md E24): Client stays
 	// 72 bytes, out of callStripe's 64-byte allocator class — pinned by
 	// TestClientSizeClass, not by the layout analyzer (no line is hot).
-	_ uint64
+	_ [2]uint64
 
-	// rec is the client's ownership record on the shard registry
-	// (owner.go) — the scavenger's view of everything this client owns.
-	// Set at construction, immutable after.
+	// rec is the client's ownership record (owner.go) — a slot for
+	// everything this client owns that outlives a call, for whoever
+	// declares it dead to empty. Set at construction, immutable after.
 	rec *clientRec
-	// owHeld is the ownership word of the current hold (owner.go), kept
-	// so Release and the tombstone CAS need not repack it. Plain field —
-	// rewritten only by Hold on the owning goroutine.
-	owHeld uint64
 	// released marks a client that returned its held descriptor to the
 	// pool and has taken nothing since (Hold and a deadline call clear
 	// it); a second Release in that state is a loud failure.
@@ -121,8 +117,8 @@ type ClientOptions struct {
 	Tenant TenantID
 	// LivenessEpochs opts the client into missed-heartbeat death
 	// detection (owner.go): a client that makes no call for more than
-	// LivenessEpochs consecutive scavenger epochs (one epoch per
-	// watchdog tick) is declared dead and reclaimed, exactly as if
+	// LivenessEpochs consecutive liveness epochs (one epoch per
+	// shard tick) is declared dead and reclaimed, exactly as if
 	// Abandon had been called. Zero (the default) disables the check —
 	// explicit Abandon and the leaked-client cleanup backstop still
 	// apply.
@@ -130,8 +126,9 @@ type ClientOptions struct {
 }
 
 // NewClientWith creates a caller with an explicit lane and tenant — the
-// one place a Client is constructed and registered. It panics on a shard
-// past the end of the System's. The round-robin modulo runs in uint64 so
+// one place a Client is constructed and given its ownership record; only
+// a client enrolled in liveness epochs takes a lock here. It panics on a
+// shard past the end of the System's. The round-robin modulo runs in uint64 so
 // it keeps working after the sequence counter wraps.
 func (s *System) NewClientWith(o ClientOptions) *Client {
 	shardID := o.Shard
@@ -170,11 +167,11 @@ func one(args *Args) []Args { return (*[1]Args)(unsafe.Pointer(args))[:] }
 // preflight is the client half of every call, synchronous or not, over
 // the requests of one submission, in the order that keeps a rejection
 // from leaking: claim every attached lease out of the ownership record —
-// from here a rejection releases them, and the scavenger must not — then
-// the life check, then the whole submission charged to the tenant bucket
-// at once, so a dead client's call spends nobody's budget. A claim lost
-// to the scavenger submits nothing: what was already claimed is released,
-// the rest is the scavenger's.
+// from here a rejection releases them, and a reap must not — then the
+// life check, then the whole submission charged to the tenant bucket at
+// once, so a dead client's call spends nobody's budget. A claim lost to
+// the reap submits nothing: what was already claimed is released, the
+// rest is the reap's.
 //
 //ppc:hotpath
 func (c *Client) preflight(argss []Args) error {
@@ -246,15 +243,12 @@ func (c *Client) Hold() {
 		return
 	}
 	cd := c.shard.holdCD()
-	// Stamp the ownership word with a fresh generation.
-	c.owHeld = packOwner(ownerGen(cd.owner.Load())+1, c.program, owHeld)
-	cd.owner.Store(c.owHeld)
 	c.released = false
 	rec.cd.Store(cd)
 	c.held = cd
-	// Publish, then re-check (owner.go): a scavenger that walked the
-	// record before the mirror store never saw this descriptor, and the
-	// death that sent it is visible here.
+	// File in the slot, then re-check (owner.go): a reap that swapped the
+	// slot before the store never saw this descriptor, and the death that
+	// sent it is visible here — take it back.
 	if rec.state.Load() != crLive {
 		c.dropDeadHold()
 	}
@@ -263,9 +257,9 @@ func (c *Client) Hold() {
 // Release returns the held call descriptor to the shard pool; the next
 // Call re-acquires one. System.Close changes nothing here: a descriptor
 // held across it keeps working and is repooled like any other. Release is
-// optional and finalizer-free: an unreleased Client and its descriptor are
-// reclaimed by the scavenger once the client is abandoned or collected;
-// releasing just lets the pool reuse the descriptor immediately.
+// optional and finalizer-free: an unreleased Client's descriptor is
+// reclaimed when the client is abandoned or collected; releasing just lets
+// the pool reuse the descriptor immediately.
 //
 // Release is not idempotent: a second Release (or Close) of the same hold
 // panics, because the first one already repooled the descriptor — a silent
@@ -283,14 +277,12 @@ func (c *Client) Release() {
 	}
 	c.held = nil
 	c.released = true
-	c.rec.cd.Store(nil)
-	// Ownership handoff: losing the CAS means the scavenger reclaimed
-	// the descriptor after this client was abandoned — its accounting
-	// already settled, so walk away quietly.
-	if !cd.owner.CompareAndSwap(c.owHeld, packOwner(ownerGen(c.owHeld)+1, c.program, owFree)) {
-		return
+	// The hand-back exchange: an empty slot means the client was abandoned
+	// and the reap took the descriptor — condemned, its accounting already
+	// settled, so walk away quietly.
+	if c.rec.cd.CompareAndSwap(cd, nil) {
+		c.shard.releaseCD(cd)
 	}
-	c.shard.releaseCD(cd)
 }
 
 // Close releases the held call descriptor (it is Release under the
@@ -333,8 +325,8 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 		cr.st = cd.stripeOf(cr.svc)
 		err = c.sys.callHeld(cd, cr, args, c.program)
 	}
-	// Ownership exit: a client abandoned mid-call settles its descriptor
-	// through the tombstone CAS, unless the scavenger condemned it first.
+	// Ownership exit: a client abandoned mid-call takes its descriptor back
+	// out of the slot, unless the reap condemned it first.
 	if c.rec.state.Load() != crLive {
 		c.tombstoneExit()
 	}
@@ -408,13 +400,13 @@ func (s *Service) epProgram() uint32 { return uint32(s.ep) | 1<<31 }
 type callRec struct {
 	*epEntry             // the shard's replica of the entry point: service, handler, the (service, shard) counters
 	st       *callStripe // where a synchronous call is admitted (set by its caller): the held descriptor's stripe, or the shard's
-	rec      *clientRec  // the ownership record mirroring a carried probe for the scavenger, or nil
+	rec      *clientRec  // the ownership record whose probe slot holds a carried probe, or nil
 	probe    bool        // the call carries the gate's half-open probe and owes it a settlement
 }
 
 // enter is the one entry of every call path: read this shard's replica
 // of the entry point (§4.5.5), pass the health gate, and publish a won
-// half-open probe on the caller's ownership record so the scavenger can
+// half-open probe on the caller's ownership record so its reap can
 // settle the gate if the client dies carrying it. The gate sheds before
 // admission: a degraded service costs the caller one atomic load and no
 // in-flight accounting, a service without a gate one nil check. A
@@ -474,8 +466,8 @@ func (cr callRec) settle(err error) {
 	}
 }
 
-// probeDone ends the call's carriage of the half-open probe: the mirror
-// comes off the ownership record first, so the scavenger cannot reopen a
+// probeDone ends the call's carriage of the half-open probe: it comes
+// out of the ownership record's slot first, so a reap cannot reopen a
 // gate this settles, and an outcome that is no health evidence sends the
 // gate back to degraded (Service.settleProbe).
 //

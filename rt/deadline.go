@@ -464,7 +464,7 @@ func (c *Client) rejectEarly(args *Args, err error) error {
 // the entry every synchronous call makes, an executor taken for the call,
 // the admission on the stripe of its descriptor; the executor dispatches
 // and completes, and the caller settles whichever outcome it returns. The
-// client's own hold and its ownership word are not involved, and a
+// client's own hold and its slot in the record are not involved, and a
 // client that dies mid-call is in the position of one that dies inside a
 // plain Call: the call runs to its end. d == 0: no expiry (cancellation
 // only); cancel may be nil.

@@ -231,8 +231,8 @@ func executors() int {
 }
 
 // Executor goroutines follow the shard's concurrency, not its clients,
-// whichever way a client goes: Release, an orphan's return, Abandon +
-// scavenge, Abandon racing Release all leave the pool alone, and
+// whichever way a client goes: Release, an orphan's return, Abandon and
+// its reap, Abandon racing Release all leave the pool alone, and
 // System.Close ends it. leakCheck covers everything else the system
 // started once it is closed.
 func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
@@ -258,10 +258,10 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for executors() != want || sh.deadlineExecs() != want || idleExecs(sh) != want ||
-			sh.quarantinedCDs.Load() != 0 || sh.reg.dead.Load() != 0 {
+			sh.quarantinedCDs.Load() != 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %d executor goroutines, %d on the shard's list, %d idle, want %d of each; %d quarantined, %d dead clients unreaped",
-					what, executors(), sh.deadlineExecs(), idleExecs(sh), want, sh.quarantinedCDs.Load(), sh.reg.dead.Load())
+				t.Fatalf("timed out waiting for %s: %d executor goroutines, %d on the shard's list, %d idle, want %d of each; %d quarantined",
+					what, executors(), sh.deadlineExecs(), idleExecs(sh), want, sh.quarantinedCDs.Load())
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -291,7 +291,7 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Abandon()
-	settled("the pool untouched by Abandon + scavenge", 2)
+	settled("the pool untouched by Abandon and its reap", 2)
 
 	for i := 0; i < 200; i++ {
 		c := sys.NewClientOnShard(0)
@@ -372,16 +372,16 @@ func TestOrphanLeavesClientHold(t *testing.T) {
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
 	}
-	held, word := c.held, c.held.owner.Load()
+	held := c.held
 	orphan := Args{1}
 	if err := c.CallDeadline(svc.EP(), &orphan, 300*time.Microsecond); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	<-entered
 	st := sys.Stats()[0]
-	if !c.Held() || c.held != held || held.owner.Load() != word || st.HeldCDs != 1 {
-		t.Fatalf("after the orphaning: Held() = %v, same descriptor %v, same word %v, HeldCDs = %d; want the hold untouched",
-			c.Held(), c.held == held, held.owner.Load() == word, st.HeldCDs)
+	if !c.Held() || c.held != held || c.rec.cd.Load() != held || st.HeldCDs != 1 {
+		t.Fatalf("after the orphaning: Held() = %v, same descriptor %v, still in the record's slot %v, HeldCDs = %d; want the hold untouched",
+			c.Held(), c.held == held, c.rec.cd.Load() == held, st.HeldCDs)
 	}
 	if st.QuarantinedCDs != 1 {
 		t.Fatalf("QuarantinedCDs = %d while the orphan runs, want 1", st.QuarantinedCDs)
@@ -403,10 +403,10 @@ func TestOrphanLeavesClientHold(t *testing.T) {
 	}
 }
 
-// No deadline call moves the client's ownership word: across met, expired
-// and cancelled calls it reads owHeld under the one generation Hold
-// stamped, whoever looks and whenever.
-func TestDeadlineCallsNeverMoveOwnershipWord(t *testing.T) {
+// No deadline call moves the client's hold: across met, expired and
+// cancelled calls the record's slot and Client.held read the one
+// descriptor Hold filed, whoever looks and whenever.
+func TestDeadlineCallsNeverMoveTheHold(t *testing.T) {
 	leakCheck(t)
 	needTwoPs(t)
 	rounds := 3_000
@@ -427,13 +427,13 @@ func TestDeadlineCallsNeverMoveOwnershipWord(t *testing.T) {
 	c := sys.NewClientOnShard(0)
 	defer c.Release()
 	c.Hold()
-	cd, word := c.held, c.held.owner.Load()
-	if ownerState(word) != owHeld {
-		t.Fatalf("held word state %d", ownerState(word))
+	cd, rec := c.held, c.rec
+	if rec.cd.Load() != cd {
+		t.Fatalf("Hold left %p in the record's slot, holding %p", rec.cd.Load(), cd)
 	}
 	stop := sample(t, func() string {
-		if w := cd.owner.Load(); w != word {
-			return fmt.Sprintf("ownership word read %#x mid-storm, want %#x throughout", w, word)
+		if got := rec.cd.Load(); got != cd {
+			return fmt.Sprintf("the record's slot read %p mid-storm, want %p throughout", got, cd)
 		}
 		return ""
 	})
@@ -461,8 +461,8 @@ func TestDeadlineCallsNeverMoveOwnershipWord(t *testing.T) {
 		default:
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if c.held != cd || cd.owner.Load() != word {
-			t.Fatalf("call %d: the client's hold moved (same descriptor %v, word %#x, want %#x)", i, c.held == cd, cd.owner.Load(), word)
+		if c.held != cd || rec.cd.Load() != cd {
+			t.Fatalf("call %d: the client's hold moved (Client.held %p, the record's slot %p, want %p in both)", i, c.held, rec.cd.Load(), cd)
 		}
 	}
 	stop()
@@ -557,14 +557,14 @@ func TestAbandonRacesDeadlineEntry(t *testing.T) {
 	t.Logf("%v", results)
 	converged := func() bool {
 		st := sys.Stats()[0]
-		return idleExecs(sh) == sh.deadlineExecs() && executors() == sh.deadlineExecs() && sh.reg.dead.Load() == 0 &&
+		return idleExecs(sh) == sh.deadlineExecs() && executors() == sh.deadlineExecs() &&
 			st.QuarantinedCDs == 0 && st.LeasesActive == 0 && svc.inFlightTotal() == 0
 	}
 	for end := time.Now().Add(10 * time.Second); !converged(); time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(end) {
 			st := sys.Stats()[0]
-			t.Fatalf("no convergence: %d executor goroutines, %d on the shard's list, %d idle, %d dead clients unreaped, QuarantinedCDs %d, LeasesActive %d, %d in flight",
-				executors(), sh.deadlineExecs(), idleExecs(sh), sh.reg.dead.Load(), st.QuarantinedCDs, st.LeasesActive, svc.inFlightTotal())
+			t.Fatalf("no convergence: %d executor goroutines, %d on the shard's list, %d idle, QuarantinedCDs %d, LeasesActive %d, %d in flight",
+				executors(), sh.deadlineExecs(), idleExecs(sh), st.QuarantinedCDs, st.LeasesActive, svc.inFlightTotal())
 		}
 	}
 	// One caller at a time with an orphan or two behind it: the pool is a

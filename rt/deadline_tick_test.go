@@ -330,9 +330,10 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) {
-		time.Sleep(5 * time.Millisecond) // outlives a 1 ms deadline by a few ticks
-	}})
+	// Outlives its deadline however late this host delivers the tick: the
+	// test lets it go once its caller has been told ErrDeadline.
+	expired := make(chan struct{})
+	slow, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) { <-expired }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,9 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 			t.Fatalf("post-close CallDeadline = %v, want success (sync calls survive Close)", err)
 		}
 	}
-	if err := c.CallDeadline(slow.EP(), &a2, time.Millisecond); !errors.Is(err, ErrDeadline) {
+	err = c.CallDeadline(slow.EP(), &a2, time.Millisecond)
+	close(expired)
+	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("post-close expiry: err = %v, want ErrDeadline", err)
 	}
 	c.Release()

@@ -41,11 +41,11 @@ import (
 //	                       chaos tests can starve the payload path
 //	                       deterministically.
 //	FaultSiteScavenge    — (faultinject builds only) fired at the top of
-//	                       each dead client's scavenge pass (owner.go); a
-//	                       non-nil error (or a sleep) defers that
-//	                       client's reclamation to the next watchdog
-//	                       tick, so chaos tests can stretch the
-//	                       reclaim window deterministically.
+//	                       each dead client's reap (owner.go), on the
+//	                       goroutine that declared the death. The return
+//	                       value is ignored; a hook that sleeps stretches
+//	                       the window in which the client is dead and
+//	                       nothing of it is reclaimed yet.
 
 // FaultSite names an injection point.
 type FaultSite uint8
@@ -65,9 +65,9 @@ const (
 	// fails the allocation with that error. Only honored in
 	// -tags faultinject builds.
 	FaultSiteArena
-	// FaultSiteScavenge fires at the top of each dead client's scavenge
-	// pass; a non-nil error defers that client's reclamation to the
-	// next watchdog tick. Only honored in -tags faultinject builds.
+	// FaultSiteScavenge fires at the top of each dead client's reap; the
+	// return value is ignored (sleep to delay the reclaim). Only honored
+	// in -tags faultinject builds.
 	FaultSiteScavenge
 	faultSiteCount
 )
@@ -77,7 +77,9 @@ const (
 // inject); at FaultSiteSubmit a non-nil error rejects the submission
 // with ErrBackpressure; at FaultSiteRingPublish the return value is
 // ignored (sleep to delay the publish); at FaultSiteArena a non-nil
-// error fails the payload allocation with that error.
+// error fails the payload allocation with that error; at
+// FaultSiteScavenge the return value is ignored (sleep to delay the
+// reclaim).
 type FaultFn func() error
 
 // faultHooks is the per-System registry. active is the one word the

@@ -140,7 +140,7 @@ func TestCallStripeLayout(t *testing.T) {
 }
 
 // TestClientRecLayout pins the ownership record: what every call reads
-// (the life state) on the first line, the cold mirrors on the second,
+// (the life state) on the first line, the cold slots on the second,
 // and the first lease block — one line exactly, seven slots and the
 // link, the shape every appended block has — on the third, so that a
 // payload call's slot store and claim CAS dirty one line and it is not
@@ -156,7 +156,6 @@ func TestClientRecLayout(t *testing.T) {
 	}
 	lineOf := func(off uintptr) uintptr { return off / lineBytes }
 	for name, off := range map[string]uintptr{
-		"id":     unsafe.Offsetof(rec.id),
 		"epochs": unsafe.Offsetof(rec.epochs),
 		"reg":    unsafe.Offsetof(rec.reg),
 		"state":  unsafe.Offsetof(rec.state),
@@ -169,7 +168,6 @@ func TestClientRecLayout(t *testing.T) {
 	for name, off := range map[string]uintptr{
 		"cd":    unsafe.Offsetof(rec.cd),
 		"probe": unsafe.Offsetof(rec.probe),
-		"idx":   unsafe.Offsetof(rec.idx),
 	} {
 		if lineOf(off) != 1 {
 			t.Errorf("%s (offset %d) left the record's second line", name, off)
@@ -206,14 +204,14 @@ func TestClientSizeClass(t *testing.T) {
 // context and the scratch header on every call, so the descriptor tiles
 // whole lines and every allocation is line-aligned (no other heap
 // object shares a written line); the per-call fields fill the first two
-// lines and the pool/ownership words sit on the third. Its size class
+// lines and the pool link and stripe list sit on the third. Its size class
 // must differ from Service's: while the two were packed back to back, a
 // held descriptor could sit beside the Service every caller reads.
 func TestCallDescLayout(t *testing.T) {
 	var cd callDesc
 	sz := unsafe.Sizeof(cd)
-	if sz%lineBytes != 0 {
-		t.Errorf("callDesc size %d is not a multiple of %d", sz, lineBytes)
+	if sz != 3*lineBytes {
+		t.Errorf("callDesc size %d, want three lines", sz)
 	}
 	if svc := unsafe.Sizeof(Service{}); (svc+15)/16 == (sz+15)/16 {
 		t.Errorf("callDesc (%d bytes) and Service (%d bytes) are in one allocator size class again", sz, svc)
@@ -237,7 +235,6 @@ func TestCallDescLayout(t *testing.T) {
 	for name, off := range map[string]uintptr{
 		"next":    unsafe.Offsetof(cd.next),
 		"shard":   unsafe.Offsetof(cd.shard),
-		"owner":   unsafe.Offsetof(cd.owner),
 		"stripes": unsafe.Offsetof(cd.stripes),
 	} {
 		if lineOf(off) < 2 {

@@ -10,13 +10,13 @@ import (
 	"time"
 )
 
-// Lease-slot protocol tests (owner.go, "Lease slots"): each side of the
-// Dekker pair between a publishing owner and death, a claim on either
-// side of the scavenger's drain, the spill chain, a batch whose claim
-// fails part-way, and the storm. The deterministic tests play the
-// scavenger by hand — die() marks the record, scavengeOne drains it — so
-// that each interleaving is the one the test names; the watchdog of
-// these systems is never started.
+// Lease-slot protocol tests (owner.go, "Holdings change hands by
+// exchange"): each side of the Dekker pair between a publishing owner and
+// death, a claim on either side of the reap's drain, the spill chain, a
+// batch whose claim fails part-way, and the storm. The deterministic
+// tests play a death's two steps apart, by hand — declare marks the
+// record, walk drains it; die does one right behind the other — so that
+// each interleaving is the one the test names.
 
 // leaseSystem builds a one-shard System whose service checks every
 // payload view against the tag in word 0 and counts what it settles.
@@ -40,13 +40,16 @@ func leaseSystem(t *testing.T, o Options) (*System, *Service, *atomic.Int64) {
 	return sys, svc, settled
 }
 
-// scavengeNow plays one scavenger pass over c's record.
-func scavengeNow(c *Client) bool {
-	reg := c.rec.reg
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.scavengeOne(c.rec)
+// declare plays the first step of a death: the life-state CAS and its
+// count, without the reap die runs right behind it.
+func declare(c *Client) {
+	if c.rec.state.CompareAndSwap(crLive, crDead) {
+		c.rec.reg.abandoned.Add(1)
+	}
 }
+
+// walk plays the second step: the reap of c's record, alone.
+func walk(c *Client) { c.rec.reap() }
 
 // tagged leases a segment whose first byte is tag.
 func tagged(t *testing.T, c *Client, tag byte) PayloadRef {
@@ -62,16 +65,14 @@ func tagged(t *testing.T, c *Client, tag byte) PayloadRef {
 func leasesActive(sys *System) int64 { return sys.Stats()[0].LeasesActive }
 
 // TestLeasePublishThenDeath: the owner's publish comes first, so the
-// scavenger's swap finds the ref and is the one to release it.
+// reap's swap finds the ref and is the one to release it.
 func TestLeasePublishThenDeath(t *testing.T) {
 	needTwoPs(t)
 	sys, svc, _ := leaseSystem(t, Options{})
 	c := sys.NewClientOnShard(0)
 	ref := tagged(t, c, 1)
-	c.rec.die()
-	if !scavengeNow(c) {
-		t.Fatal("scavenge deferred")
-	}
+	declare(c)
+	walk(c)
 	if st := sys.Stats()[0]; st.ScavengedLeases != 1 || st.LeasesActive != 0 {
 		t.Fatalf("ScavengedLeases = %d, LeasesActive = %d; want 1, 0", st.ScavengedLeases, st.LeasesActive)
 	}
@@ -88,18 +89,17 @@ func TestLeasePublishThenDeath(t *testing.T) {
 }
 
 // TestLeaseDeathThenPublish: death comes first, on both sides of the
-// scavenger's walk. The owner's life check after its store sees it, and
-// the owner takes its own ref back — nothing is left for a scavenger
-// that has already been, and nothing is released twice by one still to
-// come.
+// reap's walk. The owner's life check after its store sees it, and the
+// owner takes its own ref back — nothing is left for a walk that has
+// already been, and nothing is released twice by one still to come.
 func TestLeaseDeathThenPublish(t *testing.T) {
 	needTwoPs(t)
 	sys, _, _ := leaseSystem(t, Options{})
 	for _, reaped := range []bool{false, true} {
 		c := sys.NewClientOnShard(0)
-		c.rec.die()
-		if reaped && !scavengeNow(c) {
-			t.Fatal("scavenge deferred")
+		declare(c)
+		if reaped {
+			walk(c)
 		}
 		if _, _, err := c.AllocPayload(64); !errors.Is(err, ErrClientAbandoned) {
 			t.Fatalf("reaped=%v: AllocPayload on a dead client: %v", reaped, err)
@@ -111,8 +111,8 @@ func TestLeaseDeathThenPublish(t *testing.T) {
 		if c.rec.holdsLeases() {
 			t.Fatalf("reaped=%v: a dead client's publish stayed in its slot", reaped)
 		}
-		if !reaped && !scavengeNow(c) {
-			t.Fatal("scavenge deferred")
+		if !reaped {
+			walk(c)
 		}
 	}
 	if st := sys.Stats()[0]; st.ScavengedLeases != 0 || st.LeasesActive != 0 {
@@ -121,7 +121,7 @@ func TestLeaseDeathThenPublish(t *testing.T) {
 }
 
 // TestLeaseClaimBeforeDrain: a submission that claimed before the drain
-// owns its lease through the client's death — the scavenger finds an
+// owns its lease through the client's death — the reap finds an
 // empty slot, the handler's view stays valid, and the call settles the
 // lease itself.
 func TestLeaseClaimBeforeDrain(t *testing.T) {
@@ -130,13 +130,11 @@ func TestLeaseClaimBeforeDrain(t *testing.T) {
 	defer sys.Close()
 	var c *Client
 	svc, err := sys.Bind(ServiceConfig{Name: "mid", Handler: func(ctx *Ctx, args *Args) {
-		// The client dies and is scavenged while this call — which has
+		// The client dies and is reaped while this call — which has
 		// already claimed — is in flight. (The held descriptor is
-		// condemned; that is the tombstone protocol's business.)
-		c.rec.die()
-		if !scavengeNow(c) {
-			t.Error("scavenge deferred")
-		}
+		// condemned under it; TestAbandonMidCallTombstones' business.)
+		declare(c)
+		walk(c)
 		if v := ctx.Payload(0); len(v) != 64 || v[0] != 9 {
 			t.Errorf("view after the scavenge: %v", v)
 		}
@@ -191,22 +189,22 @@ func TestLeaseSpill(t *testing.T) {
 				round, c.rec.holdsLeases(), leasesActive(sys))
 		}
 	}
-	// The scavenger walks the whole chain.
+	// The reap walks the whole chain.
 	for i := 0; i < n; i++ {
 		tagged(t, c, 0)
 	}
-	c.rec.die()
-	scavengeNow(c)
+	declare(c)
+	walk(c)
 	if st := sys.Stats()[0]; st.ScavengedLeases != n || st.LeasesActive != 0 {
 		t.Fatalf("ScavengedLeases = %d, LeasesActive = %d; want %d, 0", st.ScavengedLeases, st.LeasesActive, n)
 	}
 }
 
-// TestBatchClaimFailsPartWay: the scavenger is part-way through a dead
+// TestBatchClaimFailsPartWay: the reap is part-way through a dead
 // client's slots when the client submits a batch. The claim that finds
 // its slot already emptied fails the whole submission: the leases the
-// batch did win are released by it, the rest by the scavenger, each
-// once, and nothing reaches the service.
+// batch did win are released by it, the rest by the reap, each once, and
+// nothing reaches the service.
 func TestBatchClaimFailsPartWay(t *testing.T) {
 	needTwoPs(t)
 	sys, svc, settled := leaseSystem(t, Options{})
@@ -218,8 +216,8 @@ func TestBatchClaimFailsPartWay(t *testing.T) {
 		argss[i][0] = uint64(i)
 		argss[i].AttachPayload(refs[i])
 	}
-	c.rec.die()
-	// The scavenger's walk has reached exactly the third slot.
+	declare(c)
+	// The reap's walk has reached exactly the third slot.
 	if !c.rec.claimLease(refs[2]) {
 		t.Fatal("setup: third lease not filed")
 	}
@@ -229,11 +227,9 @@ func TestBatchClaimFailsPartWay(t *testing.T) {
 		t.Fatalf("AsyncBatch = %d, %v; want 0, ErrClientAbandoned", n, err)
 	}
 	if got := leasesActive(sys); got != 1 {
-		t.Fatalf("LeasesActive = %d after the failed batch, want 1 (the fourth, still the scavenger's)", got)
+		t.Fatalf("LeasesActive = %d after the failed batch, want 1 (the fourth, still the reap's)", got)
 	}
-	if !scavengeNow(c) {
-		t.Fatal("scavenge deferred")
-	}
+	walk(c)
 	if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ScavengedLeases != 1 {
 		t.Fatalf("LeasesActive = %d, ScavengedLeases = %d; want 0, 1", st.LeasesActive, st.ScavengedLeases)
 	}
@@ -245,7 +241,7 @@ func TestBatchClaimFailsPartWay(t *testing.T) {
 // TestFlushOnDeadClientSettlesStagedLeases: Flush after death submits
 // nothing, and the staged leases it can still claim are its own to
 // release, like any other submission rejected before admission (the ones
-// the scavenger reached first are the scavenger's:
+// the reap reached first are the reap's:
 // TestBatchClaimFailsPartWay). Nothing is left filed for a second
 // release.
 func TestFlushOnDeadClientSettlesStagedLeases(t *testing.T) {
@@ -257,14 +253,14 @@ func TestFlushOnDeadClientSettlesStagedLeases(t *testing.T) {
 		args.AttachPayload(tagged(t, c, byte(i)))
 		b.Add(&args)
 	}
-	c.rec.die()
+	declare(c)
 	if n, err := b.Flush(); n != 0 || !errors.Is(err, ErrClientAbandoned) || b.Len() != 0 {
 		t.Fatalf("Flush = %d, %v, %d still staged; want 0, ErrClientAbandoned, 0", n, err, b.Len())
 	}
 	if got := leasesActive(sys); got != 0 || c.rec.holdsLeases() {
 		t.Fatalf("after the failed Flush: LeasesActive = %d, slots occupied = %v; want 0, false", got, c.rec.holdsLeases())
 	}
-	scavengeNow(c)
+	walk(c)
 	if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ScavengedLeases != 0 || settled.Load() != 0 || svc.AsyncCalls() != 0 {
 		t.Fatalf("LeasesActive = %d, ScavengedLeases = %d, settled = %d, AsyncCalls = %d; want all 0",
 			st.LeasesActive, st.ScavengedLeases, settled.Load(), svc.AsyncCalls())
@@ -321,7 +317,7 @@ func TestReleasePayloadFailsClosed(t *testing.T) {
 // TestCallContextRejectClaimsLeases: a call rejected before admission
 // (context already done) consumes its attached leases like any other
 // submission — out of the record first. It used to release them and
-// leave the refs filed, for the scavenger to release a second time.
+// leave the refs filed, for the reap to release a second time.
 func TestCallContextRejectClaimsLeases(t *testing.T) {
 	sys, svc, settled := leaseSystem(t, Options{})
 	c := sys.NewClientOnShard(0)
@@ -338,8 +334,8 @@ func TestCallContextRejectClaimsLeases(t *testing.T) {
 	}
 	bystander := tagged(t, c, 2)
 	c.ReleasePayload(bystander)
-	c.rec.die()
-	scavengeNow(c)
+	declare(c)
+	walk(c)
 	if st := sys.Stats()[0]; st.ScavengedLeases != 0 || st.LeasesActive != 0 {
 		t.Fatalf("ScavengedLeases = %d, LeasesActive = %d; want 0, 0", st.ScavengedLeases, st.LeasesActive)
 	}
@@ -351,7 +347,7 @@ func TestCallContextRejectClaimsLeases(t *testing.T) {
 // ReleasePayload, Batch.Add, Flush, AsyncBatch. Whatever the
 // interleaving, every lease is released exactly once: the shard's lease
 // gauge is never observed negative, converges to zero, and the leases
-// the handlers and the scavenger settled never exceed the leases issued.
+// the handlers and the reaps settled never exceed the leases issued.
 // Each handler checks its views, so a slab that recycled under a live
 // lease shows as a wrong byte.
 func TestLeaseStorm(t *testing.T) {
@@ -402,7 +398,7 @@ func TestLeaseStorm(t *testing.T) {
 				return true
 			}
 			// One lease no operation below consumes: whenever death lands,
-			// the scavenger has this one at least.
+			// the reap has this one at least.
 			if _, _, err := c.AllocPayload(64); err == nil {
 				issued.Add(1)
 			}
@@ -452,7 +448,7 @@ func TestLeaseStorm(t *testing.T) {
 	waitCond(t, 10*time.Second, "every lease released", func() bool {
 		observe()
 		st := sys.Stats()[0]
-		return st.LeasesActive == 0 && st.AbandonedClients == int64(rounds) && sys.shards[0].reg.dead.Load() == 0
+		return st.LeasesActive == 0 && st.AbandonedClients == int64(rounds)
 	})
 	st := sys.Stats()[0]
 	if n := negative.Load(); n != 0 {

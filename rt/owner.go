@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// Domain-death protocol: ownership epochs and the abandoned-client
-// scavenger.
+// Domain death: the ownership record and the reclaim of what a dead
+// client held.
 //
 // The paper's LRPC lineage requires the kernel to recover cleanly when
 // a protection domain dies mid-call; rt's analogue is a client
@@ -15,153 +15,91 @@ import (
 // still owns resources — a held call descriptor, arena payload leases,
 // staged batch entries, a half-open health probe.
 // Without reclamation each of those is stranded forever. This file
-// gives every client an *ownership record* and rides a scavenger pass
-// on the existing watchdog tick to reclaim what dead clients left
-// behind.
-//
-// # The ownership word
-//
-// Every held call descriptor carries a packed, gen-tagged ownership
-// word (callDesc.owner):
-//
-//	bits 63..32  gen    (transition counter; tags every CAS)
-//	bits 31..3   owner  (low 29 bits of the owning client's program ID)
-//	bits  2..0   state  (owFree / owHeld / owDead)
-//
-// The layout is offset-stable and pointer-free by construction — the
-// same word works in an mmap'd shared segment, which is exactly the
-// "epoch/ownership words for crash-safe reclaim" ROADMAP item 1 calls
-// for. The in-process protocol proven here is the pre-work for that
-// cross-process variant.
-//
-// Transitions:
-//
-//	Hold       owner := gen+1|id|owHeld     (plain store; fresh gen)
-//	Release    CAS  owHeld -> owFree        (fails: scavenger got it first)
-//	Scavenge   CAS  owHeld -> owDead, gen+1 (condemn)
-//	Tombstone  CAS  owHeld -> owDead, gen+1 (the dead owner's own exit)
-//
-// Three states, and the word moves only at Hold, Release and death: NO
-// call path transitions it. Call checks the record's life state on entry
-// and exit (two loads of a read-mostly line) and the word stays owHeld
-// for the whole hold — the warm path pays no RMW and no store (one
-// optional beat store for epoch-enrolled clients). A deadline call does
-// not run on the client's descriptor at all (deadline.go), so the word
-// of a client that mixes the two paths never moves either, and a client
-// that dies inside one holds nothing more than one that dies inside a
-// plain Call. What makes the untouched word safe is that
-// the scavenger *condemns* rather than repools: its owHeld->owDead CAS
-// bumps the generation — so the dead owner's tombstone and Release
-// CASes, tagged with the generation they held, must fail — and the pool
-// is compensated with a FRESH descriptor. A plain call that was secretly
-// in flight during the condemnation keeps running on the condemned
-// descriptor, which is in no pool and becomes garbage when the handler
-// returns; it can never be handed to another client.
-//
-// On the exit side the owner re-checks its record's life state after
-// the handler returns; if it died mid-call, the completion goes down the
-// tombstone path — CAS owHeld->owDead — and whichever party wins that
-// CAS (the completing owner pushing the descriptor itself, or the
-// scavenger compensating with a fresh one) performs the reclaim exactly
-// once. A completion that loses simply walks away: it landed in a
-// tombstone instead of a reclaimed descriptor. Both outcomes count in
-// TombstonedCompletions.
+// gives every client an *ownership record* with a slot for each such
+// holding, and has whoever declares the client dead empty the slots.
 //
 // # The ownership record
 //
-// Each client registers a clientRec on its shard's registry at
-// construction. The record mirrors the client's reclaimable holdings:
-// the held descriptor and a carried half-open probe through cold-path
-// writes (Hold/Release, a probe's election and settlement), and the
-// payload leases no submission has taken yet in its lease slots. The
-// record deliberately does NOT reference the Client — not directly and
-// not through anything it lists — so runtime.AddCleanup can fire when
-// the Client itself leaks.
+// Each client gets a clientRec at construction. The record holds the
+// client's reclaimable holdings, each in a slot of its own: the held
+// descriptor (cd) and a carried half-open probe (probe), filled on cold
+// paths only (Hold, a probe's election), and the payload leases no
+// submission has taken yet in its lease slots. The record deliberately
+// does NOT reference the Client — not directly and not through anything
+// it holds — so runtime.AddCleanup can fire when the Client itself
+// leaks. Nothing lists the records: a client that is not enrolled in
+// liveness epochs is created without taking a lock, and its record is
+// garbage when the client is.
 //
-// # Lease slots
+// # Holdings change hands by exchange
 //
-// A lease slot is one atomic word holding a PayloadRef, or zero. The
-// rule is an exchange: whichever party takes the nonzero ref out of the
-// slot owns the lease and releases it, so each lease is settled exactly
-// once whoever gets there first.
+// A slot is one atomic word holding the descriptor, a PayloadRef or the
+// probe's table entry, or zero. Only the slot's client ever fills it.
+// The rule is an exchange: whichever party takes the nonzero value out
+// of the slot owns the holding and settles it, so each holding is
+// settled exactly once whoever gets there first.
 //
-//	owner, new lease   slot.Store(ref); then load the life state
-//	owner, submission  slot.CAS(ref, 0) per attached ref (Call, Flush, ...)
-//	owner, abort       slot.CAS(ref, 0)  (ReleasePayload)
-//	scavenger          life state is already dead; slot.Swap(0) on every slot
+//	owner, new holding  slot.Store(v); then load the life state  (Hold, trackLease)
+//	owner, hand-back    slot.CAS(v, 0)   (Release; ReleasePayload; a submission's claim per attached ref)
+//	death               the life state is already dead; slot.Swap(0) on every slot  (reap)
 //
-// Publishing is one half of a Dekker pair with death: the owner stores
-// the slot and then loads the life state; death stores the state and
-// the scavenger then swaps every slot, all sequentially consistent.
-// Either the owner's load sees the client dead — it takes its own ref
-// back with the CAS a submission uses, if the scavenger has not, and
-// returns ErrClientAbandoned — or the state store comes after that
-// load, so after the slot store, and the scavenger's swap finds the
-// ref. A claim lost on a dead client fails the submission with
-// ErrClientAbandoned, releasing only what it did win; a claim lost on a
-// live client means the ref was never this client's to track (a
-// handler's Ctx.AllocPayload) and is ignored. Requests staged in a
-// Batch keep their leases in the slots until Flush claims them, so
-// staging touches no shared word. Slots come in line-sized blocks —
-// seven and a link, published like a slot — the first inline in the
-// record, the rest appended and kept when a client holds more at once.
-// Hold publishes the descriptor mirror the same way: store rec.cd, load
-// the life state, settle through the ownership CAS if it reads dead.
+// Filling a slot is one half of a Dekker pair with death: the owner
+// stores the slot and then loads the life state; death stores the state
+// and then swaps every slot, all sequentially consistent. Either the
+// owner's load sees the client dead — it takes its own value back with
+// the hand-back CAS, if the reap has not, and fails with
+// ErrClientAbandoned — or the state store comes after that load, so
+// after the slot store, and the reap's swap finds the value. One step on
+// one word only its client fills: there is no look-up for a generation
+// or an identity to defend.
 //
-// # Death and the scavenger
+// What settling means differs by holding. A descriptor the owner takes
+// back goes to the pool; one the reap takes is *condemned*, never
+// repooled — no call path touches the slot (Call checks the life state
+// on entry and exit, two loads of a read-mostly line, and a deadline
+// call does not run on the client's descriptor at all, deadline.go), so
+// a plain call may still be running on it — and the pool is compensated
+// with a fresh descriptor. The condemned one is in no pool, can never be
+// handed to another client, and becomes garbage when the handler
+// returns; that call's exit finds the client dead and the slot empty,
+// counts a tombstoned completion and walks away. A lease is released to
+// the arena by whoever took it. A claim lost on a dead client fails the
+// submission with ErrClientAbandoned, releasing only what it did win; a
+// claim lost on a live client means the ref was never this client's to
+// track (a handler's Ctx.AllocPayload) and is ignored. Requests staged
+// in a Batch keep their leases in the slots until Flush claims them, so
+// staging touches no shared word. Lease slots come in line-sized
+// blocks — seven and a link, published like a slot — the first inline in
+// the record, the rest appended and kept when a client holds more at
+// once. A probe is filed by the call that won it (shard.enter) and needs
+// no life check: that call always comes back and empties the slot itself
+// (probeDone). One the reap takes first goes back to the gate as
+// degraded, so the stripe is never wedged shedding behind a probe that
+// will never report; the gate leaves half-open by CAS, so the call
+// settling it as well is no second settlement.
 //
-// A client is declared dead three ways: explicitly (Client.Abandon), by
-// the runtime.AddCleanup backstop when a leaked Client is collected, or
-// by missing its liveness-epoch budget (opt-in,
-// ClientOptions.LivenessEpochs). The scavenger runs on the watchdog
-// tick, guarded by one registry load per tick when nothing is dead; per
-// dead client (scavengeOne) it condemns the held CD through the
-// ownership CAS above, compensating the pool with a fresh descriptor,
-// swaps every lease slot empty and releases what it took, settles a
-// carried half-open probe back to degraded so the gate is never wedged,
-// and reaps the record — at once, whatever call the client is inside: a
-// call in flight owns what it took at entry and settles it itself. A
-// holding the owner publishes behind the walk is the owner's to settle:
-// its life-state load after the publish sees the death.
-
-// Ownership word states (bits 2..0 of callDesc.owner).
-const (
-	owFree uint64 = iota // pooled / released: no client owns the CD
-	owHeld               // held by a client (a plain call may be in flight)
-	owDead               // tombstone: condemned/reclaimed from a dead client
-)
-
-// Ownership word packing.
-const (
-	ownerStateMask = uint64(7)
-	ownerIDShift   = 3
-	ownerIDBits    = 29
-	ownerIDMask    = (1<<ownerIDBits - 1) << ownerIDShift
-	ownerGenShift  = 32
-)
-
-// packOwner builds an ownership word. The id is truncated to 29 bits;
-// the gen tag is what makes a truncation collision harmless (a stale
-// CAS still fails on the gen).
+// # Death
 //
-//ppc:hotpath
-func packOwner(gen uint64, id uint32, state uint64) uint64 {
-	return gen<<ownerGenShift | uint64(id)<<ownerIDShift&ownerIDMask | state
-}
-
-func ownerGen(w uint64) uint64   { return w >> ownerGenShift }
-func ownerState(w uint64) uint64 { return w & ownerStateMask }
-
-// ownerIs reports whether w names client id (masked comparison).
-func ownerIs(w uint64, id uint32) bool {
-	return w&ownerIDMask == uint64(id)<<ownerIDShift&ownerIDMask
-}
+// A client is declared dead three ways: explicitly (Client.Abandon, from
+// any goroutine, the client's own handler included), by the
+// runtime.AddCleanup backstop when a leaked Client is collected, or by
+// missing its liveness-epoch budget on the shard tick (opt-in,
+// ClientOptions.LivenessEpochs). All three are clientRec.die: the
+// live->dead CAS, and on the goroutine that won it — there is exactly
+// one — the reap: swap the descriptor slot, every lease slot and the
+// probe slot empty and settle what came out. The reclaim has happened
+// when the declaration returns, on an open System or a closed one, and
+// depends on no helper goroutine. One reaper and nothing but exchanges:
+// the reap takes no lock, keeps no list of the dead and has nothing to
+// retry. It does not wait for the client either, whatever call it is
+// inside: a call in flight owns what it took at entry and settles it
+// itself, and a holding the owner files behind the reap is the owner's
+// to take back — its life-state load after the store sees the death.
 
 // Client record life states (clientRec.state).
 const (
-	crLive   uint32 = iota // normal operation
-	crDead                 // declared dead; awaiting the scavenger
-	crReaped               // fully scavenged and unregistered
+	crLive uint32 = iota // normal operation
+	crDead               // declared dead: reaped, or being reaped by the declarer
 )
 
 // recLeaseSlots is the slot count of one lease block: with the link,
@@ -176,18 +114,17 @@ type leaseBlock struct {
 	next atomic.Pointer[leaseBlock]
 }
 
-// clientRec is one client's ownership record. It lives on the shard
-// registry, holds no reference to the Client (the AddCleanup backstop
-// depends on that), and mirrors every reclaimable holding. Three lines:
-// what every call reads, the cold mirrors, and the first lease block.
+// clientRec is one client's ownership record. It holds no reference to
+// the Client (the AddCleanup backstop depends on that) and a slot for
+// every reclaimable holding. Three lines: what every call reads, the cold
+// slots, and the first lease block.
 //
 //ppc:padded
 type clientRec struct {
-	id     uint32 // the client's program ID (also the ownership-word id)
-	epochs uint64 // liveness budget in scavenger ticks; 0 = not enrolled
+	epochs uint64 // liveness budget in tick epochs; 0 = not enrolled
 	reg    *clientRegistry
 
-	// state is the life state (crLive/crDead/crReaped).
+	// state is the life state (crLive/crDead).
 	//
 	//ppc:atomic
 	state atomic.Uint32
@@ -196,25 +133,23 @@ type clientRec struct {
 	//
 	//ppc:atomic
 	beat atomic.Uint64
-	_    [24]byte
+	_    [32]byte // fill the line every call reads: the slots below are written cold
 
-	// cd mirrors Client.held (written on Hold/Release — both cold). The
-	// ownership word on the descriptor itself arbitrates reclamation;
-	// this mirror only tells the scavenger where to look.
+	// cd is the slot of the held descriptor — Client.held is the owner's
+	// plain copy of it — filled by Hold and emptied by Release, by the dead
+	// owner or by the reap, whichever exchange gets there first.
 	//
 	//ppc:atomic
 	cd atomic.Pointer[callDesc]
 	// probe is the half-open probe the client's current call carries, as
 	// the table entry of the service whose gate it is (set by enter,
 	// cleared by the call's own settlement; observable only while the
-	// client is mid-call or dead), so the scavenger can settle the gate
-	// if the client dies with it.
+	// client is mid-call or dead), so the reap can settle the gate if the
+	// client dies with it.
 	//
 	//ppc:atomic
 	probe atomic.Pointer[epEntry]
-
-	idx int // position in registry.recs; maintained under registry.mu
-	_   [40]byte
+	_     [48]byte // fill the slot line: the lease block below owns its own
 
 	// leases heads the chain of lease slots: the payload leases the
 	// client has taken and no submission has claimed yet.
@@ -223,38 +158,31 @@ type clientRec struct {
 	leases leaseBlock
 }
 
-// clientRegistry is one shard's client-ownership registry. Reached by
-// pointer from the shard (no shard-layout churn); the per-tick guard is
-// two atomic loads, everything else is cold.
+// clientRegistry is one shard's share of domain death: the liveness
+// epoch and the clients enrolled in it, and the death counters. Reached
+// by pointer from the shard (no shard-layout churn); everything here is
+// cold.
 type clientRegistry struct {
 	sys *System
 	sh  *shard
 
-	// epoch is the liveness epoch, advanced once per scavenger pass
-	// while any epoch-enrolled client is registered.
+	// epoch is the liveness epoch, advanced once per tick while any
+	// client is enrolled.
 	//
 	//ppc:atomic
 	epoch atomic.Uint64
-	// dead counts declared-dead, not-yet-reaped clients — the per-tick
-	// scavenge guard.
-	//
-	//ppc:atomic
-	dead atomic.Int64
-	// epochClients counts live clients enrolled in liveness epochs.
-	//
-	//ppc:atomic
-	epochClients atomic.Int64
 
 	// Domain-death counters (ShardStats).
 	abandoned  atomic.Int64 // clients declared dead (all three modes)
-	scavCDs    atomic.Int64 // held CDs reclaimed by the scavenger
-	scavLeases atomic.Int64 // payload leases released by the scavenger
-	tombstoned atomic.Int64 // completions settled through the tombstone CAS
+	scavCDs    atomic.Int64 // held CDs condemned by a reap
+	scavLeases atomic.Int64 // payload leases released by a reap
+	tombstoned atomic.Int64 // completions that found their client dead at exit
 
-	// mu guards recs (register, unregister, and the scavenge walk — all
-	// cold).
-	mu   sync.Mutex
-	recs []*clientRec
+	// mu guards enrolled, the records of the clients enrolled in liveness
+	// epochs (register and the tick — both cold). Dead ones are dropped by
+	// the tick's next pass.
+	mu       sync.Mutex
+	enrolled []*clientRec
 }
 
 // newClientRegistry builds a shard's registry (shard construction).
@@ -264,26 +192,24 @@ func newClientRegistry(sys *System, sh *shard) *clientRegistry {
 	return &clientRegistry{sys: sys, sh: sh}
 }
 
-// register creates and files the ownership record for a new client and
-// arms the AddCleanup backstop on c.
+// register creates the ownership record for a new client, enrolls it in
+// liveness epochs if asked, and arms the AddCleanup backstop on c.
 //
 //ppc:coldpath -- client construction
 func (reg *clientRegistry) register(c *Client, epochs int) *clientRec {
-	rec := &clientRec{id: c.program, reg: reg}
+	rec := &clientRec{reg: reg}
 	if epochs > 0 {
 		rec.epochs = uint64(epochs)
 		rec.beat.Store(reg.epoch.Load())
-		reg.epochClients.Add(1)
+		reg.mu.Lock()
+		reg.enrolled = append(reg.enrolled, rec)
+		reg.mu.Unlock()
 		// Liveness needs the epoch advancing: make sure the tick loop is
 		// running even on a sync-only system that never armed a deadline.
 		if !reg.sh.closed.Load() {
 			reg.sh.startTick(reg.sys)
 		}
 	}
-	reg.mu.Lock()
-	rec.idx = len(reg.recs)
-	reg.recs = append(reg.recs, rec)
-	reg.mu.Unlock()
 	// Backstop: a Client that leaks with resources still owned is
 	// declared dead when the GC proves no goroutine can ever use it
 	// again — the strongest possible "domain death" evidence. The
@@ -292,114 +218,51 @@ func (reg *clientRegistry) register(c *Client, epochs int) *clientRec {
 	return rec
 }
 
-// unregister removes a reaped record from the walk list.
-func (reg *clientRegistry) unregister(rec *clientRec) {
-	reg.mu.Lock()
-	reg.unfile(rec)
-	reg.mu.Unlock()
-}
-
-// unfile swap-deletes rec from the walk list. Caller holds reg.mu.
-func (reg *clientRegistry) unfile(rec *clientRec) {
-	if i := rec.idx; i >= 0 && i < len(reg.recs) && reg.recs[i] == rec {
-		last := len(reg.recs) - 1
-		reg.recs[i] = reg.recs[last]
-		reg.recs[i].idx = i
-		reg.recs[last] = nil
-		reg.recs = reg.recs[:last]
-		rec.idx = -1
-	}
-}
-
 // cleanupClient is the runtime.AddCleanup backstop: the Client leaked.
-// A clean record (nothing held, nothing enrolled) is quietly
-// unregistered; a record with holdings is declared dead and reclaimed
-// inline on the cleanup goroutine. Inline — not via the watchdog —
-// because the GC just proved the client unreachable: no owner op can
-// race; and a program that leaked its clients may well have leaked the
-// System too, in which case a woken watchdog would tick forever.
+// A clean record (nothing held, nothing enrolled) is marked dead and
+// counted nowhere — an ordinary released client was collected; a record
+// with holdings is declared dead like any other, and so reclaimed here,
+// on the cleanup goroutine: a program that leaked its clients may well
+// have leaked the System too, and there may be no tick to defer to.
 //
 //ppc:coldpath -- GC cleanup of a leaked client
 func cleanupClient(rec *clientRec) {
-	if rec.state.Load() != crLive {
-		return // already dead or reaped
-	}
 	if rec.cd.Load() == nil && rec.epochs == 0 && !rec.holdsLeases() {
-		// Nothing to reclaim: an ordinary released client was collected.
-		if rec.state.CompareAndSwap(crLive, crReaped) {
-			rec.reg.unregister(rec)
-		}
+		rec.state.CompareAndSwap(crLive, crDead)
 		return
 	}
-	reg := rec.reg
-	if !rec.die() {
-		return
-	}
-	// Only an injected scavenge fault (chaos builds) defers the inline
-	// reap; only then hand the record to a watchdog, and only on an open
-	// shard (nothing but a deadline executor starts a tick after Close).
-	if !reg.reapNow(rec) && !reg.sh.closed.Load() {
-		reg.sh.startTick(reg.sys)
-	}
+	rec.die()
 }
 
-// reapNow scavenges one dead record outside the watchdog tick — the
-// cleanup backstop's inline path. Serialized against the tick walk by
-// reg.mu; the ownership CAS and the slot swaps make a concurrent
-// watchdog pass over the same record settle exactly once.
+// die declares the client dead — every death mode goes through it — and,
+// on the one goroutine whose live->dead CAS wins, counts the death and
+// reaps the record before it returns. Reports whether this call was that
+// one. No lock: the CAS elects the reaper and every step of the reap is an
+// exchange.
 //
-//ppc:coldpath -- GC cleanup of a leaked client
-func (reg *clientRegistry) reapNow(rec *clientRec) bool {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if rec.state.Load() != crDead || !reg.scavengeOne(rec) {
-		return false
-	}
-	reg.unfile(rec)
-	return true
-}
-
-// die is the death transition, live->dead, and its accounting; every
-// death mode goes through it. Reports whether this call made it.
+//ppc:coldpath -- domain death
 func (rec *clientRec) die() bool {
 	if !rec.state.CompareAndSwap(crLive, crDead) {
 		return false
 	}
 	rec.reg.abandoned.Add(1)
-	rec.reg.dead.Add(1)
+	rec.reap()
 	return true
 }
 
-// declareDead moves a record live->dead and wakes the scavenger's
-// watchdog. Idempotent; returns whether this call made the transition.
-//
-//ppc:coldpath -- domain death
-func (rec *clientRec) declareDead() bool {
-	if !rec.die() {
-		return false
-	}
-	reg := rec.reg
-	// The scavenger rides the watchdog; make sure one is ticking (a
-	// sync-only system may never have spawned it). A closed shard starts
-	// none: a tick still draining reaps the client, else the System's end does.
-	if !reg.sh.closed.Load() {
-		reg.sh.startTick(reg.sys)
-	}
-	return true
-}
-
-// Abandon declares the client's domain dead: every resource it owns —
-// held descriptor, payload leases, staged batch entries, carried
-// probe — is reclaimed by the shard's scavenger on an upcoming
-// watchdog tick. Abandon may be called from
-// any goroutine (it is the one cross-goroutine entry point on a
-// Client): a call in flight on the owning goroutine completes normally
-// and settles itself through the tombstone protocol; every later
+// Abandon declares the client's domain dead and reclaims every resource
+// it owns — held descriptor, payload leases, staged batch entries,
+// carried probe — before it returns, on the caller's goroutine, whether
+// the System is open or closed. Abandon may be called from any goroutine
+// (it is the one cross-goroutine entry point on a Client), the client's
+// own handler included: a call in flight on the owning goroutine
+// completes normally on its descriptor, which is condemned rather than
+// repooled, and settles what it took at entry itself; every later
 // operation on the client fails with ErrClientAbandoned. Abandon is
 // idempotent.
 //
 //ppc:coldpath -- domain death
-func (c *Client) Abandon() { c.rec.declareDead() }
+func (c *Client) Abandon() { c.rec.die() }
 
 // Abandoned reports whether the client has been declared dead.
 func (c *Client) Abandoned() bool { return c.rec.state.Load() != crLive }
@@ -439,7 +302,7 @@ func (b *leaseBlock) spill(ref PayloadRef) *atomic.Uint64 {
 
 // claimLease takes ref out of its slot for a submission (or
 // ReleasePayload): true means the caller now owns the lease, false that
-// ref was never filed here or the scavenger got to the slot first.
+// ref was never filed here or a reap got to the slot first.
 //
 //ppc:hotpath
 func (rec *clientRec) claimLease(ref PayloadRef) bool {
@@ -466,9 +329,9 @@ func (rec *clientRec) holdsLeases() bool {
 }
 
 // trackLease files a lease the client just took on its ownership
-// record, where it stays until a submission claims it, so the scavenger
-// can settle it if the client dies first: one store, then the life
-// check. An abandoned client cannot lease at all.
+// record, where it stays until a submission claims it, so the reap can
+// settle it if the client dies first: one store, then the life check. An
+// abandoned client cannot lease at all.
 //
 //ppc:hotpath
 func (c *Client) trackLease(ref PayloadRef) error {
@@ -480,7 +343,7 @@ func (c *Client) trackLease(ref PayloadRef) error {
 }
 
 // retractLease is trackLease on a dead client: take the ref back out of
-// the slot unless the scavenger already has, and fail.
+// the slot unless the reap already has, and fail.
 //
 //ppc:coldpath -- the client was abandoned
 func (c *Client) retractLease(slot *atomic.Uint64, ref PayloadRef) error {
@@ -492,9 +355,9 @@ func (c *Client) retractLease(slot *atomic.Uint64, ref PayloadRef) error {
 
 // consumeArgs claims every payload ref attached to args: the submission
 // the caller is about to make owns them from here, whatever its
-// outcome. A claim lost on a dead client means the scavenger has (or
-// will have) released that lease; the call must not run, and the refs
-// it did take are released here.
+// outcome. A claim lost on a dead client means the reap has (or will
+// have) released that lease; the call must not run, and the refs it did
+// take are released here.
 //
 //ppc:hotpath
 //ppc:rmwbudget(1)
@@ -509,9 +372,9 @@ func (c *Client) consumeArgs(args *Args) error {
 }
 
 // claimLost fails a submission whose claim of segment lost lost to the
-// scavenger: the segments before it are this submission's and are
-// released, the rest are the scavenger's, and args is stripped so
-// nothing releases any of them again.
+// reap: the segments before it are this submission's and are released,
+// the rest are the reap's, and args is stripped so nothing releases any
+// of them again.
 //
 //ppc:coldpath -- the client was abandoned
 func (c *Client) claimLost(args *Args, lost int) error {
@@ -537,82 +400,59 @@ func (c *Client) beatTick() {
 	c.rec.beat.Store(c.rec.reg.epoch.Load())
 }
 
-// scavengeTick is the watchdog-tick entry point: advance the liveness
-// epoch and reap dead clients. The nothing-to-do path — every tick on a
-// healthy system — is at most two atomic loads.
+// livenessTick is the tick's share of domain death: advance the liveness
+// epoch and declare dead — which reaps it, here — every enrolled client
+// that has not stamped a beat for its whole budget of epochs, the
+// in-process analogue of a missed heartbeat across /dev/shm. Records no
+// longer live are dropped from the list in place. With nobody enrolled it
+// is one uncontended lock: the tick walks nothing for the other clients.
 //
-//ppc:coldpath -- watchdog tick work, off every call path
-func (sh *shard) scavengeTick(sys *System) {
+//ppc:coldpath -- shard tick work, off every call path
+func (sh *shard) livenessTick() {
 	reg := sh.reg
-	if reg == nil {
-		return
-	}
-	if reg.epochClients.Load() == 0 && reg.dead.Load() == 0 {
-		return
-	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	var epoch uint64
-	if reg.epochClients.Load() > 0 {
-		epoch = reg.epoch.Add(1)
-	}
-	for i := 0; i < len(reg.recs); {
-		rec := reg.recs[i]
-		rec.markStale(epoch)
-		if rec.state.Load() != crDead || !reg.scavengeOne(rec) {
-			i++
-			continue
-		}
-		reg.unfile(rec) // reaped; recs[i] is now the record swapped in
-	}
-}
-
-// markStale declares a live epoch-enrolled client dead when it has not
-// stamped a beat for its whole budget of scavenger epochs — the
-// in-process analogue of a missed heartbeat across /dev/shm. epoch is
-// zero when no client is enrolled (the epoch did not advance).
-//
-//ppc:coldpath -- watchdog tick work, off every call path
-func (rec *clientRec) markStale(epoch uint64) {
-	if epoch == 0 || rec.epochs == 0 || rec.state.Load() != crLive {
+	if len(reg.enrolled) == 0 {
 		return
 	}
-	if epoch-rec.beat.Load() > rec.epochs {
-		rec.die()
+	epoch := reg.epoch.Add(1)
+	live := reg.enrolled[:0]
+	for _, rec := range reg.enrolled {
+		switch {
+		case rec.state.Load() != crLive:
+		case epoch-rec.beat.Load() > rec.epochs:
+			rec.die()
+		default:
+			live = append(live, rec)
+		}
 	}
+	clear(reg.enrolled[len(live):])
+	reg.enrolled = live
 }
 
-// scavengeOne reclaims one dead client's holdings. Returns true when
-// the record is fully reaped; false defers the client to the next tick
-// (an injected fault). Caller holds reg.mu.
+// reap empties a dead record — the three exchanges — and settles what
+// comes out. Called once per record, by the goroutine whose CAS declared
+// the death (die).
 //
 //ppc:coldpath -- domain-death reclamation
-func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
+func (rec *clientRec) reap() {
+	reg, sh := rec.reg, rec.reg.sh
 	if faultTagEnabled {
-		if err := reg.sys.fireFault(FaultSiteScavenge); err != nil {
-			return false // injected stall/error: retry next tick
-		}
+		// A stall site: a hook that sleeps stretches the window in which the
+		// client is declared dead and nothing of it is reclaimed yet.
+		_ = reg.sys.fireFault(FaultSiteScavenge)
 	}
-	sh := reg.sh
-	// 1. The held descriptor, arbitrated by the ownership word. owHeld is
-	// condemned, not repooled: no call path transitions the word, so a
-	// plain call may still be running on the descriptor right now.
-	// Bumping the generation makes the owner's tombstone and Release
-	// CASes fail, the pool is compensated with a fresh descriptor, and
-	// the condemned one becomes garbage once the handler (if any)
-	// returns. Any other state under this id, or a lost CAS: the owner's
-	// own tombstone or Release settled it.
-	if cd := rec.cd.Load(); cd != nil {
-		w := cd.owner.Load()
-		if ownerIs(w, rec.id) && ownerState(w) == owHeld &&
-			cd.owner.CompareAndSwap(w, packOwner(ownerGen(w)+1, rec.id, owDead)) {
-			sh.heldCDs.Add(-1)
-			sh.pushCD(sh.newCD(0))
-			reg.scavCDs.Add(1)
-		}
-		rec.cd.Store(nil)
+	// 1. The held descriptor is condemned, not repooled: no call path
+	// touches the slot, so a plain call may still be running on the
+	// descriptor right now. The pool is compensated with a fresh one, and
+	// the condemned one becomes garbage once the handler (if any) returns.
+	// An empty slot: the owner's Release or its own dead exit settled it.
+	if rec.cd.Swap(nil) != nil {
+		sh.heldCDs.Add(-1)
+		sh.pushCD(sh.newCD(0))
+		reg.scavCDs.Add(1)
 	}
-	// 2. The lease slots: every ref this swap takes out is this pass's to
+	// 2. The lease slots: every ref this swap takes out is the reap's to
 	// release. A slot the owner fills behind the walk is the owner's
 	// again — its life check after the store sees the death.
 	var n int64
@@ -631,20 +471,11 @@ func (reg *clientRegistry) scavengeOne(rec *clientRec) bool {
 	if p := rec.probe.Swap(nil); p != nil {
 		p.svc.gateReopen(p.counters)
 	}
-	// 4. Reap.
-	rec.state.Store(crReaped)
-	if rec.epochs > 0 {
-		reg.epochClients.Add(-1)
-	}
-	reg.dead.Add(-1)
-	return true
 }
 
 // tombstoneExit is the dead owner's completion path: Call's exit life
-// check came back dead while the word, untouched all along, still reads
-// owHeld under this hold's generation — unless the scavenger already
-// condemned it. The completion landed in a tombstone: counted, and the
-// descriptor settled as any dead owner's is (dropDeadHold).
+// check came back dead. The completion landed in a tombstone: counted,
+// and the descriptor settled as any dead owner's is (dropDeadHold).
 //
 //ppc:coldpath -- the client was abandoned mid-call
 func (c *Client) tombstoneExit() {
@@ -656,7 +487,7 @@ func (c *Client) tombstoneExit() {
 // client's held descriptor: take a descriptor if none is held — Hold
 // declines on a dead client — then one load of the record's life state,
 // a read-mostly line written once at death, and the liveness beat of an
-// enrolled client. No call transitions the ownership word (see the file
+// enrolled client. No call touches the descriptor's slot (see the file
 // comment), so the warm call pays no RMW here.
 //
 //ppc:hotpath
@@ -685,19 +516,15 @@ func (c *Client) ownerLost(argss []Args) error {
 }
 
 // dropDeadHold settles a dead client's held descriptor from the owner's
-// side. The owner has transitioned nothing, so the word still reads
-// owHeld under this hold's generation unless the scavenger already
-// condemned it, and whichever of the two wins the CAS reclaims. Without
-// the settle here the descriptor would be stranded: clearing rec.cd hides
-// it from the scavenger's walk.
+// side: the hand-back exchange, which repools the descriptor unless the
+// reap already took it out of the slot and condemned it.
 //
 //ppc:coldpath -- the client was abandoned
 func (c *Client) dropDeadHold() {
 	if cd := c.held; cd != nil {
-		if cd.owner.CompareAndSwap(c.owHeld, packOwner(ownerGen(c.owHeld)+1, c.program, owDead)) {
+		c.held = nil
+		if c.rec.cd.CompareAndSwap(cd, nil) {
 			c.shard.releaseCD(cd)
 		}
-		c.held = nil
 	}
-	c.rec.cd.Store(nil)
 }

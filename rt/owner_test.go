@@ -7,45 +7,20 @@ import (
 	"time"
 )
 
-// Domain-death protocol unit tests: the packed ownership word, the
-// three death modes (Abandon, liveness epochs, the AddCleanup
-// backstop), and the scavenger's per-holding reclamation. The storm
-// version lives in chaos_test.go (TestChaosDomainDeath); these pin
-// each mechanism in isolation.
-
-func TestOwnerWordPacking(t *testing.T) {
-	w := packOwner(7, 42, owDead)
-	if ownerGen(w) != 7 {
-		t.Fatalf("gen = %d", ownerGen(w))
-	}
-	if ownerState(w) != owDead {
-		t.Fatalf("state = %d", ownerState(w))
-	}
-	if !ownerIs(w, 42) || ownerIs(w, 43) {
-		t.Fatal("ownerIs mismatch")
-	}
-	// The id field truncates to 29 bits; ids equal mod 2^29 collide in
-	// the word (the gen tag is what keeps a stale CAS from succeeding).
-	if !ownerIs(packOwner(0, 1<<ownerIDBits|5, owHeld), 5) {
-		t.Fatal("id truncation changed the masked comparison")
-	}
-	// State and id never bleed into each other or into the gen.
-	w = packOwner(0, ^uint32(0), owDead)
-	if ownerGen(w) != 0 {
-		t.Fatalf("max id leaked into gen: %#x", w)
-	}
-	if ownerState(w) != owDead {
-		t.Fatalf("max id leaked into state: %#x", w)
-	}
-}
+// Domain-death protocol unit tests: the three death modes (Abandon,
+// liveness epochs, the AddCleanup backstop) and the reap's per-holding
+// reclamation, which has happened when the declaration returns. The
+// storm version lives in chaos_test.go (TestChaosDomainDeath), the
+// operation × death-point × declarer table in ownership_identity_test.go;
+// these pin each mechanism in isolation.
 
 // TestAbandonReclaimsHeldCD: the explicit death mode. Abandon is
-// idempotent, the scavenger condemns the held descriptor and
-// compensates the pool with a fresh one, and every later call on the
-// client fails with ErrClientAbandoned.
+// idempotent, condemns the held descriptor and compensates the pool with
+// a fresh one before it returns, and every later call on the client fails
+// with ErrClientAbandoned.
 func TestAbandonReclaimsHeldCD(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	sys := NewSystemShards(1)
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
@@ -65,12 +40,9 @@ func TestAbandonReclaimsHeldCD(t *testing.T) {
 	if !c.Abandoned() {
 		t.Fatal("Abandoned() = false after Abandon")
 	}
-	waitCond(t, 2*time.Second, "CD scavenge", func() bool {
-		return sh.heldCDs.Load() == 0 && sh.poolSize() == 1
-	})
 	st := sys.Stats()[0]
-	if st.AbandonedClients != 1 || st.ScavengedCDs != 1 {
-		t.Fatalf("death counters: %+v", st)
+	if st.HeldCDs != 0 || st.PooledCDs != 1 || st.AbandonedClients != 1 || st.ScavengedCDs != 1 {
+		t.Fatalf("right after Abandon: %+v", st)
 	}
 	if err := c.Call(svc.EP(), &args); !errors.Is(err, ErrClientAbandoned) {
 		t.Fatalf("call after abandon: %v", err)
@@ -87,9 +59,10 @@ func TestAbandonReclaimsHeldCD(t *testing.T) {
 }
 
 // TestAbandonMidCallTombstones: a call in flight when its client is
-// abandoned completes normally and settles itself through the
-// tombstone CAS — the completion is never lost and the descriptor is
-// reclaimed exactly once.
+// abandoned — here from inside its own handler — completes normally on a
+// descriptor the reap has condemned under it: the completion is never
+// lost, the descriptor is never repooled, and the pool is compensated
+// exactly once.
 func TestAbandonMidCallTombstones(t *testing.T) {
 	leakCheck(t)
 	sys := NewSystemShards(1)
@@ -109,13 +82,15 @@ func TestAbandonMidCallTombstones(t *testing.T) {
 		t.Fatalf("in-flight call: %v, args[0] = %d (the completion must land)", err, args[0])
 	}
 	st := sys.Stats()[0]
-	if st.TombstonedCompletions != 1 || st.AbandonedClients != 1 {
+	if st.TombstonedCompletions != 1 || st.AbandonedClients != 1 || st.ScavengedCDs != 1 {
 		t.Fatalf("tombstone counters: %+v", st)
 	}
-	// The tombstone exit reclaimed the descriptor itself (the scavenger
-	// saw nothing left to do).
-	if sh.heldCDs.Load() != 0 || sh.poolSize() != 1 {
-		t.Fatalf("after tombstone: heldCDs = %d, poolSize = %d", sh.heldCDs.Load(), sh.poolSize())
+	// The reap took the descriptor out of the slot while the call was on
+	// it; the exit found the slot empty and walked away. What is in the
+	// pool is the compensation.
+	if sh.heldCDs.Load() != 0 || sh.poolSize() != 1 || sh.cdsCreated.Load() != 2 {
+		t.Fatalf("after tombstone: heldCDs = %d, poolSize = %d, cdsCreated = %d; want 0, 1, 2",
+			sh.heldCDs.Load(), sh.poolSize(), sh.cdsCreated.Load())
 	}
 	if err := c.Call(svc.EP(), &args); !errors.Is(err, ErrClientAbandoned) {
 		t.Fatalf("call after mid-call abandon: %v", err)
@@ -127,7 +102,7 @@ func TestAbandonMidCallTombstones(t *testing.T) {
 // and the payload API fails closed afterwards.
 func TestAbandonReclaimsLeases(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	sys := NewSystemShards(1)
 	defer sys.Close()
 	c := sys.NewClientOnShard(0)
 	const n = recLeaseSlots + 4 // force the spill path
@@ -140,12 +115,9 @@ func TestAbandonReclaimsLeases(t *testing.T) {
 		t.Fatalf("LeasesActive = %d, want %d", st.LeasesActive, n)
 	}
 	c.Abandon()
-	waitCond(t, 2*time.Second, "lease scavenge", func() bool {
-		return sys.Stats()[0].LeasesActive == 0
-	})
 	st := sys.Stats()[0]
-	if st.ScavengedLeases != n {
-		t.Fatalf("ScavengedLeases = %d, want %d", st.ScavengedLeases, n)
+	if st.LeasesActive != 0 || st.ScavengedLeases != n {
+		t.Fatalf("right after Abandon: LeasesActive = %d, ScavengedLeases = %d; want 0, %d", st.LeasesActive, st.ScavengedLeases, n)
 	}
 	if _, _, err := c.AllocPayload(128); !errors.Is(err, ErrClientAbandoned) {
 		t.Fatalf("AllocPayload after scavenge: %v", err)
@@ -153,11 +125,11 @@ func TestAbandonReclaimsLeases(t *testing.T) {
 }
 
 // TestAbandonReclaimsBatch: payload leases staged into an unflushed
-// batch are settled by the scavenger, and Flush on the dead client
-// fails with ErrClientAbandoned instead of submitting.
+// batch are settled by the reap, and Flush on the dead client fails with
+// ErrClientAbandoned instead of submitting.
 func TestAbandonReclaimsBatch(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -178,11 +150,8 @@ func TestAbandonReclaimsBatch(t *testing.T) {
 		t.Fatalf("staged %d", b.Len())
 	}
 	c.Abandon()
-	waitCond(t, 2*time.Second, "batch scavenge", func() bool {
-		return sys.Stats()[0].LeasesActive == 0
-	})
-	if st := sys.Stats()[0]; st.ScavengedLeases != 3 {
-		t.Fatalf("ScavengedLeases = %d, want 3", st.ScavengedLeases)
+	if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ScavengedLeases != 3 {
+		t.Fatalf("right after Abandon: LeasesActive = %d, ScavengedLeases = %d; want 0, 3", st.LeasesActive, st.ScavengedLeases)
 	}
 	if n, err := b.Flush(); n != 0 || !errors.Is(err, ErrClientAbandoned) {
 		t.Fatalf("Flush after scavenge: n = %d, err = %v", n, err)
@@ -190,13 +159,13 @@ func TestAbandonReclaimsBatch(t *testing.T) {
 }
 
 // TestBatchAddAfterScavengeReleasesOnce: a payload leased before the
-// client died and staged after the scavenger drained its record is
-// released once, by the drain. Add's declined branch used to release it
+// client died and staged after the reap drained its record is released
+// once, by the drain. Add's declined branch used to release it
 // again, taking the slab's lease count to −1 — the domain-death storm
 // saw it as LeasesActive never converging, about one run in 130.
 func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -209,9 +178,9 @@ func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Abandon()
-	waitCond(t, 2*time.Second, "scavenge of the tracked lease", func() bool {
-		return sys.Stats()[0].ScavengedLeases == 1
-	})
+	if got := sys.Stats()[0].ScavengedLeases; got != 1 {
+		t.Fatalf("ScavengedLeases = %d right after Abandon, want 1", got)
+	}
 	var args Args
 	args.AttachPayload(ref)
 	b.Add(&args)
@@ -223,11 +192,11 @@ func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 // TestAbandonLeavesExecutorPool: a client holds nothing for the deadline
 // path, so abandoning one that has made deadline calls leaves the shard's
 // executor where it was — parked, on the list, holding its own descriptor —
-// for the next client, and the scavenger finds nothing to condemn. Close
+// for the next client, and the reap finds nothing to condemn. Close
 // retires it (leakCheck).
 func TestAbandonLeavesExecutorPool(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	sys := NewSystemShards(1)
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "d", Handler: func(ctx *Ctx, args *Args) {}})
@@ -243,9 +212,9 @@ func TestAbandonLeavesExecutorPool(t *testing.T) {
 		t.Fatalf("HeldCDs = %d, PooledCDs = %d with one executor made, want 0 and 0: its descriptor is its own", st.HeldCDs, st.PooledCDs)
 	}
 	c.Abandon()
-	waitCond(t, 2*time.Second, "the scavenger to reap the client", func() bool {
-		return sh.reg.dead.Load() == 0 && sys.Stats()[0].AbandonedClients == 1
-	})
+	if got := sys.Stats()[0].AbandonedClients; got != 1 {
+		t.Fatalf("AbandonedClients = %d, want 1", got)
+	}
 	if err := sys.NewClientOnShard(0).CallDeadline(svc.EP(), &args, time.Second); err != nil {
 		t.Fatalf("the next client's deadline call: %v", err)
 	}
@@ -257,7 +226,7 @@ func TestAbandonLeavesExecutorPool(t *testing.T) {
 
 // TestLivenessEpochDeath: the missed-heartbeat death mode. An enrolled
 // client that stops stamping beats for its whole epoch budget is
-// declared dead and scavenged; a client that keeps calling is not.
+// declared dead and reaped on the tick; a client that keeps calling is not.
 func TestLivenessEpochDeath(t *testing.T) {
 	leakCheck(t)
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
@@ -284,24 +253,33 @@ func TestLivenessEpochDeath(t *testing.T) {
 	if beating.Abandoned() {
 		t.Fatal("beating client declared dead")
 	}
-	// heldCDs converges to 1: the beating client's hold survives, the
-	// idle client's is reclaimed.
-	waitCond(t, 2*time.Second, "idle client scavenge", func() bool {
+	// The beating client's hold survives; the idle client's is reclaimed by
+	// the tick that declared it (polled: Abandoned flips a step ahead of
+	// the reap, on the tick's goroutine).
+	waitCond(t, 2*time.Second, "idle client reap", func() bool {
 		return sh.heldCDs.Load() == 1 && sys.Stats()[0].ScavengedCDs == 1
 	})
 	st := sys.Stats()[0]
 	if st.AbandonedClients != 1 || st.ScavengedCDs != 1 {
 		t.Fatalf("liveness counters: %+v", st)
 	}
+	// The dead record leaves the enrolled list on the tick's next pass;
+	// the live one stays.
+	reg := sh.reg
+	waitCond(t, 2*time.Second, "the dead record to leave the enrolled list", func() bool {
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		return len(reg.enrolled) == 1 && reg.enrolled[0] == beating.rec
+	})
 	beating.Release()
 }
 
 // TestCleanupBackstopReclaimsLeak: the GC death mode. A Client that
 // leaks (no Release, no Abandon, reference dropped) is declared dead by
-// the runtime.AddCleanup backstop and scavenged.
+// the runtime.AddCleanup backstop and reaped on the cleanup goroutine.
 func TestCleanupBackstopReclaimsLeak(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	sys := NewSystemShards(1)
 	defer sys.Close()
 	sh := &sys.shards[0]
 	func() {
@@ -316,24 +294,22 @@ func TestCleanupBackstopReclaimsLeak(t *testing.T) {
 }
 
 // TestCleanupCleanClientUnregisters: a leaked client that holds nothing
-// is unregistered quietly — no death declared, no counter moved, no
-// record left for the scavenger to walk.
+// is dropped quietly — its record marked dead, no death counted, no
+// counter moved. Nothing lists a record, so the mark is all there is to
+// see: the test keeps the record, which does not reach the Client.
 func TestCleanupCleanClientUnregisters(t *testing.T) {
 	sys := NewSystemShards(1)
 	defer sys.Close()
-	reg := sys.shards[0].reg
+	var rec *clientRec
 	func() {
-		_ = sys.NewClientOnShard(0)
+		rec = sys.NewClientOnShard(0).rec
 	}()
-	waitCond(t, 10*time.Second, "clean unregister", func() bool {
+	waitCond(t, 10*time.Second, "the clean client's cleanup", func() bool {
 		runtime.GC()
-		reg.mu.Lock()
-		n := len(reg.recs)
-		reg.mu.Unlock()
-		return n == 0
+		return rec.state.Load() == crDead
 	})
-	if got := reg.abandoned.Load(); got != 0 {
-		t.Fatalf("clean leak counted as abandoned: %d", got)
+	if st := sys.Stats()[0]; st.AbandonedClients != 0 || st.ScavengedCDs != 0 || st.ScavengedLeases != 0 {
+		t.Fatalf("clean leak counted: %+v", st)
 	}
 }
 
@@ -345,23 +321,21 @@ func TestCleanupCleanClientUnregisters(t *testing.T) {
 // rest of the process (async_batch's live heap, bench/README.md
 // Findings 3). A flushed batch leaves nothing to reclaim and the record
 // is dropped quietly; a staged payload makes the record non-clean, so
-// the cleanup must also reap it: the lease returns to the arena.
+// the cleanup must also reap it: the lease returns to the arena. Either
+// way the record — which the test keeps; it does not reach the Client —
+// ends up marked dead.
 func TestCleanupCollectsBatchClient(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	sys := NewSystemShards(1)
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := sys.shards[0].reg
-	recs := func() int {
-		reg.mu.Lock()
-		defer reg.mu.Unlock()
-		return len(reg.recs)
-	}
+	var rec *clientRec
 	func() {
 		c := sys.NewClientOnShard(0)
+		rec = c.rec
 		b := c.NewBatch(svc.EP(), 4)
 		b.Add(&Args{})
 		if n, err := b.Flush(); n != 1 || err != nil {
@@ -372,13 +346,14 @@ func TestCleanupCollectsBatchClient(t *testing.T) {
 	waitCond(t, 10*time.Second, "cleanup of a client whose Batch was flushed", func() bool {
 		runtime.GC()
 		runtime.GC()
-		return recs() == 0
+		return rec.state.Load() == crDead
 	})
-	if got := reg.abandoned.Load(); got != 0 {
+	if got := sys.Stats()[0].AbandonedClients; got != 0 {
 		t.Fatalf("a flushed batch counted its client as abandoned: %d", got)
 	}
 	func() {
 		c := sys.NewClientOnShard(0)
+		rec = c.rec
 		b := c.NewBatch(svc.EP(), 4)
 		ref, _, err := c.AllocPayload(64)
 		if err != nil {
@@ -392,7 +367,7 @@ func TestCleanupCollectsBatchClient(t *testing.T) {
 	waitCond(t, 10*time.Second, "cleanup of a client with a staged Batch", func() bool {
 		runtime.GC()
 		runtime.GC()
-		return recs() == 0
+		return rec.state.Load() == crDead
 	})
 	if st := sys.Stats()[0]; st.AbandonedClients != 1 || st.ScavengedLeases != 1 || st.LeasesActive != 0 {
 		t.Fatalf("after the cleanup: AbandonedClients = %d, ScavengedLeases = %d, LeasesActive = %d; want 1, 1, 0",
@@ -402,7 +377,7 @@ func TestCleanupCollectsBatchClient(t *testing.T) {
 
 // TestHoldDeclinesOnDeadClient: Hold on an abandoned client must not
 // take a descriptor out of the pool (a dead client acquiring resources
-// is how holdings escape the scavenger).
+// is how holdings escape the reap, which has already been).
 func TestHoldDeclinesOnDeadClient(t *testing.T) {
 	sys := NewSystemShards(1)
 	defer sys.Close()
@@ -419,7 +394,7 @@ func TestHoldDeclinesOnDeadClient(t *testing.T) {
 // lose, so nothing but its own life check stops an abandoned client from
 // being serviced. The handler must not run, and a lease the call had
 // attached is released once — by the call if it claimed it, by the
-// scavenger otherwise.
+// reap otherwise.
 func TestCallPooledOnDeadClient(t *testing.T) {
 	sys, svc, settled := leaseSystem(t, Options{})
 	c := sys.NewClientOnShard(0)
@@ -434,5 +409,76 @@ func TestCallPooledOnDeadClient(t *testing.T) {
 	if svc.Calls() != 0 || settled.Load() != 0 {
 		t.Fatalf("the handler ran for an abandoned client: Calls = %d, %d segments settled", svc.Calls(), settled.Load())
 	}
-	waitCond(t, 2*time.Second, "the attached lease to be released", func() bool { return leasesActive(sys) == 0 })
+	if got := leasesActive(sys); got != 0 {
+		t.Fatalf("LeasesActive = %d, want 0: the attached lease was the reap's", got)
+	}
+}
+
+// TestAbandonAfterCloseReclaims: the reclaim depends on no helper that may
+// be gone. Abandon on a closed System — no tick is running and none is
+// started — has settled the held descriptor and the lease when it returns.
+// A reap left to the tick would never come: a closed shard starts none.
+func TestAbandonAfterCloseReclaims(t *testing.T) {
+	leakCheck(t)
+	sys := NewSystemShards(1)
+	sh := &sys.shards[0]
+	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	var args Args
+	if err := c.Call(svc.EP(), &args); err != nil { // the implicit hold
+		t.Fatal(err)
+	}
+	if _, _, err := c.AllocPayload(64); err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+	before := sys.Stats()[0]
+	c.Abandon()
+	st := sys.Stats()[0]
+	if st.HeldCDs != 0 || st.LeasesActive != 0 || st.ScavengedCDs != 1 || st.ScavengedLeases != 1 || st.AbandonedClients != 1 {
+		t.Fatalf("right after Close(); Abandon(): HeldCDs = %d, LeasesActive = %d, ScavengedCDs = %d, ScavengedLeases = %d, AbandonedClients = %d; want 0, 0, 1, 1, 1",
+			st.HeldCDs, st.LeasesActive, st.ScavengedCDs, st.ScavengedLeases, st.AbandonedClients)
+	}
+	if st.PooledCDs != before.PooledCDs+1 || st.CDsCreated != before.CDsCreated+1 {
+		t.Fatalf("pool not compensated once: PooledCDs %d -> %d, CDsCreated %d -> %d", before.PooledCDs, st.PooledCDs, before.CDsCreated, st.CDsCreated)
+	}
+	sh.qMu.Lock()
+	on := sh.watchdogOn
+	sh.qMu.Unlock()
+	if on {
+		t.Fatal("Abandon on a closed shard started a tick loop")
+	}
+}
+
+// BenchmarkClientLifecycle prices what a client costs to make and to lose
+// (EXPERIMENTS.md E27): construction alone — no lock and no list entry —
+// and a whole short life, create + Call + Abandon, with the reclaim of the
+// held descriptor inside the figure (Abandon performs it).
+func BenchmarkClientLifecycle(b *testing.B) {
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("create", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = sys.NewClientOnShard(0)
+		}
+	})
+	b.Run("create+Call+Abandon", func(b *testing.B) {
+		b.ReportAllocs()
+		var args Args
+		for i := 0; i < b.N; i++ {
+			c := sys.NewClientOnShard(0)
+			if err := c.Call(svc.EP(), &args); err != nil {
+				b.Fatal(err)
+			}
+			c.Abandon()
+		}
+	})
 }

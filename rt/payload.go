@@ -290,7 +290,7 @@ func (c *Client) AllocPayload(n int) (PayloadRef, []byte, error) {
 // the abort path for a payload allocated but never submitted. It
 // releases only a lease it can still claim (owner.go): for a payload a
 // submission already consumed, a second ReleasePayload of the same ref,
-// or a client the scavenger has settled, it is a quiet no-op.
+// or a client whose death has settled it, it is a quiet no-op.
 //
 //ppc:coldpath -- abort path for an abandoned payload
 func (c *Client) ReleasePayload(ref PayloadRef) {

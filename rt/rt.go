@@ -200,7 +200,7 @@ var (
 	ErrShed = fmt.Errorf("rt: request shed (lane overload or tenant budget)")
 	// ErrClientAbandoned: operation on a client that was declared dead
 	// (Client.Abandon, the leaked-client cleanup backstop, or a missed
-	// liveness epoch) and whose resources the scavenger has reclaimed
+	// liveness epoch) and whose resources its declarer has reclaimed
 	// or is reclaiming. Terminal for that client — not retryable;
 	// construct a fresh client instead.
 	ErrClientAbandoned = fmt.Errorf("rt: client abandoned")
@@ -864,8 +864,8 @@ const killPollInterval = 100 * time.Microsecond
 // the count — one of them sees the other); or the sum precedes the
 // link, in which case the state store precedes it too and the caller's
 // re-check in admit backs out. Stripes are never unlinked, so a call
-// still running after its caller has gone (on a descriptor the scavenger
-// condemned, on an orphaned deadline executor's) is waited for as well.
+// still running after its caller has gone (on a descriptor its client's
+// death condemned, on an orphaned deadline executor's) is waited for as well.
 func (s *System) Kill(ep EntryPointID, hard bool) error {
 	svc := s.Service(ep)
 	if svc == nil || svc.state.Load() == svcDead {
@@ -984,18 +984,19 @@ type ShardStats struct {
 	ArenaGrows int64
 	// AbandonedClients counts clients declared dead on this shard —
 	// by Client.Abandon, the leaked-client cleanup backstop, or a
-	// missed liveness epoch — and handed to the scavenger.
+	// missed liveness epoch — and reclaimed by whoever declared it.
 	AbandonedClients int64
-	// ScavengedCDs counts held call descriptors the scavenger
-	// reclaimed from dead clients (ownership CAS won from owHeld).
+	// ScavengedCDs counts held call descriptors a death took out of the
+	// dead client's record: condemned, and the pool compensated.
 	ScavengedCDs int64
 	// ScavengedLeases counts payload leases (tracked allocations and
-	// batch-staged transfers) the scavenger released for dead clients.
+	// batch-staged transfers) a death took out of the dead client's
+	// record and released.
 	ScavengedLeases int64
 	// TombstonedCompletions counts call completions that found their
-	// client dead at exit: the finishing goroutine tombstoned the CD
-	// (or lost the race to the scavenger's reclaim CAS) instead of
-	// handing it back to a reclaimed owner.
+	// client dead at exit: the finishing goroutine took its descriptor
+	// back out of the record and repooled it, or found it condemned
+	// already and walked away.
 	TombstonedCompletions int64
 }
 

@@ -76,18 +76,10 @@ type callDesc struct {
 	// Line 2: cold. next links the shard's free list; stripes is every
 	// (service, stripe) pair this descriptor owns, the backing store of
 	// the cache above.
-	next  atomic.Pointer[callDesc]
-	shard *shard
-	// owner is the packed gen-tagged ownership word (owner.go):
-	// gen<<32 | clientID<<3 | state. Meaningful only while a client
-	// holds the descriptor; pooled-path calls never touch it. The
-	// word's layout is offset-stable and pointer-free — the pre-work
-	// for ROADMAP item 1's mmap'd descriptors.
-	//
-	//ppc:atomic
-	owner   atomic.Uint64
+	next    atomic.Pointer[callDesc]
+	shard   *shard
 	stripes []stripeRef
-	_       [16]byte
+	_       [24]byte // tile to three lines (see above): who holds the descriptor is the holder's record's business (owner.go)
 }
 
 // stripeRef is one entry of a descriptor's stripe list.
@@ -324,10 +316,10 @@ type shard struct {
 	// internal cur-line isolation is not sheared.
 	arena   shardArena
 	offload *offloadLane
-	// reg is the shard's client-ownership registry (owner.go): death
-	// declarations, the scavenger walk list, and the domain-death
-	// counters all live behind this one cold pointer, so the shard's
-	// own layout is untouched by the ownership protocol.
+	// reg is the shard's share of domain death (owner.go): the liveness
+	// epoch, the clients enrolled in it and the death counters all live
+	// behind this one cold pointer, so the shard's own layout is
+	// untouched by the ownership protocol.
 	reg *clientRegistry
 	_   [48]byte // tail pad: shard tiles whole lines (System.shards is a []shard)
 }

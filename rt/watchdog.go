@@ -21,9 +21,12 @@ import (
 // The same goroutine also drives deadline expiry (deadline.go): every
 // tick refreshes the shard's coarse clock and walks the shard's pool of
 // deadline executors, orphaning the callers whose deadline has come
-// due. Once the shard has an executor the tick period tightens to the
-// deadline tick (so expiry latency is bounded by it) and the loop keeps
-// ticking even after shard close until the last executor has exited —
+// due — and the liveness epoch of the clients enrolled in one (owner.go),
+// the only part of domain death that waits for a tick: every other death
+// is settled where it is declared. Once the shard has an executor the
+// tick period tightens to the deadline tick (so expiry latency is bounded
+// by it) and the loop keeps ticking even after shard close until the last
+// executor has exited —
 // supervision and the tick have separate lifecycles: supervision runs
 // only when a stall threshold is configured and the shard is open; the
 // tick runs whenever either needs it.
@@ -216,12 +219,13 @@ func (sh *shard) tryRetire() bool {
 // otherwise settle its first call up to one such interval late.
 // Supervision starts it ahead of the first worker (spawnWorker, when a
 // stall threshold is configured and the shard is open); a deadline
-// executor, a liveness-enrolled client and a death declaration start it
-// without either condition — synchronous calls, deadlines included, keep
+// executor starts it without either condition and a liveness-enrolled
+// client on an open shard — synchronous calls, deadlines included, keep
 // working after Close, and a loop started behind a close finds stop
-// closed and goes straight to drain mode.
+// closed and goes straight to drain mode. A death declaration starts
+// none: whoever declares it reclaims (owner.go).
 //
-//ppc:coldpath -- tick startup: first worker, a new executor, domain death
+//ppc:coldpath -- tick startup: first worker, a new executor, a liveness enrolment
 func (sh *shard) startTick(sys *System) {
 	sh.qMu.Lock()
 	if !sh.watchdogOn {
@@ -283,22 +287,19 @@ func (sh *shard) watchdogLoop(sys *System) {
 		// once per tick — the warm admission path never reads a clock.
 		sh.refillTenants(now)
 		sh.expireDeadlines(now)
-		// The domain-death scavenger rides the same tick (owner.go):
-		// liveness epochs advance and dead clients' holdings are
-		// reclaimed. Two atomic loads when nothing is dead and no
-		// liveness-enrolled client is registered.
-		sh.scavengeTick(sys)
+		// Liveness rides the same tick (owner.go): the epoch advances and
+		// an enrolled client past its budget is declared dead — and
+		// reclaimed, here. One uncontended lock when nobody is enrolled.
+		sh.livenessTick()
 		repick()
 		if stopping {
 			// Drain mode: no supervision, tick until every deadline executor
-			// has exited (the calls in flight at Close are over) and the
-			// scavenger has no dead client left to reclaim. The exit
+			// has exited (the calls in flight at Close are over). The exit
 			// handshake runs under qMu against startTick: either this loop
-			// sees the new executor (or death declaration) and stays, or it
-			// clears watchdogOn first and newExec starts a fresh loop.
+			// sees the new executor and stays, or it clears watchdogOn first
+			// and newExec starts a fresh loop.
 			sh.qMu.Lock()
-			if sh.deadlineExecs() == 0 &&
-				(sh.reg == nil || sh.reg.dead.Load() == 0) {
+			if sh.deadlineExecs() == 0 {
 				sh.watchdogOn = false
 				sh.qMu.Unlock()
 				return
