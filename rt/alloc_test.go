@@ -407,6 +407,70 @@ func TestWarmCallDeadlineAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmScratchAllocs: a handler that uses its scratch gets
+// ScratchBytes of it — the default and a 16 KiB service alike — and from
+// a descriptor's second call on Ctx.Scratch allocates nothing, on every
+// kind of descriptor: a client's held one, a popped pooled one, an async
+// worker's and a deadline executor's. Report-only under -race.
+func TestWarmScratchAllocs(t *testing.T) {
+	for _, size := range []int{0, 16 << 10} {
+		want := size
+		if want == 0 {
+			want = defaultScratchBytes
+		}
+		sys := NewSystemShards(1)
+		svc, err := sys.Bind(ServiceConfig{Name: "scr", ScratchBytes: size, Handler: func(ctx *Ctx, args *Args) {
+			s := ctx.Scratch()
+			if len(s) != want {
+				t.Errorf("Scratch() is %d bytes, want %d", len(s), want)
+			}
+			s[len(s)-1]++
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := sys.NewClientOnShard(0)
+		ep := svc.EP()
+		var args Args
+		done := make(chan struct{}, 1)
+		for _, tc := range []struct {
+			name string
+			call func() error
+		}{
+			{"held", func() error { return c.Call(ep, &args) }},
+			{"pooled", func() error { return c.CallPooled(ep, &args) }},
+			{"async worker", func() error {
+				err := c.AsyncCallNotify(ep, &args, done)
+				if err == nil {
+					<-done
+				}
+				return err
+			}},
+			{"deadline executor", func() error { return c.CallDeadline(ep, &args, time.Hour) }},
+		} {
+			for i := 0; i < 2; i++ { // the first call on the descriptor allocates its scratch
+				if err := tc.call(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := tc.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				if raceEnabled {
+					t.Logf("%s, %d-byte scratch: %.1f objects/op under -race (report-only)", tc.name, want, allocs)
+				} else {
+					t.Errorf("%s, %d-byte scratch: a warm call using Scratch allocates %.1f objects/op, want 0", tc.name, want, allocs)
+				}
+			}
+		}
+		c.Release()
+		sys.Close()
+	}
+}
+
 // TestWarmLaneTenantAsyncAllocs extends the invariant to the QoS path:
 // a warm async round trip through a lane-configured shard, with a
 // tenant bucket charged on every admission, must still be zero-alloc —

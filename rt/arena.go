@@ -3,18 +3,17 @@ package rt
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Per-shard scratch arenas — the memory behind the zero-copy payload
-// path (payload.go). An arena is a set of large, cache-line-aligned
-// slabs tiling a stable offset space; a payload segment is leased from
-// the current slab with a few shard-local atomics, read in place by
-// the handler, and released when the call settles. Reclamation is by
-// lease count + epoch, not by GC: a slab whose leases have all been
-// released moves on a generation — recycled if it was retired, rewound
-// in place if it is still the allocation target — and any descriptor
-// minted under the old generation fails validation from then on.
+// path (payload.go). An arena is a set of cache-line-aligned slabs tiling
+// a stable offset space; a payload segment is leased from the current
+// slab with a few shard-local atomics, read in place by the handler, and
+// released when the call settles. Reclamation is by lease count + epoch,
+// not by GC: a slab whose leases have all been released moves on a
+// generation — recycled if it was retired, rewound in place if it is
+// still the allocation target — and any descriptor minted under the old
+// generation fails validation from then on.
 //
 // The discipline mirrors the rest of the package:
 //
@@ -22,12 +21,16 @@ import (
 //     as call admission) that claims its region with the same fetch-add
 //     — one locked instruction, no lock, no heap allocation, no line
 //     shared with another shard.
+//   - Memory is committed on first need, as the paper provisions its
+//     pools on a miss: a shard's first slab is 64 KiB if the request
+//     fits, every other one 2 MiB; refill takes the largest free slab
+//     that holds the request, so a first slab kept free costs +64 KiB.
 //   - Slab growth and recycling are strictly cold: a mutex-guarded
-//     refill runs at most once per slabful of traffic (capacity-
-//     guarded exactly like growScratch), and the slab table is
-//     republished copy-on-grow so lookups stay lock-free.
+//     refill runs at most once per slabful of traffic, and the slab
+//     table is republished copy-on-grow so lookups stay lock-free.
 //   - Offsets are stable for the lifetime of the arena: slab i always
-//     covers [i*arenaSlabBytes, (i+1)*arenaSlabBytes). The cross-
+//     covers [i*arenaSlabBytes, (i+1)*arenaSlabBytes), whatever its own
+//     size; a ref past a slab's real end fails validation. The cross-
 //     process segment (ROADMAP item 1) keeps this property by mmap'ing
 //     the same offset space.
 //
@@ -46,11 +49,12 @@ const (
 	arenaLineBytes = 64
 	lineShift      = 6
 
-	// arenaSlabShift / arenaSlabBytes: one slab is 2 MiB — large enough
-	// that steady traffic recycles slabs instead of growing, small
-	// enough that an idle shard's arena costs nothing (slabs are lazy).
-	arenaSlabShift = 21
-	arenaSlabBytes = 1 << arenaSlabShift
+	// arenaSlabShift / arenaSlabBytes: a slab's window in the offset
+	// space and the size of every slab but a small first one
+	// (arenaFirstSlabBytes, growLocked).
+	arenaSlabShift      = 21
+	arenaSlabBytes      = 1 << arenaSlabShift
+	arenaFirstSlabBytes = 64 << 10
 
 	// arenaMaxSlabs bounds the offset space at what PayloadRef's off
 	// field can address (2^26 lines = 4 GiB).
@@ -77,7 +81,7 @@ const (
 // segments (plus a staging lease each, offload.go), inside 18 bits; a
 // count driven below zero borrows off the top of the word and reads as
 // negative, touching nothing else. Every allocator that finds the slab
-// full overshoots the cursor once by at most the slab's 2^15 lines, so
+// full overshoots the cursor once by at most a segment's 2^15 lines, so
 // 30 bits absorb 32 768 of them racing on one full slab before a carry
 // could reach the generation.
 const (
@@ -86,7 +90,6 @@ const (
 	slabGenShift   = slabCursorBits
 	slabLeaseShift = slabGenShift + payloadGenBits
 	slabLeaseOne   = uint64(1) << slabLeaseShift
-	arenaSlabLines = arenaSlabBytes >> lineShift
 )
 
 func slabLeases(w uint64) int64 { return int64(w) >> slabLeaseShift }
@@ -108,10 +111,10 @@ func slabRewound(w uint64) uint64 {
 //
 //ppc:padded
 type arenaSlab struct {
-	// buf is the slab's backing store, aligned to arenaLineBytes (the
-	// raw allocation is over-sized and trimmed, see newSlab). base is
-	// the slab's first byte's global arena offset. Both immutable after
-	// construction.
+	// buf is the slab's backing store, one allocation above 32 KiB, which
+	// Go places page-aligned (TestArenaLayout); its length is the slab's
+	// capacity. base is the slab's first byte's global arena offset. Both
+	// immutable after construction.
 	buf  []byte
 	base int64
 	// state is the lifecycle word (slabActive..slabFree); transitions
@@ -169,22 +172,8 @@ type shardArena struct {
 	_  [32]byte // tile to whole lines: shardArena embeds 64-aligned in shard
 }
 
-// newSlab allocates one slab with its data region aligned to
-// arenaLineBytes: the raw buffer is over-allocated by one line and
-// trimmed at the first aligned byte.
-//
-//ppc:coldpath -- slab construction, once per arena grow
-func newSlab(base int64) *arenaSlab {
-	raw := make([]byte, arenaSlabBytes+arenaLineBytes)
-	off := 0
-	if rem := int(uintptr(unsafe.Pointer(&raw[0])) & (arenaLineBytes - 1)); rem != 0 {
-		off = arenaLineBytes - rem
-	}
-	return &arenaSlab{
-		buf:  raw[off : off+arenaSlabBytes : off+arenaSlabBytes],
-		base: base,
-	}
-}
+// lines is the slab's capacity in cache lines.
+func (s *arenaSlab) lines() uint64 { return uint64(len(s.buf)) >> lineShift }
 
 // alloc leases n bytes: load the current slab, then take a lease and
 // claim a line-aligned region with one fetch-add on its packed word —
@@ -208,45 +197,47 @@ func (a *shardArena) alloc(n int) (PayloadRef, []byte, error) {
 			// (both are CASes from a word with no lease out).
 			w := s.word.Add(slabLeaseOne + lines)
 			end := w & slabCursorMask
-			if s.state.Load() == slabActive && end <= arenaSlabLines {
+			if s.state.Load() == slabActive && end <= s.lines() {
 				off := int64(end-lines) << lineShift
 				return packPayloadRef(slabGen(w), s.base+off, n),
 					s.buf[off : off+int64(n) : off+int64(lines)<<lineShift], nil
 			}
 		}
-		if err := a.allocSlow(s); err != nil {
+		if err := a.allocSlow(s, lines); err != nil {
 			return 0, nil, err
 		}
 	}
 }
 
-// allocSlow is alloc's miss path: no slab yet, or the lease just taken
-// on s landed on a sealed slab (refill already replaced cur: retry) or
-// past the end of a full one. Drop that lease — the overshot cursor
-// rewinds when the slab drains — and refill.
+// allocSlow is alloc's miss path for a request of lines: no slab yet, or
+// the lease just taken on s landed on a sealed slab (refill already
+// replaced cur: retry) or past the end of a full one. Drop that lease —
+// the overshot cursor rewinds when the slab drains — and retry if the
+// request now fits; refill otherwise, so a slab too small for the
+// request is replaced, not retried.
 //
 //ppc:coldpath -- at most once per slabful of payload traffic
-func (a *shardArena) allocSlow(s *arenaSlab) error {
+func (a *shardArena) allocSlow(s *arenaSlab, lines uint64) error {
 	if s != nil {
 		sealed := s.state.Load() != slabActive
 		a.releaseSlab(s)
-		if sealed || s.word.Load()&slabCursorMask < arenaSlabLines {
+		if sealed || s.word.Load()&slabCursorMask+lines <= s.lines() {
 			return nil // replaced already, or that release drained and rewound it
 		}
 	}
-	_, err := a.refill(s)
+	_, err := a.refill(s, lines)
 	return err
 }
 
-// refill replaces the current slab: activate a recycled free slab if
-// one exists, grow the table otherwise, and seal the outgoing slab so
-// its leases can drain it into the free pool. old is the slab the
-// caller found exhausted (nil on first use); if another refill already
-// replaced it the existing current slab is returned and nothing
-// changes.
+// refill replaces the current slab for a request of lines: activate the
+// largest free slab that holds it, grow the table if none does, and seal
+// the outgoing slab so its leases can drain it into the free pool. old
+// is the slab the caller found exhausted (nil on first use); if another
+// refill already replaced it the existing current slab is returned and
+// nothing changes.
 //
 //ppc:coldpath -- runs at most once per slabful of payload traffic
-func (a *shardArena) refill(old *arenaSlab) (*arenaSlab, error) {
+func (a *shardArena) refill(old *arenaSlab, lines uint64) (*arenaSlab, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if cur := a.cur.Load(); cur != old {
@@ -255,15 +246,14 @@ func (a *shardArena) refill(old *arenaSlab) (*arenaSlab, error) {
 	var next *arenaSlab
 	if tab := a.tab.Load(); tab != nil {
 		for _, s := range *tab {
-			if s.state.Load() == slabFree {
+			if s.state.Load() == slabFree && s.lines() >= lines && (next == nil || s.lines() > next.lines()) {
 				next = s
-				break
 			}
 		}
 	}
 	if next == nil {
 		var err error
-		if next, err = a.growLocked(); err != nil {
+		if next, err = a.growLocked(lines); err != nil {
 			return nil, err
 		}
 	}
@@ -281,10 +271,11 @@ func (a *shardArena) refill(old *arenaSlab) (*arenaSlab, error) {
 }
 
 // growLocked appends a fresh slab to the table (copy-on-grow: the old
-// snapshot stays valid for concurrent lookups). Caller holds mu.
+// snapshot stays valid for concurrent lookups): 64 KiB if it is the first
+// and a request of lines fits it, 2 MiB otherwise. Caller holds mu.
 //
 //ppc:coldpath -- arena growth; steady-state traffic recycles instead
-func (a *shardArena) growLocked() (*arenaSlab, error) {
+func (a *shardArena) growLocked(lines uint64) (*arenaSlab, error) {
 	var cur []*arenaSlab
 	if tab := a.tab.Load(); tab != nil {
 		cur = *tab
@@ -292,7 +283,11 @@ func (a *shardArena) growLocked() (*arenaSlab, error) {
 	if len(cur) >= arenaMaxSlabs {
 		return nil, ErrArenaFull
 	}
-	s := newSlab(int64(len(cur)) << arenaSlabShift)
+	size := arenaSlabBytes
+	if len(cur) == 0 && lines <= arenaFirstSlabBytes>>lineShift {
+		size = arenaFirstSlabBytes
+	}
+	s := &arenaSlab{buf: make([]byte, size), base: int64(len(cur)) << arenaSlabShift}
 	next := make([]*arenaSlab, len(cur)+1)
 	copy(next, cur)
 	next[len(cur)] = s
@@ -317,48 +312,48 @@ func (a *shardArena) slabAt(byteOff int64) *arenaSlab {
 	return (*tab)[idx]
 }
 
+// leased validates a descriptor, failing closed: it returns the slab ref
+// was leased from and the segment's offset in it, or nil for the zero
+// ref, an offset outside the grown space, a generation that no longer
+// matches its slab (released and recycled, or scribbled into nonsense),
+// or a segment running past the slab's real end.
+//
+//ppc:hotpath
+func (a *shardArena) leased(ref PayloadRef) (*arenaSlab, int64) {
+	off, n := ref.byteOff(), int64(ref.Len())
+	if s := a.slabAt(off); s != nil && n != 0 && slabGen(s.word.Load()) == ref.gen() && off-s.base+n <= int64(len(s.buf)) {
+		return s, off - s.base
+	}
+	return nil, 0
+}
+
 // view materializes a descriptor as a slice into the arena — the
-// handler-side zero-copy read. Validation fails closed: a descriptor
-// whose generation no longer matches its slab (released and recycled,
-// or scribbled into nonsense) yields nil rather than a window into
-// another call's bytes. A segment still staged on the copy-offload
-// lane waits here for the staging copy to land before the bytes are
-// exposed.
+// handler-side zero-copy read; a descriptor that fails validation yields
+// nil rather than a window into another call's bytes. A segment still
+// staged on the copy-offload lane waits here for the staging copy to
+// land before the bytes are exposed.
 //
 //ppc:hotpath
 func (a *shardArena) view(ref PayloadRef) []byte {
-	n := ref.Len()
-	if n == 0 {
-		return nil
-	}
-	off := ref.byteOff()
-	s := a.slabAt(off)
-	if s == nil || slabGen(s.word.Load()) != ref.gen() {
-		return nil
-	}
-	lo := off - s.base
-	if lo+int64(n) > arenaSlabBytes {
+	s, lo := a.leased(ref)
+	if s == nil {
 		return nil
 	}
 	if ref.staged() && a.lane != nil {
 		a.lane.waitStaged(ref, a)
 	}
-	return s.buf[lo : lo+int64(n) : lo+int64(n)]
+	hi := lo + int64(ref.Len())
+	return s.buf[lo:hi:hi]
 }
 
-// release returns one lease. Stale descriptors (generation mismatch —
-// the slab has drained since) are ignored.
+// release returns one lease. A descriptor that fails validation (a stale
+// generation: the slab has drained since) is ignored.
 //
 //ppc:hotpath
 func (a *shardArena) release(ref PayloadRef) {
-	if ref == 0 {
-		return
+	if s, _ := a.leased(ref); s != nil {
+		a.releaseSlab(s)
 	}
-	s := a.slabAt(ref.byteOff())
-	if s == nil || slabGen(s.word.Load()) != ref.gen() {
-		return
-	}
-	a.releaseSlab(s)
 }
 
 // addLease takes an extra lease on the slab backing ref — the copy-
@@ -376,7 +371,7 @@ func (a *shardArena) addLease(ref PayloadRef) {
 // releaseSlab drops one lease with one CAS. The release that empties
 // the active slab also rewinds it — cursor to zero, generation on by
 // one — so closed-loop traffic, whose every call drains the slab, keeps
-// leasing the lines it has just used instead of walking two megabytes
+// leasing the lines it has just used instead of walking a slab's worth
 // of cold ones. The release that empties a sealed slab recycles it. The
 // CAS and the state load are two steps, and a releaser can lose its
 // processor between them for longer than a slab lives: the zero it saw

@@ -136,19 +136,199 @@ func TestArenaViewFailsClosed(t *testing.T) {
 	a.release(ref)
 }
 
+// TestArenaFirstSlabSmall: a shard's first request, when it fits, grows
+// one 64 KiB slab — 1 024 lines — not a 2 MiB one.
+func TestArenaFirstSlabSmall(t *testing.T) {
+	var a shardArena
+	ref, _, err := a.alloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.grows.Load(); got != 1 {
+		t.Fatalf("grows = %d, want 1", got)
+	}
+	if s := a.cur.Load(); s.lines() != 1024 || len(s.buf) != arenaFirstSlabBytes {
+		t.Fatalf("first slab has %d lines (%d bytes), want 1024 (64 KiB)", s.lines(), len(s.buf))
+	}
+	a.release(ref)
+}
+
+// TestFirstPayloadBytes: a fresh System plus its first AllocPayload(4096),
+// attached to a Call, leaves < 256 KiB live — a 64 KiB first slab, not a
+// 2 MiB one. Report-only under -race.
+func TestFirstPayloadBytes(t *testing.T) {
+	const n = 8
+	systems := make([]*System, n)
+	before := liveHeap()
+	for i := range systems {
+		sys := NewSystemShards(1)
+		svc, err := sys.Bind(ServiceConfig{Name: "pay", Handler: func(ctx *Ctx, args *Args) {
+			if len(ctx.Payload(0)) != 4096 {
+				t.Error("the handler does not view the payload")
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := sys.NewClientOnShard(0)
+		ref, buf, err := c.AllocPayload(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = 1
+		var args Args
+		args.AttachPayload(ref)
+		if err := c.Call(svc.EP(), &args); err != nil {
+			t.Fatal(err)
+		}
+		systems[i] = sys
+	}
+	per := (float64(liveHeap()) - float64(before)) / n
+	t.Logf("a System plus its first payload call: %.0f B live", per)
+	if per >= 256<<10 {
+		if raceEnabled {
+			t.Logf("%.0f B under -race (report-only)", per)
+		} else {
+			t.Errorf("a System plus its first payload call leaves %.0f B live, want < %d", per, 256<<10)
+		}
+	}
+	for _, sys := range systems {
+		if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ArenaGrows != 1 {
+			t.Errorf("LeasesActive %d, ArenaGrows %d; want 0 and 1", st.LeasesActive, st.ArenaGrows)
+		}
+		sys.Close()
+	}
+}
+
+// TestArenaLargeFirstRequest: a first request larger than 64 KiB gets a
+// 2 MiB slab in one grow, not a small slab and then a second grow.
+func TestArenaLargeFirstRequest(t *testing.T) {
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	c := sys.NewClientOnShard(0)
+	ref, buf, err := c.AllocPayload(MaxPayloadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(buf) != MaxPayloadBytes {
+		t.Fatalf("AllocPayload returned %d bytes", len(buf))
+	}
+	a := &sys.shards[0].arena
+	if got := sys.Stats()[0].ArenaGrows; got != 1 {
+		t.Fatalf("ArenaGrows = %d, want 1", got)
+	}
+	if s := a.cur.Load(); len(s.buf) != arenaSlabBytes {
+		t.Fatalf("first slab is %d bytes, want %d", len(s.buf), arenaSlabBytes)
+	}
+	c.ReleasePayload(ref)
+	if got := sys.Stats()[0].LeasesActive; got != 0 {
+		t.Fatalf("LeasesActive = %d", got)
+	}
+}
+
+// TestArenaRefillPrefersLargest: a refill activates the largest free slab
+// that holds the request, so a small request leaves the 64 KiB first slab
+// free; and a request above 64 KiB is never served from that slab — with
+// it the only free one, or even the active one, the arena grows instead.
+func TestArenaRefillPrefersLargest(t *testing.T) {
+	var a shardArena
+	const big = 128 << 10 // above the first slab's size
+	// Slab 0 (64 KiB: the first request fits it), then slabs 1 and 2
+	// (2 MiB): each full-size request seals the slab before it.
+	r0, _, _ := a.alloc(64)
+	r1, _, _ := a.alloc(MaxPayloadBytes)
+	r2, _, _ := a.alloc(MaxPayloadBytes)
+	tab := *a.tab.Load()
+	if len(tab) != 3 || len(tab[0].buf) != arenaFirstSlabBytes || len(tab[1].buf) != arenaSlabBytes || a.cur.Load() != tab[2] {
+		t.Fatalf("setup: %d slabs, want 64 KiB then two of 2 MiB with the last active", len(tab))
+	}
+	a.release(r0)
+	a.release(r1)
+	if tab[0].state.Load() != slabFree || tab[1].state.Load() != slabFree {
+		t.Fatal("setup: slabs 0 and 1 did not drain into the free pool")
+	}
+	if next, err := a.refill(tab[2], 4096>>lineShift); err != nil || next != tab[1] {
+		t.Fatalf("a 4 KiB refill (err %v) did not activate the free 2 MiB slab 1", err)
+	}
+	// Fill slab 1 holding every lease: the refill that overflows it finds
+	// only the small slab free, and grows.
+	held := []PayloadRef{r2}
+	for a.grows.Load() == 3 {
+		ref, _, err := a.alloc(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, ref)
+	}
+	if last := held[len(held)-1]; last.byteOff()>>arenaSlabShift != 3 || tab[0].state.Load() != slabFree {
+		t.Fatalf("a %d-byte request landed in slab %d; want a fourth slab, the small one left free", big, last.byteOff()>>arenaSlabShift)
+	}
+	// Make the small slab the active one; a large request still moves on.
+	if next, err := a.refill(a.cur.Load(), 1); err != nil || next != tab[0] {
+		t.Fatal("a one-line refill with only the small slab free did not activate it")
+	}
+	ref, _, err := a.alloc(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.byteOff()>>arenaSlabShift != 4 || a.grows.Load() != 5 {
+		t.Fatalf("a %d-byte request on the active small slab landed in slab %d after %d grows; want slab 4, 5 grows", big, ref.byteOff()>>arenaSlabShift, a.grows.Load())
+	}
+	for _, r := range append(held, ref) {
+		a.release(r)
+	}
+	if got := a.leasesActive(); got != 0 {
+		t.Fatalf("leasesActive = %d after every release", got)
+	}
+}
+
+// TestArenaViewFailsClosedPastSlabEnd: slab 0 owns the offset window of a
+// 2 MiB slab but holds 64 KiB. A ref inside the window and past the
+// buffer — at its end, at the window's last line, or starting inside and
+// running past it — views nothing and releases nothing, without a panic.
+func TestArenaViewFailsClosedPastSlabEnd(t *testing.T) {
+	var a shardArena
+	live, _, err := a.alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []PayloadRef{
+		packPayloadRef(live.gen(), arenaFirstSlabBytes, 64),
+		packPayloadRef(live.gen(), arenaSlabBytes-arenaLineBytes, 64),
+		packPayloadRef(live.gen(), arenaFirstSlabBytes-arenaLineBytes, 128),
+	} {
+		if a.view(ref) != nil {
+			t.Fatalf("ref at %d+%d past the 64 KiB slab's end produced a view", ref.byteOff(), ref.Len())
+		}
+		a.release(ref)
+		if got := a.leasesActive(); got != 1 {
+			t.Fatalf("releasing ref at %d+%d moved the lease count to %d", ref.byteOff(), ref.Len(), got)
+		}
+	}
+	if a.view(live) == nil {
+		t.Fatal("the live ref no longer views")
+	}
+	a.release(live)
+	if got := a.leasesActive(); got != 0 {
+		t.Fatalf("leasesActive = %d", got)
+	}
+}
+
 // TestArenaRecycleInvalidatesRefs drives one slab to exhaustion and
 // back: sealing and recycling bumps the generation, after which every
 // descriptor minted under the old generation fails validation, and the
-// recycled slab serves fresh allocations from a reset cursor.
+// recycled slab serves fresh allocations from a reset cursor. The first
+// request is full-size, so slab 0 is a 2 MiB slab and the reuse leg's
+// full-size refill can land back in it.
 func TestArenaRecycleInvalidatesRefs(t *testing.T) {
 	var a shardArena
-	first, _, err := a.alloc(64)
+	seg := MaxPayloadBytes
+	first, _, err := a.alloc(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exhaust slab 0 so refill seals it; hold only `first` so the seal
 	// leaves it draining, then release to trigger the recycle.
-	seg := MaxPayloadBytes
 	var refs []PayloadRef
 	for {
 		ref, _, err := a.alloc(seg)
@@ -281,10 +461,10 @@ func TestArenaParkedLastReleaser(t *testing.T) {
 	// One slab cycle: s is sealed and, being drained, recycled; the next
 	// refill reactivates it; a request leases from it; it is sealed again
 	// with that lease outstanding.
-	if _, err := a.refill(s); err != nil {
+	if _, err := a.refill(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.refill(a.cur.Load()); err != nil {
+	if _, err := a.refill(a.cur.Load(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if a.cur.Load() != s {
@@ -294,7 +474,7 @@ func TestArenaParkedLastReleaser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.refill(s); err != nil {
+	if _, err := a.refill(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	w := s.word.Load()
@@ -414,7 +594,7 @@ func TestArenaOvershootKeepsLeases(t *testing.T) {
 	s := a.cur.Load()
 	// Fill the slab to its last line, then hold refill's mutex so that
 	// every allocator overshoots and parks instead of moving on.
-	s.word.Add(arenaSlabLines - 1)
+	s.word.Add(s.lines() - 1)
 	a.mu.Lock()
 	const racers = 256
 	var wg sync.WaitGroup
@@ -430,7 +610,7 @@ func TestArenaOvershootKeepsLeases(t *testing.T) {
 		}()
 	}
 	waitCond(t, 10*time.Second, "every racer to overshoot", func() bool {
-		return s.word.Load()&slabCursorMask >= racers*arenaSlabLines
+		return s.word.Load()&slabCursorMask >= racers*arenaSlabBytes>>lineShift
 	})
 	w := s.word.Load()
 	if slabLeases(w) != 1 || slabGen(w) != keep.gen() {

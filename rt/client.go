@@ -31,12 +31,19 @@ func (c *Ctx) Service() *Service { return c.svc }
 // IsAsync reports whether no caller is waiting.
 func (c *Ctx) IsAsync() bool { return c.async }
 
-// Scratch returns the per-call scratch buffer — the recycled "stack
-// page" this call borrowed from the shard pool. Contents do not survive
-// the call (the next caller of any service on this shard may get the
-// same buffer), exactly like the serially-shared physical stacks of the
-// paper; services that need private persistent state keep it elsewhere.
-func (c *Ctx) Scratch() []byte { return c.cd.scratch }
+// Scratch returns the call's ServiceConfig.ScratchBytes of scratch — the
+// recycled "stack page" of its descriptor, allocated by the first call
+// to ask. It is not zeroed and its contents do not survive the call (the
+// next call of any service on the descriptor gets the same bytes),
+// exactly like the serially-shared physical stacks of the paper; services
+// that need private persistent state keep it elsewhere.
+func (c *Ctx) Scratch() []byte {
+	n := c.svc.scratchBytes
+	if cap(c.cd.scratch) < n {
+		growScratch(c.cd, n)
+	}
+	return c.cd.scratch[:n]
+}
 
 // Shard returns the servicing shard index.
 func (c *Ctx) Shard() int { return c.cd.shard.id }
@@ -513,7 +520,7 @@ func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32) 
 		return err
 	}
 	cr.st = &cr.counters.stripe
-	cd := sh.popCD(defaultScratchBytes)
+	cd := sh.popCD()
 	err = s.callHeld(cd, cr, args, program)
 	sh.pushCD(cd)
 	return err
@@ -560,21 +567,16 @@ func (s *System) serviceOneHeld(sh *shard, cd *callDesc, svc *Service, args *Arg
 }
 
 // dispatch authorizes and runs one request on cd with steady-state
-// handler h, its scratch sized to the service — shared by the
-// synchronous core (callHeld), the deadline executor and the async
-// worker (serviceOneHeld). Synchronous callers resolve h from their
-// shard's table replica; async workers from the service's authoritative
-// handler slot. st is the stripe the call was admitted on. A normal
-// return writes no counter here — the caller's completion is the call's
-// count (callStripe); the exits that are not a normal return account for
-// themselves in deny and abort.
+// handler h — shared by the synchronous core (callHeld), the deadline
+// executor and the async worker (serviceOneHeld). Synchronous callers
+// resolve h from their shard's table replica; async workers from the
+// service's authoritative handler slot. st is the stripe the call was
+// admitted on. A normal return writes no counter here — the caller's
+// completion is the call's count (callStripe); the exits that are not a
+// normal return account for themselves in deny and abort.
 //
 //ppc:hotpath
 func (s *System) dispatch(cd *callDesc, svc *Service, st *callStripe, h Handler, args *Args, program uint32, async bool) error {
-	if cap(cd.scratch) < svc.scratchBytes {
-		growScratch(cd, svc.scratchBytes)
-	}
-	cd.scratch = cd.scratch[:svc.scratchBytes]
 	ctx := &cd.ctx
 	ctx.sys = s
 	ctx.svc = svc

@@ -311,7 +311,7 @@ func (sh *shard) pushExec(e *dlExec) {
 //ppc:coldpath -- pool growth: the shard has more deadline calls in flight than ever before
 func (sh *shard) newExec(sys *System) *dlExec {
 	e := &dlExec{sys: sys, wake: make(chan struct{}, 1)}
-	e.cd = sh.popCD(defaultScratchBytes)
+	e.cd = sh.popCD()
 	e.ticket.done = make(chan struct{}, 1)
 	sh.dlMu.Lock()
 	list := sh.execs()

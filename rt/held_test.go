@@ -184,8 +184,9 @@ func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
 }
 
 // TestHeldScratchGrowth: a held descriptor serially serves services
-// with different scratch requirements, growing once and never
-// shrinking capacity — the same serial-sharing rule as the pool.
+// with different scratch requirements, growing when one asks for more
+// than it has and never shrinking capacity — the same serial-sharing
+// rule as the pool.
 func TestHeldScratchGrowth(t *testing.T) {
 	sys := NewSystemShards(1)
 	defer sys.Close()
@@ -203,11 +204,17 @@ func TestHeldScratchGrowth(t *testing.T) {
 	}
 	c := sys.NewClientOnShard(0)
 	var args Args
+	if err := c.Call(small.EP(), &args); err != nil {
+		t.Fatal(err)
+	}
+	if args[0] != defaultScratchBytes || cap(c.held.scratch) != defaultScratchBytes {
+		t.Fatalf("small scratch = %d, capacity %d", args[0], cap(c.held.scratch))
+	}
 	if err := c.Call(big.EP(), &args); err != nil {
 		t.Fatal(err)
 	}
 	if args[0] != 16384 {
-		t.Fatalf("big scratch = %d", args[0])
+		t.Fatalf("big scratch = %d after a small one", args[0])
 	}
 	if err := c.Call(small.EP(), &args); err != nil {
 		t.Fatal(err)

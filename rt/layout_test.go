@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -201,7 +202,7 @@ func TestClientSizeClass(t *testing.T) {
 }
 
 // TestCallDescLayout pins the call descriptor. Its owner rewrites the
-// context and the scratch header on every call, so the descriptor tiles
+// context on every call, so the descriptor tiles
 // whole lines and every allocation is line-aligned (no other heap
 // object shares a written line); the per-call fields fill the first two
 // lines and the pool link and stripe list sit on the third. Its size class
@@ -244,7 +245,7 @@ func TestCallDescLayout(t *testing.T) {
 	var sh shard
 	sh.init(0)
 	for i := 0; i < 100; i++ {
-		cd := sh.newCD(0)
+		cd := sh.newCD()
 		sh.pushCD(cd) // onto the heap: an unescaped descriptor would live on this stack
 		if p := uintptr(unsafe.Pointer(cd)); p%lineBytes != 0 {
 			t.Fatalf("descriptor %d allocated at %#x, not line-aligned", i, p)
@@ -419,10 +420,13 @@ func TestTenantBucketLayout(t *testing.T) {
 // lease word (written by the shard-bound allocator on every lease and
 // by whatever goroutine settles each call — async workers, deadline
 // executors, the offload worker) owns a line, with the read-mostly
-// metadata off it; the whole slab tiles 64 bytes. The arena header's cur
-// pointer — the one word the warm alloc loads — owns its line, and
-// shardArena tiles whole lines so its by-value embedding in shard cannot
-// shear it.
+// metadata — the buffer, whose length is the slab's capacity, its base
+// and its state — on the line before it; the whole slab tiles 64 bytes.
+// Every slab's buffer is line-aligned at both slab sizes, with nothing
+// trimmed: segments are line-aligned in the offset space, so they are in
+// memory too. The arena header's cur pointer — the one word the warm
+// alloc loads — owns its line, and shardArena tiles whole lines so its
+// by-value embedding in shard cannot shear it.
 func TestArenaLayout(t *testing.T) {
 	var s arenaSlab
 	if sz := unsafe.Sizeof(s); sz != 2*lineBytes {
@@ -438,10 +442,24 @@ func TestArenaLayout(t *testing.T) {
 		"base":  unsafe.Offsetof(s.base),
 		"state": unsafe.Offsetof(s.state),
 	} {
-		if lineOf(off) == lineOf(word) {
-			t.Errorf("%s (offset %d) shares the lease word's line", name, off)
+		if lineOf(off) != 0 {
+			t.Errorf("%s (offset %d) left the metadata line", name, off)
 		}
 	}
+	var junk [][]byte
+	for i := 0; i < 16; i++ {
+		var fresh shardArena
+		for _, n := range []int{64, MaxPayloadBytes} { // a 64 KiB first slab, then a 2 MiB one
+			if _, _, err := fresh.alloc(n); err != nil {
+				t.Fatal(err)
+			}
+			junk = append(junk, make([]byte, 8*i+1)) // small objects between the slabs
+			if buf := fresh.cur.Load().buf; uintptr(unsafe.Pointer(&buf[0]))%lineBytes != 0 {
+				t.Fatalf("a %d-byte slab's buffer is at %p, not line-aligned", len(buf), &buf[0])
+			}
+		}
+	}
+	runtime.KeepAlive(junk)
 
 	var a shardArena
 	if sz := unsafe.Sizeof(a); sz%lineBytes != 0 {

@@ -449,7 +449,7 @@ func (rec *clientRec) reap() {
 	// An empty slot: the owner's Release or its own dead exit settled it.
 	if rec.cd.Swap(nil) != nil {
 		sh.heldCDs.Add(-1)
-		sh.pushCD(sh.newCD(0))
+		sh.pushCD(sh.newCD())
 		reg.scavCDs.Add(1)
 	}
 	// 2. The lease slots: every ref this swap takes out is the reap's to

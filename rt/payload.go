@@ -65,7 +65,7 @@ const (
 	payloadGenShift = payloadLenBits + payloadOffBits
 
 	// MaxPayloadBytes bounds one segment: the len field's range, which
-	// also keeps a line-rounded segment within one arena slab.
+	// also keeps a line-rounded segment within one 2 MiB arena slab.
 	MaxPayloadBytes = payloadLenMask
 )
 

@@ -239,8 +239,9 @@ type ServiceConfig struct {
 	InitHandler Handler
 	// Authorize, when non-nil, vets the caller's program ID.
 	Authorize func(callerProgram uint32) bool
-	// ScratchBytes sizes the per-call scratch buffer (default 4096,
-	// one "stack page").
+	// ScratchBytes sizes the per-call scratch buffer Ctx.Scratch returns
+	// (default 4096, one "stack page"), allocated when a handler first
+	// asks for it.
 	ScratchBytes int
 	// EP requests a specific well-known entry point (0 = allocate).
 	EP EntryPointID
@@ -979,8 +980,10 @@ type ShardStats struct {
 	// OffloadQueueDepth is the number of staged copies whose bytes have
 	// not landed yet (a gauge).
 	OffloadQueueDepth int
-	// ArenaGrows counts arena slab allocations beyond the first — the
-	// strictly-cold growth path, like CDsCreated for the CD pool.
+	// ArenaGrows counts arena slab allocations, the first included (64
+	// KiB if the shard's first payload fits it, 2 MiB otherwise; every
+	// later slab 2 MiB) — the strictly-cold growth path, like CDsCreated
+	// for the CD pool.
 	ArenaGrows int64
 	// AbandonedClients counts clients declared dead on this shard —
 	// by Client.Abandon, the leaked-client cleanup backstop, or a

@@ -42,8 +42,9 @@ const submitFullSpins = 128
 // callDesc is the real-concurrency analogue of the paper's call
 // descriptor: a recycled per-call context carrying a scratch buffer
 // that successive calls to *different* services serially share —
-// the cache-footprint optimization of §2. Descriptors live in
-// per-shard lock-free pools.
+// the cache-footprint optimization of §2 — allocated by the first call
+// that asks for it (Ctx.Scratch). Descriptors live in per-shard
+// lock-free pools.
 //
 // A descriptor has one serial owner at a time (the client holding it,
 // the pooled call that popped it, an async worker), and that owner
@@ -62,8 +63,9 @@ type callDesc struct {
 	ctx Ctx
 
 	// Line 1: the rest of what a held call touches — the scratch slice
-	// (resliced per call) and the one-entry stripe cache: the call stripe
-	// this descriptor owns for the service it last called (stripeOf).
+	// (read by Ctx.Scratch, nil until then) and the one-entry stripe
+	// cache: the call stripe this descriptor owns for the service it last
+	// called (stripeOf).
 	//
 	//ppc:hotline(call)
 	scratch []byte
@@ -413,7 +415,7 @@ func (sh *shard) retract(ep EntryPointID) {
 //ppc:coldpath -- descriptor acquisition; the warm held path never comes here
 func (sh *shard) holdCD() *callDesc {
 	sh.heldCDs.Add(1)
-	return sh.popCD(defaultScratchBytes)
+	return sh.popCD()
 }
 
 // releaseCD ends a hold: the descriptor goes back to the free list,
@@ -426,45 +428,42 @@ func (sh *shard) releaseCD(cd *callDesc) {
 }
 
 // popCD takes a descriptor from the shard pool, or allocates one. The
-// warm path is one CAS; descriptor creation and scratch growth are the
-// cold halves. The pop reads top.next through the head witness — the
-// classic Treiber ABA shape — which is safe here only because Go's GC
-// cannot recycle top's address while this goroutine holds the pointer.
+// warm path is one CAS; descriptor creation is the cold half. The pop
+// reads top.next through the head witness — the classic Treiber ABA
+// shape — which is safe here only because Go's GC cannot recycle top's
+// address while this goroutine holds the pointer.
 //
 //ppc:aba(gc) -- garbage collection rules out address reuse while top is reachable
-func (sh *shard) popCD(scratchBytes int) *callDesc {
+func (sh *shard) popCD() *callDesc {
 	for {
 		top := sh.free.Load()
 		if top == nil {
-			return sh.newCD(scratchBytes)
+			return sh.newCD()
 		}
 		next := top.next.Load()
 		if sh.free.CompareAndSwap(top, next) {
 			top.next.Store(nil)
-			if cap(top.scratch) < scratchBytes {
-				growScratch(top, scratchBytes)
-			}
-			top.scratch = top.scratch[:scratchBytes]
 			return top
 		}
 	}
 }
 
 // newCD manufactures a call descriptor when the pool is empty — the
-// analogue of Frank provisioning a CD from local memory.
+// analogue of Frank provisioning a CD from local memory. Its scratch
+// comes later, from the first call that asks for it (Ctx.Scratch).
 //
 //ppc:coldpath -- pool growth: runs only while the pool is warming up
-func (sh *shard) newCD(scratchBytes int) *callDesc {
+func (sh *shard) newCD() *callDesc {
 	sh.cdsCreated.Add(1)
-	return &callDesc{shard: sh, scratch: make([]byte, scratchBytes)}
+	return &callDesc{shard: sh}
 }
 
-// growScratch replaces a pooled descriptor's scratch buffer when a
-// service with a larger requirement borrows it.
+// growScratch gives a descriptor a scratch buffer of n bytes when a call
+// asks for more than it has (Ctx.Scratch).
 //
-//ppc:coldpath -- amortized scratch growth, at most once per descriptor per size
-func growScratch(cd *callDesc, scratchBytes int) {
-	cd.scratch = make([]byte, scratchBytes)
+//ppc:coldpath -- at most once per descriptor per larger size
+func growScratch(cd *callDesc, n int) {
+	cd.scratch = make([]byte, n)
 }
 
 // pushCD returns a descriptor to the pool.
@@ -651,7 +650,7 @@ func (sh *shard) workerLoop(sys *System) {
 	// The worker holds one call descriptor for its whole lifetime:
 	// servicing a request costs no pool CAS, and the scratch buffer
 	// stays hot in the worker's cache across the batch.
-	cd := sh.popCD(defaultScratchBytes)
+	cd := sh.popCD()
 	beat := sh.claimBeat()
 	defer func() {
 		sh.releaseBeat(beat)
@@ -913,7 +912,7 @@ func (sh *shard) close(sys *System, deadline time.Time) bool {
 	// spawn lost the race with close); service them here so accepted
 	// work and its in-flight accounting always drain.
 	var batch [asyncBatchSize]asyncReq
-	cd := sh.popCD(defaultScratchBytes)
+	cd := sh.popCD()
 	sh.drainAll(sys, cd, batch[:])
 	sh.pushCD(cd)
 	// A stager that did not see closed published its job before the store
