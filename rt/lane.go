@@ -9,11 +9,11 @@ import "sync/atomic"
 // sheds whoever arrives last, not whoever matters least. A shard's
 // async queue is therefore an array of one to three Vyukov rings, one
 // per criticality class, drained by the same worker pool through a
-// weighted batched dequeue — the scheduling analogue of criticality-
-// aware arbitration in shared hardware: the shared resource (worker
-// batch quantum) is granted to the highest class with work, and the
-// weight vector bounds how long a lower class can be deferred, so
-// nothing starves. One class is the degenerate case of the same
+// weighted dequeue, the top lane in batches and lower lanes one request
+// per scan — the scheduling analogue of criticality-aware arbitration
+// in shared hardware: the worker goes to the highest class with work,
+// and the weight vector bounds how long a lower class can be deferred,
+// so nothing starves. One class is the degenerate case of the same
 // arbiter, not a second datapath: a shard built without Options.Lanes
 // has a one-element array, every request routes to it, and submit,
 // drain, park and stats run the code below over a length of one.
@@ -102,10 +102,10 @@ func (l Lane) String() string {
 }
 
 // defaultLaneWeights is the drain quantum vector by priority index:
-// a worker visit grants up to weight[i] requests to lane i before
-// falling to the next class, and when every credited lane is dry the
-// credits reset — so the critical:normal:besteffort service ratio
-// under full load is 16:4:1 and no lane starves.
+// lane i is served up to weight[i] requests per cycle — the top lane
+// in claims of up to 16, a lower lane one request per claim — and when
+// every credited lane is dry the credits reset, so the critical:normal:
+// besteffort service ratio under full load is 16:4:1 and no lane starves.
 var defaultLaneWeights = [NumLaneClasses]int32{16, 4, 1}
 
 // laneRing is one criticality class's ring plus its shed counter. The
@@ -189,15 +189,15 @@ func (sh *shard) queuesStalled() bool {
 	return false
 }
 
-// claimWeighted is the weighted batched dequeue: scan lanes in
-// priority order and claim up to min(batch, remaining credit) requests
-// from the first credited lane with published work; when a full scan
-// finds nothing claimable, refill the credits and scan once more (a
-// high-priority lane that exhausted its quantum becomes claimable
-// again only after the scan proved the lower lanes dry or credit-
-// exhausted too — that second pass is what makes the weights a ratio
-// under load rather than a hard cap). Returns 0 only when every lane
-// is empty or mid-publish.
+// claimWeighted is the weighted dequeue: scan lanes in priority order
+// and claim from the first credited lane with published work, up to
+// min(batch, credit) from the top lane and one from a lower one — so a
+// critical arrival waits behind at most the lower request in service.
+// When a full scan finds nothing claimable, refill the credits and
+// scan once more (a lane out of credit is claimable again only after
+// the scan proved the lower lanes dry or out of credit too: the second
+// pass makes the weights a ratio under load, not a hard cap). Returns
+// 0 only when every lane is empty or mid-publish.
 //
 //ppc:hotpath
 func (sh *shard) claimWeighted(credit *[NumLaneClasses]int32, dst []asyncReq) int {
@@ -207,9 +207,9 @@ func (sh *shard) claimWeighted(credit *[NumLaneClasses]int32, dst []asyncReq) in
 			if c <= 0 {
 				continue
 			}
-			want := len(dst)
-			if int(c) < want {
-				want = int(c)
+			want := min(len(dst), int(c))
+			if i > 0 {
+				want = 1
 			}
 			if n := sh.lanes[i].ring.popBatch(dst[:want]); n > 0 {
 				credit[i] = c - int32(n)

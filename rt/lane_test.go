@@ -269,6 +269,179 @@ func TestLaneWeightedDrainOrder(t *testing.T) {
 	}
 }
 
+// TestLaneInversionBound pins the lower lanes' single claim: a critical
+// request that arrives while the only worker runs a normal one waits
+// behind that one request, not behind the rest of the normal backlog.
+// Claiming the normal lane in batches runs the critical request last
+// ([1 100 101 102 103 200]).
+func TestLaneInversionBound(t *testing.T) {
+	sys := laneSystem(32)
+	defer sys.Close()
+	block, gate := make(chan struct{}), make(chan struct{})
+	entered, running := make(chan struct{}, 1), make(chan struct{}, 1)
+	var mu sync.Mutex
+	var order []uint64
+	svc, err := sys.Bind(ServiceConfig{Name: "linvert", Handler: func(ctx *Ctx, args *Args) {
+		switch args[0] {
+		case 1:
+			entered <- struct{}{}
+			<-block
+		case 2:
+			running <- struct{}{}
+			<-gate
+		}
+		mu.Lock()
+		order = append(order, args[1])
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.shards[0].maxWorkers = 1
+	crit := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneCritical})
+	norm := sys.NewClientOnShard(0)
+
+	if err := crit.AsyncCall(svc.EP(), &Args{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	// Four normal requests queue behind the wedge; the first blocks on
+	// the gate once it runs.
+	for i := uint64(0); i < 4; i++ {
+		args := Args{0, 100 + i}
+		if i == 0 {
+			args[0] = 2
+		}
+		if err := norm.AsyncCall(svc.EP(), &args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(block)
+	<-running
+	if err := crit.AsyncCall(svc.EP(), &Args{0, 200}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	waitCond(t, 2*time.Second, "all six ran", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) == 6
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []uint64{1, 100, 200, 101, 102, 103}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("completion order %v, want %v: the critical request waited behind more than the normal request in service", order, want)
+	}
+}
+
+// TestLaneClaimSizes pins claimWeighted's claim sizes: a one-lane shard
+// claims a full batch, and on a three-lane shard the top lane claims
+// min(batch, credit) while each lower lane claims one request, spending
+// one credit.
+func TestLaneClaimSizes(t *testing.T) {
+	published := func(lanes int) *shard {
+		sh := &shard{}
+		sh.configureLanes(Options{Lanes: lanes, AsyncQueueCap: 32})
+		for i := range sh.lanes {
+			for k := 0; k < 20; k++ {
+				if !sh.lanes[i].ring.push(nil, nil, &Args{uint64(i)}, 0, nil, 0) {
+					t.Fatalf("lane %d: push %d refused", i, k)
+				}
+			}
+		}
+		return sh
+	}
+	var batch [asyncBatchSize]asyncReq
+	credit := defaultLaneWeights
+	if n := published(1).claimWeighted(&credit, batch[:]); n != asyncBatchSize {
+		t.Fatalf("one-lane shard claimed %d of 20, want %d", n, asyncBatchSize)
+	}
+	sh := published(3)
+	for _, step := range []struct {
+		credit, after [NumLaneClasses]int32
+		lane, n       int
+	}{
+		{credit: [...]int32{16, 4, 1}, after: [...]int32{0, 4, 1}, lane: 0, n: 16},
+		{credit: [...]int32{3, 4, 1}, after: [...]int32{0, 4, 1}, lane: 0, n: 3},
+		{credit: [...]int32{0, 4, 1}, after: [...]int32{0, 3, 1}, lane: 1, n: 1},
+		{credit: [...]int32{0, 0, 1}, after: [...]int32{0, 0, 0}, lane: 2, n: 1},
+	} {
+		credit := step.credit
+		n := sh.claimWeighted(&credit, batch[:])
+		if n != step.n || batch[0].args[0] != uint64(step.lane) || credit != step.after {
+			t.Errorf("credit %v: claimed %d from lane %d, credit after %v; want %d from lane %d, %v",
+				step.credit, n, batch[0].args[0], credit, step.n, step.lane, step.after)
+		}
+	}
+}
+
+// TestLaneServiceRatio pins the service ratio under load: three lanes
+// backlogged behind a wedge drain 16:4:1 per credit cycle — the top
+// lane in one claim, the lower ones a request per scan — and FIFO
+// within each lane. The critical wedge is the first cycle's first
+// critical request.
+func TestLaneServiceRatio(t *testing.T) {
+	sys := laneSystem(64)
+	defer sys.Close()
+	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var mu sync.Mutex
+	var order []uint64
+	svc, err := sys.Bind(ServiceConfig{Name: "lratio", Handler: func(ctx *Ctx, args *Args) {
+		if args[0] == 1 {
+			entered <- struct{}{}
+			<-block
+		}
+		mu.Lock()
+		order = append(order, args[1])
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.shards[0].maxWorkers = 1
+	clients := [NumLaneClasses]*Client{}
+	for i, l := range []Lane{LaneCritical, LaneNormal, LaneBestEffort} {
+		clients[i] = sys.NewClientWith(ClientOptions{Shard: 0, Lane: l})
+	}
+	// Request j of lane i is tagged i*1000 + j; the wedge is critical 0.
+	if err := clients[0].AsyncCall(svc.EP(), &Args{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	const cycles = 3
+	quanta := defaultLaneWeights
+	for i, c := range clients {
+		for j := 0; j < cycles*int(quanta[i]); j++ {
+			if i == 0 && j == 0 {
+				continue // the wedge
+			}
+			if err := c.AsyncCall(svc.EP(), &Args{0, uint64(i*1000 + j)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var want []uint64
+	for cycle := 0; cycle < cycles; cycle++ {
+		for i, q := range quanta {
+			for j := 0; j < int(q); j++ {
+				want = append(want, uint64(i*1000+cycle*int(q)+j))
+			}
+		}
+	}
+	close(block)
+	waitCond(t, 2*time.Second, "backlog drained", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) == len(want)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("completion order\n%v\nwant\n%v", order, want)
+	}
+}
+
 // TestLaneCountOverflow runs one overflow against every lane count: a
 // best-effort client fills the ring its class maps to behind a wedged
 // worker and submits once more. With one ring (Lanes 0 or 1) there is no

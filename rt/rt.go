@@ -79,15 +79,15 @@
 //     per request a ticket CAS plus an in-place slot write — no channel
 //     lock, no scheduler round trip, and one wakeup for the lot (the
 //     paper's amortized asynchronous calls, §4.4). Workers drain the
-//     rings in weighted batches and park on a per-shard doorbell the
-//     moment every ring is empty; submitters ring the doorbell only when
-//     a worker is actually parked, so the steady-state pipeline never
-//     enters the scheduler. When a ring is full the same submit loop
-//     spins and yields a bounded time for space and then fails the
-//     unaccepted tail with ErrBackpressure — or, on the lowest of two or
-//     more lanes, sheds it at once with ErrShed. Overload is surfaced to
-//     the overloading submitter (and in ShardStats), never spread to
-//     other submitters as head-of-line blocking.
+//     top ring in batches and lower ones a request per scan, and park
+//     on a per-shard doorbell the moment every ring is empty; submitters
+//     ring the doorbell only when a worker is parked, so the steady
+//     pipeline never enters the scheduler. When a ring is full the same
+//     submit loop spins and yields a bounded time for space and then
+//     fails the unaccepted tail with ErrBackpressure — or, on the lowest
+//     of two or more lanes, sheds it at once with ErrShed. Overload is
+//     surfaced to the overloading submitter (and in ShardStats), never
+//     spread to other submitters as head-of-line blocking.
 //   - Close is three steps per shard: mark it closed (no worker or
 //     executor starts), set the closed bit in each ring's enqueue cursor
 //     (no ticket is claimed after it: a submission fails with ErrClosed,
@@ -660,8 +660,8 @@ type Options struct {
 	// clamped to [1, NumLaneClasses]. 0 or 1 builds one ring: every
 	// request shares it and a full ring is ErrBackpressure after the
 	// bounded wait, never ErrShed. 2 or 3 gives each criticality class
-	// its own Vyukov ring, with weighted batched dequeue (16:4:1 from
-	// the top class down) and criticality-ordered shedding.
+	// its own Vyukov ring, a 16:4:1 weighted dequeue (the top lane in
+	// batches, lower lanes one per scan) and criticality-ordered shedding.
 	Lanes int
 	// AsyncQueueCap sizes each lane's ring (default
 	// defaultAsyncQueueCap, rounded up to a power of two).

@@ -29,7 +29,7 @@ const defaultSubmitWait = time.Millisecond
 // channel must cost one bounded wait, not a wedged worker.
 const defaultNotifyWait = 100 * time.Millisecond
 
-// asyncBatchSize is how many requests a worker claims per ring visit —
+// asyncBatchSize is the most requests a worker claims per ring visit —
 // the paper's amortization lever: one wakeup, one stop-check, one
 // doorbell round for up to this many requests.
 const asyncBatchSize = 16
@@ -660,8 +660,8 @@ func (sh *shard) workerLoop(sys *System) {
 		sh.wg.Done()
 	}()
 	var batch [asyncBatchSize]asyncReq
-	// credit is the worker's private copy of the lane quantum vector
-	// (claimWeighted decrements and refills it).
+	// credit is the worker's private copy of the lane quantum vector:
+	// claimWeighted spends one per request it claims, and refills it.
 	credit := defaultLaneWeights
 	var seq uint64
 	for {
