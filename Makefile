@@ -26,12 +26,14 @@ test:
 # exchange tests of domain death (the ownership identity table, the
 # reclaim that has happened when Abandon returns), and Arena|Scratch the
 # arena's concurrent refills and the scratch a descriptor sizes on first
-# use, and Lane the wedge-and-release lane tests (claim order, the
-# inversion bound, the service ratio).
+# use, Lane the wedge-and-release lane tests (claim order, the
+# inversion bound, the service ratio), and Watchdog the stuck-worker
+# tests (growth into the room a stuck worker makes, the bound, the
+# shrink at the park point).
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog' ./rt
 
 vet:
 	$(GO) vet ./...

@@ -182,21 +182,24 @@ func TestChaosHandlerPanicStorm(t *testing.T) {
 }
 
 // TestChaosStalledHandlers: the first wave of dispatches wedges inside
-// the handler site. The watchdog must compensate with bounded
-// replacements so the ring keeps draining, then reclaim them.
+// the handler site. The stuck workers must make bounded room for more
+// so the ring keeps draining, and the pool must shrink back once they
+// return.
 func TestChaosStalledHandlers(t *testing.T) {
 	base := chaosBaseline()
 	sys := chaosSystem()
 	svc := chaosBind(t, sys)
-	sys.shards[0].maxWorkers = 2
+	const maxWorkers = 2
+	sys.shards[0].maxWorkers = maxWorkers
 	sys.InjectFault(FaultSiteHandler, FaultStallFirst(4, 15*time.Millisecond))
+	stop := sampleWorkers(sys, 100*time.Microsecond)
 	chaosStorm(t, sys, svc, 30*time.Millisecond)
-	st := sys.Stats()[0]
-	if st.ReplacementsSpawned == 0 {
-		t.Fatalf("stall storm never triggered supervision: %+v", st)
+	peak := stop()
+	if peak <= maxWorkers {
+		t.Fatalf("stall storm never grew the pool past maxWorkers: peak AsyncWorkers %d", peak)
 	}
-	if st.ReplacementsSpawned > maxReplacements {
-		t.Fatalf("replacements unbounded: %+v", st)
+	if peak > maxWorkers+maxReplacements {
+		t.Fatalf("pool unbounded: peak AsyncWorkers %d, bound %d", peak, maxWorkers+maxReplacements)
 	}
 	chaosConverge(t, sys, svc, base)
 }

@@ -28,10 +28,10 @@ import (
 //     that arrives before the worker simply does the copy itself, so
 //     correctness never depends on worker scheduling — the worker is a
 //     throughput optimization, not a liveness requirement.
-//   - The worker is supervised like any other: it claims a heartbeat
-//     slot from the shard's beat table and stamps it around every
-//     copy, so the watchdog sees a wedged copy exactly as it sees a
-//     wedged handler.
+//   - For the same reason the worker takes no heartbeat slot: a slow
+//     copy blocks nobody (a viewer that needs a staged copy steals it),
+//     so the watchdog has nothing to compensate and supervises only the
+//     async pool.
 //
 // A stager publishes its job and then loads shard.closed (offloadCopy),
 // close stores closed and then drains the table: the drain sees the staged
@@ -147,19 +147,23 @@ func (l *offloadLane) complete(j *offloadJob, arena *shardArena) {
 	arena.release(ref)
 }
 
-// drain completes every currently staged job — the worker's stop path
-// and close's no-worker fallback. Jobs another copier already claimed
-// are left to that copier.
+// drain completes every currently staged job — the worker's sweep and
+// stop path, and close's no-worker fallback — and reports whether it
+// landed any. Jobs another copier already claimed are left to that
+// copier.
 //
-//ppc:coldpath -- shutdown/fallback drain
-func (l *offloadLane) drain(arena *shardArena) {
+//ppc:coldpath -- the staged memcpys; the caller's descriptor publish is the hot half
+func (l *offloadLane) drain(arena *shardArena) bool {
+	did := false
 	for i := range l.slots {
 		j := &l.slots[i]
 		//ppc:nopublish -- copier claim: acquires the staged fields, stores no payload
 		if j.state.Load() == jobStaged && j.state.CompareAndSwap(jobStaged, jobCopying) {
 			l.complete(j, arena)
+			did = true
 		}
 	}
+	return did
 }
 
 // waitStaged blocks until ref's staging copy has landed. The common
@@ -215,7 +219,7 @@ func (l *offloadLane) queueDepth() int {
 // either way, staging is purely an optimization.
 //
 //ppc:coldpath -- large-transfer staging; the inline memcpy is the baseline being avoided
-func (sh *shard) offloadCopy(sys *System, data []byte) (PayloadRef, error) {
+func (sh *shard) offloadCopy(data []byte) (PayloadRef, error) {
 	ref, dst, err := sh.arena.alloc(len(data))
 	if err != nil {
 		return 0, err
@@ -233,7 +237,7 @@ func (sh *shard) offloadCopy(sys *System, data []byte) (PayloadRef, error) {
 		sh.offload.waitStaged(staged, &sh.arena)
 		return staged, nil
 	}
-	sh.ensureOffloadWorker(sys)
+	sh.ensureOffloadWorker()
 	if sh.offload.parked.Load() != 0 {
 		sendToken(sh.offload.doorbell)
 	}
@@ -246,7 +250,7 @@ func (sh *shard) offloadCopy(sys *System, data []byte) (PayloadRef, error) {
 // jobs already staged).
 //
 //ppc:coldpath -- worker startup, once per shard lifetime in the steady state
-func (sh *shard) ensureOffloadWorker(sys *System) {
+func (sh *shard) ensureOffloadWorker() {
 	l := sh.offload
 	if l.running.Load() != 0 {
 		return
@@ -258,24 +262,21 @@ func (sh *shard) ensureOffloadWorker(sys *System) {
 	}
 	l.running.Add(1)
 	sh.wg.Add(1)
-	go sh.offloadLoop(sys)
+	go sh.offloadLoop()
 }
 
 // offloadLoop is the shard's offload worker: claim staged jobs, land
-// them, and park on the lane doorbell when idle. Supervised through
-// the shard's beat table — a wedged copy shows up to the watchdog
-// exactly like a wedged handler. On stop it drains the lane and exits.
-func (sh *shard) offloadLoop(sys *System) {
+// them, and park on the lane doorbell when idle. Unsupervised: any
+// viewer may steal a staged copy, so a wedged copy holds up no one but
+// the worker. On stop it drains the lane and exits.
+func (sh *shard) offloadLoop() {
 	l := sh.offload
-	beat := sh.claimBeat()
 	defer func() {
-		sh.releaseBeat(beat)
 		l.running.Add(-1)
 		sh.wg.Done()
 	}()
-	var seq uint64
 	for {
-		if sh.offloadSweep(l, beat, &seq) {
+		if l.drain(&sh.arena) {
 			continue
 		}
 		select {
@@ -300,31 +301,4 @@ func (sh *shard) offloadLoop(sys *System) {
 		}
 		l.parked.Add(-1)
 	}
-}
-
-// offloadSweep is one pass of the worker's slot scan: claim and land
-// every staged job, stamping the heartbeat around each copy so the
-// watchdog supervises the memcpy itself. Reports whether any job was
-// landed.
-//
-//ppc:coldpath -- the staged memcpys; the caller's descriptor publish is the hot half
-func (sh *shard) offloadSweep(l *offloadLane, beat *workerBeat, seq *uint64) bool {
-	did := false
-	for i := range l.slots {
-		j := &l.slots[i]
-		//ppc:nopublish -- copier claim: acquires the staged fields, stores no payload
-		if j.state.Load() == jobStaged && j.state.CompareAndSwap(jobStaged, jobCopying) {
-			if beat != nil {
-				*seq++
-				beat.state.Store(*seq<<1 | 1)
-			}
-			l.complete(j, &sh.arena)
-			if beat != nil {
-				beat.state.Store(*seq << 1)
-				sh.clearCompensation(beat)
-			}
-			did = true
-		}
-	}
-	return did
 }

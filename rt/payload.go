@@ -330,7 +330,7 @@ func (c *Client) AttachBytes(args *Args, data []byte) error {
 	var ref PayloadRef
 	var err error
 	if sh.offload.threshold > 0 && len(data) >= sh.offload.threshold {
-		ref, err = sh.offloadCopy(c.sys, data)
+		ref, err = sh.offloadCopy(data)
 	} else {
 		var buf []byte
 		if ref, buf, err = sh.arena.alloc(len(data)); err == nil {

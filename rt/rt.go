@@ -636,9 +636,9 @@ type Options struct {
 	// Shards is the shard count (default: GOMAXPROCS).
 	Shards int
 	// WorkerStallThreshold is how long an async worker may sit inside
-	// one request batch before the shard watchdog counts it stuck and
-	// spawns a replacement (default defaultStallThreshold). Negative
-	// disables supervision.
+	// one request batch before the shard watchdog counts it stuck, which
+	// makes room for one more worker while requests wait behind it
+	// (default defaultStallThreshold). Negative disables supervision.
 	WorkerStallThreshold time.Duration
 	// WatchdogInterval is the supervision scan period (default
 	// defaultWatchdogInterval). It is also the one tick knob: the shard
@@ -945,14 +945,13 @@ type ShardStats struct {
 	// nonzero usually means an unbuffered (or abandoned) channel was
 	// passed to AsyncCallNotify.
 	NotifyDrops int64
-	// StuckWorkers is the number of async workers currently stalled
-	// past the stall threshold (a gauge, maintained by the watchdog).
+	// StuckWorkers is the number of async workers stalled past the stall
+	// threshold at the watchdog's last scan (a gauge). Each one, up to
+	// four, raises the shard's worker cap by one while it is stuck, so
+	// AsyncWorkers may read up to MaxWorkers plus that many — a worker
+	// is added only when requests are queued behind the stuck ones, and
+	// the extra workers leave as they go idle once the stuck ones return.
 	StuckWorkers int64
-	// ReplacementsSpawned / ReplacementsReclaimed count the extra
-	// workers the watchdog started to cover stuck ones, and the
-	// surplus workers retired after the stuck ones returned.
-	ReplacementsSpawned   int64
-	ReplacementsReclaimed int64
 	// QuarantinedCDs is the number of call descriptors under a handler
 	// orphaned by an expired deadline that has not returned yet (a gauge;
 	// each is its deadline executor's own, and stays the executor's).

@@ -239,20 +239,14 @@ type shard struct {
 	notifyWait time.Duration
 
 	// Worker supervision (watchdog.go). beats holds one padded
-	// heartbeat line per potential worker; the remaining fields are the
-	// replacement-accounting control plane, touched only on stall
-	// detection and recovery.
+	// heartbeat line per potential async worker; stuckWorkers is the
+	// gauge the supervision scan stores and the pool's cap reads
+	// (workerCap).
 	beats            []workerBeat
 	stallThreshold   time.Duration
 	watchdogInterval time.Duration
 	watchdogOn       bool // guarded by qMu
-	//ppc:atomic
-	extraGrant atomic.Int64
-	//ppc:atomic
-	retire                atomic.Int64
-	stuckWorkers          atomic.Int64
-	replacementsSpawned   atomic.Int64
-	replacementsReclaimed atomic.Int64
+	stuckWorkers     atomic.Int64
 
 	// Deadline calls (deadline.go): dlExecs is the shard's deadline
 	// executors, idle and busy, one slot each (nil once it has exited), for
@@ -285,7 +279,7 @@ type shard struct {
 	closed atomic.Bool
 	qMu    sync.Mutex // guards worker spawn vs close — never on the submit fast path
 	wg     sync.WaitGroup
-	_      [16]byte // the control-plane run ends on a line: the lane block below starts one
+	_      [48]byte // the control-plane run ends on a line: the lane block below starts one
 
 	// lanes holds the shard's async rings, one per criticality class
 	// (lane.go): always at least one, so a shard built without
@@ -607,14 +601,17 @@ func (sh *shard) wake(sys *System) {
 	}
 }
 
-// spawnWorker starts one async worker unless the pool is at its cap or
-// the shard is closing. The lock is control-plane only: spawns happen
-// when the pool is empty or the ring backed up, never on the steady
-// submit path.
+// spawnWorker is the one way the async pool grows: it starts a worker
+// unless the pool is at its cap (workerCap: maxWorkers, raised by the
+// workers the watchdog counts stuck) or the shard is closing. Its
+// callers are wake on an empty pool, ringFull on a full ring, and the
+// supervision scan when a stuck worker has work queued behind it. The
+// lock is control-plane only: spawns happen when the pool is empty, a
+// ring backed up or a worker wedged, never on the steady submit path.
 //
 //ppc:coldpath -- worker-pool growth control plane, guarded against close, off the steady submit path
 func (sh *shard) spawnWorker(sys *System) {
-	if sh.workers.Load() >= sh.maxWorkers {
+	if sh.workers.Load() >= sh.workerCap() {
 		return // saturated overload calls this per submit; skip the lock
 	}
 	// Supervision starts with the first worker, and ahead of it: a loop
@@ -625,7 +622,7 @@ func (sh *shard) spawnWorker(sys *System) {
 	}
 	sh.qMu.Lock()
 	defer sh.qMu.Unlock()
-	if sh.closed.Load() || sh.workers.Load() >= sh.maxWorkers {
+	if sh.closed.Load() || sh.workers.Load() >= sh.workerCap() {
 		return
 	}
 	sh.workers.Add(1)
@@ -645,7 +642,10 @@ func (sh *shard) spawnWorker(sys *System) {
 // rings. The park is a Dekker handshake with wake: the worker
 // advertises itself in parked, re-checks the ring, and only then
 // blocks — a submitter either sees the advertisement and rings, or the
-// worker sees the submitter's slot and never parks.
+// worker sees the submitter's slot and never parks. A worker that
+// reaches the park point while the pool is over its cap leaves instead
+// (shard.leave): that is how the pool sheds the room stuck workers made
+// once they return.
 func (sh *shard) workerLoop(sys *System) {
 	// The worker holds one call descriptor for its whole lifetime:
 	// servicing a request costs no pool CAS, and the scratch buffer
@@ -653,9 +653,7 @@ func (sh *shard) workerLoop(sys *System) {
 	cd := sh.popCD()
 	beat := sh.claimBeat()
 	defer func() {
-		sh.releaseBeat(beat)
 		sh.pushCD(cd)
-		sh.workers.Add(-1)
 		sh.workerExits.Add(1)
 		sh.wg.Done()
 	}()
@@ -665,12 +663,6 @@ func (sh *shard) workerLoop(sys *System) {
 	credit := defaultLaneWeights
 	var seq uint64
 	for {
-		// Retire tokens convert revoked stall compensations back into the
-		// configured worker cap: one token, one exit. Checked once per
-		// loop — a single uncontended load in the steady state.
-		if sh.tryRetire() {
-			return
-		}
 		if n := sh.claimWeighted(&credit, batch[:]); n > 0 {
 			// Heartbeat: one plain store on a worker-private line per
 			// batch, not per request — the watchdog's whole warm-path tax.
@@ -685,7 +677,6 @@ func (sh *shard) workerLoop(sys *System) {
 			}
 			if beat != nil {
 				beat.state.Store(seq << 1)
-				sh.clearCompensation(beat)
 			}
 			if sh.yieldPerBatch {
 				// Opt-in (Options.CooperativeYield): cede the P once per
@@ -702,6 +693,8 @@ func (sh *shard) workerLoop(sys *System) {
 		select {
 		case <-sh.stop:
 			sh.drainAll(sys, cd, batch[:])
+			sh.releaseBeat(beat)
+			sh.workers.Add(-1)
 			return
 		default:
 		}
@@ -710,6 +703,9 @@ func (sh *shard) workerLoop(sys *System) {
 			// yield to it instead of spin-starving it.
 			runtime.Gosched()
 			continue
+		}
+		if sh.leave(beat) {
+			return
 		}
 		// Park: advertise, re-check, block. The re-check covers EVERY
 		// lane ring — that is what makes the shared doorbell correct
@@ -835,24 +831,22 @@ func (sh *shard) notifySlow(done chan<- struct{}) {
 //ppc:coldpath -- diagnostics snapshot, deliberately off the call path
 func (sh *shard) stats(i int) ShardStats {
 	st := ShardStats{
-		Shard:                 i,
-		CDsCreated:            sh.cdsCreated.Load(),
-		PooledCDs:             sh.poolSize(),
-		HeldCDs:               sh.heldCDs.Load(),
-		AsyncWorkers:          sh.workers.Load(),
-		WorkerExits:           sh.workerExits.Load(),
-		BackpressureRejects:   sh.backpressure.Load(),
-		NotifyDrops:           sh.notifyDrops.Load(),
-		StuckWorkers:          sh.stuckWorkers.Load(),
-		ReplacementsSpawned:   sh.replacementsSpawned.Load(),
-		ReplacementsReclaimed: sh.replacementsReclaimed.Load(),
-		QuarantinedCDs:        sh.quarantinedCDs.Load(),
-		DeadlineExpirations:   sh.deadlineExpired.Load(),
-		LeasesActive:          sh.arena.leasesActive(),
-		OffloadedBytes:        sh.offload.bytes.Load(),
-		OffloadQueueDepth:     sh.offload.queueDepth(),
-		ArenaGrows:            sh.arena.grows.Load(),
-		TenantThrottled:       sh.tenantThrottled.Load(),
+		Shard:               i,
+		CDsCreated:          sh.cdsCreated.Load(),
+		PooledCDs:           sh.poolSize(),
+		HeldCDs:             sh.heldCDs.Load(),
+		AsyncWorkers:        sh.workers.Load(),
+		WorkerExits:         sh.workerExits.Load(),
+		BackpressureRejects: sh.backpressure.Load(),
+		NotifyDrops:         sh.notifyDrops.Load(),
+		StuckWorkers:        sh.stuckWorkers.Load(),
+		QuarantinedCDs:      sh.quarantinedCDs.Load(),
+		DeadlineExpirations: sh.deadlineExpired.Load(),
+		LeasesActive:        sh.arena.leasesActive(),
+		OffloadedBytes:      sh.offload.bytes.Load(),
+		OffloadQueueDepth:   sh.offload.queueDepth(),
+		ArenaGrows:          sh.arena.grows.Load(),
+		TenantThrottled:     sh.tenantThrottled.Load(),
 	}
 	if reg := sh.reg; reg != nil {
 		st.AbandonedClients = reg.abandoned.Load()

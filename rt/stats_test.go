@@ -318,15 +318,18 @@ func TestRobustnessStats(t *testing.T) {
 		t.Fatalf("after orphan: %+v", st)
 	}
 
-	// Stuck worker + replacement: wedge the only async worker.
+	// Stuck worker: wedge the only async worker. Nothing is queued behind
+	// it, so the room it makes stays empty.
 	if err := c.AsyncCall(svc.EP(), &wedge); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	waitCond(t, 2*time.Second, "stall detection", func() bool {
-		st := sys.Stats()[0]
-		return st.StuckWorkers >= 1 && st.ReplacementsSpawned >= 1
+		return sys.Stats()[0].StuckWorkers == 1
 	})
+	if st := sys.Stats()[0]; st.AsyncWorkers != 1 {
+		t.Fatalf("AsyncWorkers = %d behind a wedge with an empty ring, want 1", st.AsyncWorkers)
+	}
 
 	// Health trip + shed: two faults in a row, then a shed call.
 	var bad, good Args
@@ -344,7 +347,6 @@ func TestRobustnessStats(t *testing.T) {
 	close(block)
 	waitCond(t, 2*time.Second, "quarantine and supervision recovery", func() bool {
 		st := sys.Stats()[0]
-		return st.QuarantinedCDs == 0 && st.StuckWorkers == 0 &&
-			st.ReplacementsReclaimed >= st.ReplacementsSpawned
+		return st.QuarantinedCDs == 0 && st.StuckWorkers == 0 && st.AsyncWorkers == 1
 	})
 }

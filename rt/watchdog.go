@@ -11,12 +11,17 @@ import (
 // the ring stops draining even though the shard looks alive. The
 // watchdog is the containment: each worker stamps a per-worker
 // heartbeat line around every batch it services, and a per-shard
-// supervisor goroutine scans those lines on a coarse tick. A worker
-// stuck past the stall threshold is *compensated* — a bounded
-// replacement worker is spawned so the ring keeps draining — and when
-// the stuck worker finally returns, the compensation is revoked: a
-// retire token makes exactly one surplus worker exit, converging the
-// pool back to its configured cap.
+// supervisor goroutine scans those lines on a coarse tick and stores how
+// many workers are stuck past the stall threshold. That count is the
+// whole compensation. The pool's cap is maxWorkers plus the stuck
+// workers, at most maxReplacements of them (workerCap), so a wedged
+// worker makes room by being counted, and spawnWorker — the pool's one
+// growth rule — fills the room when work is waiting: the tick calls it
+// when a worker is stuck and a ring is non-empty, as a submitter does on
+// an empty pool or a full ring. When the stuck worker returns the cap
+// falls back at the next scan, and a worker that reaches its park point
+// above the cap leaves instead of parking (leave): the pool shrinks back
+// one worker per surplus, and only a worker with nothing to do leaves.
 //
 // The same goroutine also drives deadline expiry (deadline.go): every
 // tick refreshes the shard's coarse clock and walks the shard's pool of
@@ -33,16 +38,17 @@ import (
 //
 // Design rules carried over from the rest of the package:
 //
-//   - The warm path pays one plain store per *batch* (the heartbeat
-//     stamp), on a line only that worker writes and only the watchdog
-//     reads — no shared RMW, no lock.
+//   - The warm path pays one plain store at each end of a *batch* (the
+//     heartbeat stamps), on a line only that worker writes and only the
+//     watchdog reads — no shared RMW, no lock.
 //   - The watchdog itself is pure cold path: it runs on its own
 //     goroutine, on a millisecond-scale tick, and takes qMu only to
 //     spawn.
-//   - Replacements are bounded (maxReplacements) and accounted
-//     (ShardStats.ReplacementsSpawned / ReplacementsReclaimed), so a
+//   - Growth past maxWorkers is bounded (maxReplacements), so a
 //     permanently wedged handler degrades the shard by a constant, not
-//     by an unbounded goroutine leak.
+//     by an unbounded goroutine leak — and costs no goroutine at all
+//     while nothing is queued behind it. ShardStats.AsyncWorkers and
+//     StuckWorkers show it.
 
 // Supervision defaults (Options overrides them per System).
 const (
@@ -51,8 +57,8 @@ const (
 	defaultStallThreshold = 20 * time.Millisecond
 	// defaultWatchdogInterval is the supervision scan period.
 	defaultWatchdogInterval = 5 * time.Millisecond
-	// maxReplacements bounds how many replacement workers a shard may
-	// run beyond its normal worker cap at once.
+	// maxReplacements bounds how many stuck workers raise a shard's
+	// worker cap: the most workers it runs beyond maxWorkers at once.
 	maxReplacements = 4
 )
 
@@ -87,8 +93,8 @@ func (c *coarseClock) refresh() int64 {
 	return n
 }
 
-// workerBeat is one worker's heartbeat line: the worker stamps state
-// (one plain atomic store) when it enters and leaves a batch; the
+// workerBeat is one async worker's heartbeat line: the worker stamps
+// state (one plain atomic store) when it enters and leaves a batch; the
 // watchdog reads it on its tick. One worker writes the line and the
 // watchdog reads it, so the padding keeps beats from false-sharing
 // with their neighbours.
@@ -117,14 +123,7 @@ type workerBeat struct {
 	//ppc:atomic
 	//ppc:hotline(beat)
 	inUse atomic.Bool
-	// compensated marks that the watchdog has spawned a replacement for
-	// this (stuck) worker. The worker clears it on batch exit and turns
-	// the revoked grant into a retire token.
-	//
-	//ppc:atomic
-	//ppc:hotline(beat)
-	compensated atomic.Bool
-	_           [48]byte // tile to one line (shard.beats is a []workerBeat)
+	_     [52]byte // tile to one line (shard.beats is a []workerBeat)
 }
 
 // configureWatchdog applies Options' supervision knobs (called from
@@ -140,9 +139,7 @@ func (sh *shard) configureWatchdog(o Options) {
 	if o.WatchdogInterval > 0 {
 		sh.watchdogInterval = o.WatchdogInterval
 	}
-	// +1: the offload worker (offload.go) shares the beat table so a
-	// wedged staging copy is supervised like a wedged handler.
-	sh.beats = make([]workerBeat, sh.maxWorkers+maxReplacements+1)
+	sh.beats = make([]workerBeat, sh.maxWorkers+maxReplacements)
 	sh.dlTick = min(deadlineTick, sh.watchdogInterval)
 	sh.clock.refresh()
 }
@@ -158,57 +155,53 @@ func (sh *shard) claimBeat() *workerBeat {
 		b := &sh.beats[i]
 		if !b.inUse.Load() && b.inUse.CompareAndSwap(false, true) {
 			b.state.Store(0)
-			b.compensated.Store(false)
 			return b
 		}
 	}
 	return nil
 }
 
-// releaseBeat returns a worker's heartbeat slot on exit. A pending
-// compensation is settled here too: if the watchdog replaced this
-// worker and the worker exits before clearing the flag on a batch
-// boundary, the grant is revoked and a surplus worker retired, exactly
-// as clearCompensation would have.
+// releaseBeat returns a worker's heartbeat slot on exit.
 //
 //ppc:coldpath -- worker exit
 func (sh *shard) releaseBeat(b *workerBeat) {
 	if b == nil {
 		return
 	}
-	sh.clearCompensation(b)
 	b.state.Store(0)
 	b.inUse.Store(false)
 }
 
-// clearCompensation revokes a replacement grant once its stuck worker
-// has returned: the extra headroom is withdrawn and one retire token is
-// minted so exactly one surplus worker exits at its next loop check.
+// workerCap is the async pool's cap: maxWorkers, plus one for every
+// worker the last supervision scan counted stuck, at most
+// maxReplacements of them. A wedged worker makes room by being counted;
+// the room closes again at the first scan after it returns.
 //
-//ppc:coldpath -- runs only after a stall was detected and compensated
-func (sh *shard) clearCompensation(b *workerBeat) {
-	if b.compensated.Swap(false) {
-		sh.extraGrant.Add(-1)
-		sh.retire.Add(1)
-	}
+//ppc:coldpath -- pool growth and shrink decisions, off the steady submit path
+func (sh *shard) workerCap() int64 {
+	return sh.maxWorkers + min(sh.stuckWorkers.Load(), maxReplacements)
 }
 
-// tryRetire consumes one retire token, if any are outstanding. The
-// caller (a worker, at the top of its loop) exits when it returns true
-// — the CAS loop guarantees one token retires exactly one worker.
+// leave is the pool's one shrink rule: a worker at its park point while
+// the pool holds more workers than workerCap admits takes itself out
+// instead of parking. The re-check and the decrement run under qMu, the
+// lock spawnWorker admits under, so exactly one worker leaves per
+// surplus and its beat slot is free before a spawn can fill the room.
+// Reports whether the worker left; its caller then returns.
 //
-//ppc:hotpath
-func (sh *shard) tryRetire() bool {
-	for {
-		r := sh.retire.Load()
-		if r <= 0 {
-			return false
-		}
-		if sh.retire.CompareAndSwap(r, r-1) {
-			sh.replacementsReclaimed.Add(1)
-			return true
-		}
+//ppc:coldpath -- a worker about to park while the pool is over its cap
+func (sh *shard) leave(beat *workerBeat) bool {
+	if sh.workers.Load() <= sh.workerCap() {
+		return false
 	}
+	sh.qMu.Lock()
+	defer sh.qMu.Unlock()
+	if sh.workers.Load() <= sh.workerCap() {
+		return false
+	}
+	sh.releaseBeat(beat)
+	sh.workers.Add(-1)
+	return true
 }
 
 // startTick makes sure the shard's tick loop is running — the one place
@@ -307,7 +300,8 @@ func (sh *shard) watchdogLoop(sys *System) {
 			sh.qMu.Unlock()
 			continue
 		}
-		if sh.stallThreshold > 0 && now-lastSupervise >= int64(sh.watchdogInterval) {
+		// Half a tick of slack, or a tick that lands early skips its round.
+		if sh.stallThreshold > 0 && now-lastSupervise >= int64(sh.watchdogInterval-period/2) {
 			lastSupervise = now
 			sh.superviseTick(sys, last, stuckTicks, stuckAfter)
 		}
@@ -326,10 +320,11 @@ func (sh *shard) tickPeriod() time.Duration {
 	return sh.watchdogInterval
 }
 
-// superviseTick is one supervision scan: count stuck workers,
-// compensate newly-stuck ones with bounded replacements, and ring the
-// doorbell when a parked worker is needed (a retire token to consume,
-// or a non-empty ring with everyone parked — the lost-wakeup and
+// superviseTick is one supervision scan: count the stuck workers and
+// store the gauge, which moves the pool's cap (workerCap); grow the pool
+// into the room a stuck worker made when a ring has work behind it; and
+// ring the doorbell when a parked worker is needed (a surplus one to
+// leave, or a non-empty ring with everyone parked — the lost-wakeup and
 // stalled-publish safety net; ring.stalled makes the latter visible).
 //
 //ppc:coldpath -- supervision scan, off every call path
@@ -348,54 +343,16 @@ func (sh *shard) superviseTick(sys *System, last []uint64, stuckTicks []int, stu
 			continue
 		}
 		stuckTicks[i]++
-		if stuckTicks[i] < stuckAfter {
-			continue
-		}
-		stuck++
-		if !b.compensated.Load() && sh.extraGrant.Load() < maxReplacements {
-			// Compensate: grant headroom for one replacement so the ring
-			// keeps draining past the wedged worker.
-			b.compensated.Store(true)
-			sh.extraGrant.Add(1)
-			if sh.spawnReplacement(sys) {
-				sh.replacementsSpawned.Add(1)
-			} else {
-				// Shard closing (or a concurrent stop): revoke the grant
-				// rather than leave phantom headroom behind. The stuck
-				// worker may have recovered concurrently and revoked it
-				// already via clearCompensation — the Swap guarantees
-				// exactly one side decrements extraGrant (a plain Store
-				// here would double-revoke, eroding replacement headroom
-				// permanently). If the worker won, its minted retire
-				// token has no replacement to retire and one pool worker
-				// exits early; the pool respawns on demand (wake /
-				// shard.submit), so that is a transient, not a leak.
-				if b.compensated.Swap(false) {
-					sh.extraGrant.Add(-1)
-				}
-			}
+		if stuckTicks[i] >= stuckAfter {
+			stuck++
 		}
 	}
 	sh.stuckWorkers.Store(stuck)
-	if (sh.retire.Load() > 0 || sh.queuesStalled() || !sh.queuesEmpty()) &&
+	if stuck > 0 && !sh.queuesEmpty() {
+		sh.spawnWorker(sys)
+	}
+	if (sh.workers.Load() > sh.workerCap() || sh.queuesStalled() || !sh.queuesEmpty()) &&
 		sh.parked.Load() != 0 {
 		sendToken(sh.doorbell)
 	}
-}
-
-// spawnReplacement starts one replacement worker, allowed to exceed
-// maxWorkers by the currently granted compensation headroom. Reports
-// whether a worker was actually started.
-//
-//ppc:coldpath -- stall compensation, bounded by maxReplacements
-func (sh *shard) spawnReplacement(sys *System) bool {
-	sh.qMu.Lock()
-	defer sh.qMu.Unlock()
-	if sh.closed.Load() || sh.workers.Load() >= sh.maxWorkers+sh.extraGrant.Load() {
-		return false
-	}
-	sh.workers.Add(1)
-	sh.wg.Add(1)
-	go sh.workerLoop(sys)
-	return true
 }

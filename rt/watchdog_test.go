@@ -40,7 +40,8 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 	}
 	<-entered
 	// Submit normal work behind the wedged worker; the watchdog must
-	// notice the stall and spawn a replacement that drains it.
+	// count the stall, and the room it makes must be filled by a worker
+	// that drains the ring.
 	done := make(chan struct{}, 4)
 	var args Args
 	for i := 0; i < 4; i++ {
@@ -56,22 +57,15 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 		}
 	}
 	st := sys.Stats()[0]
-	if st.ReplacementsSpawned == 0 {
-		t.Fatalf("no replacement spawned: %+v", st)
+	if st.AsyncWorkers != 2 || st.StuckWorkers != 1 {
+		t.Fatalf("want 2 workers, 1 of them stuck, while the wedge holds: %+v", st)
 	}
-	if st.StuckWorkers == 0 {
-		t.Fatalf("stuck worker not detected: %+v", st)
-	}
-	// Unwedge: the compensation is revoked, a surplus worker retires,
-	// and the pool converges back to the configured cap.
+	// Unwedge: the stuck gauge clears, the cap falls back to 1, and the
+	// surplus worker leaves at its park point.
 	close(block)
 	waitCond(t, 2*time.Second, "worker pool convergence", func() bool {
 		st := sys.Stats()[0]
-		return st.ReplacementsReclaimed >= st.ReplacementsSpawned &&
-			st.AsyncWorkers <= 1
-	})
-	waitCond(t, 2*time.Second, "stuck gauge clears", func() bool {
-		return sys.Stats()[0].StuckWorkers == 0
+		return st.AsyncWorkers == 1 && st.StuckWorkers == 0
 	})
 	// The shard still works.
 	n := make(chan struct{}, 1)
@@ -85,6 +79,78 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 	}
 }
 
+// TestWatchdogNoWorkNoSpawn: a wedged worker with nothing queued behind
+// it costs no goroutine. Work that arrives later still gets a worker
+// while the wedge holds: the tick sees a stuck worker and a non-empty
+// ring and grows the pool into the room the stuck worker made.
+func TestWatchdogNoWorkNoSpawn(t *testing.T) {
+	sys := watchdogSystem()
+	defer sys.Close()
+	block := make(chan struct{})
+	defer close(block)
+	entered := make(chan struct{}, 1)
+	svc, err := sys.Bind(ServiceConfig{Name: "wedger", Handler: func(ctx *Ctx, args *Args) {
+		if args[0] == 1 {
+			entered <- struct{}{}
+			<-block
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.shards[0].maxWorkers = 1
+	c := sys.NewClientOnShard(0)
+	var wedge Args
+	wedge[0] = 1
+	if err := c.AsyncCall(svc.EP(), &wedge); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	time.Sleep(10 * sys.shards[0].stallThreshold)
+	if st := sys.Stats()[0]; st.StuckWorkers != 1 || st.AsyncWorkers != 1 {
+		t.Fatalf("wedged worker with an empty ring: StuckWorkers %d, AsyncWorkers %d; want 1 and 1", st.StuckWorkers, st.AsyncWorkers)
+	}
+	done := make(chan struct{}, 4)
+	var args Args
+	for i := 0; i < 4; i++ {
+		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("request %d never serviced while the first worker is wedged", i)
+		}
+	}
+	if st := sys.Stats()[0]; st.StuckWorkers != 1 {
+		t.Fatalf("the first worker is no longer counted stuck: %+v", st)
+	}
+}
+
+// sampleWorkers polls shard 0's AsyncWorkers every interval until the
+// returned stop is called; stop reports the largest value seen.
+func sampleWorkers(sys *System, every time.Duration) (stop func() int64) {
+	quit, peak := make(chan struct{}), make(chan int64)
+	go func() {
+		var most int64
+		for {
+			most = max(most, sys.Stats()[0].AsyncWorkers)
+			select {
+			case <-quit:
+				peak <- most
+				return
+			case <-time.After(every):
+			}
+		}
+	}()
+	return func() int64 {
+		close(quit)
+		return <-peak
+	}
+}
+
 func TestWatchdogReplacementsBounded(t *testing.T) {
 	sys := NewSystemOptions(Options{
 		Shards:               1,
@@ -93,7 +159,8 @@ func TestWatchdogReplacementsBounded(t *testing.T) {
 	})
 	defer sys.Close()
 	block := make(chan struct{})
-	entered := make(chan struct{}, 8)
+	const requests = maxReplacements + 3
+	entered := make(chan struct{}, requests)
 	svc, err := sys.Bind(ServiceConfig{Name: "allwedge", Handler: func(ctx *Ctx, args *Args) {
 		entered <- struct{}{}
 		<-block
@@ -105,39 +172,43 @@ func TestWatchdogReplacementsBounded(t *testing.T) {
 	sh.maxWorkers = 1
 	c := sys.NewClientOnShard(0)
 	var args Args
-	// Wedge the original worker, then each replacement as it appears:
-	// every live worker gets stuck, and the replacement count must
-	// saturate at the bound instead of growing without limit.
-	for i := 0; i < maxReplacements+1; i++ {
+	// Every request wedges its worker. Feed them one at a time, so each
+	// is the only request in the ring when a worker claims it: each stuck
+	// worker makes room for one more, up to the bound. Then queue more
+	// than the bound admits workers for; the pool must stop at the bound
+	// with that backlog still waiting.
+	for i := 0; i < requests; i++ {
 		if err := c.AsyncCall(svc.EP(), &args); err != nil {
 			t.Fatal(err)
+		}
+		if i > maxReplacements {
+			continue
 		}
 		select {
 		case <-entered:
 		case <-time.After(2 * time.Second):
-			if i < 1 {
-				t.Fatalf("request %d never started", i)
-			}
-			// Replacements exhausted before every request could start —
-			// also a valid saturation shape; stop feeding.
+			t.Fatalf("request %d never started", i)
 		}
 	}
-	waitCond(t, 2*time.Second, "replacements to saturate", func() bool {
-		return sys.Stats()[0].ReplacementsSpawned >= maxReplacements
-	})
-	time.Sleep(20 * time.Millisecond) // give an unbounded bug time to show
-	st := sys.Stats()[0]
-	if st.ReplacementsSpawned > maxReplacements {
-		t.Fatalf("ReplacementsSpawned = %d, bound is %d", st.ReplacementsSpawned, maxReplacements)
+	if st := sys.Stats()[0]; st.AsyncWorkers != 1+maxReplacements {
+		t.Fatalf("AsyncWorkers = %d with every worker wedged, want maxWorkers+bound = %d", st.AsyncWorkers, 1+maxReplacements)
 	}
-	if st.AsyncWorkers > 1+maxReplacements {
-		t.Fatalf("AsyncWorkers = %d, want <= maxWorkers+bound", st.AsyncWorkers)
+	stop := sampleWorkers(sys, time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // give an unbounded bug time to show
+	if peak := stop(); peak > 1+maxReplacements {
+		t.Fatalf("AsyncWorkers peaked at %d, want <= maxWorkers+bound = %d", peak, 1+maxReplacements)
 	}
 	close(block)
+	for i := maxReplacements + 1; i < requests; i++ {
+		select {
+		case <-entered:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("queued request %d never started", i)
+		}
+	}
 	waitCond(t, 2*time.Second, "pool convergence after unwedge", func() bool {
 		st := sys.Stats()[0]
-		return st.AsyncWorkers <= 1 && st.StuckWorkers == 0 &&
-			st.ReplacementsReclaimed >= st.ReplacementsSpawned
+		return st.AsyncWorkers == 1 && st.StuckWorkers == 0
 	})
 }
 
@@ -174,7 +245,7 @@ func TestWatchdogDisabled(t *testing.T) {
 		t.Fatal("watchdog started despite negative stall threshold")
 	}
 	time.Sleep(10 * time.Millisecond)
-	if st := sys.Stats()[0]; st.ReplacementsSpawned != 0 || st.StuckWorkers != 0 {
+	if st := sys.Stats()[0]; st.AsyncWorkers != 1 || st.StuckWorkers != 0 {
 		t.Fatalf("disabled watchdog acted: %+v", st)
 	}
 	close(block)
@@ -197,7 +268,7 @@ func TestWatchdogIdleWorkersNotStuck(t *testing.T) {
 	// The worker is now idle (parked or spinning). Give the watchdog a
 	// few ticks: idleness must not read as a stall.
 	time.Sleep(10 * time.Millisecond)
-	if st := sys.Stats()[0]; st.StuckWorkers != 0 || st.ReplacementsSpawned != 0 {
+	if st := sys.Stats()[0]; st.StuckWorkers != 0 || st.AsyncWorkers != 1 {
 		t.Fatalf("idle worker counted stuck: %+v", st)
 	}
 }
