@@ -27,13 +27,16 @@ test:
 # reclaim that has happened when Abandon returns), and Arena|Scratch the
 # arena's concurrent refills and the scratch a descriptor sizes on first
 # use, Lane the wedge-and-release lane tests (claim order, the
-# inversion bound, the service ratio), and Watchdog the stuck-worker
+# inversion bound, the service ratio), Watchdog the stuck-worker
 # tests (growth into the room a stuck worker makes, the bound, the
-# shrink at the park point).
+# shrink at the park point), and Ring|Provision|Table the memory a
+# System commits on first use (zeroed rings over several laps, first
+# submissions racing each other and Close, Binds that make table pages
+# racing calls).
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table' ./rt
 
 vet:
 	$(GO) vet ./...

@@ -323,7 +323,9 @@ const (
 // announces itself to either — the submitting window, the close epoch and
 // the quiescence notification are gone by name, one function (shard.close)
 // sets a ring's closed bit, shard.submit defers nothing, and a completion
-// is one atomic write and no call.
+// is one atomic write and no call. Memory on first use: one function
+// allocates ring slots (shard.provisionRings, called from submit alone),
+// and no MaxEntryPoints-long table is declared or made.
 func TestRtSurfaceRatchet(t *testing.T) {
 	fset := token.NewFileSet()
 	files, _ := parseTree(t, fset)
@@ -340,7 +342,7 @@ func TestRtSurfaceRatchet(t *testing.T) {
 	calls := func(callee string) []string { return names(callers[callee]) }
 	admitters := map[string]bool{}
 	cdFillers, cdTakers := map[string]bool{}, map[string]bool{}
-	ringClosers := map[string]bool{}
+	ringClosers, ringAllocators := map[string]bool{}, map[string]bool{}
 	var dlReqFields, ownerNames []string
 	for _, pf := range files {
 		if filepath.Dir(pf.path) != "rt" {
@@ -349,6 +351,16 @@ func TestRtSurfaceRatchet(t *testing.T) {
 		f := pf.file
 		lines += fset.File(f.Pos()).LineCount()
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && types.ExprString(call.Fun) == "make" {
+				for _, arg := range call.Args[1:] {
+					if types.ExprString(arg) == "MaxEntryPoints" {
+						t.Errorf("%s: a MaxEntryPoints-long slice is made again: a service table is paged, one page per bound range", fset.Position(call.Pos()))
+					}
+				}
+			}
+			if at, ok := n.(*ast.ArrayType); ok && at.Len != nil && types.ExprString(at.Len) == "MaxEntryPoints" {
+				t.Errorf("%s: a MaxEntryPoints-long array is back: a service table is paged, one page per bound range", fset.Position(at.Pos()))
+			}
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
@@ -393,6 +405,9 @@ func TestRtSurfaceRatchet(t *testing.T) {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
+					}
+					if types.ExprString(call.Fun) == "make" && types.ExprString(call.Args[0]) == "[]ringSlot" {
+						ringAllocators[d.Name.Name] = true
 					}
 					sel, ok := call.Fun.(*ast.SelectorExpr)
 					if !ok {
@@ -485,6 +500,7 @@ func TestRtSurfaceRatchet(t *testing.T) {
 		{"admit", "begin", "performing the synchronous admission"},
 		{"watchdogLoop", "startTick", "starting the shard tick loop"},
 		{"workerLoop", "spawnWorker", "growing the async worker pool"},
+		{"provisionRings", "submit", "provisioning a shard's rings"},
 		{"loop", "newExec", "starting a deadline executor's goroutine"},
 	} {
 		if got := calls(c.callee); len(got) != 1 || got[0] != c.want {
@@ -507,6 +523,9 @@ func TestRtSurfaceRatchet(t *testing.T) {
 	}
 	if len(ownerNames) != 0 {
 		t.Errorf("owner.go names %v: a death does not know executors exist", ownerNames)
+	}
+	if got := fmt.Sprint(names(ringAllocators)); got != "[provisionRings]" {
+		t.Errorf("functions allocating ring slots: %s; want shard.provisionRings alone", got)
 	}
 	if got := fmt.Sprint(names(ringClosers)); got != "[close]" {
 		t.Errorf("functions setting a ring's closed bit: %s; want shard.close alone", got)

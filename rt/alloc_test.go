@@ -2,6 +2,7 @@ package rt
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -512,5 +513,68 @@ func TestWarmLaneTenantAsyncAllocs(t *testing.T) {
 		} else {
 			t.Fatalf("warm lane+tenant async call allocates %.1f objects/op, want 0", allocs)
 		}
+	}
+}
+
+// TestSyncSystemBytes: a System commits memory when its traffic first
+// needs it. A 2-shard System that binds one service, makes one held Call
+// per shard and closes allocates < 16 000 B in all: one service-table page
+// per shard, no async ring. A System that later submits async work gets
+// its rings then, at the size it was built with. Report-only under -race.
+func TestSyncSystemBytes(t *testing.T) {
+	var m runtime.MemStats
+	best := ^uint64(0)
+	for i := 0; i < 8; i++ {
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		sys := NewSystemOptions(Options{Shards: 2})
+		svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sh := 0; sh < 2; sh++ {
+			if err := sys.NewClientOnShard(sh).Call(svc.EP(), &Args{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Close()
+		runtime.ReadMemStats(&m)
+		best = min(best, m.TotalAlloc-before)
+	}
+	t.Logf("a sync-only 2-shard System allocates %d B", best)
+	if best >= 16000 {
+		if raceEnabled {
+			t.Logf("%d B under -race (report-only)", best)
+		} else {
+			t.Errorf("a sync-only 2-shard System allocates %d B, want < 16000", best)
+		}
+	}
+
+	sys := NewSystemOptions(Options{Shards: 2})
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capBefore := sys.Stats()[0].AsyncQueueCap
+	done := make(chan struct{}, 1)
+	if err := sys.NewClientOnShard(0).AsyncCallNotify(svc.EP(), &Args{}, done); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if got := sys.Stats()[0].AsyncQueueCap; got != capBefore || got != defaultAsyncQueueCap {
+		t.Fatalf("AsyncQueueCap %d before the first submission, %d after; want %d both", capBefore, got, defaultAsyncQueueCap)
+	}
+}
+
+// TestCloseNeverSubmittedMakesNoDescriptor: Close drains only a ring
+// holding a ticket, so closing a shard that never submitted creates no
+// descriptor (and reads no ring slot: it has none).
+func TestCloseNeverSubmittedMakesNoDescriptor(t *testing.T) {
+	sys := NewSystemShards(1)
+	before := sys.Stats()[0].CDsCreated
+	sys.Close()
+	if got := sys.Stats()[0].CDsCreated; got != before {
+		t.Fatalf("CDsCreated %d after Close, %d before: Close made a descriptor to drain nothing", got, before)
 	}
 }

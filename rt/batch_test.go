@@ -106,7 +106,7 @@ func TestAsyncBatchBackpressureTail(t *testing.T) {
 	sys := NewSystemShards(1)
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
-	sh.lanes[0].ring.init(2)
+	testRing(&sh.lanes[0].ring, 2)
 	sh.submitWait = time.Millisecond
 
 	gate := make(chan struct{})

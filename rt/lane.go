@@ -19,31 +19,18 @@ import "sync/atomic"
 // drain, park and stats run the code below over a length of one.
 //
 // Under overload the shedding order follows criticality downward
-// (shard.submit):
+// (shard.submit): with two or more lanes, the lowest one sheds a
+// submission that finds its ring full at once (ErrShed), spending no
+// bounded wait on the cheapest traffic; every other ring, a one-lane
+// shard's included, waits a bounded time, then ErrBackpressure — and
+// drains first, so best-effort sheds before normal, normal before
+// critical. Lanes decide only which ring a request enters and in what
+// order requests leave; everything after dequeue is one path.
 //
-//   - With two or more lanes, a submission to the lowest one that finds
-//     its ring full is shed IMMEDIATELY with ErrShed — it does not
-//     spend the bounded submit wait, because the whole point of the
-//     class split is that the cheapest traffic is the first to go and
-//     the cheapest to reject.
-//   - Every other ring — the classes above the lowest, and the only
-//     ring of a one-lane shard, which has no cheaper class to shed —
-//     waits a bounded time for space, then ErrBackpressure. The higher
-//     rings drain first (weighted dequeue), so under a best-effort
-//     storm they rarely fill at all — best-effort sheds before normal,
-//     normal before critical.
-//
-// Health gating, deadlines, payload-lease settlement, and kill
-// accounting are untouched: lanes only decide WHICH ring a request
-// enters and in what order requests leave; everything after dequeue is
-// the existing path.
-//
-// The park/wake protocol is shared across lanes by design: every lane
-// publishes into the same doorbell/parked pair, so a critical enqueue
-// wakes a parked worker even when the worker parked after draining
-// best-effort traffic — the Dekker handshake in the worker re-checks
-// EVERY lane ring before blocking (queuesEmpty), which is what makes
-// the shared doorbell correct.
+// Every lane shares the shard's doorbell/parked pair, so a critical
+// enqueue wakes a worker that parked after draining best-effort traffic:
+// the worker's Dekker handshake re-checks EVERY ring before blocking
+// (queuesEmpty), which is what makes one doorbell correct.
 
 // Lane names a request's criticality class. The zero value
 // (LaneDefault) defers to the service's configured lane
@@ -130,7 +117,8 @@ type laneRing struct {
 
 // configureLanes builds the shard's lane array from Options (called
 // from NewSystemOptions, once per shard, before any traffic): between
-// one and NumLaneClasses rings of AsyncQueueCap slots each.
+// one and NumLaneClasses rings of AsyncQueueCap slots each, sized here
+// and allocated by the shard's first submission (provisionRings).
 //
 //ppc:coldpath -- construction-time configuration
 func (sh *shard) configureLanes(o Options) {
@@ -140,7 +128,24 @@ func (sh *shard) configureLanes(o Options) {
 	}
 	sh.lanes = make([]laneRing, min(max(o.Lanes, 1), NumLaneClasses))
 	for i := range sh.lanes {
-		sh.lanes[i].ring.init(cap)
+		sh.lanes[i].ring.mask = ringMask(cap)
+	}
+}
+
+// provisionRings allocates every lane's slots, zeroed — each ring on lap
+// 0 — the first time the shard is submitted to, so a sync-only shard
+// never holds them. The ringsReady store orders the slots before the
+// push that follows it and every read behind that push's ticket.
+//
+//ppc:coldpath -- once per shard, on its first submission
+func (sh *shard) provisionRings() {
+	sh.qMu.Lock()
+	defer sh.qMu.Unlock()
+	if !sh.ringsReady.Load() {
+		for i := range sh.lanes {
+			sh.lanes[i].ring.slots = make([]ringSlot, sh.lanes[i].ring.mask+1)
+		}
+		sh.ringsReady.Store(true)
 	}
 }
 

@@ -342,6 +342,7 @@ func TestLaneClaimSizes(t *testing.T) {
 	published := func(lanes int) *shard {
 		sh := &shard{}
 		sh.configureLanes(Options{Lanes: lanes, AsyncQueueCap: 32})
+		sh.provisionRings()
 		for i := range sh.lanes {
 			for k := 0; k < 20; k++ {
 				if !sh.lanes[i].ring.push(nil, nil, &Args{uint64(i)}, 0, nil, 0) {

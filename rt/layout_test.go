@@ -326,8 +326,10 @@ func TestShardLayout(t *testing.T) {
 	if free%lineBytes != 0 {
 		t.Errorf("free at offset %d is not line-aligned", free)
 	}
-	if lineOf(unsafe.Offsetof(s.tab)) == lineOf(free) {
-		t.Error("free shares its line with the service-table header again")
+	for p := range s.tab {
+		if lineOf(unsafe.Offsetof(s.tab)+uintptr(p)*unsafe.Sizeof(s.tab[0])) == lineOf(free) {
+			t.Errorf("free shares its line with service-table page pointer %d", p)
+		}
 	}
 	dlIdle := unsafe.Offsetof(s.dlIdle)
 	if dlIdle%lineBytes != 0 || lineOf(dlIdle) == lineOf(free) {

@@ -3,26 +3,26 @@ package rt
 import "sync/atomic"
 
 // asyncRing is the shard's bounded lock-free request queue: a
-// Vyukov-style ring of sequence-numbered slots. It replaces the Go
-// channel the async path used to funnel through — a channel send takes
-// the runtime-internal hchan lock and parks/unparks through the
-// scheduler, exactly the hidden serialization the paper's design rules
-// forbid. Here submission is one CAS on the enqueue cursor plus an
-// in-place slot write, and consumption is one CAS on the dequeue
-// cursor plus an in-place slot read; no lock exists to contend on and
-// no element is copied through runtime internals.
+// Vyukov-style ring of sequence-numbered slots, not a Go channel, whose
+// send takes the runtime's hchan lock and parks through the scheduler —
+// the hidden serialization the paper's design rules forbid. Submission
+// is one CAS on the enqueue cursor plus an in-place slot write,
+// consumption one CAS on the dequeue cursor plus an in-place slot read.
 //
 // Protocol (Vyukov bounded MPMC, which covers our many-producers /
-// few-consumers shape): each slot carries a sequence number. A slot is
-// writable when seq == pos (pos the producer's ticket), readable when
-// seq == pos+1 (pos the consumer's ticket); the producer publishes by
-// storing seq = pos+1 and the consumer recycles the slot for the next
-// lap by storing seq = pos+size. Tickets are claimed by CAS on the
-// cursors, so per-producer FIFO follows from each goroutine's tickets
-// being acquired in program order and consumers draining in ticket
-// order. A consumer never skips an unpublished slot — it reports the
-// ring empty instead and retries later — so nothing is lost or
-// reordered past a slow producer.
+// few-consumers shape): each slot carries a sequence number, stored less
+// the slot's index — as its ticket's lap, pos&^mask — so a zeroed array
+// is a ring on lap 0. A slot is writable when seq == lap (pos the
+// producer's ticket), readable when seq == lap+1 (pos the consumer's
+// ticket); the producer publishes by storing lap+1 and the consumer
+// recycles the slot for the next lap by storing lap+size. Tickets are
+// claimed by CAS on the cursors, so per-producer FIFO follows from each
+// goroutine's tickets being acquired in program order and consumers
+// draining in ticket order. A consumer never skips an unpublished slot —
+// it reports the ring empty instead and retries later — so nothing is
+// lost or reordered past a slow producer. The slots are allocated on the
+// shard's first submission (shard.provisionRings); until one holds a
+// ticket, only the cursors and the mask are read.
 //
 // The enqueue cursor also carries Close: shard.close sets ringClosed in
 // it, and from then on it never advances — a ticket CAS from a read before
@@ -40,8 +40,8 @@ import "sync/atomic"
 //ppc:padded
 type asyncRing struct {
 	mask  uint64
-	slots []ringSlot
-	_     [32]byte // fill line 0: cursors start on their own lines
+	slots []ringSlot // nil until the shard's first submission
+	_     [32]byte   // fill line 0: cursors start on their own lines
 
 	//ppc:atomic
 	//ppc:hotline
@@ -61,10 +61,10 @@ const ringClosed uint64 = 1 << 63
 // place — submission writes it once and the draining worker reads it
 // once, with the seq store/load pair ordering the two.
 type ringSlot struct {
-	// seq is the slot's publish word: a store of pos+1 releases the
-	// request the producer just wrote in place, and the recycle store
-	// (pos+size) releases the cleared slot back to the producers.
-	// ppclint's ordering analyzer checks both edges.
+	// seq is the slot's publish word, kept less the slot's index: a store
+	// of lap+1 releases the request the producer just wrote in place, and
+	// the recycle store (lap+size) releases the cleared slot back to the
+	// producers. ppclint's ordering analyzer checks both edges.
 	//
 	//ppc:atomic
 	//ppc:publishes(req)
@@ -72,26 +72,16 @@ type ringSlot struct {
 	req asyncReq
 }
 
-// init sizes the ring to the smallest power of two >= capacity and
-// stamps each slot with its initial sequence number. The minimum is
-// two slots: with a single slot the producer's published sequence
-// (pos+1) is indistinguishable from the next lap's writable condition
-// for the same slot, so a full one-slot ring would accept a push.
-//
-//ppc:coldpath -- ring construction, once per shard
-func (r *asyncRing) init(capacity int) {
+// ringMask is the mask of the smallest power-of-two ring holding capacity
+// requests. The minimum is two slots: with one, the producer's published
+// sequence (lap+1) is the next lap's writable one, and a full ring would
+// accept a push.
+func ringMask(capacity int) uint64 {
 	size := 2
 	for size < capacity {
 		size <<= 1
 	}
-	r.slots = make([]ringSlot, size)
-	r.mask = uint64(size - 1)
-	for i := range r.slots {
-		//ppc:nopublish -- construction: no consumer exists yet and the slot carries no request
-		r.slots[i].seq.Store(uint64(i))
-	}
-	r.enq.Store(0)
-	r.deq.Store(0)
+	return uint64(size - 1)
 }
 
 // push publishes one request: claim a ticket with a CAS on the enqueue
@@ -111,8 +101,8 @@ func (r *asyncRing) push(sys *System, svc *Service, args *Args, prog uint32, don
 			return false
 		}
 		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		switch d := int64(seq) - int64(pos); {
+		lap := pos &^ r.mask
+		switch d := int64(slot.seq.Load()) - int64(lap); {
 		case d == 0:
 			if r.enq.CompareAndSwap(pos, pos+1) {
 				slot.req.sys = sys
@@ -131,7 +121,7 @@ func (r *asyncRing) push(sys *System, svc *Service, args *Args, prog uint32, don
 					// whole branch away.
 					_ = sys.fireFault(FaultSiteRingPublish)
 				}
-				slot.seq.Store(pos + 1)
+				slot.seq.Store(lap + 1)
 				return true
 			}
 			pos = r.enq.Load()
@@ -160,15 +150,13 @@ func (r *asyncRing) popBatch(dst []asyncReq) int {
 		// Scan the contiguous published run from pos.
 		n := 0
 		for n < len(dst) {
-			seq := r.slots[(pos+uint64(n))&r.mask].seq.Load()
-			if int64(seq)-int64(pos+uint64(n)+1) != 0 {
+			if p := pos + uint64(n); r.slots[p&r.mask].seq.Load() != p&^r.mask+1 {
 				break
 			}
 			n++
 		}
 		if n == 0 {
-			seq := r.slots[pos&r.mask].seq.Load()
-			if int64(seq)-int64(pos+1) > 0 {
+			if int64(r.slots[pos&r.mask].seq.Load())-int64(pos&^r.mask+1) > 0 {
 				continue // another consumer claimed pos; reload the cursor
 			}
 			return 0 // head unpublished: empty (or a producer mid-publish)
@@ -180,10 +168,11 @@ func (r *asyncRing) popBatch(dst []asyncReq) int {
 		// before the claim, and producers cannot reuse a slot until its
 		// sequence is recycled below.
 		for i := 0; i < n; i++ {
-			slot := &r.slots[(pos+uint64(i))&r.mask]
+			p := pos + uint64(i)
+			slot := &r.slots[p&r.mask]
 			dst[i] = slot.req
 			slot.req.clearRefs() // drop refs for the GC
-			slot.seq.Store(pos + uint64(i) + r.mask + 1)
+			slot.seq.Store(p&^r.mask + r.mask + 1)
 		}
 		return n
 	}
@@ -215,8 +204,7 @@ func (r *asyncRing) stalled() bool {
 	if pos == r.enq.Load()&^ringClosed {
 		return false
 	}
-	seq := r.slots[pos&r.mask].seq.Load()
-	return int64(seq)-int64(pos+1) < 0
+	return int64(r.slots[pos&r.mask].seq.Load())-int64(pos&^r.mask+1) < 0
 }
 
 // length approximates the queue depth for diagnostics.
@@ -224,16 +212,10 @@ func (r *asyncRing) stalled() bool {
 //ppc:coldpath -- stats snapshot, off the call path
 func (r *asyncRing) length() int {
 	d := int64(r.enq.Load()&^ringClosed) - int64(r.deq.Load())
-	if d < 0 {
-		d = 0
-	}
-	if d > int64(len(r.slots)) {
-		d = int64(len(r.slots))
-	}
-	return int(d)
+	return int(min(max(d, 0), int64(r.mask+1)))
 }
 
-// capacity reports the ring size.
+// capacity reports the ring size, allocated or not.
 //
 //ppc:coldpath -- stats snapshot, off the call path
-func (r *asyncRing) capacity() int { return len(r.slots) }
+func (r *asyncRing) capacity() int { return int(r.mask + 1) }

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -12,14 +13,22 @@ import (
 // Args word so consumers can check ordering.
 func ringTag(producer, seq int) uint64 { return uint64(producer)<<32 | uint64(seq) }
 
+// testRing sizes r for capacity requests as configureLanes does and gives
+// it zeroed slots as provisionRings does. Sizing a shard's ring this way
+// before its first submission sets the size that submission provisions.
+func testRing(r *asyncRing, capacity int) {
+	r.mask = ringMask(capacity)
+	r.slots = make([]ringSlot, r.mask+1)
+}
+
 func TestRingCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 2}, {2, 2}, {3, 4}, {64, 64}, {65, 128},
 	} {
 		var r asyncRing
-		r.init(tc.ask)
+		testRing(&r, tc.ask)
 		if got := r.capacity(); got != tc.want {
-			t.Errorf("init(%d): capacity = %d, want %d", tc.ask, got, tc.want)
+			t.Errorf("testRing(%d): capacity = %d, want %d", tc.ask, got, tc.want)
 		}
 	}
 }
@@ -28,7 +37,7 @@ func TestRingCapacityRounding(t *testing.T) {
 // laps: FIFO order, exact fullness detection, exact emptiness.
 func TestRingPushPopOrder(t *testing.T) {
 	var r asyncRing
-	r.init(4)
+	testRing(&r, 4)
 	var buf [8]asyncReq
 	next := 0 // next value expected out
 	pushed := 0
@@ -58,6 +67,130 @@ func TestRingPushPopOrder(t *testing.T) {
 	}
 }
 
+// TestRingZeroValueLaps: a ring whose slots are a zeroed array — what a
+// shard's first submission allocates — is a ring on lap 0, at 2, 4 and 64
+// slots alike: over four laps it is FIFO, full at exactly its capacity,
+// and never stalled while empty; a claimed but unpublished head is.
+func TestRingZeroValueLaps(t *testing.T) {
+	for _, size := range []int{2, 4, 64} {
+		var r asyncRing
+		testRing(&r, size)
+		var buf [asyncBatchSize]asyncReq
+		pushed, next := 0, 0
+		for lap := 0; lap < 4; lap++ {
+			if r.stalled() || !r.empty() {
+				t.Fatalf("size %d lap %d: empty ring reads stalled=%v empty=%v", size, lap, r.stalled(), r.empty())
+			}
+			for r.push(nil, nil, &Args{uint64(pushed)}, 0, nil, 0) {
+				pushed++
+			}
+			if got := pushed - next; got != size || r.length() != size {
+				t.Fatalf("size %d lap %d: accepted %d (length %d), want exactly %d", size, lap, got, r.length(), size)
+			}
+			for r.length() > 0 {
+				n := r.popBatch(buf[:3])
+				for i := 0; i < n; i++ {
+					if got := buf[i].args[0]; got != uint64(next) {
+						t.Fatalf("size %d lap %d: popped %d, want %d", size, lap, got, next)
+					}
+					next++
+				}
+			}
+		}
+		if r.stalled() {
+			t.Fatalf("size %d: drained ring reads stalled", size)
+		}
+		r.enq.Add(1) // a producer claims the head and has not published it
+		if !r.stalled() || r.popBatch(buf[:]) != 0 {
+			t.Fatalf("size %d: a claimed, unpublished head is not stalled, or was popped", size)
+		}
+	}
+}
+
+// TestProvisionConcurrentFirstSubmit: eight goroutines make a fresh
+// shard's first AsyncCall at once, on every lane of a three-lane shard:
+// the rings are allocated once, and every request accepted is executed.
+func TestProvisionConcurrentFirstSubmit(t *testing.T) {
+	rounds := 50
+	if testing.Short() || raceEnabled {
+		rounds = 10
+	}
+	for round := 0; round < rounds; round++ {
+		sys := NewSystemOptions(Options{Shards: 1, Lanes: 3})
+		var executed atomic.Int64
+		svc, err := sys.Bind(ServiceConfig{Name: "count", Handler: func(ctx *Ctx, args *Args) { executed.Add(1) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 8; g++ {
+			c := sys.NewClientWith(ClientOptions{Shard: 0, Lane: Lane(1 + g%NumLaneClasses)})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := c.AsyncCall(svc.EP(), &Args{}); err != nil {
+					t.Errorf("first AsyncCall: %v", err)
+					return
+				}
+				accepted.Add(1)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		sys.Close()
+		if accepted.Load() != 8 || executed.Load() != accepted.Load() {
+			t.Fatalf("round %d: accepted %d of 8, executed %d", round, accepted.Load(), executed.Load())
+		}
+	}
+}
+
+// TestProvisionRacesClose: a shard's first submissions race Close. Every
+// refusal is ErrClosed — nothing reads as overload — and every request
+// accepted has run by the time Close returns.
+func TestProvisionRacesClose(t *testing.T) {
+	rounds := 100
+	if testing.Short() || raceEnabled {
+		rounds = 20
+	}
+	for round := 0; round < rounds; round++ {
+		sys := NewSystemShards(1)
+		var executed atomic.Int64
+		svc, err := sys.Bind(ServiceConfig{Name: "count", Handler: func(ctx *Ctx, args *Args) { executed.Add(1) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			c := sys.NewClientOnShard(0)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 8; i++ {
+					switch err := c.AsyncCall(svc.EP(), &Args{}); {
+					case err == nil:
+						accepted.Add(1)
+					case !errors.Is(err, ErrClosed):
+						t.Errorf("a submission racing Close failed with %v, want ErrClosed", err)
+					}
+				}
+			}()
+		}
+		close(start)
+		sys.Close()
+		ran := executed.Load()
+		wg.Wait()
+		if ran != accepted.Load() {
+			t.Fatalf("round %d: accepted %d, executed %d by Close", round, accepted.Load(), ran)
+		}
+	}
+}
+
 // TestRingConcurrentProducersBatchedConsumer is the ring's property
 // test: random concurrent producers against one batch-draining
 // consumer. Checks no-loss, no-duplication, and FIFO per producer —
@@ -69,7 +202,7 @@ func TestRingConcurrentProducersBatchedConsumer(t *testing.T) {
 		perProducer = 800
 	}
 	var r asyncRing
-	r.init(16) // small ring: force wraparound and fullness backoff
+	testRing(&r, 16) // small ring: force wraparound and fullness backoff
 
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -138,7 +271,7 @@ func TestRingConcurrentConsumersNoLossNoDup(t *testing.T) {
 	}
 	total := producers * perProducer
 	var r asyncRing
-	r.init(32)
+	testRing(&r, 32)
 
 	counts := make([]atomic.Int32, total)
 	var consumed atomic.Int64
@@ -193,7 +326,7 @@ func FuzzRingModel(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x80})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		var r asyncRing
-		r.init(4)
+		testRing(&r, 4)
 		var model []uint64
 		next := uint64(0)
 		var buf [8]asyncReq

@@ -570,11 +570,6 @@ func (s *Service) unadmit(counters *shardCounters, n int) {
 type System struct {
 	shards []shard
 
-	// services is the authoritative (control-plane) service table; the
-	// call path reads the per-shard replicas (shard.tab) instead, so
-	// this array is never on a fast path.
-	services [MaxEntryPoints]atomic.Pointer[Service]
-
 	// Control plane (binding, naming): mutex-protected — never on the
 	// call fast path.
 	mu       sync.Mutex
@@ -753,7 +748,7 @@ func (s *System) Bind(cfg ServiceConfig) (*Service, error) {
 			if s.nextEP >= MaxEntryPoints {
 				s.nextEP = firstDynamicEP
 			}
-			if s.services[cand].Load() == nil {
+			if s.Service(cand) == nil {
 				ep, found = cand, true
 				break
 			}
@@ -765,7 +760,7 @@ func (s *System) Bind(cfg ServiceConfig) (*Service, error) {
 		if int(ep) >= MaxEntryPoints {
 			return nil, fmt.Errorf("rt: entry point %d out of range", ep)
 		}
-		if s.services[ep].Load() != nil {
+		if s.Service(ep) != nil {
 			return nil, fmt.Errorf("rt: entry point %d already bound", ep)
 		}
 	}
@@ -784,38 +779,38 @@ func (s *System) Bind(cfg ServiceConfig) (*Service, error) {
 	svc.handler.Store(&h)
 	svc.state.Store(svcActive)
 	s.publishAll(svc, h)
-	s.services[ep].Store(svc)
 	return svc, nil
 }
 
 // publishAll installs svc into every shard's service-table replica
 // (§4.5.5). Each shard gets its own freshly-allocated entry — the
 // entry a shard's calls dereference is never written again, and never
-// read by another shard. Caller holds s.mu.
+// read by another shard. Shard 0, whose replica the control plane reads
+// (Service), goes last. Caller holds s.mu.
 func (s *System) publishAll(svc *Service, h Handler) {
-	for i := range s.shards {
+	for i := len(s.shards) - 1; i >= 0; i-- {
 		s.shards[i].publish(svc.ep, &epEntry{svc: svc, h: h, counters: &svc.perShard[i]})
 	}
 }
 
-// retractAll removes ep from every shard replica and the authoritative
-// table, taking the control-plane mutex so retraction is serialized
-// against Bind/Exchange publication.
+// retractAll removes ep from every shard replica, shard 0's last, taking
+// the control-plane mutex so retraction is serialized against
+// Bind/Exchange publication.
 func (s *System) retractAll(ep EntryPointID) {
 	s.mu.Lock()
-	for i := range s.shards {
-		s.shards[i].retract(ep)
+	for i := len(s.shards) - 1; i >= 0; i-- {
+		s.shards[i].publish(ep, nil)
 	}
-	s.services[ep].Store(nil)
 	s.mu.Unlock()
 }
 
-// Service returns the service at ep, or nil.
+// Service returns the service at ep, or nil: shard 0's replica, written
+// last on a Bind and cleared last on a Kill.
 func (s *System) Service(ep EntryPointID) *Service {
-	if int(ep) >= MaxEntryPoints {
-		return nil
+	if e := s.shards[0].entry(ep); e != nil {
+		return e.svc
 	}
-	return s.services[ep].Load()
+	return nil
 }
 
 // Exchange atomically replaces the handler behind an entry point —
@@ -1003,25 +998,16 @@ type ShardStats struct {
 }
 
 // Stats returns per-shard pool statistics (diagnostics; walks the
-// pools and the service table, not for the hot path).
+// pools and the service table, not for the hot path). Health gating is
+// striped per service: every service's shard-i stripe folds into shard
+// i's view.
 //
 //ppc:coldpath -- diagnostics walk, deliberately off the call path
 func (s *System) Stats() []ShardStats {
 	out := make([]ShardStats, len(s.shards))
 	for i := range s.shards {
 		out[i] = s.shards[i].stats(i)
-		// Health gating is striped per service; fold every service's
-		// shard-i stripe into the shard view.
-		for ep := range s.services {
-			svc := s.services[ep].Load()
-			if svc == nil || svc.health == nil {
-				continue
-			}
-			c := &svc.perShard[i]
-			out[i].HealthTrips += c.healthTrips.Load()
-			out[i].HealthRecovers += c.healthRecovers.Load()
-			out[i].ShedCalls += c.shedCalls.Load()
-		}
 	}
+	s.shards[0].foldHealth(out)
 	return out
 }

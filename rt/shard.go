@@ -150,6 +150,12 @@ type epEntry struct {
 	counters *shardCounters
 }
 
+// epPage is one page of a shard's service table, made when the first of
+// its epPageLen entry points is bound (shard.publish).
+type epPage [epPageLen]atomic.Pointer[epEntry]
+
+const epPageLen = 32
+
 // shard is the per-"processor" state: a lock-free free list of call
 // descriptors, a replica of the service table, and the async worker
 // machinery. Padding keeps shards on distinct cache lines, and —
@@ -161,14 +167,14 @@ type epEntry struct {
 type shard struct {
 	id int
 
-	// tab is this shard's replica of the service table (§4.5.5): one
-	// entry-point array per shard, written only by the control plane
-	// (Bind/Exchange/Kill publish to every replica under System.mu) and
-	// read only by calls bound to this shard — the lookup never touches
-	// a line another processor's calls read, exactly as in the paper.
+	// tab is this shard's replica of the service table (§4.5.5), paged
+	// and inline: written only by the control plane (Bind/Exchange/Kill
+	// publish to every replica under System.mu) and read only by calls
+	// bound to this shard — the lookup never touches a line another
+	// processor's calls read, exactly as in the paper.
 	//
 	//ppc:shard-owned
-	tab []atomic.Pointer[epEntry]
+	tab [MaxEntryPoints / epPageLen]atomic.Pointer[epPage]
 
 	// cdsCreated counts descriptor allocations (pool growth).
 	cdsCreated atomic.Int64
@@ -176,7 +182,7 @@ type shard struct {
 	// mode (Client.Hold / the first Call); they are outside the free
 	// pool until Release.
 	heldCDs atomic.Int64
-	_       [16]byte // fill line 0: the pool head starts on its own line
+	_       [40]byte // fill the table's last line: the pool head starts on its own
 
 	// free is a Treiber stack of call descriptors. With callers bound
 	// to their own shards the CAS never contends; it exists so that
@@ -184,8 +190,8 @@ type shard struct {
 	// performance — and Go's GC makes the ABA problem moot (nodes are
 	// never unsafely reused). Isolated on its own line: async workers
 	// pop/push descriptors from other cores, and before this padding
-	// their CAS invalidated the line holding the service-table header
-	// that every submit reads.
+	// their CAS invalidated the line holding the service table that
+	// every submit reads.
 	//
 	//ppc:shard-owned
 	//ppc:atomic
@@ -282,17 +288,15 @@ type shard struct {
 	_      [48]byte // the control-plane run ends on a line: the lane block below starts one
 
 	// lanes holds the shard's async rings, one per criticality class
-	// (lane.go): always at least one, so a shard built without
-	// Options.Lanes is the one-lane case of the same array, not a second
-	// layout. The rings feed the dynamically-created async workers (§4.4:
-	// asynchronous requests detach the caller; §2: workers are created as
-	// needed). The slice header is read-only after construction. Tenant
-	// admission (tenant.go): tenants is the per-shard bucket table (nil
-	// until the first ConfigureTenant publishes it, under System.mu and
-	// under running calls), tenantList the watchdog's flat refill list.
-	// All read-mostly; the block is sized to two whole lines so the arena
-	// below keeps its 64-alignment.
+	// (lane.go; one for a shard built without Options.Lanes), feeding the
+	// async workers made as needed (§4.4, §2); ringsReady is stored once,
+	// by provisionRings. tenants is the per-shard bucket table (tenant.go;
+	// nil until the first ConfigureTenant publishes it), tenantList the
+	// watchdog's flat refill list. All read-mostly; the block is sized to
+	// two whole lines so the arena below keeps its 64-alignment.
 	lanes []laneRing
+	//ppc:atomic
+	ringsReady atomic.Bool
 	//ppc:atomic
 	tenants atomic.Pointer[tenantTable]
 	//ppc:atomic
@@ -301,7 +305,7 @@ type shard struct {
 	// once per serviced batch so sleeping submitters can publish.
 	// Read-only after construction, like the rest of this block.
 	yieldPerBatch bool
-	_             [87]byte // fill the lane/tenant block to 128 bytes
+	_             [79]byte // fill the lane/tenant block to 128 bytes
 
 	// arena is the shard's payload arena (arena.go) and offload its
 	// copy-staging lane (offload.go). Warm payload traffic only *loads*
@@ -344,7 +348,6 @@ func (r *asyncReq) clearRefs() {
 
 func (sh *shard) init(id int) {
 	sh.id = id
-	sh.tab = make([]atomic.Pointer[epEntry], MaxEntryPoints)
 	sh.doorbell = make(chan struct{}, 1)
 	sh.stop = make(chan struct{})
 	sh.retick = make(chan struct{}, 1)
@@ -367,17 +370,26 @@ func (sh *shard) configureArena(o Options) {
 	}
 }
 
+// entry loads this shard's replica of ep: the page pointer from the
+// shard's own lines, then the entry; nil at either step is unbound.
+//
+//ppc:hotpath
+func (sh *shard) entry(ep EntryPointID) *epEntry {
+	if p := int(ep / epPageLen); p < len(sh.tab) {
+		if pg := sh.tab[p].Load(); pg != nil {
+			return pg[ep%epPageLen].Load()
+		}
+	}
+	return nil
+}
+
 // resolve reads this shard's replica of entry point ep — the fast-path
-// service-table access (§4.5.5): one atomic load of a slot only this
-// shard reads — and vets what it finds: an unbound entry point is
-// ErrBadEntryPoint, a service no longer active ErrKilled.
+// service-table access (§4.5.5) — and vets what it finds: an unbound
+// entry point is ErrBadEntryPoint, a service no longer active ErrKilled.
 //
 //ppc:hotpath
 func (sh *shard) resolve(ep EntryPointID) (*epEntry, error) {
-	if int(ep) >= MaxEntryPoints {
-		return nil, ErrBadEntryPoint
-	}
-	e := sh.tab[ep].Load()
+	e := sh.entry(ep)
 	if e == nil {
 		return nil, ErrBadEntryPoint
 	}
@@ -387,20 +399,36 @@ func (sh *shard) resolve(ep EntryPointID) (*epEntry, error) {
 	return e, nil
 }
 
-// publish installs e as this shard's replica entry for ep. Called only
-// by the control plane (Bind/Exchange) under System.mu.
+// publish installs e as this shard's replica entry for ep — nil retracts
+// it — making ep's page first, its pointer stored before any entry in it,
+// when none of its entry points was bound before. Called only by the
+// control plane (Bind/Exchange/Kill) under System.mu.
 //
 //ppc:coldpath -- control-plane publication, serialized by System.mu
 func (sh *shard) publish(ep EntryPointID, e *epEntry) {
-	sh.tab[ep].Store(e)
+	if sh.tab[ep/epPageLen].Load() == nil {
+		sh.tab[ep/epPageLen].Store(new(epPage))
+	}
+	sh.tab[ep/epPageLen].Load()[ep%epPageLen].Store(e)
 }
 
-// retract clears this shard's replica entry for ep. Called only by the
-// control plane (Kill) under System.mu.
+// foldHealth adds every gated service's per-shard health counters into
+// out, indexed by shard, walking only this replica's allocated pages.
 //
-//ppc:coldpath -- control-plane retraction, serialized by System.mu
-func (sh *shard) retract(ep EntryPointID) {
-	sh.tab[ep].Store(nil)
+//ppc:coldpath -- diagnostics walk, deliberately off the call path
+func (sh *shard) foldHealth(out []ShardStats) {
+	for p := range sh.tab {
+		for pg, j := sh.tab[p].Load(), 0; pg != nil && j < epPageLen; j++ {
+			if e := pg[j].Load(); e != nil && e.svc.health != nil {
+				for i := range out {
+					c := &e.svc.perShard[i]
+					out[i].HealthTrips += c.healthTrips.Load()
+					out[i].HealthRecovers += c.healthRecovers.Load()
+					out[i].ShedCalls += c.shedCalls.Load()
+				}
+			}
+		}
+	}
 }
 
 // holdCD takes a descriptor out of the pool for a client entering
@@ -485,7 +513,8 @@ func (sh *shard) poolSize() int {
 // all of them: the §4.4 amortized asynchronous call, of which a single
 // submission is the batch of one. No locks, no channel internals, no
 // scheduler transit, and no word written for Close's sake: a closed ring
-// refuses the push on the cursor it loads anyway (ring.go). Admission
+// refuses the push on the cursor it loads anyway (ring.go). The shard's
+// first submission allocates its rings (provisionRings). Admission
 // accounting (in-flight counts, kill back-outs) is the caller's; submit
 // reports how many leading requests the ring accepted and, when that is
 // not all of them, why the rest were refused.
@@ -493,18 +522,17 @@ func (sh *shard) poolSize() int {
 // A refused push continues the same loop. A closed ring fails the tail
 // with ErrClosed at once — from inside the bounded wait, and ahead of an
 // injected refusal — and counts nothing (not overload). Otherwise the
-// lowest of two or more lanes sheds its tail at once (ErrShed) —
-// criticality-ordered shedding spends no bounded wait on the traffic that
-// is first to go — and every other ring, the one-lane shard's included,
-// spins and yields for space up to submitWait (ringFull) before reporting
-// ErrBackpressure, so overload is reported to the one overloading
-// submitter instead of head-of-line-blocking everyone else behind a held
-// lock. Classes above the lowest drain first, so best-effort sheds before
-// normal, normal before critical.
+// lowest of two or more lanes sheds its tail at once (ErrShed), and every
+// other ring spins and yields for space up to submitWait (ringFull)
+// before reporting ErrBackpressure: overload is reported to the one
+// overloading submitter, in criticality order (lane.go).
 //
 //ppc:hotpath
 //ppc:rmwbudget(4) -- the ticket CAS, the slot's publish store, a rejection's backpressure and lane-shed counts
 func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, prog uint32, done chan<- struct{}, deadline int64) (int, error) {
+	if !sh.ringsReady.Load() {
+		sh.provisionRings()
+	}
 	err := sys.fireFault(FaultSiteSubmit)
 	if err != nil {
 		err = ErrBackpressure // injected: refused before the ring is tried
@@ -727,13 +755,11 @@ func (sh *shard) workerLoop(sys *System) {
 // drainRing services everything left in one ring. The ring is closed
 // (shard.close set the bit before it closed stop): its enqueue cursor is
 // final, and the drain waits out any ticket claimed but not yet published.
+// An empty ring is left untouched, so one never submitted to is not read.
 func (sh *shard) drainRing(r *asyncRing, sys *System, cd *callDesc, batch []asyncReq) {
-	for {
+	for !r.empty() {
 		n := r.popBatch(batch)
 		if n == 0 {
-			if r.empty() {
-				return
-			}
 			runtime.Gosched() // an in-flight publish; let it land
 			continue
 		}
@@ -869,14 +895,13 @@ func (sh *shard) stats(i int) ShardStats {
 	return st
 }
 
-// close shuts the shard's async side down in three steps: store closed
-// (no worker or executor starts after it), close every lane's ring — the
-// one place the bit is set; no ticket is claimed after it, and a submitter
-// inside its bounded wait fails on its next retry, so close waits for none
-// — and tell the workers to drain and exit, then join them. A zero
-// deadline means wait for the drain indefinitely; otherwise close reports
-// whether the workers exited before the deadline. Queued requests accepted
-// before close are executed, not dropped — the graceful half of the drain.
+// close shuts the shard's async side down: store closed (no worker or
+// executor starts after it), set every lane ring's closed bit — the one
+// place it is set; a submitter inside its bounded wait fails on its next
+// retry, so close waits for none — then tell the workers to drain and
+// exit and join them, within deadline unless it is zero (the report is
+// whether they made it). Requests accepted before close are executed, not
+// dropped: by the workers or, with none left, by close itself.
 func (sh *shard) close(sys *System, deadline time.Time) bool {
 	sh.qMu.Lock()
 	sh.closed.Store(true)
@@ -902,13 +927,14 @@ func (sh *shard) close(sys *System, deadline time.Time) bool {
 			return false
 		}
 	}
-	// Requests can be queued with no worker alive (the submitter's
-	// spawn lost the race with close); service them here so accepted
-	// work and its in-flight accounting always drain.
-	var batch [asyncBatchSize]asyncReq
-	cd := sh.popCD()
-	sh.drainAll(sys, cd, batch[:])
-	sh.pushCD(cd)
+	// A ticket with no worker left (its submitter's spawn lost to close) is
+	// serviced here; a shard whose rings hold none pops no descriptor.
+	if !sh.queuesEmpty() {
+		var batch [asyncBatchSize]asyncReq
+		cd := sh.popCD()
+		sh.drainAll(sys, cd, batch[:])
+		sh.pushCD(cd)
+	}
 	// A stager that did not see closed published its job before the store
 	// above (offloadCopy), so it is visible by now; complete any the worker
 	// (if one ever ran) did not get to before exiting.
