@@ -32,11 +32,12 @@ test:
 # shrink at the park point), and Ring|Provision|Table the memory a
 # System commits on first use (zeroed rings over several laps, first
 # submissions racing each other and Close, Binds that make table pages
-# racing calls).
+# racing calls), and Pool the descriptor pool's tagged free list (the
+# replayed stale pop, a death's slot reuse, the exclusivity stress).
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table|Pool' ./rt
 
 vet:
 	$(GO) vet ./...

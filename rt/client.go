@@ -513,7 +513,7 @@ func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) 
 // (§2); trust domains that must not share scratch use separate Systems.
 //
 //ppc:hotpath
-//ppc:rmwbudget(6) -- pool pop (CAS, link clear), admission, completion, pool push (link, CAS)
+//ppc:rmwbudget(5) -- pool pop (CAS), admission, completion, pool push (link, CAS)
 func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32) error {
 	cr, err := sh.enter(ep, one(args), nil)
 	if err != nil {

@@ -21,17 +21,14 @@ import (
 // processor, and a call takes one for its duration. A client holds
 // nothing for the deadline path: every executor of a shard has a slot on
 // shard.dlExecs for life (the tick walks the list) and the idle ones are
-// linked, by slot number, on the stack whose head is shard.dlIdle. A call
-// pops one (popExec: one CAS; an empty stack makes one — goroutine,
-// descriptor, ticket — and registers it) and whoever reads the ticket
-// last pushes it back (pushExec: link store and CAS), so the warm path
-// allocates nothing and costs the same however many calls are in flight
-// (EXPERIMENTS.md E25). The list grows to the shard's peak of concurrent
-// deadline calls, not to its client count; the stack is LIFO, so a lone
-// caller keeps reusing one. The head is a slot number under a tag that
-// every push raises, not a pointer: an executor is pushed back while a
-// stale popper may still hold it, which a pointer head cannot tell from
-// the executor never having left, garbage collection or not.
+// on the shard's idxStack dlIdle, by slot number. A call pops one
+// (popExec: one CAS; an empty stack makes one — goroutine, descriptor,
+// ticket — and registers it) and whoever reads the ticket last pushes it
+// back (pushExec: link store and CAS), so the warm path allocates nothing
+// and costs the same however many calls are in flight (EXPERIMENTS.md
+// E25). The list grows to the shard's peak of concurrent deadline calls,
+// not to its client count; the stack is LIFO, so a lone caller keeps
+// reusing one.
 //
 // An executor is poppable only after its last reader is done with the
 // ticket (docs/INVARIANTS.md): a call that completes is returned by its
@@ -147,10 +144,6 @@ const (
 	dlGenShift             = 3
 )
 
-// dlSlotMask selects the slot half of shard.dlIdle, the idle stack's head:
-// tag<<32 | slot+1, zero for empty. Every push raises the tag.
-const dlSlotMask uint64 = 1<<32 - 1
-
 // dlTicket is the rendezvous between a deadline caller and the executor
 // it took. Reused across calls; the generation-tagged state CAS is the
 // single synchronization point that decides completion vs orphaning.
@@ -242,12 +235,9 @@ type dlReq struct {
 // processor.
 type dlExec struct {
 	sys *System
-	// slot is the executor's place on shard.dlExecs for life; next is the
-	// idle stack's link, the slot+1 of the executor pushed before it: read
-	// by poppers whose head may be stale (the tag fails their CAS).
+	// slot is the executor's place on shard.dlExecs for life, the number
+	// shard.dlIdle links it by.
 	slot uint32
-	//ppc:atomic
-	next atomic.Uint32
 	// cd is the executor's own descriptor, out of the pool from newExec
 	// until loop exits. The holder touches cd (its stripe cache) only while
 	// the executor is parked.
@@ -268,36 +258,20 @@ func (sh *shard) execs() []*dlExec { return *sh.dlExecs.Load() }
 func (sh *shard) deadlineExecs() int { return len(sh.execs()) }
 
 // popExec takes an idle executor off the stack (nil: none); the caller
-// has it to itself until it pushes it back.
-//
-//ppc:aba(dlIdle) -- the head's tag half, raised by every push
+// has it to itself until it pushes it back. The slot a pop wins was on the
+// stack, so its executor has not exited.
 func (sh *shard) popExec() *dlExec {
-	for {
-		h := sh.dlIdle.Load()
-		list, i := sh.execs(), int(h&dlSlotMask)-1
-		if i < 0 {
-			return nil
-		}
-		if i >= len(list) || list[i] == nil {
-			continue // a head read before the shard was closed and the slot's executor exited
-		}
-		if sh.dlIdle.CompareAndSwap(h, h&^dlSlotMask|uint64(list[i].next.Load())) {
-			return list[i]
-		}
+	if i := sh.dlIdle.pop(); i >= 0 {
+		return sh.execs()[i]
 	}
+	return nil
 }
 
 // pushExec hands an executor back once the last reader of its call is
 // done with the ticket. The push and the closed load are a Dekker pair
 // with close's store and pops: a closed shard keeps no idle executor.
 func (sh *shard) pushExec(e *dlExec) {
-	for {
-		h := sh.dlIdle.Load()
-		e.next.Store(uint32(h))
-		if sh.dlIdle.CompareAndSwap(h, (h>>32+1)<<32|uint64(e.slot+1)) {
-			break
-		}
-	}
+	sh.dlIdle.put(e.slot)
 	if sh.closed.Load() {
 		sh.retireExecs()
 	}
@@ -318,6 +292,7 @@ func (sh *shard) newExec(sys *System) *dlExec {
 	e.slot = uint32(len(list))
 	list = append(slices.Clone(list), e)
 	sh.dlExecs.Store(&list)
+	sh.dlIdle.grow(e.slot + 1)
 	sh.dlMu.Unlock()
 	sh.startTick(sys)
 	go e.loop()

@@ -242,15 +242,15 @@ func TestDeadlinePoolStalePopFails(t *testing.T) {
 	x, y := sh.newExec(sys), sh.newExec(sys)
 	sh.pushExec(y)
 	sh.pushExec(x)
-	stale := sh.dlIdle.Load() // popper A: head = x, whose link is y
+	stale := sh.dlIdle.head.Load() // popper A: head = x, whose link is y
 	if sh.popExec() != x || sh.popExec() != y {
 		t.Fatal("pops out of LIFO order")
 	}
 	sh.pushExec(x) // y stays in use
-	if uint32(sh.dlIdle.Load()) != uint32(stale) {
+	if uint32(sh.dlIdle.head.Load()) != uint32(stale) {
 		t.Fatal("head does not name x's slot again: the test no longer builds the ABA shape")
 	}
-	if sh.dlIdle.CompareAndSwap(stale, stale&^dlSlotMask|uint64(y.slot+1)) {
+	if sh.dlIdle.head.CompareAndSwap(stale, stale>>32<<32|uint64(y.slot+1)) {
 		t.Fatal("a pop that slept through its top's pop and push took its CAS: y, in use, is on the idle stack")
 	}
 	if sh.popExec() != x || sh.popExec() != nil {

@@ -21,13 +21,7 @@ func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // idleExecs counts the shard's executors a call could take: the length of
 // the idle stack (a walk that races a pop or push may miscount; callers poll).
-func idleExecs(sh *shard) int {
-	list, n := sh.execs(), 0
-	for i := int(sh.dlIdle.Load() & dlSlotMask); i != 0 && i <= len(list) && list[i-1] != nil && n <= len(list); n++ {
-		i = int(list[i-1].next.Load())
-	}
-	return n
-}
+func idleExecs(sh *shard) int { return sh.dlIdle.size() }
 
 func TestCallDeadlineCompletes(t *testing.T) {
 	leakCheck(t)

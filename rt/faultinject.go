@@ -1,9 +1,6 @@
 package rt
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Deterministic fault injection. Robustness claims, like perf claims,
 // rot unless they are measured — the FreeBSD IPC study (arXiv:
@@ -11,9 +8,9 @@ import (
 // observed, not assumed. This file is the always-compiled half: a
 // registry of per-site hooks on the System, checked behind one atomic
 // bool so an un-instrumented system pays a single predictable branch
-// per guarded site. The hooks are deterministic by construction —
-// helpers below count invocations instead of rolling dice — so a chaos
-// test that fails replays identically.
+// per guarded site. The hooks are deterministic by construction — the
+// test helpers (faultfn_test.go) count invocations instead of rolling
+// dice — so a chaos test that fails replays identically.
 //
 // The second half lives behind the `faultinject` build tag
 // (faultinject_on.go): the ring-publish delay site sits between the
@@ -149,78 +146,4 @@ func (s *System) fireFaultSlow(site FaultSite) error {
 		return nil
 	}
 	return (*fn)()
-}
-
-// FaultPanicEvery returns a deterministic hook that panics with val on
-// every n-th invocation (n <= 1 panics every time).
-func FaultPanicEvery(n int64, val any) FaultFn {
-	var count atomic.Int64
-	return func() error {
-		if c := count.Add(1); n <= 1 || c%n == 0 {
-			panic(val)
-		}
-		return nil
-	}
-}
-
-// FaultStallFirst returns a deterministic hook that sleeps d on each
-// of the first n invocations, then becomes a no-op.
-func FaultStallFirst(n int64, d time.Duration) FaultFn {
-	var count atomic.Int64
-	return func() error {
-		if count.Add(1) <= n {
-			time.Sleep(d)
-		}
-		return nil
-	}
-}
-
-// FaultErrFirst returns a deterministic hook that returns err on each
-// of the first n invocations, then nil forever (FaultSiteSubmit: the
-// first n submissions are rejected as backpressure).
-func FaultErrFirst(n int64, err error) FaultFn {
-	var count atomic.Int64
-	return func() error {
-		if count.Add(1) <= n {
-			return err
-		}
-		return nil
-	}
-}
-
-// FaultAbandonEvery returns a deterministic hook that abandons one
-// client drawn round-robin from clients on every n-th invocation (n <=
-// 1 abandons on every call). Install it at a warm site
-// (FaultSiteHandler, FaultSiteArena) to kill clients mid-call /
-// mid-payload-lease, the abandon-mid-operation combinator the
-// domain-death storm drives; each client is abandoned at most once
-// (Abandon is idempotent), so the hook goes quiet after one full
-// round.
-func FaultAbandonEvery(n int64, clients []*Client) FaultFn {
-	var count atomic.Int64
-	var next atomic.Int64
-	return func() error {
-		if len(clients) == 0 {
-			return nil
-		}
-		if c := count.Add(1); n <= 1 || c%n == 0 {
-			clients[int(next.Add(1)-1)%len(clients)].Abandon()
-		}
-		return nil
-	}
-}
-
-// FaultWhile returns a hook that defers to inner while gate reports
-// true, plus the gate itself (start open). Chaos tests flip the gate
-// off to end a storm at a deterministic point in the test, not a
-// wall-clock one.
-func FaultWhile(inner FaultFn) (fn FaultFn, gate *atomic.Bool) {
-	gate = new(atomic.Bool)
-	gate.Store(true)
-	return func() error {
-		if gate.Load() {
-			return inner()
-		}
-		return nil
-	}, gate
 }

@@ -159,9 +159,10 @@ func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
 	if c.Held() || sh.heldCDs.Load() != 0 {
 		t.Fatalf("after Release: held = %v, heldCDs = %d", c.Held(), sh.heldCDs.Load())
 	}
-	if got := sh.poolSize(); got != poolAfterClose+1 || sh.free.Load() != held {
+	top := sh.cdAt(uint32(sh.free.head.Load()) - 1).Load()
+	if got := sh.poolSize(); got != poolAfterClose+1 || top != held {
 		t.Fatalf("Release after Close: pool %d → %d, head is the released descriptor: %v; want it back, once",
-			poolAfterClose, got, sh.free.Load() == held)
+			poolAfterClose, got, top == held)
 	}
 	func() {
 		defer func() {

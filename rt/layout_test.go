@@ -234,7 +234,7 @@ func TestCallDescLayout(t *testing.T) {
 		}
 	}
 	for name, off := range map[string]uintptr{
-		"next":    unsafe.Offsetof(cd.next),
+		"slot":    unsafe.Offsetof(cd.slot),
 		"shard":   unsafe.Offsetof(cd.shard),
 		"stripes": unsafe.Offsetof(cd.stripes),
 	} {
@@ -245,7 +245,7 @@ func TestCallDescLayout(t *testing.T) {
 	var sh shard
 	sh.init(0)
 	for i := 0; i < 100; i++ {
-		cd := sh.newCD()
+		cd := sh.newCD(nil)
 		sh.pushCD(cd) // onto the heap: an unescaped descriptor would live on this stack
 		if p := uintptr(unsafe.Pointer(cd)); p%lineBytes != 0 {
 			t.Fatalf("descriptor %d allocated at %#x, not line-aligned", i, p)
@@ -310,7 +310,8 @@ func TestBeatLayout(t *testing.T) {
 }
 
 // TestShardLayout pins the shard's hot-field isolation: the two pool heads
-// (descriptors, deadline executors) and the wake pair each own a line —
+// (descriptors, with their table pointer; deadline executors) and the wake
+// pair each own a line —
 // a submission writes no word of the shard's, so there is no fourth; the
 // embedded padded structs (clock, arena) start line-aligned so their
 // internal isolation is not sheared; and the whole shard tiles 64 bytes
@@ -330,6 +331,9 @@ func TestShardLayout(t *testing.T) {
 		if lineOf(unsafe.Offsetof(s.tab)+uintptr(p)*unsafe.Sizeof(s.tab[0])) == lineOf(free) {
 			t.Errorf("free shares its line with service-table page pointer %d", p)
 		}
+	}
+	if lineOf(unsafe.Offsetof(s.cds)) != lineOf(free) {
+		t.Error("the descriptor table pointer left the pool head's line: a pop reads both")
 	}
 	dlIdle := unsafe.Offsetof(s.dlIdle)
 	if dlIdle%lineBytes != 0 || lineOf(dlIdle) == lineOf(free) {

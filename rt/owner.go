@@ -444,12 +444,13 @@ func (rec *clientRec) reap() {
 	}
 	// 1. The held descriptor is condemned, not repooled: no call path
 	// touches the slot, so a plain call may still be running on the
-	// descriptor right now. The pool is compensated with a fresh one, and
-	// the condemned one becomes garbage once the handler (if any) returns.
-	// An empty slot: the owner's Release or its own dead exit settled it.
-	if rec.cd.Swap(nil) != nil {
+	// descriptor right now. The pool is compensated with a fresh one on the
+	// condemned one's table slot, and the condemned one becomes garbage once
+	// the handler (if any) returns. An empty slot: the owner's Release or
+	// its own dead exit settled it.
+	if cd := rec.cd.Swap(nil); cd != nil {
 		sh.heldCDs.Add(-1)
-		sh.pushCD(sh.newCD())
+		sh.pushCD(sh.newCD(cd))
 		reg.scavCDs.Add(1)
 	}
 	// 2. The lease slots: every ref this swap takes out is the reap's to

@@ -75,10 +75,11 @@ type callDesc struct {
 	stripe *callStripe
 	_      [24]byte
 
-	// Line 2: cold. next links the shard's free list; stripes is every
+	// Line 2: cold. slot is the descriptor's place on shard.cds, the
+	// number the shard's free list links it by; stripes is every
 	// (service, stripe) pair this descriptor owns, the backing store of
 	// the cache above.
-	next    atomic.Pointer[callDesc]
+	slot    uint32
 	shard   *shard
 	stripes []stripeRef
 	_       [24]byte // tile to three lines (see above): who holds the descriptor is the holder's record's business (owner.go)
@@ -184,29 +185,30 @@ type shard struct {
 	heldCDs atomic.Int64
 	_       [40]byte // fill the table's last line: the pool head starts on its own
 
-	// free is a Treiber stack of call descriptors. With callers bound
-	// to their own shards the CAS never contends; it exists so that
-	// *correctness* does not depend on the binding discipline, only
-	// performance — and Go's GC makes the ABA problem moot (nodes are
-	// never unsafely reused). Isolated on its own line: async workers
-	// pop/push descriptors from other cores, and before this padding
-	// their CAS invalidated the line holding the service table that
-	// every submit reads.
+	// free is the stack of pooled call descriptors by slot number, and cds
+	// the table of chunks the numbers index (cdAt), one slot per descriptor.
+	// With callers bound to their own shards the CAS never contends; it
+	// exists so that *correctness* does not depend on the binding
+	// discipline, only performance. A pop reads both, so they share a
+	// line, theirs alone: async workers pop/push descriptors from other
+	// cores, and before this padding their CAS invalidated the line
+	// holding the service table that every submit reads.
 	//
 	//ppc:shard-owned
+	//ppc:hotline(pool)
+	free idxStack
 	//ppc:atomic
-	//ppc:hotline
-	free atomic.Pointer[callDesc]
-	_    [56]byte
+	//ppc:hotline(pool)
+	cds atomic.Pointer[[]*cdChunk]
+	_   [32]byte
 
-	// dlIdle is the head of the stack of idle deadline executors
-	// (deadline.go), popped and pushed by every deadline call: it owns its
-	// line as free does.
+	// dlIdle is the stack of idle deadline executors, by their slot on
+	// dlExecs (deadline.go), popped and pushed by every deadline call: it
+	// owns its line as free does.
 	//
-	//ppc:atomic
 	//ppc:hotline
-	dlIdle atomic.Uint64
-	_      [56]byte
+	dlIdle idxStack
+	_      [40]byte
 
 	// doorbell wakes a parked worker. Submitters ring it only when
 	// parked is nonzero, so the steady-state pipeline never touches it;
@@ -258,7 +260,7 @@ type shard struct {
 	// executors, idle and busy, one slot each (nil once it has exited), for
 	// the tick's walk and for dlIdle's slot numbers — a list that is
 	// replaced, never written, under dlMu (an executor's creation and exit,
-	// both cold). dlTick is the tick in
+	// both cold; dlMu also orders newCD's slots). dlTick is the tick in
 	// use while any is registered, and retick is startTick's token to a
 	// running loop: buffered(1), coalescing.
 	dlMu sync.Mutex
@@ -450,34 +452,43 @@ func (sh *shard) releaseCD(cd *callDesc) {
 }
 
 // popCD takes a descriptor from the shard pool, or allocates one. The
-// warm path is one CAS; descriptor creation is the cold half. The pop
-// reads top.next through the head witness — the classic Treiber ABA
-// shape — which is safe here only because Go's GC cannot recycle top's
-// address while this goroutine holds the pointer.
-//
-//ppc:aba(gc) -- garbage collection rules out address reuse while top is reachable
+// warm path is one CAS; descriptor creation is the cold half.
 func (sh *shard) popCD() *callDesc {
-	for {
-		top := sh.free.Load()
-		if top == nil {
-			return sh.newCD()
-		}
-		next := top.next.Load()
-		if sh.free.CompareAndSwap(top, next) {
-			top.next.Store(nil)
-			return top
-		}
+	if i := sh.free.pop(); i >= 0 {
+		return sh.cdAt(uint32(i)).Load()
 	}
+	return sh.newCD(nil)
 }
 
-// newCD manufactures a call descriptor when the pool is empty — the
-// analogue of Frank provisioning a CD from local memory. Its scratch
+// pushCD returns a descriptor to the pool.
+func (sh *shard) pushCD(cd *callDesc) { sh.free.put(cd.slot) }
+
+// cdAt is slot i of the shard's descriptor table.
+func (sh *shard) cdAt(i uint32) *atomic.Pointer[callDesc] {
+	return &(*sh.cds.Load())[i/idxChunkLen][i%idxChunkLen]
+}
+
+// newCD manufactures a call descriptor — the analogue of Frank
+// provisioning a CD from local memory — on the shard's next slot, or on
+// old's when it replaces a condemned descriptor (reap): the table keeps
+// nothing condemned reachable and does not grow on a death. Its scratch
 // comes later, from the first call that asks for it (Ctx.Scratch).
 //
-//ppc:coldpath -- pool growth: runs only while the pool is warming up
-func (sh *shard) newCD() *callDesc {
+//ppc:coldpath -- pool growth, or a death's compensation
+func (sh *shard) newCD(old *callDesc) *callDesc {
+	cd := &callDesc{shard: sh}
+	sh.dlMu.Lock()
+	if old != nil {
+		cd.slot = old.slot
+	} else {
+		cd.slot = sh.free.slots.Load()
+		sh.free.grow(cd.slot + 1)
+		growChunks(&sh.cds, cd.slot+1)
+	}
+	sh.cdAt(cd.slot).Store(cd)
+	sh.dlMu.Unlock()
 	sh.cdsCreated.Add(1)
-	return &callDesc{shard: sh}
+	return cd
 }
 
 // growScratch gives a descriptor a scratch buffer of n bytes when a call
@@ -488,24 +499,95 @@ func growScratch(cd *callDesc, n int) {
 	cd.scratch = make([]byte, n)
 }
 
-// pushCD returns a descriptor to the pool.
-func (sh *shard) pushCD(cd *callDesc) {
+// poolSize counts pooled descriptors (diagnostics; O(n)).
+func (sh *shard) poolSize() int { return sh.free.size() }
+
+// idxStack is the free list of a per-shard pool whose members have fixed
+// slots: a lock-free LIFO of slot numbers through link words it owns,
+// kept in chunks that never move. Its head is tag<<32 | slot+1 (zero:
+// empty) and every put raises the tag, so a pop that read the head before
+// its top was popped and put back fails its CAS, where a pointer head
+// would install a link to a member in use (docs/INVARIANTS.md). A link is
+// a slot number, not a pointer, so a pop leaves it in place.
+type idxStack struct {
+	//ppc:atomic
+	head atomic.Uint64
+	//ppc:atomic
+	links atomic.Pointer[[]*idxChunk]
+	//ppc:atomic
+	slots atomic.Uint32 // slots with a link word
+}
+
+type (
+	idxChunk [idxChunkLen]atomic.Uint32
+	cdChunk  [idxChunkLen]atomic.Pointer[callDesc]
+)
+
+const idxChunkLen = 64
+
+// pop takes the top slot off the stack; -1 when it is empty.
+//
+//ppc:aba(head) -- the head's tag half, raised by every put
+func (s *idxStack) pop() int {
 	for {
-		top := sh.free.Load()
-		cd.next.Store(top)
-		if sh.free.CompareAndSwap(top, cd) {
+		h := s.head.Load()
+		if uint32(h) == 0 {
+			return -1
+		}
+		if s.head.CompareAndSwap(h, h>>32<<32|uint64(s.link(uint32(h)-1).Load())) {
+			return int(uint32(h) - 1)
+		}
+	}
+}
+
+// put pushes slot i under a raised tag.
+func (s *idxStack) put(i uint32) {
+	l := s.link(i)
+	for {
+		h := s.head.Load()
+		l.Store(uint32(h))
+		if s.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(i+1)) {
 			return
 		}
 	}
 }
 
-// PoolSize counts pooled descriptors (diagnostics; O(n)).
-func (sh *shard) poolSize() int {
+func (s *idxStack) link(i uint32) *atomic.Uint32 {
+	return &(*s.links.Load())[i/idxChunkLen][i%idxChunkLen]
+}
+
+// grow gives every slot below n a link word. The caller holds shard.dlMu.
+func (s *idxStack) grow(n uint32) {
+	growChunks(&s.links, n)
+	if n > s.slots.Load() {
+		s.slots.Store(n)
+	}
+}
+
+// size counts the slots on the stack; a walk that races pops and puts can
+// revisit one, so it stops at the slot count.
+func (s *idxStack) size() int {
 	n := 0
-	for cd := sh.free.Load(); cd != nil; cd = cd.next.Load() {
-		n++
+	for i := uint32(s.head.Load()); i != 0 && n < int(s.slots.Load()); n++ {
+		i = s.link(i - 1).Load()
 	}
 	return n
+}
+
+// growChunks makes the chunk list at p cover n slots; slots come one at a
+// time, so it is at most one chunk short. A chunk never moves and the
+// list is never written below its length, so readers index any list they
+// load, and appending amortizes to O(1) a slot. The caller holds
+// shard.dlMu.
+func growChunks[C any](p *atomic.Pointer[[]*C], n uint32) {
+	var old []*C
+	if l := p.Load(); l != nil {
+		old = *l
+	}
+	if uint32(len(old))*idxChunkLen < n {
+		list := append(old, new(C))
+		p.Store(&list)
+	}
 }
 
 // submit publishes argss on lr: one ring push (ticket CAS + slot write)

@@ -85,8 +85,7 @@ type BudgetInfo struct {
 }
 
 // ABAInfo is one //ppc:aba(tag) directive on a function: tag names the
-// generation field that defeats ABA, or is the literal "gc" when Go's
-// garbage collector rules out address reuse.
+// generation field that defeats ABA.
 type ABAInfo struct {
 	Tag string
 	Pos token.Pos
@@ -101,7 +100,7 @@ type ABAInfo struct {
 //	//ppc:coldpath -- reason          on a func: walk boundary (reason required)
 //	//ppc:shard(Type) [-- reason]     on a func: may touch Type's shard-owned fields
 //	//ppc:aba(tag) [-- reason]        on a func: its CAS retry loop is ABA-sensitive,
-//	                                  protected by generation field `tag` (or "gc")
+//	                                  protected by generation field `tag`
 //	//ppc:rmwbudget(N) [-- note]      on a func: root of a locked-instruction budget —
 //	                                  exactly N atomic write sites reachable before a
 //	                                  //ppc:coldpath or another budgeted function
@@ -291,7 +290,7 @@ func (a *Annotations) collectFunc(pkg *load.Package, decl *ast.FuncDecl) {
 			a.ShardOf[obj] = append(a.ShardOf[obj], d.arg)
 		case "aba":
 			if d.arg == "" {
-				a.problemf(d.pos, "//ppc:aba needs the protecting generation field: //ppc:aba(tag) — use //ppc:aba(gc) when GC rules out reuse")
+				a.problemf(d.pos, "//ppc:aba needs the protecting generation field: //ppc:aba(tag)")
 				continue
 			}
 			a.ABA[obj] = &ABAInfo{Tag: d.arg, Pos: d.pos}

@@ -7,8 +7,9 @@
 // (return/break); and a loop that re-reads state *through* a pointer
 // witness before CASing it (the Treiber-pop shape) is ABA-sensitive
 // and must be annotated //ppc:aba(tag), naming the generation field
-// that protects it — or `gc` when garbage collection rules out address
-// reuse.
+// that protects it. Garbage collection is no such field: it rules out
+// address reuse, not a node that is popped and pushed back while a stale
+// popper still holds it.
 //
 // Scope and approximations: only `for` statements are considered retry
 // loops (`range` loops iterate, they don't retry); the exit-path
@@ -107,7 +108,8 @@ func checkFunc(prog *analysis.Program, fn *types.Func, fi *analysis.FuncInfo) []
 					Analyzer: "casloop",
 					Message: "CAS loop reads through its pointer witness " + types.ExprString(s.op.Old) +
 						" (ABA-sensitive); annotate " + analysis.FuncDisplayName(fn) +
-						" //ppc:aba(tag) naming the protecting generation field, or //ppc:aba(gc)",
+						" //ppc:aba(tag) naming the protecting generation field (a tag every push raises;" +
+						" the collector does not stop a node being popped and pushed back)",
 				})
 			}
 		}

@@ -99,7 +99,7 @@ func (s *stack) pop() *node {
 // popAnnotated is the same shape made legal by declaring the
 // protection.
 //
-//ppc:aba(gc) -- fixture: the collector rules out address reuse
+//ppc:aba(epoch) -- fixture: a node is reclaimed only after an epoch no popper holds it in
 func (s *stack) popAnnotated() *node {
 	for {
 		top := s.head.Load()
