@@ -39,8 +39,12 @@ race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
 	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table|Pool' ./rt
 
+# The second vet type-checks what compiles only under the faultinject
+# tag (chaos_test.go, faultinject_on.go), which otherwise only the chaos
+# soak builds.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags faultinject ./rt
 
 # gofmt over every Go file of the tree, bench/ and tools/ included, must
 # change nothing. The analyzers' testdata fixtures are exempt: some are

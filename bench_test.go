@@ -297,7 +297,7 @@ func BenchmarkRTPayloadCopyAsync(b *testing.B) {
 // BenchmarkRTScratchUse measures a handler that actually uses the
 // recycled scratch buffer (the serial stack-page sharing).
 func BenchmarkRTScratchUse(b *testing.B) {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "scratch", Handler: func(ctx *rt.Ctx, args *rt.Args) {
 		s := ctx.Scratch()
 		for i := 0; i < 256; i++ {
@@ -309,7 +309,7 @@ func BenchmarkRTScratchUse(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.RunParallel(func(pb *testing.PB) {
-		c := sys.NewClient()
+		c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 		var args rt.Args
 		for pb.Next() {
 			if err := c.Call(svc.EP(), &args); err != nil {

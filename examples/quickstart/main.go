@@ -22,7 +22,7 @@ const (
 )
 
 func main() {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 
 	// A tiny sharded key-value service: each shard keeps its own map
 	// (shard-local state set up by the init handler, the paper's
@@ -63,7 +63,7 @@ func main() {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := sys.NewClient() // one client per goroutine, bound to a shard
+			c := sys.NewClientWith(rt.ClientOptions{Shard: -1}) // one client per goroutine, round-robin over the shards
 			var args rt.Args
 			for i := 0; i < callsEach; i++ {
 				args[0] = uint64(i % 512) // key
@@ -83,7 +83,7 @@ func main() {
 		float64(elapsed.Nanoseconds())/float64(total), svc.Calls())
 
 	// Read something back.
-	c := sys.NewClient()
+	c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	var args rt.Args
 	args[0] = 42
 	args.SetOp(opGet, 0)

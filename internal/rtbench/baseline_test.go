@@ -93,7 +93,7 @@ func TestShardedBeatsChannelServer(t *testing.T) {
 	}
 	handler := func(ctx *rt.Ctx, args *rt.Args) { args[0]++ }
 
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: handler})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestShardedBeatsChannelServer(t *testing.T) {
 
 	clients := make([]*rt.Client, g)
 	for i := range clients {
-		clients[i] = sys.NewClient()
+		clients[i] = sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	}
 	sharded := throughput(g, window, func(gi int, args *rt.Args) {
 		if err := clients[gi].Call(svc.EP(), args); err != nil {

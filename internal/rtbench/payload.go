@@ -49,10 +49,10 @@ func bindPayloadSink(b *testing.B, sys *rt.System) *rt.Service {
 //ppc:coldpath -- benchmark harness; the measured path is AllocPayload+Call
 func PayloadZeroCopy(n int) func(*testing.B) {
 	return func(b *testing.B) {
-		sys := rt.NewSystem()
+		sys := rt.NewSystemOptions(rt.Options{})
 		defer sys.Close()
 		svc := bindPayloadSink(b, sys)
-		c := sys.NewClient()
+		c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 		var args rt.Args
 		oneCall := func(i int) {
 			ref, buf, err := c.AllocPayload(n)
@@ -87,7 +87,7 @@ func PayloadCopy(n int) func(*testing.B) {
 		sys := rt.NewSystemOptions(rt.Options{OffloadThreshold: -1})
 		defer sys.Close()
 		svc := bindPayloadSink(b, sys)
-		c := sys.NewClient()
+		c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 		var args rt.Args
 		src := make([]byte, n)
 		for i := range src {
@@ -132,7 +132,7 @@ func payloadAsync(b *testing.B, sys *rt.System, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(rt.ClientOptions{})
 	var args rt.Args
 	src := make([]byte, n)
 	for i := range src {
@@ -177,7 +177,7 @@ func payloadAsync(b *testing.B, sys *rt.System, n int) {
 //ppc:coldpath -- benchmark harness; the measured path is AttachBytes(staged)+AsyncCall
 func PayloadOffload(n int) func(*testing.B) {
 	return func(b *testing.B) {
-		sys := rt.NewSystemShards(1) // default threshold: n >= 64 KB stages
+		sys := rt.NewSystemOptions(rt.Options{Shards: 1}) // default threshold: n >= 64 KB stages
 		defer sys.Close()
 		payloadAsync(b, sys, n)
 	}

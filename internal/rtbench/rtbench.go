@@ -31,7 +31,7 @@ const FlushBatchSize = 32
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.Call
 func SyncCall(b *testing.B) {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
@@ -39,7 +39,7 @@ func SyncCall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	var args rt.Args
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,7 +61,7 @@ func SyncCall(b *testing.B) {
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallDeadline
 func SyncCallDeadline(b *testing.B) {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
@@ -69,7 +69,7 @@ func SyncCallDeadline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	var args rt.Args
 	const deadline = time.Hour // never expires; measures the arming cost
 	if err := c.CallDeadline(svc.EP(), &args, deadline); err != nil {
@@ -93,7 +93,7 @@ func SyncCallDeadline(b *testing.B) {
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallDeadline
 func SyncCallDeadlineShort(b *testing.B) {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
@@ -101,7 +101,7 @@ func SyncCallDeadlineShort(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	var args rt.Args
 	const deadline = 4 * time.Millisecond // a few ticks out
 	if err := c.CallDeadline(svc.EP(), &args, deadline); err != nil {
@@ -118,7 +118,7 @@ func SyncCallDeadlineShort(b *testing.B) {
 // SyncCallParallel measures the shared-nothing path under full
 // parallelism: one client (shard) per worker goroutine.
 func SyncCallParallel(b *testing.B) {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
@@ -127,7 +127,7 @@ func SyncCallParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.RunParallel(func(pb *testing.PB) {
-		c := sys.NewClient()
+		c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 		var args rt.Args
 		for pb.Next() {
 			if err := c.Call(svc.EP(), &args); err != nil {
@@ -144,7 +144,7 @@ func SyncCallParallel(b *testing.B) {
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallPooled
 func SyncCallPooled(b *testing.B) {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
@@ -152,7 +152,7 @@ func SyncCallPooled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	var args rt.Args
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,7 +169,7 @@ func SyncCallPooled(b *testing.B) {
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallPooled
 func SyncCallParallelPooled(b *testing.B) {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
 		args[0]++
@@ -178,7 +178,7 @@ func SyncCallParallelPooled(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.RunParallel(func(pb *testing.PB) {
-		c := sys.NewClient()
+		c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 		var args rt.Args
 		for pb.Next() {
 			if err := c.CallPooled(svc.EP(), &args); err != nil {
@@ -222,7 +222,7 @@ func ChannelParallel(b *testing.B) {
 // lock-free ring path: ring push + doorbell wake on submit, batched
 // dequeue + park-when-empty on drain.
 func Async(b *testing.B) {
-	sys := rt.NewSystemShards(1)
+	sys := rt.NewSystemOptions(rt.Options{Shards: 1})
 	defer sys.Close()
 	var handled atomic.Int64
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "async", Handler: func(ctx *rt.Ctx, args *rt.Args) {
@@ -231,7 +231,7 @@ func Async(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(rt.ClientOptions{})
 	var args rt.Args
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -327,7 +327,7 @@ func AsyncLanesTenant(b *testing.B) {
 // FlushBatchSize requests, publish them with one admission and one
 // wakeup, repeat until b.N requests have been accepted and executed.
 func AsyncBatch(b *testing.B) {
-	sys := rt.NewSystemShards(1)
+	sys := rt.NewSystemOptions(rt.Options{Shards: 1})
 	defer sys.Close()
 	var handled atomic.Int64
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "asyncbatch", Handler: func(ctx *rt.Ctx, args *rt.Args) {
@@ -336,7 +336,7 @@ func AsyncBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(rt.ClientOptions{})
 	batch := c.NewBatch(svc.EP(), FlushBatchSize)
 	var args rt.Args
 	b.ResetTimer()
@@ -367,7 +367,7 @@ func AsyncBatch(b *testing.B) {
 // (channel baseline). Still single-shard submit→complete throughput —
 // b.N requests total, timer stopped after the last one executes.
 func AsyncMultiProducer(b *testing.B) {
-	sys := rt.NewSystemShards(1)
+	sys := rt.NewSystemOptions(rt.Options{Shards: 1})
 	defer sys.Close()
 	var handled atomic.Int64
 	svc, err := sys.Bind(rt.ServiceConfig{Name: "asyncmp", Handler: func(ctx *rt.Ctx, args *rt.Args) {
@@ -379,7 +379,7 @@ func AsyncMultiProducer(b *testing.B) {
 	var submitted atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(rt.ClientOptions{})
 		var args rt.Args
 		for pb.Next() {
 			for {

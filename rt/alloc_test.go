@@ -13,7 +13,7 @@ import (
 // the race detector the assertion is report-only (instrumentation
 // allocates).
 func TestWarmSyncCallAllocs(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
@@ -21,7 +21,7 @@ func TestWarmSyncCallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	ep := svc.EP()
 	var args Args
 
@@ -52,7 +52,7 @@ func TestWarmSyncCallAllocs(t *testing.T) {
 // the pool. Report-only alloc assertion under -race; the CDsCreated
 // check holds either way.
 func TestWarmHeldCallAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "hnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
@@ -60,7 +60,7 @@ func TestWarmHeldCallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	ep := svc.EP()
 	var args Args
 
@@ -98,7 +98,7 @@ func TestWarmHeldCallAllocs(t *testing.T) {
 // once the pool is warm that round trip is still zero-alloc.
 // Report-only under -race.
 func TestWarmPooledCallAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "pnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
@@ -106,7 +106,7 @@ func TestWarmPooledCallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	ep := svc.EP()
 	var args Args
 
@@ -131,12 +131,13 @@ func TestWarmPooledCallAllocs(t *testing.T) {
 }
 
 // TestWarmAsyncCallAllocs extends the invariant to the ring path: a
-// warm asynchronous submit→complete round trip — ring push, doorbell
+// warm asynchronous submit→complete round trip through a reused Batch of
+// one with a notify channel — staging copy, ring push, doorbell
 // wake, batched dequeue, handler, notification — must not touch the
 // heap. AllocsPerRun counts process-wide mallocs, so this covers the
 // servicing worker too. Report-only under -race.
 func TestWarmAsyncCallAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "anull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
@@ -144,26 +145,27 @@ func TestWarmAsyncCallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	ep := svc.EP()
 	var args Args
 	done := make(chan struct{}, 1)
-
-	// Warm: spawn the worker, fill the descriptor pool, settle the
-	// park/ring rhythm.
-	for i := 0; i < 32; i++ {
-		if err := c.AsyncCallNotify(ep, &args, done); err != nil {
+	b := c.NewBatch(ep, 1)
+	b.SetNotify(done)
+	roundTrip := func() {
+		b.Add(&args)
+		if _, err := b.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		<-done
 	}
 
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := c.AsyncCallNotify(ep, &args, done); err != nil {
-			t.Fatal(err)
-		}
-		<-done
-	})
+	// Warm: spawn the worker, fill the descriptor pool, settle the
+	// park/ring rhythm.
+	for i := 0; i < 32; i++ {
+		roundTrip()
+	}
+
+	allocs := testing.AllocsPerRun(200, roundTrip)
 	if allocs != 0 {
 		if raceEnabled {
 			t.Logf("warm async call allocates %.1f objects/op under -race (report-only)", allocs)
@@ -177,7 +179,7 @@ func TestWarmAsyncCallAllocs(t *testing.T) {
 // and flushing it — one admission, many ring slots — must not touch
 // the heap either. Report-only under -race.
 func TestBatchFlushAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "bnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
@@ -185,7 +187,7 @@ func TestBatchFlushAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	const batchN = 8
 	b := c.NewBatch(svc.EP(), batchN)
 	done := make(chan struct{}, batchN)
@@ -221,7 +223,7 @@ func TestBatchFlushAllocs(t *testing.T) {
 // the client's lease slots run into their appended blocks — allocates
 // nothing: the blocks are kept once made. Report-only under -race.
 func TestWarmPayloadBatchAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "bpay", Handler: func(ctx *Ctx, args *Args) {
 		_ = ctx.Payload(0)
@@ -229,7 +231,7 @@ func TestWarmPayloadBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	const batchN = 16
 	b := c.NewBatch(svc.EP(), batchN)
 	done := make(chan struct{}, batchN)
@@ -271,7 +273,7 @@ func TestWarmPayloadBatchAllocs(t *testing.T) {
 // releases the lease — must not touch the heap. Report-only under
 // -race.
 func TestWarmPayloadCallAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var seen int
 	svc, err := sys.Bind(ServiceConfig{Name: "zcp", Handler: func(ctx *Ctx, args *Args) {
@@ -281,7 +283,7 @@ func TestWarmPayloadCallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	ep := svc.EP()
 	var args Args
@@ -318,7 +320,7 @@ func TestWarmPayloadCallAllocs(t *testing.T) {
 // ring slot copy, worker dequeue, in-place view, worker-side lease
 // settle — must not touch the heap either. Report-only under -race.
 func TestWarmPayloadAsyncAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "azcp", Handler: func(ctx *Ctx, args *Args) {
 		_ = ctx.Payload(0)
@@ -327,7 +329,7 @@ func TestWarmPayloadAsyncAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	ep := svc.EP()
 	var args Args
@@ -340,7 +342,7 @@ func TestWarmPayloadAsyncAllocs(t *testing.T) {
 		}
 		buf[0] = 1
 		args.AttachPayload(ref)
-		if err := c.AsyncCallNotify(ep, &args, done); err != nil {
+		if err := asyncOne(c, ep, &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 		<-done
@@ -365,7 +367,7 @@ func TestWarmPayloadAsyncAllocs(t *testing.T) {
 // two-way select rather than the plain receive.
 // Report-only under -race (instrumentation allocates).
 func TestWarmCallDeadlineAllocs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "dnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
@@ -373,7 +375,7 @@ func TestWarmCallDeadlineAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	ep := svc.EP()
 	var args Args
@@ -419,7 +421,7 @@ func TestWarmScratchAllocs(t *testing.T) {
 		if want == 0 {
 			want = defaultScratchBytes
 		}
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "scr", ScratchBytes: size, Handler: func(ctx *Ctx, args *Args) {
 			s := ctx.Scratch()
 			if len(s) != want {
@@ -430,7 +432,7 @@ func TestWarmScratchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		ep := svc.EP()
 		var args Args
 		done := make(chan struct{}, 1)
@@ -441,7 +443,7 @@ func TestWarmScratchAllocs(t *testing.T) {
 			{"held", func() error { return c.Call(ep, &args) }},
 			{"pooled", func() error { return c.CallPooled(ep, &args) }},
 			{"async worker", func() error {
-				err := c.AsyncCallNotify(ep, &args, done)
+				err := asyncOne(c, ep, &args, done, 0)
 				if err == nil {
 					<-done
 				}
@@ -496,13 +498,13 @@ func TestWarmLaneTenantAsyncAllocs(t *testing.T) {
 	done := make(chan struct{}, 1)
 
 	for i := 0; i < 32; i++ { // warm
-		if err := c.AsyncCallNotify(ep, &args, done); err != nil {
+		if err := asyncOne(c, ep, &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 		<-done
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := c.AsyncCallNotify(ep, &args, done); err != nil {
+		if err := asyncOne(c, ep, &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 		<-done
@@ -533,7 +535,7 @@ func TestSyncSystemBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for sh := 0; sh < 2; sh++ {
-			if err := sys.NewClientOnShard(sh).Call(svc.EP(), &Args{}); err != nil {
+			if err := sys.NewClientWith(ClientOptions{Shard: sh}).Call(svc.EP(), &Args{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -558,7 +560,7 @@ func TestSyncSystemBytes(t *testing.T) {
 	}
 	capBefore := sys.Stats()[0].AsyncQueueCap
 	done := make(chan struct{}, 1)
-	if err := sys.NewClientOnShard(0).AsyncCallNotify(svc.EP(), &Args{}, done); err != nil {
+	if err := asyncOne(sys.NewClientWith(ClientOptions{}), svc.EP(), &Args{}, done, 0); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -571,7 +573,7 @@ func TestSyncSystemBytes(t *testing.T) {
 // holding a ticket, so closing a shard that never submitted creates no
 // descriptor (and reads no ring slot: it has none).
 func TestCloseNeverSubmittedMakesNoDescriptor(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	before := sys.Stats()[0].CDsCreated
 	sys.Close()
 	if got := sys.Stats()[0].CDsCreated; got != before {

@@ -161,7 +161,7 @@ func TestFirstPayloadBytes(t *testing.T) {
 	systems := make([]*System, n)
 	before := liveHeap()
 	for i := range systems {
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "pay", Handler: func(ctx *Ctx, args *Args) {
 			if len(ctx.Payload(0)) != 4096 {
 				t.Error("the handler does not view the payload")
@@ -170,7 +170,7 @@ func TestFirstPayloadBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		ref, buf, err := c.AllocPayload(4096)
 		if err != nil {
 			t.Fatal(err)
@@ -203,9 +203,9 @@ func TestFirstPayloadBytes(t *testing.T) {
 // TestArenaLargeFirstRequest: a first request larger than 64 KiB gets a
 // 2 MiB slab in one grow, not a small slab and then a second grow.
 func TestArenaLargeFirstRequest(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	ref, buf, err := c.AllocPayload(MaxPayloadBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -672,7 +672,7 @@ func TestArenaConcurrentAllocRelease(t *testing.T) {
 // shard: AllocPayload → AttachPayload → Call → handler views the bytes
 // in place → settle releases the lease.
 func TestClientPayloadAPI(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	got := make([]byte, 0, 256)
 	svc, err := sys.Bind(ServiceConfig{Name: "pay", Handler: func(ctx *Ctx, args *Args) {
@@ -689,7 +689,7 @@ func TestClientPayloadAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 
 	var args Args
@@ -725,13 +725,13 @@ func TestClientPayloadAPI(t *testing.T) {
 // point, killed service, dead-on-arrival context) still consumes the
 // attached leases.
 func TestPayloadErrorPathsRelease(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 
 	attach := func() *Args {
@@ -747,7 +747,7 @@ func TestPayloadErrorPathsRelease(t *testing.T) {
 	if err := c.AsyncCall(9999, attach()); !errors.Is(err, ErrBadEntryPoint) {
 		t.Fatalf("async bad EP: %v", err)
 	}
-	if _, err := c.AsyncBatch(9999, []Args{*attach(), *attach()}); !errors.Is(err, ErrBadEntryPoint) {
+	if _, err := c.async(9999, []Args{*attach(), *attach()}, nil, 0); !errors.Is(err, ErrBadEntryPoint) {
 		t.Fatalf("batch bad EP: %v", err)
 	}
 	ep := svc.EP()
@@ -770,7 +770,7 @@ func TestPayloadErrorPathsRelease(t *testing.T) {
 // whose args block is reused by the caller immediately after submit
 // (the ring's slot copy owns the descriptors from acceptance).
 func TestPayloadAsyncAndBatchRelease(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var mu sync.Mutex
 	total := 0
@@ -782,7 +782,7 @@ func TestPayloadAsyncAndBatchRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	done := make(chan struct{}, 64)
 
@@ -792,7 +792,7 @@ func TestPayloadAsyncAndBatchRelease(t *testing.T) {
 		if err := c.AttachBytes(&args, []byte("async-payload")); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 		if args.NumPayloads() != 0 {
@@ -854,7 +854,7 @@ func TestPayloadOffload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 
 	var args Args
@@ -893,12 +893,12 @@ func TestPayloadOffload(t *testing.T) {
 func TestPayloadOffloadStageRacesClose(t *testing.T) {
 	data := make([]byte, 64<<10)
 	for iter := 0; iter < 200; iter++ {
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "blind", Handler: func(ctx *Ctx, args *Args) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		staged := make(chan bool, 1)
 		go func() {
 			for i := 0; i < iter%8; i++ {
@@ -946,7 +946,7 @@ func TestPayloadOffloadDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	if err := c.AttachBytes(&args, data); err != nil {
@@ -974,7 +974,7 @@ func TestPayloadOffloadDisabled(t *testing.T) {
 // handler until it returns — the lease settles with the executor, not
 // the caller.
 func TestPayloadDeadlineOrphanLease(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	checked := make(chan bool, 1)
@@ -986,7 +986,7 @@ func TestPayloadDeadlineOrphanLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	if err := c.AttachBytes(&args, []byte("survives")); err != nil {

@@ -8,17 +8,22 @@ import (
 )
 
 // TestAsyncIdentityEveryExit is the asynchronous counterpart of
-// TestStripeIdentityEveryExit: every asynchronous entry point is driven
-// through every way a submission can end before a worker sees it, with
+// TestStripeIdentityEveryExit: every shape of asynchronous submission is
+// driven through every way a submission can end before a worker sees it, with
 // and without an attached payload, and each case ends on the same
 // conservation identities — AsyncCalls is exactly the handler runs plus
 // the queue expiries, nothing is left in flight, no lease is left out,
 // the rejection counters moved by exactly what was rejected, and a
-// health gate is never left half-open. The entry points are one path
-// (Client.async); the table is what holds each of them to it.
+// health gate is never left half-open. Both entry points are one path
+// (Client.async); the table is what holds each shape to it.
 
-// asyncEntries lists the six asynchronous entry points behind one
-// shape: submit argss (k of them) and report how many were accepted.
+// asyncEntries lists the six shapes of asynchronous submission behind
+// one signature: submit argss (k of them) and report how many were
+// accepted. There are two entry points, AsyncCall and Batch.Flush; the
+// Batch shapes cover what each can carry — a notify channel, a queueing
+// deadline, one request or several. Each row keeps the name of the
+// entry point it stood for before those were folded into a Batch, so a
+// row's history reads across the fold.
 var asyncEntries = []struct {
 	name   string
 	k      int
@@ -29,16 +34,16 @@ var asyncEntries = []struct {
 		return acceptedOne(c.AsyncCall(ep, &a[0]))
 	}},
 	{"AsyncCallNotify", 1, true, func(c *Client, ep EntryPointID, a []Args, done chan<- struct{}) (int, error) {
-		return acceptedOne(c.AsyncCallNotify(ep, &a[0], done))
+		return flushOne(c, ep, &a[0], done, 0)
 	}},
 	{"AsyncCallDeadline", 1, false, func(c *Client, ep EntryPointID, a []Args, _ chan<- struct{}) (int, error) {
-		return acceptedOne(c.AsyncCallNotifyDeadline(ep, &a[0], nil, time.Hour))
+		return flushOne(c, ep, &a[0], nil, time.Hour)
 	}},
 	{"AsyncCallNotifyDeadline", 1, true, func(c *Client, ep EntryPointID, a []Args, done chan<- struct{}) (int, error) {
-		return acceptedOne(c.AsyncCallNotifyDeadline(ep, &a[0], done, time.Hour))
+		return flushOne(c, ep, &a[0], done, time.Hour)
 	}},
 	{"AsyncBatch", 2, false, func(c *Client, ep EntryPointID, a []Args, _ chan<- struct{}) (int, error) {
-		return c.AsyncBatch(ep, a)
+		return flushAll(c, ep, a)
 	}},
 	{"BatchFlush", 2, true, func(c *Client, ep EntryPointID, a []Args, done chan<- struct{}) (int, error) {
 		b := c.NewBatch(ep, 0)
@@ -48,6 +53,16 @@ var asyncEntries = []struct {
 		}
 		return b.Flush()
 	}},
+}
+
+// flushOne submits args as a Batch of one with done as its notify
+// channel (nil for none) and ttl as its queueing deadline (0 for none).
+func flushOne(c *Client, ep EntryPointID, args *Args, done chan<- struct{}, ttl time.Duration) (int, error) {
+	b := c.NewBatch(ep, 1)
+	b.SetNotify(done)
+	b.SetDeadline(ttl)
+	b.Add(args)
+	return b.Flush()
 }
 
 func acceptedOne(err error) (int, error) {
@@ -103,7 +118,7 @@ func (e *idEnv) wedge(t *testing.T, ringCap, free int) {
 // trip opens the service's health gate on shard 0 with two faults.
 func (e *idEnv) trip(t *testing.T) {
 	t.Helper()
-	tc := e.sys.NewClientOnShard(0)
+	tc := e.sys.NewClientWith(ClientOptions{})
 	defer tc.Release()
 	for i := 0; i < 2; i++ {
 		if err := tc.Call(e.svc.EP(), &Args{idOpPanic}); !errors.Is(err, ErrServerFault) {
@@ -219,7 +234,7 @@ var asyncExits = []struct {
 		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k int) int {
 			e.trip(t)
 			time.Sleep(2 * time.Millisecond)
-			e.sys.InjectFault(FaultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
+			e.sys.InjectFault(faultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
 			return 0
 		},
 		check: func(t *testing.T, e *idEnv, st ShardStats, rejected int64) {

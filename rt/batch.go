@@ -5,14 +5,13 @@ import "time"
 // Asynchronous submission — the paper's amortized asynchronous calls
 // (§4.4) carried to the ring: one admission check and one worker wakeup
 // cover an arbitrary number of requests, so the per-request cost of a
-// burst approaches one slot write. Every asynchronous entry point is this
-// one path (Client.async, then shard.submit); the AsyncCall family submits
-// a batch of one over the caller's own argument block.
-//
-// Two batch shapes are offered: Client.AsyncBatch submits a caller-owned
-// slice in one shot; Batch is a reusable staging buffer for callers
-// that accumulate requests incrementally and flush at natural
-// boundaries (end of an event-loop turn, a full page of prefetches).
+// burst approaches one slot write. Both asynchronous entry points are this
+// one path (Client.async, then shard.submit): AsyncCall submits a batch of
+// one over the caller's own argument block, fire-and-forget; Batch is a
+// reusable staging buffer for everything else — a completion channel
+// (SetNotify), a queueing deadline (SetDeadline), and one request or many
+// flushed at natural boundaries (end of an event-loop turn, a full page
+// of prefetches).
 
 // Batch is a reusable batch of asynchronous requests to one entry
 // point. Like a Client it is intended for a single goroutine; Add
@@ -39,11 +38,11 @@ func (c *Client) NewBatch(ep EntryPointID, capacity int) *Batch {
 	return &Batch{c: c, ep: ep, reqs: make([]Args, 0, capacity)}
 }
 
-// SetNotify sets a completion channel: every request in subsequent
-// flushes delivers one notification on done. As with AsyncCallNotify,
-// done should be buffered (at least one batch deep); unready channels
-// cost the servicing worker a bounded wait and may drop notifications
-// (ShardStats.NotifyDrops).
+// SetNotify sets a completion channel (the file-prefetch pattern: fire
+// many, collect later): every request in subsequent flushes delivers one
+// notification on done. done should be buffered (at least one batch
+// deep); unready channels cost the servicing worker a bounded wait and
+// may drop notifications (ShardStats.NotifyDrops).
 func (b *Batch) SetNotify(done chan<- struct{}) { b.done = done }
 
 // SetDeadline arms a per-request deadline for subsequent flushes: each
@@ -111,23 +110,12 @@ func (b *Batch) Flush() (int, error) {
 	return n, err
 }
 
-// AsyncBatch submits argss as one batch of asynchronous calls to ep:
-// one admission check and one worker wakeup for the whole slice,
-// instead of one of each per request. Semantics per request match
-// AsyncCall; the return value reports how many leading requests were
-// accepted (all of them iff err is nil).
-//
-//ppc:hotpath
-func (c *Client) AsyncBatch(ep EntryPointID, argss []Args) (int, error) {
-	return c.async(ep, argss, nil, 0)
-}
-
-// async is every asynchronous submission — the four AsyncCall forms (a
-// batch of one), AsyncBatch and Batch.Flush: the preflight and the entry
-// every call makes, then the whole submission admitted with one
-// increment-then-check (so a soft kill either sees it in flight and
-// waits, or flips the state first and it backs out here), handed to the
-// lane's ring, and its rejected tail failed. The in-flight count covers a
+// async is every asynchronous submission — AsyncCall (a batch of one)
+// and Batch.Flush: the preflight and the entry every call makes, then
+// the whole submission admitted with one increment-then-check (so a
+// soft kill either sees it in flight and waits, or flips the state
+// first and it backs out here), handed to the lane's ring, and its
+// rejected tail failed. The in-flight count covers a
 // request from acceptance until the worker finishes it; the same
 // increment is the AsyncCalls count, so acceptance costs one counter RMW
 // for the lot. ttl > 0 bounds each request's time in the ring.

@@ -7,11 +7,30 @@ import (
 	"time"
 )
 
-// TestAsyncBatchDeliversAll: one AsyncBatch call behaves like n
-// AsyncCalls — every request executes with its own argument block, and
-// the async counters see all of them.
+// asyncOne submits args as one asynchronous request that delivers a
+// token on done (nil for none) and expires after ttl in the ring (0 for
+// no bound) — a Batch of one with SetNotify and SetDeadline, without the
+// staging copy. Tests whose subject is not the entry point use it.
+func asyncOne(c *Client, ep EntryPointID, args *Args, done chan<- struct{}, ttl time.Duration) error {
+	_, err := c.async(ep, one(args), done, ttl)
+	return err
+}
+
+// flushAll stages every block of argss on a fresh Batch to ep and
+// flushes it once.
+func flushAll(c *Client, ep EntryPointID, argss []Args) (int, error) {
+	b := c.NewBatch(ep, len(argss))
+	for i := range argss {
+		b.Add(&argss[i])
+	}
+	return b.Flush()
+}
+
+// TestAsyncBatchDeliversAll: one Batch flush behaves like n AsyncCalls
+// — every request executes with its own argument block, and the async
+// counters see all of them.
 func TestAsyncBatchDeliversAll(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var sum atomic.Uint64
 	svc, err := sys.Bind(ServiceConfig{Name: "sum", Handler: func(ctx *Ctx, args *Args) {
@@ -20,7 +39,7 @@ func TestAsyncBatchDeliversAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	const n = 100 // larger than the ring: exercises the slow tail too
 	argss := make([]Args, n)
 	want := uint64(0)
@@ -30,7 +49,7 @@ func TestAsyncBatchDeliversAll(t *testing.T) {
 	}
 	accepted := 0
 	for accepted < n {
-		k, err := c.AsyncBatch(svc.EP(), argss[accepted:])
+		k, err := flushAll(c, svc.EP(), argss[accepted:])
 		accepted += k
 		if err != nil && !errors.Is(err, ErrBackpressure) {
 			t.Fatal(err)
@@ -52,7 +71,7 @@ func TestAsyncBatchDeliversAll(t *testing.T) {
 // is immediately reusable; Add past the initial capacity grows the
 // staging buffer without losing requests.
 func TestBatchFlushReuse(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var handled atomic.Int64
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {
@@ -61,7 +80,7 @@ func TestBatchFlushReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	b := c.NewBatch(svc.EP(), 2) // deliberately small: Add must grow it
 	done := make(chan struct{}, 16)
 	b.SetNotify(done)
@@ -103,7 +122,7 @@ func TestBatchFlushReuse(t *testing.T) {
 // (the soft-kill drain must not wait for them) and the accepted ones
 // still drain.
 func TestAsyncBatchBackpressureTail(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
 	testRing(&sh.lanes[0].ring, 2)
@@ -120,7 +139,7 @@ func TestAsyncBatchBackpressureTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.AsyncCall(svc.EP(), &args); err != nil { // saturate the worker
 		t.Fatal(err)
@@ -128,7 +147,7 @@ func TestAsyncBatchBackpressureTail(t *testing.T) {
 	<-started
 
 	argss := make([]Args, 5) // 2 fit the ring, 3 must be rejected
-	n, err := c.AsyncBatch(svc.EP(), argss)
+	n, err := flushAll(c, svc.EP(), argss)
 	if !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("overload batch: %v", err)
 	}
@@ -155,17 +174,17 @@ func TestAsyncBatchBackpressureTail(t *testing.T) {
 // TestAsyncBatchRejectedWhenKilledOrClosed: batches respect the same
 // lifecycle gates as single submissions.
 func TestAsyncBatchRejectedWhenKilledOrClosed(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "k", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	argss := make([]Args, 3)
 	if err := sys.Kill(svc.EP(), false); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.AsyncBatch(svc.EP(), argss); !errors.Is(err, ErrBadEntryPoint) || n != 0 {
+	if n, err := flushAll(c, svc.EP(), argss); !errors.Is(err, ErrBadEntryPoint) || n != 0 {
 		t.Fatalf("batch to killed service = (%d, %v)", n, err)
 	}
 	svc2, err := sys.Bind(ServiceConfig{Name: "k2", Handler: func(ctx *Ctx, args *Args) {}})
@@ -173,7 +192,7 @@ func TestAsyncBatchRejectedWhenKilledOrClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Close()
-	if n, err := c.AsyncBatch(svc2.EP(), argss); !errors.Is(err, ErrClosed) || n != 0 {
+	if n, err := flushAll(c, svc2.EP(), argss); !errors.Is(err, ErrClosed) || n != 0 {
 		t.Fatalf("batch after Close = (%d, %v)", n, err)
 	}
 	if got := svc2.inFlightTotal(); got != 0 {
@@ -186,7 +205,7 @@ func TestAsyncBatchRejectedWhenKilledOrClosed(t *testing.T) {
 // drop is counted, the worker survives, and the shard keeps servicing
 // requests (the old blocking send wedged the worker forever).
 func TestNotifyDropsOnAbandonedChannel(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sys.shards[0].notifyWait = time.Millisecond
 	var handled atomic.Int64
@@ -196,10 +215,10 @@ func TestNotifyDropsOnAbandonedChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	abandoned := make(chan struct{}) // unbuffered, never received from
 	var args Args
-	if err := c.AsyncCallNotify(svc.EP(), &args, abandoned); err != nil {
+	if err := asyncOne(c, svc.EP(), &args, abandoned, 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -211,7 +230,7 @@ func TestNotifyDropsOnAbandonedChannel(t *testing.T) {
 	}
 	// The worker is alive and the shard still services requests.
 	live := make(chan struct{}, 1)
-	if err := c.AsyncCallNotify(svc.EP(), &args, live); err != nil {
+	if err := asyncOne(c, svc.EP(), &args, live, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -231,7 +250,7 @@ func TestNotifyDropsOnAbandonedChannel(t *testing.T) {
 func TestNewBatchDefaultCapacity(t *testing.T) {
 	for _, tc := range []struct{ queueCap, want int }{{0, defaultAsyncQueueCap}, {6, 8}, {256, 256}} {
 		sys := NewSystemOptions(Options{Shards: 1, Lanes: 3, AsyncQueueCap: tc.queueCap})
-		b := sys.NewClientOnShard(0).NewBatch(2, 0)
+		b := sys.NewClientWith(ClientOptions{}).NewBatch(2, 0)
 		if got := cap(b.reqs); got != tc.want {
 			t.Errorf("AsyncQueueCap %d: default batch capacity %d, want %d", tc.queueCap, got, tc.want)
 		}

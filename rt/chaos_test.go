@@ -35,7 +35,7 @@ func chaosConverge(t *testing.T, sys *System, svc *Service, base int) {
 	sys.ClearFaults()
 	// Let any open health gate probe its way closed: poll with real
 	// calls until one succeeds.
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	waitCond(t, 5*time.Second, "first post-storm success", func() bool {
@@ -43,7 +43,7 @@ func chaosConverge(t *testing.T, sys *System, svc *Service, base int) {
 	})
 	// A fresh client then completes the full probe run with zero
 	// errors: sync, deadline, and async legs all clean.
-	fresh := sys.NewClientOnShard(0)
+	fresh := sys.NewClientWith(ClientOptions{})
 	defer fresh.Release()
 	done := make(chan struct{}, chaosProbeCalls)
 	for i := 0; i < chaosProbeCalls; i++ {
@@ -55,9 +55,17 @@ func chaosConverge(t *testing.T, sys *System, svc *Service, base int) {
 		case 1:
 			err = fresh.CallDeadline(svc.EP(), &a, time.Second)
 		case 2:
-			err = Retry(RetryPolicy{MaxAttempts: 8, BaseDelay: 100 * time.Microsecond}, func() error {
-				return fresh.AsyncCallNotify(svc.EP(), &a, done)
-			})
+			// A gate still probing its way closed rejects transiently:
+			// resubmit, at most 8 attempts, doubling the sleep between.
+			delay := 100 * time.Microsecond
+			for attempt := 1; ; attempt++ {
+				err = asyncOne(fresh, svc.EP(), &a, done, 0)
+				if err == nil || !transient(err) || attempt == 8 {
+					break
+				}
+				time.Sleep(delay)
+				delay *= 2
+			}
 		}
 		if err != nil {
 			t.Fatalf("post-storm call %d failed: %v", i, err)
@@ -107,7 +115,7 @@ func chaosStorm(t *testing.T, sys *System, svc *Service, dur time.Duration) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			defer c.Release()
 			b := c.NewBatch(svc.EP(), 8)
 			var args Args
@@ -172,7 +180,7 @@ func TestChaosHandlerPanicStorm(t *testing.T) {
 	sys := chaosSystem()
 	svc := chaosBind(t, sys)
 	fn, gate := FaultWhile(FaultPanicEvery(1, "chaos panic"))
-	sys.InjectFault(FaultSiteHandler, fn)
+	sys.InjectFault(faultSiteHandler, fn)
 	chaosStorm(t, sys, svc, 20*time.Millisecond)
 	if svc.HealthTrips() == 0 {
 		t.Fatal("panic storm never tripped the health gate")
@@ -191,7 +199,7 @@ func TestChaosStalledHandlers(t *testing.T) {
 	svc := chaosBind(t, sys)
 	const maxWorkers = 2
 	sys.shards[0].maxWorkers = maxWorkers
-	sys.InjectFault(FaultSiteHandler, FaultStallFirst(4, 15*time.Millisecond))
+	sys.InjectFault(faultSiteHandler, FaultStallFirst(4, 15*time.Millisecond))
 	stop := sampleWorkers(sys, 100*time.Microsecond)
 	chaosStorm(t, sys, svc, 30*time.Millisecond)
 	peak := stop()
@@ -213,7 +221,7 @@ func TestChaosDelayedRingPublish(t *testing.T) {
 	base := chaosBaseline()
 	sys := chaosSystem()
 	svc := chaosBind(t, sys)
-	sys.InjectFault(FaultSiteRingPublish, FaultStallFirst(8, 2*time.Millisecond))
+	sys.InjectFault(faultSiteRingPublish, FaultStallFirst(8, 2*time.Millisecond))
 	chaosStorm(t, sys, svc, 30*time.Millisecond)
 	chaosConverge(t, sys, svc, base)
 }
@@ -227,14 +235,14 @@ func TestChaosDeadlineStorm(t *testing.T) {
 	base := chaosBaseline()
 	sys := chaosSystem()
 	svc := chaosBind(t, sys)
-	sys.InjectFault(FaultSiteHandler, FaultStallFirst(32, 3*time.Millisecond))
+	sys.InjectFault(faultSiteHandler, FaultStallFirst(32, 3*time.Millisecond))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			defer c.Release()
 			var args Args
 			for i := 0; ; i++ {
@@ -269,8 +277,8 @@ func TestChaosDeadlineStorm(t *testing.T) {
 // class at once. Four goroutines drive payload-carrying traffic —
 // sync, offloaded AttachBytes, tiny-deadline orphans against a
 // stalling handler, and batches against a service that gets
-// hard-killed mid-storm — while FaultSiteArena starves every fifth
-// allocation and FaultSiteHandler panics every third dispatch. The
+// hard-killed mid-storm — while faultSiteArena starves every fifth
+// allocation and faultSiteHandler panics every third dispatch. The
 // contract under test is lease settlement: whatever combination of
 // panic containment, deadline quarantine, kill discard, offload
 // staging, and admission backout a payload's call dies through, its
@@ -310,9 +318,9 @@ func TestChaosArenaStorm(t *testing.T) {
 	}
 
 	fn, gate := FaultWhile(FaultPanicEvery(3, "arena chaos panic"))
-	sys.InjectFault(FaultSiteHandler, fn)
+	sys.InjectFault(faultSiteHandler, fn)
 	var allocN atomic.Int64
-	sys.InjectFault(FaultSiteArena, func() error {
+	sys.InjectFault(faultSiteArena, func() error {
 		if allocN.Add(1)%5 == 0 {
 			return ErrArenaFull
 		}
@@ -332,7 +340,7 @@ func TestChaosArenaStorm(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			defer c.Release()
 			b := c.NewBatch(victim.EP(), 4)
 			var args Args
@@ -425,7 +433,7 @@ func TestChaosArenaStorm(t *testing.T) {
 // calls (the entry life check's decline), and a sixth goroutine
 // abandons the last leg's client while it is entering a deadline call
 // (reaped at once, with the call in flight on a pooled executor).
-// FaultSiteScavenge stalls every third reap for one tick, stretching the
+// faultSiteScavenge stalls every third reap for one tick, stretching the
 // window in which the client is dead and unreclaimed and its owner's
 // operations race the walk. A goroutine that loses its client observes
 // ErrClientAbandoned and constructs a fresh identity — domain death is
@@ -469,14 +477,14 @@ func TestChaosDomainDeath(t *testing.T) {
 
 	initial := make([]*Client, 5)
 	for i := range initial {
-		initial[i] = sys.NewClientOnShard(0)
+		initial[i] = sys.NewClientWith(ClientOptions{})
 	}
 	var created atomic.Int64
 	created.Store(int64(len(initial)))
 	fn, gate := FaultWhile(FaultAbandonEvery(50, initial))
-	sys.InjectFault(FaultSiteHandler, fn)
+	sys.InjectFault(faultSiteHandler, fn)
 	var scavN atomic.Int64
-	sys.InjectFault(FaultSiteScavenge, func() error {
+	sys.InjectFault(faultSiteScavenge, func() error {
 		if scavN.Add(1)%3 == 0 {
 			time.Sleep(time.Millisecond) // one tick of chaosSystem: dead, and nothing reclaimed yet
 		}
@@ -604,7 +612,7 @@ func TestChaosDomainDeath(t *testing.T) {
 				if err != nil && errors.Is(err, ErrClientAbandoned) {
 					// Domain death observed: recycle the identity, exactly
 					// what a real caller does after losing its client.
-					c = sys.NewClientOnShard(0)
+					c = sys.NewClientWith(ClientOptions{})
 					created.Add(1)
 					b = c.NewBatch(svc.EP(), 4)
 					continue
@@ -645,15 +653,15 @@ func TestChaosDomainDeath(t *testing.T) {
 }
 
 // TestChaosBackpressure: submissions are rejected as backpressure for
-// the whole storm. Callers see clean ErrBackpressure (retryable), and
+// the whole storm. Callers see clean ErrBackpressure (transient), and
 // the system heals instantly when the pressure lifts.
 func TestChaosBackpressure(t *testing.T) {
 	base := chaosBaseline()
 	sys := chaosSystem()
 	svc := chaosBind(t, sys)
-	sys.InjectFault(FaultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
+	sys.InjectFault(faultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
 	rejects := 0
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	for i := 0; i < 200; i++ {
 		if err := c.AsyncCall(svc.EP(), &args); errors.Is(err, ErrBackpressure) {
@@ -690,7 +698,7 @@ func TestChaosLaneStorm(t *testing.T) {
 	})
 	svc := chaosBind(t, sys)
 	fn, gate := FaultWhile(FaultStallFirst(1<<30, 200*time.Microsecond))
-	sys.InjectFault(FaultSiteHandler, fn)
+	sys.InjectFault(faultSiteHandler, fn)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -747,7 +755,7 @@ func TestChaosLaneStorm(t *testing.T) {
 				return
 			default:
 			}
-			if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+			if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 				t.Errorf("critical submission rejected mid-storm: %v", err)
 				return
 			}

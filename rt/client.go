@@ -96,20 +96,9 @@ type Client struct {
 	released bool
 }
 
-// NewClient creates a caller identity bound to a shard (round-robin
-// within this System).
-func (s *System) NewClient() *Client { return s.NewClientWith(ClientOptions{Shard: -1}) }
-
-// NewClientOnShard creates a caller bound to an explicit shard.
-func (s *System) NewClientOnShard(shardID int) *Client {
-	if shardID < 0 {
-		panic("rt: shard out of range")
-	}
-	return s.NewClientWith(ClientOptions{Shard: shardID})
-}
-
 // ClientOptions configures NewClientWith. The zero value is a client on
-// shard 0 with the default lane and no tenant; Shard: -1 is NewClient.
+// shard 0 with the default lane and no tenant; a negative Shard spreads
+// clients round-robin over the System's shards.
 type ClientOptions struct {
 	// Shard binds the client to an explicit shard; negative means
 	// round-robin within the System.
@@ -132,11 +121,11 @@ type ClientOptions struct {
 	LivenessEpochs int
 }
 
-// NewClientWith creates a caller with an explicit lane and tenant — the
-// one place a Client is constructed and given its ownership record; only
-// a client enrolled in liveness epochs takes a lock here. It panics on a
-// shard past the end of the System's. The round-robin modulo runs in uint64 so
-// it keeps working after the sequence counter wraps.
+// NewClientWith creates a caller identity bound to a shard — the one
+// place a Client is constructed and given its ownership record; only a
+// client enrolled in liveness epochs takes a lock here. It panics on a
+// shard past the end of the System's. The round-robin modulo runs in
+// uint64 so it keeps working after the sequence counter wraps.
 func (s *System) NewClientWith(o ClientOptions) *Client {
 	shardID := o.Shard
 	if shardID < 0 {
@@ -356,21 +345,13 @@ func (c *Client) CallPooled(ep EntryPointID, args *Args) error {
 
 // AsyncCall detaches the caller: the request is handed to the shard's
 // worker pool and the caller continues immediately (§4.4). No results
-// are returned. It is AsyncBatch over a batch of one.
+// are returned. It is Batch.Flush over a batch of one, with no
+// notification and no queueing deadline; a Batch carries those.
 //
 //ppc:hotpath
 //ppc:rmwbudget(1) -- the admission; the ring leg is submit's
 func (c *Client) AsyncCall(ep EntryPointID, args *Args) error {
 	_, err := c.async(ep, one(args), nil, 0)
-	return err
-}
-
-// AsyncCallNotify is AsyncCall with a completion notification sent on
-// done (the file-prefetch pattern: fire many, collect later).
-//
-//ppc:hotpath
-func (c *Client) AsyncCallNotify(ep EntryPointID, args *Args, done chan<- struct{}) error {
-	_, err := c.async(ep, one(args), done, 0)
 	return err
 }
 
@@ -390,7 +371,7 @@ func (s *System) Upcall(shardID int, ep EntryPointID, args *Args) error {
 // from the handler doing it — which is the point.
 func runIsolated(s *System, h Handler, ctx *Ctx, args *Args) (fault any) {
 	defer func() { fault = recover() }()
-	_ = s.fireFault(FaultSiteHandler)
+	_ = s.fireFault(faultSiteHandler)
 	h(ctx, args)
 	return nil
 }

@@ -10,16 +10,16 @@ import (
 
 func TestCloseStopsAsyncWorkers(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	done := make(chan struct{}, 8)
 	svc, err := sys.Bind(ServiceConfig{Name: "a", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	for i := 0; i < 4; i++ {
-		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestCloseFailsSubmitterInFullRingWait(t *testing.T) {
 	reqs := payloadBatch(p)
 	before, clock0 := tokens(), sh.clock.read()
 	go func() {
-		n, err := p.AsyncBatch(svc.EP(), reqs)
+		n, err := p.async(svc.EP(), reqs, nil, 0)
 		res <- result{n, err, time.Now()}
 	}()
 	// Nothing else drives this shard's clock (no tick, no deadline): two
@@ -174,14 +174,14 @@ func TestCloseFailsSubmitterInFullRingWait(t *testing.T) {
 	}
 	settled("cut by Close", 3)
 	// The same submission made after Close settles the same way.
-	if n, err := p.AsyncBatch(svc.EP(), payloadBatch(p)); n != 0 || !errors.Is(err, ErrClosed) {
+	if n, err := p.async(svc.EP(), payloadBatch(p), nil, 0); n != 0 || !errors.Is(err, ErrClosed) {
 		t.Errorf("submission after Close = (%d, %v), want (0, ErrClosed)", n, err)
 	}
 	settled("after Close", 6)
 	// Closed outranks an injected refusal too: a chaos run that keeps the
 	// submit fault armed across Close must not see overload counted.
-	sys.InjectFault(FaultSiteSubmit, FaultErrFirst(1, ErrBackpressure))
-	if n, err := p.AsyncBatch(svc.EP(), payloadBatch(p)); n != 0 || !errors.Is(err, ErrClosed) {
+	sys.InjectFault(faultSiteSubmit, FaultErrFirst(1, ErrBackpressure))
+	if n, err := p.async(svc.EP(), payloadBatch(p), nil, 0); n != 0 || !errors.Is(err, ErrClosed) {
 		t.Errorf("submission after Close with the submit fault armed = (%d, %v), want (0, ErrClosed)", n, err)
 	}
 	settled("after Close, submit fault armed", 9)

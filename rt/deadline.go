@@ -121,8 +121,8 @@ import (
 // probe lease is never leaked.
 //
 // Deadline semantics for asynchronous submissions are simpler — a
-// queued request has no goroutine to orphan. AsyncCallNotifyDeadline
-// stamps the request with an absolute expiry; a worker that dequeues it
+// queued request has no goroutine to orphan. Batch.SetDeadline
+// stamps each request with an absolute expiry; a worker that dequeues it
 // past the expiry settles it (accounting, health evidence, notification)
 // without running the handler. The dequeue check shares the shard's
 // coarse clock, refreshed once per drained batch. See
@@ -561,20 +561,5 @@ func (c *Client) orphaned(cr callRec, cause error) error {
 		// A cancelled probe is no evidence: back to degraded, where a timeout has already sent it.
 		cr.probeDone(err)
 	}
-	return err
-}
-
-// AsyncCallNotifyDeadline is AsyncCallNotify with a bound on queueing
-// delay: if no worker has *started* the request within d of submission,
-// it is settled as expired — counted in ShardStats.DeadlineExpirations,
-// recorded as timeout evidence for the service's health gate, and
-// never executed. A d <= 0 is identical to AsyncCallNotify. The bound
-// covers time in the ring only; a handler already started runs to
-// completion. done (nil for none) receives one token whether the request
-// executed or expired (an expired request is settled, not lost).
-//
-//ppc:hotpath
-func (c *Client) AsyncCallNotifyDeadline(ep EntryPointID, args *Args, done chan<- struct{}, d time.Duration) error {
-	_, err := c.async(ep, one(args), done, d)
 	return err
 }

@@ -47,7 +47,7 @@ func BenchmarkDeadlineTickPopulation(b *testing.B) {
 		}
 	}
 	for _, n := range []int{1, 100, 1_000, 10_000} {
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		sh := &sys.shards[0]
 		parked := make(chan struct{})
 		svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {
@@ -62,7 +62,7 @@ func BenchmarkDeadlineTickPopulation(b *testing.B) {
 		// all used is the whole list.
 		clients := make([]*Client, n)
 		for i := range clients {
-			clients[i] = sys.NewClientOnShard(0)
+			clients[i] = sys.NewClientWith(ClientOptions{})
 			if err := clients[i].CallDeadline(svc.EP(), &Args{}, time.Hour); err != nil {
 				b.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func BenchmarkDeadlineTickPopulation(b *testing.B) {
 		}
 		measure(b, sh, fmt.Sprintf("in-flight=%d", n))
 		b.Run(fmt.Sprintf("in-flight=%d/call", n), func(b *testing.B) {
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			var args Args
 			for i := -1; i < b.N; i++ {
 				if i == 0 {
@@ -115,7 +115,7 @@ func BenchmarkDeadlineTickPopulation(b *testing.B) {
 func BenchmarkDeadlineCallCallers(b *testing.B) {
 	for _, k := range []int{1, 2, 8, 64} {
 		b.Run(fmt.Sprintf("callers=%d", k), func(b *testing.B) {
-			sys := NewSystemShards(1)
+			sys := NewSystemOptions(Options{Shards: 1})
 			defer sys.Close()
 			svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
 			if err != nil {
@@ -124,7 +124,7 @@ func BenchmarkDeadlineCallCallers(b *testing.B) {
 			var wg sync.WaitGroup
 			b.ResetTimer()
 			for j := 0; j < k; j++ {
-				c := sys.NewClientOnShard(0)
+				c := sys.NewClientWith(ClientOptions{})
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -150,7 +150,7 @@ func BenchmarkDeadlineCallCallers(b *testing.B) {
 // every call orphans, and a tick the runtime delivered late shows as
 // lateness, not as a call that completed.
 func BenchmarkDeadlineExpiryLateness(b *testing.B) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	release := make(chan struct{})
 	svc, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) {
@@ -159,7 +159,7 @@ func BenchmarkDeadlineExpiryLateness(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	const d = time.Millisecond

@@ -41,7 +41,7 @@ func TestDeadlineExpiryRacesCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	completed, expired := 0, 0
 	for n := uint64(0); n < uint64(calls); n++ {
@@ -115,7 +115,7 @@ func TestCallContextStaleDoneToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, next := sys.NewClientOnShard(0), sys.NewClientOnShard(0)
+	c, next := sys.NewClientWith(ClientOptions{}), sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	defer next.Release()
 	won, lost := 0, 0
@@ -193,7 +193,7 @@ func TestDeadlinePoolPingPong(t *testing.T) {
 	done := make(chan error, 2)
 	for g := 0; g < 2; g++ {
 		go func(g int) {
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			defer c.Release()
 			for i := 0; i < rounds; i++ {
 				<-turn[g]
@@ -268,14 +268,14 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	}
 	var args Args
 
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	if err := c.CallDeadline(fast.EP(), &args, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	c.Release()
 	settled("one parked executor after Release", 1)
 
-	c = sys.NewClientOnShard(0)
+	c = sys.NewClientWith(ClientOptions{})
 	if err := c.CallDeadline(slow.EP(), &args, 200*time.Microsecond); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -286,7 +286,7 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	settled("the orphan's executor and the one made behind it, both parked", 2)
 	c.Release()
 
-	c = sys.NewClientOnShard(0)
+	c = sys.NewClientWith(ClientOptions{})
 	if err := c.CallDeadline(fast.EP(), &args, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	settled("the pool untouched by Abandon and its reap", 2)
 
 	for i := 0; i < 200; i++ {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		if err := c.CallDeadline(fast.EP(), &args, time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestOrphanLeavesClientHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil {
@@ -424,7 +424,7 @@ func TestDeadlineCallsNeverMoveTheHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	c.Hold()
 	cd, rec := c.held, c.rec
@@ -505,7 +505,7 @@ func TestAbandonRacesDeadlineEntry(t *testing.T) {
 	}
 	results := map[string]int{}
 	for i := 0; i < rounds; i++ {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		if i%2 == 0 {
 			// Half the rounds race a client that has made a deadline call
 			// before; the other half race its first.
@@ -593,13 +593,13 @@ func TestDeadlineOnlyClientHoldsNoDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := sys.NewClientOnShard(0)
+	warm := sys.NewClientWith(ClientOptions{})
 	if err := warm.Call(svc.EP(), &Args{}); err != nil {
 		t.Fatal(err)
 	}
 	warm.Release()
 	start := sys.Stats()[0]
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	for i := 0; i < 100; i++ {
 		if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
@@ -639,7 +639,7 @@ func TestReleaseAfterDeadlineCallIsNotDoubleRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	for round, deadlineCall := range []func() error{
 		func() error { return c.CallDeadline(svc.EP(), &args, time.Second) },

@@ -47,7 +47,7 @@ func TestDeadlinePoolPopulation(t *testing.T) {
 	if testing.Short() {
 		n = 1_000
 	}
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
@@ -56,12 +56,12 @@ func TestDeadlinePoolPopulation(t *testing.T) {
 	}
 	// The executor and the tick loop exist before either population is
 	// measured.
-	if err := sys.NewClientOnShard(0).CallDeadline(svc.EP(), &Args{}, time.Hour); err != nil {
+	if err := sys.NewClientWith(ClientOptions{}).CallDeadline(svc.EP(), &Args{}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	plain, keepPlain := heapPerClient(n, func() *Client { return sys.NewClientOnShard(0) })
+	plain, keepPlain := heapPerClient(n, func() *Client { return sys.NewClientWith(ClientOptions{}) })
 	called, keepCalled := heapPerClient(n, func() *Client {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		if err := c.CallDeadline(svc.EP(), &Args{}, time.Hour); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestDeadlinePoolPopulation(t *testing.T) {
 func TestDeadlinePoolConcurrentGrowth(t *testing.T) {
 	leakCheck(t)
 	const goroutines, clients, calls = 4, 50, 20
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "grow", Handler: func(ctx *Ctx, args *Args) {
@@ -102,7 +102,7 @@ func TestDeadlinePoolConcurrentGrowth(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for m := 0; m < clients; m++ {
-				c := sys.NewClientOnShard(0)
+				c := sys.NewClientWith(ClientOptions{})
 				for i := 0; i < calls; i++ {
 					args := Args{uint64(g)<<40 | uint64(m)<<20 | uint64(i)}
 					if err := c.CallDeadline(svc.EP(), &args, time.Hour); err != nil || args[1] != args[0]+1 {
@@ -150,7 +150,7 @@ func TestDeadlinePoolOrphansReuseExecutors(t *testing.T) {
 	const rounds, warmup = 100, 3
 	var created int64
 	for i := 0; i < rounds; i++ {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		ref, _, err := c.AllocPayload(64)
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestDeadlinePoolOrphansReuseExecutors(t *testing.T) {
 // second pushes it.
 func TestDeadlineOrphanLastToLeaveRepools(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	e := sh.newExec(sys)
@@ -236,7 +236,7 @@ func TestDeadlineOrphanLastToLeaveRepools(t *testing.T) {
 // A pointer head would take A's CAS and put Y — in use — on the stack.
 func TestDeadlinePoolStalePopFails(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	x, y := sh.newExec(sys), sh.newExec(sys)

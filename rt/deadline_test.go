@@ -25,7 +25,7 @@ func idleExecs(sh *shard) int { return sh.dlIdle.size() }
 
 func TestCallDeadlineCompletes(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "fast", Handler: func(ctx *Ctx, args *Args) {
 		args[0]++
@@ -33,7 +33,7 @@ func TestCallDeadlineCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	defer c.Release()
 	var args Args
 	args[0] = 41
@@ -57,7 +57,7 @@ func TestCallDeadlineCompletes(t *testing.T) {
 
 func TestCallDeadlineZeroIsPlainCall(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "plain", Handler: func(ctx *Ctx, args *Args) {
 		args[0] = 7
@@ -65,7 +65,7 @@ func TestCallDeadlineZeroIsPlainCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	defer c.Release()
 	var args Args
 	if err := c.CallDeadline(svc.EP(), &args, 0); err != nil {
@@ -81,7 +81,7 @@ func TestCallDeadlineZeroIsPlainCall(t *testing.T) {
 
 func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -93,7 +93,7 @@ func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	errc := make(chan error, 1)
 	go func() { errc <- c.CallDeadline(svc.EP(), &args, 2*time.Millisecond) }()
@@ -146,7 +146,7 @@ func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 
 func TestCallDeadlineOrphanDrainsThroughSoftKill(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -157,7 +157,7 @@ func TestCallDeadlineOrphanDrainsThroughSoftKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.CallDeadline(svc.EP(), &args, time.Millisecond); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v", err)
@@ -187,7 +187,7 @@ func TestCallDeadlineOrphanDrainsThroughSoftKill(t *testing.T) {
 
 func TestCallContextCancel(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -199,7 +199,7 @@ func TestCallContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer close(block)
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		<-entered
@@ -217,13 +217,13 @@ func TestCallContextCancel(t *testing.T) {
 
 func TestCallContextPlain(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "cfast", Handler: func(ctx *Ctx, args *Args) { args[0] = 3 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	defer c.Release()
 	var args Args
 	if err := c.CallContext(context.Background(), svc.EP(), &args); err != nil {
@@ -244,7 +244,7 @@ func TestCallContextPlain(t *testing.T) {
 
 func TestCallContextAlreadyExpired(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "never", Handler: func(ctx *Ctx, args *Args) {
 		t.Error("handler must not run for an already-expired context")
@@ -252,7 +252,7 @@ func TestCallContextAlreadyExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	defer c.Release()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
@@ -266,7 +266,7 @@ func TestCallContextAlreadyExpired(t *testing.T) {
 
 func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -284,7 +284,7 @@ func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
 	}
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1 // one worker, and we wedge it
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var wedge Args
 	wedge[0] = 1
 	if err := c.AsyncCall(svc.EP(), &wedge); err != nil {
@@ -295,7 +295,7 @@ func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
 	// is wedged; deliver its notification to prove expiry still settles.
 	done := make(chan struct{}, 1)
 	var short Args
-	if err := c.AsyncCallNotifyDeadline(svc.EP(), &short, done, time.Millisecond); err != nil {
+	if _, err := flushOne(c, svc.EP(), &short, done, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)
@@ -319,7 +319,7 @@ func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
 
 func TestBatchSetDeadline(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -336,7 +336,7 @@ func TestBatchSetDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.shards[0].maxWorkers = 1
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var wedge Args
 	wedge[0] = 1
 	if err := c.AsyncCall(svc.EP(), &wedge); err != nil {
@@ -377,14 +377,14 @@ func TestBatchSetDeadline(t *testing.T) {
 func TestReleaseLeavesExecutorPool(t *testing.T) {
 	leakCheck(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "rfast", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	for round := 0; round < 3; round++ {
 		if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {

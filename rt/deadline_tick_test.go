@@ -21,7 +21,7 @@ import (
 // taken, no expiry counted.
 func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "deadctx", Handler: func(ctx *Ctx, args *Args) {
 		t.Error("handler must not run for an already-cancelled context")
@@ -29,7 +29,7 @@ func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	defer c.Release()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -57,7 +57,7 @@ func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 // no leak) so a later clean probe can close it.
 func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 16)
@@ -75,7 +75,7 @@ func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer close(block)
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var bad Args
 	bad[0] = 1
 	// Twice the trip threshold in prompt cancellations: no gate movement.
@@ -154,7 +154,7 @@ func TestDeadlineTimingContract(t *testing.T) {
 		slack     = 100 * time.Millisecond
 		bestSlack = 3 * time.Millisecond
 	)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	release := make(chan struct{})
 	svc, err := sys.Bind(ServiceConfig{Name: "contract", Handler: func(ctx *Ctx, args *Args) {
@@ -165,7 +165,7 @@ func TestDeadlineTimingContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	for _, row := range []struct {
 		name  string
@@ -230,11 +230,11 @@ func TestFirstDeadlineAfterRunningTickIsOnTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	done := make(chan struct{}, 1)
-	if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+	if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 		t.Fatal(err)
 	}
 	<-done // the first worker started the loop, 300 ms to its next tick
@@ -278,7 +278,7 @@ func TestDeadlineOrphanTickReleaseRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				c := sys.NewClientOnShard(0)
+				c := sys.NewClientWith(ClientOptions{})
 				var args Args
 				args[0] = uint64((g + i) % 2) // even: instant, odd: outlives the deadline
 				err := c.CallDeadline(svc.EP(), &args, 300*time.Microsecond)
@@ -340,7 +340,7 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	// Orphan a call: its handler is still wedged when Close runs. Close
 	// joins async workers only — it must not deadlock on the orphan or
 	// on the still-ticking watchdog.
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.CallDeadline(wedge.EP(), &args, time.Millisecond); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -430,7 +430,7 @@ func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	for i := 0; i < 150; i++ {
 		var args Args
@@ -472,7 +472,7 @@ func TestDeadlineStaleWordDoesNotOrphanNextCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	if err := c.CallDeadline(svc.EP(), &Args{}, time.Millisecond); err != nil {
 		t.Fatal(err)

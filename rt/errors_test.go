@@ -3,60 +3,118 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"os"
+	"regexp"
 	"testing"
 	"time"
 )
 
+// errorTaxonomy is every exported rt sentinel with its class. A
+// transient error clears on its own — a ring drains, a health gate
+// probes, a token bucket refills — so a caller may back off and
+// resubmit; every other error is terminal for the request, and
+// ErrClientAbandoned for the client as well. rt/README.md's error
+// taxonomy table documents the same classes.
+var errorTaxonomy = []struct {
+	name      string
+	err       error
+	transient bool
+}{
+	{"ErrBadEntryPoint", ErrBadEntryPoint, false},
+	{"ErrKilled", ErrKilled, false},
+	{"ErrPermissionDenied", ErrPermissionDenied, false},
+	{"ErrNameTaken", ErrNameTaken, false},
+	{"ErrUnknownName", ErrUnknownName, false},
+	{"ErrServerFault", ErrServerFault, false},
+	{"ErrClosed", ErrClosed, false},
+	{"ErrBackpressure", ErrBackpressure, true},
+	{"ErrDrainTimeout", ErrDrainTimeout, false},
+	{"ErrDeadline", ErrDeadline, false},
+	{"ErrServiceUnhealthy", ErrServiceUnhealthy, true},
+	{"ErrPayloadTooLarge", ErrPayloadTooLarge, false},
+	{"ErrArenaFull", ErrArenaFull, false},
+	{"ErrShed", ErrShed, true},
+	{"ErrClientAbandoned", ErrClientAbandoned, false},
+}
+
+// transient is the tests' classifier: err is, or wraps, a sentinel the
+// taxonomy marks transient.
+func transient(err error) bool {
+	for _, row := range errorTaxonomy {
+		if row.transient && errors.Is(err, row.err) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestErrorTaxonomy pins the errors.Is/As contract for every exported
 // rt error (the table in rt/README.md): sentinels match themselves and
-// wrapped copies, FaultError matches ErrServerFault and is extractable
-// with errors.As, and no sentinel accidentally matches another.
+// wrapped copies, no sentinel accidentally matches another, and exactly
+// ErrBackpressure, ErrServiceUnhealthy and ErrShed are transient —
+// bare, wrapped, and in the README's Transient column.
 func TestErrorTaxonomy(t *testing.T) {
-	sentinels := []error{
-		ErrBadEntryPoint,
-		ErrKilled,
-		ErrPermissionDenied,
-		ErrNameTaken,
-		ErrUnknownName,
-		ErrServerFault,
-		ErrClosed,
-		ErrBackpressure,
-		ErrDrainTimeout,
-		ErrDeadline,
-		ErrServiceUnhealthy,
-		ErrPayloadTooLarge,
-		ErrArenaFull,
-		ErrShed,
-		ErrClientAbandoned,
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range sentinels {
-		if !errors.Is(s, s) {
-			t.Fatalf("errors.Is(%v, itself) = false", s)
-		}
-		if !errors.Is(fmt.Errorf("wrapped: %w", s), s) {
-			t.Fatalf("wrapped %v does not match", s)
-		}
-		for j, other := range sentinels {
-			if i != j && errors.Is(s, other) {
-				t.Fatalf("%v matches %v", s, other)
+	wantTransient := map[error]bool{ErrBackpressure: true, ErrServiceUnhealthy: true, ErrShed: true}
+	if transient(nil) {
+		t.Fatal("transient(nil) = true")
+	}
+	for i, row := range errorTaxonomy {
+		t.Run(row.name, func(t *testing.T) {
+			s := row.err
+			if !errors.Is(s, s) {
+				t.Fatalf("errors.Is(%v, itself) = false", s)
 			}
-		}
-		if s.Error() == "" || s.Error()[:4] != "rt: " {
-			t.Fatalf("%q does not carry the rt: prefix", s.Error())
+			wrapped := fmt.Errorf("wrapped: %w", s)
+			if !errors.Is(wrapped, s) {
+				t.Fatalf("wrapped %v does not match", s)
+			}
+			for j, other := range errorTaxonomy {
+				if i != j && errors.Is(s, other.err) {
+					t.Fatalf("%v matches %v", s, other.err)
+				}
+			}
+			if s.Error() == "" || s.Error()[:4] != "rt: " {
+				t.Fatalf("%q does not carry the rt: prefix", s.Error())
+			}
+			if row.transient != wantTransient[s] {
+				t.Fatalf("taxonomy marks %s transient = %v", row.name, row.transient)
+			}
+			if transient(s) != row.transient || transient(wrapped) != row.transient {
+				t.Fatalf("transient(%s) = %v, wrapped %v; want %v", row.name, transient(s), transient(wrapped), row.transient)
+			}
+			doc := "no"
+			if row.transient {
+				doc = "**yes**"
+			}
+			if !regexp.MustCompile("(?m)^\\| `" + row.name + "` \\|.*\\| " + regexp.QuoteMeta(doc) + " \\|$").Match(readme) {
+				t.Fatalf("rt/README.md's taxonomy row for %s does not end in | %s |", row.name, doc)
+			}
+		})
+	}
+}
+
+// TestRetryableError pins which errors a caller may back off on and
+// resubmit: the transient ones, bare or wrapped, and never a terminal
+// error or nil.
+func TestRetryableError(t *testing.T) {
+	for _, e := range []error{ErrBackpressure, ErrServiceUnhealthy, ErrShed} {
+		if !transient(e) || !transient(fmt.Errorf("wrapped: %w", e)) {
+			t.Fatalf("%v must be retryable", e)
 		}
 	}
-	// ErrClientAbandoned is terminal for its client, never transient:
-	// the retry helper must refuse to spin on it.
-	if RetryableError(ErrClientAbandoned) {
-		t.Fatal("ErrClientAbandoned is retryable; abandoning is terminal")
-	}
-	if RetryableError(fmt.Errorf("wrapped: %w", ErrClientAbandoned)) {
-		t.Fatal("wrapped ErrClientAbandoned is retryable")
+	for _, e := range []error{nil, ErrServerFault, ErrKilled, ErrDeadline, ErrClosed} {
+		if transient(e) {
+			t.Fatalf("%v must not be retryable", e)
+		}
 	}
 }
 
 func TestFaultErrorIsAndAs(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "panicky", Handler: func(ctx *Ctx, args *Args) {
 		panic("the payload")
@@ -64,7 +122,7 @@ func TestFaultErrorIsAndAs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	defer c.Release()
 	var args Args
 	callErr := c.Call(svc.EP(), &args)
@@ -98,7 +156,7 @@ func TestDeadlineErrorWrapsContextCause(t *testing.T) {
 var errTestCause = errors.New("cause")
 
 func TestErrorsSurfaceOnRightPaths(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	defer close(block)
@@ -109,7 +167,7 @@ func TestErrorsSurfaceOnRightPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	if err := c.Call(999, &Args{}); !errors.Is(err, ErrBadEntryPoint) {
 		t.Fatalf("bad EP: %v", err)
 	}

@@ -8,14 +8,14 @@ import (
 
 // Example shows the minimal rt flow: bind, call, read results.
 func Example() {
-	sys := rt.NewSystem()
+	sys := rt.NewSystemOptions(rt.Options{})
 	svc, _ := sys.Bind(rt.ServiceConfig{
 		Name: "adder",
 		Handler: func(ctx *rt.Ctx, args *rt.Args) {
 			args[2] = args[0] + args[1]
 		},
 	})
-	c := sys.NewClient()
+	c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	var args rt.Args
 	args[0], args[1] = 40, 2
 	if err := c.Call(svc.EP(), &args); err != nil {
@@ -29,7 +29,7 @@ func Example() {
 // Example_scratch demonstrates the recycled per-call scratch buffer —
 // the rt analogue of the paper's serially-shared stack pages.
 func Example_scratch() {
-	sys := rt.NewSystemShards(1)
+	sys := rt.NewSystemOptions(rt.Options{Shards: 1})
 	svc, _ := sys.Bind(rt.ServiceConfig{
 		Name: "render",
 		Handler: func(ctx *rt.Ctx, args *rt.Args) {
@@ -38,7 +38,7 @@ func Example_scratch() {
 			args[0] = uint64(n)
 		},
 	})
-	c := sys.NewClient()
+	c := sys.NewClientWith(rt.ClientOptions{Shard: -1})
 	var args rt.Args
 	c.Call(svc.EP(), &args)
 	fmt.Println(args[0])

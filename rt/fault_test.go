@@ -6,7 +6,7 @@ import (
 )
 
 func TestHandlerPanicContained(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "flaky", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 13 {
 			panic("boom")
@@ -16,7 +16,7 @@ func TestHandlerPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	args[0] = 13
 	if err := c.Call(svc.EP(), &args); !errors.Is(err, ErrServerFault) {
@@ -36,7 +36,7 @@ func TestHandlerPanicContained(t *testing.T) {
 }
 
 func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	done := make(chan struct{}, 4)
 	svc, err := sys.Bind(ServiceConfig{Name: "aflaky", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 1 {
@@ -46,15 +46,15 @@ func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var bad, good Args
 	bad[0] = 1
-	if err := c.AsyncCallNotify(svc.EP(), &bad, done); err != nil {
+	if err := asyncOne(c, svc.EP(), &bad, done, 0); err != nil {
 		t.Fatal(err)
 	}
 	<-done
 	// The same async worker goroutine services the next request.
-	if err := c.AsyncCallNotify(svc.EP(), &good, done); err != nil {
+	if err := asyncOne(c, svc.EP(), &good, done, 0); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -19,7 +19,7 @@ func FuzzOpFlags(f *testing.F) {
 // FuzzCallRobustness throws arbitrary entry points and argument blocks
 // at a live system; no input may panic or corrupt counters.
 func FuzzCallRobustness(f *testing.F) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "echo", Handler: func(ctx *Ctx, args *Args) {
 		args[1] = args[0]
 	}})
@@ -29,7 +29,7 @@ func FuzzCallRobustness(f *testing.F) {
 	f.Add(uint16(2), uint64(7))
 	f.Add(uint16(9999), uint64(0))
 	f.Fuzz(func(t *testing.T, ep uint16, a0 uint64) {
-		c := sys.NewClientOnShard(int(a0) % 2)
+		c := sys.NewClientWith(ClientOptions{Shard: int(a0 % 2)})
 		var args Args
 		args[0] = a0
 		err := c.Call(EntryPointID(ep), &args)

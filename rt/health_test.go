@@ -7,7 +7,7 @@ import (
 )
 
 func TestHealthGateTripsOnConsecutiveFaults(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "flappy",
@@ -21,7 +21,7 @@ func TestHealthGateTripsOnConsecutiveFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var bad Args
 	bad[0] = 1
@@ -65,7 +65,7 @@ func TestHealthGateTripsOnConsecutiveFaults(t *testing.T) {
 }
 
 func TestHealthGateFailedProbeReopens(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "stillbad",
@@ -79,7 +79,7 @@ func TestHealthGateFailedProbeReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var bad Args
 	bad[0] = 1
@@ -111,7 +111,7 @@ func TestHealthGateFailedProbeReopens(t *testing.T) {
 }
 
 func TestHealthGateSuccessResetsRun(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "mixed",
@@ -125,7 +125,7 @@ func TestHealthGateSuccessResetsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var bad, good Args
 	bad[0] = 1
@@ -143,7 +143,7 @@ func TestHealthGateSuccessResetsRun(t *testing.T) {
 }
 
 func TestHealthGateIsPerShard(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "striped",
@@ -157,8 +157,8 @@ func TestHealthGateIsPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0 := sys.NewClientOnShard(0)
-	c1 := sys.NewClientOnShard(1)
+	c0 := sys.NewClientWith(ClientOptions{})
+	c1 := sys.NewClientWith(ClientOptions{Shard: 1})
 	defer c0.Release()
 	defer c1.Release()
 	var bad, good Args
@@ -179,7 +179,7 @@ func TestHealthGateIsPerShard(t *testing.T) {
 }
 
 func TestHealthGateGatesAsyncAndBatch(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "agate",
@@ -193,7 +193,7 @@ func TestHealthGateGatesAsyncAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var bad Args
 	bad[0] = 1
@@ -217,7 +217,7 @@ func TestHealthGateGatesAsyncAndBatch(t *testing.T) {
 }
 
 func TestHealthGateTripsOnConsecutiveTimeouts(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	block := make(chan struct{})
 	svc, err := sys.Bind(ServiceConfig{
@@ -229,7 +229,7 @@ func TestHealthGateTripsOnConsecutiveTimeouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer close(block)
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	for i := 0; i < 2; i++ {
 		if err := c.CallDeadline(svc.EP(), &args, time.Millisecond); !errors.Is(err, ErrDeadline) {
@@ -250,7 +250,7 @@ func TestHealthGateTripsOnConsecutiveTimeouts(t *testing.T) {
 // must settle back to degraded instead of shedding forever from an
 // unsettled half-open state, and a later clean probe must recover it.
 func TestHealthGateRejectedProbeSettles(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "rejectedprobe",
@@ -264,7 +264,7 @@ func TestHealthGateRejectedProbeSettles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var bad, good Args
 	bad[0] = 1
@@ -274,7 +274,7 @@ func TestHealthGateRejectedProbeSettles(t *testing.T) {
 		t.Fatal("gate did not trip")
 	}
 	// Every submission now bounces with ErrBackpressure.
-	sys.InjectFault(FaultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
+	sys.InjectFault(faultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
 	time.Sleep(60 * time.Millisecond)
 	// This async call wins the probe election and is rejected before it
 	// reaches the ring: no worker will ever settle it.
@@ -300,7 +300,7 @@ func TestHealthGateRejectedProbeSettles(t *testing.T) {
 // (recordOutcome ignores ErrPermissionDenied); the probe itself must
 // send the gate back to degraded so an authorized probe can recover it.
 func TestHealthGateDeniedProbeSettles(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var allowed uint32
 	svc, err := sys.Bind(ServiceConfig{
@@ -316,8 +316,8 @@ func TestHealthGateDeniedProbeSettles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insider := sys.NewClientOnShard(0)
-	outsider := sys.NewClientOnShard(0)
+	insider := sys.NewClientWith(ClientOptions{})
+	outsider := sys.NewClientWith(ClientOptions{})
 	defer insider.Release()
 	defer outsider.Release()
 	allowed = insider.Program()
@@ -351,7 +351,7 @@ func TestHealthGateDeniedProbeSettles(t *testing.T) {
 // probe discarded by a hard kill on the worker side) must elect a new
 // probe once the lease expires, instead of shedding forever.
 func TestHealthGateProbeLeaseTakeover(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name:    "stuckopen",
@@ -361,7 +361,7 @@ func TestHealthGateProbeLeaseTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	cs := &svc.perShard[0]
 	var args Args
@@ -382,7 +382,7 @@ func TestHealthGateProbeLeaseTakeover(t *testing.T) {
 }
 
 func TestHealthDisabledByDefault(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "nogate", Handler: func(ctx *Ctx, args *Args) {
 		panic("always")
@@ -390,7 +390,7 @@ func TestHealthDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	// No gate: faults forever, never shed.

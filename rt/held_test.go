@@ -7,14 +7,14 @@ import (
 )
 
 // TestNewClientShardWrap is the uint64→int wrap regression: the
-// round-robin modulo must run in uint64, or the first NewClient after
-// the sequence counter wraps computes a negative shard index and
-// panics in NewClientOnShard.
+// round-robin modulo must run in uint64, or the first round-robin
+// NewClientWith after the sequence counter wraps computes a negative
+// shard index and panics.
 func TestNewClientShardWrap(t *testing.T) {
-	sys := NewSystemShards(3)
+	sys := NewSystemOptions(Options{Shards: 3})
 	sys.bindSeq.Store(^uint64(0) - 4) // a few Adds from the wrap
 	for i := 0; i < 10; i++ {
-		c := sys.NewClient() // must not panic across the wrap
+		c := sys.NewClientWith(ClientOptions{Shard: -1}) // must not panic across the wrap
 		if c.Shard() < 0 || c.Shard() >= sys.NumShards() {
 			t.Fatalf("client %d placed on shard %d of %d", i, c.Shard(), sys.NumShards())
 		}
@@ -27,14 +27,14 @@ func TestNewClientShardWrap(t *testing.T) {
 // re-acquires. (Double-Release is a loud failure now —
 // TestDoubleReleasePanics pins that separately.)
 func TestHoldReleaseLifecycle(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	if c.Held() {
 		t.Fatal("fresh client already holds a descriptor")
 	}
@@ -73,9 +73,9 @@ func TestHoldReleaseLifecycle(t *testing.T) {
 // client stays quiet, and Hold re-arms the check: release after a
 // fresh hold is legal again.
 func TestDoubleReleasePanics(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	c.Release() // never held: quiet no-op
 	c.Release() // still quiet — nothing was ever repooled
 	c.Hold()
@@ -110,7 +110,7 @@ func TestReleaseAfterAbandonQuiet(t *testing.T) {
 	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
 	defer sys.Close()
 	sh := &sys.shards[0]
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	c.Hold()
 	c.Abandon()
 	// The scavenger drops the gauge before it pushes the compensating
@@ -132,13 +132,13 @@ func TestReleaseAfterAbandonQuiet(t *testing.T) {
 // exactly once, a second Release still panics, and a hold begun after
 // Close is net zero on the pool: the descriptor is in one place throughout.
 func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
 		c.Release()
 	}()
 	// A hold begun after Close takes the descriptor back out and returns it.
-	c2 := sys.NewClientOnShard(0)
+	c2 := sys.NewClientWith(ClientOptions{})
 	c2.Hold()
 	if got := sh.poolSize(); got != poolAfterClose || c2.held != held {
 		t.Fatalf("post-Close hold: poolSize = %d, want %d, on the released descriptor: %v", got, poolAfterClose, c2.held == held)
@@ -189,7 +189,7 @@ func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
 // than it has and never shrinking capacity — the same serial-sharing
 // rule as the pool.
 func TestHeldScratchGrowth(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	big, err := sys.Bind(ServiceConfig{Name: "big", Handler: func(ctx *Ctx, args *Args) {
 		args[0] = uint64(len(ctx.Scratch()))
@@ -203,7 +203,7 @@ func TestHeldScratchGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(small.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestHeldScratchGrowth(t *testing.T) {
 // every shard's table replica resolves the new handler — a call
 // started after Exchange on any shard runs the new code.
 func TestExchangePublishesToEveryReplica(t *testing.T) {
-	sys := NewSystemShards(4)
+	sys := NewSystemOptions(Options{Shards: 4})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "x", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestExchangePublishesToEveryReplica(t *testing.T) {
 	clients := make([]*Client, sys.NumShards())
 	var args Args
 	for i := range clients {
-		clients[i] = sys.NewClientOnShard(i)
+		clients[i] = sys.NewClientWith(ClientOptions{Shard: i})
 		if err := clients[i].Call(svc.EP(), &args); err != nil || args[0] != 1 {
 			t.Fatalf("shard %d v1: %v, args[0]=%d", i, err, args[0])
 		}
@@ -260,7 +260,7 @@ func TestExchangePublishesToEveryReplica(t *testing.T) {
 // replica entry is gone — held-CD and pooled calls on any shard fail,
 // and rebinding the entry point republishes everywhere.
 func TestKillRetractsEveryReplica(t *testing.T) {
-	sys := NewSystemShards(4)
+	sys := NewSystemOptions(Options{Shards: 4})
 	defer sys.Close()
 	for _, hard := range []bool{false, true} {
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {}})
@@ -272,7 +272,7 @@ func TestKillRetractsEveryReplica(t *testing.T) {
 		}
 		var args Args
 		for i := 0; i < sys.NumShards(); i++ {
-			c := sys.NewClientOnShard(i)
+			c := sys.NewClientWith(ClientOptions{Shard: i})
 			c.Hold()
 			if err := c.Call(svc.EP(), &args); !errors.Is(err, ErrBadEntryPoint) {
 				t.Fatalf("hard=%v shard %d held call after kill: %v", hard, i, err)
@@ -286,7 +286,7 @@ func TestKillRetractsEveryReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < sys.NumShards(); i++ {
-			c := sys.NewClientOnShard(i)
+			c := sys.NewClientWith(ClientOptions{Shard: i})
 			if err := c.Call(reborn.EP(), &args); err != nil || args[0] != 7 {
 				t.Fatalf("hard=%v shard %d rebound call: %v, args[0]=%d", hard, i, err, args[0])
 			}

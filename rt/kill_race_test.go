@@ -43,7 +43,7 @@ func TestKillSoftNoCallExecutesAfterReturn(t *testing.T) {
 		}
 	}
 	for iter := 0; iter < iters; iter++ {
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: handler})
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestKillSoftNoCallExecutesAfterReturn(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c := sys.NewClientOnShard(0)
+				c := sys.NewClientWith(ClientOptions{})
 				var args Args
 				<-start
 				// The call races the kill: success, ErrKilled, and
@@ -100,7 +100,7 @@ func TestKillSoftHeldCDNoCallExecutesAfterReturn(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		hard := iter%2 == 1
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: handler})
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestKillSoftHeldCDNoCallExecutesAfterReturn(t *testing.T) {
 		svcP.Store(svc)
 		clients := make([]*Client, 8)
 		for i := range clients {
-			clients[i] = sys.NewClientOnShard(0)
+			clients[i] = sys.NewClientWith(ClientOptions{})
 			clients[i].Hold() // descriptor pinned before the race starts
 		}
 		start := make(chan struct{})
@@ -154,7 +154,7 @@ func TestKillSoftHeldCDNoCallExecutesAfterReturn(t *testing.T) {
 // after Exchange returns must run the new one — Exchange republishes
 // every shard's replica before returning.
 func TestExchangeHeldMidStream(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "swap", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
@@ -167,7 +167,7 @@ func TestExchangeHeldMidStream(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := sys.NewClientOnShard(g % 2)
+			c := sys.NewClientWith(ClientOptions{Shard: g % 2})
 			c.Hold()
 			var args Args
 			for {
@@ -208,7 +208,7 @@ func TestExchangeHeldMidStream(t *testing.T) {
 // synchronous calls keep working after Close, and the eventual stale
 // Releases account the descriptors away without touching the pool.
 func TestCloseWithOutstandingHeldCDs(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestCloseWithOutstandingHeldCDs(t *testing.T) {
 	clients := make([]*Client, 4)
 	var args Args
 	for i := range clients {
-		clients[i] = sys.NewClientOnShard(i % 2)
+		clients[i] = sys.NewClientWith(ClientOptions{Shard: i % 2})
 		if err := clients[i].Call(svc.EP(), &args); err != nil { // pins a CD
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestCloseWithOutstandingHeldCDs(t *testing.T) {
 // worker between requests, deterministically opening that window on the
 // old code.
 func TestKillSoftDrainsQueuedAsync(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sys.shards[0].maxWorkers = 1 // single worker: requests queue behind it
 
@@ -278,12 +278,12 @@ func TestKillSoftDrainsQueuedAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	done := make(chan struct{}) // unbuffered: worker parks between requests
 	const n = 5
 	for i := 0; i < n; i++ {
 		var args Args
-		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func TestKillSoftDrainsQueuedAsync(t *testing.T) {
 // at once; queued requests are dropped (with their completion
 // notifications still delivered) and counted as backouts.
 func TestKillHardDiscardsQueuedAsync(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sys.shards[0].maxWorkers = 1
 
@@ -348,12 +348,12 @@ func TestKillHardDiscardsQueuedAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	done := make(chan struct{}, 8)
 	const n = 4
 	for i := 0; i < n; i++ {
 		var args Args
-		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func TestKillHardDiscardsQueuedAsync(t *testing.T) {
 // saturated, submission fails with ErrBackpressure after a bounded
 // wait instead of blocking — and Close still drains cleanly afterwards.
 func TestAsyncBackpressure(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
 	testRing(&sh.lanes[0].ring, 2) // the smallest ring (one-slot rings cannot detect fullness)
@@ -392,7 +392,7 @@ func TestAsyncBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.AsyncCall(svc.EP(), &args); err != nil { // worker takes it
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestAsyncBackpressure(t *testing.T) {
 // TestCloseTimeoutWithStuckHandler: CloseTimeout gives up on a handler
 // that never returns and reports ErrDrainTimeout instead of hanging.
 func TestCloseTimeoutWithStuckHandler(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "stuck", Handler: func(ctx *Ctx, args *Args) {
@@ -442,7 +442,7 @@ func TestCloseTimeoutWithStuckHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.AsyncCall(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -466,7 +466,7 @@ func TestCloseTimeoutWithStuckHandler(t *testing.T) {
 // fails with ErrClosed (or bounded ErrBackpressure) once the drain
 // begins, and synchronous calls keep working throughout.
 func TestConcurrentCallsAsyncAndClose(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +477,7 @@ func TestConcurrentCallsAsyncAndClose(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := sys.NewClientOnShard(g % 2)
+			c := sys.NewClientWith(ClientOptions{Shard: g % 2})
 			var args Args
 			for {
 				select {
@@ -510,7 +510,7 @@ func TestConcurrentCallsAsyncAndClose(t *testing.T) {
 		}
 	}
 	var args Args
-	if err := sys.NewClient().AsyncCall(svc.EP(), &args); !errors.Is(err, ErrClosed) {
+	if err := sys.NewClientWith(ClientOptions{Shard: -1}).AsyncCall(svc.EP(), &args); !errors.Is(err, ErrClosed) {
 		t.Fatalf("async after close: %v", err)
 	}
 }
@@ -559,7 +559,7 @@ func TestRingSubmitCloseKillStress(t *testing.T) {
 		stalled, release := make(chan struct{}), make(chan struct{})
 		if stallIter {
 			stall.Store(true)
-			sys.InjectFault(FaultSiteRingPublish, func() error {
+			sys.InjectFault(faultSiteRingPublish, func() error {
 				if stall.CompareAndSwap(true, false) {
 					close(stalled)
 					<-release
@@ -767,7 +767,7 @@ func softKillLateness(t *testing.T, place string) time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	callDone := make(chan error, 1)
 	var args Args
 	switch place {
@@ -833,11 +833,11 @@ func softKillLateness(t *testing.T, place string) time.Duration {
 // one System, unskewed by clients created on other Systems (the bind
 // counter used to be a package-level global).
 func TestPerSystemClientRoundRobin(t *testing.T) {
-	a := NewSystemShards(4)
-	b := NewSystemShards(4)
+	a := NewSystemOptions(Options{Shards: 4})
+	b := NewSystemOptions(Options{Shards: 4})
 	for i := 0; i < 4; i++ {
-		_ = b.NewClient() // must not perturb a's placement
-		if got, want := a.NewClient().Shard(), (i+1)%4; got != want {
+		_ = b.NewClientWith(ClientOptions{Shard: -1}) // must not perturb a's placement
+		if got, want := a.NewClientWith(ClientOptions{Shard: -1}).Shard(), (i+1)%4; got != want {
 			t.Fatalf("client %d placed on shard %d, want %d", i, got, want)
 		}
 	}
@@ -858,9 +858,9 @@ func TestBatchFlushKillRaceWithInjectedFaults(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		hard := iter%2 == 1
-		sys := NewSystemShards(2)
+		sys := NewSystemOptions(Options{Shards: 2})
 		var dispatched atomic.Int64
-		sys.InjectFault(FaultSiteHandler, func() error {
+		sys.InjectFault(faultSiteHandler, func() error {
 			if dispatched.Add(1)%3 == 0 {
 				panic("injected fault storm")
 			}
@@ -878,7 +878,7 @@ func TestBatchFlushKillRaceWithInjectedFaults(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				c := sys.NewClientOnShard(g % 2)
+				c := sys.NewClientWith(ClientOptions{Shard: g % 2})
 				b := c.NewBatch(svc.EP(), 8)
 				var args Args
 				<-start

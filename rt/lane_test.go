@@ -70,7 +70,7 @@ func TestLaneRoutingAndDepth(t *testing.T) {
 	}
 	sys.shards[0].maxWorkers = 1
 	crit := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneCritical})
-	norm := sys.NewClientOnShard(0) // LaneDefault -> service lane -> normal
+	norm := sys.NewClientWith(ClientOptions{}) // LaneDefault -> service lane -> normal
 	be := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneBestEffort})
 
 	// Wedge the single worker with a normal-lane request.
@@ -145,7 +145,7 @@ func TestLaneSheddingOrder(t *testing.T) {
 	}
 	sys.shards[0].maxWorkers = 1
 	crit := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneCritical})
-	norm := sys.NewClientOnShard(0)
+	norm := sys.NewClientWith(ClientOptions{})
 	be := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneBestEffort})
 
 	var wedge Args
@@ -299,7 +299,7 @@ func TestLaneInversionBound(t *testing.T) {
 	}
 	sys.shards[0].maxWorkers = 1
 	crit := sys.NewClientWith(ClientOptions{Shard: 0, Lane: LaneCritical})
-	norm := sys.NewClientOnShard(0)
+	norm := sys.NewClientWith(ClientOptions{})
 
 	if err := crit.AsyncCall(svc.EP(), &Args{1, 1}); err != nil {
 		t.Fatal(err)
@@ -561,7 +561,7 @@ func TestCooperativeYield(t *testing.T) {
 // TestServiceLaneValidation: Bind rejects a lane outside the named
 // classes; the valid classes bind fine.
 func TestServiceLaneValidation(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	if _, err := sys.Bind(ServiceConfig{Name: "bad", Lane: Lane(7), Handler: func(ctx *Ctx, args *Args) {}}); err == nil {
 		t.Fatal("Bind accepted an out-of-range lane")
@@ -577,7 +577,7 @@ func TestServiceLaneValidation(t *testing.T) {
 // negative-shard round-robin staying in range, lane clamping, and the
 // accessors.
 func TestNewClientWith(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	defer sys.Close()
 	c := sys.NewClientWith(ClientOptions{Shard: 1, Lane: LaneCritical, Tenant: 7})
 	if c.Lane() != LaneCritical || c.Tenant() != 7 {
@@ -594,25 +594,5 @@ func TestNewClientWith(t *testing.T) {
 	}
 	if cl := sys.NewClientWith(ClientOptions{Shard: 0, Lane: Lane(50)}); cl.Lane() != LaneBestEffort {
 		t.Fatalf("out-of-range lane = %v, want clamp to besteffort", cl.Lane())
-	}
-}
-
-// TestRetryShed: ErrShed is transient — Retry backs off and re-runs,
-// and RetryableError reports it.
-func TestRetryShed(t *testing.T) {
-	if !RetryableError(ErrShed) {
-		t.Fatal("RetryableError(ErrShed) = false")
-	}
-	var slept int
-	attempts := 0
-	err := Retry(RetryPolicy{Sleep: func(time.Duration) { slept++ }}, func() error {
-		attempts++
-		if attempts < 3 {
-			return ErrShed
-		}
-		return nil
-	})
-	if err != nil || attempts != 3 || slept != 2 {
-		t.Fatalf("Retry over ErrShed = %v after %d attempts, %d sleeps", err, attempts, slept)
 	}
 }

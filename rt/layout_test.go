@@ -177,10 +177,10 @@ func TestClientRecLayout(t *testing.T) {
 	if off := unsafe.Offsetof(rec.leases); off != 2*lineBytes {
 		t.Errorf("leases at offset %d, want %d", off, 2*lineBytes)
 	}
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	for i := 0; i < 100; i++ {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		if p := uintptr(unsafe.Pointer(c.rec)); p%lineBytes != 0 {
 			t.Fatalf("record %d allocated at %#x, not line-aligned", i, p)
 		}

@@ -69,7 +69,7 @@ func leasesActive(sys *System) int64 { return sys.Stats()[0].LeasesActive }
 func TestLeasePublishThenDeath(t *testing.T) {
 	needTwoPs(t)
 	sys, svc, _ := leaseSystem(t, Options{})
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	ref := tagged(t, c, 1)
 	declare(c)
 	walk(c)
@@ -96,7 +96,7 @@ func TestLeaseDeathThenPublish(t *testing.T) {
 	needTwoPs(t)
 	sys, _, _ := leaseSystem(t, Options{})
 	for _, reaped := range []bool{false, true} {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		declare(c)
 		if reaped {
 			walk(c)
@@ -126,7 +126,7 @@ func TestLeaseDeathThenPublish(t *testing.T) {
 // lease itself.
 func TestLeaseClaimBeforeDrain(t *testing.T) {
 	needTwoPs(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var c *Client
 	svc, err := sys.Bind(ServiceConfig{Name: "mid", Handler: func(ctx *Ctx, args *Args) {
@@ -145,7 +145,7 @@ func TestLeaseClaimBeforeDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = sys.NewClientOnShard(0)
+	c = sys.NewClientWith(ClientOptions{})
 	ref := tagged(t, c, 9)
 	var args Args
 	args.AttachPayload(ref)
@@ -162,7 +162,7 @@ func TestLeaseClaimBeforeDrain(t *testing.T) {
 // burst of the same size appends nothing.
 func TestLeaseSpill(t *testing.T) {
 	sys, _, _ := leaseSystem(t, Options{})
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	blocks := func() (n int) {
 		for b := &c.rec.leases; b != nil; b = b.next.Load() {
 			n++
@@ -208,7 +208,7 @@ func TestLeaseSpill(t *testing.T) {
 func TestBatchClaimFailsPartWay(t *testing.T) {
 	needTwoPs(t)
 	sys, svc, settled := leaseSystem(t, Options{})
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	argss := make([]Args, 4)
 	refs := make([]PayloadRef, len(argss))
 	for i := range argss {
@@ -222,9 +222,9 @@ func TestBatchClaimFailsPartWay(t *testing.T) {
 		t.Fatal("setup: third lease not filed")
 	}
 	sys.shards[0].arena.release(refs[2])
-	n, err := c.AsyncBatch(svc.EP(), argss)
+	n, err := c.async(svc.EP(), argss, nil, 0)
 	if n != 0 || !errors.Is(err, ErrClientAbandoned) {
-		t.Fatalf("AsyncBatch = %d, %v; want 0, ErrClientAbandoned", n, err)
+		t.Fatalf("batch = %d, %v; want 0, ErrClientAbandoned", n, err)
 	}
 	if got := leasesActive(sys); got != 1 {
 		t.Fatalf("LeasesActive = %d after the failed batch, want 1 (the fourth, still the reap's)", got)
@@ -246,7 +246,7 @@ func TestBatchClaimFailsPartWay(t *testing.T) {
 // release.
 func TestFlushOnDeadClientSettlesStagedLeases(t *testing.T) {
 	sys, svc, settled := leaseSystem(t, Options{})
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	b := c.NewBatch(svc.EP(), 4)
 	for i := 0; i < 3; i++ {
 		var args Args
@@ -274,7 +274,7 @@ func TestFlushOnDeadClientSettlesStagedLeases(t *testing.T) {
 // LeasesActive went negative, and a sealed slab could recycle under the
 // view.
 func TestReleasePayloadFailsClosed(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var c *Client
 	var inFlight PayloadRef
@@ -290,7 +290,7 @@ func TestReleasePayloadFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = sys.NewClientOnShard(0)
+	c = sys.NewClientWith(ClientOptions{})
 	bystander := tagged(t, c, 1) // keeps the slab from rewinding: a double release would show
 	ref := tagged(t, c, 2)
 	c.ReleasePayload(ref)
@@ -320,7 +320,7 @@ func TestReleasePayloadFailsClosed(t *testing.T) {
 // leave the refs filed, for the reap to release a second time.
 func TestCallContextRejectClaimsLeases(t *testing.T) {
 	sys, svc, settled := leaseSystem(t, Options{})
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var args Args
@@ -344,7 +344,7 @@ func TestCallContextRejectClaimsLeases(t *testing.T) {
 // TestLeaseStorm races Abandon, from another goroutine and at an
 // arbitrary point, against an owner running every operation that
 // touches the lease slots: AllocPayload, AttachBytes, Call, CallPooled,
-// ReleasePayload, Batch.Add, Flush, AsyncBatch. Whatever the
+// ReleasePayload, Batch.Add, Flush, a two-request submission. Whatever the
 // interleaving, every lease is released exactly once: the shard's lease
 // gauge is never observed negative, converges to zero, and the leases
 // the handlers and the reaps settled never exceed the leases issued.
@@ -365,7 +365,7 @@ func TestLeaseStorm(t *testing.T) {
 		}
 	}
 	for round := 0; round < rounds; round++ {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		var wg sync.WaitGroup
 		wg.Add(2)
 		// Death lands after the owner's (round mod 64)th operation has
@@ -432,7 +432,7 @@ func TestLeaseStorm(t *testing.T) {
 					argss := []Args{args, {}}
 					argss[1][0] = uint64(tag)
 					if lease(&argss[1], tag) {
-						_, err = c.AsyncBatch(svc.EP(), argss)
+						_, err = c.async(svc.EP(), argss, nil, 0)
 					}
 				}
 				if err != nil && !errors.Is(err, ErrClientAbandoned) && !errors.Is(err, ErrBackpressure) {

@@ -440,7 +440,7 @@ func (rec *clientRec) reap() {
 	if faultTagEnabled {
 		// A stall site: a hook that sleeps stretches the window in which the
 		// client is declared dead and nothing of it is reclaimed yet.
-		_ = reg.sys.fireFault(FaultSiteScavenge)
+		_ = reg.sys.fireFault(faultSiteScavenge)
 	}
 	// 1. The held descriptor is condemned, not repooled: no call path
 	// touches the slot, so a plain call may still be running on the

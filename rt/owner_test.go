@@ -20,14 +20,14 @@ import (
 // with ErrClientAbandoned.
 func TestAbandonReclaimsHeldCD(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestAbandonReclaimsHeldCD(t *testing.T) {
 	// one is never repooled — a plain call could have been secretly in
 	// flight on it), so a fresh client works and descriptor creation
 	// counts exactly one compensation.
-	c2 := sys.NewClientOnShard(0)
+	c2 := sys.NewClientWith(ClientOptions{})
 	if err := c2.Call(svc.EP(), &args); err != nil || sh.cdsCreated.Load() != 2 {
 		t.Fatalf("compensation after scavenge: %v, cdsCreated = %d", err, sh.cdsCreated.Load())
 	}
@@ -65,7 +65,7 @@ func TestAbandonReclaimsHeldCD(t *testing.T) {
 // exactly once.
 func TestAbandonMidCallTombstones(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	var c *Client
@@ -76,7 +76,7 @@ func TestAbandonMidCallTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = sys.NewClientOnShard(0)
+	c = sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil || args[0] != 77 {
 		t.Fatalf("in-flight call: %v, args[0] = %d (the completion must land)", err, args[0])
@@ -102,9 +102,9 @@ func TestAbandonMidCallTombstones(t *testing.T) {
 // and the payload API fails closed afterwards.
 func TestAbandonReclaimsLeases(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	const n = recLeaseSlots + 4 // force the spill path
 	for i := 0; i < n; i++ {
 		if _, _, err := c.AllocPayload(128); err != nil {
@@ -129,13 +129,13 @@ func TestAbandonReclaimsLeases(t *testing.T) {
 // ErrClientAbandoned instead of submitting.
 func TestAbandonReclaimsBatch(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	b := c.NewBatch(svc.EP(), 4)
 	for i := 0; i < 3; i++ {
 		ref, _, err := c.AllocPayload(64)
@@ -165,13 +165,13 @@ func TestAbandonReclaimsBatch(t *testing.T) {
 // saw it as LeasesActive never converging, about one run in 130.
 func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	b := c.NewBatch(svc.EP(), 4)
 	ref, _, err := c.AllocPayload(64)
 	if err != nil {
@@ -196,14 +196,14 @@ func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 // retires it (leakCheck).
 func TestAbandonLeavesExecutorPool(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "d", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestAbandonLeavesExecutorPool(t *testing.T) {
 	if got := sys.Stats()[0].AbandonedClients; got != 1 {
 		t.Fatalf("AbandonedClients = %d, want 1", got)
 	}
-	if err := sys.NewClientOnShard(0).CallDeadline(svc.EP(), &args, time.Second); err != nil {
+	if err := sys.NewClientWith(ClientOptions{}).CallDeadline(svc.EP(), &args, time.Second); err != nil {
 		t.Fatalf("the next client's deadline call: %v", err)
 	}
 	if st := sys.Stats()[0]; st.ScavengedCDs != 0 || st.HeldCDs != 0 || st.CDsCreated != 1 || sh.deadlineExecs() != 1 || idleExecs(sh) != 1 {
@@ -279,11 +279,11 @@ func TestLivenessEpochDeath(t *testing.T) {
 // the runtime.AddCleanup backstop and reaped on the cleanup goroutine.
 func TestCleanupBackstopReclaimsLeak(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	func() {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		c.Hold()
 		// c leaks: the hold is never released and the reference dies here.
 	}()
@@ -298,11 +298,11 @@ func TestCleanupBackstopReclaimsLeak(t *testing.T) {
 // counter moved. Nothing lists a record, so the mark is all there is to
 // see: the test keeps the record, which does not reach the Client.
 func TestCleanupCleanClientUnregisters(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var rec *clientRec
 	func() {
-		rec = sys.NewClientOnShard(0).rec
+		rec = sys.NewClientWith(ClientOptions{}).rec
 	}()
 	waitCond(t, 10*time.Second, "the clean client's cleanup", func() bool {
 		runtime.GC()
@@ -326,7 +326,7 @@ func TestCleanupCleanClientUnregisters(t *testing.T) {
 // ends up marked dead.
 func TestCleanupCollectsBatchClient(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -334,7 +334,7 @@ func TestCleanupCollectsBatchClient(t *testing.T) {
 	}
 	var rec *clientRec
 	func() {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		rec = c.rec
 		b := c.NewBatch(svc.EP(), 4)
 		b.Add(&Args{})
@@ -352,7 +352,7 @@ func TestCleanupCollectsBatchClient(t *testing.T) {
 		t.Fatalf("a flushed batch counted its client as abandoned: %d", got)
 	}
 	func() {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		rec = c.rec
 		b := c.NewBatch(svc.EP(), 4)
 		ref, _, err := c.AllocPayload(64)
@@ -379,10 +379,10 @@ func TestCleanupCollectsBatchClient(t *testing.T) {
 // take a descriptor out of the pool (a dead client acquiring resources
 // is how holdings escape the reap, which has already been).
 func TestHoldDeclinesOnDeadClient(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	c.Abandon()
 	c.Hold()
 	if c.Held() || sh.heldCDs.Load() != 0 {
@@ -397,7 +397,7 @@ func TestHoldDeclinesOnDeadClient(t *testing.T) {
 // reap otherwise.
 func TestCallPooledOnDeadClient(t *testing.T) {
 	sys, svc, settled := leaseSystem(t, Options{})
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var plain, carrying Args
 	carrying.AttachPayload(tagged(t, c, 1))
 	c.Abandon()
@@ -420,13 +420,13 @@ func TestCallPooledOnDeadClient(t *testing.T) {
 // A reap left to the tick would never come: a closed shard starts none.
 func TestAbandonAfterCloseReclaims(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil { // the implicit hold
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestAbandonAfterCloseReclaims(t *testing.T) {
 // and a whole short life, create + Call + Abandon, with the reclaim of the
 // held descriptor inside the figure (Abandon performs it).
 func BenchmarkClientLifecycle(b *testing.B) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -467,14 +467,14 @@ func BenchmarkClientLifecycle(b *testing.B) {
 	b.Run("create", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = sys.NewClientOnShard(0)
+			_ = sys.NewClientWith(ClientOptions{})
 		}
 	})
 	b.Run("create+Call+Abandon", func(b *testing.B) {
 		b.ReportAllocs()
 		var args Args
 		for i := 0; i < b.N; i++ {
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			if err := c.Call(svc.EP(), &args); err != nil {
 				b.Fatal(err)
 			}

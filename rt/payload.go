@@ -272,7 +272,7 @@ func (c *Ctx) NumPayloads() int { return c.pay.n }
 //ppc:rmwbudget(2)
 func (c *Client) AllocPayload(n int) (PayloadRef, []byte, error) {
 	if faultTagEnabled {
-		if err := c.sys.fireFault(FaultSiteArena); err != nil {
+		if err := c.sys.fireFault(faultSiteArena); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -323,7 +323,7 @@ func (c *Ctx) AllocPayload(n int) (PayloadRef, []byte, error) {
 func (c *Client) AttachBytes(args *Args, data []byte) error {
 	sh := c.shard
 	if faultTagEnabled {
-		if err := c.sys.fireFault(FaultSiteArena); err != nil {
+		if err := c.sys.fireFault(faultSiteArena); err != nil {
 			return err
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // free list, and the next pop would hand one descriptor to two callers.
 func TestDescriptorPoolStalePopFails(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	a, b := sh.newCD(nil), sh.newCD(nil)
@@ -40,7 +40,7 @@ func TestDescriptorPoolStalePopFails(t *testing.T) {
 // table keeps nothing condemned alive, and deaths do not grow it.
 func TestDescriptorPoolCondemnedSlotReused(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "nop", Handler: func(*Ctx, *Args) {}})
 	if err != nil {
@@ -48,7 +48,7 @@ func TestDescriptorPoolCondemnedSlotReused(t *testing.T) {
 	}
 	var args Args
 	cycle := func() weak.Pointer[callDesc] {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		if err := c.Call(svc.EP(), &args); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestDescriptorPoolCondemnedSlotReused(t *testing.T) {
 // ever be in two goroutines' hands.
 func TestDescriptorPoolExclusive(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	sh := &sys.shards[0]
 	const goroutines, rounds = 6, 3000

@@ -119,7 +119,7 @@ func (r *asyncRing) push(sys *System, svc *Service, args *Args, prog uint32, don
 					// but the sequence not yet published. Only compiled in
 					// under -tags faultinject; production builds fold the
 					// whole branch away.
-					_ = sys.fireFault(FaultSiteRingPublish)
+					_ = sys.fireFault(faultSiteRingPublish)
 				}
 				slot.seq.Store(lap + 1)
 				return true

@@ -156,7 +156,7 @@ func TestProvisionRacesClose(t *testing.T) {
 		rounds = 20
 	}
 	for round := 0; round < rounds; round++ {
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		var executed atomic.Int64
 		svc, err := sys.Bind(ServiceConfig{Name: "count", Handler: func(ctx *Ctx, args *Args) { executed.Add(1) }})
 		if err != nil {
@@ -166,7 +166,7 @@ func TestProvisionRacesClose(t *testing.T) {
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for g := 0; g < 4; g++ {
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -68,26 +68,27 @@
 //     requests still queued are discarded, not executed.
 //   - Exchange replaces the handler atomically: calls in progress
 //     finish on the old handler; new calls get the new one.
-//   - Asynchronous submission is lock-free, bounded, and one path:
-//     each shard owns an array of one to three fixed-capacity
-//     Vyukov-style rings (sequence-numbered slots), one per criticality
-//     lane (Options.Lanes; one by default), and a capped worker pool.
-//     Every asynchronous entry point — AsyncCall and its Notify and
-//     Deadline forms, AsyncBatch, Batch.Flush — is the same submission
-//     of n requests, a single call being the batch of one: one client
-//     half (lease claim, life check, tenant charge), one admission, and
-//     per request a ticket CAS plus an in-place slot write — no channel
-//     lock, no scheduler round trip, and one wakeup for the lot (the
-//     paper's amortized asynchronous calls, §4.4). Workers drain the
-//     top ring in batches and lower ones a request per scan, and park
-//     on a per-shard doorbell the moment every ring is empty; submitters
-//     ring the doorbell only when a worker is parked, so the steady
-//     pipeline never enters the scheduler. When a ring is full the same
-//     submit loop spins and yields a bounded time for space and then
-//     fails the unaccepted tail with ErrBackpressure — or, on the lowest
-//     of two or more lanes, sheds it at once with ErrShed. Overload is
-//     surfaced to the overloading submitter (and in ShardStats), never
-//     spread to other submitters as head-of-line blocking.
+//   - Asynchronous submission is lock-free, bounded, and one path: each
+//     shard owns an array of one to three fixed-capacity Vyukov-style
+//     rings (sequence-numbered slots), one per criticality lane
+//     (Options.Lanes; one by default), and a capped worker pool. Both
+//     asynchronous entry points — AsyncCall and Batch.Flush (a Batch
+//     carries the notify channel and the queueing deadline) — are the
+//     same submission of n requests, a single call being the batch of
+//     one: one client half (lease claim, life check, tenant charge),
+//     one admission, and per request a ticket CAS plus an in-place slot
+//     write — no channel lock, no scheduler round trip, and one wakeup
+//     for the lot (the paper's amortized asynchronous calls, §4.4).
+//     Workers drain the top ring in batches and lower ones a request
+//     per scan, and park on a per-shard doorbell the moment every ring
+//     is empty; submitters ring the doorbell only when a worker is
+//     parked, so the steady pipeline never enters the scheduler. When a
+//     ring is full the same submit loop spins and yields a bounded time
+//     for space and then fails the unaccepted tail with ErrBackpressure
+//     — or, on the lowest of two or more lanes, sheds it at once with
+//     ErrShed. Overload is surfaced to the overloading submitter (and
+//     in ShardStats), never spread to other submitters as head-of-line
+//     blocking.
 //   - Close is three steps per shard: mark it closed (no worker or
 //     executor starts), set the closed bit in each ring's enqueue cursor
 //     (no ticket is claimed after it: a submission fails with ErrClosed,
@@ -100,7 +101,7 @@
 //
 // Calling Kill (soft) or Close from inside a handler of the service
 // being drained deadlocks, exactly as joining yourself always does.
-// Completion channels passed to AsyncCallNotify should be buffered: a
+// Completion channels passed to Batch.SetNotify should be buffered: a
 // worker delivers the notification non-blocking, waits a bounded time
 // for an unready receiver, and then drops the notification (counted in
 // ShardStats.NotifyDrops) — an abandoned channel costs a bounded wait,
@@ -196,7 +197,7 @@ var (
 	// ordered shedding drops the cheapest class first, without the
 	// bounded backpressure wait), or the client's tenant is over its
 	// token-bucket budget. Transient, like ErrBackpressure: capacity
-	// frees and buckets refill, so Retry backs off on it.
+	// frees and buckets refill, so a caller may back off and resubmit.
 	ErrShed = fmt.Errorf("rt: request shed (lane overload or tenant budget)")
 	// ErrClientAbandoned: operation on a client that was declared dead
 	// (Client.Abandon, the leaked-client cleanup backstop, or a missed
@@ -397,8 +398,8 @@ type shardCounters struct {
 	// a health gate configured. The consecutive-outcome counters have no
 	// single writer: every goroutine that settles one of this service's
 	// calls on this shard writes them — clients sharing the shard
-	// (NewClient round-robins), async workers, deadline executors, and
-	// orphaning deadline callers.
+	// (ClientOptions{Shard: -1} round-robins), async workers, deadline
+	// executors, and orphaning deadline callers.
 	// Racing Store(0)/Add(1) pairs can lose or inflate an evidence run,
 	// so the trip thresholds are an explicit heuristic (see the package
 	// comment in health.go); the atomics keep the counters safe, not
@@ -680,17 +681,6 @@ type Options struct {
 	CooperativeYield bool
 }
 
-// NewSystem creates a facility with one shard per GOMAXPROCS slot.
-func NewSystem() *System { return NewSystemShards(runtime.GOMAXPROCS(0)) }
-
-// NewSystemShards creates a facility with an explicit shard count.
-func NewSystemShards(n int) *System {
-	if n < 1 {
-		n = 1
-	}
-	return NewSystemOptions(Options{Shards: n})
-}
-
 // NewSystemOptions creates a facility with explicit Options.
 func NewSystemOptions(o Options) *System {
 	n := o.Shards
@@ -938,7 +928,7 @@ type ShardStats struct {
 	// NotifyDrops counts completion notifications dropped because
 	// their channel had no receiver within the bounded notify wait —
 	// nonzero usually means an unbuffered (or abandoned) channel was
-	// passed to AsyncCallNotify.
+	// passed to Batch.SetNotify.
 	NotifyDrops int64
 	// StuckWorkers is the number of async workers stalled past the stall
 	// threshold at the watchdog's last scan (a gauge). Each one, up to

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCallRoundTrip(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "echo", Handler: func(ctx *Ctx, args *Args) {
 		for i := 0; i < NumArgWords-1; i++ {
 			args[i] += 1000
@@ -17,7 +17,7 @@ func TestCallRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	for i := 0; i < NumArgWords-1; i++ {
 		args[i] = uint64(i)
@@ -52,8 +52,8 @@ func TestOpFlagsHelpers(t *testing.T) {
 }
 
 func TestBadEntryPoint(t *testing.T) {
-	sys := NewSystem()
-	c := sys.NewClient()
+	sys := NewSystemOptions(Options{})
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	if err := c.Call(999, &args); !errors.Is(err, ErrBadEntryPoint) {
 		t.Fatalf("err = %v", err)
@@ -64,7 +64,7 @@ func TestBadEntryPoint(t *testing.T) {
 }
 
 func TestWellKnownEPAndDuplicates(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	h := func(ctx *Ctx, args *Args) {}
 	svc, err := sys.Bind(ServiceConfig{Name: "a", Handler: h, EP: 7})
 	if err != nil {
@@ -82,7 +82,7 @@ func TestWellKnownEPAndDuplicates(t *testing.T) {
 }
 
 func TestScratchIsRecycledWithinShard(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	var seen [][]byte
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {
 		s := ctx.Scratch()
@@ -99,7 +99,7 @@ func TestScratchIsRecycledWithinShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestScratchIsRecycledWithinShard(t *testing.T) {
 }
 
 func TestAuthorization(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	allowed := uint32(0)
 	svc, err := sys.Bind(ServiceConfig{
 		Name:      "secure",
@@ -126,9 +126,9 @@ func TestAuthorization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := sys.NewClient()
+	good := sys.NewClientWith(ClientOptions{Shard: -1})
 	allowed = good.Program()
-	bad := sys.NewClient()
+	bad := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	if err := good.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestAuthorization(t *testing.T) {
 }
 
 func TestAsyncCall(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	done := make(chan struct{}, 8)
 	var mu sync.Mutex
 	var got []uint64
@@ -157,11 +157,11 @@ func TestAsyncCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	for i := uint64(0); i < 5; i++ {
 		var args Args
 		args[0] = i
-		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestAsyncCall(t *testing.T) {
 }
 
 func TestUpcall(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	hit := false
 	svc, err := sys.Bind(ServiceConfig{Name: "dbg", Handler: func(ctx *Ctx, args *Args) {
 		hit = true
@@ -198,7 +198,7 @@ func TestUpcall(t *testing.T) {
 }
 
 func TestNestedCall(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	inner, err := sys.Bind(ServiceConfig{Name: "inner", Handler: func(ctx *Ctx, args *Args) {
 		args[0] *= 2
 	}})
@@ -216,7 +216,7 @@ func TestNestedCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	args[0] = 21
 	if err := c.Call(outer.EP(), &args); err != nil {
@@ -228,7 +228,7 @@ func TestNestedCall(t *testing.T) {
 }
 
 func TestInitHandlerOncePerShard(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	var mu sync.Mutex
 	inits, calls := 0, 0
 	steady := func(ctx *Ctx, args *Args) {
@@ -250,8 +250,8 @@ func TestInitHandlerOncePerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var args Args
-	c0 := sys.NewClientOnShard(0)
-	c1 := sys.NewClientOnShard(1)
+	c0 := sys.NewClientWith(ClientOptions{})
+	c1 := sys.NewClientWith(ClientOptions{Shard: 1})
 	for i := 0; i < 3; i++ {
 		if err := c0.Call(svc.EP(), &args); err != nil {
 			t.Fatal(err)
@@ -269,12 +269,12 @@ func TestInitHandlerOncePerShard(t *testing.T) {
 }
 
 func TestExchangeOnline(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "x", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestExchangeOnline(t *testing.T) {
 }
 
 func TestKillSoftAndHard(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	h := func(ctx *Ctx, args *Args) {}
 	soft, err := sys.Bind(ServiceConfig{Name: "soft", Handler: h})
 	if err != nil {
@@ -307,7 +307,7 @@ func TestKillSoftAndHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	if err := sys.Kill(soft.EP(), false); err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestKillSoftAndHard(t *testing.T) {
 }
 
 func TestNameRegistry(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "bob", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestNameRegistry(t *testing.T) {
 }
 
 func TestConcurrentCallsAllShards(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "cnt", Handler: func(ctx *Ctx, args *Args) {
 		s := ctx.Scratch()
 		for i := 0; i < 64; i++ {
@@ -370,7 +370,7 @@ func TestConcurrentCallsAllShards(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := sys.NewClient()
+			c := sys.NewClientWith(ClientOptions{Shard: -1})
 			var args Args
 			for i := 0; i < callsEach; i++ {
 				if err := c.Call(svc.EP(), &args); err != nil {
@@ -390,7 +390,7 @@ func TestConcurrentCallsAllShards(t *testing.T) {
 }
 
 func TestConcurrentAsyncAndKill(t *testing.T) {
-	sys := NewSystem()
+	sys := NewSystemOptions(Options{})
 	var handled sync.WaitGroup
 	svc, err := sys.Bind(ServiceConfig{Name: "a", Handler: func(ctx *Ctx, args *Args) {
 		handled.Done()
@@ -398,7 +398,7 @@ func TestConcurrentAsyncAndKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClient()
+	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	const n = 200
 	handled.Add(n)
 	for i := 0; i < n; i++ {
@@ -417,13 +417,13 @@ func TestConcurrentAsyncAndKill(t *testing.T) {
 }
 
 func TestShardPoolGrowsAndPools(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	for i := 0; i < 10; i++ {
 		if err := c.Call(svc.EP(), &args); err != nil {
@@ -454,7 +454,7 @@ func TestShardPoolGrowsAndPools(t *testing.T) {
 }
 
 func TestScratchSizing(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	big, err := sys.Bind(ServiceConfig{Name: "big", Handler: func(ctx *Ctx, args *Args) {
 		if len(ctx.Scratch()) != 16384 {
 			t.Errorf("scratch = %d", len(ctx.Scratch()))
@@ -471,7 +471,7 @@ func TestScratchSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(big.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -487,7 +487,7 @@ func TestScratchSizing(t *testing.T) {
 func TestCallsFromUnboundShardsStillCorrect(t *testing.T) {
 	// Correctness must not depend on the binding discipline: many
 	// goroutines sharing one shard is slower but safe.
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	var total int64
 	var mu sync.Mutex
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {
@@ -503,7 +503,7 @@ func TestCallsFromUnboundShardsStillCorrect(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := sys.NewClientOnShard(0)
+			c := sys.NewClientWith(ClientOptions{})
 			var args Args
 			for i := 0; i < 200; i++ {
 				if err := c.Call(svc.EP(), &args); err != nil {

@@ -69,7 +69,7 @@ func TestSharedShardKeepsUp(t *testing.T) {
 	if runtime.NumCPU() < 2 || p < 2 {
 		t.Skip("needs two processors")
 	}
-	sys := NewSystemShards(p)
+	sys := NewSystemOptions(Options{Shards: p})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
 	if err != nil {
@@ -77,8 +77,8 @@ func TestSharedShardKeepsUp(t *testing.T) {
 	}
 	call := func(_ int, c *Client, args *Args) error { return c.Call(svc.EP(), args) }
 	const window = 150 * time.Millisecond
-	disjoint := measureThroughput(t, call, func(g int) *Client { return sys.NewClientOnShard(g) }, p, window)
-	shared := measureThroughput(t, call, func(int) *Client { return sys.NewClientOnShard(0) }, p, window)
+	disjoint := measureThroughput(t, call, func(g int) *Client { return sys.NewClientWith(ClientOptions{Shard: g}) }, p, window)
+	shared := measureThroughput(t, call, func(int) *Client { return sys.NewClientWith(ClientOptions{}) }, p, window)
 	ratio := float64(shared) / float64(disjoint)
 	t.Logf("disjoint=%d shared=%d (%.2fx) with %d callers", disjoint, shared, ratio, p)
 	if raceEnabled {

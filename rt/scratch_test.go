@@ -15,7 +15,7 @@ import (
 // leaves its descriptor without one; the first call that asks gets the
 // service's ScratchBytes.
 func TestScratchOnFirstUse(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	plain, err := sys.Bind(ServiceConfig{Name: "plain", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -27,7 +27,7 @@ func TestScratchOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	if err := c.Call(plain.EP(), &args); err != nil {
@@ -50,14 +50,14 @@ func TestScratchOnFirstUse(t *testing.T) {
 // scratch. Report-only under -race.
 func TestHeldClientBytes(t *testing.T) {
 	const n = 2000
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	per, keep := heapPerClient(n, func() *Client {
-		c := sys.NewClientOnShard(0)
+		c := sys.NewClientWith(ClientOptions{})
 		if err := c.Call(svc.EP(), &Args{}); err != nil {
 			t.Fatal(err)
 		}

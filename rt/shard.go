@@ -615,7 +615,7 @@ func (sh *shard) submit(sys *System, svc *Service, lr *laneRing, argss []Args, p
 	if !sh.ringsReady.Load() {
 		sh.provisionRings()
 	}
-	err := sys.fireFault(FaultSiteSubmit)
+	err := sys.fireFault(faultSiteSubmit)
 	if err != nil {
 		err = ErrBackpressure // injected: refused before the ring is tried
 		if lr.ring.closed() {

@@ -6,12 +6,12 @@ import (
 )
 
 func TestShardStats(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0 := sys.NewClientOnShard(0)
+	c0 := sys.NewClientWith(ClientOptions{})
 	var args Args
 	for i := 0; i < 5; i++ {
 		if err := c0.Call(svc.EP(), &args); err != nil {
@@ -33,7 +33,7 @@ func TestShardStats(t *testing.T) {
 		t.Fatalf("shard 0 stats after Release = %+v, want the CD repooled", st)
 	}
 	done := make(chan struct{}, 1)
-	if err := c0.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+	if err := asyncOne(c0, svc.EP(), &args, done, 0); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -68,7 +68,7 @@ func TestPayloadStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 
 	if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ArenaGrows != 0 {
@@ -135,12 +135,12 @@ func TestPayloadStats(t *testing.T) {
 // only on the lane that shed; TenantThrottled counts budget sheds.
 func TestQoSStats(t *testing.T) {
 	// Single-lane shard: the QoS fields exist but stay zero.
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "q0", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	if err := c.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestDomainDeathStats(t *testing.T) {
 
 	// Mode 1: abandoned mid-call — the completion settles through the
 	// tombstone; no CD is left for the scavenger.
-	inFlight = sys.NewClientOnShard(0)
+	inFlight = sys.NewClientWith(ClientOptions{})
 	var args Args
 	args[0] = 1
 	if err := inFlight.Call(svc.EP(), &args); err != nil {
@@ -244,7 +244,7 @@ func TestDomainDeathStats(t *testing.T) {
 
 	// Mode 2: abandoned at rest with a held CD and two payload leases —
 	// the scavenger reclaims all three.
-	idle := sys.NewClientOnShard(0)
+	idle := sys.NewClientWith(ClientOptions{})
 	args[0] = 0
 	if err := idle.Call(svc.EP(), &args); err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestRobustnessStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.shards[0].maxWorkers = 1
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 
 	// Deadline expiry + quarantine: orphan one synchronous call.
 	var wedge Args

@@ -39,7 +39,7 @@ func TestKillSoftHeldCallersOneShard(t *testing.T) {
 	}
 	const callers = 4
 	for iter := 0; iter < iters; iter++ {
-		sys := NewSystemShards(1)
+		sys := NewSystemOptions(Options{Shards: 1})
 		var killReturned atomic.Bool
 		var late atomic.Int64
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {
@@ -52,7 +52,7 @@ func TestKillSoftHeldCallersOneShard(t *testing.T) {
 		}
 		clients := make([]*Client, callers)
 		for i := range clients {
-			clients[i] = sys.NewClientOnShard(0)
+			clients[i] = sys.NewClientWith(ClientOptions{})
 			clients[i].Hold()
 		}
 		var ok, killed atomic.Int64
@@ -127,7 +127,7 @@ func TestKillSoftHeldCallersOneShard(t *testing.T) {
 // (CallPooled, Ctx.Call, Upcall). The public sums are exact, and no
 // path mints a second stripe for a (descriptor, service) pair.
 func TestStripeCountersExact(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	var denied atomic.Uint32
 	denied.Store(^uint32(0)) // nobody yet; 0 is Upcall's program
@@ -161,11 +161,11 @@ func TestStripeCountersExact(t *testing.T) {
 	}
 	var args Args
 
-	c1 := sys.NewClientOnShard(0)
+	c1 := sys.NewClientWith(ClientOptions{})
 	call(func() error { return c1.Call(a.EP(), &args) }, 10)
 	cd := c1.held
 	c1.Release()
-	c2 := sys.NewClientOnShard(0)
+	c2 := sys.NewClientWith(ClientOptions{})
 	c2.Hold()
 	if c2.held != cd {
 		t.Fatal("setup: the second client did not pick up the released descriptor")
@@ -196,7 +196,7 @@ func TestStripeCountersExact(t *testing.T) {
 		t.Fatalf("the shard's own stripe counted %d calls, want the 9 pooled ones", got)
 	}
 
-	c3 := sys.NewClientOnShard(0)
+	c3 := sys.NewClientWith(ClientOptions{})
 	denied.Store(c3.Program())
 	for _, f := range []func() error{
 		func() error { return c3.Call(a.EP(), &args) },
@@ -269,7 +269,7 @@ func TestStripeIdentityEveryExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deniedClient := sys.NewClientOnShard(1)
+	deniedClient := sys.NewClientWith(ClientOptions{Shard: 1})
 	deniedProg.Store(deniedClient.Program())
 
 	var wg sync.WaitGroup
@@ -277,7 +277,7 @@ func TestStripeIdentityEveryExit(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := sys.NewClientOnShard(g % 2)
+			c := sys.NewClientWith(ClientOptions{Shard: g % 2})
 			defer c.Release()
 			for i := 0; i < 400; i++ {
 				args := Args{uint64(i % 7 % 2)} // mostly normal, some panics
@@ -369,7 +369,7 @@ func TestStripeExitsWithoutHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	if err := c.AsyncCall(blocker.EP(), &Args{}); err != nil { // the one worker is busy from here
 		close(gate)
@@ -377,7 +377,7 @@ func TestStripeExitsWithoutHandler(t *testing.T) {
 	}
 	<-entered
 	for i := 0; i < 8; i++ {
-		if err := c.AsyncCallNotifyDeadline(expiring.EP(), &Args{}, nil, time.Microsecond); err != nil {
+		if err := asyncOne(c, expiring.EP(), &Args{}, nil, time.Microsecond); err != nil {
 			t.Error(err)
 		}
 		if err := c.AsyncCall(doomed.EP(), &Args{}); err != nil {
@@ -420,7 +420,7 @@ func TestKillWaitsForCallOnCondemnedDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	callDone := make(chan error, 1)
 	go func() {
 		var args Args
@@ -458,7 +458,7 @@ func TestKillWaitsForCallOnCondemnedDescriptor(t *testing.T) {
 // keep killed services reachable. The next miss after a kill drops the
 // dead entry, and the Service becomes collectable.
 func TestStripeCacheDropsDeadService(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	bind := func(name string) *Service {
 		svc, err := sys.Bind(ServiceConfig{Name: name, Handler: func(ctx *Ctx, args *Args) {}})
@@ -467,7 +467,7 @@ func TestStripeCacheDropsDeadService(t *testing.T) {
 		}
 		return svc
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	defer c.Release()
 	var args Args
 	var collected atomic.Bool
@@ -505,7 +505,7 @@ func TestStripeCacheDropsDeadService(t *testing.T) {
 // descriptor takes the miss path every call and still allocates
 // nothing once both stripes exist.
 func TestWarmHeldCallWritesNoShardLine(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	defer sys.Close()
 	bind := func(name string) *Service {
 		svc, err := sys.Bind(ServiceConfig{Name: name, Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
@@ -515,7 +515,7 @@ func TestWarmHeldCallWritesNoShardLine(t *testing.T) {
 		return svc
 	}
 	a, b := bind("a"), bind("b")
-	clients := []*Client{sys.NewClientOnShard(0), sys.NewClientOnShard(0), sys.NewClientOnShard(1)}
+	clients := []*Client{sys.NewClientWith(ClientOptions{}), sys.NewClientWith(ClientOptions{}), sys.NewClientWith(ClientOptions{Shard: 1})}
 	var args Args
 	for _, c := range clients {
 		defer c.Release()

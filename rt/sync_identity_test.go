@@ -72,7 +72,7 @@ func (e *idEnv) nested(ep EntryPointID, args *Args) error {
 	if err != nil {
 		return err
 	}
-	nc := e.sys.NewClientOnShard(0)
+	nc := e.sys.NewClientWith(ClientOptions{})
 	defer nc.Release()
 	if err := nc.Call(nest.EP(), &Args{}); err != nil {
 		return err
@@ -201,7 +201,7 @@ var syncExits = []struct {
 			// fresh one too, not the one the tripping client just returned:
 			// throwaway clients hold what is pooled for the rest of the row.
 			for e.sys.Stats()[0].PooledCDs != 0 {
-				taker := e.sys.NewClientOnShard(0)
+				taker := e.sys.NewClientWith(ClientOptions{})
 				taker.Hold()
 				t.Cleanup(taker.Release)
 			}
@@ -260,7 +260,7 @@ var syncExits = []struct {
 		},
 	},
 	{
-		// and behind a shut gate it is not a shed (a retryable error).
+		// and behind a shut gate it is not a shed (a transient error).
 		name: "abandoned, gate shut", want: ErrClientAbandoned, only: entClient,
 		health: &HealthConfig{MaxConsecutiveFaults: 2, ProbeAfter: time.Hour},
 		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k *syncKnobs) {
@@ -395,8 +395,8 @@ func TestSyncIdentityEveryExit(t *testing.T) {
 					if !errors.Is(err, exit.want) || (exit.want == nil && err != nil) {
 						t.Errorf("err %v, want %v", err, exit.want)
 					}
-					if exit.want == ErrClientAbandoned && RetryableError(err) {
-						t.Errorf("err %v is retryable; an abandoned client's failure is terminal", err)
+					if exit.want == ErrClientAbandoned && transient(err) {
+						t.Errorf("err %v is transient; an abandoned client's failure is terminal", err)
 					}
 					e.syncIdentities(t, calls, returned, exit.calls)
 					if exit.check != nil {
@@ -448,7 +448,7 @@ func (e *idEnv) stillWhole(t *testing.T, restarted bool) {
 	if restarted {
 		time.Sleep(2 * e.svc.health.ProbeAfter)
 	}
-	live := e.sys.NewClientOnShard(0)
+	live := e.sys.NewClientWith(ClientOptions{})
 	defer live.Release()
 	err := live.Call(e.svc.EP(), &Args{idOpNormal})
 	if e.svc.health != nil && e.svc.health.ProbeAfter == time.Hour {

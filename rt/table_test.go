@@ -30,7 +30,7 @@ func pagesOf(sh *shard) int {
 // shard, each shard holding those three pages and no other; Exchange and
 // Kill of the last page's entry point reach every shard.
 func TestTablePagesEveryShard(t *testing.T) {
-	sys := NewSystemShards(3)
+	sys := NewSystemOptions(Options{Shards: 3})
 	defer sys.Close()
 	eps := []EntryPointID{0, 40, MaxEntryPoints - 1} // 0: the next dynamic one
 	for i, ep := range eps {
@@ -46,7 +46,7 @@ func TestTablePagesEveryShard(t *testing.T) {
 	}
 	call := func(shard int, ep EntryPointID) (uint64, error) {
 		var args Args
-		err := sys.NewClientOnShard(shard).Call(ep, &args)
+		err := sys.NewClientWith(ClientOptions{Shard: shard}).Call(ep, &args)
 		return args[0], err
 	}
 	for sh := 0; sh < sys.NumShards(); sh++ {
@@ -89,7 +89,7 @@ func TestTablePagesEveryShard(t *testing.T) {
 // page, one on a page never made, and one past MaxEntryPoints; a call
 // to any unbound one is ErrBadEntryPoint on every shard.
 func TestTableServiceLookup(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "bound", EP: 5, Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestTableServiceLookup(t *testing.T) {
 			t.Errorf("Service(%d) = %v, want nil", ep, got)
 		}
 		for sh := 0; sh < sys.NumShards(); sh++ {
-			if err := sys.NewClientOnShard(sh).Call(ep, &Args{}); !errors.Is(err, ErrBadEntryPoint) {
+			if err := sys.NewClientWith(ClientOptions{Shard: sh}).Call(ep, &Args{}); !errors.Is(err, ErrBadEntryPoint) {
 				t.Errorf("shard %d call to %d: %v, want ErrBadEntryPoint", sh, ep, err)
 			}
 		}
@@ -120,7 +120,7 @@ func TestTableServiceLookup(t *testing.T) {
 // page, the last one included, and charges a gated service's trips to
 // the shard they happened on.
 func TestTableHealthOnLastPage(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{
 		Name:    "flappy",
@@ -131,7 +131,7 @@ func TestTableHealthOnLastPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(1)
+	c := sys.NewClientWith(ClientOptions{Shard: 1})
 	for i := 0; i < 2; i++ {
 		if err := c.Call(svc.EP(), &Args{}); !errors.Is(err, ErrServerFault) {
 			t.Fatalf("call %d: %v", i, err)
@@ -151,7 +151,7 @@ func TestTableHealthOnLastPage(t *testing.T) {
 // to each entry point as it is bound. A call sees a bound entry point or
 // an unbound one, never anything else.
 func TestTableBindMakesPageRacingCalls(t *testing.T) {
-	sys := NewSystemShards(2)
+	sys := NewSystemOptions(Options{Shards: 2})
 	defer sys.Close()
 	steady, err := sys.Bind(ServiceConfig{Name: "steady", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestTableBindMakesPageRacingCalls(t *testing.T) {
 		wg.Wait()
 	}()
 	for sh := 0; sh < sys.NumShards(); sh++ {
-		c := sys.NewClientOnShard(sh)
+		c := sys.NewClientWith(ClientOptions{Shard: sh})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -19,7 +19,7 @@ func bindNull(t *testing.T, sys *System, name string) *Service {
 }
 
 func TestConfigureTenantValidation(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	cases := []struct {
 		id  TenantID
@@ -46,7 +46,7 @@ func TestConfigureTenantValidation(t *testing.T) {
 // admission (TenantThrottled counts it), and an untenanted client on
 // the same shard is untouched.
 func TestTenantBurstAndThrottle(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc := bindNull(t, sys, "tnull")
 	// Rate 0.001/s: no refill interval can elapse within the test, so
@@ -55,7 +55,7 @@ func TestTenantBurstAndThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 3})
-	free := sys.NewClientOnShard(0)
+	free := sys.NewClientWith(ClientOptions{})
 	var args Args
 	for i := 0; i < 3; i++ {
 		if err := c.Call(svc.EP(), &args); err != nil {
@@ -82,7 +82,7 @@ func TestTenantBurstAndThrottle(t *testing.T) {
 // TestTenantUnconfiguredID: a client naming a tenant nobody configured
 // admits freely — like a service without a health gate.
 func TestTenantUnconfiguredID(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc := bindNull(t, sys, "unull")
 	c := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 42})
@@ -102,7 +102,7 @@ func TestTenantUnconfiguredID(t *testing.T) {
 // the takeSlowN catch-up refill, so the test holds even before any
 // watchdog tick lands.
 func TestTenantRefill(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc := bindNull(t, sys, "rnull")
 	if err := sys.ConfigureTenant(5, TenantConfig{Rate: 1000, Burst: 2}); err != nil {
@@ -125,7 +125,7 @@ func TestTenantRefill(t *testing.T) {
 // TestTenantReconfigure: replacing a budget takes effect on the very
 // next call, with a fresh full burst.
 func TestTenantReconfigure(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc := bindNull(t, sys, "cnull")
 	if err := sys.ConfigureTenant(2, TenantConfig{Rate: 0.001, Burst: 1}); err != nil {
@@ -156,7 +156,7 @@ func TestTenantReconfigure(t *testing.T) {
 // whole — a batch the budget cannot cover is shed in full (no partial
 // acceptance), counted per request, and the batch resets for reuse.
 func TestTenantBatchAllOrNothing(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc := bindNull(t, sys, "bnull2")
 	if err := sys.ConfigureTenant(6, TenantConfig{Rate: 0.001, Burst: 3}); err != nil {
@@ -187,8 +187,8 @@ func TestTenantBatchAllOrNothing(t *testing.T) {
 		t.Fatalf("TenantThrottled = %d, want 2 (one per shed request)", got)
 	}
 	// The remaining token is still there for a batch the budget covers.
-	if n, err := c.AsyncBatch(svc.EP(), []Args{args}); err != nil || n != 1 {
-		t.Fatalf("AsyncBatch within budget = (%d, %v)", n, err)
+	if n, err := c.async(svc.EP(), []Args{args}, nil, 0); err != nil || n != 1 {
+		t.Fatalf("batch within budget = (%d, %v)", n, err)
 	}
 	waitCond(t, 2*time.Second, "accepted batch drained", func() bool {
 		return sys.Stats()[0].AsyncQueueDepth == 0
@@ -199,7 +199,7 @@ func TestTenantBatchAllOrNothing(t *testing.T) {
 // payload leases at the admission gate — nothing leaks even though the
 // request never reaches a ring.
 func TestTenantShedReleasesPayload(t *testing.T) {
-	sys := NewSystemShards(1)
+	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
 	svc := bindNull(t, sys, "pnull2")
 	if err := sys.ConfigureTenant(9, TenantConfig{Rate: 0.001, Burst: 1}); err != nil {

@@ -7,8 +7,8 @@ import "testing"
 // one System, so mutually untrusting service sets run in separate
 // Systems and never see each other's residue.
 func TestTrustDomainsViaSeparateSystems(t *testing.T) {
-	secret := NewSystemShards(1)
-	public := NewSystemShards(1)
+	secret := NewSystemOptions(Options{Shards: 1})
+	public := NewSystemOptions(Options{Shards: 1})
 
 	var secretBuf []byte
 	s1, err := secret.Bind(ServiceConfig{Name: "vault", Handler: func(ctx *Ctx, args *Args) {
@@ -27,10 +27,10 @@ func TestTrustDomainsViaSeparateSystems(t *testing.T) {
 	}
 
 	var args Args
-	if err := secret.NewClient().Call(s1.EP(), &args); err != nil {
+	if err := secret.NewClientWith(ClientOptions{Shard: -1}).Call(s1.EP(), &args); err != nil {
 		t.Fatal(err)
 	}
-	if err := public.NewClient().Call(p1.EP(), &args); err != nil {
+	if err := public.NewClientWith(ClientOptions{Shard: -1}).Call(p1.EP(), &args); err != nil {
 		t.Fatal(err)
 	}
 	if &secretBuf[0] == &publicBuf[0] {

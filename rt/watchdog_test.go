@@ -32,7 +32,7 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 	}
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1 // a single worker, which we wedge
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var wedge Args
 	wedge[0] = 1
 	if err := c.AsyncCall(svc.EP(), &wedge); err != nil {
@@ -45,7 +45,7 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 	done := make(chan struct{}, 4)
 	var args Args
 	for i := 0; i < 4; i++ {
-		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 	})
 	// The shard still works.
 	n := make(chan struct{}, 1)
-	if err := c.AsyncCallNotify(svc.EP(), &args, n); err != nil {
+	if err := asyncOne(c, svc.EP(), &args, n, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -99,7 +99,7 @@ func TestWatchdogNoWorkNoSpawn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.shards[0].maxWorkers = 1
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var wedge Args
 	wedge[0] = 1
 	if err := c.AsyncCall(svc.EP(), &wedge); err != nil {
@@ -113,7 +113,7 @@ func TestWatchdogNoWorkNoSpawn(t *testing.T) {
 	done := make(chan struct{}, 4)
 	var args Args
 	for i := 0; i < 4; i++ {
-		if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+		if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestWatchdogReplacementsBounded(t *testing.T) {
 	}
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var args Args
 	// Every request wedges its worker. Feed them one at a time, so each
 	// is the only request in the ring when a worker claims it: each stuck
@@ -231,7 +231,7 @@ func TestWatchdogDisabled(t *testing.T) {
 	}
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	var wedge Args
 	wedge[0] = 1
 	if err := c.AsyncCall(svc.EP(), &wedge); err != nil {
@@ -258,10 +258,10 @@ func TestWatchdogIdleWorkersNotStuck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sys.NewClientOnShard(0)
+	c := sys.NewClientWith(ClientOptions{})
 	done := make(chan struct{}, 1)
 	var args Args
-	if err := c.AsyncCallNotify(svc.EP(), &args, done); err != nil {
+	if err := asyncOne(c, svc.EP(), &args, done, 0); err != nil {
 		t.Fatal(err)
 	}
 	<-done
