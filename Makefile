@@ -32,12 +32,15 @@ test:
 # shrink at the park point), and Ring|Provision|Table the memory a
 # System commits on first use (zeroed rings over several laps, first
 # submissions racing each other and Close, Binds that make table pages
-# racing calls), and Pool the descriptor pool's tagged free list (the
-# replayed stale pop, a death's slot reuse, the exclusivity stress).
+# racing calls), Pool the descriptor pool's tagged free list (the
+# replayed stale pop, a death's slot reuse, the exclusivity stress), and
+# Payload the payload leases end to end (every settle path's release,
+# the offload stage, the first payload's footprint, the warm 0-alloc
+# payload calls), which grow and recycle arena slabs across processors.
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table|Pool' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table|Pool|Payload' ./rt
 
 # The second vet type-checks what compiles only under the faultinject
 # tag (chaos_test.go, faultinject_on.go), which otherwise only the chaos

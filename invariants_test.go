@@ -335,7 +335,8 @@ var rtDeletedAPI = regexp.MustCompile(`^(Retry.*|AsyncCallNotify.*|AsyncBatch|Ne
 // allocates ring slots (shard.provisionRings, called from submit alone),
 // and no MaxEntryPoints-long table is declared or made. Pools: only
 // idxStack's methods CAS a pool head, and neither the executor stack's
-// old mask nor a garbage-collection ABA argument is back. The public
+// old mask nor a garbage-collection ABA argument is back. The arena: no
+// first-slab size constant is back. The public
 // surface: no name of the deleted retry helper, folded entry points,
 // constructor wrappers or fault-injection API is back.
 func TestRtSurfaceRatchet(t *testing.T) {
@@ -397,6 +398,8 @@ func TestRtSurfaceRatchet(t *testing.T) {
 				t.Errorf("%s: identifier %s is back: a stuck worker makes room by being counted, and a surplus worker leaves when it would park", fset.Position(id.Pos()), id.Name)
 			case "dlSlotMask":
 				t.Errorf("%s: identifier %s is back: every per-shard pool's free list is an idxStack", fset.Position(id.Pos()), id.Name)
+			case "arenaFirstSlabBytes":
+				t.Errorf("%s: identifier %s is back: a shard's first slab is sized by its first request, not by a constant", fset.Position(id.Pos()), id.Name)
 			}
 			if rtDeletedAPI.MatchString(id.Name) {
 				t.Errorf("%s: identifier %s is back: asynchronous submission is AsyncCall or a Batch, construction is NewSystemOptions and NewClientWith, and retrying and fault injection are not rt API", fset.Position(id.Pos()), id.Name)

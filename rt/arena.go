@@ -22,9 +22,9 @@ import (
 //     — one locked instruction, no lock, no heap allocation, no line
 //     shared with another shard.
 //   - Memory is committed on first need, as the paper provisions its
-//     pools on a miss: a shard's first slab is 64 KiB if the request
-//     fits, every other one 2 MiB; refill takes the largest free slab
-//     that holds the request, so a first slab kept free costs +64 KiB.
+//     pools on a miss: the first slab is the first request rounded up to
+//     a power of two, 4 KiB at least, the rest 2 MiB; refill takes the
+//     largest free slab that fits, so a kept first slab costs its size.
 //   - Slab growth and recycling are strictly cold: a mutex-guarded
 //     refill runs at most once per slabful of traffic, and the slab
 //     table is republished copy-on-grow so lookups stay lock-free.
@@ -50,11 +50,11 @@ const (
 	lineShift      = 6
 
 	// arenaSlabShift / arenaSlabBytes: a slab's window in the offset
-	// space and the size of every slab but a small first one
-	// (arenaFirstSlabBytes, growLocked).
-	arenaSlabShift      = 21
-	arenaSlabBytes      = 1 << arenaSlabShift
-	arenaFirstSlabBytes = 64 << 10
+	// space and the size of every slab but a small first one; a first
+	// slab is never smaller than arenaPageBytes (growLocked).
+	arenaSlabShift = 21
+	arenaSlabBytes = 1 << arenaSlabShift
+	arenaPageBytes = 4 << 10
 
 	// arenaMaxSlabs bounds the offset space at what PayloadRef's off
 	// field can address (2^26 lines = 4 GiB).
@@ -111,10 +111,10 @@ func slabRewound(w uint64) uint64 {
 //
 //ppc:padded
 type arenaSlab struct {
-	// buf is the slab's backing store, one allocation above 32 KiB, which
-	// Go places page-aligned (TestArenaLayout); its length is the slab's
-	// capacity. base is the slab's first byte's global arena offset. Both
-	// immutable after construction.
+	// buf is the slab's backing store, 4 KiB to 2 MiB, line-aligned
+	// (TestArenaLayout); its length is the slab's capacity. base is the
+	// slab's first byte's global arena offset. Both immutable after
+	// construction.
 	buf  []byte
 	base int64
 	// state is the lifecycle word (slabActive..slabFree); transitions
@@ -271,8 +271,8 @@ func (a *shardArena) refill(old *arenaSlab, lines uint64) (*arenaSlab, error) {
 }
 
 // growLocked appends a fresh slab to the table (copy-on-grow: the old
-// snapshot stays valid for concurrent lookups): 64 KiB if it is the first
-// and a request of lines fits it, 2 MiB otherwise. Caller holds mu.
+// snapshot stays valid for concurrent lookups): 2 MiB, or for the first,
+// the request's power of two, 4 KiB at least. Caller holds mu.
 //
 //ppc:coldpath -- arena growth; steady-state traffic recycles instead
 func (a *shardArena) growLocked(lines uint64) (*arenaSlab, error) {
@@ -284,8 +284,8 @@ func (a *shardArena) growLocked(lines uint64) (*arenaSlab, error) {
 		return nil, ErrArenaFull
 	}
 	size := arenaSlabBytes
-	if len(cur) == 0 && lines <= arenaFirstSlabBytes>>lineShift {
-		size = arenaFirstSlabBytes
+	for len(cur) == 0 && size/2 >= max(arenaPageBytes, int(lines)<<lineShift) {
+		size /= 2
 	}
 	s := &arenaSlab{buf: make([]byte, size), base: int64(len(cur)) << arenaSlabShift}
 	next := make([]*arenaSlab, len(cur)+1)

@@ -2,7 +2,9 @@ package rt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -136,26 +138,29 @@ func TestArenaViewFailsClosed(t *testing.T) {
 	a.release(ref)
 }
 
-// TestArenaFirstSlabSmall: a shard's first request, when it fits, grows
-// one 64 KiB slab — 1 024 lines — not a 2 MiB one.
+// TestArenaFirstSlabSmall: a shard's first slab is the smallest power of
+// two that holds its first request, and never less than a page: one
+// 4 KiB slab — 64 lines — for a 4 KiB request and for a 64-byte one.
 func TestArenaFirstSlabSmall(t *testing.T) {
-	var a shardArena
-	ref, _, err := a.alloc(4096)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{4096, 64} {
+		var a shardArena
+		ref, _, err := a.alloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.grows.Load(); got != 1 {
+			t.Fatalf("alloc(%d): grows = %d, want 1", n, got)
+		}
+		if s := a.cur.Load(); s.lines() != 64 || len(s.buf) != arenaPageBytes {
+			t.Fatalf("alloc(%d): first slab has %d lines (%d bytes), want 64 (4 KiB)", n, s.lines(), len(s.buf))
+		}
+		a.release(ref)
 	}
-	if got := a.grows.Load(); got != 1 {
-		t.Fatalf("grows = %d, want 1", got)
-	}
-	if s := a.cur.Load(); s.lines() != 1024 || len(s.buf) != arenaFirstSlabBytes {
-		t.Fatalf("first slab has %d lines (%d bytes), want 1024 (64 KiB)", s.lines(), len(s.buf))
-	}
-	a.release(ref)
 }
 
 // TestFirstPayloadBytes: a fresh System plus its first AllocPayload(4096),
-// attached to a Call, leaves < 256 KiB live — a 64 KiB first slab, not a
-// 2 MiB one. Report-only under -race.
+// attached to a Call, leaves < 16 KiB live — a 4 KiB first slab, not a
+// 64 KiB or 2 MiB one. Report-only under -race.
 func TestFirstPayloadBytes(t *testing.T) {
 	const n = 8
 	systems := make([]*System, n)
@@ -185,11 +190,11 @@ func TestFirstPayloadBytes(t *testing.T) {
 	}
 	per := (float64(liveHeap()) - float64(before)) / n
 	t.Logf("a System plus its first payload call: %.0f B live", per)
-	if per >= 256<<10 {
+	if per >= 16<<10 {
 		if raceEnabled {
 			t.Logf("%.0f B under -race (report-only)", per)
 		} else {
-			t.Errorf("a System plus its first payload call leaves %.0f B live, want < %d", per, 256<<10)
+			t.Errorf("a System plus its first payload call leaves %.0f B live, want < %d", per, 16<<10)
 		}
 	}
 	for _, sys := range systems {
@@ -200,7 +205,7 @@ func TestFirstPayloadBytes(t *testing.T) {
 	}
 }
 
-// TestArenaLargeFirstRequest: a first request larger than 64 KiB gets a
+// TestArenaLargeFirstRequest: a first request of a whole window gets a
 // 2 MiB slab in one grow, not a small slab and then a second grow.
 func TestArenaLargeFirstRequest(t *testing.T) {
 	sys := NewSystemOptions(Options{Shards: 1})
@@ -227,20 +232,20 @@ func TestArenaLargeFirstRequest(t *testing.T) {
 }
 
 // TestArenaRefillPrefersLargest: a refill activates the largest free slab
-// that holds the request, so a small request leaves the 64 KiB first slab
-// free; and a request above 64 KiB is never served from that slab — with
+// that holds the request, so a small request leaves the 4 KiB first slab
+// free; and a request above 4 KiB is never served from that slab — with
 // it the only free one, or even the active one, the arena grows instead.
 func TestArenaRefillPrefersLargest(t *testing.T) {
 	var a shardArena
-	const big = 128 << 10 // above the first slab's size
-	// Slab 0 (64 KiB: the first request fits it), then slabs 1 and 2
+	const big = 8 << 10 // above the first slab's size
+	// Slab 0 (4 KiB: a page holds the first request), then slabs 1 and 2
 	// (2 MiB): each full-size request seals the slab before it.
 	r0, _, _ := a.alloc(64)
 	r1, _, _ := a.alloc(MaxPayloadBytes)
 	r2, _, _ := a.alloc(MaxPayloadBytes)
 	tab := *a.tab.Load()
-	if len(tab) != 3 || len(tab[0].buf) != arenaFirstSlabBytes || len(tab[1].buf) != arenaSlabBytes || a.cur.Load() != tab[2] {
-		t.Fatalf("setup: %d slabs, want 64 KiB then two of 2 MiB with the last active", len(tab))
+	if len(tab) != 3 || len(tab[0].buf) != arenaPageBytes || len(tab[1].buf) != arenaSlabBytes || a.cur.Load() != tab[2] {
+		t.Fatalf("setup: %d slabs, want 4 KiB then two of 2 MiB with the last active", len(tab))
 	}
 	a.release(r0)
 	a.release(r1)
@@ -283,7 +288,7 @@ func TestArenaRefillPrefersLargest(t *testing.T) {
 }
 
 // TestArenaViewFailsClosedPastSlabEnd: slab 0 owns the offset window of a
-// 2 MiB slab but holds 64 KiB. A ref inside the window and past the
+// 2 MiB slab but holds 4 KiB. A ref inside the window and past the
 // buffer — at its end, at the window's last line, or starting inside and
 // running past it — views nothing and releases nothing, without a panic.
 func TestArenaViewFailsClosedPastSlabEnd(t *testing.T) {
@@ -292,13 +297,16 @@ func TestArenaViewFailsClosedPastSlabEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := len(a.cur.Load().buf); got != arenaPageBytes {
+		t.Fatalf("setup: first slab is %d bytes, want %d", got, arenaPageBytes)
+	}
 	for _, ref := range []PayloadRef{
-		packPayloadRef(live.gen(), arenaFirstSlabBytes, 64),
+		packPayloadRef(live.gen(), arenaPageBytes, 64),
 		packPayloadRef(live.gen(), arenaSlabBytes-arenaLineBytes, 64),
-		packPayloadRef(live.gen(), arenaFirstSlabBytes-arenaLineBytes, 128),
+		packPayloadRef(live.gen(), arenaPageBytes-arenaLineBytes, 128),
 	} {
 		if a.view(ref) != nil {
-			t.Fatalf("ref at %d+%d past the 64 KiB slab's end produced a view", ref.byteOff(), ref.Len())
+			t.Fatalf("ref at %d+%d past the 4 KiB slab's end produced a view", ref.byteOff(), ref.Len())
 		}
 		a.release(ref)
 		if got := a.leasesActive(); got != 1 {
@@ -665,6 +673,89 @@ func TestArenaConcurrentAllocRelease(t *testing.T) {
 	wg.Wait()
 	if got := a.leasesActive(); got != 0 {
 		t.Fatalf("leaked leases after convergence: %d", got)
+	}
+}
+
+// TestArenaGrowthStorm drives the growth rule from four goroutines sharing
+// one arena. Each draws request sizes from 4 KiB to 1 MiB, holds up to
+// three leases across the refills the others cause, stamps each lease at
+// both ends, checks the stamps through view before releasing it, and keeps
+// every ref it released. At the end no lease is out, every slab after the
+// first is 2 MiB, growth stayed within what the held leases can pin, and
+// every saved ref views nil and releases nothing.
+func TestArenaGrowthStorm(t *testing.T) {
+	var a shardArena
+	const goroutines, iters, hold = 4, 400, 3
+	saved := make([][]PayloadRef, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g) + 1))
+			type lease struct {
+				ref   PayloadRef
+				stamp uint64
+			}
+			var held []lease
+			drop := func() {
+				l := held[0]
+				held = held[1:]
+				v := a.view(l.ref)
+				if v == nil || binary.LittleEndian.Uint64(v) != l.stamp || binary.LittleEndian.Uint64(v[len(v)-8:]) != l.stamp {
+					t.Errorf("goroutine %d: a held lease lost its stamp", g)
+				}
+				a.release(l.ref)
+				saved[g] = append(saved[g], l.ref)
+			}
+			for i := 0; i < iters; i++ {
+				n := 4 << 10 << rng.Intn(9) // 4 KiB .. 1 MiB
+				n = min(n+rng.Intn(n), 1<<20)
+				ref, buf, err := a.alloc(n)
+				if err != nil {
+					t.Errorf("alloc(%d): %v", n, err)
+					return
+				}
+				stamp := uint64(g)<<32 | uint64(i)
+				binary.LittleEndian.PutUint64(buf, stamp)
+				binary.LittleEndian.PutUint64(buf[len(buf)-8:], stamp)
+				held = append(held, lease{ref, stamp})
+				if len(held) > rng.Intn(hold+1) {
+					drop()
+				}
+			}
+			for len(held) > 0 {
+				drop()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := a.leasesActive(); got != 0 {
+		t.Fatalf("leasesActive = %d after every release", got)
+	}
+	tab := *a.tab.Load()
+	for i, s := range tab[1:] {
+		if len(s.buf) != arenaSlabBytes {
+			t.Errorf("slab %d is %d bytes; every slab after the first is 2 MiB", i+1, len(s.buf))
+		}
+	}
+	// A 2 MiB slab stays out of the free pool only while a lease pins it:
+	// each goroutine holds at most hold+1 at once, and one more in a
+	// stale-cur back-out. The limit doubles that, plus the first slab.
+	t.Logf("%d grows, first slab %d bytes", a.grows.Load(), len(tab[0].buf))
+	if got, limit := a.grows.Load(), int64(1+2*goroutines*(hold+2)); got != int64(len(tab)) || got > limit {
+		t.Errorf("ArenaGrows = %d for %d slabs, want them equal and at most %d", got, len(tab), limit)
+	}
+	for _, refs := range saved {
+		for _, ref := range refs {
+			if a.view(ref) != nil {
+				t.Fatalf("a released ref into slab %d still views", ref.byteOff()>>arenaSlabShift)
+			}
+			a.release(ref)
+		}
+	}
+	if got := a.leasesActive(); got != 0 {
+		t.Fatalf("releasing released refs moved leasesActive to %d", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -152,5 +153,67 @@ func doorbellStress(t *testing.T, lanes, producers, flush, iters int) {
 	st := sys.Stats()[0]
 	if st.AsyncQueueDepth != 0 || st.BackpressureRejects != 0 {
 		t.Fatalf("AsyncQueueDepth = %d, BackpressureRejects = %d, want 0, 0", st.AsyncQueueDepth, st.BackpressureRejects)
+	}
+}
+
+// BenchmarkAsyncIdleWake prices waking an idle worker: one request
+// submitted to a shard whose only worker is parked on the doorbell,
+// timed from just before the submission to the handler's entry (mean
+// wake-ns/op, median wake-p50-ns). The submitter then either blocks on the request's done
+// channel at once (block), giving up its processor, or keeps it busy for
+// 50 µs without yielding first (busy). The doorbell readies the worker
+// on the submitter's processor, so on one P a busy submitter holds it
+// off for the whole 50 µs, and on more the wake waits for another
+// processor to take it. Run with -cpu 1,2.
+func BenchmarkAsyncIdleWake(b *testing.B) {
+	for _, mode := range []string{"block", "busy"} {
+		busy := mode == "busy"
+		b.Run(mode, func(b *testing.B) {
+			sys := NewSystemOptions(Options{Shards: 1, MaxWorkers: 1, WorkerStallThreshold: -1})
+			defer sys.Close()
+			epoch := time.Now()
+			var entered atomic.Int64 // handler entry, ns since epoch
+			svc, err := sys.Bind(ServiceConfig{Name: "wake", Handler: func(ctx *Ctx, args *Args) {
+				entered.Store(int64(time.Since(epoch)))
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := sys.NewClientWith(ClientOptions{})
+			done := make(chan struct{}, 1)
+			batch := c.NewBatch(svc.EP(), 1)
+			batch.SetNotify(done)
+			var args Args
+			submit := func() {
+				batch.Add(&args)
+				if _, err := batch.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			submit() // provisions the rings and starts the worker
+			<-done
+			sh := &sys.shards[0]
+			wakes := make([]time.Duration, b.N)
+			var wake time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for sh.parked.Load() != 1 {
+					runtime.Gosched()
+				}
+				t0 := time.Since(epoch)
+				submit()
+				if busy {
+					for time.Since(epoch)-t0 < 50*time.Microsecond {
+					}
+				}
+				<-done
+				wakes[i] = time.Duration(entered.Load()) - t0
+				wake += wakes[i]
+			}
+			b.StopTimer()
+			slices.Sort(wakes)
+			b.ReportMetric(float64(wake.Nanoseconds())/float64(b.N), "wake-ns/op")
+			b.ReportMetric(float64(wakes[b.N/2].Nanoseconds()), "wake-p50-ns")
+		})
 	}
 }

@@ -428,11 +428,12 @@ func TestTenantBucketLayout(t *testing.T) {
 // executors, the offload worker) owns a line, with the read-mostly
 // metadata — the buffer, whose length is the slab's capacity, its base
 // and its state — on the line before it; the whole slab tiles 64 bytes.
-// Every slab's buffer is line-aligned at both slab sizes, with nothing
-// trimmed: segments are line-aligned in the offset space, so they are in
-// memory too. The arena header's cur pointer — the one word the warm
-// alloc loads — owns its line, and shardArena tiles whole lines so its
-// by-value embedding in shard cannot shear it.
+// Every slab's buffer is line-aligned at every size from a 4 KiB page to
+// the 2 MiB window, with nothing trimmed: segments are line-aligned in the
+// offset space, so they are in memory too. The arena header's cur
+// pointer — the one word the warm alloc loads — owns its line, and
+// shardArena tiles whole lines so its by-value embedding in shard cannot
+// shear it.
 func TestArenaLayout(t *testing.T) {
 	var s arenaSlab
 	if sz := unsafe.Sizeof(s); sz != 2*lineBytes {
@@ -454,13 +455,17 @@ func TestArenaLayout(t *testing.T) {
 	}
 	var junk [][]byte
 	for i := 0; i < 16; i++ {
-		var fresh shardArena
-		for _, n := range []int{64, MaxPayloadBytes} { // a 64 KiB first slab, then a 2 MiB one
-			if _, _, err := fresh.alloc(n); err != nil {
+		for size := arenaPageBytes; size <= arenaSlabBytes; size <<= 1 {
+			var fresh shardArena // a first request makes a slab of its size
+			if _, _, err := fresh.alloc(min(size, MaxPayloadBytes)); err != nil {
 				t.Fatal(err)
 			}
 			junk = append(junk, make([]byte, 8*i+1)) // small objects between the slabs
-			if buf := fresh.cur.Load().buf; uintptr(unsafe.Pointer(&buf[0]))%lineBytes != 0 {
+			buf := fresh.cur.Load().buf
+			if len(buf) != size {
+				t.Fatalf("a %d-byte request made a %d-byte slab", size, len(buf))
+			}
+			if uintptr(unsafe.Pointer(&buf[0]))%lineBytes != 0 {
 				t.Fatalf("a %d-byte slab's buffer is at %p, not line-aligned", len(buf), &buf[0])
 			}
 		}

@@ -964,10 +964,10 @@ type ShardStats struct {
 	// OffloadQueueDepth is the number of staged copies whose bytes have
 	// not landed yet (a gauge).
 	OffloadQueueDepth int
-	// ArenaGrows counts arena slab allocations, the first included (64
-	// KiB if the shard's first payload fits it, 2 MiB otherwise; every
-	// later slab 2 MiB) — the strictly-cold growth path, like CDsCreated
-	// for the CD pool.
+	// ArenaGrows counts arena slab allocations, the first included (the
+	// first payload's power of two, 4 KiB at least; every later slab
+	// 2 MiB) — the strictly-cold growth path, like CDsCreated for the CD
+	// pool.
 	ArenaGrows int64
 	// AbandonedClients counts clients declared dead on this shard —
 	// by Client.Abandon, the leaked-client cleanup backstop, or a
