@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench bench-handoff bench-selftest bench-smoke bench-openloop chaos
+.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench bench-handoff bench-selftest bench-smoke bench-openloop chaos synctest
 
 build:
 	$(GO) build ./...
@@ -33,14 +33,24 @@ test:
 # System commits on first use (zeroed rings over several laps, first
 # submissions racing each other and Close, Binds that make table pages
 # racing calls), Pool the descriptor pool's tagged free list (the
-# replayed stale pop, a death's slot reuse, the exclusivity stress), and
+# replayed stale pop, a death's slot reuse, the exclusivity stress),
 # Payload the payload leases end to end (every settle path's release,
 # the offload stage, the first payload's footprint, the warm 0-alloc
-# payload calls), which grow and recycle arena slabs across processors.
+# payload calls), which grow and recycle arena slabs across processors,
+# and Tenant the token buckets, whose only refill is the throttled
+# caller's: on more than one processor concurrent refillers race on the
+# refill cursor's CAS (TestTenantRefillCursorRace counts the credits).
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table|Pool|Payload' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table|Pool|Payload|Tenant' ./rt
+
+# The fake-clock twins (rt/*_synctest_test.go): inside a synctest
+# bubble time moves only when every goroutine is blocked, so a clock-
+# driven result is exact and repeatable. They compile only under the
+# synctest experiment.
+synctest:
+	GOEXPERIMENT=synctest $(GO) test -count=20 -run Synctest ./rt
 
 # The second vet type-checks what compiles only under the faultinject
 # tag (chaos_test.go, faultinject_on.go), which otherwise only the chaos
@@ -114,4 +124,4 @@ OPENLOOP_DUR ?= 2s
 bench-openloop:
 	$(GO) test -run TestOpenLoopSweepReport -v -count=1 ./internal/rtbench -openloop-dur $(OPENLOOP_DUR)
 
-ci: fmt-check build lint test race chaos bench-smoke bench-selftest
+ci: fmt-check build lint test race synctest chaos bench-smoke bench-selftest

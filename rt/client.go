@@ -111,21 +111,13 @@ type ClientOptions struct {
 	// subjects every call to the tenant's per-shard token bucket once
 	// ConfigureTenant has published one. Zero skips admission.
 	Tenant TenantID
-	// LivenessEpochs opts the client into missed-heartbeat death
-	// detection (owner.go): a client that makes no call for more than
-	// LivenessEpochs consecutive liveness epochs (one epoch per
-	// shard tick) is declared dead and reclaimed, exactly as if
-	// Abandon had been called. Zero (the default) disables the check —
-	// explicit Abandon and the leaked-client cleanup backstop still
-	// apply.
-	LivenessEpochs int
 }
 
 // NewClientWith creates a caller identity bound to a shard — the one
-// place a Client is constructed and given its ownership record; only a
-// client enrolled in liveness epochs takes a lock here. It panics on a
-// shard past the end of the System's. The round-robin modulo runs in
-// uint64 so it keeps working after the sequence counter wraps.
+// place a Client is constructed and given its ownership record; it takes
+// no lock. It panics on a shard past the end of the System's. The
+// round-robin modulo runs in uint64 so it keeps working after the
+// sequence counter wraps.
 func (s *System) NewClientWith(o ClientOptions) *Client {
 	shardID := o.Shard
 	if shardID < 0 {
@@ -145,7 +137,7 @@ func (s *System) NewClientWith(o ClientOptions) *Client {
 		lane:    lane,
 		tenant:  o.Tenant,
 	}
-	c.rec = c.shard.reg.register(c, o.LivenessEpochs)
+	c.rec = c.shard.reg.register(c)
 	return c
 }
 
@@ -308,8 +300,8 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 			return err
 		}
 	}
-	// Likewise own: nothing to do with a descriptor in hand, alive, unenrolled.
-	if c.held == nil || c.rec.state.Load() != crLive || c.rec.epochs != 0 {
+	// Likewise own: nothing to do with a descriptor in hand and alive.
+	if c.held == nil || c.rec.state.Load() != crLive {
 		if err := c.own(args); err != nil {
 			return err
 		}

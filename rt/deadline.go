@@ -447,9 +447,6 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	if err := c.preflight(one(args)); err != nil {
 		return err
 	}
-	if c.rec.epochs != 0 {
-		c.beatTick()
-	}
 	c.released = false // a Release after this call is not a second Release of an earlier hold
 	sh := c.shard
 	cr, err := sh.enter(ep, one(args), c.rec)

@@ -141,12 +141,13 @@ func TestCallStripeLayout(t *testing.T) {
 }
 
 // TestClientRecLayout pins the ownership record: what every call reads
-// (the life state) on the first line, the cold slots on the second,
-// and the first lease block — one line exactly, seven slots and the
-// link, the shape every appended block has — on the third, so that a
-// payload call's slot store and claim CAS dirty one line and it is not
-// the one the next call's life check reads. Records are allocated one by
-// one; the size keeps each of them line-aligned.
+// (the registry pointer and the life state, nothing else) on the first
+// line, the cold slots on the second, and the first lease block — one
+// line exactly, seven slots and the link, the shape every appended block
+// has — on the third, so that a payload call's slot store and claim CAS
+// dirty one line and it is not the one the next call's life check reads.
+// Records are allocated one by one; the size keeps each of them
+// line-aligned.
 func TestClientRecLayout(t *testing.T) {
 	var rec clientRec
 	if sz := unsafe.Sizeof(rec); sz != 3*lineBytes {
@@ -157,10 +158,8 @@ func TestClientRecLayout(t *testing.T) {
 	}
 	lineOf := func(off uintptr) uintptr { return off / lineBytes }
 	for name, off := range map[string]uintptr{
-		"epochs": unsafe.Offsetof(rec.epochs),
-		"reg":    unsafe.Offsetof(rec.reg),
-		"state":  unsafe.Offsetof(rec.state),
-		"beat":   unsafe.Offsetof(rec.beat),
+		"reg":   unsafe.Offsetof(rec.reg),
+		"state": unsafe.Offsetof(rec.state),
 	} {
 		if lineOf(off) != 0 {
 			t.Errorf("%s (offset %d) left the record's first line", name, off)
@@ -392,7 +391,7 @@ func TestLaneLayout(t *testing.T) {
 
 // TestTenantBucketLayout pins the token bucket's striping: the token
 // word (every admitted call's fetch-add) and the refill cursor (the
-// watchdog tick's CAS) each own a line, the immutable rate config sits
+// throttled callers' CAS) each own a line, the immutable rate config sits
 // on neither, and the struct tiles whole lines so an embedding change
 // cannot silently shear the token line.
 func TestTenantBucketLayout(t *testing.T) {

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -27,9 +26,8 @@ import (
 // submission has taken yet in its lease slots. The record deliberately
 // does NOT reference the Client — not directly and not through anything
 // it holds — so runtime.AddCleanup can fire when the Client itself
-// leaks. Nothing lists the records: a client that is not enrolled in
-// liveness epochs is created without taking a lock, and its record is
-// garbage when the client is.
+// leaks. Nothing lists the records: a client is created without taking
+// a lock, and its record is garbage when the client is.
 //
 // # Holdings change hands by exchange
 //
@@ -80,21 +78,22 @@ import (
 //
 // # Death
 //
-// A client is declared dead three ways: explicitly (Client.Abandon, from
-// any goroutine, the client's own handler included), by the
-// runtime.AddCleanup backstop when a leaked Client is collected, or by
-// missing its liveness-epoch budget on the shard tick (opt-in,
-// ClientOptions.LivenessEpochs). All three are clientRec.die: the
-// live->dead CAS, and on the goroutine that won it — there is exactly
-// one — the reap: swap the descriptor slot, every lease slot and the
-// probe slot empty and settle what came out. The reclaim has happened
-// when the declaration returns, on an open System or a closed one, and
-// depends on no helper goroutine. One reaper and nothing but exchanges:
-// the reap takes no lock, keeps no list of the dead and has nothing to
-// retry. It does not wait for the client either, whatever call it is
-// inside: a call in flight owns what it took at entry and settles it
-// itself, and a holding the owner files behind the reap is the owner's
-// to take back — its life-state load after the store sees the death.
+// A client is declared dead two ways: explicitly (Client.Abandon, from
+// any goroutine, the client's own handler included), or by the
+// runtime.AddCleanup backstop when a leaked Client is collected. In one
+// process a client cannot die silently, so nothing watches for a missed
+// heartbeat: peer-death detection belongs to a cross-process transport.
+// Both are clientRec.die: the live->dead CAS, and on the goroutine that
+// won it — there is exactly one — the reap: swap the descriptor slot,
+// every lease slot and the probe slot empty and settle what came out.
+// The reclaim has happened when the declaration returns, on an open
+// System or a closed one, and depends on no helper goroutine. One reaper
+// and nothing but exchanges: the reap takes no lock, keeps no list of
+// the dead and has nothing to retry. It does not wait for the client
+// either, whatever call it is inside: a call in flight owns what it took
+// at entry and settles it itself, and a holding the owner files behind
+// the reap is the owner's to take back — its life-state load after the
+// store sees the death.
 
 // Client record life states (clientRec.state).
 const (
@@ -121,19 +120,13 @@ type leaseBlock struct {
 //
 //ppc:padded
 type clientRec struct {
-	epochs uint64 // liveness budget in tick epochs; 0 = not enrolled
-	reg    *clientRegistry
+	reg *clientRegistry
 
 	// state is the life state (crLive/crDead).
 	//
 	//ppc:atomic
 	state atomic.Uint32
-	// beat is the last registry epoch the client stamped (liveness
-	// opt-in only; see ClientOptions.LivenessEpochs).
-	//
-	//ppc:atomic
-	beat atomic.Uint64
-	_    [32]byte // fill the line every call reads: the slots below are written cold
+	_     [52]byte // fill the line every call reads: the slots below are written cold
 
 	// cd is the slot of the held descriptor — Client.held is the owner's
 	// plain copy of it — filled by Hold and emptied by Release, by the dead
@@ -158,31 +151,18 @@ type clientRec struct {
 	leases leaseBlock
 }
 
-// clientRegistry is one shard's share of domain death: the liveness
-// epoch and the clients enrolled in it, and the death counters. Reached
-// by pointer from the shard (no shard-layout churn); everything here is
-// cold.
+// clientRegistry is one shard's share of domain death: the death
+// counters. Reached by pointer from the shard (no shard-layout churn);
+// everything here is cold.
 type clientRegistry struct {
 	sys *System
 	sh  *shard
 
-	// epoch is the liveness epoch, advanced once per tick while any
-	// client is enrolled.
-	//
-	//ppc:atomic
-	epoch atomic.Uint64
-
 	// Domain-death counters (ShardStats).
-	abandoned  atomic.Int64 // clients declared dead (all three modes)
+	abandoned  atomic.Int64 // clients declared dead (both modes)
 	scavCDs    atomic.Int64 // held CDs condemned by a reap
 	scavLeases atomic.Int64 // payload leases released by a reap
 	tombstoned atomic.Int64 // completions that found their client dead at exit
-
-	// mu guards enrolled, the records of the clients enrolled in liveness
-	// epochs (register and the tick — both cold). Dead ones are dropped by
-	// the tick's next pass.
-	mu       sync.Mutex
-	enrolled []*clientRec
 }
 
 // newClientRegistry builds a shard's registry (shard construction).
@@ -192,24 +172,12 @@ func newClientRegistry(sys *System, sh *shard) *clientRegistry {
 	return &clientRegistry{sys: sys, sh: sh}
 }
 
-// register creates the ownership record for a new client, enrolls it in
-// liveness epochs if asked, and arms the AddCleanup backstop on c.
+// register creates the ownership record for a new client and arms the
+// AddCleanup backstop on c.
 //
 //ppc:coldpath -- client construction
-func (reg *clientRegistry) register(c *Client, epochs int) *clientRec {
+func (reg *clientRegistry) register(c *Client) *clientRec {
 	rec := &clientRec{reg: reg}
-	if epochs > 0 {
-		rec.epochs = uint64(epochs)
-		rec.beat.Store(reg.epoch.Load())
-		reg.mu.Lock()
-		reg.enrolled = append(reg.enrolled, rec)
-		reg.mu.Unlock()
-		// Liveness needs the epoch advancing: make sure the tick loop is
-		// running even on a sync-only system that never armed a deadline.
-		if !reg.sh.closed.Load() {
-			reg.sh.startTick(reg.sys)
-		}
-	}
 	// Backstop: a Client that leaks with resources still owned is
 	// declared dead when the GC proves no goroutine can ever use it
 	// again — the strongest possible "domain death" evidence. The
@@ -219,15 +187,15 @@ func (reg *clientRegistry) register(c *Client, epochs int) *clientRec {
 }
 
 // cleanupClient is the runtime.AddCleanup backstop: the Client leaked.
-// A clean record (nothing held, nothing enrolled) is marked dead and
-// counted nowhere — an ordinary released client was collected; a record
-// with holdings is declared dead like any other, and so reclaimed here,
-// on the cleanup goroutine: a program that leaked its clients may well
-// have leaked the System too, and there may be no tick to defer to.
+// A clean record (nothing held) is marked dead and counted nowhere — an
+// ordinary released client was collected; a record with holdings is
+// declared dead like any other, and so reclaimed here, on the cleanup
+// goroutine: a program that leaked its clients may well have leaked the
+// System too, and there may be no tick to defer to.
 //
 //ppc:coldpath -- GC cleanup of a leaked client
 func cleanupClient(rec *clientRec) {
-	if rec.cd.Load() == nil && rec.epochs == 0 && !rec.holdsLeases() {
+	if rec.cd.Load() == nil && !rec.holdsLeases() {
 		rec.state.CompareAndSwap(crLive, crDead)
 		return
 	}
@@ -391,45 +359,6 @@ func (c *Client) claimLost(args *Args, lost int) error {
 //ppc:coldpath -- half-open probe bookkeeping
 func (rec *clientRec) setProbe(e *epEntry) { rec.probe.Store(e) }
 
-// beatTick stamps the client's liveness beat (epoch-enrolled clients
-// only): the one plain store the warm path pays for liveness.
-//
-//ppc:hotpath
-//ppc:rmwbudget(1)
-func (c *Client) beatTick() {
-	c.rec.beat.Store(c.rec.reg.epoch.Load())
-}
-
-// livenessTick is the tick's share of domain death: advance the liveness
-// epoch and declare dead — which reaps it, here — every enrolled client
-// that has not stamped a beat for its whole budget of epochs, the
-// in-process analogue of a missed heartbeat across /dev/shm. Records no
-// longer live are dropped from the list in place. With nobody enrolled it
-// is one uncontended lock: the tick walks nothing for the other clients.
-//
-//ppc:coldpath -- shard tick work, off every call path
-func (sh *shard) livenessTick() {
-	reg := sh.reg
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if len(reg.enrolled) == 0 {
-		return
-	}
-	epoch := reg.epoch.Add(1)
-	live := reg.enrolled[:0]
-	for _, rec := range reg.enrolled {
-		switch {
-		case rec.state.Load() != crLive:
-		case epoch-rec.beat.Load() > rec.epochs:
-			rec.die()
-		default:
-			live = append(live, rec)
-		}
-	}
-	clear(reg.enrolled[len(live):])
-	reg.enrolled = live
-}
-
 // reap empties a dead record — the three exchanges — and settles what
 // comes out. Called once per record, by the goroutine whose CAS declared
 // the death (die).
@@ -487,9 +416,9 @@ func (c *Client) tombstoneExit() {
 // own is the ownership entry of Call, the one path that runs on the
 // client's held descriptor: take a descriptor if none is held — Hold
 // declines on a dead client — then one load of the record's life state,
-// a read-mostly line written once at death, and the liveness beat of an
-// enrolled client. No call touches the descriptor's slot (see the file
-// comment), so the warm call pays no RMW here.
+// a read-mostly line written once at death. No call touches the
+// descriptor's slot (see the file comment), so the warm call pays no RMW
+// here.
 //
 //ppc:hotpath
 func (c *Client) own(args *Args) error {
@@ -498,9 +427,6 @@ func (c *Client) own(args *Args) error {
 	}
 	if c.held == nil || c.rec.state.Load() != crLive {
 		return c.ownerLost(one(args))
-	}
-	if c.rec.epochs != 0 {
-		c.beatTick()
 	}
 	return nil
 }

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Domain-death protocol unit tests: the three death modes (Abandon,
-// liveness epochs, the AddCleanup backstop) and the reap's per-holding
+// Domain-death protocol unit tests: the two death modes (Abandon and
+// the AddCleanup backstop) and the reap's per-holding
 // reclamation, which has happened when the declaration returns. The
 // storm version lives in chaos_test.go (TestChaosDomainDeath), the
 // operation × death-point × declarer table in ownership_identity_test.go;
@@ -222,56 +222,6 @@ func TestAbandonLeavesExecutorPool(t *testing.T) {
 		t.Fatalf("ScavengedCDs = %d, HeldCDs = %d, CDsCreated = %d, %d executors (%d idle); want 0, 0 and the one executor, reused",
 			st.ScavengedCDs, st.HeldCDs, st.CDsCreated, sh.deadlineExecs(), idleExecs(sh))
 	}
-}
-
-// TestLivenessEpochDeath: the missed-heartbeat death mode. An enrolled
-// client that stops stamping beats for its whole epoch budget is
-// declared dead and reaped on the tick; a client that keeps calling is not.
-func TestLivenessEpochDeath(t *testing.T) {
-	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
-	defer sys.Close()
-	sh := &sys.shards[0]
-	svc, err := sys.Bind(ServiceConfig{Name: "hb", Handler: func(ctx *Ctx, args *Args) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	beating := sys.NewClientWith(ClientOptions{Shard: 0, LivenessEpochs: 2000})
-	idle := sys.NewClientWith(ClientOptions{Shard: 0, LivenessEpochs: 2})
-	idle.Hold()
-	var args Args
-	deadline := time.Now().Add(10 * time.Second)
-	for !idle.Abandoned() && time.Now().Before(deadline) {
-		if err := beating.Call(svc.EP(), &args); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if !idle.Abandoned() {
-		t.Fatal("idle enrolled client never declared dead")
-	}
-	if beating.Abandoned() {
-		t.Fatal("beating client declared dead")
-	}
-	// The beating client's hold survives; the idle client's is reclaimed by
-	// the tick that declared it (polled: Abandoned flips a step ahead of
-	// the reap, on the tick's goroutine).
-	waitCond(t, 2*time.Second, "idle client reap", func() bool {
-		return sh.heldCDs.Load() == 1 && sys.Stats()[0].ScavengedCDs == 1
-	})
-	st := sys.Stats()[0]
-	if st.AbandonedClients != 1 || st.ScavengedCDs != 1 {
-		t.Fatalf("liveness counters: %+v", st)
-	}
-	// The dead record leaves the enrolled list on the tick's next pass;
-	// the live one stays.
-	reg := sh.reg
-	waitCond(t, 2*time.Second, "the dead record to leave the enrolled list", func() bool {
-		reg.mu.Lock()
-		defer reg.mu.Unlock()
-		return len(reg.enrolled) == 1 && reg.enrolled[0] == beating.rec
-	})
-	beating.Release()
 }
 
 // TestCleanupBackstopReclaimsLeak: the GC death mode. A Client that

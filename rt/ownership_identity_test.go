@@ -9,19 +9,19 @@ import (
 	"time"
 )
 
-// TestOwnershipIdentityEveryOrder is the ownership table: every operation
-// that fills or empties a slot of the client's ownership record, with the
-// client's death falling before it, inside its handler and after it,
-// declared each way a death can be — Abandon from another goroutine,
-// Abandon from inside the client's own handler, a missed liveness budget
-// on the tick, the AddCleanup backstop — one case at a time, and each
-// case ends on the same identities: nothing held, no lease out, nothing
-// in quarantine, one death counted, the operation failed with
-// ErrClientAbandoned exactly when the death preceded its life check, a
-// Release of the dead client quiet, and once the System is closed every
-// descriptor ever made either in the pool or condemned — never both,
-// never neither. The storms (TestLeaseStorm, TestChaosDomainDeath) race
-// the same parties; the table names each order.
+// TestOwnershipIdentityEveryOrder is the ownership table: every
+// operation that fills or empties a slot of the client's ownership
+// record, with the client's death falling before it, inside its handler
+// and after it, declared each way a death can be — Abandon from another
+// goroutine, Abandon from inside the client's own handler, the
+// AddCleanup backstop — one case at a time, and each case ends on the
+// same identities: nothing held, no lease out, nothing in quarantine,
+// one death counted, the operation failed with ErrClientAbandoned
+// exactly when the death preceded its life check, a Release of the dead
+// client quiet, and once the System is closed every descriptor ever made
+// either in the pool or condemned — never both, never neither. The
+// storms (TestLeaseStorm, TestChaosDomainDeath) race the same parties;
+// the table names each order.
 
 // Where the death falls, relative to the operation.
 const (
@@ -32,10 +32,10 @@ const (
 
 var ownPoints = []string{"before", "inside", "after"}
 
-// ownEnv is one case: a fresh one-shard System whose tick the case drives
-// by hand, a service whose handler runs the case's death when it falls
-// inside, a carrier service whose handler abandons the client, and the
-// client under test with what its operation was set up with.
+// ownEnv is one case: a fresh one-shard System, a service whose handler
+// runs the case's death when it falls inside, a carrier service whose
+// handler abandons the client, and the client under test with what its
+// operation was set up with.
 type ownEnv struct {
 	t    *testing.T
 	sys  *System
@@ -53,11 +53,9 @@ type ownEnv struct {
 	ran    chan struct{}          // one token per run of svc's handler
 }
 
-func newOwnEnv(t *testing.T, copts ClientOptions) *ownEnv {
+func newOwnEnv(t *testing.T) *ownEnv {
 	t.Helper()
-	// The tick's own period is out of the way: the liveness cases call
-	// livenessTick themselves, so each death lands where the case says.
-	e := &ownEnv{t: t, sys: NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Hour}), ran: make(chan struct{}, 4)}
+	e := &ownEnv{t: t, sys: NewSystemOptions(Options{Shards: 1}), ran: make(chan struct{}, 4)}
 	e.sh = &e.sys.shards[0]
 	var err error
 	e.svc, err = e.sys.Bind(ServiceConfig{Name: "op", Handler: func(ctx *Ctx, args *Args) {
@@ -81,8 +79,7 @@ func newOwnEnv(t *testing.T, copts ClientOptions) *ownEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copts.Shard = 0
-	e.c = e.sys.NewClientWith(copts)
+	e.c = e.sys.NewClientWith(ClientOptions{})
 	e.victim.Store(e.c)
 	return e
 }
@@ -182,7 +179,6 @@ var ownOps = []struct {
 // handler.
 var ownDeclarers = []struct {
 	name    string
-	copts   ClientOptions
 	declare func(e *ownEnv, inHandler bool)
 }{
 	{name: "Abandon from another goroutine", declare: func(e *ownEnv, _ bool) {
@@ -204,20 +200,6 @@ var ownDeclarers = []struct {
 			e.t.Errorf("the carrier call: %v (a call in flight at the death completes)", err)
 		}
 	}},
-	{name: "missed liveness budget", copts: ClientOptions{LivenessEpochs: 2}, declare: func(e *ownEnv, _ bool) {
-		done := make(chan struct{})
-		go func() { // the tick
-			defer close(done)
-			for i := 0; !e.c.Abandoned(); i++ {
-				if i > 100 {
-					e.t.Error("100 liveness epochs and the silent client is still alive")
-					return
-				}
-				e.sh.livenessTick()
-			}
-		}()
-		<-done
-	}},
 }
 
 func TestOwnershipIdentityEveryOrder(t *testing.T) {
@@ -231,7 +213,7 @@ func TestOwnershipIdentityEveryOrder(t *testing.T) {
 			for _, d := range ownDeclarers {
 				rows++
 				t.Run(fmt.Sprintf("%s/death %s/%s", op.name, ownPoints[point], d.name), func(t *testing.T) {
-					e := newOwnEnv(t, d.copts)
+					e := newOwnEnv(t)
 					if op.setup != nil {
 						op.setup(e)
 					}
@@ -259,7 +241,7 @@ func TestOwnershipIdentityEveryOrder(t *testing.T) {
 		// client's collection is not a death.
 		rows++
 		t.Run(op.name+"/death after/AddCleanup backstop", func(t *testing.T) {
-			e := newOwnEnv(t, ClientOptions{})
+			e := newOwnEnv(t)
 			var rec *clientRec
 			var err error
 			func() {

@@ -200,10 +200,9 @@ var (
 	// frees and buckets refill, so a caller may back off and resubmit.
 	ErrShed = fmt.Errorf("rt: request shed (lane overload or tenant budget)")
 	// ErrClientAbandoned: operation on a client that was declared dead
-	// (Client.Abandon, the leaked-client cleanup backstop, or a missed
-	// liveness epoch) and whose resources its declarer has reclaimed
-	// or is reclaiming. Terminal for that client — not retryable;
-	// construct a fresh client instead.
+	// (Client.Abandon or the leaked-client cleanup backstop) and whose
+	// resources its declarer has reclaimed or is reclaiming. Terminal for
+	// that client — not retryable; construct a fresh client instead.
 	ErrClientAbandoned = fmt.Errorf("rt: client abandoned")
 )
 
@@ -969,9 +968,9 @@ type ShardStats struct {
 	// 2 MiB) — the strictly-cold growth path, like CDsCreated for the CD
 	// pool.
 	ArenaGrows int64
-	// AbandonedClients counts clients declared dead on this shard —
-	// by Client.Abandon, the leaked-client cleanup backstop, or a
-	// missed liveness epoch — and reclaimed by whoever declared it.
+	// AbandonedClients counts clients declared dead on this shard — by
+	// Client.Abandon or the leaked-client cleanup backstop — and
+	// reclaimed by whoever declared it.
 	AbandonedClients int64
 	// ScavengedCDs counts held call descriptors a death took out of the
 	// dead client's record: condemned, and the pool compensated.

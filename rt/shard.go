@@ -293,21 +293,19 @@ type shard struct {
 	// (lane.go; one for a shard built without Options.Lanes), feeding the
 	// async workers made as needed (§4.4, §2); ringsReady is stored once,
 	// by provisionRings. tenants is the per-shard bucket table (tenant.go;
-	// nil until the first ConfigureTenant publishes it), tenantList the
-	// watchdog's flat refill list. All read-mostly; the block is sized to
-	// two whole lines so the arena below keeps its 64-alignment.
+	// nil until the first ConfigureTenant publishes it). All read-mostly;
+	// the block is sized to two whole lines so the arena below keeps its
+	// 64-alignment.
 	lanes []laneRing
 	//ppc:atomic
 	ringsReady atomic.Bool
 	//ppc:atomic
 	tenants atomic.Pointer[tenantTable]
-	//ppc:atomic
-	tenantList atomic.Pointer[[]*tenantBucket]
 	// yieldPerBatch: Options.CooperativeYield — the worker cedes the P
 	// once per serviced batch so sleeping submitters can publish.
 	// Read-only after construction, like the rest of this block.
 	yieldPerBatch bool
-	_             [79]byte // fill the lane/tenant block to 128 bytes
+	_             [87]byte // fill the lane/tenant block to 128 bytes
 
 	// arena is the shard's payload arena (arena.go) and offload its
 	// copy-staging lane (offload.go). Warm payload traffic only *loads*
@@ -318,10 +316,9 @@ type shard struct {
 	// internal cur-line isolation is not sheared.
 	arena   shardArena
 	offload *offloadLane
-	// reg is the shard's share of domain death (owner.go): the liveness
-	// epoch, the clients enrolled in it and the death counters all live
-	// behind this one cold pointer, so the shard's own layout is
-	// untouched by the ownership protocol.
+	// reg is the shard's share of domain death (owner.go): the death
+	// counters live behind this one cold pointer, so the shard's own
+	// layout is untouched by the ownership protocol.
 	reg *clientRegistry
 	_   [48]byte // tail pad: shard tiles whole lines (System.shards is a []shard)
 }

@@ -18,14 +18,11 @@ import (
 //   - The warm admitted path is one fetch-add on the tenant's token
 //     word (takeN) — no lock, no clock read, no allocation. ppclint's
 //     hot-path analyzer checks this.
-//   - Refill is driven from the watchdog's coarse clock: the shard's
-//     supervision loop already ticks every few milliseconds, and one
-//     pass over the configured buckets per tick credits tokens by
-//     whole refill intervals. The call path never pays for the clock.
-//   - The throttled path (takeSlowN) does its own catch-up refill from
-//     a fresh clock reading before giving up, so admission is correct
-//     even when no watchdog is running (a sync-only system never
-//     spawns one) — the ticker is an optimization, not a dependency.
+//   - Refill is lazy: only the throttled path (takeSlowN) refills, from
+//     a fresh clock reading, by whole intervals (the cursor CAS settles
+//     racing refillers); no tick walks the buckets. A full bucket earns
+//     nothing: the take that moves it off full restarts the cursor
+//     (restartRefill, cold), so an idle tenant admits exactly Burst.
 //   - Budgets are striped per shard, exactly like the health gate and
 //     the admission counters: each shard holds its own bucket replica,
 //     so a tenant's configured rate is per shard and the token word is
@@ -64,11 +61,12 @@ type TenantConfig struct {
 
 // tenantBucket is one shard's token bucket for one tenant. The token
 // word is the only thing the warm path touches (one fetch-add per
-// admitted call); the refill cursor is written by the watchdog tick
-// and the throttled slow path, so it lives on its own line; the
-// immutable rate configuration shares the third line with nothing
-// hot. Heap-allocated one per (tenant, shard), but tiled anyway so an
-// embedding change cannot silently shear the token line.
+// admitted call); the refill cursor is written by the throttled slow
+// path and restarted by the take that moves the bucket off full, so it
+// lives on its own line; the immutable rate configuration
+// shares the third line with nothing hot. Heap-allocated one per
+// (tenant, shard), but tiled anyway so an embedding change cannot
+// silently shear the token line.
 //
 //ppc:padded
 type tenantBucket struct {
@@ -81,9 +79,8 @@ type tenantBucket struct {
 	tokens atomic.Int64
 	_      [56]byte
 
-	// lastRefill is the unix-nano cursor of the last credited refill
-	// interval; refill advances it by whole intervals only, so credit
-	// never accrues from partial elapsed time.
+	// lastRefill is the unix-nano refill cursor: refill advances it by
+	// whole intervals, and a take from a full bucket restarts it at now.
 	//
 	//ppc:atomic
 	//ppc:hotline
@@ -101,21 +98,32 @@ type tenantBucket struct {
 // one call, or a whole batch charged at once: one fetch-add. The batch
 // is admitted whole or not at all — a half-admitted batch would make
 // Flush's accepted count lie about which requests were throttled. A
-// negative result means the bucket was out of credit; the slow half
-// settles it.
+// take out of credit, or from a full bucket, goes to the slow half.
 //
 //ppc:hotpath
 func (b *tenantBucket) takeN(n int64, clock *coarseClock) bool {
-	return b.tokens.Add(-n) >= 0 || b.takeSlowN(n, clock)
+	left := b.tokens.Add(-n)
+	return (left >= 0 && left+n < b.burst) || b.takeSlowN(left, n, clock)
 }
 
-// refill credits tokens for the whole intervals elapsed since the last
-// refill, clamping to burst. Lock-free against concurrent refillers
-// (the watchdog tick and throttled callers race here): the CAS on the
-// cursor elects exactly one creditor per elapsed window, and the
-// token CAS loop clamps without ever exceeding burst. After an idle
-// period longer than the burst window the cursor snaps to now — the
-// tenant gets its full burst, not unbounded banked credit.
+// restartRefill moves the cursor to now as a take moves the bucket off
+// full, discarding the credit its cap refused; the cursor only moves
+// forward, so a refiller that read a later clock is never undone.
+//
+//ppc:coldpath -- once per stretch at full credit, not per admitted call
+func (b *tenantBucket) restartRefill(now int64) {
+	for last := b.lastRefill.Load(); last < now; last = b.lastRefill.Load() {
+		if b.lastRefill.CompareAndSwap(last, now) {
+			return
+		}
+	}
+}
+
+// refill credits the whole intervals elapsed since the cursor, clamped
+// to burst. Throttled callers race here: the cursor CAS elects exactly
+// one creditor per elapsed window, and the token CAS loop never exceeds
+// burst. Past the burst window the cursor snaps to now: a full burst,
+// not banked credit.
 //
 //ppc:coldpath -- clock-driven credit, off the warm admission path
 func (b *tenantBucket) refill(now int64) {
@@ -147,15 +155,22 @@ func (b *tenantBucket) refill(now int64) {
 	}
 }
 
-// takeSlowN is the out-of-credit path: undo the optimistic decrement,
-// run a catch-up refill from a fresh clock reading (so admission does
-// not depend on the watchdog ticker running), and retry once. A false
-// return is a real budget violation — the caller sheds with ErrShed.
+// takeSlowN settles a take the warm check passed on (left is what its
+// fetch-add returned). A take from a full bucket restarts its refill; one
+// out of credit undoes its decrement, runs a catch-up refill — the only
+// refill a bucket gets — and retries once. False sheds with ErrShed.
 //
-//ppc:coldpath -- the tenant is over budget; the submission is already failing
-func (b *tenantBucket) takeSlowN(n int64, clock *coarseClock) bool {
+//ppc:coldpath -- a full bucket's first take, or a tenant over budget
+func (b *tenantBucket) takeSlowN(left, n int64, clock *coarseClock) bool {
+	now := clock.refresh()
+	if left+n >= b.burst {
+		b.restartRefill(now)
+	}
+	if left >= 0 {
+		return true
+	}
 	b.tokens.Add(n)
-	b.refill(clock.refresh())
+	b.refill(now)
 	if b.tokens.Add(-n) >= 0 {
 		return true
 	}
@@ -201,24 +216,8 @@ func (s *System) ConfigureTenant(id TenantID, cfg TenantConfig) error {
 		b.tokens.Store(int64(cfg.Burst))
 		b.lastRefill.Store(sh.clock.refresh())
 		tab[id].Store(b)
-		sh.republishTenantList(tab)
 	}
 	return nil
-}
-
-// republishTenantList rebuilds the shard's flat refill list (the
-// watchdog walks it per tick without touching the sparse table).
-// Caller holds System.mu.
-//
-//ppc:coldpath -- control-plane publication, serialized by System.mu
-func (sh *shard) republishTenantList(tab *tenantTable) {
-	var list []*tenantBucket
-	for i := range tab {
-		if b := tab[i].Load(); b != nil {
-			list = append(list, b)
-		}
-	}
-	sh.tenantList.Store(&list)
 }
 
 // tenantBucketFor resolves a tenant's bucket on this shard, nil when
@@ -232,16 +231,4 @@ func (sh *shard) tenantBucketFor(id TenantID) *tenantBucket {
 		return nil
 	}
 	return tab[id].Load()
-}
-
-// refillTenants credits every configured bucket from the watchdog's
-// clock — one pass per supervision tick.
-//
-//ppc:coldpath -- watchdog tick work, off every call path
-func (sh *shard) refillTenants(now int64) {
-	if list := sh.tenantList.Load(); list != nil {
-		for _, b := range *list {
-			b.refill(now)
-		}
-	}
 }

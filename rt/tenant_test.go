@@ -2,7 +2,9 @@ package rt
 
 import (
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -99,8 +101,8 @@ func TestTenantUnconfiguredID(t *testing.T) {
 
 // TestTenantRefill pins the refill path: once the bucket is drained, a
 // throttled caller earns admission back at the configured rate — via
-// the takeSlowN catch-up refill, so the test holds even before any
-// watchdog tick lands.
+// the takeSlowN catch-up refill, the only refill a bucket gets: no tick
+// ever credits one.
 func TestTenantRefill(t *testing.T) {
 	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
@@ -122,7 +124,57 @@ func TestTenantRefill(t *testing.T) {
 	})
 }
 
-// TestTenantReconfigure: replacing a budget takes effect on the very
+// TestTenantBurstAfterIdle pins Burst's contract on the wall clock: a
+// bucket left full for six refill intervals admits its burst
+// back-to-back, not the burst plus the idle time's credit. The one
+// extra admission allowed is an interval elapsing mid-drain on a
+// stalled machine; paying out the idle credit would admit 2 × burst.
+func TestTenantBurstAfterIdle(t *testing.T) {
+	const burst = 3
+	sys := NewSystemOptions(Options{Shards: 1})
+	defer sys.Close()
+	svc := bindNull(t, sys, "inull")
+	if err := sys.ConfigureTenant(6, TenantConfig{Rate: 100, Burst: burst}); err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 6})
+	defer c.Release()
+	time.Sleep(60 * time.Millisecond)
+	n := 0
+	for c.Call(svc.EP(), &Args{}) == nil {
+		n++
+	}
+	if n < burst || n > burst+1 {
+		t.Errorf("%d admitted back-to-back after 60 ms idle at 100/s, burst %d; want %d (%d on a stalled drain)", n, burst, burst, burst+1)
+	}
+}
+
+// TestTenantRefillCursorRace hammers refill's cursor CAS with no clock:
+// every goroutine credits the same bucket at the same sequence of
+// instants, one interval apart. The CAS elects one creditor per
+// interval, so the bucket ends with exactly one token per interval and
+// its cursor on the last instant. A cursor written without the CAS
+// credits an interval twice, or moves the cursor back, and over-credits.
+func TestTenantRefillCursorRace(t *testing.T) {
+	const steps, racers = 20000, 4
+	b := &tenantBucket{interval: 1, burst: 1 << 40}
+	var wg sync.WaitGroup
+	for range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for now := int64(1); now <= steps; now++ {
+				b.refill(now)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, cur := b.tokens.Load(), b.lastRefill.Load(); got != steps || cur != steps {
+		t.Errorf("tokens %d, cursor %d after %d racers credited %d intervals; want %d and %d", got, cur, racers, steps, steps, steps)
+	}
+}
+
+// TestTenantReconfigure:replacing a budget takes effect on the very
 // next call, with a fresh full burst.
 func TestTenantReconfigure(t *testing.T) {
 	sys := NewSystemOptions(Options{Shards: 1})
@@ -225,38 +277,119 @@ func TestTenantShedReleasesPayload(t *testing.T) {
 	}
 }
 
-// TestTenantWatchdogRefill: with a watchdog running, buckets are
-// credited from the supervision tick alone — no caller needs to hit
-// the takeSlowN path for the budget to recover.
-func TestTenantWatchdogRefill(t *testing.T) {
-	sys := NewSystemOptions(Options{
-		Shards:           1,
-		WatchdogInterval: time.Millisecond,
-	})
+// TestTenantRefillWithTickRunning: a shard whose tick is running (a
+// worker spawned by an AsyncCall, supervision on a 1 ms period) refills
+// a drained bucket exactly as a sync-only shard does — through the
+// throttled callers' own catch-up refills, which race on the cursor CAS
+// when several callers share the tenant. Over ~100 ms the tenant earns
+// admission back, and never more than rate × elapsed + burst of it: the
+// cursor elects one creditor per interval, and the tick credits nothing
+// on top.
+func TestTenantRefillWithTickRunning(t *testing.T) {
+	const rate, burst, callers = 500, 2, 4
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
 	defer sys.Close()
 	svc := bindNull(t, sys, "wnull")
-	if err := sys.ConfigureTenant(4, TenantConfig{Rate: 500, Burst: 2}); err != nil {
+	if err := sys.ConfigureTenant(4, TenantConfig{Rate: rate, Burst: burst}); err != nil {
 		t.Fatal(err)
 	}
 	c := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 4})
+	defer c.Release()
 	var args Args
-	// An async call spawns the worker, whose shard runs the watchdog.
 	if err := c.AsyncCall(svc.EP(), &args); err != nil {
 		t.Fatal(err)
 	}
 	sh := &sys.shards[0]
-	// Drain whatever credit is left directly, then watch the watchdog
-	// put tokens back without any call traffic.
-	b := sh.tenantBucketFor(4)
-	if b == nil {
-		t.Fatal("no bucket on shard 0")
+	sh.qMu.Lock()
+	ticking := sh.watchdogOn
+	sh.qMu.Unlock()
+	if !ticking {
+		t.Fatal("the AsyncCall's worker started no tick")
 	}
-	for b.tokens.Add(-1) >= 0 {
+	// Drain: the first shed leaves the bucket empty, its cursor less than
+	// one refill interval behind now.
+	for c.Call(svc.EP(), &args) == nil {
 	}
-	b.tokens.Add(1) // undo the failed decrement
-	waitCond(t, time.Second, "watchdog refilled the bucket", func() bool {
-		return b.tokens.Load() > 0
-	})
+	start := time.Now()
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 4})
+			defer c.Release()
+			for time.Since(start) < 100*time.Millisecond {
+				if err := c.Call(svc.EP(), &Args{}); err == nil {
+					admitted.Add(1)
+				} else if !errors.Is(err, ErrShed) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	n := int(admitted.Load())
+	// The cursor trails the drain by under one interval: at most one
+	// credit more than the elapsed time earns.
+	if ceil := int(rate*elapsed.Seconds()) + burst; n > ceil {
+		t.Errorf("%d admitted in %v, want at most rate × elapsed + burst = %d", n, elapsed, ceil)
+	}
+	// Loose: callers all descheduled for longer than the burst window
+	// lose the credit past the cap.
+	if floor := int(rate * elapsed.Seconds() / 10); n < floor {
+		t.Errorf("%d admitted in %v, want at least %d: the drained tenant did not earn admission back", n, elapsed, floor)
+	}
+	t.Logf("%d admitted in %v by %d callers at %d/s, burst %d", n, elapsed, callers, rate, burst)
+}
+
+// TestSyncOnlySystemStartsNoGoroutine: a System that only ever calls
+// synchronously — clients made, held and pooled calls, a payload, a
+// configured tenant drained and refilled — starts no goroutine at all.
+// The tick has no job there: no deadline executor, no async worker, and
+// nothing else it would drive.
+func TestSyncOnlySystemStartsNoGoroutine(t *testing.T) {
+	leakCheck(t)
+	base := goroutineSites()
+	sys := NewSystemOptions(Options{Shards: 2, WatchdogInterval: time.Millisecond})
+	defer sys.Close()
+	svc := bindNull(t, sys, "snull")
+	if err := sys.ConfigureTenant(3, TenantConfig{Rate: 1000, Burst: 2}); err != nil {
+		t.Fatal(err)
+	}
+	plain := sys.NewClientWith(ClientOptions{Shard: -1})
+	tenant := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 3})
+	var args Args
+	if err := plain.Call(svc.EP(), &args); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.CallPooled(svc.EP(), &args); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.AttachBytes(&args, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Call(svc.EP(), &args); err != nil {
+		t.Fatal(err)
+	}
+	sheds := 0
+	for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); {
+		if err := tenant.Call(svc.EP(), &Args{}); errors.Is(err, ErrShed) {
+			sheds++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sheds == 0 {
+		t.Fatal("the tenant was never throttled: its refill path did not run")
+	}
+	if leaks := leakDiff(base); len(leaks) > 0 {
+		t.Errorf("a sync-only System started goroutines:\n\t%s", strings.Join(leaks, "\n\t"))
+	}
+	plain.Release()
+	tenant.Release()
 }
 
 // TestConfigureFirstTenantUnderTraffic: the first ConfigureTenant of a

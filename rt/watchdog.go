@@ -25,16 +25,17 @@ import (
 //
 // The same goroutine also drives deadline expiry (deadline.go): every
 // tick refreshes the shard's coarse clock and walks the shard's pool of
-// deadline executors, orphaning the callers whose deadline has come
-// due — and the liveness epoch of the clients enrolled in one (owner.go),
-// the only part of domain death that waits for a tick: every other death
-// is settled where it is declared. Once the shard has an executor the
-// tick period tightens to the deadline tick (so expiry latency is bounded
-// by it) and the loop keeps ticking even after shard close until the last
-// executor has exited —
-// supervision and the tick have separate lifecycles: supervision runs
-// only when a stall threshold is configured and the shard is open; the
-// tick runs whenever either needs it.
+// deadline executors, orphaning the callers whose deadline has come due.
+// Those are the tick's three jobs — the coarse clock, deadline expiry and
+// worker supervision — and nothing else waits for it: a death is settled
+// where it is declared (owner.go), and a tenant bucket is refilled by the
+// throttled caller that finds it empty (tenant.go). Once the shard has an
+// executor the tick period tightens to the deadline tick (so expiry
+// latency is bounded by it) and the loop keeps ticking even after shard
+// close until the last executor has exited — supervision and the tick
+// have separate lifecycles: supervision runs only when a stall threshold
+// is configured and the shard is open; the tick runs whenever either
+// needs it, so a sync-only System never starts one.
 //
 // Design rules carried over from the rest of the package:
 //
@@ -212,13 +213,12 @@ func (sh *shard) leave(beat *workerBeat) bool {
 // otherwise settle its first call up to one such interval late.
 // Supervision starts it ahead of the first worker (spawnWorker, when a
 // stall threshold is configured and the shard is open); a deadline
-// executor starts it without either condition and a liveness-enrolled
-// client on an open shard — synchronous calls, deadlines included, keep
-// working after Close, and a loop started behind a close finds stop
-// closed and goes straight to drain mode. A death declaration starts
-// none: whoever declares it reclaims (owner.go).
+// executor starts it without either condition — synchronous calls,
+// deadlines included, keep working after Close, and a loop started behind
+// a close finds stop closed and goes straight to drain mode. Nothing else
+// does: a death declaration reclaims where it is declared (owner.go).
 //
-//ppc:coldpath -- tick startup: first worker, a new executor, a liveness enrolment
+//ppc:coldpath -- tick startup: first worker, a new executor
 func (sh *shard) startTick(sys *System) {
 	sh.qMu.Lock()
 	if !sh.watchdogOn {
@@ -269,21 +269,13 @@ func (sh *shard) watchdogLoop(sys *System) {
 			stopping = true
 			stopCh = nil
 		case <-sh.retick:
-			// startTick: only the period can have changed, and the liveness
-			// epoch counts ticks — no tick's work here.
+			// startTick: only the period can have changed — no tick's work here.
 			repick()
 			continue
 		case <-ticker.C:
 		}
 		now := sh.clock.refresh()
-		// Tenant token buckets are credited from the same coarse clock,
-		// once per tick — the warm admission path never reads a clock.
-		sh.refillTenants(now)
 		sh.expireDeadlines(now)
-		// Liveness rides the same tick (owner.go): the epoch advances and
-		// an enrolled client past its budget is declared dead — and
-		// reclaimed, here. One uncontended lock when nobody is enrolled.
-		sh.livenessTick()
 		repick()
 		if stopping {
 			// Drain mode: no supervision, tick until every deadline executor
