@@ -16,34 +16,13 @@ test:
 # two is not.
 
 # Race detector over the concurrency-sensitive packages (CI matrix),
-# then the two goroutine handoffs (deadline executor, async doorbell),
-# the two every-exit identity tables and the submit-versus-Close tests
-# (the ring's closed bit against producers, the offload stage against the
-# drain) at 1, 2 and 4 Ps: they have one path on every P count, and -cpu
-# overrides the GOMAXPROCS pin for that run. The pattern takes the
-# executor-pool tests with it (TestDeadlinePool*: the population keep
-# rule, concurrent growth, orphan reuse), Abandon|Ownership the
-# exchange tests of domain death (the ownership identity table, the
-# reclaim that has happened when Abandon returns), and Arena|Scratch the
-# arena's concurrent refills and the scratch a descriptor sizes on first
-# use, Lane the wedge-and-release lane tests (claim order, the
-# inversion bound, the service ratio), Watchdog the stuck-worker
-# tests (growth into the room a stuck worker makes, the bound, the
-# shrink at the park point), and Ring|Provision|Table the memory a
-# System commits on first use (zeroed rings over several laps, first
-# submissions racing each other and Close, Binds that make table pages
-# racing calls), Pool the descriptor pool's tagged free list (the
-# replayed stale pop, a death's slot reuse, the exclusivity stress),
-# Payload the payload leases end to end (every settle path's release,
-# the offload stage, the first payload's footprint, the warm 0-alloc
-# payload calls), which grow and recycle arena slabs across processors,
-# and Tenant the token buckets, whose only refill is the throttled
-# caller's: on more than one processor concurrent refillers race on the
-# refill cursor's CAS (TestTenantRefillCursorRace counts the credits).
+# then the whole rt package at 1, 2 and 4 Ps: its call paths and
+# handoffs have one shape on every P count, and -cpu overrides the
+# GOMAXPROCS pin for that run.
 race: export GOMAXPROCS = 2
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
-	$(GO) test -cpu 1,2,4 -count=2 -run 'Deadline|Context|Doorbell|Orphan|Identity|Close|Abandon|Ownership|Arena|Scratch|Lane|Watchdog|Ring|Provision|Table|Pool|Payload|Tenant' ./rt
+	$(GO) test -cpu 1,2,4 -count=2 ./rt
 
 # The fake-clock twins (rt/*_synctest_test.go): inside a synctest
 # bubble time moves only when every goroutine is blocked, so a clock-
@@ -52,12 +31,8 @@ race:
 synctest:
 	GOEXPERIMENT=synctest $(GO) test -count=20 -run Synctest ./rt
 
-# The second vet type-checks what compiles only under the faultinject
-# tag (chaos_test.go, faultinject_on.go), which otherwise only the chaos
-# soak builds.
 vet:
 	$(GO) vet ./...
-	$(GO) vet -tags faultinject ./rt
 
 # gofmt over every Go file of the tree, bench/ and tools/ included, must
 # change nothing. The analyzers' testdata fixtures are exempt: some are
@@ -81,14 +56,13 @@ lint: vet ppclint
 # stalls, delayed ring publishes, sustained backpressure, the arena
 # storm, and the domain-death storm — clients abandoned mid-call and
 # mid-hold under injected scavenge stalls) with convergence assertions
-# after each storm. The injection sites compile in only under the
-# faultinject tag, and so does one case of TestRingSubmitCloseKillStress
-# (a producer stalled between its ticket and its publish when Close
-# arrives), which the pattern therefore takes along.
+# after each storm. `go test ./rt` runs it once; this soaks it, with
+# TestRingSubmitCloseKillStress (a producer stalled between its ticket
+# and its publish when Close arrives) taken along.
 chaos: export GOMAXPROCS = 2
 chaos:
-	$(GO) test -run 'Chaos|RingSubmitClose' -count=5 -tags faultinject ./rt/...
-	$(GO) test -race -run 'Chaos|RingSubmitClose' -count=2 -tags faultinject ./rt/...
+	$(GO) test -run 'Chaos|RingSubmitClose' -count=5 ./rt/...
+	$(GO) test -race -run 'Chaos|RingSubmitClose' -count=2 ./rt/...
 
 # The repository's benchmark (bench/, registered in BENCHMARK.json):
 # every workload, untraced. bench/README.md lists run.sh's flags.

@@ -132,7 +132,7 @@ func (c *Client) async(ep EntryPointID, argss []Args, done chan<- struct{}, ttl 
 	} else if c.rec.state.Load() != crLive {
 		return 0, c.ownerLost(argss)
 	}
-	cr, err := sh.enter(ep, argss, nil)
+	cr, err := sh.enter(ep, argss)
 	if err != nil {
 		return 0, err
 	}
@@ -156,10 +156,6 @@ func (c *Client) async(ep EntryPointID, argss []Args, done chan<- struct{}, ttl 
 	}
 	if n < len(argss) {
 		svc.unadmit(counters, len(argss)-n)
-		// A carried probe fails with the tail only if nothing reached the
-		// ring: accepted requests settle the gate at dequeue, and a
-		// hard-kill discard falls back to the probe lease (gateAdmitSlow).
-		cr.probe = cr.probe && n == 0
 		return n, cr.fail(sh, argss[n:], err)
 	}
 	return n, err

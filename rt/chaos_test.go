@@ -1,5 +1,3 @@
-//go:build faultinject
-
 package rt
 
 import (
@@ -12,9 +10,10 @@ import (
 	"time"
 )
 
-// Chaos suite — run with `make chaos` (or CI's chaos job):
+// Chaos suite — part of `go test ./rt`; `make chaos` (or CI's chaos
+// job) soaks it:
 //
-//	go test -run Chaos -count=5 -tags faultinject ./rt/...
+//	go test -run Chaos -count=5 ./rt/...
 //
 // Each test drives one fault class through the deterministic injection
 // layer, then asserts the same convergence contract: once the fault

@@ -307,7 +307,7 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 		}
 	}
 	cd := c.held
-	cr, err := c.shard.enter(ep, one(args), c.rec)
+	cr, err := c.shard.enter(ep, one(args))
 	if err == nil {
 		// Counters follow the descriptor: one pointer compare when warm.
 		cr.st = cd.stripeOf(cr.svc)
@@ -372,44 +372,34 @@ func runIsolated(s *System, h Handler, ctx *Ctx, args *Args) (fault any) {
 func (s *Service) epProgram() uint32 { return uint32(s.ep) | 1<<31 }
 
 // callRec is one call's record from entry to settlement: what enter
-// resolved for it and what its exits settle. Every call path — held,
+// resolved for it and where it is admitted. Every call path — held,
 // pooled, deadline, asynchronous — runs between the one entry
-// (shard.enter) and one of two exits: fail before dispatch, settle after
-// it. Four words, passed by value in registers; the deadline path hands
-// its executor a copy.
+// (shard.enter) and one of two exits: fail before dispatch, the
+// dispatched call's recordOutcome after it. Two words, passed by value in
+// registers; the deadline path hands its executor a copy.
 type callRec struct {
 	*epEntry             // the shard's replica of the entry point: service, handler, the (service, shard) counters
 	st       *callStripe // where a synchronous call is admitted (set by its caller): the held descriptor's stripe, or the shard's
-	rec      *clientRec  // the ownership record whose probe slot holds a carried probe, or nil
-	probe    bool        // the call carries the gate's half-open probe and owes it a settlement
 }
 
 // enter is the one entry of every call path: read this shard's replica
-// of the entry point (§4.5.5), pass the health gate, and publish a won
-// half-open probe on the caller's ownership record so its reap can
-// settle the gate if the client dies carrying it. The gate sheds before
-// admission: a degraded service costs the caller one atomic load and no
-// in-flight accounting, a service without a gate one nil check. A
+// of the entry point (§4.5.5) and pass the health gate. The gate sheds
+// before admission: a degraded service costs the caller one atomic load
+// and no in-flight accounting, a service without a gate one nil check. A
 // rejection releases the leases attached to argss: the attach gave them
 // to the call, and a call that fails before dispatch still consumes them.
 //
 //ppc:hotpath
-func (sh *shard) enter(ep EntryPointID, argss []Args, rec *clientRec) (callRec, error) {
+func (sh *shard) enter(ep EntryPointID, argss []Args) (callRec, error) {
 	e, err := sh.resolve(ep)
-	probe := false
 	if err == nil && e.svc.health != nil {
-		probe, err = e.svc.gateAdmit(e.counters)
+		err = e.svc.gateAdmit(e.counters)
 	}
 	if err != nil {
 		sh.releaseBatchPayloads(argss)
 		return callRec{}, err
 	}
-	cr := callRec{epEntry: e, probe: probe}
-	if probe && rec != nil {
-		cr.rec = rec
-		rec.setProbe(e)
-	}
-	return cr, nil
+	return callRec{epEntry: e}, nil
 }
 
 // begin is the synchronous admission leg: the call joins its stripe's
@@ -422,41 +412,13 @@ func (cr callRec) begin() bool { return cr.svc.admit(cr.st) }
 
 // fail is the one exit of a call that entered and will not be
 // dispatched — its admission backed out on a kill, its submission was
-// refused: a carried probe goes back to the gate, and the leases still
-// attached to argss are released.
+// refused: the leases still attached to argss are released. A half-open
+// probe that fails here leaves the gate to its lease.
 //
 //ppc:coldpath -- the call is failing before dispatch
 func (cr callRec) fail(sh *shard, argss []Args, err error) error {
-	if cr.probe {
-		cr.probeDone(err)
-	}
 	sh.releaseBatchPayloads(argss)
 	return err
-}
-
-// settle is the one settlement of a dispatched call to a service with a
-// health gate, made by whoever reports the outcome err to the caller:
-// health evidence, then a carried probe.
-//
-//ppc:hotpath
-func (cr callRec) settle(err error) {
-	cr.svc.recordOutcome(cr.counters, err)
-	if cr.probe {
-		cr.probeDone(err)
-	}
-}
-
-// probeDone ends the call's carriage of the half-open probe: it comes
-// out of the ownership record's slot first, so a reap cannot reopen a
-// gate this settles, and an outcome that is no health evidence sends the
-// gate back to degraded (Service.settleProbe).
-//
-//ppc:coldpath -- half-open probe bookkeeping
-func (cr callRec) probeDone(err error) {
-	if cr.rec != nil {
-		cr.rec.probe.Store(nil)
-	}
-	cr.svc.settleProbe(cr.counters, err)
 }
 
 // callHeld is the synchronous core: an entered call run on a descriptor
@@ -473,7 +435,7 @@ func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) 
 	err := s.dispatch(cd, cr.svc, cr.st, cr.h, args, program, false)
 	cr.svc.complete(cr.st)
 	if cr.svc.health != nil {
-		cr.settle(err)
+		cr.svc.recordOutcome(cr.counters, err)
 	}
 	return err
 }
@@ -488,7 +450,7 @@ func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) 
 //ppc:hotpath
 //ppc:rmwbudget(5) -- pool pop (CAS), admission, completion, pool push (link, CAS)
 func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32) error {
-	cr, err := sh.enter(ep, one(args), nil)
+	cr, err := sh.enter(ep, one(args))
 	if err != nil {
 		return err
 	}

@@ -116,9 +116,8 @@ import (
 // Health evidence is the caller's to report, for the outcome it returns:
 // a completed call's on the Done ticket, an orphaned call's in orphaned —
 // only a true expiry (cause == nil) is timeout evidence; a caller that
-// cancels via ctx is not a sick service. A cancelled call that carried
-// the half-open probe still settles the gate (back to degraded) so the
-// probe lease is never leaked.
+// cancels via ctx is not a sick service. A cancelled half-open probe
+// leaves the gate to its lease (health.go).
 //
 // Deadline semantics for asynchronous submissions are simpler — a
 // queued request has no goroutine to orphan. Batch.SetDeadline
@@ -449,7 +448,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	}
 	c.released = false // a Release after this call is not a second Release of an earlier hold
 	sh := c.shard
-	cr, err := sh.enter(ep, one(args), c.rec)
+	cr, err := sh.enter(ep, one(args))
 	if err != nil {
 		return err
 	}
@@ -500,7 +499,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	*args, err = t.args, t.err
 	sh.pushExec(exec) // the results are copied out: the next call may have it
 	if cr.svc.health != nil {
-		cr.settle(err)
+		cr.svc.recordOutcome(cr.counters, err)
 	}
 	return err
 }
@@ -540,8 +539,8 @@ func (e *dlExec) wait(gen uint64, cancel <-chan struct{}) (s uint64, cancelled b
 // orphaned performs the caller's side of an orphaning, whoever won the
 // CAS (the tick on expiry, the caller on cancellation): count it and
 // record health evidence (timeout evidence only for a true expiry — a
-// cancellation settles a carried probe without degrading the gate). The
-// executor finishes on its own descriptor and goes back to the pool.
+// cancellation is no evidence). The executor finishes on its own
+// descriptor and goes back to the pool.
 //
 //ppc:coldpath -- a deadline already expired (or the ctx was cancelled); the call is failing
 func (c *Client) orphaned(cr callRec, cause error) error {
@@ -553,10 +552,6 @@ func (c *Client) orphaned(cr callRec, cause error) error {
 	c.shard.clock.refresh() // a retry's arm rounds up from a current reading, as a first executor's does (startTick)
 	if cr.svc.health != nil && cause == nil {
 		cr.svc.recordTimeout(cr.counters)
-	}
-	if cr.probe {
-		// A cancelled probe is no evidence: back to degraded, where a timeout has already sent it.
-		cr.probeDone(err)
 	}
 	return err
 }

@@ -52,9 +52,9 @@ func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 
 // Caller cancellation is not evidence that the service is sick: any
 // number of prompt ctx cancellations must leave the health gate alone,
-// while true expiries still trip it, and a cancelled call that carried
-// the half-open probe settles the gate back to degraded (no recovery,
-// no leak) so a later clean probe can close it.
+// while true expiries still trip it, and a cancelled half-open probe
+// leaves the gate to the probe's lease (no recovery, no wedge) so a
+// later clean probe can close it.
 func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 	leakCheck(t)
 	sys := NewSystemOptions(Options{Shards: 1})
@@ -107,8 +107,8 @@ func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 	if svc.HealthTrips() != 1 {
 		t.Fatalf("HealthTrips = %d", svc.HealthTrips())
 	}
-	// A cancelled half-open probe: no recovery, but the gate settles back
-	// to degraded instead of leaking the probe lease.
+	// A cancelled half-open probe: no recovery, and the gate sheds until
+	// the probe's lease expires.
 	time.Sleep(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -123,15 +123,15 @@ func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 		t.Fatal("cancelled probe must not close the gate")
 	}
 	if err := c.Call(svc.EP(), &good); !errors.Is(err, ErrServiceUnhealthy) {
-		t.Fatalf("inside restarted window: %v, want shed (gate must not be stuck half-open)", err)
+		t.Fatalf("inside the probe's lease: %v, want shed", err)
 	}
-	// After the restarted window a clean probe recovers.
+	// After the lease a clean probe takes over and recovers.
 	time.Sleep(10 * time.Millisecond)
 	waitCond(t, time.Second, "clean probe recovery", func() bool {
 		return c.Call(svc.EP(), &good) == nil
 	})
 	if !svc.Healthy() {
-		t.Fatal("gate never closed after the cancelled probe settled")
+		t.Fatal("gate never closed after the cancelled probe's lease")
 	}
 }
 

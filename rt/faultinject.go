@@ -5,21 +5,14 @@ import "sync/atomic"
 // Deterministic fault injection. Robustness claims, like perf claims,
 // rot unless they are measured — the FreeBSD IPC study (arXiv:
 // 2008.02145) makes the point that IPC behavior under fault must be
-// observed, not assumed. This file is the always-compiled half: a
-// registry of per-site hooks on the System, checked behind one atomic
-// bool so an un-instrumented system pays a single predictable branch
-// per guarded site. Only rt's own tests install hooks
+// observed, not assumed. This file is a registry of per-site hooks on
+// the System, checked behind one atomic bool so an un-instrumented
+// system pays a single predictable branch per guarded site — the same
+// guard at every site, in every build. Only rt's own tests install hooks
 // (System.InjectFault, faultfn_test.go); nothing is exported. The hooks
 // are deterministic by construction — the test helpers count
 // invocations instead of rolling dice — so a chaos test that fails
 // replays identically.
-//
-// The second half lives behind the `faultinject` build tag
-// (faultinject_on.go): the ring-publish delay site sits between the
-// ticket CAS and the sequence store on the hottest path in the
-// package, so its guard is a compile-time constant that normal builds
-// fold away entirely; the arena and scavenge sites sit behind the same
-// constant.
 
 // faultSite names an injection point.
 type faultSite uint8
@@ -34,19 +27,16 @@ const (
 	faultSiteSubmit
 	// faultSiteRingPublish fires between the ring ticket CAS and the
 	// sequence publish: the window a stalled producer leaves the ring
-	// non-empty but unpublished. Only honored in -tags faultinject
-	// builds.
+	// non-empty but unpublished.
 	faultSiteRingPublish
 	// faultSiteArena fires at payload allocation (Client.AllocPayload,
 	// Client.AttachBytes) before the arena is touched; a non-nil error
-	// fails the allocation with that error. Only honored in
-	// -tags faultinject builds.
+	// fails the allocation with that error.
 	faultSiteArena
 	// faultSiteScavenge fires at the top of each dead client's reap
 	// (owner.go), on the goroutine that declared the death; the return
 	// value is ignored (sleep to stretch the window in which the client
-	// is dead and nothing of it is reclaimed yet). Only honored in
-	// -tags faultinject builds.
+	// is dead and nothing of it is reclaimed yet).
 	faultSiteScavenge
 	faultSiteCount
 )

@@ -19,7 +19,6 @@ import "time"
 //	degraded --(ProbeAfter elapsed; one caller wins the CAS)--> half-open
 //	half-open --(probe call succeeds)--> healthy
 //	half-open --(probe call faults/expires)--> degraded (window restarts)
-//	half-open --(probe exits with no health evidence)--> degraded
 //	half-open --(probe lease expires unsettled)--> a new probe is elected
 //
 // While degraded (and while a probe is in flight) every other call is
@@ -30,20 +29,16 @@ import "time"
 //
 // Probe liveness. The half-open state must always settle: a gate stuck
 // half-open sheds every call forever. Success and failure evidence
-// settle it through recordSuccess/recordFault/recordTimeout, but a
-// probe can also exit with *no* evidence at all — its async submission
-// rejected with ErrBackpressure/ErrClosed, its admission backed out on
-// a concurrent kill, or its dispatch denied by authorization. Two
-// mechanisms guarantee settlement anyway:
-//
-//  1. gateAdmit tells the winning caller it is the probe, and every
-//     such exit path calls settleProbe, which sends the gate back to
-//     degraded (the probe window restarts).
-//  2. Electing a probe arms a *lease* (reopenAt = now + ProbeAfter).
-//     If the lease expires with the gate still half-open — a probe
-//     path that cannot settle explicitly, e.g. an async probe whose
-//     queued request is discarded by a hard kill on the worker side —
-//     the next caller takes over as a fresh probe instead of shedding.
+// settle it through recordSuccess/recordFault/recordTimeout. A probe
+// that exits with *no* evidence — its async submission rejected, its
+// admission backed out on a kill, its dispatch denied by authorization,
+// its caller dead or cancelled, its queued request discarded by a hard
+// kill — settles nothing: electing a probe arms a *lease* (reopenAt =
+// election + ProbeAfter), and once the lease expires with the gate still
+// half-open the next caller takes over as a fresh probe instead of
+// shedding. The probe carries nothing, so no exit owes the gate anything,
+// and the lease re-opens the gate no later than an exit-time settlement
+// would: the election precedes every exit.
 //
 // Accuracy note: the consecutive-outcome counters are written by every
 // goroutine that settles one of the service's calls on this shard
@@ -107,47 +102,45 @@ func normalizeHealth(cfg *HealthConfig) *HealthConfig {
 // gateAdmit is the admission-side health check, called only when the
 // service has a gate (svc.health != nil). The healthy fast path is a
 // single atomic load of a rarely-written shard-local line; the
-// degraded and half-open branches are the cold overload paths. The
-// probe result tells the caller it carries the stripe's probe and owes
-// the gate a settlement on every exit (see settleProbe).
+// degraded and half-open branches are the cold overload paths.
 //
 //ppc:hotpath
-func (s *Service) gateAdmit(c *shardCounters) (probe bool, err error) {
+func (s *Service) gateAdmit(c *shardCounters) error {
 	if c.healthState.Load() == gateHealthy {
-		return false, nil
+		return nil
 	}
 	return s.gateAdmitSlow(c)
 }
 
 // gateAdmitSlow handles the degraded and half-open states: shed the
-// call, win the half-open CAS and carry the probe, or take over an
+// call, win the half-open CAS and run as the probe, or take over an
 // expired probe lease.
 //
 //ppc:coldpath -- the gate is open; the call is being shed or probed
-func (s *Service) gateAdmitSlow(c *shardCounters) (bool, error) {
+func (s *Service) gateAdmitSlow(c *shardCounters) error {
 	for {
 		switch c.healthState.Load() {
 		case gateHealthy:
-			return false, nil
+			return nil
 		case gateHalfOpen:
 			// A probe is in flight; shed until it settles — but not
 			// forever. If the probe's lease (armed at election) has
-			// expired with the gate still half-open, the probe vanished
-			// without settlement; take over as a fresh probe. The lease
+			// expired with the gate still half-open, the probe exited
+			// without evidence; take over as a fresh probe. The lease
 			// CAS elects one successor per expiry.
 			lease := c.reopenAt.Load()
 			if time.Now().UnixNano() < lease {
 				c.shedCalls.Add(1)
-				return false, ErrServiceUnhealthy
+				return ErrServiceUnhealthy
 			}
 			if c.reopenAt.CompareAndSwap(lease, time.Now().Add(s.health.ProbeAfter).UnixNano()) {
-				return true, nil // took over the unsettled probe
+				return nil // took over the unsettled probe
 			}
 			// Lost the takeover race; re-read the state.
 		case gateDegraded:
 			if time.Now().UnixNano() < c.reopenAt.Load() {
 				c.shedCalls.Add(1)
-				return false, ErrServiceUnhealthy
+				return ErrServiceUnhealthy
 			}
 			if c.healthState.CompareAndSwap(gateDegraded, gateHalfOpen) {
 				// Arm the probe lease. (Between the state CAS and this
@@ -156,32 +149,11 @@ func (s *Service) gateAdmitSlow(c *shardCounters) (bool, error) {
 				// transient extra probe, which is harmless: probes carry
 				// ordinary calls and every one settles the gate.)
 				c.reopenAt.Store(time.Now().Add(s.health.ProbeAfter).UnixNano())
-				return true, nil // this call is the probe
+				return nil // this call is the probe
 			}
 			// Lost the probe race; re-read the state.
 		}
 	}
-}
-
-// settleProbe resolves a probe call that exited with no health
-// evidence: its submission was rejected (ErrBackpressure, ErrClosed),
-// its admission backed out on a concurrent kill (ErrKilled), or its
-// dispatch was denied by authorization (ErrPermissionDenied). None of
-// those say anything about the service's health, but the probe still
-// owes the gate a settlement — the stripe goes back to degraded and
-// the probe window restarts. Outcomes that are evidence (nil success,
-// handler faults, deadline expiry) were already settled by
-// recordSuccess/recordFault/recordTimeout and are no-ops here.
-//
-//ppc:coldpath -- probe bookkeeping on an already-failing call
-func (s *Service) settleProbe(c *shardCounters, err error) {
-	if err == nil {
-		return // recordSuccess settled the gate
-	}
-	if _, isFault := err.(*FaultError); isFault {
-		return // recordFault settled the gate
-	}
-	s.gateReopen(c)
 }
 
 // recordSuccess resets the consecutive-failure evidence and closes a

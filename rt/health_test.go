@@ -247,7 +247,7 @@ func TestHealthGateTripsOnConsecutiveTimeouts(t *testing.T) {
 // A probe whose async submission is rejected (here: injected
 // backpressure — the most plausible case, since a gate tripped by
 // overload implies a full ring) produces no health evidence; the gate
-// must settle back to degraded instead of shedding forever from an
+// must settle by the probe's lease instead of shedding forever from an
 // unsettled half-open state, and a later clean probe must recover it.
 func TestHealthGateRejectedProbeSettles(t *testing.T) {
 	sys := NewSystemOptions(Options{Shards: 1})
@@ -281,10 +281,10 @@ func TestHealthGateRejectedProbeSettles(t *testing.T) {
 	if err := c.AsyncCall(svc.EP(), &good); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("probe submission: %v, want ErrBackpressure", err)
 	}
-	// The gate settled back to degraded (not stuck half-open): within
-	// the restarted window calls shed, after it a clean probe recovers.
+	// Within the probe's lease calls shed, after it a clean probe takes
+	// over and recovers.
 	if err := c.Call(svc.EP(), &good); !errors.Is(err, ErrServiceUnhealthy) {
-		t.Fatalf("inside restarted window: %v, want shed", err)
+		t.Fatalf("inside the probe's lease: %v, want shed", err)
 	}
 	sys.ClearFaults()
 	time.Sleep(60 * time.Millisecond)
@@ -297,8 +297,8 @@ func TestHealthGateRejectedProbeSettles(t *testing.T) {
 }
 
 // A probe denied by authorization carries no health evidence either
-// (recordOutcome ignores ErrPermissionDenied); the probe itself must
-// send the gate back to degraded so an authorized probe can recover it.
+// (recordOutcome ignores ErrPermissionDenied); the probe's lease must
+// expire so an authorized probe can take over and recover the gate.
 func TestHealthGateDeniedProbeSettles(t *testing.T) {
 	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()
@@ -330,12 +330,12 @@ func TestHealthGateDeniedProbeSettles(t *testing.T) {
 	}
 	time.Sleep(60 * time.Millisecond)
 	// The outsider wins the probe election and is denied: no evidence,
-	// but the probe still settles the gate back to degraded.
+	// and the gate sheds until the probe's lease expires.
 	if err := outsider.Call(svc.EP(), &good); !errors.Is(err, ErrPermissionDenied) {
 		t.Fatalf("denied probe: %v, want ErrPermissionDenied", err)
 	}
 	if err := insider.Call(svc.EP(), &good); !errors.Is(err, ErrServiceUnhealthy) {
-		t.Fatalf("inside restarted window: %v, want shed", err)
+		t.Fatalf("inside the probe's lease: %v, want shed", err)
 	}
 	time.Sleep(60 * time.Millisecond)
 	if err := insider.Call(svc.EP(), &good); err != nil {
@@ -346,10 +346,10 @@ func TestHealthGateDeniedProbeSettles(t *testing.T) {
 	}
 }
 
-// The probe-lease backstop: a half-open stripe whose probe vanished
-// through a path with no explicit settlement (e.g. an accepted async
-// probe discarded by a hard kill on the worker side) must elect a new
-// probe once the lease expires, instead of shedding forever.
+// The probe lease: a half-open stripe whose probe exited with no
+// evidence (its submission rejected, its dispatch denied, or an accepted
+// async probe discarded by a hard kill on the worker side) must elect a
+// new probe once the lease expires, instead of shedding forever.
 func TestHealthGateProbeLeaseTakeover(t *testing.T) {
 	sys := NewSystemOptions(Options{Shards: 1})
 	defer sys.Close()

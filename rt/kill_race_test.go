@@ -525,10 +525,10 @@ func TestConcurrentCallsAsyncAndClose(t *testing.T) {
 // Close both drain accepted work, so when the dust settles accepted ==
 // executed == the asynchronous admission count, nothing is in flight or
 // queued and no lease is out. Every even iteration runs the soft Kill;
-// under -tags faultinject every fourth, an odd one (a soft Kill would sit
-// out the stall), instead stalls a producer between its ticket and its
-// publish until Close has closed the ring: Close must not return before
-// that ticket has been published and executed.
+// every fourth, an odd one (a soft Kill would sit out the stall), instead
+// stalls a producer between its ticket and its publish until Close has
+// closed the ring: Close must not return before that ticket has been
+// published and executed.
 func TestRingSubmitCloseKillStress(t *testing.T) {
 	iters := 30
 	if testing.Short() {
@@ -540,7 +540,7 @@ func TestRingSubmitCloseKillStress(t *testing.T) {
 		lanes := 1 + 2*(iter/4%2) // four iterations on one lane, four on three, ...
 		// The stalled producer (below) gets a system of one shard: Close
 		// closes shards in turn, and waits on the first behind the stall.
-		stallIter := faultTagEnabled && iter%4 == 1
+		stallIter := iter%4 == 1
 		shards := 2
 		if stallIter {
 			shards = 1

@@ -142,7 +142,7 @@ func TestCallStripeLayout(t *testing.T) {
 
 // TestClientRecLayout pins the ownership record: what every call reads
 // (the registry pointer and the life state, nothing else) on the first
-// line, the cold slots on the second, and the first lease block — one
+// line, the cold descriptor slot on the second, and the first lease block — one
 // line exactly, seven slots and the link, the shape every appended block
 // has — on the third, so that a payload call's slot store and claim CAS
 // dirty one line and it is not the one the next call's life check reads.
@@ -165,13 +165,8 @@ func TestClientRecLayout(t *testing.T) {
 			t.Errorf("%s (offset %d) left the record's first line", name, off)
 		}
 	}
-	for name, off := range map[string]uintptr{
-		"cd":    unsafe.Offsetof(rec.cd),
-		"probe": unsafe.Offsetof(rec.probe),
-	} {
-		if lineOf(off) != 1 {
-			t.Errorf("%s (offset %d) left the record's second line", name, off)
-		}
+	if off := unsafe.Offsetof(rec.cd); lineOf(off) != 1 {
+		t.Errorf("cd (offset %d) left the record's second line", off)
 	}
 	if off := unsafe.Offsetof(rec.leases); off != 2*lineBytes {
 		t.Errorf("leases at offset %d, want %d", off, 2*lineBytes)

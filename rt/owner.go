@@ -12,7 +12,7 @@ import (
 // a protection domain dies mid-call; rt's analogue is a client
 // goroutine that panics, leaks, or is explicitly abandoned while it
 // still owns resources — a held call descriptor, arena payload leases,
-// staged batch entries, a half-open health probe.
+// staged batch entries.
 // Without reclamation each of those is stranded forever. This file
 // gives every client an *ownership record* with a slot for each such
 // holding, and has whoever declares the client dead empty the slots.
@@ -21,18 +21,17 @@ import (
 //
 // Each client gets a clientRec at construction. The record holds the
 // client's reclaimable holdings, each in a slot of its own: the held
-// descriptor (cd) and a carried half-open probe (probe), filled on cold
-// paths only (Hold, a probe's election), and the payload leases no
-// submission has taken yet in its lease slots. The record deliberately
-// does NOT reference the Client — not directly and not through anything
-// it holds — so runtime.AddCleanup can fire when the Client itself
-// leaks. Nothing lists the records: a client is created without taking
-// a lock, and its record is garbage when the client is.
+// descriptor (cd), filled on a cold path only (Hold), and the payload
+// leases no submission has taken yet in its lease slots. The record
+// deliberately does NOT reference the Client — not directly and not
+// through anything it holds — so runtime.AddCleanup can fire when the
+// Client itself leaks. Nothing lists the records: a client is created
+// without taking a lock, and its record is garbage when the client is.
 //
 // # Holdings change hands by exchange
 //
-// A slot is one atomic word holding the descriptor, a PayloadRef or the
-// probe's table entry, or zero. Only the slot's client ever fills it.
+// A slot is one atomic word holding the descriptor or a PayloadRef, or
+// zero. Only the slot's client ever fills it.
 // The rule is an exchange: whichever party takes the nonzero value out
 // of the slot owns the holding and settles it, so each holding is
 // settled exactly once whoever gets there first.
@@ -69,12 +68,8 @@ import (
 // staging touches no shared word. Lease slots come in line-sized
 // blocks — seven and a link, published like a slot — the first inline in
 // the record, the rest appended and kept when a client holds more at
-// once. A probe is filed by the call that won it (shard.enter) and needs
-// no life check: that call always comes back and empties the slot itself
-// (probeDone). One the reap takes first goes back to the gate as
-// degraded, so the stripe is never wedged shedding behind a probe that
-// will never report; the gate leaves half-open by CAS, so the call
-// settling it as well is no second settlement.
+// once. A half-open health probe is no holding: a client that dies
+// while its call is the probe leaves the gate to the lease (health.go).
 //
 // # Death
 //
@@ -84,8 +79,8 @@ import (
 // process a client cannot die silently, so nothing watches for a missed
 // heartbeat: peer-death detection belongs to a cross-process transport.
 // Both are clientRec.die: the live->dead CAS, and on the goroutine that
-// won it — there is exactly one — the reap: swap the descriptor slot,
-// every lease slot and the probe slot empty and settle what came out.
+// won it — there is exactly one — the reap: swap the descriptor slot and
+// every lease slot empty and settle what came out.
 // The reclaim has happened when the declaration returns, on an open
 // System or a closed one, and depends on no helper goroutine. One reaper
 // and nothing but exchanges: the reap takes no lock, keeps no list of
@@ -116,7 +111,7 @@ type leaseBlock struct {
 // clientRec is one client's ownership record. It holds no reference to
 // the Client (the AddCleanup backstop depends on that) and a slot for
 // every reclaimable holding. Three lines: what every call reads, the cold
-// slots, and the first lease block.
+// descriptor slot, and the first lease block.
 //
 //ppc:padded
 type clientRec struct {
@@ -134,15 +129,7 @@ type clientRec struct {
 	//
 	//ppc:atomic
 	cd atomic.Pointer[callDesc]
-	// probe is the half-open probe the client's current call carries, as
-	// the table entry of the service whose gate it is (set by enter,
-	// cleared by the call's own settlement; observable only while the
-	// client is mid-call or dead), so the reap can settle the gate if the
-	// client dies with it.
-	//
-	//ppc:atomic
-	probe atomic.Pointer[epEntry]
-	_     [48]byte // fill the slot line: the lease block below owns its own
+	_  [56]byte // fill the slot line: the lease block below owns its own
 
 	// leases heads the chain of lease slots: the payload leases the
 	// client has taken and no submission has claimed yet.
@@ -219,9 +206,9 @@ func (rec *clientRec) die() bool {
 }
 
 // Abandon declares the client's domain dead and reclaims every resource
-// it owns — held descriptor, payload leases, staged batch entries,
-// carried probe — before it returns, on the caller's goroutine, whether
-// the System is open or closed. Abandon may be called from any goroutine
+// it owns — held descriptor, payload leases, staged batch entries —
+// before it returns, on the caller's goroutine, whether the System is
+// open or closed. Abandon may be called from any goroutine
 // (it is the one cross-goroutine entry point on a Client), the client's
 // own handler included: a call in flight on the owning goroutine
 // completes normally on its descriptor, which is condemned rather than
@@ -353,24 +340,16 @@ func (c *Client) claimLost(args *Args, lost int) error {
 	return ErrClientAbandoned
 }
 
-// setProbe publishes the probe the client's current call carries. Cold:
-// winning a half-open election is by definition off the healthy path.
-//
-//ppc:coldpath -- half-open probe bookkeeping
-func (rec *clientRec) setProbe(e *epEntry) { rec.probe.Store(e) }
-
-// reap empties a dead record — the three exchanges — and settles what
+// reap empties a dead record — the two exchanges — and settles what
 // comes out. Called once per record, by the goroutine whose CAS declared
 // the death (die).
 //
 //ppc:coldpath -- domain-death reclamation
 func (rec *clientRec) reap() {
 	reg, sh := rec.reg, rec.reg.sh
-	if faultTagEnabled {
-		// A stall site: a hook that sleeps stretches the window in which the
-		// client is declared dead and nothing of it is reclaimed yet.
-		_ = reg.sys.fireFault(faultSiteScavenge)
-	}
+	// A stall site: a hook that sleeps stretches the window in which the
+	// client is declared dead and nothing of it is reclaimed yet.
+	_ = reg.sys.fireFault(faultSiteScavenge)
 	// 1. The held descriptor is condemned, not repooled: no call path
 	// touches the slot, so a plain call may still be running on the
 	// descriptor right now. The pool is compensated with a fresh one on the
@@ -395,12 +374,6 @@ func (rec *clientRec) reap() {
 		}
 	}
 	reg.scavLeases.Add(n)
-	// 3. A carried half-open probe: settle the gate back to degraded so
-	// the stripe is never wedged shedding behind a probe that will never
-	// report.
-	if p := rec.probe.Swap(nil); p != nil {
-		p.svc.gateReopen(p.counters)
-	}
 }
 
 // tombstoneExit is the dead owner's completion path: Call's exit life

@@ -271,10 +271,8 @@ func (c *Ctx) NumPayloads() int { return c.pay.n }
 //ppc:hotpath
 //ppc:rmwbudget(2)
 func (c *Client) AllocPayload(n int) (PayloadRef, []byte, error) {
-	if faultTagEnabled {
-		if err := c.sys.fireFault(faultSiteArena); err != nil {
-			return 0, nil, err
-		}
+	if err := c.sys.fireFault(faultSiteArena); err != nil {
+		return 0, nil, err
 	}
 	ref, buf, err := c.shard.arena.alloc(n)
 	if err == nil {
@@ -322,10 +320,8 @@ func (c *Ctx) AllocPayload(n int) (PayloadRef, []byte, error) {
 //ppc:hotpath
 func (c *Client) AttachBytes(args *Args, data []byte) error {
 	sh := c.shard
-	if faultTagEnabled {
-		if err := c.sys.fireFault(faultSiteArena); err != nil {
-			return err
-		}
+	if err := c.sys.fireFault(faultSiteArena); err != nil {
+		return err
 	}
 	var ref PayloadRef
 	var err error

@@ -114,11 +114,9 @@ func (r *asyncRing) push(sys *System, svc *Service, args *Args, prog uint32, don
 				slot.req.prog = prog
 				slot.req.done = done
 				slot.req.deadline = deadline
-				if faultTagEnabled && sys != nil {
+				if sys != nil {
 					// The stalled-producer window: the ticket is claimed
-					// but the sequence not yet published. Only compiled in
-					// under -tags faultinject; production builds fold the
-					// whole branch away.
+					// but the sequence not yet published.
 					_ = sys.fireFault(faultSiteRingPublish)
 				}
 				slot.seq.Store(lap + 1)

@@ -23,9 +23,9 @@
 //
 // Every call, whichever entry point made it, is one path: the client
 // half (Client.preflight: lease claim, life check, tenant charge), one
-// entry (shard.enter: table read, health gate, probe mirror) that makes
-// the call's record, and one of the record's two exits — fail before
-// dispatch, settle after it. Between them the synchronous entry points run
+// entry (shard.enter: table read, health gate) that makes the call's
+// record, and one of the record's two exits — fail before dispatch, the
+// health evidence of recordOutcome after it. Between them the synchronous entry points run
 // one core (System.callHeld; the two bounded ones split it at the handoff
 // to an executor of the shard's pool), the asynchronous ones one submission.
 //

@@ -13,8 +13,8 @@ import (
 // without an attached payload, one case at a time, and each case ends on
 // the same identities — nothing in flight, no lease out, no descriptor
 // in quarantine, Service.Calls moved by exactly the handler runs that
-// returned, no probe left mirrored on the client's record, the health
-// gate never left half-open — and on the same error for the same exit
+// returned, the health gate never left half-open past its lease — and on
+// the same error for the same exit
 // whichever entry point took it. The entry points are one core
 // (shard.enter, System.callHeld, the two exits of callRec); the table is
 // what holds each of them to it. TestStripeIdentityEveryExit is the same
@@ -187,12 +187,12 @@ var syncExits = []struct {
 		check:   probeFailed,
 	},
 	{
-		// The admission backs out under a carried probe: a soft kill lands
-		// between the entry and the admission. Staged on the one lock the
-		// path can take there — a descriptor's first call to a service
-		// links its stripe under the service's stripe mutex — so only where
-		// the call runs on a descriptor held for it: the client's, or its
-		// deadline executor's.
+		// The probe's admission backs out: a soft kill lands between the
+		// entry and the admission. Staged on the one lock the path can take
+		// there — a descriptor's first call to a service links its stripe
+		// under the service's stripe mutex — so only where the call runs on
+		// a descriptor held for it: the client's, or its deadline
+		// executor's.
 		name: "probe killed", want: ErrKilled, health: idProbing, only: entHeld,
 		arrange: func(t *testing.T, e *idEnv, ep *EntryPointID, k *syncKnobs) {
 			e.c.Hold() // a fresh descriptor: it owns no stripe for the service yet
@@ -351,12 +351,8 @@ var syncExits = []struct {
 }
 
 // probeFailed: the probe reported a failure, or nothing; the gate is
-// open again and waiting for the next one.
-func probeFailed(t *testing.T, e *idEnv, st ShardStats) {
-	if got := e.svc.perShard[0].healthState.Load(); got != gateDegraded {
-		t.Errorf("gate state %d after a failed probe, want degraded (%d)", got, gateDegraded)
-	}
-}
+// open and its next probe is due within ProbeAfter.
+func probeFailed(t *testing.T, e *idEnv, st ShardStats) { e.probeDue(t) }
 
 // oneToken gives the case's tenant a bucket of one token that does not
 // refill within the test.
@@ -426,11 +422,8 @@ func (e *idEnv) syncIdentities(t *testing.T, calls, returned, want int64) {
 	if got := e.svc.Calls() - calls; got != want || e.syncRet.Load()-returned != want {
 		t.Errorf("Calls moved by %d and %d handler runs returned, want %d of each", got, e.syncRet.Load()-returned, want)
 	}
-	if p := e.c.rec.probe.Load(); p != nil {
-		t.Error("a carried probe is still mirrored on the client's record")
-	}
-	if e.svc.health != nil && e.svc.perShard[0].healthState.Load() == gateHalfOpen {
-		t.Error("the health gate was left half-open")
+	if e.halfOpenPastLease() {
+		t.Error("the health gate was left half-open past its lease")
 	}
 	e.syncExpired = e.sys.Stats()[0].DeadlineExpirations
 }
