@@ -83,15 +83,17 @@ bench-handoff:
 bench-selftest:
 	cd bench && GOWORK=off $(GO) test ./...
 
-# One iteration of every benchmark, rt's own included: catches bit-rot
-# in bench bodies without measuring anything. rt's
-# BenchmarkDeadlineTickPopulation (the tick over idle clients and over
-# calls in flight, E25) asserts its populations as it sets them up.
+# One iteration of every benchmark — Track A's, rt's own and
+# internal/rtbench's tables — catches bit-rot in bench bodies without
+# measuring anything. rt's BenchmarkDeadlineTickPopulation (the tick
+# over idle clients and over calls in flight, E25) asserts its
+# populations as it sets them up.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./rt
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./rt ./internal/rtbench
 
-# The open-loop tail-latency sweep alone (no microbenchmarks):
-# calibrates capacity, then drives Poisson load at 0.2/0.7/1.4x and
+# The open-loop tail-latency sweep alone (no microbenchmarks;
+# internal/rtbench/openloop_test.go, the window per load point its one
+# knob): calibrates capacity, then drives Poisson load at 0.2/0.7/1.4x and
 # prints per-lane p50/p99/p999. Pass OPENLOOP_DUR=300ms for a quick
 # pass; the default 2s window per point takes ~25s total.
 OPENLOOP_DUR ?= 2s

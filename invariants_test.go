@@ -590,6 +590,44 @@ func TestRtSurfaceRatchet(t *testing.T) {
 	}
 }
 
+// TestOneMeasurementSystem holds rt's go test -bench harness to test
+// files: internal/rtbench has no non-test Go file, so no package can
+// import it, and no file of the root package imports it or defines an
+// rt benchmark — the root benches are Track A's, and bench/ is the
+// registered one.
+func TestOneMeasurementSystem(t *testing.T) {
+	files, err := filepath.Glob("internal/rtbench/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if !strings.HasSuffix(path, "_test.go") {
+			t.Errorf("%s is not a test file: internal/rtbench is a harness of Benchmark and Test functions, not a package to call", path)
+		}
+	}
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range roots {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"hurricane/internal/rtbench"` {
+				t.Errorf("%s imports internal/rtbench: its tables run under go test ./internal/rtbench", path)
+			}
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && (strings.HasPrefix(fn.Name.Name, "BenchmarkRT") || strings.HasPrefix(fn.Name.Name, "BenchmarkHost")) {
+				t.Errorf("%s defines %s: rt's go test benchmarks live in internal/rtbench", path, fn.Name.Name)
+			}
+		}
+	}
+}
+
 // fieldsOf lists a struct type's field names, an embedded field under its
 // type's name; nil for a type that is not a struct.
 func fieldsOf(st *ast.StructType) []string {

@@ -67,7 +67,7 @@ type HealthConfig struct {
 	// the timeout trigger).
 	MaxConsecutiveTimeouts int
 	// ProbeAfter is how long the gate stays fully open before a single
-	// probe call is let through half-open (default 100ms).
+	// probe call is let through half-open (default 100ms; at most 100 years).
 	ProbeAfter time.Duration
 }
 
@@ -76,6 +76,7 @@ const (
 	defaultMaxConsecutiveFaults   = 8
 	defaultMaxConsecutiveTimeouts = 8
 	defaultProbeAfter             = 100 * time.Millisecond
+	maxProbeAfter                 = 100 * 365 * 24 * time.Hour // now + this fits in int64 nanoseconds until 2192
 )
 
 // normalizeHealth copies cfg with defaults filled in; the Service owns
@@ -96,6 +97,7 @@ func normalizeHealth(cfg *HealthConfig) *HealthConfig {
 	if h.ProbeAfter <= 0 {
 		h.ProbeAfter = defaultProbeAfter
 	}
+	h.ProbeAfter = min(h.ProbeAfter, maxProbeAfter)
 	return &h
 }
 

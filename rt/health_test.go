@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -378,6 +379,32 @@ func TestHealthGateProbeLeaseTakeover(t *testing.T) {
 	}
 	if !svc.Healthy() {
 		t.Fatal("takeover probe success did not close the gate")
+	}
+}
+
+// TestHealthGateHugeProbeAfterSheds: a ProbeAfter so long that now +
+// ProbeAfter would wrap int64 nanoseconds negative is capped, so the
+// gate it trips stays open instead of probing on the next call.
+func TestHealthGateHugeProbeAfterSheds(t *testing.T) {
+	sys := NewSystemOptions(Options{Shards: 1})
+	defer sys.Close()
+	ran := 0
+	svc, err := sys.Bind(ServiceConfig{
+		Name:    "forever",
+		Handler: func(ctx *Ctx, args *Args) { ran++; panic("boom") },
+		Health:  &HealthConfig{MaxConsecutiveFaults: 1, ProbeAfter: math.MaxInt64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientWith(ClientOptions{})
+	defer c.Release()
+	var args Args
+	if err := c.Call(svc.EP(), &args); !errors.Is(err, ErrServerFault) {
+		t.Fatalf("tripping call: %v", err)
+	}
+	if err := c.Call(svc.EP(), &args); !errors.Is(err, ErrServiceUnhealthy) || ran != 1 {
+		t.Fatalf("call after the trip = %v with %d handler runs, want ErrServiceUnhealthy and 1", err, ran)
 	}
 }
 

@@ -18,8 +18,8 @@
 // The Go scheduler hides true core pinning, so a shard is an
 // approximation of a processor: when each calling goroutine sticks to
 // its own shard, the facility touches only shard-local state and scales
-// with GOMAXPROCS, while the locked and message-passing baselines
-// (internal/rtbench) saturate — the same shape as the paper's Figure 3.
+// with GOMAXPROCS, while the locked and message-passing strawmen of
+// rtbench's BenchmarkSyncCall saturate — the paper's Figure 3 shape.
 //
 // Every call, whichever entry point made it, is one path: the client
 // half (Client.preflight: lease claim, life check, tenant charge), one

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -51,7 +52,7 @@ type tenantTable [MaxTenants]atomic.Pointer[tenantBucket]
 // TenantConfig is a tenant's per-shard admission budget.
 type TenantConfig struct {
 	// Rate is the sustained admission rate in requests per second
-	// (per shard). Must be positive.
+	// (per shard). Must be positive and finite.
 	Rate float64
 	// Burst is the bucket depth: how many requests the tenant may
 	// admit back-to-back after an idle period (and the hard cap on
@@ -192,16 +193,13 @@ func (s *System) ConfigureTenant(id TenantID, cfg TenantConfig) error {
 	if id == 0 || id >= MaxTenants {
 		return fmt.Errorf("rt: tenant id %d out of range [1, %d)", id, MaxTenants)
 	}
-	if cfg.Rate <= 0 {
-		return fmt.Errorf("rt: tenant %d needs a positive rate", id)
+	if !(cfg.Rate > 0 && cfg.Rate <= math.MaxFloat64) { // NaN fails both
+		return fmt.Errorf("rt: tenant %d needs a positive, finite rate", id)
 	}
 	if cfg.Burst < 1 {
 		return fmt.Errorf("rt: tenant %d needs a burst >= 1", id)
 	}
-	interval := int64(1e9 / cfg.Rate)
-	if interval < 1 {
-		interval = 1
-	}
+	interval := int64(max(1, min(1e9/cfg.Rate, 1<<62))) // saturated: float64(MaxInt64) is 2^63, which overflows
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.shards {

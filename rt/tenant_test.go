@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,7 @@ func TestConfigureTenantValidation(t *testing.T) {
 		{MaxTenants, TenantConfig{Rate: 1, Burst: 1}}, // table bound
 		{1, TenantConfig{Rate: 0, Burst: 1}},          // no rate
 		{1, TenantConfig{Rate: -5, Burst: 1}},         // negative rate
+		{1, TenantConfig{Rate: math.NaN(), Burst: 1}}, // not a rate
 		{1, TenantConfig{Rate: 1, Burst: 0}},          // no burst
 	}
 	for _, c := range cases {
@@ -40,6 +42,26 @@ func TestConfigureTenantValidation(t *testing.T) {
 	}
 	if err := sys.ConfigureTenant(1, TenantConfig{Rate: 100, Burst: 10}); err != nil {
 		t.Fatalf("valid ConfigureTenant = %v", err)
+	}
+}
+
+// TestTenantTinyRateSheds: a rate so small that 1e9/Rate overflows
+// int64 saturates the refill interval instead of wrapping it to the
+// shortest one, so a one-token bucket sheds its second call.
+func TestTenantTinyRateSheds(t *testing.T) {
+	sys := NewSystemOptions(Options{Shards: 1})
+	defer sys.Close()
+	svc := bindNull(t, sys, "tiny")
+	if err := sys.ConfigureTenant(1, TenantConfig{Rate: 1e-10, Burst: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 1})
+	var args Args
+	if err := c.Call(svc.EP(), &args); err != nil {
+		t.Fatalf("first call: %v", err)
+	}
+	if err := c.Call(svc.EP(), &args); !errors.Is(err, ErrShed) {
+		t.Fatalf("second call = %v, want ErrShed", err)
 	}
 }
 
