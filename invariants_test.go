@@ -590,6 +590,53 @@ func TestRtSurfaceRatchet(t *testing.T) {
 	}
 }
 
+// TestRtSystemsAreAudited holds every System an rt test builds to the
+// conservation audit (rt/audit_test.go): newSystem closes it at cleanup
+// and fails the test on the first identity that does not converge. A
+// call to NewSystemOptions anywhere else in rt's test files needs a
+// "// unaudited: <reason>" comment on the line above it.
+func TestRtSystemsAreAudited(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("rt", "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var optOuts int
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reasoned := map[int]bool{} // lines holding an unaudited comment with a reason
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if reason, ok := strings.CutPrefix(c.Text, "// unaudited:"); ok && strings.TrimSpace(reason) != "" {
+					reasoned[fset.Position(c.Pos()).Line] = true
+				}
+			}
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "newSystem" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !strings.HasSuffix(types.ExprString(call.Fun), "NewSystemOptions") {
+					return true
+				}
+				pos := fset.Position(call.Pos())
+				if reasoned[pos.Line-1] {
+					optOuts++
+				} else {
+					t.Errorf("%s: NewSystemOptions outside newSystem: build the System with newSystem(t, o), which audits it at cleanup, or say why not in a \"// unaudited: <reason>\" comment on the line above", pos)
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("rt tests: %d unaudited System constructions", optOuts)
+}
+
 // TestOneMeasurementSystem holds rt's go test -bench harness to test
 // files: internal/rtbench has no non-test Go file, so no package can
 // import it, and no file of the root package imports it or defines an

@@ -13,8 +13,7 @@ import (
 // the race detector the assertion is report-only (instrumentation
 // allocates).
 func TestWarmSyncCallAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{})
-	defer sys.Close()
+	sys := newSystem(t, Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
 	}})
@@ -52,8 +51,7 @@ func TestWarmSyncCallAllocs(t *testing.T) {
 // the pool. Report-only alloc assertion under -race; the CDsCreated
 // check holds either way.
 func TestWarmHeldCallAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "hnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
 	}})
@@ -98,8 +96,7 @@ func TestWarmHeldCallAllocs(t *testing.T) {
 // once the pool is warm that round trip is still zero-alloc.
 // Report-only under -race.
 func TestWarmPooledCallAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "pnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
 	}})
@@ -137,8 +134,7 @@ func TestWarmPooledCallAllocs(t *testing.T) {
 // heap. AllocsPerRun counts process-wide mallocs, so this covers the
 // servicing worker too. Report-only under -race.
 func TestWarmAsyncCallAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "anull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
 	}})
@@ -179,8 +175,7 @@ func TestWarmAsyncCallAllocs(t *testing.T) {
 // and flushing it — one admission, many ring slots — must not touch
 // the heap either. Report-only under -race.
 func TestBatchFlushAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "bnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
 	}})
@@ -223,8 +218,7 @@ func TestBatchFlushAllocs(t *testing.T) {
 // the client's lease slots run into their appended blocks — allocates
 // nothing: the blocks are kept once made. Report-only under -race.
 func TestWarmPayloadBatchAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "bpay", Handler: func(ctx *Ctx, args *Args) {
 		_ = ctx.Payload(0)
 	}})
@@ -264,7 +258,8 @@ func TestWarmPayloadBatchAllocs(t *testing.T) {
 			t.Fatalf("warm payload batch allocates %.1f objects/run, want 0", allocs)
 		}
 	}
-	waitCond(t, 2*time.Second, "leases to settle", func() bool { return sys.Stats()[0].LeasesActive == 0 })
+	// The running workers settle the leases, not Close.
+	awaitAudit(t, sys)
 }
 
 // TestWarmPayloadCallAllocs pins the zero-copy payload path's
@@ -273,8 +268,7 @@ func TestWarmPayloadBatchAllocs(t *testing.T) {
 // releases the lease — must not touch the heap. Report-only under
 // -race.
 func TestWarmPayloadCallAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var seen int
 	svc, err := sys.Bind(ServiceConfig{Name: "zcp", Handler: func(ctx *Ctx, args *Args) {
 		seen += len(ctx.Payload(0))
@@ -320,8 +314,7 @@ func TestWarmPayloadCallAllocs(t *testing.T) {
 // ring slot copy, worker dequeue, in-place view, worker-side lease
 // settle — must not touch the heap either. Report-only under -race.
 func TestWarmPayloadAsyncAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "azcp", Handler: func(ctx *Ctx, args *Args) {
 		_ = ctx.Payload(0)
 		args.SetRC(0)
@@ -367,8 +360,7 @@ func TestWarmPayloadAsyncAllocs(t *testing.T) {
 // two-way select rather than the plain receive.
 // Report-only under -race (instrumentation allocates).
 func TestWarmCallDeadlineAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "dnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
 	}})
@@ -421,7 +413,7 @@ func TestWarmScratchAllocs(t *testing.T) {
 		if want == 0 {
 			want = defaultScratchBytes
 		}
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(t, Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "scr", ScratchBytes: size, Handler: func(ctx *Ctx, args *Args) {
 			s := ctx.Scratch()
 			if len(s) != want {
@@ -480,8 +472,7 @@ func TestWarmScratchAllocs(t *testing.T) {
 // the lane adds one ring choice and the tenant one fetch-add, neither
 // of which may touch the heap. Report-only under -race.
 func TestWarmLaneTenantAsyncAllocs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1, Lanes: 3})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, Lanes: 3})
 	svc, err := sys.Bind(ServiceConfig{Name: "qnull", Handler: func(ctx *Ctx, args *Args) {
 		args.SetRC(0)
 	}})
@@ -529,6 +520,7 @@ func TestSyncSystemBytes(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		runtime.ReadMemStats(&m)
 		before := m.TotalAlloc
+		// unaudited: the figure is the bare System's; the loop audits each one itself, outside the measurement
 		sys := NewSystemOptions(Options{Shards: 2})
 		svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
 		if err != nil {
@@ -542,6 +534,7 @@ func TestSyncSystemBytes(t *testing.T) {
 		sys.Close()
 		runtime.ReadMemStats(&m)
 		best = min(best, m.TotalAlloc-before)
+		awaitAudit(t, sys)
 	}
 	t.Logf("a sync-only 2-shard System allocates %d B", best)
 	if best >= 16000 {
@@ -552,8 +545,7 @@ func TestSyncSystemBytes(t *testing.T) {
 		}
 	}
 
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -573,7 +565,7 @@ func TestSyncSystemBytes(t *testing.T) {
 // holding a ticket, so closing a shard that never submitted creates no
 // descriptor (and reads no ring slot: it has none).
 func TestCloseNeverSubmittedMakesNoDescriptor(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	before := sys.Stats()[0].CDsCreated
 	sys.Close()
 	if got := sys.Stats()[0].CDsCreated; got != before {

@@ -166,6 +166,7 @@ func TestFirstPayloadBytes(t *testing.T) {
 	systems := make([]*System, n)
 	before := liveHeap()
 	for i := range systems {
+		// unaudited: the figure is the bare System's; the loop after the measurement closes and audits each one
 		sys := NewSystemOptions(Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "pay", Handler: func(ctx *Ctx, args *Args) {
 			if len(ctx.Payload(0)) != 4096 {
@@ -202,14 +203,14 @@ func TestFirstPayloadBytes(t *testing.T) {
 			t.Errorf("LeasesActive %d, ArenaGrows %d; want 0 and 1", st.LeasesActive, st.ArenaGrows)
 		}
 		sys.Close()
+		awaitAudit(t, sys)
 	}
 }
 
 // TestArenaLargeFirstRequest: a first request of a whole window gets a
 // 2 MiB slab in one grow, not a small slab and then a second grow.
 func TestArenaLargeFirstRequest(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	c := sys.NewClientWith(ClientOptions{})
 	ref, buf, err := c.AllocPayload(MaxPayloadBytes)
 	if err != nil {
@@ -763,8 +764,7 @@ func TestArenaGrowthStorm(t *testing.T) {
 // shard: AllocPayload → AttachPayload → Call → handler views the bytes
 // in place → settle releases the lease.
 func TestClientPayloadAPI(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	got := make([]byte, 0, 256)
 	svc, err := sys.Bind(ServiceConfig{Name: "pay", Handler: func(ctx *Ctx, args *Args) {
 		if n := ctx.NumPayloads(); n != 2 {
@@ -816,8 +816,7 @@ func TestClientPayloadAPI(t *testing.T) {
 // point, killed service, dead-on-arrival context) still consumes the
 // attached leases.
 func TestPayloadErrorPathsRelease(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -861,8 +860,7 @@ func TestPayloadErrorPathsRelease(t *testing.T) {
 // whose args block is reused by the caller immediately after submit
 // (the ring's slot copy owns the descriptors from acceptance).
 func TestPayloadAsyncAndBatchRelease(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var mu sync.Mutex
 	total := 0
 	svc, err := sys.Bind(ServiceConfig{Name: "apay", Handler: func(ctx *Ctx, args *Args) {
@@ -928,8 +926,7 @@ func TestPayloadAsyncAndBatchRelease(t *testing.T) {
 // staged copy and sees the full bytes, the lane's byte counter moves,
 // and both leases (call + copy job) settle.
 func TestPayloadOffload(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1, OffloadThreshold: 1024})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, OffloadThreshold: 1024})
 	data := make([]byte, 128<<10)
 	for i := range data {
 		data[i] = byte(i * 7)
@@ -969,11 +966,9 @@ func TestPayloadOffload(t *testing.T) {
 	}
 	// The copier drops the job's lease as its last step, after the ref
 	// clear that let the handler's view (and so the call) proceed: when
-	// the offload worker made the copy, the call can return first.
-	waitCond(t, time.Second, "offload leases and queue to settle", func() bool {
-		st := sys.Stats()[0]
-		return st.LeasesActive == 0 && st.OffloadQueueDepth == 0
-	})
+	// the offload worker made the copy, the call can return first. The
+	// running offload lane settles the leases and the queue, not Close.
+	awaitAudit(t, sys)
 }
 
 // TestPayloadOffloadStageRacesClose: a stage that races System.Close is
@@ -984,7 +979,7 @@ func TestPayloadOffload(t *testing.T) {
 func TestPayloadOffloadStageRacesClose(t *testing.T) {
 	data := make([]byte, 64<<10)
 	for iter := 0; iter < 200; iter++ {
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(t, Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "blind", Handler: func(ctx *Ctx, args *Args) {}})
 		if err != nil {
 			t.Fatal(err)
@@ -1024,8 +1019,7 @@ func TestPayloadOffloadStageRacesClose(t *testing.T) {
 // never stages, every AttachBytes copies inline, and correctness is
 // unchanged.
 func TestPayloadOffloadDisabled(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1, OffloadThreshold: -1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, OffloadThreshold: -1})
 	data := make([]byte, 256<<10)
 	var n int
 	var mu sync.Mutex
@@ -1065,8 +1059,7 @@ func TestPayloadOffloadDisabled(t *testing.T) {
 // handler until it returns — the lease settles with the executor, not
 // the caller.
 func TestPayloadDeadlineOrphanLease(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	checked := make(chan bool, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "orphan", Handler: func(ctx *Ctx, args *Args) {
@@ -1096,7 +1089,6 @@ func TestPayloadDeadlineOrphanLease(t *testing.T) {
 	if !<-checked {
 		t.Fatal("orphaned handler's payload view was invalidated")
 	}
-	waitCond(t, time.Second, "lease settle after orphan return", func() bool {
-		return sys.Stats()[0].LeasesActive == 0
-	})
+	// The orphan's return settles the lease, on the open System.
+	awaitAudit(t, sys)
 }

@@ -145,14 +145,6 @@ func (e *idEnv) probeDue(t *testing.T) {
 	}
 }
 
-// halfOpenPastLease reports a gate left half-open with its lease more
-// than ProbeAfter away: a gate no later caller could take over in time.
-func (e *idEnv) halfOpenPastLease() bool {
-	c := &e.svc.perShard[0]
-	return e.svc.health != nil && c.healthState.Load() == gateHalfOpen &&
-		time.Until(time.Unix(0, c.reopenAt.Load())) > e.svc.health.ProbeAfter
-}
-
 const idRingCap = 2
 
 // asyncExits lists the exits. arrange puts the system in the state that
@@ -365,8 +357,7 @@ func TestAsyncIdentityKillRace(t *testing.T) {
 func newIDEnv(t *testing.T, o Options, co ClientOptions, health *HealthConfig) *idEnv {
 	t.Helper()
 	o.Shards, o.MaxWorkers, o.WorkerStallThreshold, o.WatchdogInterval = 1, 1, -1, time.Millisecond
-	e := &idEnv{sys: NewSystemOptions(o), entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	t.Cleanup(e.sys.Close)
+	e := &idEnv{sys: newSystem(t, o), entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	e.sys.shards[0].submitWait = 200 * time.Microsecond
 	var err error
 	e.svc, err = e.sys.Bind(ServiceConfig{Name: "identity", Health: health, Handler: func(ctx *Ctx, args *Args) {
@@ -418,26 +409,18 @@ func (e *idEnv) requests(t *testing.T, k int, payload bool) []Args {
 	return argss
 }
 
-// settle lets everything accepted run and then holds the case to the
-// identities every exit must leave true.
+// settle lets everything accepted run, holds the System to the audit
+// and the case to the count of what ran.
 func (e *idEnv) settle(t *testing.T) {
 	t.Helper()
 	if e.wedged {
 		close(e.gate)
 	}
 	e.sys.ClearFaults()
-	waitCond(t, 5*time.Second, "accepted requests to finish and leases to settle", func() bool {
-		return e.svc.inFlightTotal() == 0 && e.sys.Stats()[0].LeasesActive == 0
-	})
 	e.sys.Close() // joins the worker: e.ran is final
+	awaitAudit(t, e.sys)
 	st := e.sys.Stats()[0]
 	if got, want := e.svc.AsyncCalls(), e.ran+st.DeadlineExpirations-e.syncExpired; got != want {
 		t.Errorf("AsyncCalls = %d, want %d handler runs + %d queue expirations", got, e.ran, st.DeadlineExpirations-e.syncExpired)
-	}
-	if st.AsyncQueueDepth != 0 {
-		t.Errorf("AsyncQueueDepth = %d at quiescence", st.AsyncQueueDepth)
-	}
-	if e.halfOpenPastLease() {
-		t.Error("the health gate was left half-open past its lease")
 	}
 }

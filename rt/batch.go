@@ -50,8 +50,8 @@ func (b *Batch) SetNotify(done chan<- struct{}) { b.done = done }
 // is settled as expired (counted in ShardStats.DeadlineExpirations,
 // recorded as timeout evidence for the service's health gate, and its
 // notification still delivered). A d <= 0 clears the deadline. The
-// deadline bounds queueing delay, not handler runtime — a handler
-// already running is never interrupted.
+// deadline bounds queueing delay (at most 100 years), not handler
+// runtime — a handler already running is never interrupted.
 func (b *Batch) SetDeadline(d time.Duration) { b.ttl = d }
 
 // Len reports the number of staged requests.
@@ -138,7 +138,7 @@ func (c *Client) async(ep EntryPointID, argss []Args, done chan<- struct{}, ttl 
 	}
 	var deadline int64
 	if ttl > 0 {
-		deadline = time.Now().Add(ttl).UnixNano()
+		deadline = time.Now().Add(min(ttl, maxWait)).UnixNano()
 	}
 	svc, counters := cr.svc, cr.counters
 	lr := sh.laneFor(c.lane, svc)

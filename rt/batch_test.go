@@ -30,8 +30,7 @@ func flushAll(c *Client, ep EntryPointID, argss []Args) (int, error) {
 // — every request executes with its own argument block, and the async
 // counters see all of them.
 func TestAsyncBatchDeliversAll(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var sum atomic.Uint64
 	svc, err := sys.Bind(ServiceConfig{Name: "sum", Handler: func(ctx *Ctx, args *Args) {
 		sum.Add(args[0])
@@ -71,8 +70,7 @@ func TestAsyncBatchDeliversAll(t *testing.T) {
 // is immediately reusable; Add past the initial capacity grows the
 // staging buffer without losing requests.
 func TestBatchFlushReuse(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var handled atomic.Int64
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {
 		handled.Add(1)
@@ -122,7 +120,7 @@ func TestBatchFlushReuse(t *testing.T) {
 // (the soft-kill drain must not wait for them) and the accepted ones
 // still drain.
 func TestAsyncBatchBackpressureTail(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
 	testRing(&sh.lanes[0].ring, 2)
@@ -174,7 +172,7 @@ func TestAsyncBatchBackpressureTail(t *testing.T) {
 // TestAsyncBatchRejectedWhenKilledOrClosed: batches respect the same
 // lifecycle gates as single submissions.
 func TestAsyncBatchRejectedWhenKilledOrClosed(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "k", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +203,7 @@ func TestAsyncBatchRejectedWhenKilledOrClosed(t *testing.T) {
 // drop is counted, the worker survives, and the shard keeps servicing
 // requests (the old blocking send wedged the worker forever).
 func TestNotifyDropsOnAbandonedChannel(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sys.shards[0].notifyWait = time.Millisecond
 	var handled atomic.Int64
 	svc, err := sys.Bind(ServiceConfig{Name: "n", Handler: func(ctx *Ctx, args *Args) {
@@ -249,7 +246,7 @@ func TestNotifyDropsOnAbandonedChannel(t *testing.T) {
 // ring size is.
 func TestNewBatchDefaultCapacity(t *testing.T) {
 	for _, tc := range []struct{ queueCap, want int }{{0, defaultAsyncQueueCap}, {6, 8}, {256, 256}} {
-		sys := NewSystemOptions(Options{Shards: 1, Lanes: 3, AsyncQueueCap: tc.queueCap})
+		sys := newSystem(t, Options{Shards: 1, Lanes: 3, AsyncQueueCap: tc.queueCap})
 		b := sys.NewClientWith(ClientOptions{}).NewBatch(2, 0)
 		if got := cap(b.reqs); got != tc.want {
 			t.Errorf("AsyncQueueCap %d: default batch capacity %d, want %d", tc.queueCap, got, tc.want)

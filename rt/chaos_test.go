@@ -28,8 +28,9 @@ const chaosProbeCalls = 1000
 func chaosBaseline() int { return runtime.NumGoroutine() }
 
 // chaosConverge is the shared convergence check. The storm must
-// already be over (hooks cleared or gated off).
-func chaosConverge(t *testing.T, sys *System, svc *Service, base int) {
+// already be over (hooks cleared or gated off); killed lists the
+// services it killed, which the audit no longer finds bound.
+func chaosConverge(t *testing.T, sys *System, svc *Service, base int, killed ...*Service) {
 	t.Helper()
 	sys.ClearFaults()
 	// Let any open health gate probe its way closed: poll with real
@@ -93,15 +94,11 @@ func chaosConverge(t *testing.T, sys *System, svc *Service, base int) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= base+3
 	})
-	// Every admission of the storm and of the probe run was completed or
-	// backed out, on whichever stripe it was counted — the shards' own and
-	// every descriptor's, including descriptors that were condemned,
-	// quarantined or dropped along the way.
-	// The goroutine bound above leaves room for three, so an orphaned
-	// handler may still be sitting out an injected stall: wait for it.
-	waitCond(t, 5*time.Second, "inFlightTotal to reach zero after the storm drained", func() bool {
-		return svc.inFlightTotal() == 0
-	})
+	// Everything the storm and the probe run borrowed went back, killed
+	// services' admissions included. The goroutine bound above leaves room
+	// for three, so an orphaned handler may still be sitting out an
+	// injected stall: the audit waits for it.
+	awaitAudit(t, sys, killed...)
 }
 
 // chaosStorm drives mixed traffic from several goroutines for dur,
@@ -150,8 +147,8 @@ func chaosStorm(t *testing.T, sys *System, svc *Service, dur time.Duration) {
 	wg.Wait()
 }
 
-func chaosSystem() *System {
-	return NewSystemOptions(Options{
+func chaosSystem(t testing.TB) *System {
+	return newSystem(t, Options{
 		Shards:               1,
 		WorkerStallThreshold: 2 * time.Millisecond,
 		WatchdogInterval:     time.Millisecond,
@@ -176,7 +173,7 @@ func chaosBind(t *testing.T, sys *System) *Service {
 // survive the panics, and everything must heal when the storm ends.
 func TestChaosHandlerPanicStorm(t *testing.T) {
 	base := chaosBaseline()
-	sys := chaosSystem()
+	sys := chaosSystem(t)
 	svc := chaosBind(t, sys)
 	fn, gate := FaultWhile(FaultPanicEvery(1, "chaos panic"))
 	sys.InjectFault(faultSiteHandler, fn)
@@ -194,7 +191,7 @@ func TestChaosHandlerPanicStorm(t *testing.T) {
 // return.
 func TestChaosStalledHandlers(t *testing.T) {
 	base := chaosBaseline()
-	sys := chaosSystem()
+	sys := chaosSystem(t)
 	svc := chaosBind(t, sys)
 	const maxWorkers = 2
 	sys.shards[0].maxWorkers = maxWorkers
@@ -218,7 +215,7 @@ func TestChaosStalledHandlers(t *testing.T) {
 // workers from sleeping through the eventual publish.
 func TestChaosDelayedRingPublish(t *testing.T) {
 	base := chaosBaseline()
-	sys := chaosSystem()
+	sys := chaosSystem(t)
 	svc := chaosBind(t, sys)
 	sys.InjectFault(faultSiteRingPublish, FaultStallFirst(8, 2*time.Millisecond))
 	chaosStorm(t, sys, svc, 30*time.Millisecond)
@@ -232,7 +229,7 @@ func TestChaosDelayedRingPublish(t *testing.T) {
 // replacement worker) may leak through the storm.
 func TestChaosDeadlineStorm(t *testing.T) {
 	base := chaosBaseline()
-	sys := chaosSystem()
+	sys := chaosSystem(t)
 	svc := chaosBind(t, sys)
 	sys.InjectFault(faultSiteHandler, FaultStallFirst(32, 3*time.Millisecond))
 	stop := make(chan struct{})
@@ -286,7 +283,7 @@ func TestChaosDeadlineStorm(t *testing.T) {
 // convergence probe runs.
 func TestChaosArenaStorm(t *testing.T) {
 	base := chaosBaseline()
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:               1,
 		WorkerStallThreshold: 2 * time.Millisecond,
 		WatchdogInterval:     time.Millisecond,
@@ -409,17 +406,13 @@ func TestChaosArenaStorm(t *testing.T) {
 	gate.Store(false)
 	sys.ClearFaults()
 
-	// The headline assertion: every lease taken during the storm —
-	// through panics, orphans, kills, backouts, and staged copies —
-	// has been returned, and the offload lane is empty.
-	waitCond(t, 5*time.Second, "lease convergence", func() bool {
-		st := sys.Stats()[0]
-		return st.LeasesActive == 0 && st.OffloadQueueDepth == 0
-	})
+	// The headline assertion — every lease taken during the storm,
+	// through panics, orphans, kills, backouts and staged copies,
+	// returned, and the offload lane empty — is chaosConverge's audit.
 	if st := sys.Stats()[0]; st.OffloadedBytes == 0 {
 		t.Fatalf("storm never exercised the offload lane: %+v", st)
 	}
-	chaosConverge(t, sys, svc, base)
+	chaosConverge(t, sys, svc, base, victim)
 }
 
 // TestChaosDomainDeath: the domain-death storm. Five goroutines drive
@@ -446,8 +439,7 @@ func TestChaosArenaStorm(t *testing.T) {
 func TestChaosDomainDeath(t *testing.T) {
 	leakCheck(t)
 	base := chaosBaseline()
-	sys := chaosSystem()
-	defer sys.Close() // idempotent; covers early-failure exits before chaosConverge
+	sys := chaosSystem(t)
 	var victim atomic.Pointer[Client]
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "chaosDeath",
@@ -656,7 +648,7 @@ func TestChaosDomainDeath(t *testing.T) {
 // the system heals instantly when the pressure lifts.
 func TestChaosBackpressure(t *testing.T) {
 	base := chaosBaseline()
-	sys := chaosSystem()
+	sys := chaosSystem(t)
 	svc := chaosBind(t, sys)
 	sys.InjectFault(faultSiteSubmit, FaultErrFirst(1<<30, ErrBackpressure))
 	rejects := 0
@@ -688,7 +680,7 @@ func TestChaosBackpressure(t *testing.T) {
 // converges with zero leaked leases and zero quarantined descriptors.
 func TestChaosLaneStorm(t *testing.T) {
 	base := chaosBaseline()
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:               1,
 		Lanes:                3,
 		AsyncQueueCap:        16,
@@ -789,12 +781,7 @@ func TestChaosLaneStorm(t *testing.T) {
 	if st.ShedByLane[2] == 0 {
 		t.Fatalf("best-effort sheds not counted: %+v", st)
 	}
-	// Lease and descriptor convergence before the probe run: everything
-	// shed at admission returned its payload lease, and nothing the
-	// storm dispatched orphaned a descriptor.
-	waitCond(t, 5*time.Second, "lane drain and lease convergence", func() bool {
-		st := sys.Stats()[0]
-		return st.AsyncQueueDepth == 0 && st.LeasesActive == 0 && st.QuarantinedCDs == 0
-	})
+	// chaosConverge's audit holds that everything shed at admission
+	// returned its payload lease and no descriptor stayed orphaned.
 	chaosConverge(t, sys, svc, base)
 }

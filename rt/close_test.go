@@ -10,7 +10,7 @@ import (
 
 func TestCloseStopsAsyncWorkers(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	done := make(chan struct{}, 8)
 	svc, err := sys.Bind(ServiceConfig{Name: "a", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -72,7 +72,7 @@ func TestCloseStopsAsyncWorkers(t *testing.T) {
 // behind it and the submitter then reported backpressure.)
 func TestCloseFailsSubmitterInFullRingWait(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, AsyncQueueCap: 4, MaxWorkers: 1, WorkerStallThreshold: -1})
+	sys := newSystem(t, Options{Shards: 1, AsyncQueueCap: 4, MaxWorkers: 1, WorkerStallThreshold: -1})
 	sh := &sys.shards[0]
 	sh.submitWait = 4 * time.Second // "well inside" is then far from scheduling noise
 	const tenant = TenantID(7)

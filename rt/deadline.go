@@ -376,8 +376,8 @@ func (e *dlExec) loop() {
 // the orphan never scribbles on the caller's memory after return.
 //
 // Expiry is detected on the shard's tick: a call is settled as expired
-// at most ~2 ticks after d elapses and never before, for any d (the
-// tick is 1 ms, or Options.WatchdogInterval when that is finer).
+// at most ~2 ticks after d elapses and never before (a d past 100 years
+// counts as 100 years; the tick is 1 ms, or WatchdogInterval when finer).
 //
 // A d <= 0 means no deadline: identical to Call (including running the
 // handler on the caller's goroutine).
@@ -477,7 +477,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	// never fires before d has elapsed, and at most ~2 ticks after.
 	var due int64
 	if d > 0 {
-		due = sh.clock.read() + int64(d) + int64(sh.dlTick)
+		due = sh.clock.read() + int64(min(d, maxWait)) + int64(sh.dlTick)
 	}
 	t.deadline.Store(due)
 	//ppc:nopublish -- arming: the Done CAS publishes the results

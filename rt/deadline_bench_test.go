@@ -47,7 +47,7 @@ func BenchmarkDeadlineTickPopulation(b *testing.B) {
 		}
 	}
 	for _, n := range []int{1, 100, 1_000, 10_000} {
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(b, Options{Shards: 1})
 		sh := &sys.shards[0]
 		parked := make(chan struct{})
 		svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {
@@ -115,8 +115,7 @@ func BenchmarkDeadlineTickPopulation(b *testing.B) {
 func BenchmarkDeadlineCallCallers(b *testing.B) {
 	for _, k := range []int{1, 2, 8, 64} {
 		b.Run(fmt.Sprintf("callers=%d", k), func(b *testing.B) {
-			sys := NewSystemOptions(Options{Shards: 1})
-			defer sys.Close()
+			sys := newSystem(b, Options{Shards: 1})
 			svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
 			if err != nil {
 				b.Fatal(err)
@@ -150,8 +149,7 @@ func BenchmarkDeadlineCallCallers(b *testing.B) {
 // every call orphans, and a tick the runtime delivered late shows as
 // lateness, not as a call that completed.
 func BenchmarkDeadlineExpiryLateness(b *testing.B) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(b, Options{Shards: 1})
 	release := make(chan struct{})
 	svc, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) {
 		<-release

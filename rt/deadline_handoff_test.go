@@ -30,8 +30,7 @@ func TestDeadlineExpiryRacesCompletion(t *testing.T) {
 	if testing.Short() {
 		calls = 1_000
 	}
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: tick})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: tick})
 	defer nonNegativeQuarantine(t, &sys.shards[0])()
 	svc, err := sys.Bind(ServiceConfig{Name: "edge", Handler: func(ctx *Ctx, args *Args) {
 		// 0..3 ticks around an expiry that lands 1..2 ticks after arming.
@@ -89,8 +88,7 @@ func TestCallContextStaleDoneToken(t *testing.T) {
 	if testing.Short() {
 		rounds = 200
 	}
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
 	sh := &sys.shards[0]
 	defer nonNegativeQuarantine(t, sh)()
 	const poison = 0xdead
@@ -163,9 +161,6 @@ func TestCallContextStaleDoneToken(t *testing.T) {
 	if n := sh.deadlineExecs(); n != 1 {
 		t.Errorf("%d executors for two clients calling in turn, want the one both reused", n)
 	}
-	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
-		return sys.Stats()[0].QuarantinedCDs == 0
-	})
 }
 
 // Whoever hands an executor back must have read its results out first:
@@ -180,8 +175,7 @@ func TestDeadlinePoolPingPong(t *testing.T) {
 	if testing.Short() {
 		rounds = 500
 	}
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "pingpong", Handler: func(ctx *Ctx, args *Args) {
 		args[1] = args[0] ^ 0x5a5a
@@ -239,11 +233,10 @@ func TestDeadlineExecutorGoroutineAccounting(t *testing.T) {
 	// Earlier tests' executors exit asynchronously after their Close.
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
 	leakCheck(t)
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:           1,
 		WatchdogInterval: 100 * time.Microsecond,
 	})
-	defer sys.Close()
 	sh := &sys.shards[0]
 	fast, err := sys.Bind(ServiceConfig{Name: "fast", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -350,8 +343,7 @@ func nonNegativeQuarantine(t *testing.T, sh *shard) (stop func()) {
 // orphan runs on the executor's own, and the next plain Call pops nothing.
 func TestOrphanLeavesClientHold(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
 	sh := &sys.shards[0]
 	defer nonNegativeQuarantine(t, sh)()
 	block := make(chan struct{})
@@ -414,8 +406,7 @@ func TestDeadlineCallsNeverMoveTheHold(t *testing.T) {
 		rounds = 300
 	}
 	const tick = 50 * time.Microsecond
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: tick})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: tick})
 	sh := &sys.shards[0]
 	defer nonNegativeQuarantine(t, sh)()
 	svc, err := sys.Bind(ServiceConfig{Name: "storm", Handler: func(ctx *Ctx, args *Args) {
@@ -490,8 +481,7 @@ func TestAbandonRacesDeadlineEntry(t *testing.T) {
 	if testing.Short() {
 		rounds = 400
 	}
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: 50 * time.Microsecond})
 	sh := &sys.shards[0]
 	defer nonNegativeQuarantine(t, sh)()
 	svc, err := sys.Bind(ServiceConfig{Name: "raced", Handler: func(ctx *Ctx, args *Args) {
@@ -587,8 +577,7 @@ func TestAbandonRacesDeadlineEntry(t *testing.T) {
 func TestDeadlineOnlyClientHoldsNoDescriptor(t *testing.T) {
 	leakCheck(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "only", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
 	if err != nil {
 		t.Fatal(err)
@@ -633,8 +622,7 @@ func TestDeadlineOnlyClientHoldsNoDescriptor(t *testing.T) {
 func TestReleaseAfterDeadlineCallIsNotDoubleRelease(t *testing.T) {
 	leakCheck(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "rel", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
 	if err != nil {
 		t.Fatal(err)

@@ -47,8 +47,7 @@ func TestDeadlinePoolPopulation(t *testing.T) {
 	if testing.Short() {
 		n = 1_000
 	}
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -86,8 +85,7 @@ func TestDeadlinePoolPopulation(t *testing.T) {
 func TestDeadlinePoolConcurrentGrowth(t *testing.T) {
 	leakCheck(t)
 	const goroutines, clients, calls = 4, 50, 20
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "grow", Handler: func(ctx *Ctx, args *Args) {
 		args[1] = args[0] + 1
@@ -134,8 +132,7 @@ func TestDeadlinePoolConcurrentGrowth(t *testing.T) {
 // caller did.
 func TestDeadlinePoolOrphansReuseExecutors(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
 	sh := &sys.shards[0]
 	defer nonNegativeQuarantine(t, sh)()
 	entered, release := make(chan struct{}, 1), make(chan struct{})
@@ -205,8 +202,7 @@ func TestDeadlinePoolOrphansReuseExecutors(t *testing.T) {
 // second pushes it.
 func TestDeadlineOrphanLastToLeaveRepools(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	e := sh.newExec(sys)
 	for gen := uint64(1); gen <= 2; gen++ {
@@ -236,8 +232,7 @@ func TestDeadlineOrphanLastToLeaveRepools(t *testing.T) {
 // A pointer head would take A's CAS and put Y — in use — on the stack.
 func TestDeadlinePoolStalePopFails(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	x, y := sh.newExec(sys), sh.newExec(sys)
 	sh.pushExec(y)

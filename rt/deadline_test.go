@@ -3,6 +3,8 @@ package rt
 import (
 	"context"
 	"errors"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -25,8 +27,7 @@ func idleExecs(sh *shard) int { return sh.dlIdle.size() }
 
 func TestCallDeadlineCompletes(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "fast", Handler: func(ctx *Ctx, args *Args) {
 		args[0]++
 	}})
@@ -55,10 +56,67 @@ func TestCallDeadlineCompletes(t *testing.T) {
 	}
 }
 
+// TestFarDeadlineDoesNotExpire: a deadline too far away to arm exactly
+// is capped at maxWait (100 years), never wrapped into the past. Each
+// entry point that takes a deadline gets one out of range: the request
+// must run, and nothing is counted as expired.
+func TestFarDeadlineDoesNotExpire(t *testing.T) {
+	const year = 365 * 24 * time.Hour
+	flush := func(ttl time.Duration) func(*Client, EntryPointID) error {
+		return func(c *Client, ep EntryPointID) error {
+			done := make(chan struct{}, 1)
+			b := c.NewBatch(ep, 1)
+			b.SetNotify(done)
+			b.SetDeadline(ttl)
+			b.Add(&Args{})
+			if _, err := b.Flush(); err != nil {
+				return err
+			}
+			<-done // delivered for an expired request too
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		call func(c *Client, ep EntryPointID) error
+	}{
+		{"CallDeadline", func(c *Client, ep EntryPointID) error {
+			return c.CallDeadline(ep, &Args{}, math.MaxInt64)
+		}},
+		{"CallContext", func(c *Client, ep EntryPointID) error {
+			// A deadline in the year ~36 800: time.Until saturates at MaxInt64.
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().AddDate(34800, 0, 0))
+			defer cancel()
+			return c.CallContext(ctx, ep, &Args{})
+		}},
+		{"Batch/MaxInt64", flush(math.MaxInt64)},
+		{"Batch/290 years", flush(290 * year)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newSystem(t, Options{Shards: 1})
+			var ran atomic.Int64
+			svc, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) {
+				time.Sleep(20 * time.Millisecond) // many ticks: a deadline in the past would orphan the call
+				ran.Add(1)
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := sys.NewClientWith(ClientOptions{})
+			defer c.Release()
+			if err := tc.call(c, svc.EP()); err != nil {
+				t.Fatalf("err = %v, want the request to run", err)
+			}
+			if n, exp := ran.Load(), sys.Stats()[0].DeadlineExpirations; n != 1 || exp != 0 {
+				t.Errorf("the handler ran %d times and %d deadlines expired; want 1 and 0", n, exp)
+			}
+		})
+	}
+}
+
 func TestCallDeadlineZeroIsPlainCall(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "plain", Handler: func(ctx *Ctx, args *Args) {
 		args[0] = 7
 	}})
@@ -81,8 +139,7 @@ func TestCallDeadlineZeroIsPlainCall(t *testing.T) {
 
 func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) {
@@ -146,8 +203,7 @@ func TestCallDeadlineExpiresAndOrphans(t *testing.T) {
 
 func TestCallDeadlineOrphanDrainsThroughSoftKill(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "wedge", Handler: func(ctx *Ctx, args *Args) {
@@ -187,8 +243,7 @@ func TestCallDeadlineOrphanDrainsThroughSoftKill(t *testing.T) {
 
 func TestCallContextCancel(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "cslow", Handler: func(ctx *Ctx, args *Args) {
@@ -217,8 +272,7 @@ func TestCallContextCancel(t *testing.T) {
 
 func TestCallContextPlain(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "cfast", Handler: func(ctx *Ctx, args *Args) { args[0] = 3 }})
 	if err != nil {
 		t.Fatal(err)
@@ -244,8 +298,7 @@ func TestCallContextPlain(t *testing.T) {
 
 func TestCallContextAlreadyExpired(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "never", Handler: func(ctx *Ctx, args *Args) {
 		t.Error("handler must not run for an already-expired context")
 	}})
@@ -266,8 +319,7 @@ func TestCallContextAlreadyExpired(t *testing.T) {
 
 func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	var ran int64
@@ -319,8 +371,7 @@ func TestAsyncCallDeadlineExpiresInQueue(t *testing.T) {
 
 func TestBatchSetDeadline(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	var ran int64
@@ -377,8 +428,7 @@ func TestBatchSetDeadline(t *testing.T) {
 func TestReleaseLeavesExecutorPool(t *testing.T) {
 	leakCheck(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "rfast", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {

@@ -21,8 +21,7 @@ import (
 // taken, no expiry counted.
 func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "deadctx", Handler: func(ctx *Ctx, args *Args) {
 		t.Error("handler must not run for an already-cancelled context")
 	}})
@@ -57,8 +56,7 @@ func TestCallContextDeadCtxNeverAdmits(t *testing.T) {
 // later clean probe can close it.
 func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 16)
 	svc, err := sys.Bind(ServiceConfig{
@@ -154,8 +152,7 @@ func TestDeadlineTimingContract(t *testing.T) {
 		slack     = 100 * time.Millisecond
 		bestSlack = 3 * time.Millisecond
 	)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	release := make(chan struct{})
 	svc, err := sys.Bind(ServiceConfig{Name: "contract", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 1 {
@@ -206,9 +203,6 @@ func TestDeadlineTimingContract(t *testing.T) {
 			t.Errorf("%s: best of %d rounds settled %v after d, want at most 2 ticks (+%v)", row.name, rounds, best, bestSlack)
 		}
 	}
-	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
-		return sys.Stats()[0].QuarantinedCDs == 0
-	})
 }
 
 // A shard's first deadline executor made while its tick loop is already
@@ -218,8 +212,7 @@ func TestDeadlineTimingContract(t *testing.T) {
 // the first CallDeadline settled a whole WatchdogInterval late.
 func TestFirstDeadlineAfterRunningTickIsOnTime(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 300 * time.Millisecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: 300 * time.Millisecond})
 	block := make(chan struct{})
 	defer close(block)
 	svc, err := sys.Bind(ServiceConfig{Name: "first", Handler: func(ctx *Ctx, args *Args) {
@@ -259,11 +252,10 @@ func TestFirstDeadlineAfterRunningTickIsOnTime(t *testing.T) {
 // few 1 ms orphans behind it — not of the 400 clients.
 func TestDeadlineOrphanTickReleaseRace(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:           1,
 		WatchdogInterval: 100 * time.Microsecond,
 	})
-	defer sys.Close()
 	svc, err := sys.Bind(ServiceConfig{Name: "race", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 1 {
 			time.Sleep(time.Millisecond)
@@ -312,7 +304,7 @@ func TestDeadlineOrphanTickReleaseRace(t *testing.T) {
 func TestCloseDrainsArmedDeadlines(t *testing.T) {
 	leakCheck(t)
 	waitCond(t, 5*time.Second, "earlier tests' executors to exit", func() bool { return executors() == 0 })
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:           1,
 		WatchdogInterval: 200 * time.Microsecond,
 	})
@@ -413,11 +405,10 @@ func TestCloseDrainsArmedDeadlines(t *testing.T) {
 // timing.
 func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:           1,
 		WatchdogInterval: 100 * time.Microsecond,
 	})
-	defer sys.Close()
 	racy, err := sys.Bind(ServiceConfig{Name: "racy", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 1 {
 			time.Sleep(300 * time.Microsecond)
@@ -449,9 +440,6 @@ func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
 			t.Fatalf("iteration %d: far call result = %d", i, far[0])
 		}
 	}
-	waitCond(t, 5*time.Second, "quarantine drained", func() bool {
-		return sys.Stats()[0].QuarantinedCDs == 0
-	})
 }
 
 // Nothing disarms a met deadline: the word stays on the idle executor
@@ -462,8 +450,7 @@ func TestDeadlineTicketReuseAcrossRearm(t *testing.T) {
 // survive the tick, so the call is not left without its deadline.
 func TestDeadlineStaleWordDoesNotOrphanNextCall(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: 100 * time.Microsecond})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "stale", Handler: func(ctx *Ctx, args *Args) {
 		time.Sleep(time.Duration(args[0]))

@@ -64,8 +64,7 @@ func doorbellStress(t *testing.T, lanes, producers, flush, iters int) {
 	if lanes > 1 {
 		opts.Lanes = lanes
 	}
-	sys := NewSystemOptions(opts)
-	defer sys.Close()
+	sys := newSystem(t, opts)
 
 	perRound := max(flush, 1)
 	// One completion counter per producer, a line apart.
@@ -169,8 +168,7 @@ func BenchmarkAsyncIdleWake(b *testing.B) {
 	for _, mode := range []string{"block", "busy"} {
 		busy := mode == "busy"
 		b.Run(mode, func(b *testing.B) {
-			sys := NewSystemOptions(Options{Shards: 1, MaxWorkers: 1, WorkerStallThreshold: -1})
-			defer sys.Close()
+			sys := newSystem(b, Options{Shards: 1, MaxWorkers: 1, WorkerStallThreshold: -1})
 			epoch := time.Now()
 			var entered atomic.Int64 // handler entry, ns since epoch
 			svc, err := sys.Bind(ServiceConfig{Name: "wake", Handler: func(ctx *Ctx, args *Args) {

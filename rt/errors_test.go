@@ -114,8 +114,7 @@ func TestRetryableError(t *testing.T) {
 }
 
 func TestFaultErrorIsAndAs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "panicky", Handler: func(ctx *Ctx, args *Args) {
 		panic("the payload")
 	}})
@@ -156,8 +155,7 @@ func TestDeadlineErrorWrapsContextCause(t *testing.T) {
 var errTestCause = errors.New("cause")
 
 func TestErrorsSurfaceOnRightPaths(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	defer close(block)
 	svc, err := sys.Bind(ServiceConfig{

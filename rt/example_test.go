@@ -8,7 +8,9 @@ import (
 
 // Example shows the minimal rt flow: bind, call, read results.
 func Example() {
+	// unaudited: an Example builds its System as a program would, with no testing.TB to audit it
 	sys := rt.NewSystemOptions(rt.Options{})
+	defer sys.Close()
 	svc, _ := sys.Bind(rt.ServiceConfig{
 		Name: "adder",
 		Handler: func(ctx *rt.Ctx, args *rt.Args) {
@@ -29,7 +31,9 @@ func Example() {
 // Example_scratch demonstrates the recycled per-call scratch buffer —
 // the rt analogue of the paper's serially-shared stack pages.
 func Example_scratch() {
+	// unaudited: an Example builds its System as a program would, with no testing.TB to audit it
 	sys := rt.NewSystemOptions(rt.Options{Shards: 1})
+	defer sys.Close()
 	svc, _ := sys.Bind(rt.ServiceConfig{
 		Name: "render",
 		Handler: func(ctx *rt.Ctx, args *rt.Args) {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHandlerPanicContained(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "flaky", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 13 {
 			panic("boom")
@@ -36,7 +36,7 @@ func TestHandlerPanicContained(t *testing.T) {
 }
 
 func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	done := make(chan struct{}, 4)
 	svc, err := sys.Bind(ServiceConfig{Name: "aflaky", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 1 {

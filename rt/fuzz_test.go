@@ -19,7 +19,7 @@ func FuzzOpFlags(f *testing.F) {
 // FuzzCallRobustness throws arbitrary entry points and argument blocks
 // at a live system; no input may panic or corrupt counters.
 func FuzzCallRobustness(f *testing.F) {
-	sys := NewSystemOptions(Options{Shards: 2})
+	sys := newSystem(f, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "echo", Handler: func(ctx *Ctx, args *Args) {
 		args[1] = args[0]
 	}})

@@ -76,7 +76,7 @@ const (
 	defaultMaxConsecutiveFaults   = 8
 	defaultMaxConsecutiveTimeouts = 8
 	defaultProbeAfter             = 100 * time.Millisecond
-	maxProbeAfter                 = 100 * 365 * 24 * time.Hour // now + this fits in int64 nanoseconds until 2192
+	maxWait                       = 100 * 365 * 24 * time.Hour // caps ProbeAfter and every deadline: now + this fits in int64 nanoseconds until 2192
 )
 
 // normalizeHealth copies cfg with defaults filled in; the Service owns
@@ -97,7 +97,7 @@ func normalizeHealth(cfg *HealthConfig) *HealthConfig {
 	if h.ProbeAfter <= 0 {
 		h.ProbeAfter = defaultProbeAfter
 	}
-	h.ProbeAfter = min(h.ProbeAfter, maxProbeAfter)
+	h.ProbeAfter = min(h.ProbeAfter, maxWait)
 	return &h
 }
 

@@ -19,7 +19,7 @@ import (
 func TestHealthProbeLeaseSynctest(t *testing.T) {
 	synctest.Run(func() {
 		const probeAfter = 10 * time.Millisecond
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(t, Options{Shards: 1})
 		defer sys.Close()
 		svc, err := sys.Bind(ServiceConfig{
 			Name: "lease",

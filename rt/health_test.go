@@ -8,8 +8,7 @@ import (
 )
 
 func TestHealthGateTripsOnConsecutiveFaults(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "flappy",
 		Handler: func(ctx *Ctx, args *Args) {
@@ -66,8 +65,7 @@ func TestHealthGateTripsOnConsecutiveFaults(t *testing.T) {
 }
 
 func TestHealthGateFailedProbeReopens(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "stillbad",
 		Handler: func(ctx *Ctx, args *Args) {
@@ -112,8 +110,7 @@ func TestHealthGateFailedProbeReopens(t *testing.T) {
 }
 
 func TestHealthGateSuccessResetsRun(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "mixed",
 		Handler: func(ctx *Ctx, args *Args) {
@@ -144,8 +141,7 @@ func TestHealthGateSuccessResetsRun(t *testing.T) {
 }
 
 func TestHealthGateIsPerShard(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "striped",
 		Handler: func(ctx *Ctx, args *Args) {
@@ -180,8 +176,7 @@ func TestHealthGateIsPerShard(t *testing.T) {
 }
 
 func TestHealthGateGatesAsyncAndBatch(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "agate",
 		Handler: func(ctx *Ctx, args *Args) {
@@ -218,8 +213,7 @@ func TestHealthGateGatesAsyncAndBatch(t *testing.T) {
 }
 
 func TestHealthGateTripsOnConsecutiveTimeouts(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	block := make(chan struct{})
 	svc, err := sys.Bind(ServiceConfig{
 		Name:    "tslow",
@@ -251,8 +245,7 @@ func TestHealthGateTripsOnConsecutiveTimeouts(t *testing.T) {
 // must settle by the probe's lease instead of shedding forever from an
 // unsettled half-open state, and a later clean probe must recover it.
 func TestHealthGateRejectedProbeSettles(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "rejectedprobe",
 		Handler: func(ctx *Ctx, args *Args) {
@@ -301,8 +294,7 @@ func TestHealthGateRejectedProbeSettles(t *testing.T) {
 // (recordOutcome ignores ErrPermissionDenied); the probe's lease must
 // expire so an authorized probe can take over and recover the gate.
 func TestHealthGateDeniedProbeSettles(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var allowed uint32
 	svc, err := sys.Bind(ServiceConfig{
 		Name: "deniedprobe",
@@ -352,8 +344,7 @@ func TestHealthGateDeniedProbeSettles(t *testing.T) {
 // async probe discarded by a hard kill on the worker side) must elect a
 // new probe once the lease expires, instead of shedding forever.
 func TestHealthGateProbeLeaseTakeover(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{
 		Name:    "stuckopen",
 		Handler: func(ctx *Ctx, args *Args) {},
@@ -386,8 +377,7 @@ func TestHealthGateProbeLeaseTakeover(t *testing.T) {
 // ProbeAfter would wrap int64 nanoseconds negative is capped, so the
 // gate it trips stays open instead of probing on the next call.
 func TestHealthGateHugeProbeAfterSheds(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	ran := 0
 	svc, err := sys.Bind(ServiceConfig{
 		Name:    "forever",
@@ -409,8 +399,7 @@ func TestHealthGateHugeProbeAfterSheds(t *testing.T) {
 }
 
 func TestHealthDisabledByDefault(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "nogate", Handler: func(ctx *Ctx, args *Args) {
 		panic("always")
 	}})

@@ -11,7 +11,7 @@ import (
 // NewClientWith after the sequence counter wraps computes a negative
 // shard index and panics.
 func TestNewClientShardWrap(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 3})
+	sys := newSystem(t, Options{Shards: 3})
 	sys.bindSeq.Store(^uint64(0) - 4) // a few Adds from the wrap
 	for i := 0; i < 10; i++ {
 		c := sys.NewClientWith(ClientOptions{Shard: -1}) // must not panic across the wrap
@@ -27,8 +27,7 @@ func TestNewClientShardWrap(t *testing.T) {
 // re-acquires. (Double-Release is a loud failure now —
 // TestDoubleReleasePanics pins that separately.)
 func TestHoldReleaseLifecycle(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
 	if err != nil {
@@ -73,8 +72,7 @@ func TestHoldReleaseLifecycle(t *testing.T) {
 // client stays quiet, and Hold re-arms the check: release after a
 // fresh hold is legal again.
 func TestDoubleReleasePanics(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	c := sys.NewClientWith(ClientOptions{})
 	c.Release() // never held: quiet no-op
 	c.Release() // still quiet — nothing was ever repooled
@@ -107,8 +105,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 // panic and must not double-repool — the scavenger owns (or already
 // settled) the descriptor; the owner's late Release walks away quietly.
 func TestReleaseAfterAbandonQuiet(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: time.Millisecond})
 	sh := &sys.shards[0]
 	c := sys.NewClientWith(ClientOptions{})
 	c.Hold()
@@ -132,7 +129,7 @@ func TestReleaseAfterAbandonQuiet(t *testing.T) {
 // exactly once, a second Release still panics, and a hold begun after
 // Close is net zero on the pool: the descriptor is in one place throughout.
 func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -189,8 +186,7 @@ func TestReleaseAfterCloseRepoolsCD(t *testing.T) {
 // than it has and never shrinking capacity — the same serial-sharing
 // rule as the pool.
 func TestHeldScratchGrowth(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	big, err := sys.Bind(ServiceConfig{Name: "big", Handler: func(ctx *Ctx, args *Args) {
 		args[0] = uint64(len(ctx.Scratch()))
 	}, ScratchBytes: 16384})
@@ -232,8 +228,7 @@ func TestHeldScratchGrowth(t *testing.T) {
 // every shard's table replica resolves the new handler — a call
 // started after Exchange on any shard runs the new code.
 func TestExchangePublishesToEveryReplica(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 4})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 4})
 	svc, err := sys.Bind(ServiceConfig{Name: "x", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +255,7 @@ func TestExchangePublishesToEveryReplica(t *testing.T) {
 // replica entry is gone — held-CD and pooled calls on any shard fail,
 // and rebinding the entry point republishes everywhere.
 func TestKillRetractsEveryReplica(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 4})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 4})
 	for _, hard := range []bool{false, true} {
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {}})
 		if err != nil {

@@ -43,7 +43,7 @@ func TestKillSoftNoCallExecutesAfterReturn(t *testing.T) {
 		}
 	}
 	for iter := 0; iter < iters; iter++ {
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(t, Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: handler})
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestKillSoftHeldCDNoCallExecutesAfterReturn(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		hard := iter%2 == 1
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(t, Options{Shards: 1})
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: handler})
 		if err != nil {
 			t.Fatal(err)
@@ -154,8 +154,7 @@ func TestKillSoftHeldCDNoCallExecutesAfterReturn(t *testing.T) {
 // after Exchange returns must run the new one — Exchange republishes
 // every shard's replica before returning.
 func TestExchangeHeldMidStream(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "swap", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +207,7 @@ func TestExchangeHeldMidStream(t *testing.T) {
 // synchronous calls keep working after Close, and the eventual stale
 // Releases account the descriptors away without touching the pool.
 func TestCloseWithOutstandingHeldCDs(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +258,7 @@ func TestCloseWithOutstandingHeldCDs(t *testing.T) {
 // worker between requests, deterministically opening that window on the
 // old code.
 func TestKillSoftDrainsQueuedAsync(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sys.shards[0].maxWorkers = 1 // single worker: requests queue behind it
 
 	gate := make(chan struct{})
@@ -333,8 +331,7 @@ func TestKillSoftDrainsQueuedAsync(t *testing.T) {
 // at once; queued requests are dropped (with their completion
 // notifications still delivered) and counted as backouts.
 func TestKillHardDiscardsQueuedAsync(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sys.shards[0].maxWorkers = 1
 
 	gate := make(chan struct{})
@@ -377,7 +374,7 @@ func TestKillHardDiscardsQueuedAsync(t *testing.T) {
 // saturated, submission fails with ErrBackpressure after a bounded
 // wait instead of blocking — and Close still drains cleanly afterwards.
 func TestAsyncBackpressure(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	sh.maxWorkers = 1
 	testRing(&sh.lanes[0].ring, 2) // the smallest ring (one-slot rings cannot detect fullness)
@@ -432,7 +429,7 @@ func TestAsyncBackpressure(t *testing.T) {
 // TestCloseTimeoutWithStuckHandler: CloseTimeout gives up on a handler
 // that never returns and reports ErrDrainTimeout instead of hanging.
 func TestCloseTimeoutWithStuckHandler(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "stuck", Handler: func(ctx *Ctx, args *Args) {
@@ -466,7 +463,7 @@ func TestCloseTimeoutWithStuckHandler(t *testing.T) {
 // fails with ErrClosed (or bounded ErrBackpressure) once the drain
 // begins, and synchronous calls keep working throughout.
 func TestConcurrentCallsAsyncAndClose(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +542,7 @@ func TestRingSubmitCloseKillStress(t *testing.T) {
 		if stallIter {
 			shards = 1
 		}
-		sys := NewSystemOptions(Options{Shards: shards, Lanes: lanes})
+		sys := newSystem(t, Options{Shards: shards, Lanes: lanes})
 		var executed atomic.Int64
 		svc, err := sys.Bind(ServiceConfig{Name: "stress", Handler: func(ctx *Ctx, args *Args) {
 			executed.Add(1)
@@ -743,8 +740,7 @@ func TestSoftKillWaitsWithoutNotification(t *testing.T) {
 // long after the handler's return Kill returned.
 func softKillLateness(t *testing.T, place string) time.Duration {
 	t.Helper()
-	sys := NewSystemOptions(Options{Shards: 1, MaxWorkers: 1, WatchdogInterval: 200 * time.Microsecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, MaxWorkers: 1, WatchdogInterval: 200 * time.Microsecond})
 	gate, entered := make(chan struct{}), make(chan struct{}, 1)
 	var finished atomic.Int64 // when the victim's handler returned
 	var ran atomic.Int64
@@ -833,8 +829,8 @@ func softKillLateness(t *testing.T, place string) time.Duration {
 // one System, unskewed by clients created on other Systems (the bind
 // counter used to be a package-level global).
 func TestPerSystemClientRoundRobin(t *testing.T) {
-	a := NewSystemOptions(Options{Shards: 4})
-	b := NewSystemOptions(Options{Shards: 4})
+	a := newSystem(t, Options{Shards: 4})
+	b := newSystem(t, Options{Shards: 4})
 	for i := 0; i < 4; i++ {
 		_ = b.NewClientWith(ClientOptions{Shard: -1}) // must not perturb a's placement
 		if got, want := a.NewClientWith(ClientOptions{Shard: -1}).Shard(), (i+1)%4; got != want {
@@ -858,7 +854,7 @@ func TestBatchFlushKillRaceWithInjectedFaults(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		hard := iter%2 == 1
-		sys := NewSystemOptions(Options{Shards: 2})
+		sys := newSystem(t, Options{Shards: 2})
 		var dispatched atomic.Int64
 		sys.InjectFault(faultSiteHandler, func() error {
 			if dispatched.Add(1)%3 == 0 {

@@ -124,7 +124,7 @@ type laneRing struct {
 func (sh *shard) configureLanes(o Options) {
 	cap := defaultAsyncQueueCap
 	if o.AsyncQueueCap > 0 {
-		cap = o.AsyncQueueCap
+		cap = min(o.AsyncQueueCap, maxAsyncQueueCap)
 	}
 	sh.lanes = make([]laneRing, min(max(o.Lanes, 1), NumLaneClasses))
 	for i := range sh.lanes {

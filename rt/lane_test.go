@@ -12,8 +12,8 @@ import (
 // laneSystem builds a single-shard, three-lane system with supervision
 // disabled (tests wedge the only worker on purpose) and a small ring so
 // overload is cheap to provoke.
-func laneSystem(queueCap int) *System {
-	return NewSystemOptions(Options{
+func laneSystem(t testing.TB, queueCap int) *System {
+	return newSystem(t, Options{
 		Shards:               1,
 		Lanes:                3,
 		AsyncQueueCap:        queueCap,
@@ -48,8 +48,7 @@ func TestLaneIndexAndString(t *testing.T) {
 // per-lane depths (plus their sum, AsyncQueueDepth) are visible in
 // ShardStats while the only worker is wedged.
 func TestLaneRoutingAndDepth(t *testing.T) {
-	sys := laneSystem(16)
-	defer sys.Close()
+	sys := laneSystem(t, 16)
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "lnull", Handler: func(ctx *Ctx, args *Args) {
@@ -130,8 +129,7 @@ func TestLaneRoutingAndDepth(t *testing.T) {
 // behavior, and the critical ring — drained first, filled last —
 // accepts while the others reject. ShedByLane counts both forms.
 func TestLaneSheddingOrder(t *testing.T) {
-	sys := laneSystem(4)
-	defer sys.Close()
+	sys := laneSystem(t, 4)
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "lshed", Handler: func(ctx *Ctx, args *Args) {
@@ -197,9 +195,8 @@ func TestLaneSheddingOrder(t *testing.T) {
 	}
 
 	close(block)
-	waitCond(t, 2*time.Second, "queues drained", func() bool {
-		return sys.Stats()[0].AsyncQueueDepth == 0
-	})
+	// The running worker drains the rings, not Close.
+	awaitAudit(t, sys)
 }
 
 // TestLaneWeightedDrainOrder pins the weighted dequeue: with one
@@ -208,8 +205,7 @@ func TestLaneSheddingOrder(t *testing.T) {
 // one — and the best-effort backlog still drains afterward, because
 // credits reset once higher lanes run dry.
 func TestLaneWeightedDrainOrder(t *testing.T) {
-	sys := laneSystem(32)
-	defer sys.Close()
+	sys := laneSystem(t, 32)
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	var mu sync.Mutex
@@ -275,8 +271,7 @@ func TestLaneWeightedDrainOrder(t *testing.T) {
 // Claiming the normal lane in batches runs the critical request last
 // ([1 100 101 102 103 200]).
 func TestLaneInversionBound(t *testing.T) {
-	sys := laneSystem(32)
-	defer sys.Close()
+	sys := laneSystem(t, 32)
 	block, gate := make(chan struct{}), make(chan struct{})
 	entered, running := make(chan struct{}, 1), make(chan struct{}, 1)
 	var mu sync.Mutex
@@ -382,8 +377,7 @@ func TestLaneClaimSizes(t *testing.T) {
 // within each lane. The critical wedge is the first cycle's first
 // critical request.
 func TestLaneServiceRatio(t *testing.T) {
-	sys := laneSystem(64)
-	defer sys.Close()
+	sys := laneSystem(t, 64)
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	var mu sync.Mutex
@@ -467,14 +461,13 @@ func TestLaneCountOverflow(t *testing.T) {
 		{lanes: 3, want: ErrShed, depth: [NumLaneClasses]int{2: ringCap}, shed: [NumLaneClasses]int64{2: 1}},
 	} {
 		t.Run(fmt.Sprintf("Lanes=%d", tc.lanes), func(t *testing.T) {
-			sys := NewSystemOptions(Options{
+			sys := newSystem(t, Options{
 				Shards:               1,
 				Lanes:                tc.lanes,
 				AsyncQueueCap:        ringCap,
 				MaxWorkers:           1,
 				WorkerStallThreshold: -1,
 			})
-			defer sys.Close()
 			sys.shards[0].submitWait = wait
 			block := make(chan struct{})
 			entered := make(chan struct{}, 1)
@@ -529,12 +522,11 @@ func TestLaneCountOverflow(t *testing.T) {
 // loop, just with the P ceded between batches (the knob the open-loop
 // harness measures; see EXPERIMENTS.md E17 for when to use it).
 func TestCooperativeYield(t *testing.T) {
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:           1,
 		Lanes:            3,
 		CooperativeYield: true,
 	})
-	defer sys.Close()
 	var handled atomic.Int64
 	svc, err := sys.Bind(ServiceConfig{Name: "coop", Handler: func(ctx *Ctx, args *Args) {
 		handled.Add(1)
@@ -561,8 +553,7 @@ func TestCooperativeYield(t *testing.T) {
 // TestServiceLaneValidation: Bind rejects a lane outside the named
 // classes; the valid classes bind fine.
 func TestServiceLaneValidation(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	if _, err := sys.Bind(ServiceConfig{Name: "bad", Lane: Lane(7), Handler: func(ctx *Ctx, args *Args) {}}); err == nil {
 		t.Fatal("Bind accepted an out-of-range lane")
 	}
@@ -577,8 +568,7 @@ func TestServiceLaneValidation(t *testing.T) {
 // negative-shard round-robin staying in range, lane clamping, and the
 // accessors.
 func TestNewClientWith(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	c := sys.NewClientWith(ClientOptions{Shard: 1, Lane: LaneCritical, Tenant: 7})
 	if c.Lane() != LaneCritical || c.Tenant() != 7 {
 		t.Fatalf("accessors = (%v, %d), want (critical, 7)", c.Lane(), c.Tenant())

@@ -171,8 +171,7 @@ func TestClientRecLayout(t *testing.T) {
 	if off := unsafe.Offsetof(rec.leases); off != 2*lineBytes {
 		t.Errorf("leases at offset %d, want %d", off, 2*lineBytes)
 	}
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	for i := 0; i < 100; i++ {
 		c := sys.NewClientWith(ClientOptions{})
 		if p := uintptr(unsafe.Pointer(c.rec)); p%lineBytes != 0 {

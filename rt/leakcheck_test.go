@@ -14,7 +14,8 @@ import (
 // leak report names the function that spawned the stragglers instead
 // of printing a bare count. Tests opt in with leakCheck(t) as their
 // first statement; the check runs in t.Cleanup, after the test's own
-// defers (sys.Close included) have finished.
+// defers and after the cleanups registered later — newSystem's Close and
+// audit among them — have finished.
 //
 // The checker tolerates goroutines that exist at entry (the test
 // binary's own plumbing) and retries for a grace period before

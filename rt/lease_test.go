@@ -23,8 +23,7 @@ import (
 func leaseSystem(t *testing.T, o Options) (*System, *Service, *atomic.Int64) {
 	t.Helper()
 	o.Shards = 1
-	sys := NewSystemOptions(o)
-	t.Cleanup(sys.Close)
+	sys := newSystem(t, o)
 	settled := new(atomic.Int64)
 	svc, err := sys.Bind(ServiceConfig{Name: "lease", Handler: func(ctx *Ctx, args *Args) {
 		for i := 0; i < ctx.NumPayloads(); i++ {
@@ -126,8 +125,7 @@ func TestLeaseDeathThenPublish(t *testing.T) {
 // lease itself.
 func TestLeaseClaimBeforeDrain(t *testing.T) {
 	needTwoPs(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var c *Client
 	svc, err := sys.Bind(ServiceConfig{Name: "mid", Handler: func(ctx *Ctx, args *Args) {
 		// The client dies and is reaped while this call — which has
@@ -274,8 +272,7 @@ func TestFlushOnDeadClientSettlesStagedLeases(t *testing.T) {
 // LeasesActive went negative, and a sealed slab could recycle under the
 // view.
 func TestReleasePayloadFailsClosed(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var c *Client
 	var inFlight PayloadRef
 	svc, err := sys.Bind(ServiceConfig{Name: "rel", Handler: func(ctx *Ctx, args *Args) {

@@ -20,8 +20,7 @@ import (
 // with ErrClientAbandoned.
 func TestAbandonReclaimsHeldCD(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -65,8 +64,7 @@ func TestAbandonReclaimsHeldCD(t *testing.T) {
 // exactly once.
 func TestAbandonMidCallTombstones(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	var c *Client
 	svc, err := sys.Bind(ServiceConfig{Name: "t", Handler: func(ctx *Ctx, args *Args) {
@@ -102,8 +100,7 @@ func TestAbandonMidCallTombstones(t *testing.T) {
 // and the payload API fails closed afterwards.
 func TestAbandonReclaimsLeases(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	c := sys.NewClientWith(ClientOptions{})
 	const n = recLeaseSlots + 4 // force the spill path
 	for i := 0; i < n; i++ {
@@ -129,8 +126,7 @@ func TestAbandonReclaimsLeases(t *testing.T) {
 // ErrClientAbandoned instead of submitting.
 func TestAbandonReclaimsBatch(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +161,7 @@ func TestAbandonReclaimsBatch(t *testing.T) {
 // saw it as LeasesActive never converging, about one run in 130.
 func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +191,7 @@ func TestBatchAddAfterScavengeReleasesOnce(t *testing.T) {
 // retires it (leakCheck).
 func TestAbandonLeavesExecutorPool(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "d", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -229,8 +223,7 @@ func TestAbandonLeavesExecutorPool(t *testing.T) {
 // the runtime.AddCleanup backstop and reaped on the cleanup goroutine.
 func TestCleanupBackstopReclaimsLeak(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	func() {
 		c := sys.NewClientWith(ClientOptions{})
@@ -248,8 +241,7 @@ func TestCleanupBackstopReclaimsLeak(t *testing.T) {
 // counter moved. Nothing lists a record, so the mark is all there is to
 // see: the test keeps the record, which does not reach the Client.
 func TestCleanupCleanClientUnregisters(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var rec *clientRec
 	func() {
 		rec = sys.NewClientWith(ClientOptions{}).rec
@@ -276,8 +268,7 @@ func TestCleanupCleanClientUnregisters(t *testing.T) {
 // ends up marked dead.
 func TestCleanupCollectsBatchClient(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -329,8 +320,7 @@ func TestCleanupCollectsBatchClient(t *testing.T) {
 // take a descriptor out of the pool (a dead client acquiring resources
 // is how holdings escape the reap, which has already been).
 func TestHoldDeclinesOnDeadClient(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	c := sys.NewClientWith(ClientOptions{})
 	c.Abandon()
@@ -370,7 +360,7 @@ func TestCallPooledOnDeadClient(t *testing.T) {
 // A reap left to the tick would never come: a closed shard starts none.
 func TestAbandonAfterCloseReclaims(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -408,8 +398,7 @@ func TestAbandonAfterCloseReclaims(t *testing.T) {
 // and a whole short life, create + Call + Abandon, with the reclaim of the
 // held descriptor inside the figure (Abandon performs it).
 func BenchmarkClientLifecycle(b *testing.B) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(b, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		b.Fatal(err)

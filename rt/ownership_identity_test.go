@@ -39,7 +39,6 @@ var ownPoints = []string{"before", "inside", "after"}
 type ownEnv struct {
 	t    *testing.T
 	sys  *System
-	sh   *shard
 	svc  *Service
 	kill *Service
 	c    *Client
@@ -55,8 +54,7 @@ type ownEnv struct {
 
 func newOwnEnv(t *testing.T) *ownEnv {
 	t.Helper()
-	e := &ownEnv{t: t, sys: NewSystemOptions(Options{Shards: 1}), ran: make(chan struct{}, 4)}
-	e.sh = &e.sys.shards[0]
+	e := &ownEnv{t: t, sys: newSystem(t, Options{Shards: 1}), ran: make(chan struct{}, 4)}
 	var err error
 	e.svc, err = e.sys.Bind(ServiceConfig{Name: "op", Handler: func(ctx *Ctx, args *Args) {
 		if fn := e.inside.Swap(nil); fn != nil {
@@ -296,41 +294,17 @@ func (e *ownEnv) finish(err error, abandoned, ran bool) {
 			t.Errorf("a later Call on the dead client: %v", err)
 		}
 	}
-	settled := func() bool {
-		st := e.sys.Stats()[0]
-		return st.HeldCDs == 0 && st.LeasesActive == 0 && st.QuarantinedCDs == 0 && e.svc.inFlightTotal() == 0
-	}
-	// eventually polls cond for up to 5 s and reports how it ended; the
-	// caller prints the values that did not converge.
-	eventually := func(cond func() bool) bool {
-		for end := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(end); {
-			time.Sleep(100 * time.Microsecond)
-		}
-		return cond()
-	}
-	// Polled only for what an accepted asynchronous request still owes: a
-	// reap leaves nothing behind it.
-	ok := eventually(settled)
+	// A reap leaves nothing behind it; an accepted asynchronous request
+	// may still owe its settlement, which the audit waits for.
+	awaitAudit(t, e.sys)
 	st := e.sys.Stats()[0]
-	if !ok {
-		t.Errorf("HeldCDs = %d, LeasesActive = %d, QuarantinedCDs = %d, %d in flight; want all 0",
-			st.HeldCDs, st.LeasesActive, st.QuarantinedCDs, e.svc.inFlightTotal())
+	if st.HeldCDs != 0 {
+		t.Errorf("HeldCDs = %d, want 0: the dead client's hold went back", st.HeldCDs)
 	}
 	if st.AbandonedClients != 1 {
 		t.Errorf("AbandonedClients = %d, want exactly 1", st.AbandonedClients)
 	}
 	if n := len(e.ran); n != 0 {
 		t.Errorf("the operation's handler ran %d more times than the case accounts for", n)
-	}
-	// Workers joined, executors retired: every descriptor ever made is in
-	// the pool, or was condemned and is in none.
-	e.sys.Close()
-	conserved := func() bool {
-		st = e.sys.Stats()[0]
-		return st.CDsCreated == int64(st.PooledCDs)+st.ScavengedCDs && e.sh.deadlineExecs() == 0
-	}
-	if !eventually(conserved) || !settled() {
-		t.Errorf("after Close: CDsCreated = %d, PooledCDs = %d, ScavengedCDs = %d (want created = pooled + condemned), HeldCDs = %d, LeasesActive = %d, QuarantinedCDs = %d",
-			st.CDsCreated, st.PooledCDs, st.ScavengedCDs, st.HeldCDs, st.LeasesActive, st.QuarantinedCDs)
 	}
 }

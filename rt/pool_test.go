@@ -14,8 +14,7 @@ import (
 // free list, and the next pop would hand one descriptor to two callers.
 func TestDescriptorPoolStalePopFails(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	a, b := sh.newCD(nil), sh.newCD(nil)
 	sh.pushCD(b)
@@ -34,13 +33,15 @@ func TestDescriptorPoolStalePopFails(t *testing.T) {
 	if got := sh.popCD(); got != a {
 		t.Errorf("the next pop returned %p, want a (%p); b is %p and still in use", got, a, b)
 	}
+	sh.pushCD(a) // both back in the pool: the audit finds every descriptor made
+	sh.pushCD(b)
 }
 
 // A death's compensating descriptor takes the condemned one's slot: the
 // table keeps nothing condemned alive, and deaths do not grow it.
 func TestDescriptorPoolCondemnedSlotReused(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "nop", Handler: func(*Ctx, *Args) {}})
 	if err != nil {
@@ -81,8 +82,7 @@ func TestDescriptorPoolCondemnedSlotReused(t *testing.T) {
 // ever be in two goroutines' hands.
 func TestDescriptorPoolExclusive(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	const goroutines, rounds = 6, 3000
 	var inUse sync.Map

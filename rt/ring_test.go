@@ -116,7 +116,7 @@ func TestProvisionConcurrentFirstSubmit(t *testing.T) {
 		rounds = 10
 	}
 	for round := 0; round < rounds; round++ {
-		sys := NewSystemOptions(Options{Shards: 1, Lanes: 3})
+		sys := newSystem(t, Options{Shards: 1, Lanes: 3})
 		var executed atomic.Int64
 		svc, err := sys.Bind(ServiceConfig{Name: "count", Handler: func(ctx *Ctx, args *Args) { executed.Add(1) }})
 		if err != nil {
@@ -156,7 +156,7 @@ func TestProvisionRacesClose(t *testing.T) {
 		rounds = 20
 	}
 	for round := 0; round < rounds; round++ {
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(t, Options{Shards: 1})
 		var executed atomic.Int64
 		svc, err := sys.Bind(ServiceConfig{Name: "count", Handler: func(ctx *Ctx, args *Args) { executed.Add(1) }})
 		if err != nil {

@@ -658,14 +658,14 @@ type Options struct {
 	// its own Vyukov ring, a 16:4:1 weighted dequeue (the top lane in
 	// batches, lower lanes one per scan) and criticality-ordered shedding.
 	Lanes int
-	// AsyncQueueCap sizes each lane's ring (default
-	// defaultAsyncQueueCap, rounded up to a power of two).
+	// AsyncQueueCap sizes each lane's ring (default defaultAsyncQueueCap,
+	// at most 1<<16, rounded up to a power of two).
 	AsyncQueueCap int
-	// MaxWorkers bounds each shard's async worker pool (default
-	// defaultMaxWorkers). On a box with fewer processors than workers,
-	// extra CPU-bound workers add no service capacity but do hold
-	// claimed batches while descheduled — latency-sensitive setups may
-	// want exactly one worker per shard.
+	// MaxWorkers bounds each shard's async worker pool (default 8, at
+	// most 1<<16: each has a heartbeat slot, made up front). On a box with
+	// fewer processors than workers, extra CPU-bound workers add no
+	// service capacity but do hold claimed batches while descheduled —
+	// latency-sensitive setups may want exactly one worker per shard.
 	MaxWorkers int
 	// CooperativeYield makes each worker yield the processor once per
 	// serviced batch. On a single-P runtime with producers that sleep
@@ -694,7 +694,7 @@ func NewSystemOptions(o Options) *System {
 	for i := range s.shards {
 		s.shards[i].init(i)
 		if o.MaxWorkers > 0 {
-			s.shards[i].maxWorkers = int64(o.MaxWorkers)
+			s.shards[i].maxWorkers = int64(min(o.MaxWorkers, maxWorkersLimit))
 		}
 		s.shards[i].yieldPerBatch = o.CooperativeYield
 		s.shards[i].configureLanes(o)

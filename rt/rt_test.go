@@ -2,12 +2,14 @@ package rt
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCallRoundTrip(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "echo", Handler: func(ctx *Ctx, args *Args) {
 		for i := 0; i < NumArgWords-1; i++ {
 			args[i] += 1000
@@ -52,7 +54,7 @@ func TestOpFlagsHelpers(t *testing.T) {
 }
 
 func TestBadEntryPoint(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	c := sys.NewClientWith(ClientOptions{Shard: -1})
 	var args Args
 	if err := c.Call(999, &args); !errors.Is(err, ErrBadEntryPoint) {
@@ -64,7 +66,7 @@ func TestBadEntryPoint(t *testing.T) {
 }
 
 func TestWellKnownEPAndDuplicates(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	h := func(ctx *Ctx, args *Args) {}
 	svc, err := sys.Bind(ServiceConfig{Name: "a", Handler: h, EP: 7})
 	if err != nil {
@@ -82,7 +84,7 @@ func TestWellKnownEPAndDuplicates(t *testing.T) {
 }
 
 func TestScratchIsRecycledWithinShard(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	var seen [][]byte
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {
 		s := ctx.Scratch()
@@ -116,7 +118,7 @@ func TestScratchIsRecycledWithinShard(t *testing.T) {
 }
 
 func TestAuthorization(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	allowed := uint32(0)
 	svc, err := sys.Bind(ServiceConfig{
 		Name:      "secure",
@@ -142,7 +144,7 @@ func TestAuthorization(t *testing.T) {
 }
 
 func TestAsyncCall(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	done := make(chan struct{}, 8)
 	var mu sync.Mutex
 	var got []uint64
@@ -177,7 +179,7 @@ func TestAsyncCall(t *testing.T) {
 }
 
 func TestUpcall(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
+	sys := newSystem(t, Options{Shards: 2})
 	hit := false
 	svc, err := sys.Bind(ServiceConfig{Name: "dbg", Handler: func(ctx *Ctx, args *Args) {
 		hit = true
@@ -198,7 +200,7 @@ func TestUpcall(t *testing.T) {
 }
 
 func TestNestedCall(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	inner, err := sys.Bind(ServiceConfig{Name: "inner", Handler: func(ctx *Ctx, args *Args) {
 		args[0] *= 2
 	}})
@@ -228,7 +230,7 @@ func TestNestedCall(t *testing.T) {
 }
 
 func TestInitHandlerOncePerShard(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
+	sys := newSystem(t, Options{Shards: 2})
 	var mu sync.Mutex
 	inits, calls := 0, 0
 	steady := func(ctx *Ctx, args *Args) {
@@ -269,7 +271,7 @@ func TestInitHandlerOncePerShard(t *testing.T) {
 }
 
 func TestExchangeOnline(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "x", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +299,7 @@ func TestExchangeOnline(t *testing.T) {
 }
 
 func TestKillSoftAndHard(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	h := func(ctx *Ctx, args *Args) {}
 	soft, err := sys.Bind(ServiceConfig{Name: "soft", Handler: h})
 	if err != nil {
@@ -331,7 +333,7 @@ func TestKillSoftAndHard(t *testing.T) {
 }
 
 func TestNameRegistry(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "bob", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +354,7 @@ func TestNameRegistry(t *testing.T) {
 }
 
 func TestConcurrentCallsAllShards(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	svc, err := sys.Bind(ServiceConfig{Name: "cnt", Handler: func(ctx *Ctx, args *Args) {
 		s := ctx.Scratch()
 		for i := 0; i < 64; i++ {
@@ -390,7 +392,7 @@ func TestConcurrentCallsAllShards(t *testing.T) {
 }
 
 func TestConcurrentAsyncAndKill(t *testing.T) {
-	sys := NewSystemOptions(Options{})
+	sys := newSystem(t, Options{})
 	var handled sync.WaitGroup
 	svc, err := sys.Bind(ServiceConfig{Name: "a", Handler: func(ctx *Ctx, args *Args) {
 		handled.Done()
@@ -417,7 +419,7 @@ func TestConcurrentAsyncAndKill(t *testing.T) {
 }
 
 func TestShardPoolGrowsAndPools(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	sh := &sys.shards[0]
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
@@ -454,7 +456,7 @@ func TestShardPoolGrowsAndPools(t *testing.T) {
 }
 
 func TestScratchSizing(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	big, err := sys.Bind(ServiceConfig{Name: "big", Handler: func(ctx *Ctx, args *Args) {
 		if len(ctx.Scratch()) != 16384 {
 			t.Errorf("scratch = %d", len(ctx.Scratch()))
@@ -487,7 +489,7 @@ func TestScratchSizing(t *testing.T) {
 func TestCallsFromUnboundShardsStillCorrect(t *testing.T) {
 	// Correctness must not depend on the binding discipline: many
 	// goroutines sharing one shard is slower but safe.
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	var total int64
 	var mu sync.Mutex
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {
@@ -516,5 +518,42 @@ func TestCallsFromUnboundShardsStillCorrect(t *testing.T) {
 	wg.Wait()
 	if total != 1600 {
 		t.Fatalf("total = %d", total)
+	}
+}
+
+// TestOutOfRangeOptionsAreClamped: a MaxWorkers or AsyncQueueCap past its
+// stated maximum is clamped at construction (maxWorkersLimit,
+// maxAsyncQueueCap) — not a makeslice panic, not a ring-sizing loop that
+// never ends — and the System serves a call. One request, so at most one
+// worker starts.
+func TestOutOfRangeOptionsAreClamped(t *testing.T) {
+	for _, o := range []Options{{Shards: 1, MaxWorkers: math.MaxInt}, {Shards: 1, AsyncQueueCap: math.MaxInt}} {
+		built := make(chan *System, 1)
+		go func() { built <- newSystem(t, o) }()
+		var sys *System
+		select {
+		case sys = <-built:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("NewSystemOptions(%+v) did not return", o)
+		}
+		svc, err := sys.Bind(ServiceConfig{Name: "one", Handler: func(*Ctx, *Args) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{}, 1)
+		if err := asyncOne(sys.NewClientWith(ClientOptions{}), svc.EP(), &Args{}, done, 0); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		st, want := sys.Stats()[0], int64(defaultMaxWorkers)
+		if o.MaxWorkers != 0 {
+			want = maxWorkersLimit
+		}
+		if got := sys.shards[0].maxWorkers; got != want || st.AsyncWorkers > 1 {
+			t.Errorf("%+v: maxWorkers = %d, %d workers; want %d and at most one", o, got, st.AsyncWorkers, want)
+		}
+		if o.AsyncQueueCap != 0 && st.AsyncQueueCap != maxAsyncQueueCap {
+			t.Errorf("%+v: AsyncQueueCap = %d, want %d", o, st.AsyncQueueCap, maxAsyncQueueCap)
+		}
 	}
 }

@@ -69,8 +69,7 @@ func TestSharedShardKeepsUp(t *testing.T) {
 	if runtime.NumCPU() < 2 || p < 2 {
 		t.Skip("needs two processors")
 	}
-	sys := NewSystemOptions(Options{Shards: p})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: p})
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,7 @@ import (
 // leaves its descriptor without one; the first call that asks gets the
 // service's ScratchBytes.
 func TestScratchOnFirstUse(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	plain, err := sys.Bind(ServiceConfig{Name: "plain", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +49,7 @@ func TestScratchOnFirstUse(t *testing.T) {
 // scratch. Report-only under -race.
 func TestHeldClientBytes(t *testing.T) {
 	const n = 2000
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "null", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)

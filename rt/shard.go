@@ -10,11 +10,11 @@ import (
 // defaultScratchBytes is the default per-call scratch ("stack page").
 const defaultScratchBytes = 4096
 
-// defaultAsyncQueueCap bounds the per-shard async request ring.
-const defaultAsyncQueueCap = 64
+// A lane's async request ring: its default size, and the largest Options may ask for.
+const defaultAsyncQueueCap, maxAsyncQueueCap = 64, 1 << 16
 
-// defaultMaxWorkers bounds the per-shard async worker pool.
-const defaultMaxWorkers = 8
+// A shard's async worker pool: its default bound, and the largest Options may ask for.
+const defaultMaxWorkers, maxWorkersLimit = 8, 1 << 16
 
 // defaultSubmitWait is how long an async submission waits for ring
 // space once the worker pool is saturated before reporting

@@ -6,7 +6,7 @@ import (
 )
 
 func TestShardStats(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "s", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +60,7 @@ func TestShardStats(t *testing.T) {
 // and the offload pair (OffloadedBytes, OffloadQueueDepth) reflects the
 // staging lane's traffic and convergence.
 func TestPayloadStats(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1, OffloadThreshold: 1024})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, OffloadThreshold: 1024})
 	svc, err := sys.Bind(ServiceConfig{Name: "pstat", Handler: func(ctx *Ctx, args *Args) {
 		_ = ctx.Payload(0)
 	}})
@@ -135,7 +134,7 @@ func TestPayloadStats(t *testing.T) {
 // only on the lane that shed; TenantThrottled counts budget sheds.
 func TestQoSStats(t *testing.T) {
 	// Single-lane shard: the QoS fields exist but stay zero.
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	svc, err := sys.Bind(ServiceConfig{Name: "q0", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -153,13 +152,12 @@ func TestQoSStats(t *testing.T) {
 
 	// Lane shard under overload: the best-effort shed and the tenant
 	// throttle land in their own counters, nothing else moves.
-	sys = NewSystemOptions(Options{
+	sys = newSystem(t, Options{
 		Shards:               1,
 		Lanes:                3,
 		AsyncQueueCap:        4,
 		WorkerStallThreshold: -1,
 	})
-	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err = sys.Bind(ServiceConfig{Name: "q1", Handler: func(ctx *Ctx, args *Args) {
@@ -205,9 +203,8 @@ func TestQoSStats(t *testing.T) {
 		t.Fatalf("TenantThrottled = %d, want 1", st.TenantThrottled)
 	}
 	close(block)
-	waitCond(t, 2*time.Second, "lane drain", func() bool {
-		return sys.Stats()[0].AsyncQueueDepth == 0
-	})
+	// The running worker drains the lane, not Close.
+	awaitAudit(t, sys)
 }
 
 // TestDomainDeathStats exercises the four counters the domain-death
@@ -217,8 +214,7 @@ func TestQoSStats(t *testing.T) {
 // calls that settled through the tombstone CAS.
 func TestDomainDeathStats(t *testing.T) {
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: time.Millisecond})
 	var inFlight *Client
 	svc, err := sys.Bind(ServiceConfig{Name: "dd", Handler: func(ctx *Ctx, args *Args) {
 		if args[0] == 1 {
@@ -279,12 +275,11 @@ func TestDomainDeathStats(t *testing.T) {
 // (deadline.go), stuck-worker supervision (watchdog.go), and health
 // gating (health.go).
 func TestRobustnessStats(t *testing.T) {
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:               1,
 		WorkerStallThreshold: 2 * time.Millisecond,
 		WatchdogInterval:     time.Millisecond,
 	})
-	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 8)
 	svc, err := sys.Bind(ServiceConfig{

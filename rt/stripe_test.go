@@ -39,7 +39,7 @@ func TestKillSoftHeldCallersOneShard(t *testing.T) {
 	}
 	const callers = 4
 	for iter := 0; iter < iters; iter++ {
-		sys := NewSystemOptions(Options{Shards: 1})
+		sys := newSystem(t, Options{Shards: 1})
 		var killReturned atomic.Bool
 		var late atomic.Int64
 		svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {
@@ -127,8 +127,7 @@ func TestKillSoftHeldCallersOneShard(t *testing.T) {
 // (CallPooled, Ctx.Call, Upcall). The public sums are exact, and no
 // path mints a second stripe for a (descriptor, service) pair.
 func TestStripeCountersExact(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	var denied atomic.Uint32
 	denied.Store(^uint32(0)) // nobody yet; 0 is Upcall's program
 	a, err := sys.Bind(ServiceConfig{
@@ -234,8 +233,7 @@ func TestStripeCountersExact(t *testing.T) {
 func TestStripeIdentityEveryExit(t *testing.T) {
 	needTwoPs(t)
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 2, WatchdogInterval: 200 * time.Microsecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2, WatchdogInterval: 200 * time.Microsecond})
 	const (
 		opNormal = iota
 		opPanic
@@ -323,17 +321,8 @@ func TestStripeIdentityEveryExit(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	waitCond(t, 5*time.Second, "orphaned handlers and queued requests to finish", func() bool {
-		return svc.inFlightTotal() == 0 && nest.inFlightTotal() == 0 && sys.Stats()[0].QuarantinedCDs+sys.Stats()[1].QuarantinedCDs == 0
-	})
-	for _, s := range []*Service{svc, nest} {
-		s.sumStripes(func(st *callStripe) int64 {
-			if ad, co := st.admitted.Load(), st.completed.Load(); ad != co {
-				t.Errorf("%s: a stripe reads admitted %d, completed %d at quiescence", s.Name(), ad, co)
-			}
-			return 0
-		})
-	}
+	// Orphaned handlers and queued requests finish; every stripe balances.
+	awaitAudit(t, sys)
 	if got, want := svc.Calls(), returned.Load(); got != want {
 		t.Fatalf("Calls = %d, want %d: the synchronous handler invocations that returned normally", got, want)
 	}
@@ -349,8 +338,7 @@ func TestStripeIdentityEveryExit(t *testing.T) {
 func TestStripeExitsWithoutHandler(t *testing.T) {
 	needTwoPs(t)
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, MaxWorkers: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, MaxWorkers: 1})
 	var ran atomic.Int64
 	count := func(ctx *Ctx, args *Args) { ran.Add(1) }
 	expiring, err := sys.Bind(ServiceConfig{Name: "expiring", Handler: count})
@@ -408,8 +396,7 @@ func TestStripeExitsWithoutHandler(t *testing.T) {
 func TestKillWaitsForCallOnCondemnedDescriptor(t *testing.T) {
 	needTwoPs(t)
 	leakCheck(t)
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: time.Millisecond})
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var returned atomic.Bool
 	svc, err := sys.Bind(ServiceConfig{Name: "slow", Handler: func(ctx *Ctx, args *Args) {
@@ -458,8 +445,7 @@ func TestKillWaitsForCallOnCondemnedDescriptor(t *testing.T) {
 // keep killed services reachable. The next miss after a kill drops the
 // dead entry, and the Service becomes collectable.
 func TestStripeCacheDropsDeadService(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	bind := func(name string) *Service {
 		svc, err := sys.Bind(ServiceConfig{Name: name, Handler: func(ctx *Ctx, args *Args) {}})
 		if err != nil {
@@ -505,8 +491,7 @@ func TestStripeCacheDropsDeadService(t *testing.T) {
 // descriptor takes the miss path every call and still allocates
 // nothing once both stripes exist.
 func TestWarmHeldCallWritesNoShardLine(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	bind := func(name string) *Service {
 		svc, err := sys.Bind(ServiceConfig{Name: name, Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
 		if err != nil {

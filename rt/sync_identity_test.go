@@ -415,15 +415,9 @@ func (e *idEnv) syncIdentities(t *testing.T, calls, returned, want int64) {
 		close(e.gate)
 		e.wedged = false
 	}
-	waitCond(t, 5*time.Second, "calls to finish, leases and quarantined descriptors to settle", func() bool {
-		st := e.sys.Stats()[0]
-		return e.svc.inFlightTotal() == 0 && st.LeasesActive == 0 && st.QuarantinedCDs == 0
-	})
+	awaitAudit(t, e.sys)
 	if got := e.svc.Calls() - calls; got != want || e.syncRet.Load()-returned != want {
 		t.Errorf("Calls moved by %d and %d handler runs returned, want %d of each", got, e.syncRet.Load()-returned, want)
-	}
-	if e.halfOpenPastLease() {
-		t.Error("the health gate was left half-open past its lease")
 	}
 	e.syncExpired = e.sys.Stats()[0].DeadlineExpirations
 }

@@ -30,8 +30,7 @@ func pagesOf(sh *shard) int {
 // shard, each shard holding those three pages and no other; Exchange and
 // Kill of the last page's entry point reach every shard.
 func TestTablePagesEveryShard(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 3})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 3})
 	eps := []EntryPointID{0, 40, MaxEntryPoints - 1} // 0: the next dynamic one
 	for i, ep := range eps {
 		v := uint64(i + 1)
@@ -89,8 +88,7 @@ func TestTablePagesEveryShard(t *testing.T) {
 // page, one on a page never made, and one past MaxEntryPoints; a call
 // to any unbound one is ErrBadEntryPoint on every shard.
 func TestTableServiceLookup(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{Name: "bound", EP: 5, Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +118,7 @@ func TestTableServiceLookup(t *testing.T) {
 // page, the last one included, and charges a gated service's trips to
 // the shard they happened on.
 func TestTableHealthOnLastPage(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	svc, err := sys.Bind(ServiceConfig{
 		Name:    "flappy",
 		EP:      MaxEntryPoints - 1,
@@ -151,8 +148,7 @@ func TestTableHealthOnLastPage(t *testing.T) {
 // to each entry point as it is bound. A call sees a bound entry point or
 // an unbound one, never anything else.
 func TestTableBindMakesPageRacingCalls(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 2})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2})
 	steady, err := sys.Bind(ServiceConfig{Name: "steady", Handler: func(ctx *Ctx, args *Args) { args[0] = 1 }})
 	if err != nil {
 		t.Fatal(err)

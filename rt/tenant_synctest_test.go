@@ -20,7 +20,7 @@ import (
 // (one token per fake millisecond) and the given burst. It must run
 // inside the bubble, so the bucket's cursor reads the fake clock.
 func newFakeTenant(t *testing.T, burst int) (*System, *Service) {
-	sys := NewSystemOptions(Options{Shards: 1})
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "fake")
 	if err := sys.ConfigureTenant(1, TenantConfig{Rate: 1000, Burst: burst}); err != nil {
 		t.Fatal(err)

@@ -22,8 +22,7 @@ func bindNull(t *testing.T, sys *System, name string) *Service {
 }
 
 func TestConfigureTenantValidation(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	cases := []struct {
 		id  TenantID
 		cfg TenantConfig
@@ -49,8 +48,7 @@ func TestConfigureTenantValidation(t *testing.T) {
 // int64 saturates the refill interval instead of wrapping it to the
 // shortest one, so a one-token bucket sheds its second call.
 func TestTenantTinyRateSheds(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "tiny")
 	if err := sys.ConfigureTenant(1, TenantConfig{Rate: 1e-10, Burst: 1}); err != nil {
 		t.Fatal(err)
@@ -70,8 +68,7 @@ func TestTenantTinyRateSheds(t *testing.T) {
 // admission (TenantThrottled counts it), and an untenanted client on
 // the same shard is untouched.
 func TestTenantBurstAndThrottle(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "tnull")
 	// Rate 0.001/s: no refill interval can elapse within the test, so
 	// the burst is the whole budget.
@@ -106,8 +103,7 @@ func TestTenantBurstAndThrottle(t *testing.T) {
 // TestTenantUnconfiguredID: a client naming a tenant nobody configured
 // admits freely — like a service without a health gate.
 func TestTenantUnconfiguredID(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "unull")
 	c := sys.NewClientWith(ClientOptions{Shard: 0, Tenant: 42})
 	var args Args
@@ -126,8 +122,7 @@ func TestTenantUnconfiguredID(t *testing.T) {
 // the takeSlowN catch-up refill, the only refill a bucket gets: no tick
 // ever credits one.
 func TestTenantRefill(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "rnull")
 	if err := sys.ConfigureTenant(5, TenantConfig{Rate: 1000, Burst: 2}); err != nil {
 		t.Fatal(err)
@@ -153,8 +148,7 @@ func TestTenantRefill(t *testing.T) {
 // stalled machine; paying out the idle credit would admit 2 × burst.
 func TestTenantBurstAfterIdle(t *testing.T) {
 	const burst = 3
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "inull")
 	if err := sys.ConfigureTenant(6, TenantConfig{Rate: 100, Burst: burst}); err != nil {
 		t.Fatal(err)
@@ -199,8 +193,7 @@ func TestTenantRefillCursorRace(t *testing.T) {
 // TestTenantReconfigure:replacing a budget takes effect on the very
 // next call, with a fresh full burst.
 func TestTenantReconfigure(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "cnull")
 	if err := sys.ConfigureTenant(2, TenantConfig{Rate: 0.001, Burst: 1}); err != nil {
 		t.Fatal(err)
@@ -230,8 +223,7 @@ func TestTenantReconfigure(t *testing.T) {
 // whole — a batch the budget cannot cover is shed in full (no partial
 // acceptance), counted per request, and the batch resets for reuse.
 func TestTenantBatchAllOrNothing(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "bnull2")
 	if err := sys.ConfigureTenant(6, TenantConfig{Rate: 0.001, Burst: 3}); err != nil {
 		t.Fatal(err)
@@ -264,17 +256,15 @@ func TestTenantBatchAllOrNothing(t *testing.T) {
 	if n, err := c.async(svc.EP(), []Args{args}, nil, 0); err != nil || n != 1 {
 		t.Fatalf("batch within budget = (%d, %v)", n, err)
 	}
-	waitCond(t, 2*time.Second, "accepted batch drained", func() bool {
-		return sys.Stats()[0].AsyncQueueDepth == 0
-	})
+	// The running worker drains the accepted batch, not Close.
+	awaitAudit(t, sys)
 }
 
 // TestTenantShedReleasesPayload: a tenant shed settles the request's
 // payload leases at the admission gate — nothing leaks even though the
 // request never reaches a ring.
 func TestTenantShedReleasesPayload(t *testing.T) {
-	sys := NewSystemOptions(Options{Shards: 1})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1})
 	svc := bindNull(t, sys, "pnull2")
 	if err := sys.ConfigureTenant(9, TenantConfig{Rate: 0.001, Burst: 1}); err != nil {
 		t.Fatal(err)
@@ -309,8 +299,7 @@ func TestTenantShedReleasesPayload(t *testing.T) {
 // on top.
 func TestTenantRefillWithTickRunning(t *testing.T) {
 	const rate, burst, callers = 500, 2, 4
-	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 1, WatchdogInterval: time.Millisecond})
 	svc := bindNull(t, sys, "wnull")
 	if err := sys.ConfigureTenant(4, TenantConfig{Rate: rate, Burst: burst}); err != nil {
 		t.Fatal(err)
@@ -375,8 +364,7 @@ func TestTenantRefillWithTickRunning(t *testing.T) {
 func TestSyncOnlySystemStartsNoGoroutine(t *testing.T) {
 	leakCheck(t)
 	base := goroutineSites()
-	sys := NewSystemOptions(Options{Shards: 2, WatchdogInterval: time.Millisecond})
-	defer sys.Close()
+	sys := newSystem(t, Options{Shards: 2, WatchdogInterval: time.Millisecond})
 	svc := bindNull(t, sys, "snull")
 	if err := sys.ConfigureTenant(3, TenantConfig{Rate: 1000, Burst: 2}); err != nil {
 		t.Fatal(err)
@@ -421,7 +409,7 @@ func TestSyncOnlySystemStartsNoGoroutine(t *testing.T) {
 func TestConfigureFirstTenantUnderTraffic(t *testing.T) {
 	needTwoPs(t)
 	for round := 0; round < 20; round++ {
-		sys := NewSystemOptions(Options{Shards: 1, WorkerStallThreshold: -1})
+		sys := newSystem(t, Options{Shards: 1, WorkerStallThreshold: -1})
 		svc, err := sys.Bind(ServiceConfig{Name: "tagged", Handler: func(ctx *Ctx, args *Args) {}})
 		if err != nil {
 			t.Fatal(err)

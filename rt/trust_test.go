@@ -7,8 +7,8 @@ import "testing"
 // one System, so mutually untrusting service sets run in separate
 // Systems and never see each other's residue.
 func TestTrustDomainsViaSeparateSystems(t *testing.T) {
-	secret := NewSystemOptions(Options{Shards: 1})
-	public := NewSystemOptions(Options{Shards: 1})
+	secret := newSystem(t, Options{Shards: 1})
+	public := newSystem(t, Options{Shards: 1})
 
 	var secretBuf []byte
 	s1, err := secret.Bind(ServiceConfig{Name: "vault", Handler: func(ctx *Ctx, args *Args) {

@@ -7,8 +7,8 @@ import (
 
 // watchdogSystem builds a 1-shard system with a fast supervision tick
 // so the tests run in milliseconds.
-func watchdogSystem() *System {
-	return NewSystemOptions(Options{
+func watchdogSystem(t testing.TB) *System {
+	return newSystem(t, Options{
 		Shards:               1,
 		WorkerStallThreshold: 2 * time.Millisecond,
 		WatchdogInterval:     time.Millisecond,
@@ -16,8 +16,7 @@ func watchdogSystem() *System {
 }
 
 func TestWatchdogReplacesStuckWorker(t *testing.T) {
-	sys := watchdogSystem()
-	defer sys.Close()
+	sys := watchdogSystem(t)
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "wedger", Handler: func(ctx *Ctx, args *Args) {
@@ -84,8 +83,7 @@ func TestWatchdogReplacesStuckWorker(t *testing.T) {
 // while the wedge holds: the tick sees a stuck worker and a non-empty
 // ring and grows the pool into the room the stuck worker made.
 func TestWatchdogNoWorkNoSpawn(t *testing.T) {
-	sys := watchdogSystem()
-	defer sys.Close()
+	sys := watchdogSystem(t)
 	block := make(chan struct{})
 	defer close(block)
 	entered := make(chan struct{}, 1)
@@ -152,12 +150,11 @@ func sampleWorkers(sys *System, every time.Duration) (stop func() int64) {
 }
 
 func TestWatchdogReplacementsBounded(t *testing.T) {
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:               1,
 		WorkerStallThreshold: 2 * time.Millisecond,
 		WatchdogInterval:     time.Millisecond,
 	})
-	defer sys.Close()
 	block := make(chan struct{})
 	const requests = maxReplacements + 3
 	entered := make(chan struct{}, requests)
@@ -213,11 +210,10 @@ func TestWatchdogReplacementsBounded(t *testing.T) {
 }
 
 func TestWatchdogDisabled(t *testing.T) {
-	sys := NewSystemOptions(Options{
+	sys := newSystem(t, Options{
 		Shards:               1,
 		WorkerStallThreshold: -1,
 	})
-	defer sys.Close()
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	svc, err := sys.Bind(ServiceConfig{Name: "unwatched", Handler: func(ctx *Ctx, args *Args) {
@@ -252,8 +248,7 @@ func TestWatchdogDisabled(t *testing.T) {
 }
 
 func TestWatchdogIdleWorkersNotStuck(t *testing.T) {
-	sys := watchdogSystem()
-	defer sys.Close()
+	sys := watchdogSystem(t)
 	svc, err := sys.Bind(ServiceConfig{Name: "quick", Handler: func(ctx *Ctx, args *Args) {}})
 	if err != nil {
 		t.Fatal(err)
