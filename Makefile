@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench bench-handoff bench-selftest bench-smoke bench-openloop chaos synctest
+.PHONY: build test race lint ppclint lint-selftest benchpairs-selftest vet fmt-check cross ci bench bench-handoff bench-selftest bench-smoke bench-openloop chaos synctest
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,15 @@ synctest:
 vet:
 	$(GO) vet ./...
 
+# rt's build-constrained files on the targets the host build does not
+# compile: a 32-bit GOARCH (the synchronous legs stay atomic there:
+# leg_atomic.go), and platforms without membarrier(2), whose heavyBarrier
+# is the stop-the-world fallback (barrier_other.go).
+cross:
+	GOARCH=386 $(GO) vet ./rt
+	GOARCH=arm64 $(GO) vet ./rt
+	GOOS=darwin $(GO) vet ./rt
+
 # gofmt over every Go file of the tree, bench/ and tools/ included, must
 # change nothing. The analyzers' testdata fixtures are exempt: some are
 # malformed on purpose.
@@ -45,6 +54,12 @@ fmt-check:
 # before it lints the tree).
 lint-selftest:
 	cd tools/ppclint && $(GO) test ./...
+
+# tools/benchpairs' unit tests (its statistics and verdict rules). The
+# tool itself runs bench/run.sh as alternating pairs of two commits:
+# go run ./tools/benchpairs -a <parent> -b <change> -workload sync_held
+benchpairs-selftest:
+	cd tools/benchpairs && $(GO) test ./...
 
 # ppclint enforces the paper's hot-path invariants; see docs/INVARIANTS.md.
 ppclint: lint-selftest
@@ -100,4 +115,4 @@ OPENLOOP_DUR ?= 2s
 bench-openloop:
 	$(GO) test -run TestOpenLoopSweepReport -v -count=1 ./internal/rtbench -openloop-dur $(OPENLOOP_DUR)
 
-ci: fmt-check build lint test race synctest chaos bench-smoke bench-selftest
+ci: fmt-check build cross lint test race synctest chaos bench-smoke bench-selftest benchpairs-selftest

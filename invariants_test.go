@@ -335,7 +335,7 @@ var rtDeletedAPI = regexp.MustCompile(`^(Retry.*|AsyncCallNotify.*|AsyncBatch|Ne
 // announces itself to either — the submitting window, the close epoch and
 // the quiescence notification are gone by name, one function (shard.close)
 // sets a ring's closed bit, shard.submit defers nothing, and a completion
-// is one atomic write and no call. Memory on first use: one function
+// is one counter write and no call. Memory on first use: one function
 // allocates ring slots (shard.provisionRings, called from submit alone),
 // and no MaxEntryPoints-long table is declared or made. Pools: only
 // idxStack's methods CAS a pool head, and neither the executor stack's
@@ -422,7 +422,7 @@ func TestRtSurfaceRatchet(t *testing.T) {
 				}
 				if name := d.Name.Name; (name == "complete" || name == "completeAsync") && d.Recv != nil &&
 					fmt.Sprint(d.Recv.List[0].Type.(*ast.StarExpr).X) == "Service" {
-					// One statement, one call in it, and that call is the counter's Add.
+					// One statement: the counter's increment, or one call that is its Add.
 					var inner []string
 					ast.Inspect(d.Body, func(n ast.Node) bool {
 						if call, ok := n.(*ast.CallExpr); ok {
@@ -430,8 +430,9 @@ func TestRtSurfaceRatchet(t *testing.T) {
 						}
 						return true
 					})
-					if len(d.Body.List) != 1 || len(inner) != 1 || !strings.HasSuffix(inner[0], ".Add") {
-						t.Errorf("%s is %d statements calling %v; a completion is its one counter Add and nothing else", name, len(d.Body.List), inner)
+					_, inc := d.Body.List[0].(*ast.IncDecStmt)
+					if len(d.Body.List) != 1 || !(inc && len(inner) == 0 || len(inner) == 1 && strings.Contains(inner[0], ".Add")) {
+						t.Errorf("%s is %d statements calling %v; a completion is its one counter increment and nothing else", name, len(d.Body.List), inner)
 					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
@@ -702,4 +703,117 @@ func recvExported(recv *ast.FieldList) bool {
 	}
 	id, ok := typ.(*ast.Ident)
 	return ok && id.IsExported()
+}
+
+// TestKillFencesPlainLegs pins both sides of the asymmetric fence
+// (docs/INVARIANTS.md, "The asymmetric fence"). Soft Kill calls
+// heavyBarrier between its svcSoftKilled store and its first in-flight
+// sum — the barrier that pairs with the admission's plain write — and
+// again after the drain loop, so the drained handlers' writes precede
+// its return. The synchronous counters (callStripe.admitted, completed)
+// are touched through sync/atomic everywhere except for one plain
+// increment in each of the two legs, Service.admit and Service.complete,
+// and no other callStripe field is assigned plainly anywhere.
+func TestKillFencesPlainLegs(t *testing.T) {
+	fset := token.NewFileSet()
+	files, _ := parseTree(t, fset)
+	plainFields := map[string]bool{"admitted": true, "completed": true}
+	atomicFields := map[string]bool{"asyncDone": true, "unreturned": true, "authFail": true, "backouts": true}
+	var kills, legIncs int
+	for _, pf := range files {
+		if filepath.Dir(pf.path) != "rt" {
+			continue
+		}
+		for _, decl := range pf.file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			leg := fn.Recv != nil && (fn.Name.Name == "admit" || fn.Name.Name == "complete")
+			if fn.Recv != nil && fn.Name.Name == "Kill" {
+				kills++
+				checkKillFences(t, fn)
+			}
+			sanctioned := map[*ast.SelectorExpr]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if strings.HasPrefix(types.ExprString(n.Fun), "atomic.") {
+						for _, arg := range n.Args {
+							if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+								if sel, ok := u.X.(*ast.SelectorExpr); ok {
+									sanctioned[sel] = true
+								}
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok && leg && plainFields[sel.Sel.Name] && n.Tok == token.INC {
+						sanctioned[sel] = true
+						legIncs++
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && atomicFields[sel.Sel.Name] {
+							t.Errorf("%s: %s assigns %s plainly: a call stripe's counters are written through sync/atomic or by the two legs", fset.Position(n.Pos()), fn.Name.Name, types.ExprString(sel))
+						}
+					}
+				case *ast.SelectorExpr:
+					if plainFields[n.Sel.Name] && !sanctioned[n] {
+						t.Errorf("%s: %s touches %s outside sync/atomic: only Service.admit and Service.complete write it plainly, and every reader loads it atomically", fset.Position(n.Pos()), fn.Name.Name, types.ExprString(n))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if kills != 1 {
+		t.Errorf("found %d Kill methods in rt, want 1", kills)
+	}
+	// One admission and one completion increment in the plain-legs file;
+	// the 32-bit file's legs are atomic.
+	if legIncs != 2 {
+		t.Errorf("found %d plain counter increments in the legs, want 2 (Service.admit, Service.complete)", legIncs)
+	}
+}
+
+// checkKillFences checks Kill's body, in source order: the soft-killed
+// state store, then heavyBarrier, then the first in-flight sum; and a
+// heavyBarrier after the for loop that polls the sum.
+func checkKillFences(t *testing.T, kill *ast.FuncDecl) {
+	t.Helper()
+	var store, firstSum, drainEnd token.Pos
+	var barriers []token.Pos
+	ast.Inspect(kill.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			if n.Cond != nil && strings.Contains(types.ExprString(n.Cond), "inFlightTotal") && drainEnd == token.NoPos {
+				drainEnd = n.End()
+			}
+		case *ast.CallExpr:
+			switch name := types.ExprString(n.Fun); {
+			case name == "heavyBarrier":
+				barriers = append(barriers, n.Pos())
+			case strings.HasSuffix(name, ".state.Store") && len(n.Args) == 1 && types.ExprString(n.Args[0]) == "svcSoftKilled":
+				store = n.Pos()
+			case strings.HasSuffix(name, "inFlightTotal") && firstSum == token.NoPos:
+				firstSum = n.Pos()
+			}
+		}
+		return true
+	})
+	if store == token.NoPos || firstSum == token.NoPos || drainEnd == token.NoPos {
+		t.Fatalf("Kill: soft-killed store at %v, first in-flight sum at %v, drain loop ending at %v: the soft kill's shape is gone", store, firstSum, drainEnd)
+	}
+	var before, after bool
+	for _, b := range barriers {
+		before = before || store < b && b < firstSum
+		after = after || b > drainEnd
+	}
+	if !before {
+		t.Errorf("Kill: no heavyBarrier between the svcSoftKilled store and the first in-flight sum: an admission's plain write can sit in a store buffer while the sum misses it")
+	}
+	if !after {
+		t.Errorf("Kill: no heavyBarrier after the drain: on weakly ordered hardware the drained handlers' writes may not precede Kill's return")
+	}
 }

@@ -3,6 +3,8 @@ package rt
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,22 +22,30 @@ import (
 const auditGrace = 5 * time.Second
 
 // audit returns the first conservation identity sys breaks, or nil. It
-// reads every service bound in sys, and the killed ones passed in (a
-// Kill retracts its service from the table the audit walks). The
-// identities are exact only once the System is quiescent; a caller
-// polls it (newSystem's cleanup does, for up to auditGrace).
-func audit(sys *System, killed ...*Service) error {
-	svcs := slices.Clone(killed)
+// reads every service bound in sys and every one it killed that has not
+// been collected. The identities are exact only once the System is
+// quiescent; a caller polls it (newSystem's cleanup does, for up to
+// auditGrace).
+func audit(sys *System) error {
+	var svcs []*Service
+	sys.mu.Lock()
+	for _, w := range sys.killed {
+		if svc := w.Value(); svc != nil {
+			svcs = append(svcs, svc)
+		}
+	}
+	sys.mu.Unlock()
 	for ep := EntryPointID(0); ep < MaxEntryPoints; ep++ {
 		if svc := sys.Service(ep); svc != nil {
 			svcs = append(svcs, svc)
 		}
 	}
+
 	for _, svc := range svcs {
 		for i := range svc.perShard {
 			c := &svc.perShard[i]
-			if a, d := c.stripe.admitted.Load(), c.stripe.completed.Load(); a != d {
-				return fmt.Errorf("service %q, shard %d stripe: %d synchronous admissions, %d completions", svc.name, i, a, d)
+			if a, d := atomic.LoadInt64(&c.stripe.admitted), atomic.LoadInt64(&c.stripe.completed); a != 0 || d != 0 {
+				return fmt.Errorf("service %q, shard %d stripe: %d synchronous admissions, %d completions; want 0, every synchronous call counts on its descriptor's stripe", svc.name, i, a, d)
 			}
 			if a, d := c.asyncAdm.Load(), c.stripe.asyncDone.Load(); a != d {
 				return fmt.Errorf("service %q, shard %d: %d asynchronous requests accepted, %d settled", svc.name, i, a, d)
@@ -49,7 +59,7 @@ func audit(sys *System, killed ...*Service) error {
 		stripes := slices.Clone(svc.stripes)
 		svc.stripeMu.Unlock()
 		for j, st := range stripes {
-			if a, d := st.admitted.Load(), st.completed.Load(); a != d {
+			if a, d := atomic.LoadInt64(&st.admitted), atomic.LoadInt64(&st.completed); a != d {
 				return fmt.Errorf("service %q, descriptor stripe %d: %d synchronous admissions, %d completions", svc.name, j, a, d)
 			}
 			if n := st.asyncDone.Load(); n != 0 {
@@ -83,10 +93,10 @@ func audit(sys *System, killed ...*Service) error {
 
 // awaitAudit polls audit until it holds or auditGrace runs out, and
 // fails t with what it last found.
-func awaitAudit(t testing.TB, sys *System, killed ...*Service) {
+func awaitAudit(t testing.TB, sys *System) {
 	t.Helper()
-	err := audit(sys, killed...)
-	for end := time.Now().Add(auditGrace); err != nil && time.Now().Before(end); err = audit(sys, killed...) {
+	err := audit(sys)
+	for end := time.Now().Add(auditGrace); err != nil && time.Now().Before(end); err = audit(sys) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if err != nil {
@@ -105,4 +115,37 @@ func newSystem(t testing.TB, o Options) *System {
 		awaitAudit(t, sys)
 	})
 	return sys
+}
+
+// TestAuditReachesKilledServices: a Kill retracts its service from the
+// tables, and the audit still reads its stripes, through System.killed.
+// An admission left open on the killed service's descriptor stripe is
+// reported; closing it again satisfies the audit.
+func TestAuditReachesKilledServices(t *testing.T) {
+	sys := newSystem(t, Options{Shards: 1})
+	svc, err := sys.Bind(ServiceConfig{Name: "victim", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientWith(ClientOptions{})
+	defer c.Release()
+	var args Args
+	if err := c.Call(svc.EP(), &args); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Kill(svc.EP(), false); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Service(svc.EP()) != nil {
+		t.Fatal("setup: the killed service is still in the table")
+	}
+	st := c.held.stripeOf(svc)
+	atomic.AddInt64(&st.admitted, 1)
+	if err := audit(sys); err == nil || !strings.Contains(err.Error(), `"victim"`) {
+		t.Errorf("audit with an open admission on a killed service's stripe = %v, want it reported", err)
+	}
+	atomic.AddInt64(&st.admitted, -1)
+	if err := audit(sys); err != nil {
+		t.Errorf("audit after closing it again: %v", err)
+	}
 }

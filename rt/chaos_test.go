@@ -28,9 +28,8 @@ const chaosProbeCalls = 1000
 func chaosBaseline() int { return runtime.NumGoroutine() }
 
 // chaosConverge is the shared convergence check. The storm must
-// already be over (hooks cleared or gated off); killed lists the
-// services it killed, which the audit no longer finds bound.
-func chaosConverge(t *testing.T, sys *System, svc *Service, base int, killed ...*Service) {
+// already be over (hooks cleared or gated off).
+func chaosConverge(t *testing.T, sys *System, svc *Service, base int) {
 	t.Helper()
 	sys.ClearFaults()
 	// Let any open health gate probe its way closed: poll with real
@@ -98,7 +97,7 @@ func chaosConverge(t *testing.T, sys *System, svc *Service, base int, killed ...
 	// services' admissions included. The goroutine bound above leaves room
 	// for three, so an orphaned handler may still be sitting out an
 	// injected stall: the audit waits for it.
-	awaitAudit(t, sys, killed...)
+	awaitAudit(t, sys)
 }
 
 // chaosStorm drives mixed traffic from several goroutines for dur,
@@ -412,7 +411,7 @@ func TestChaosArenaStorm(t *testing.T) {
 	if st := sys.Stats()[0]; st.OffloadedBytes == 0 {
 		t.Fatalf("storm never exercised the offload lane: %+v", st)
 	}
-	chaosConverge(t, sys, svc, base, victim)
+	chaosConverge(t, sys, svc, base)
 }
 
 // TestChaosDomainDeath: the domain-death storm. Five goroutines drive

@@ -285,14 +285,12 @@ func (c *Client) Held() bool { return c.held != nil }
 // crosses directly into the server's handler, using only resources it
 // already owns. The warm path runs on the client's held call
 // descriptor against the shard's service-table replica — no locks, no
-// shared mutable cache line, no CAS; the only atomic read-modify-writes
-// are the admission/completion counters, on the call stripe the held
-// descriptor owns (callStripe) — the lines a warm held call writes are
-// its descriptor's and that stripe's, nothing of the shard's, so
-// callers sharing a shard do not slow each other.
+// shared mutable cache line, no locked instruction: the lines it writes
+// are its descriptor's and the stripe that descriptor owns (callStripe),
+// so callers sharing a shard do not slow each other.
 //
 //ppc:hotpath
-//ppc:rmwbudget(2)
+//ppc:rmwbudget(0)
 func (c *Client) Call(ep EntryPointID, args *Args) error {
 	// The plain warm call — no payload, no tenant — skips preflight on one branch.
 	if args[OpFlagsWord]&payloadCountMask != 0 || c.tenant != 0 {
@@ -309,8 +307,6 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 	cd := c.held
 	cr, err := c.shard.enter(ep, one(args))
 	if err == nil {
-		// Counters follow the descriptor: one pointer compare when warm.
-		cr.st = cd.stripeOf(cr.svc)
 		err = c.sys.callHeld(cd, cr, args, c.program)
 	}
 	// Ownership exit: a client abandoned mid-call takes its descriptor back
@@ -379,7 +375,7 @@ func (s *Service) epProgram() uint32 { return uint32(s.ep) | 1<<31 }
 // registers; the deadline path hands its executor a copy.
 type callRec struct {
 	*epEntry             // the shard's replica of the entry point: service, handler, the (service, shard) counters
-	st       *callStripe // where a synchronous call is admitted (set by its caller): the held descriptor's stripe, or the shard's
+	st       *callStripe // where a synchronous call is admitted: the stripe of the descriptor that runs it
 }
 
 // enter is the one entry of every call path: read this shard's replica
@@ -422,14 +418,15 @@ func (cr callRec) fail(sh *shard, argss []Args, err error) error {
 }
 
 // callHeld is the synchronous core: an entered call run on a descriptor
-// its caller serially owns — admission, dispatch, completion, settlement.
-// Completion accounting is inlined, not deferred: dispatch contains
-// handler panics itself (runIsolated), so no unwind can skip it, and a
-// deferred closure costs measurable time at call rates.
+// its caller serially owns — admission and completion on that
+// descriptor's stripe (one pointer compare when warm), dispatch,
+// settlement. Completion accounting is inlined, not deferred: dispatch
+// contains handler panics itself (runIsolated), so no unwind can skip it,
+// and a deferred closure costs measurable time at call rates.
 //
 //ppc:hotpath
 func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) error {
-	if !cr.begin() {
+	if cr.st = cd.stripeOf(cr.svc); !cr.begin() {
 		return cr.fail(cd.shard, one(args), ErrKilled)
 	}
 	err := s.dispatch(cd, cr.svc, cr.st, cr.h, args, program, false)
@@ -442,19 +439,18 @@ func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) 
 
 // callOn is the pooled synchronous call (CallPooled, nested Ctx.Call,
 // Upcall): enter, then the core on a descriptor popped for the call and
-// pushed back after it, admitted on the shard's own stripe — a pooled
-// descriptor is whoever's turn it is. The scratch buffer is deliberately
-// NOT zeroed before reuse — serial sharing of "stacks" is the point
-// (§2); trust domains that must not share scratch use separate Systems.
+// pushed back after it — admitted, like every synchronous call, on that
+// descriptor's stripe. The scratch buffer is deliberately NOT zeroed
+// before reuse — serial sharing of "stacks" is the point (§2); trust
+// domains that must not share scratch use separate Systems.
 //
 //ppc:hotpath
-//ppc:rmwbudget(5) -- pool pop (CAS), admission, completion, pool push (link, CAS)
+//ppc:rmwbudget(3) -- pool pop (CAS), pool push (link, CAS)
 func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32) error {
 	cr, err := sh.enter(ep, one(args))
 	if err != nil {
 		return err
 	}
-	cr.st = &cr.counters.stripe
 	cd := sh.popCD()
 	err = s.callHeld(cd, cr, args, program)
 	sh.pushCD(cd)

@@ -31,11 +31,9 @@ import (
 // reusing one.
 //
 // An executor is poppable only after its last reader is done with the
-// ticket (docs/INVARIANTS.md): a call that completes is returned by its
-// caller, after it has copied args and err out of the Done ticket; a call
-// that is orphaned by whichever leaves the ticket second (leave) — the
-// caller, which may be parked on the done channel until it has seen the
-// orphaning, or the executor, whose handler is still writing args.
+// ticket: the caller of a completed call, whichever of caller and executor
+// leaves an orphaned one second (docs/INVARIANTS.md, "The last-reader
+// invariant").
 //
 // The handoff is hand-off scheduling: both parties park first. The
 // caller writes the request, sends one token on the executor's wake
@@ -67,47 +65,28 @@ import (
 // Options.WatchdogInterval when that is finer.
 //
 // The ticket state word packs a per-executor generation with a phase
-// (gen<<3 | waiting/done/orphaned/left); it keeps its last call's value
-// while the executor is idle, and the call that pops it opens the next
-// generation. The generation is what makes the tick's asynchronous CAS
-// safe: a deadline read from call N that is acted on while call N+1 is
-// in flight fails its CAS (different gen), and a call writes its own
-// expiry over its predecessor's before it opens its waiting phase, while
-// the tick re-validates the deadline *after* reading the state, so a
-// stale expiry can never orphan a fresh call. A done token is only ever
-// a "re-check the state word": the tick's token for an orphaning the
-// cancelling caller saw first may arrive during the executor's next
-// call, whose caller finds its own generation still waiting and parks
-// again.
+// (gen<<3 | waiting/done/orphaned/left); the call that pops the executor
+// opens the next generation, so a deadline read from call N and acted on
+// during call N+1 fails its CAS, and the tick re-validates the deadline
+// after reading the state. A done token only ever means "re-check the
+// state word".
 //
-// When the deadline fires first the call is *orphaned*: the handler is
-// still running, on the executor's descriptor, which nobody else has a
-// claim on.
-//
-//  1. The watchdog tick (expiry) or the caller (ctx cancellation) raises
-//     ShardStats.QuarantinedCDs and CASes the ticket waiting→orphaned,
-//     lowering the gauge again on a lost CAS. The *caller*, on observing
-//     the orphaned phase, returns ErrDeadline. A caller-side CAS loss to
-//     the executor means the handler finished first: the caller takes the
-//     result normally — no orphan.
-//  2. The executor, after the handler returns, CASes waiting→done. If
-//     IT loses, the call was orphaned while it ran: it lowers the gauge
-//     (the increment preceded the CAS it lost to, so the gauge never
-//     reads negative) and leaves the ticket.
+// When the deadline fires first the call is *orphaned*: the tick (expiry)
+// or the caller (ctx cancellation) CASes the ticket waiting→orphaned, and
+// the caller returns ErrDeadline while the handler runs on, on the
+// executor's own descriptor; the executor, losing its waiting→done CAS,
+// leaves the ticket. QuarantinedCDs counts such executors
+// (docs/INVARIANTS.md, "The quarantine invariant").
 //
 // Lifecycle. An executor is made on a pop that finds none idle and lives
-// until the shard is closed, idle or wedged under an orphan: the pool
-// does not shrink, and the 1 ms tick runs from a shard's first deadline
-// call until its last executor has exited. Close pops every idle executor
-// and closes its wake channel, and a pushExec that finds the shard closed
-// does the same, so an in-flight executor exits when its call is over and
-// a closed shard keeps no parked goroutine; a deadline call after Close
-// makes an executor and retires it on the way out. An exiting executor
-// empties its slot and pushes its descriptor back, as an async worker
-// does. Executors are not joined by Close and take no heartbeat slot: an
-// orphan may outlive Close by contract, a handler past its bound is
-// already visible as QuarantinedCDs, and a pop that finds every executor
-// busy makes another, which is all the compensation a stuck one needs.
+// until the shard is closed: the pool does not shrink, and the 1 ms tick
+// runs from a shard's first deadline call until its last executor has
+// exited. Close pops every idle executor and closes its wake channel, and
+// a pushExec that finds the shard closed does the same; an exiting
+// executor empties its slot and pushes its descriptor back. Executors are
+// not joined by Close and take no heartbeat slot: an orphan may outlive
+// Close by contract, and a pop that finds every executor busy makes
+// another, which is all the compensation a stuck one needs.
 //
 // The in-flight accounting (admitted / completed) brackets the
 // *handler*, not the caller's wait: an orphaned handler still counts
@@ -386,7 +365,7 @@ func (e *dlExec) loop() {
 // allocations and arms no timer: the executor and its ticket are
 // reused, and arming is one store into the ticket's deadline word.
 //
-//ppc:rmwbudget(6) -- executor pop, admission, deadline word, waiting phase, executor link and push
+//ppc:rmwbudget(5) -- executor pop, deadline word, waiting phase, executor link and push
 func (c *Client) CallDeadline(ep EntryPointID, args *Args, d time.Duration) error {
 	if d <= 0 {
 		return c.Call(ep, args)

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -267,9 +268,9 @@ func BenchmarkStripeNeighbours(b *testing.B) {
 			for _, st := range []*callStripe{at(c.a), at(c.b)} {
 				go func(st *callStripe) {
 					for i := 0; i < b.N; i++ {
-						st.admitted.Add(1)
+						atomic.AddInt64(&st.admitted, 1)
 						st.unreturned.Add(1)
-						st.completed.Add(1)
+						atomic.AddInt64(&st.completed, 1)
 					}
 					done <- struct{}{}
 				}(st)

@@ -31,64 +31,32 @@ import (
 // # Holdings change hands by exchange
 //
 // A slot is one atomic word holding the descriptor or a PayloadRef, or
-// zero. Only the slot's client ever fills it.
-// The rule is an exchange: whichever party takes the nonzero value out
-// of the slot owns the holding and settles it, so each holding is
-// settled exactly once whoever gets there first.
+// zero, and only the slot's client fills it. Whichever party takes the
+// nonzero value out owns the holding and settles it, so each holding is
+// settled exactly once whoever gets there first:
 //
 //	owner, new holding  slot.Store(v); then load the life state  (Hold, trackLease)
 //	owner, hand-back    slot.CAS(v, 0)   (Release; ReleasePayload; a submission's claim per attached ref)
 //	death               the life state is already dead; slot.Swap(0) on every slot  (reap)
 //
-// Filling a slot is one half of a Dekker pair with death: the owner
-// stores the slot and then loads the life state; death stores the state
-// and then swaps every slot, all sequentially consistent. Either the
-// owner's load sees the client dead — it takes its own value back with
-// the hand-back CAS, if the reap has not, and fails with
-// ErrClientAbandoned — or the state store comes after that load, so
-// after the slot store, and the reap's swap finds the value. One step on
-// one word only its client fills: there is no look-up for a generation
-// or an identity to defend.
-//
-// What settling means differs by holding. A descriptor the owner takes
-// back goes to the pool; one the reap takes is *condemned*, never
-// repooled — no call path touches the slot (Call checks the life state
-// on entry and exit, two loads of a read-mostly line, and a deadline
-// call does not run on the client's descriptor at all, deadline.go), so
-// a plain call may still be running on it — and the pool is compensated
-// with a fresh descriptor. The condemned one is in no pool, can never be
-// handed to another client, and becomes garbage when the handler
-// returns; that call's exit finds the client dead and the slot empty,
-// counts a tombstoned completion and walks away. A lease is released to
-// the arena by whoever took it. A claim lost on a dead client fails the
-// submission with ErrClientAbandoned, releasing only what it did win; a
-// claim lost on a live client means the ref was never this client's to
-// track (a handler's Ctx.AllocPayload) and is ignored. Requests staged
-// in a Batch keep their leases in the slots until Flush claims them, so
-// staging touches no shared word. Lease slots come in line-sized
-// blocks — seven and a link, published like a slot — the first inline in
-// the record, the rest appended and kept when a client holds more at
-// once. A half-open health probe is no holding: a client that dies
-// while its call is the probe leaves the gate to the lease (health.go).
+// Filling a slot is one half of a Dekker pair with death, and a descriptor
+// the reap takes is condemned, never repooled (a plain call may still be
+// running on it; the pool is compensated). docs/INVARIANTS.md ("The
+// slot-exchange invariant") carries the argument and what settling means
+// for each holding. Lease slots come in line-sized blocks — seven and a
+// link, published like a slot. A half-open health probe is no holding.
 //
 // # Death
 //
-// A client is declared dead two ways: explicitly (Client.Abandon, from
-// any goroutine, the client's own handler included), or by the
-// runtime.AddCleanup backstop when a leaked Client is collected. In one
-// process a client cannot die silently, so nothing watches for a missed
-// heartbeat: peer-death detection belongs to a cross-process transport.
-// Both are clientRec.die: the live->dead CAS, and on the goroutine that
-// won it — there is exactly one — the reap: swap the descriptor slot and
-// every lease slot empty and settle what came out.
-// The reclaim has happened when the declaration returns, on an open
-// System or a closed one, and depends on no helper goroutine. One reaper
-// and nothing but exchanges: the reap takes no lock, keeps no list of
-// the dead and has nothing to retry. It does not wait for the client
-// either, whatever call it is inside: a call in flight owns what it took
-// at entry and settles it itself, and a holding the owner files behind
-// the reap is the owner's to take back — its life-state load after the
-// store sees the death.
+// A client is declared dead explicitly (Client.Abandon, from any
+// goroutine, the client's own handler included) or by the
+// runtime.AddCleanup backstop when a leaked Client is collected; nothing
+// watches for a missed heartbeat. Both are clientRec.die: the live->dead
+// CAS, and on the one goroutine that won it the reap — swap every slot
+// empty and settle what came out. The reclaim has happened when the
+// declaration returns, on an open System or a closed one; it takes no
+// lock, keeps no list of the dead, and does not wait for a call in
+// flight, which settles what it took at entry itself.
 
 // Client record life states (clientRec.state).
 const (

@@ -43,11 +43,10 @@
 //     its own shard's copy, so the lookup line is shard-local.
 //
 // Together they make the warm synchronous call touch no shared
-// mutable cache line: the only atomic read-modify-writes left are the
-// admission/completion counters the kill protocol requires, and those
-// live on a stripe that follows the call descriptor (callStripe) — a
-// line the caller already owns, whichever shard it is bound to and
-// however many other callers share that shard.
+// mutable cache line and take no locked instruction: the admission and
+// completion counters the kill protocol requires are plain writes on a
+// stripe that follows the call descriptor (callStripe), a line the caller
+// already owns, and soft Kill pays their fence (heavyBarrier).
 //
 // # Lifecycle and overload semantics
 //
@@ -69,35 +68,22 @@
 //   - Exchange replaces the handler atomically: calls in progress
 //     finish on the old handler; new calls get the new one.
 //   - Asynchronous submission is lock-free, bounded, and one path: each
-//     shard owns an array of one to three fixed-capacity Vyukov-style
-//     rings (sequence-numbered slots), one per criticality lane
-//     (Options.Lanes; one by default), and a capped worker pool. Both
-//     asynchronous entry points — AsyncCall and Batch.Flush (a Batch
-//     carries the notify channel and the queueing deadline) — are the
-//     same submission of n requests, a single call being the batch of
-//     one: one client half (lease claim, life check, tenant charge),
-//     one admission, and per request a ticket CAS plus an in-place slot
-//     write — no channel lock, no scheduler round trip, and one wakeup
-//     for the lot (the paper's amortized asynchronous calls, §4.4).
-//     Workers drain the top ring in batches and lower ones a request
-//     per scan, and park on a per-shard doorbell the moment every ring
-//     is empty; submitters ring the doorbell only when a worker is
-//     parked, so the steady pipeline never enters the scheduler. When a
-//     ring is full the same submit loop spins and yields a bounded time
-//     for space and then fails the unaccepted tail with ErrBackpressure
-//     — or, on the lowest of two or more lanes, sheds it at once with
-//     ErrShed. Overload is surfaced to the overloading submitter (and
-//     in ShardStats), never spread to other submitters as head-of-line
-//     blocking.
-//   - Close is three steps per shard: mark it closed (no worker or
-//     executor starts), set the closed bit in each ring's enqueue cursor
-//     (no ticket is claimed after it: a submission fails with ErrClosed,
-//     one cut mid-batch reporting the prefix the ring took; Close waits
-//     for no submitter), and have the workers drain every ticket claimed
-//     before the bit and exit, joining them, so Stats reports zero
-//     AsyncWorkers afterwards. CloseTimeout bounds the drain and reports
-//     ErrDrainTimeout if workers were still busy. Synchronous calls use no
-//     goroutines and keep working after Close, the descriptor pool too.
+//     shard owns one to three Vyukov-style rings, one per criticality
+//     lane (Options.Lanes), and a capped worker pool. AsyncCall and
+//     Batch.Flush are the same submission of n requests — one client
+//     half, one admission, per request a ticket CAS and an in-place slot
+//     write, one wakeup for the lot (§4.4); workers park on a per-shard
+//     doorbell that submitters ring only when one is parked. A full ring
+//     spins and yields a bounded time, then fails the unaccepted tail
+//     with ErrBackpressure — or, on the lowest of two or more lanes,
+//     sheds it at once with ErrShed: overload reaches the overloading
+//     submitter, never other submitters as head-of-line blocking.
+//   - Close marks each shard closed, sets the closed bit in each ring's
+//     enqueue cursor (a later submission fails with ErrClosed; Close
+//     waits for no submitter), and joins the workers once they have
+//     drained every ticket claimed before the bit (CloseTimeout bounds
+//     that, reporting ErrDrainTimeout). Synchronous calls use no
+//     goroutines and keep working after Close.
 //
 // Calling Kill (soft) or Close from inside a handler of the service
 // being drained deadlocks, exactly as joining yourself always does.
@@ -111,9 +97,11 @@ package rt
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 )
 
 // NumArgWords is the register-argument count, as in the paper: 8 words
@@ -282,48 +270,40 @@ type Service struct {
 	// another shard's calls write.
 	perShard []shardCounters
 
-	// stripes lists the descriptor-owned call stripes (callDesc.stripeFor):
-	// one per (held descriptor, service), linked under stripeMu before its
-	// first increment and never unlinked, so the control-plane sums below
-	// — soft Kill's drain among them — see every admission wherever the
-	// descriptor that made it has since gone (released, repooled,
-	// condemned). Both fields are cold: the call path
-	// reaches its stripe through the descriptor, never through here.
+	// stripes lists the descriptor-owned call stripes (callDesc.stripeFor),
+	// linked under stripeMu before their first increment and never
+	// unlinked, so the sums below — soft Kill's drain among them — see
+	// every admission wherever its descriptor has gone. Cold: a call
+	// reaches its stripe through the descriptor.
 	stripeMu sync.Mutex
 	stripes  []*callStripe
 }
 
-// callStripe is one line of synchronous admission/completion counters.
-// Whoever serially owns the line's holder writes it: a held call
-// descriptor carries its own stripe per service (callDesc.stripeFor), so
-// a held Call's two counter RMWs — one fenced admission, one published
-// completion, the floor a soft Kill that waits for admitted calls allows
-// — land on a line no other caller touches; callers sharing one shard
-// do not share a stripe. The pooled and asynchronous paths use the
-// (service, shard) stripe embedded in shardCounters. The in-flight
+// callStripe is one line of call counters. Every synchronous call is
+// admitted and completed on the stripe of the descriptor that runs it
+// (callDesc.stripeOf: one per descriptor and service), so the two counts
+// have one serial writer each and are plain writes (Service.admit,
+// Service.complete); callers sharing a shard do not share a stripe. The
+// shard's embedded stripe keeps the asynchronous counters. The in-flight
 // count is admitted − completed − asyncDone, read only by control-plane
-// code (kill drains, stats) through Service.sumStripes.
+// code (kill drains, stats) through Service.sumStripes, always atomically.
 //
 // Service.Calls is derived, not counted: completed − unreturned. Every
 // admitted synchronous call completes exactly once, and one whose
 // handler did not return normally (denied, faulted) bumps the cold
-// unreturned on its way out, so the warm call pays one completion RMW.
+// unreturned on its way out, so the warm call pays one completion write.
 // Asynchronous completions count apart to stay out of that difference.
 //
-// A stripe is exactly one 64-byte line and is allocated on its own
-// (size class 64, so 64-aligned and never sharing a line with a
-// neighbour's). 64 bytes suffice: on the defining host two writers on
-// adjacent lines of one 128-byte sector run as fast as on distant lines
-// (16–18 ns per three RMWs either way, against 130–190 ns on one shared
-// line) — the adjacent-line prefetcher acts on misses, and an owned
-// line takes none (EXPERIMENTS.md E18).
+// A stripe is exactly one 64-byte line, allocated on its own (size class
+// 64, so 64-aligned): writers on the two lines of one 128-byte sector run
+// as fast as on distant lines (EXPERIMENTS.md E18).
 //
 //ppc:padded
 type callStripe struct {
 	//ppc:hotline(call)
-	admitted atomic.Int64 // synchronous admissions
+	admitted int64 // synchronous admissions: written by Service.admit and backOut alone
 	//ppc:hotline(call)
-	completed atomic.Int64 // finished synchronous calls, however they ended
+	completed int64 // finished synchronous calls, however they ended: written by Service.complete alone
 	//ppc:hotline(call)
 	asyncDone atomic.Int64 // finished asynchronous requests (shard stripes only)
 	//ppc:hotline(call)
@@ -336,50 +316,35 @@ type callStripe struct {
 }
 
 // inFlight reads the stripe's admitted-but-not-finished count. A racing
-// reader can observe a completion ahead of its admission and see a
-// transiently negative value; control-plane loops compare the summed
-// total against zero after the counters have stopped moving, where the
-// difference is exact.
+// reader can see a completion ahead of its admission, a transiently
+// negative value; control-plane loops compare the summed total against
+// zero once the counters have stopped moving, where it is exact.
 func (st *callStripe) inFlight() int64 {
-	return st.admitted.Load() - st.completed.Load() - st.asyncDone.Load()
+	return atomic.LoadInt64(&st.admitted) - atomic.LoadInt64(&st.completed) - st.asyncDone.Load()
 }
 
 // calls reads the stripe's synchronous calls whose handler returned
 // normally. Exact once the stripe's calls have settled; a denied or
 // faulted call reads one low between its two counter writes.
 func (st *callStripe) calls() int64 {
-	return st.completed.Load() - st.unreturned.Load()
+	return atomic.LoadInt64(&st.completed) - st.unreturned.Load()
 }
 
 // shardCounters is the (service, shard) counter block: the call stripe
-// the pooled and asynchronous paths account on, the asynchronous
-// admission counter, and the health gate. Held synchronous calls write
-// none of it — their stripe follows the descriptor (callStripe).
+// the asynchronous path accounts on, the asynchronous admission counter,
+// and the health gate. Synchronous calls write none of it but the gate's
+// evidence — their stripe follows the descriptor (callStripe).
 //
-// The asynchronous submission side and the completion side stay on
-// separate cache lines: the admitting submitter writes asyncAdm, the
-// servicing async worker writes stripe.asyncDone, and neither
-// invalidates the other's line per request.
+// The submitter writes asyncAdm and the worker stripe.asyncDone, on
+// separate lines, so neither invalidates the other's line per request.
 //
-// Async admissions have their own counter, asyncAdm, doing double duty
-// as the AsyncCalls statistic: one increment per accepted request is
-// both the admission and the count, so the submit fast path pays a
-// single counter RMW. A rejected or backed-out submission decrements
-// it again; at any quiescent point asyncAdm equals the number of
-// requests ever accepted.
-//
-// The striping is machine-checked: //ppc:padded tells ppclint's layout
-// analyzer to verify from real field offsets that each //ppc:hotline
-// group owns its cache line(s) — a field insertion that silently
-// pushes the completion counter back onto the submission line (which
-// is exactly how this struct was laid out before the check existed)
-// now fails the lint and the layout regression test.
+// Async admissions have their own counter, asyncAdm, which is also the
+// AsyncCalls statistic (one RMW is both admission and count); a rejected
+// or backed-out submission decrements it again.
 //
 //ppc:padded
 type shardCounters struct {
-	// stripe is the shard's own call stripe: pooled synchronous calls
-	// (CallPooled, Ctx.Call, Upcall) admit and complete on it, async
-	// workers complete on it.
+	// stripe is the shard's own call stripe: async workers complete on it.
 	//
 	//ppc:hotline
 	stripe callStripe
@@ -437,10 +402,8 @@ func (s *Service) EP() EntryPointID { return s.ep }
 // Name returns the service name.
 func (s *Service) Name() string { return s.name }
 
-// sumStripes folds f over every call stripe of the service: each
-// shard's embedded one and every descriptor-owned one. The mutex is the
-// one newStripe links under, which is what makes a sum taken after a
-// kill's state store complete (see Kill).
+// sumStripes folds f over every call stripe of the service, under the
+// mutex newStripe links under (see Kill).
 //
 //ppc:coldpath -- control-plane walk: kill drain and diagnostics
 func (s *Service) sumStripes(f func(*callStripe) int64) int64 {
@@ -457,12 +420,9 @@ func (s *Service) sumStripes(f func(*callStripe) int64) int64 {
 }
 
 // newStripe allocates a descriptor-owned call stripe and links it into
-// the service's list. The link completes before the caller's first
-// increment, so a kill drain that misses the stripe has stored the
-// killed state before the link, and the caller's admission re-check
-// backs out.
+// the service's list before the caller's first increment (see Kill).
 //
-//ppc:coldpath -- once per (held descriptor, service)
+//ppc:coldpath -- once per (descriptor, service)
 func (s *Service) newStripe() *callStripe {
 	st := new(callStripe)
 	s.stripeMu.Lock()
@@ -506,31 +466,6 @@ func (s *Service) inFlightTotal() int64 {
 	return s.sumStripes((*callStripe).inFlight) + s.AsyncCalls()
 }
 
-// admit is the synchronous admission leg, written once for the held,
-// pooled and deadline paths and parameterised by which stripe the
-// caller owns: increment-then-check, so a soft kill either sees this
-// call in flight and waits for it, or stored the killed state first and
-// the call backs out here. False means the call must fail with
-// ErrKilled; the back-out is already accounted.
-//
-//ppc:hotpath
-func (s *Service) admit(st *callStripe) bool {
-	st.admitted.Add(1)
-	if s.state.Load() != svcActive {
-		s.backOut(st)
-		return false
-	}
-	return true
-}
-
-// complete is the matching completion leg, the one completion RMW of a
-// synchronous call and all of it: the handler has returned (or was denied
-// — dispatch bumped unreturned then) and the call leaves the in-flight
-// count a draining Kill polls.
-//
-//ppc:hotpath
-func (s *Service) complete(st *callStripe) { st.completed.Add(1) }
-
 // completeAsync is complete for a request a worker settled — executed,
 // or expired in the queue: the shard stripe's asynchronous counter, so
 // Service.Calls keeps counting synchronous calls only.
@@ -544,7 +479,7 @@ func (s *Service) completeAsync(st *callStripe) { st.asyncDone.Add(1) }
 //ppc:coldpath -- a kill intervened; the call is already failing
 func (s *Service) backOut(st *callStripe) {
 	st.backouts.Add(1)
-	st.admitted.Add(-1)
+	atomic.AddInt64(&st.admitted, -1)
 }
 
 // backOutN undoes n asynchronous admissions that lost the race with a
@@ -578,6 +513,10 @@ type System struct {
 	bindSeq  atomic.Uint64
 	programs atomic.Uint32
 	closed   atomic.Bool
+	// killed lists the services Kill retracted from the tables, until they
+	// are collected (cold: the conservation audit walks the tables and
+	// this; a strong list would keep every killed Service reachable).
+	killed []weak.Pointer[Service]
 
 	// fhooks is the always-on fault-injection hook registry
 	// (faultinject.go): one predictable atomic-bool load per guarded
@@ -782,14 +721,15 @@ func (s *System) publishAll(svc *Service, h Handler) {
 	}
 }
 
-// retractAll removes ep from every shard replica, shard 0's last, taking
-// the control-plane mutex so retraction is serialized against
-// Bind/Exchange publication.
-func (s *System) retractAll(ep EntryPointID) {
+// retractAll removes svc from every shard replica, shard 0's last, and
+// lists it as killed, under the control-plane mutex, so retraction is
+// serialized against Bind/Exchange publication.
+func (s *System) retractAll(svc *Service) {
 	s.mu.Lock()
 	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].publish(ep, nil)
+		s.shards[i].publish(svc.ep, nil)
 	}
+	s.killed = append(slices.DeleteFunc(s.killed, func(w weak.Pointer[Service]) bool { return w.Value() == nil }), weak.Make(svc))
 	s.mu.Unlock()
 }
 
@@ -836,21 +776,18 @@ const killPollInterval = 100 * time.Microsecond
 // service will ever execute. Hard kill marks the entry dead at once
 // (§4.5.2); asynchronous requests still queued are discarded.
 //
-// The drain polls every killPollInterval: a call's completion is its one
-// counter RMW and tells nobody. A kill of a service with nothing in flight
-// does not wait at all.
+// The drain polls every killPollInterval: a completion tells nobody. A
+// synchronous admission and completion are plain writes, so the kill pays
+// the fence for both (heavyBarrier, docs/INVARIANTS.md): the one after
+// the state store pairs with admit's write-then-load, so the drain sees
+// the call or the call sees the kill; the one after the drain makes the
+// writes of the handlers it waited for visible before Kill returns. A
+// kill of a service with nothing in flight does not wait at all.
 //
-// The drain's sum covers every stripe a call can be counted on. Shard
-// stripes exist from Bind. A descriptor-owned stripe is linked under
-// stripeMu before its first increment, and the sum takes the same
-// mutex after the killed state is stored: either the link precedes the
-// sum, which then reads the stripe and the usual pair holds (the caller
-// increments then loads the state, the kill stores the state then loads
-// the count — one of them sees the other); or the sum precedes the
-// link, in which case the state store precedes it too and the caller's
-// re-check in admit backs out. Stripes are never unlinked, so a call
-// still running after its caller has gone (on a descriptor its client's
-// death condemned, on an orphaned deadline executor's) is waited for as well.
+// The sum takes stripeMu, under which a stripe is linked before its first
+// increment: a stripe the sum misses was linked after the state store, so
+// its caller's re-check backs out. Stripes are never unlinked, so a call
+// whose caller has gone (condemned descriptor, orphan) is waited for too.
 func (s *System) Kill(ep EntryPointID, hard bool) error {
 	svc := s.Service(ep)
 	if svc == nil || svc.state.Load() == svcDead {
@@ -858,12 +795,14 @@ func (s *System) Kill(ep EntryPointID, hard bool) error {
 	}
 	if !hard {
 		svc.state.Store(svcSoftKilled)
+		heavyBarrier()
 		for svc.inFlightTotal() != 0 {
 			time.Sleep(killPollInterval)
 		}
+		heavyBarrier()
 	}
 	svc.state.Store(svcDead)
-	s.retractAll(ep)
+	s.retractAll(svc)
 	return nil
 }
 

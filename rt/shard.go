@@ -104,16 +104,14 @@ func (cd *callDesc) stripeOf(svc *Service) *callStripe {
 }
 
 // stripeFor is the miss path of the descriptor's stripe cache: find the
-// stripe this descriptor already owns for svc, or allocate one and link
-// it into the service (Service.newStripe), then make it the cached
-// entry. Counters follow the descriptor: the stripe stays with it
-// across Release and re-Hold, pool recycling, Close and condemnation,
-// and stays linked in the service for good, so there is no unlink to
-// race a kill drain. The walk drops entries whose service is dead, so a
-// recycled descriptor does not keep killed Services reachable. Only the
-// descriptor's current serial owner calls this.
+// stripe this descriptor already owns for svc, or allocate and link one
+// (Service.newStripe), and cache it. The stripe stays with the descriptor
+// for good, and linked in the service, so there is no unlink to race a
+// kill drain; the walk drops entries whose service is dead, so a recycled
+// descriptor keeps no killed Service reachable. Only the descriptor's
+// current serial owner calls this.
 //
-//ppc:coldpath -- first held call of this descriptor to svc, or a client alternating services
+//ppc:coldpath -- first call of this descriptor to svc, or a caller alternating services
 func (cd *callDesc) stripeFor(svc *Service) *callStripe {
 	var st *callStripe
 	n := 0
