@@ -34,10 +34,9 @@ synctest:
 vet:
 	$(GO) vet ./...
 
-# rt's build-constrained files on the targets the host build does not
-# compile: a 32-bit GOARCH (the synchronous legs stay atomic there:
-# leg_atomic.go), and platforms without membarrier(2), whose heavyBarrier
-# is the stop-the-world fallback (barrier_other.go).
+# rt on targets the host build does not compile: a 32-bit GOARCH, where
+# the descriptor-stripe legs stay atomic (leg_atomic.go, build-constrained),
+# another 64-bit architecture, and another OS.
 cross:
 	GOARCH=386 $(GO) vet ./rt
 	GOARCH=arm64 $(GO) vet ./rt

@@ -1,34 +1,18 @@
 package rt
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // heavyBarrier is the slow side of the asymmetric fence (docs/INVARIANTS.md):
 // by its return every thread of the process has executed a full barrier
 // since the call, so a plain write another goroutine made before that point
 // is visible here, and a load it makes after sees what was stored here
 // before the call. Soft Kill calls it twice, and in exchange a synchronous
-// admission and completion take no locked instruction (Service.admit).
+// admission and completion on a descriptor's stripe take no locked
+// instruction (Service.admit).
 //
-// It is membarrier(2)'s PRIVATE_EXPEDITED where the kernel has it,
-// registered on the first call, so building a System makes no system call;
-// elsewhere, or if registration fails, a stop-the-world, through which every
-// P parks on the scheduler's atomics. A variable, so tests run the fallback.
-var heavyBarrier = func() {
-	if !membarrierRegistered() || !membarrier(membarrierPrivateExpedited) {
-		stwBarrier()
-	}
-}
-
-var membarrierRegistered = sync.OnceValue(func() bool { return membarrier(membarrierRegisterPrivateExpedited) })
-
-// membarrier(2)'s commands (linux/membarrier.h).
-const membarrierPrivateExpedited, membarrierRegisterPrivateExpedited = 1 << 3, 1 << 4
-
-// stwBarrier stops the world and starts it again (ReadMemStats does).
-func stwBarrier() {
+// It stops the world and starts it again (ReadMemStats does): every P
+// parks through the scheduler's locked instructions, on every platform.
+func heavyBarrier() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // Tests for the asymmetric fence (barrier.go, docs/INVARIANTS.md): the
-// synchronous legs write their counters plainly, and soft Kill's
-// heavyBarrier is what orders them against the kill.
+// admission and completion legs on a descriptor's stripe write their
+// counters plainly, and soft Kill's heavyBarrier is what orders them
+// against the kill.
 
 // storeBufferBudget is the wall time the store-buffer litmus gives its
 // rounds on a loaded host.
@@ -22,8 +23,9 @@ const storeBufferBudget = 20 * time.Second
 // outcome the barrier forbids is both loads missing the other side's
 // store: the call admitted against an active service while the kill read
 // the count without it — the call would run after Kill returned. Without
-// the barrier, x86's store buffer shows that outcome in hundreds to
-// thousands of the 2^19 rounds on the defining host (EXPERIMENTS.md E39).
+// the barrier, x86's store buffer shows that outcome in a hundred to a
+// hundred thousand of the 2^19 rounds on the defining host (EXPERIMENTS.md
+// E39).
 func TestHeavyBarrierStoreBuffer(t *testing.T) { storeBuffer(t, 1<<19) }
 
 func storeBuffer(t *testing.T, rounds int64) {
@@ -80,47 +82,9 @@ func storeBuffer(t *testing.T, rounds int64) {
 	}
 }
 
-// TestKillSoftRacesSTWBarrier runs the soft-kill races on the fallback
-// barrier, the stop-the-world that stands in where membarrier(2) is
-// missing or refused, so both barriers are tested in every build.
-func TestKillSoftRacesSTWBarrier(t *testing.T) {
-	var stops atomic.Int64
-	defer func(f func()) { heavyBarrier = f }(heavyBarrier)
-	heavyBarrier = func() { stops.Add(1); stwBarrier() }
-	for _, tc := range []struct {
-		name string
-		test func(*testing.T)
-	}{
-		{"pooled", TestKillSoftNoCallExecutesAfterReturn},
-		{"held", TestKillSoftHeldCDNoCallExecutesAfterReturn},
-		{"held-one-shard", TestKillSoftHeldCallersOneShard},
-		{"deadline-orphan", TestCallDeadlineOrphanDrainsThroughSoftKill},
-		{"async-queued", TestKillSoftDrainsQueuedAsync},
-	} {
-		before := stops.Load()
-		t.Run(tc.name, tc.test)
-		if stops.Load() == before {
-			t.Errorf("%s: no soft Kill went through the fallback barrier", tc.name)
-		}
-	}
-	t.Run("store-buffer", func(t *testing.T) { storeBuffer(t, 1<<15) }) // a stop costs ~15 µs at two Ps
-}
-
-// BenchmarkHeavyBarrier prices one barrier of each kind, what a soft
-// Kill pays twice: membarrier(2) where the kernel has it (the row skips
-// where it does not), and the stop-the-world fallback.
+// BenchmarkHeavyBarrier prices one barrier, what a soft Kill pays twice.
 func BenchmarkHeavyBarrier(b *testing.B) {
-	b.Run("membarrier", func(b *testing.B) {
-		if !membarrier(membarrierRegisterPrivateExpedited) {
-			b.Skip("no membarrier(2) PRIVATE_EXPEDITED here")
-		}
-		for i := 0; i < b.N; i++ {
-			membarrier(membarrierPrivateExpedited)
-		}
-	})
-	b.Run("stop-the-world", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			stwBarrier()
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		heavyBarrier()
+	}
 }

@@ -307,7 +307,9 @@ func (c *Client) Call(ep EntryPointID, args *Args) error {
 	cd := c.held
 	cr, err := c.shard.enter(ep, one(args))
 	if err == nil {
-		err = c.sys.callHeld(cd, cr, args, c.program)
+		// Counters follow the descriptor: one pointer compare when warm.
+		cr.st = cd.stripeOf(cr.svc)
+		err = c.sys.callHeld(cd, cr, args, c.program, false)
 	}
 	// Ownership exit: a client abandoned mid-call takes its descriptor back
 	// out of the slot, unless the reap condemned it first.
@@ -375,7 +377,7 @@ func (s *Service) epProgram() uint32 { return uint32(s.ep) | 1<<31 }
 // registers; the deadline path hands its executor a copy.
 type callRec struct {
 	*epEntry             // the shard's replica of the entry point: service, handler, the (service, shard) counters
-	st       *callStripe // where a synchronous call is admitted: the stripe of the descriptor that runs it
+	st       *callStripe // where a synchronous call is admitted (set by its caller): the held descriptor's stripe, or the shard's
 }
 
 // enter is the one entry of every call path: read this shard's replica
@@ -398,10 +400,10 @@ func (sh *shard) enter(ep EntryPointID, argss []Args) (callRec, error) {
 	return callRec{epEntry: e}, nil
 }
 
-// begin is the synchronous admission leg: the call joins its stripe's
-// in-flight count, increment-then-check (Service.admit), until its
-// completion. False: a kill got there first, the call fails with
-// ErrKilled.
+// begin is the synchronous admission leg on a descriptor's stripe: the
+// call joins its stripe's in-flight count, increment-then-check
+// (Service.admit), until its completion. False: a kill got there first,
+// the call fails with ErrKilled.
 //
 //ppc:hotpath
 func (cr callRec) begin() bool { return cr.svc.admit(cr.st) }
@@ -418,19 +420,32 @@ func (cr callRec) fail(sh *shard, argss []Args, err error) error {
 }
 
 // callHeld is the synchronous core: an entered call run on a descriptor
-// its caller serially owns — admission and completion on that
-// descriptor's stripe (one pointer compare when warm), dispatch,
-// settlement. Completion accounting is inlined, not deferred: dispatch
-// contains handler panics itself (runIsolated), so no unwind can skip it,
-// and a deferred closure costs measurable time at call rates.
+// its caller serially owns — admission, dispatch, completion, settlement
+// — counted on cr.st, which its caller sets: the descriptor's own stripe,
+// with the plain legs, or for a pooled call (shared) the shard's, which
+// many callers write, with the locked ones. The legs are branched on here,
+// not in a helper, so the held call's stay inlined. Completion accounting
+// is inlined, not deferred: dispatch contains handler panics itself
+// (runIsolated), so no unwind can skip it, and a deferred closure costs
+// measurable time at call rates.
 //
 //ppc:hotpath
-func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) error {
-	if cr.st = cd.stripeOf(cr.svc); !cr.begin() {
+func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32, shared bool) error {
+	var admitted bool
+	if shared {
+		admitted = cr.svc.admitShared(cr.st)
+	} else {
+		admitted = cr.begin()
+	}
+	if !admitted {
 		return cr.fail(cd.shard, one(args), ErrKilled)
 	}
 	err := s.dispatch(cd, cr.svc, cr.st, cr.h, args, program, false)
-	cr.svc.complete(cr.st)
+	if shared {
+		cr.svc.completeShared(cr.st)
+	} else {
+		cr.svc.complete(cr.st)
+	}
 	if cr.svc.health != nil {
 		cr.svc.recordOutcome(cr.counters, err)
 	}
@@ -439,20 +454,24 @@ func (s *System) callHeld(cd *callDesc, cr callRec, args *Args, program uint32) 
 
 // callOn is the pooled synchronous call (CallPooled, nested Ctx.Call,
 // Upcall): enter, then the core on a descriptor popped for the call and
-// pushed back after it — admitted, like every synchronous call, on that
-// descriptor's stripe. The scratch buffer is deliberately NOT zeroed
+// pushed back after it, counted on the shard's own stripe with the locked
+// legs. A pooled descriptor is whoever's turn it is: a stripe of its own
+// would miss its one-entry cache on every call of a caller alternating
+// services, slower than the two locked instructions from eight services
+// up (EXPERIMENTS.md E39). The scratch buffer is deliberately NOT zeroed
 // before reuse — serial sharing of "stacks" is the point (§2); trust
 // domains that must not share scratch use separate Systems.
 //
 //ppc:hotpath
-//ppc:rmwbudget(3) -- pool pop (CAS), pool push (link, CAS)
+//ppc:rmwbudget(3) -- pool pop (CAS), pool push (link, CAS); with admitShared's and completeShared's, 5 on the path
 func (s *System) callOn(sh *shard, ep EntryPointID, args *Args, program uint32) error {
 	cr, err := sh.enter(ep, one(args))
 	if err != nil {
 		return err
 	}
+	cr.st = &cr.counters.stripe
 	cd := sh.popCD()
-	err = s.callHeld(cd, cr, args, program)
+	err = s.callHeld(cd, cr, args, program, true)
 	sh.pushCD(cd)
 	return err
 }

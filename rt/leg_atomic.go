@@ -5,19 +5,13 @@ package rt
 import "sync/atomic"
 
 // admit is leg_plain.go's leg on a 32-bit GOARCH, where a plain int64
-// increment is two stores a drain could read between: atomic, not to tear.
+// increment is two stores a drain could read between: the locked leg, not
+// to tear.
 //
 //ppc:hotpath
-func (s *Service) admit(st *callStripe) bool {
-	atomic.AddInt64(&st.admitted, 1)
-	if s.state.Load() != svcActive {
-		s.backOut(st)
-		return false
-	}
-	return true
-}
+func (s *Service) admit(st *callStripe) bool { return s.admitShared(st) }
 
-// complete is leg_plain.go's completion leg, atomic for the same reason.
+// complete is leg_plain.go's completion leg, locked for the same reason.
 //
 //ppc:hotpath
 func (s *Service) complete(st *callStripe) { atomic.AddInt64(&st.completed, 1) }

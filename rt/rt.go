@@ -279,14 +279,17 @@ type Service struct {
 	stripes  []*callStripe
 }
 
-// callStripe is one line of call counters. Every synchronous call is
-// admitted and completed on the stripe of the descriptor that runs it
-// (callDesc.stripeOf: one per descriptor and service), so the two counts
-// have one serial writer each and are plain writes (Service.admit,
-// Service.complete); callers sharing a shard do not share a stripe. The
-// shard's embedded stripe keeps the asynchronous counters. The in-flight
-// count is admitted − completed − asyncDone, read only by control-plane
-// code (kill drains, stats) through Service.sumStripes, always atomically.
+// callStripe is one line of call counters. A synchronous call on a
+// descriptor its caller owns (held, deadline) is admitted and completed
+// on that descriptor's stripe (callDesc.stripeOf: one per descriptor and
+// service), so the two counts have one serial writer each and are plain
+// writes (Service.admit, Service.complete); callers sharing a shard do
+// not share a stripe. A pooled call (callOn) and the asynchronous path
+// count on the shard's embedded stripe, with locked instructions
+// (Service.admitShared): a pooled descriptor serves any service. The
+// in-flight count is admitted − completed − asyncDone, read only by
+// control-plane code (kill drains, stats) through Service.sumStripes,
+// always atomically.
 //
 // Service.Calls is derived, not counted: completed − unreturned. Every
 // admitted synchronous call completes exactly once, and one whose
@@ -301,9 +304,9 @@ type Service struct {
 //ppc:padded
 type callStripe struct {
 	//ppc:hotline(call)
-	admitted int64 // synchronous admissions: written by Service.admit and backOut alone
+	admitted int64 // synchronous admissions: written by Service.admit, admitShared and backOut alone
 	//ppc:hotline(call)
-	completed int64 // finished synchronous calls, however they ended: written by Service.complete alone
+	completed int64 // finished synchronous calls, however they ended: written by Service.complete and completeShared alone
 	//ppc:hotline(call)
 	asyncDone atomic.Int64 // finished asynchronous requests (shard stripes only)
 	//ppc:hotline(call)
@@ -331,9 +334,10 @@ func (st *callStripe) calls() int64 {
 }
 
 // shardCounters is the (service, shard) counter block: the call stripe
-// the asynchronous path accounts on, the asynchronous admission counter,
-// and the health gate. Synchronous calls write none of it but the gate's
-// evidence — their stripe follows the descriptor (callStripe).
+// the pooled and asynchronous paths account on, the asynchronous
+// admission counter, and the health gate. Held and deadline calls write
+// none of it but the gate's evidence — their stripe follows the
+// descriptor (callStripe).
 //
 // The submitter writes asyncAdm and the worker stripe.asyncDone, on
 // separate lines, so neither invalidates the other's line per request.
@@ -344,7 +348,8 @@ func (st *callStripe) calls() int64 {
 //
 //ppc:padded
 type shardCounters struct {
-	// stripe is the shard's own call stripe: async workers complete on it.
+	// stripe is the shard's own call stripe: pooled synchronous calls
+	// admit and complete on it, async workers complete on it.
 	//
 	//ppc:hotline
 	stripe callStripe
@@ -465,6 +470,29 @@ func (s *Service) KilledBackouts() int64 {
 func (s *Service) inFlightTotal() int64 {
 	return s.sumStripes((*callStripe).inFlight) + s.AsyncCalls()
 }
+
+// admitShared is admit on a stripe several callers write — the shard's,
+// which pooled calls count on: the same increment-then-check, with a
+// locked increment, which fences itself against Kill's state store. It
+// and completeShared are the pooled path's legs, budgeted here, so the
+// held call that branches past them (callHeld) is not charged for them.
+//
+//ppc:hotpath
+//ppc:rmwbudget(1)
+func (s *Service) admitShared(st *callStripe) bool {
+	atomic.AddInt64(&st.admitted, 1)
+	if s.state.Load() != svcActive {
+		s.backOut(st)
+		return false
+	}
+	return true
+}
+
+// completeShared is complete on a shared stripe: a locked increment.
+//
+//ppc:hotpath
+//ppc:rmwbudget(1)
+func (s *Service) completeShared(st *callStripe) { atomic.AddInt64(&st.completed, 1) }
 
 // completeAsync is complete for a request a worker settled — executed,
 // or expired in the queue: the shard stripe's asynchronous counter, so
@@ -777,12 +805,13 @@ const killPollInterval = 100 * time.Microsecond
 // (§4.5.2); asynchronous requests still queued are discarded.
 //
 // The drain polls every killPollInterval: a completion tells nobody. A
-// synchronous admission and completion are plain writes, so the kill pays
-// the fence for both (heavyBarrier, docs/INVARIANTS.md): the one after
-// the state store pairs with admit's write-then-load, so the drain sees
-// the call or the call sees the kill; the one after the drain makes the
-// writes of the handlers it waited for visible before Kill returns. A
-// kill of a service with nothing in flight does not wait at all.
+// synchronous admission and completion on a descriptor's stripe are plain
+// writes, so the kill pays the fence for both (heavyBarrier,
+// docs/INVARIANTS.md): the one after the state store pairs with admit's
+// write-then-load, so the drain sees the call or the call sees the kill;
+// the one after the drain makes the writes of the handlers it waited for
+// visible before Kill returns. A kill of a service with nothing in flight
+// does not wait at all.
 //
 // The sum takes stripeMu, under which a stripe is linked before its first
 // increment: a stripe the sum misses was linked after the state store, so

@@ -123,10 +123,9 @@ func TestKillSoftHeldCallersOneShard(t *testing.T) {
 
 // TestStripeCountersExact walks one descriptor through every way its
 // stripes get used — two owners in turn, two services in alternation —
-// and mixes in the pooled paths (CallPooled, Ctx.Call, Upcall), which
-// account on the stripes of the descriptors they pop, never the shard's.
-// The public sums are exact, and no path mints a second stripe for a
-// (descriptor, service) pair.
+// and mixes in the paths that account on the shard's own stripe
+// (CallPooled, Ctx.Call, Upcall). The public sums are exact, and no path
+// mints a second stripe for a (descriptor, service) pair.
 func TestStripeCountersExact(t *testing.T) {
 	sys := newSystem(t, Options{Shards: 1})
 	var denied atomic.Uint32
@@ -192,8 +191,8 @@ func TestStripeCountersExact(t *testing.T) {
 	if got := b.Calls(); got != 5 {
 		t.Fatalf("Calls(b) = %d, want 5", got)
 	}
-	if got := a.perShard[0].stripe.calls(); got != 0 {
-		t.Fatalf("the shard's own stripe counted %d calls, want 0: the pooled ones count on their descriptors' stripes", got)
+	if got := a.perShard[0].stripe.calls(); got != 3+2+4 {
+		t.Fatalf("the shard's own stripe counted %d calls, want the 9 pooled ones", got)
 	}
 
 	c3 := sys.NewClientWith(ClientOptions{})

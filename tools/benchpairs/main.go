@@ -218,13 +218,14 @@ func report(w io.Writer, refA, refB, workload string, specs []metricSpec, runs [
 		if len(a[m.Name]) != len(b[m.Name]) || len(a[m.Name]) == 0 {
 			continue
 		}
-		s := summarize(m, a[m.Name], b[m.Name])
+		s := summarize(m, a[m.Name], b[m.Name], mean(failA), mean(failB))
 		fmt.Fprintf(w, "%-14s %-30s %-30s %7.3f %3d/%-2d %8.3g  %s\n", m.Name,
 			fmt.Sprintf("%.4g [%.4g–%.4g]", s.MedA, s.Q1A, s.Q3A),
 			fmt.Sprintf("%.4g [%.4g–%.4g]", s.MedB, s.Q1B, s.Q3B),
 			s.Ratio, s.Wins, s.Pairs, s.P, s.Verdict)
 	}
-	fmt.Fprintf(w, "failed share: A max %.3g, B max %.3g\n", quantile(failA, 1), quantile(failB, 1))
+	fmt.Fprintf(w, "failed share: A mean %.3g (max %.3g), B mean %.3g (max %.3g)\n",
+		mean(failA), quantile(failA, 1), mean(failB), quantile(failB, 1))
 }
 
 // git runs a git command in dir and returns its trimmed output.

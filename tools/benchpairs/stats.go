@@ -21,6 +21,15 @@ func quantile(xs []float64, q float64) float64 {
 
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
 
+// mean is the arithmetic mean of xs (0 for none).
+func mean(xs []float64) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / math.Max(1, float64(len(xs)))
+}
+
 // signTestP is the two-sided sign-test p-value for wins out of n
 // untied pairs: the probability, under "either side wins a pair with
 // probability 1/2", of a split at least as uneven.
@@ -64,17 +73,22 @@ type summary struct {
 	Ratio             float64 // MedB / MedA
 	Wins, Ties, Pairs int     // pairs in which B is better, equal, and all pairs
 	P                 float64 // two-sided sign test over untied pairs
-	Gain              bool    // the claim rule: ≥ 9 of 10 pairs won, median gap beyond A's IQR
+	Gain              bool    // the claim rule: ≥ 9 of 10 pairs won, median gap beyond A's IQR, no larger failed share
+	Separated         bool    // every B run better than every A run
 	Worse, Unresolved bool    // B worse than A beyond the bound; A's own spread reaches the bound
+	MoreFailed        bool    // B's share of failed operations is above A's
 	Verdict           string
 }
 
-// summarize applies the acceptance rules to paired samples a[i], b[i].
-// A gain needs B to win at least nine pairs in ten and a median gap
-// larger than A's interquartile range. A regression is B's median worse
-// than A's by more than the bound. A metric whose parent IQR, relative
-// to its median, reaches the bound cannot tell either: unresolved.
-func summarize(m metricSpec, a, b []float64) summary {
+// summarize applies the acceptance rules to paired samples a[i], b[i],
+// whose sides failed the shares failA and failB of their operations. A
+// gain needs B to win at least nine pairs in ten, a median gap larger
+// than A's interquartile range, and no larger failed share. A
+// regression is B's median worse than A's by more than the bound, or a
+// larger failed share. A metric whose parent IQR, relative to its
+// median, reaches the bound cannot tell either — unless every B run is
+// better than every A run, which no spread explains: unresolved.
+func summarize(m metricSpec, a, b []float64, failA, failB float64) summary {
 	s := summary{Metric: m.Name, Pairs: len(a)}
 	s.MedA, s.Q1A, s.Q3A = median(a), quantile(a, 0.25), quantile(a, 0.75)
 	s.MedB, s.Q1B, s.Q3B = median(b), quantile(b, 0.25), quantile(b, 0.75)
@@ -94,18 +108,28 @@ func summarize(m metricSpec, a, b []float64) summary {
 		gap = -gap
 	}
 	iqr := s.Q3A - s.Q1A
-	s.Gain = s.Pairs > 0 && float64(s.Wins) >= 0.9*float64(s.Pairs) && gap > iqr
+	s.MoreFailed = failB > failA
+	s.Gain = s.Pairs > 0 && float64(s.Wins) >= 0.9*float64(s.Pairs) && gap > iqr && !s.MoreFailed
+	if higher {
+		s.Separated = s.Pairs > 0 && quantile(b, 0) > quantile(a, 1)
+	} else {
+		s.Separated = s.Pairs > 0 && quantile(b, 1) < quantile(a, 0)
+	}
 	if m.Bound > 0 && s.MedA != 0 {
 		s.Worse = -gap/math.Abs(s.MedA) > m.Bound
 		s.Unresolved = iqr/math.Abs(s.MedA) >= m.Bound
 	}
 	switch {
-	case s.Unresolved:
-		s.Verdict = "unresolved: the spread reaches the bound"
+	case s.MoreFailed:
+		s.Verdict = "WORSE: a larger share of operations failed"
 	case s.Worse:
 		s.Verdict = "WORSE beyond the bound"
-	case s.Gain:
+	case s.Gain && s.Separated:
+		s.Verdict = "gain, better in every run"
+	case s.Gain && !s.Unresolved:
 		s.Verdict = "gain"
+	case s.Unresolved:
+		s.Verdict = "unresolved: the spread reaches the bound"
 	default:
 		s.Verdict = "inside bound"
 	}
